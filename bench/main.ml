@@ -170,10 +170,10 @@ let fidelity spec =
       }
   in
   let module H = (val backend : Hisa.S) in
-  let module E = Executor.Make (H) in
+  let module E = Chet_plan.Plan_exec.Make (H) in
   let circuit = spec.Models.build () in
   let image = Models.input_for spec ~seed:7 in
-  let got = E.run opts.Compiler.scales circuit ~policy:compiled.Compiler.policy image in
+  let got = E.eval opts.Compiler.scales circuit ~policy:compiled.Compiler.policy image in
   T.max_abs_diff (T.flatten (Reference.eval circuit image)) (T.flatten got)
 
 let table3 () =
@@ -540,11 +540,10 @@ let ablation () =
               }
           in
           let module H = (val sim : Hisa.S) in
-          let module E = Executor.Make (H) in
+          let module PE = Chet_plan.Plan_exec.Make (H) in
           let image = Models.input_for spec ~seed:1 in
-          let meta = E.input_meta circuit ~kind:(kind_of circuit.Circuit.input) in
-          let enc = E.K.encrypt_tensor opts.Compiler.scales meta image in
-          ignore (E.run_encrypted_with opts.Compiler.scales circuit ~kind_of enc);
+          let plan = Chet_plan.Plan.build_assigned ~slots:H.slots ~kind_of circuit in
+          ignore (PE.run (PE.prepare ~pt_budget:0 opts.Compiler.scales plan) image);
           clock.Sim.elapsed
         in
         let best_exhaustive = ref infinity in
@@ -631,95 +630,6 @@ let serve_bench () =
           points))
 
 (* ------------------------------------------------------------------ *)
-(* Compiled plans: latency + allocation vs the interpretive executor    *)
-(* ------------------------------------------------------------------ *)
-
-(* The DESIGN.md §14 regression gate, measured: every paper model on the
-   cleartext backend at the compiled ring dimension, interpretive vs plan.
-   Outputs must be bit-identical; the plan must allocate less (arena reuse,
-   prepare-once plaintexts, fused accumulation) and be no slower. *)
-let plan_bench () =
-  print_endline "\n===== Compiled plans vs interpretive executor =====";
-  let alloc_words f =
-    let s0 = Gc.quick_stat () in
-    let r = f () in
-    let s1 = Gc.quick_stat () in
-    let words s = s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words in
-    (r, words s1 -. words s0)
-  in
-  let points = ref [] in
-  let rows =
-    List.map
-      (fun (spec : Models.spec) ->
-        let circuit = spec.Models.build () in
-        let compiled = Workloads.compiled_for Compiler.Seal spec in
-        let opts = compiled.Compiler.opts in
-        let scheme = Compiler.scheme_of_params opts compiled.Compiler.params in
-        let slots = Compiler.params_n compiled.Compiler.params / 2 in
-        let backend () =
-          Clear.make { Clear.slots; scheme; strict_modulus = false; encode_noise = false }
-        in
-        let module H = (val backend () : Hisa.S) in
-        let module E = Executor.Make (H) in
-        let module PE = Chet_plan.Plan_exec.Make (H) in
-        let image = Models.input_for spec ~seed:7 in
-        let policy = compiled.Compiler.policy in
-        (* warm both paths once (layout assignment, plan prepare), then
-           measure the steady per-inference state serving cares about *)
-        let interp () = E.run opts.Compiler.scales circuit ~policy image in
-        ignore (interp ());
-        let interp_out, interp_words = alloc_words interp in
-        let _, interp_s = time_once interp in
-        let p = Compiler.plan compiled in
-        let prepared = PE.prepare opts.Compiler.scales p in
-        let planned () = PE.run prepared image in
-        ignore (planned ());
-        let plan_out, plan_words = alloc_words planned in
-        let _, plan_s = time_once planned in
-        if interp_out.T.data <> plan_out.T.data then
-          failwith (spec.Models.model_name ^ ": plan output is not bit-identical");
-        let ratio = interp_words /. Float.max 1.0 plan_words in
-        points :=
-          Jsonx.Obj
-            [
-              ("model", Jsonx.Str spec.Models.model_name);
-              ("interp_seconds", Jsonx.Num interp_s);
-              ("plan_seconds", Jsonx.Num plan_s);
-              ("interp_alloc_words", Jsonx.Num interp_words);
-              ("plan_alloc_words", Jsonx.Num plan_words);
-              ("alloc_ratio", Jsonx.Num ratio);
-              ("arena_slots", Jsonx.Num (float_of_int p.Chet_plan.Plan.p_arena));
-              ("steps", Jsonx.Num (float_of_int (Array.length p.Chet_plan.Plan.p_steps)));
-              ( "fused_mul_rescale",
-                Jsonx.Num (float_of_int p.Chet_plan.Plan.p_stats.Chet_plan.Plan.fused_mul_rescale)
-              );
-              ( "fused_rot_acc",
-                Jsonx.Num (float_of_int p.Chet_plan.Plan.p_stats.Chet_plan.Plan.fused_rot_acc) );
-              ( "fused_mul_acc",
-                Jsonx.Num (float_of_int p.Chet_plan.Plan.p_stats.Chet_plan.Plan.fused_mul_acc) );
-              ("bit_identical", Jsonx.Bool true);
-            ]
-          :: !points;
-        [
-          spec.Models.model_name;
-          fmt_seconds interp_s;
-          fmt_seconds plan_s;
-          Printf.sprintf "%.2fx" (interp_s /. Float.max 1e-9 plan_s);
-          Printf.sprintf "%.1f" (interp_words /. 1e6);
-          Printf.sprintf "%.1f" (plan_words /. 1e6);
-          Printf.sprintf "%.1fx" ratio;
-          string_of_int p.Chet_plan.Plan.p_arena;
-          "yes";
-        ])
-      (networks ())
-  in
-  print_table ~title:"per-inference, cleartext backend at compiled N"
-    ~headers:
-      [ "network"; "interp s"; "plan s"; "speedup"; "interp Mw"; "plan Mw"; "alloc"; "arena"; "bit-id" ]
-    rows;
-  add_json "plan" (Jsonx.Arr (List.rev !points))
-
-(* ------------------------------------------------------------------ *)
 (* Fast ring kernels: Bigarray/Shoup path vs scalar reference           *)
 (* ------------------------------------------------------------------ *)
 
@@ -777,8 +687,8 @@ let kernels_bench () =
   let infer () =
     let backend = Compiler.instantiate compiled ~seed:42 ~with_secret:true () in
     let module H = (val backend : Hisa.S) in
-    let module E = Executor.Make (H) in
-    time_once (fun () -> E.run opts.Compiler.scales circuit ~policy:compiled.Compiler.policy image)
+    let module E = Chet_plan.Plan_exec.Make (H) in
+    time_once (fun () -> E.eval opts.Compiler.scales circuit ~policy:compiled.Compiler.policy image)
   in
   Rq.set_fast_ring true;
   let fast_out, fast_s = infer () in
@@ -848,8 +758,8 @@ let integrity_bench () =
           Clear.make { Clear.slots; scheme; strict_modulus = false; encode_noise = false }
         in
         let module H = (val backend () : Hisa.S) in
-        let module E = Executor.Make (H) in
-        let plain () = E.run scales circuit ~policy image in
+        let module E = Chet_plan.Plan_exec.Make (H) in
+        let plain () = E.eval scales circuit ~policy image in
         ignore (plain ());
         let plain_out, base_s = time_once plain in
         let isp = Integrity.spec_for circuit in
@@ -857,7 +767,7 @@ let integrity_bench () =
         let sentinel =
           Integrity.sentinel ~observe:(fun t -> margin := Integrity.margin_bits isp t) isp
         in
-        let verified () = E.run ~sentinel scales circuit ~policy image in
+        let verified () = E.eval ~sentinel scales circuit ~policy image in
         ignore (verified ());
         let v_out, v_s = time_once verified in
         let max_diff =
@@ -883,8 +793,8 @@ let integrity_bench () =
          let module HN =
            (val Checked.wrap ~config:(Some cfg) ~margin:noise_margin ~scheme (backend ()) : Hisa.S)
          in
-         let module EN = Executor.Make (HN) in
-         try ignore (EN.run scales circuit ~policy image)
+         let module EN = Chet_plan.Plan_exec.Make (HN) in
+         try ignore (EN.eval scales circuit ~policy image)
          with Chet_hisa.Herr.Fhe_error (Chet_hisa.Herr.Precision_exhausted { margin_bits; _ }, _)
          ->
            guard_fired := true;
@@ -951,7 +861,6 @@ let () =
     | "--sweep" :: rest -> "swp" :: wanted rest
     | "--cryptonets" :: rest -> "cn" :: wanted rest
     | "--serve" :: rest -> "srv" :: wanted rest
-    | "--plan" :: rest -> "pln" :: wanted rest
     | "--kernels" :: rest -> "krn" :: wanted rest
     | "--integrity" :: rest -> "int" :: wanted rest
     | _ :: rest -> wanted rest
@@ -973,7 +882,6 @@ let () =
   if want "swp" then begin depth_sweep (); Gc.compact () end;
   if want "cn" then begin cryptonets_comparison (); Gc.compact () end;
   if want "srv" then begin serve_bench (); Gc.compact () end;
-  if want "pln" then begin plan_bench (); Gc.compact () end;
   if want "krn" then begin kernels_bench (); Gc.compact () end;
   if want "int" then begin integrity_bench (); Gc.compact () end;
   if all || List.mem "abl" selected then ablation ();

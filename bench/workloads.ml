@@ -73,9 +73,9 @@ let sim_run ?(kind = Calibrated) target (spec : Models.spec) ~policy ~params =
       in
       let backend, counters = Instrument.wrap sim in
       let module H = (val backend : Hisa.S) in
-      let module E = Executor.Make (H) in
+      let module E = Chet_plan.Plan_exec.Make (H) in
       let image = Models.input_for spec ~seed:1 in
-      ignore (E.run opts.Compiler.scales circuit ~policy image);
+      ignore (E.eval opts.Compiler.scales circuit ~policy image);
       let r =
         {
           base_latency = clock.Sim.elapsed;
@@ -130,7 +130,6 @@ let manual_heaan_latency spec =
 (* ------------------------------------------------------------------ *)
 
 module Service = Chet_serve.Service
-module Clear = Chet_hisa.Clear_backend
 
 type serve_point = {
   sv_high_water : int;
@@ -155,8 +154,6 @@ let serve_sweep ?(domains = 2) ?(burst = 48) ~high_waters () =
   let circuit = spec.Models.build () in
   let opts = opts_for Compiler.Seal in
   let compiled = compiled_for Compiler.Seal spec in
-  let scheme = Compiler.scheme_of_params opts compiled.Compiler.params in
-  let slots = Compiler.params_n compiled.Compiler.params / 2 in
   let dep =
     {
       Service.dep_label = "clear";
@@ -165,9 +162,7 @@ let serve_sweep ?(domains = 2) ?(burst = 48) ~high_waters () =
       dep_policy = compiled.Compiler.policy;
       dep_cost_ms = None;
       dep_backend =
-        (fun ~req_seed:_ ~attempt:_ ->
-          Clear.make { Clear.slots; scheme; strict_modulus = false; encode_noise = false });
-      dep_plan = None;
+        Service.Shared { keys = Compiler.clear_keyset compiled; plan = Compiler.plan compiled };
       dep_sentinel = None;
       dep_twin = false;
     }

@@ -14,12 +14,13 @@ module Compiler = Chet.Compiler
 module Scale_select = Chet.Scale_select
 module Integrity = Chet.Integrity
 module Executor = Chet_runtime.Executor
+module Plan = Chet_plan.Plan
+module Plan_exec = Chet_plan.Plan_exec
 module Models = Chet_nn.Models
 module Circuit = Chet_nn.Circuit
 module Opcount = Chet_nn.Opcount
 module Reference = Chet_nn.Reference
 module Sim = Chet_hisa.Sim_backend
-module Clear = Chet_hisa.Clear_backend
 module Checked = Chet_hisa.Checked_backend
 module Fault = Chet_hisa.Fault_backend
 module Hisa = Chet_hisa.Hisa
@@ -98,8 +99,8 @@ let state_dir_arg =
 
 (* Opening a store runs crash recovery; narrate what it found — quarantined
    generations keep their typed reason, uncommitted debris is just counted. *)
-let open_store_verbose ?keep dir =
-  let store, report = Store.open_ ?keep dir in
+let open_store_verbose ?keep ?create dir =
+  let store, report = Store.open_ ?keep ?create dir in
   List.iter
     (fun (name, e) ->
       Printf.eprintf "chet: store: quarantined %s/%s (%s: %s)\n" dir name (Herr.error_name e)
@@ -238,30 +239,15 @@ let run_cmd =
              typed FHE error instead of a garbage prediction.")
   in
   let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Synthetic image seed.") in
-  let plan_arg =
-    Arg.(
-      value & flag
-      & info [ "plan" ]
-          ~doc:
-            "Execute through the compiled plan (DESIGN.md §14): the circuit lowered once into a \
-             scheduled arena program with fused kernels, then replayed. Outputs are bit-identical \
-             to the interpretive executor.")
-  in
-  let no_plan_arg =
-    Arg.(
-      value & flag
-      & info [ "no-plan" ]
-          ~doc:"Force the interpretive executor (the default) — the --plan escape hatch.")
-  in
   let trace_arg =
     Arg.(
       value
       & opt (some string) None
       & info [ "trace" ] ~docv:"FILE"
           ~doc:
-            "Record a Chrome trace_event JSON trace of the run — one span per circuit node \
-             (node id, layer, layout, HISA op count, result scale/level) — and write it to \
-             $(docv); open in chrome://tracing or Perfetto.")
+            "Record a Chrome trace_event JSON trace of the run — one span per plan step \
+             (node id, layer, layout, arena slot, HISA op count, result scale/level) — and write \
+             it to $(docv); open in chrome://tracing or Perfetto.")
   in
   let sentinel_arg =
     Arg.(
@@ -269,13 +255,10 @@ let run_cmd =
       & info [ "sentinel" ]
           ~doc:
             "Verify the answer end-to-end with sentinel slots (DESIGN.md §16): a known probe \
-             rides the twin lane through the whole circuit and is checked against the clear \
-             reference at decrypt. Forces the interpretive executor.")
+             rides the twin lane through the whole plan and is checked against the clear \
+             reference at decrypt.")
   in
-  let run () model target real checked want_sentinel seed plan no_plan trace cost_file =
-    let use_plan = plan && not no_plan && not want_sentinel in
-    if plan && want_sentinel then
-      Printf.eprintf "chet: --plan: --sentinel forces the interpretive executor\n";
+  let run () model target real checked want_sentinel seed trace cost_file =
     let spec = lookup_model model in
     let circuit = spec.Models.build () in
     let base_opts = apply_cost_file (Compiler.default_options ~target ()) target cost_file in
@@ -284,32 +267,23 @@ let run_cmd =
     Format.printf "%a@." Compiler.pp_compiled compiled;
     let image = Models.input_for spec ~seed in
     let expected = Reference.eval circuit image in
-    (* --trace: ambient tracer for executor node spans, plus the timed
+    (* --trace: ambient tracer for the plan's step spans, plus the timed
        interceptor around the backend so spans can attribute HISA op counts *)
     let tracer = Option.map (fun _ -> Tracer.create ()) trace in
     let timer = Timed_backend.create () in
     Tracer.set_global tracer;
     let wrap b = if trace = None then b else Timed_backend.wrap timer b in
-    let the_plan = if use_plan then Some (Compiler.plan compiled) else None in
-    Option.iter (fun p -> Printf.printf "plan: %s\n" (Chet_plan.Plan.summary p)) the_plan;
-    let isp = if want_sentinel then Some (Integrity.spec_for circuit) else None in
+    let plan = Compiler.plan compiled in
+    Printf.printf "plan: %s\n" (Plan.summary plan);
     let margin = ref Float.nan in
+    let sentinel =
+      if not want_sentinel then None
+      else
+        let sp = Integrity.spec_for circuit in
+        Some (Integrity.sentinel ~observe:(fun t -> margin := Integrity.margin_bits sp t) sp)
+    in
     let run_with (backend : Hisa.t) =
-      let module H = (val wrap backend) in
-      match the_plan with
-      | Some p ->
-          let module PE = Chet_plan.Plan_exec.Make (H) in
-          PE.run (PE.prepare opts.Compiler.scales p) image
-      | None ->
-          let module E = Executor.Make (H) in
-          let sentinel =
-            Option.map
-              (fun sp ->
-                Integrity.sentinel ~observe:(fun t -> margin := Integrity.margin_bits sp t) sp)
-              isp
-          in
-          E.run ?sentinel ~twin:want_sentinel opts.Compiler.scales circuit
-            ~policy:compiled.Compiler.policy image
+      (Plan_exec.prepare_runner (wrap backend) opts.Compiler.scales plan) ?sentinel image
     in
     let finally () = Tracer.set_global None in
     let got, latency =
@@ -338,7 +312,9 @@ let run_cmd =
                         | Compiler.Heaan -> Cost_model.heaan ()));
                 }
             in
-            (run_with backend, clock.Sim.elapsed)
+            (* run first: a tuple's components evaluate right to left *)
+            let r = run_with backend in
+            (r, clock.Sim.elapsed)
           end)
     in
     (match trace, tracer with
@@ -359,7 +335,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Run one encrypted inference")
     Term.(
       const run $ kernel_term $ model_arg $ target_arg $ real_arg $ checked_arg $ sentinel_arg
-      $ seed_arg $ plan_arg $ no_plan_arg $ trace_arg $ cost_file_arg)
+      $ seed_arg $ trace_arg $ cost_file_arg)
 
 let scales_cmd =
   let tol_arg = Arg.(value & opt float 0.05 & info [ "tolerance" ] ~doc:"Output tolerance.") in
@@ -532,6 +508,50 @@ let trace_cmd =
 
 (* --- chet serve: the resilient inference service on a scripted trace --- *)
 
+(* The plan every rung runs: the bundle's when a warm restart restored one
+   for the same geometry, else lowered from the compile. *)
+let plan_of ?restored compiled ~twin =
+  match restored with
+  | Some l when l.Bundle.l_bundle.Bundle.b_plan.Plan.p_twin = twin -> l.Bundle.l_bundle.Bundle.b_plan
+  | _ ->
+      Compiler.plan
+        { compiled with Compiler.opts = { compiled.Compiler.opts with Compiler.sentinel = twin } }
+
+(* Seeded fault injection around a cleartext backend: 'transient' NaN-
+   poisons the decode path of a request's first attempt only, 'persistent'
+   of every attempt (typed Numeric_blowup under the checked wrapper),
+   'silent' perturbs result slots with no typed error. *)
+let arm_fault fault compiled ~req_seed ~attempt base =
+  let armed =
+    match fault with
+    | `None -> None
+    | `Transient -> if attempt = 0 then Some Fault.Nan_poison else None
+    | `Persistent -> Some Fault.Nan_poison
+    | `Silent -> Some Fault.Silent_corruption
+  in
+  match armed with
+  | None -> base
+  | Some f ->
+      let faulty, _log = Fault.wrap (Fault.default_config ~seed:req_seed (Some f)) base in
+      Checked.wrap ~scheme:(Compiler.scheme_of_params compiled.Compiler.opts compiled.Compiler.params) faulty
+
+let clear_backend compiled = (Compiler.clear_keyset compiled).Compiler.ks_view (Sampling.create ~seed:0)
+
+(* A cleartext rung of the CLI's demo ladders. Rungs that see a different
+   backend on every attempt (faults, delays) are [Per_attempt]; the others
+   share one plan prepared per worker. *)
+let clear_rung compiled ~label ~degraded ?sentinel backend =
+  {
+    Service.dep_label = label;
+    dep_degraded = degraded;
+    dep_scales = compiled.Compiler.opts.Compiler.scales;
+    dep_policy = compiled.Compiler.policy;
+    dep_cost_ms = None;
+    dep_backend = backend;
+    dep_sentinel = sentinel;
+    dep_twin = sentinel <> None;
+  }
+
 let serve_cmd =
   let requests_arg =
     Arg.(value & opt int 24 & info [ "requests" ] ~doc:"Number of requests in the scripted trace.")
@@ -584,24 +604,9 @@ let serve_cmd =
             "Verify every answer end-to-end with sentinel slots (DESIGN.md §16): a known probe \
              rides the interleaved twin lane through the whole circuit and is checked against \
              the clear reference before the answer is released. Mismatches surface as typed \
-             Integrity_violation. Forces the interpretive executor.")
+             Integrity_violation.")
   in
   let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Key-generation seed (--real).") in
-  let plan_arg =
-    Arg.(
-      value & flag
-      & info [ "plan" ]
-          ~doc:
-            "Serve the primary rung through the compiled execution plan (DESIGN.md §14): one \
-             prepared arena executor per worker domain, bit-identical answers to the \
-             interpretive path. Degraded rungs stay interpretive.")
-  in
-  let no_plan_arg =
-    Arg.(
-      value & flag
-      & info [ "no-plan" ]
-          ~doc:"Force the interpretive executor on every rung (the default) — the --plan escape hatch.")
-  in
   let metrics_arg =
     Arg.(
       value & flag
@@ -620,8 +625,7 @@ let serve_cmd =
              shutdown.")
   in
   let run () model target requests domains queue_hw deadline_ms tight_every fault real
-      want_sentinel seed plan no_plan metrics_dump state_dir interarrival_ms =
-    let use_plan = plan && not no_plan in
+      want_sentinel seed metrics_dump state_dir interarrival_ms =
     let spec = lookup_model model in
     let circuit = spec.Models.build () in
     let sentinel = if want_sentinel then Some (Integrity.spec_for circuit) else None in
@@ -668,7 +672,7 @@ let serve_cmd =
       match restored with
       | Some l -> l.Bundle.l_bundle.Bundle.b_compiled
       | None ->
-          let opts = Compiler.default_options ~target () in
+          let opts = { (Compiler.default_options ~target ()) with Compiler.sentinel = want_sentinel } in
           let compiled = Compiler.compile opts circuit in
           (* first boot against this store: persist the bundle so the next
              start is warm (keys only for real deployments) *)
@@ -679,118 +683,35 @@ let serve_cmd =
           compiled
     in
     Format.printf "%a@." Compiler.pp_compiled compiled;
-    let opts = compiled.Compiler.opts in
-    let scheme = Compiler.scheme_of_params opts compiled.Compiler.params in
-    let slots = Compiler.params_n compiled.Compiler.params / 2 in
-    let clear () =
-      Clear.make { Clear.slots; scheme; strict_modulus = false; encode_noise = false }
-    in
+    let plan = plan_of ?restored compiled ~twin:want_sentinel in
+    Printf.printf "plan: %s\n" (Plan.summary plan);
     let ladder =
-      if real then
-        match restored with
-        | Some l ->
-            (* the bundle's seed governs: the restored deployment must be
-               bit-identical to the one that wrote it *)
-            let factory, _scheme =
-              Bundle.restore_factory l.Bundle.l_bundle ~with_secret:true
-            in
-            let plan_runner =
-              if not use_plan then None
-              else
-                match Bundle.restore_plan_runner l.Bundle.l_bundle ~with_secret:true with
-                | Some (runner, _) -> Some runner
-                | None ->
-                    Printf.eprintf
-                      "chet: --plan: bundle has no PLAN frame; serving interpretive\n";
-                    None
-            in
-            Service.ladder_of_factory compiled ~factory ~predict_cost:true ?plan:plan_runner
-              ?sentinel ()
-        | None ->
-            Service.ladder_of_compiled compiled ~seed ~with_secret:true ~predict_cost:true
-              ?plan:(if use_plan then Some (Compiler.plan compiled) else None)
-              ?sentinel ()
+      if real then begin
+        (* the bundle's seed governs: the restored deployment must be
+           bit-identical to the one that wrote it *)
+        let keyset =
+          match restored with
+          | Some l -> Bundle.restore_keyset l.Bundle.l_bundle ~with_secret:true
+          | None -> Compiler.keyset compiled ~seed ~with_secret:true ()
+        in
+        Service.ladder_of_keyset compiled ~keyset ~plan ~predict_cost:true ?sentinel ()
+      end
       else begin
         (* cleartext twin of the deployment ladder: same circuit, policy and
            scales, with seeded fault injection on the primary rung so the
            retry/breaker machinery has something to push against *)
-        let primary_backend ~req_seed ~attempt =
-          let armed =
-            match fault with
-            | `None -> None
-            | `Transient -> if attempt = 0 then Some Fault.Nan_poison else None
-            | `Persistent -> Some Fault.Nan_poison
-            | `Silent -> Some Fault.Silent_corruption
-          in
-          match armed with
-          | None -> clear ()
-          | Some f ->
-              let faulty, _log = Fault.wrap (Fault.default_config ~seed:req_seed (Some f)) (clear ()) in
-              Checked.wrap ~scheme faulty
+        let clear = Compiler.clear_keyset compiled in
+        let primary =
+          if fault = `None then Service.Shared { keys = clear; plan }
+          else
+            Service.Per_attempt
+              (fun ~req_seed ~attempt ->
+                arm_fault fault compiled ~req_seed ~attempt (clear_backend compiled))
         in
-        let primary_plan =
-          if not use_plan then None
-          else if want_sentinel then begin
-            (* the plan compiles the untwinned layout; sentinels need the
-               doubled strides, so verified serving stays interpretive *)
-            Printf.eprintf "chet: --plan: --sentinel forces interpretive serving\n";
-            None
-          end
-          else if fault <> `None then begin
-            (* fault injection wraps the interpretive backend view; a plan
-               rung would route around it, so it wins and plans are off *)
-            Printf.eprintf
-              "chet: --plan: --fault targets the interpretive backend; serving interpretive\n";
-            None
-          end
-          else begin
-            let p = Compiler.plan compiled in
-            Printf.printf "plan: %s\n" (Chet_plan.Plan.summary p);
-            let module H = (val clear () : Hisa.S) in
-            let module PE = Chet_plan.Plan_exec.Make (H) in
-            let mu = Mutex.create () in
-            let workers : (int, PE.prepared) Hashtbl.t = Hashtbl.create 8 in
-            Some
-              (fun ~cancel ~worker ~req_seed:_ ~attempt:_ image ->
-                (* the cleartext backend ignores the request seed (no
-                   encryption randomness), so plan answers match the
-                   interpretive rung exactly *)
-                let prepared =
-                  Mutex.protect mu (fun () ->
-                      match Hashtbl.find_opt workers worker with
-                      | Some pr -> pr
-                      | None ->
-                          let pr = PE.prepare opts.Compiler.scales p in
-                          Hashtbl.add workers worker pr;
-                          pr)
-                in
-                PE.run ~cancel prepared image)
-          end
-        in
-        let twin = sentinel <> None in
         [
-          {
-            Service.dep_label = "primary";
-            dep_degraded = false;
-            dep_scales = opts.Compiler.scales;
-            dep_policy = compiled.Compiler.policy;
-            dep_cost_ms = None;
-            dep_backend = primary_backend;
-            dep_plan = (if twin then None else primary_plan);
-            dep_sentinel = sentinel;
-            dep_twin = twin;
-          };
-          {
-            Service.dep_label = "clear-fallback";
-            dep_degraded = true;
-            dep_scales = opts.Compiler.scales;
-            dep_policy = compiled.Compiler.policy;
-            dep_cost_ms = None;
-            dep_backend = (fun ~req_seed:_ ~attempt:_ -> clear ());
-            dep_plan = None;
-            dep_sentinel = sentinel;
-            dep_twin = twin;
-          };
+          clear_rung compiled ~label:"primary" ~degraded:false ?sentinel primary;
+          clear_rung compiled ~label:"clear-fallback" ~degraded:true ?sentinel
+            (Service.Shared { keys = clear; plan });
         ]
       end
     in
@@ -887,7 +808,7 @@ let serve_cmd =
     Term.(
       const run $ kernel_term_serve $ model_arg $ target_arg $ requests_arg $ domains_arg
       $ queue_arg $ deadline_arg
-      $ tight_arg $ fault_arg $ real_arg $ sentinel_arg $ seed_arg $ plan_arg $ no_plan_arg
+      $ tight_arg $ fault_arg $ real_arg $ sentinel_arg $ seed_arg
       $ metrics_arg $ state_dir_arg $ interarrival_arg)
 
 (* --- chet store: inspect and maintain a deployment store ---------------- *)
@@ -920,8 +841,10 @@ let store_cmd =
               (Herr.error_detail e))
       statuses
   in
+  (* inspection never creates a store: a mistyped path is an error, not an
+     empty (healthy-looking) store *)
   let ls_run dir =
-    let store, report = open_store_verbose dir in
+    let store, report = open_store_verbose ~create:false dir in
     (match report.Store.r_active with
     | Some id ->
         Printf.printf "active: generation %d (%d bytes verified)\n" id
@@ -930,7 +853,7 @@ let store_cmd =
     print_statuses store (Store.verify store)
   in
   let verify_run dir =
-    let store, report = open_store_verbose dir in
+    let store, report = open_store_verbose ~create:false dir in
     let statuses = Store.verify store in
     let bad = List.length (List.filter (fun s -> Result.is_error s.Store.g_result) statuses) in
     print_statuses store statuses;
@@ -947,7 +870,7 @@ let store_cmd =
       Printf.eprintf "chet: store gc: --keep must be >= 1\n";
       exit 2
     end;
-    let store, _report = open_store_verbose ~keep dir in
+    let store, _report = open_store_verbose ~keep ~create:false dir in
     let removed = Store.gc store ~keep in
     List.iter (fun name -> Printf.printf "removed %s\n" name) removed;
     Printf.printf "%d removed, %d generation(s) kept\n" (List.length removed)
@@ -1057,69 +980,36 @@ let shard_worker_cmd =
       match restored with
       | Some l -> l.Bundle.l_bundle.Bundle.b_compiled
       | None ->
-          let compiled = Compiler.compile (Compiler.default_options ~target ()) circuit in
+          let opts = { (Compiler.default_options ~target ()) with Compiler.sentinel = want_sentinel } in
+          let compiled = Compiler.compile opts circuit in
           Option.iter
             (fun st ->
               ignore (save_bundle_verbose st (Bundle.build ~with_keys:false compiled ~seed ())))
             store;
           compiled
     in
-    let opts = compiled.Compiler.opts in
-    let scheme = Compiler.scheme_of_params opts compiled.Compiler.params in
-    let slots = Compiler.params_n compiled.Compiler.params / 2 in
-    let clear () =
-      Clear.make { Clear.slots; scheme; strict_modulus = false; encode_noise = false }
-    in
-    let arm_fault ~req_seed ~attempt base =
-      let armed =
-        match fault with
-        | `None -> None
-        | `Transient -> if attempt = 0 then Some Fault.Nan_poison else None
-        | `Persistent -> Some Fault.Nan_poison
-        | `Silent -> Some Fault.Silent_corruption
-      in
-      match armed with
-      | None -> base
-      | Some f ->
-          let faulty, _log = Fault.wrap (Fault.default_config ~seed:req_seed (Some f)) base in
-          Checked.wrap ~scheme faulty
-    in
+    let plan = plan_of ?restored compiled ~twin:want_sentinel in
     let primary_backend ~req_seed ~attempt =
       if slow_ms > 0.0 then Unix.sleepf (slow_ms /. 1000.0);
-      arm_fault ~req_seed ~attempt (clear ())
+      arm_fault fault compiled ~req_seed ~attempt (clear_backend compiled)
     in
+    let shared = Service.Shared { keys = Compiler.clear_keyset compiled; plan } in
     (* NaN-poison deliberately spares the fallback (the degradation drill:
        primary poisoned, clear rung saves the request), but silent
        corruption models a bad *host* — flaky memory corrupts every rung it
        computes on, so the Integrity_violation escapes to the supervisor
        instead of being healed by degradation *)
-    let fallback_backend ~req_seed ~attempt =
-      match fault with `Silent -> arm_fault ~req_seed ~attempt (clear ()) | _ -> clear ()
-    in
     let ladder =
       [
-        {
-          Service.dep_label = "primary";
-          dep_degraded = false;
-          dep_scales = opts.Compiler.scales;
-          dep_policy = compiled.Compiler.policy;
-          dep_cost_ms = None;
-          dep_backend = primary_backend;
-          dep_plan = None;
-          dep_sentinel = sentinel;
-          dep_twin = want_sentinel;
-        };
-        {
-          Service.dep_label = "clear-fallback";
-          dep_degraded = true;
-          dep_scales = opts.Compiler.scales;
-          dep_policy = compiled.Compiler.policy;
-          dep_cost_ms = None;
-          dep_backend = fallback_backend;
-          dep_plan = None;
-          dep_sentinel = sentinel;
-          dep_twin = want_sentinel;
-        };
+        clear_rung compiled ~label:"primary" ~degraded:false ?sentinel
+          (if fault = `None && slow_ms <= 0.0 then shared else Service.Per_attempt primary_backend);
+        clear_rung compiled ~label:"clear-fallback" ~degraded:true ?sentinel
+          (match fault with
+          | `Silent ->
+              Service.Per_attempt
+                (fun ~req_seed ~attempt ->
+                  arm_fault fault compiled ~req_seed ~attempt (clear_backend compiled))
+          | _ -> shared);
       ]
     in
     let cfg =
@@ -1156,16 +1046,15 @@ let shard_worker_cmd =
       Option.map
         (fun isp () ->
           match
-            let module H = (val primary_backend ~req_seed:seed ~attempt:0) in
-            let module E = Executor.Make (H) in
             let margin = ref Float.nan in
             let s =
               Integrity.sentinel ~observe:(fun t -> margin := Integrity.margin_bits isp t) isp
             in
-            ignore
-              (E.run ~sentinel:s ~twin:true opts.Compiler.scales circuit
-                 ~policy:compiled.Compiler.policy
-                 (Models.input_for spec ~seed));
+            let run =
+              Plan_exec.prepare_runner ~pt_budget:0 (primary_backend ~req_seed:seed ~attempt:0)
+                compiled.Compiler.opts.Compiler.scales plan
+            in
+            ignore (run ~sentinel:s (Models.input_for spec ~seed));
             !margin
           with
           | m -> Ok m

@@ -38,10 +38,10 @@ let () =
       }
   in
   let module H = (val backend : Hisa.S) in
-  let module E = Executor.Make (H) in
+  let module E = Chet_plan.Plan_exec.Make (H) in
   let shape = circuit.Circuit.input.Circuit.shape in
   let image = Dataset.image ~seed:5 ~channels:shape.(0) ~height:shape.(1) ~width:shape.(2) in
-  let got = E.run opts.Compiler.scales circuit ~policy:compiled.Compiler.policy image in
+  let got = E.eval opts.Compiler.scales circuit ~policy:compiled.Compiler.policy image in
   let expected = Reference.eval circuit image in
   Printf.printf "simulated latency %.1f s; class=%d (clear %d); max |err|=%.5f\n" clock.Sim.elapsed
     (T.argmax got) (T.argmax expected)

@@ -33,10 +33,10 @@ let () =
     let compiled = Compiler.compile opts circuit in
     let backend = Compiler.instantiate compiled ~seed:11 ~with_secret:true () in
     let module H = (val backend : Hisa.S) in
-    let module E = Executor.Make (H) in
+    let module E = Chet_plan.Plan_exec.Make (H) in
     let image = Models.input_for spec ~seed:3 in
     let t0 = Unix.gettimeofday () in
-    let got = E.run opts.Compiler.scales circuit ~policy:compiled.Compiler.policy image in
+    let got = E.eval opts.Compiler.scales circuit ~policy:compiled.Compiler.policy image in
     Printf.printf "latency: %.1f s; max |err| = %.5f; class enc=%d clear=%d\n"
       (Unix.gettimeofday () -. t0)
       (T.max_abs_diff (T.flatten (Reference.eval circuit image)) (T.flatten got))

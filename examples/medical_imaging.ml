@@ -42,9 +42,9 @@ let () =
       }
   in
   let module H = (val backend : Hisa.S) in
-  let module E = Executor.Make (H) in
+  let module E = Chet_plan.Plan_exec.Make (H) in
   let scan = Models.input_for spec ~seed:2024 in
-  let prediction = E.run opts.Compiler.scales circuit ~policy:compiled.Compiler.policy scan in
+  let prediction = E.eval opts.Compiler.scales circuit ~policy:compiled.Compiler.policy scan in
   let reference = Reference.eval circuit scan in
   Printf.printf "simulated server latency: %.1f s over %d HISA ops\n" clock.Sim.elapsed
     clock.Sim.op_count;

@@ -46,10 +46,10 @@ let part2_compiler () =
   Format.printf "%a@." Compiler.pp_compiled compiled;
   let backend = Compiler.instantiate compiled ~seed:7 ~with_secret:true () in
   let module H = (val backend : Hisa.S) in
-  let module E = Executor.Make (H) in
+  let module E = Chet_plan.Plan_exec.Make (H) in
   let image = Models.input_for spec ~seed:1 in
   let t0 = Unix.gettimeofday () in
-  let encrypted_result = E.run opts.Compiler.scales circuit ~policy:compiled.Compiler.policy image in
+  let encrypted_result = E.eval opts.Compiler.scales circuit ~policy:compiled.Compiler.policy image in
   let dt = Unix.gettimeofday () -. t0 in
   let reference = Reference.eval circuit image in
   Printf.printf "   encrypted inference: %.2f s, max |err| vs cleartext = %.6f\n" dt

@@ -41,9 +41,9 @@ let () =
   in
   let backend, counters = Instrument.wrap sim in
   let module H = (val backend : Hisa.S) in
-  let module E = Executor.Make (H) in
+  let module E = Chet_plan.Plan_exec.Make (H) in
   let image = Models.input_for spec ~seed:99 in
-  let got = E.run opts.Compiler.scales circuit ~policy:compiled.Compiler.policy image in
+  let got = E.eval opts.Compiler.scales circuit ~policy:compiled.Compiler.policy image in
   let expected = Reference.eval circuit image in
   Printf.printf "simulated latency: %.1f s\n" clock.Sim.elapsed;
   Printf.printf "HISA ops: %d rotations (%d distinct), %d ct-muls, %d plain-muls, %d scalar-muls, %d adds\n"

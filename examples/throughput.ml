@@ -28,7 +28,7 @@ let () =
   let t_keygen = Unix.gettimeofday () -. t0 in
 
   let module H = (val backend : Hisa.S) in
-  let module E = Executor.Make (H) in
+  let module E = Chet_plan.Plan_exec.Make (H) in
   let batch = 3 in
   let correct = ref 0 in
   let failed = ref 0 in
@@ -38,7 +38,7 @@ let () =
      event in the batch report, never an abort of the whole stream *)
   for i = 1 to batch do
     let image = Models.input_for spec ~seed:(100 + i) in
-    match E.run opts.Compiler.scales circuit ~policy:compiled.Compiler.policy image with
+    match E.eval opts.Compiler.scales circuit ~policy:compiled.Compiler.policy image with
     | got -> if T.argmax got = T.argmax (Reference.eval circuit image) then incr correct
     | exception Herr.Fhe_error (e, c) ->
         incr failed;

@@ -12,6 +12,8 @@ module Tensor = Chet_tensor.Tensor
 module Kernels = Chet_runtime.Kernels
 module Layout = Chet_runtime.Layout
 module Executor = Chet_runtime.Executor
+module Plan = Chet_plan.Plan
+module Plan_exec = Chet_plan.Plan_exec
 
 type target = Seal | Heaan
 type security = Standard of Security.level | Legacy_heaan
@@ -102,23 +104,25 @@ let zero_image circuit =
   | [| c; h; w |] -> Tensor.create [| c; h; w |]
   | shape -> Tensor.create shape
 
-(* Execute the circuit through a backend and hand back the output tensor's
-   first ciphertext observations. Raises [Herr.Fhe_error (Slot_overflow _, _)]
-   when the layout does not fit [slots] — callers treat that as "N too
-   small". *)
+(* Execute the circuit's plan through an analysis backend and hand back the
+   output tensor's first ciphertext observations — the same plan executor
+   deployments run, under another interpretation of the HISA. Raises
+   [Herr.Fhe_error (Slot_overflow _, _)] when the layout does not fit
+   [slots] — callers treat that as "N too small". *)
 let run_through (backend : Hisa.t) opts circuit ~policy =
-
   let module H = (val backend) in
-  let module E = Executor.Make (H) in
-  let kind_of = Executor.assign policy circuit in
+  let module PE = Plan_exec.Make (H) in
   (* sentinel deployments execute on the interleaved twin layout, so every
      analysis pass must see that geometry: its extents (parameter
      selection), its op mix (cost), and its doubled rotation amounts
      (rotation-key selection) *)
-  let meta = E.input_meta ~twin:opts.sentinel circuit ~kind:(kind_of circuit.Circuit.input) in
-  let enc = E.K.encrypt_tensor opts.scales meta (zero_image circuit) in
-  let out = E.run_encrypted opts.scales circuit ~policy enc in
-  (H.scale_of out.E.K.cts.(0), H.env_of out.E.K.cts.(0))
+  let plan = Plan.build ~twin:opts.sentinel ~slots:H.slots ~policy circuit in
+  (* budget 0: each plaintext is encoded where it is used, as many times as
+     it is used, so the op counts describe one cold inference *)
+  let prepared = PE.prepare ~pt_budget:0 opts.scales plan in
+  let enc = PE.K.encrypt_tensor opts.scales plan.Plan.p_input_meta (zero_image circuit) in
+  let out = PE.run_encrypted prepared enc in
+  (H.scale_of out.PE.K.cts.(0), H.env_of out.PE.K.cts.(0))
 
 (* ------------------------------------------------------------------ *)
 (* §5.2 Encryption parameter selection                                  *)
@@ -337,22 +341,20 @@ let request_seed ~seed ~req_seed = seed lxor (0x2545F4914F6CDD1D * ((2 * req_see
 
 type backend_factory = req_seed:int -> Hisa.t
 
-(* Deployment for a *stream* of requests (the serving layer): key generation
-   happens once here, then every [factory ~req_seed] call is a cheap backend
-   view sharing the immutable context/keys but drawing encryption randomness
-   from its own seeded stream. Contexts and key tables are read-only after
-   this function returns (rotation keys are pre-generated), so the views are
-   safe to use from concurrent domains, and a request's ciphertexts are a
-   pure function of (inputs, req_seed) — independent of which worker runs it
-   or in what order. *)
-(* Shared deployment context behind every factory-style entry point: key
+type keyset = {
+  ks_seed : int;
+  ks_view : Chet_crypto.Sampling.t -> Hisa.t;
+  ks_scheme : Hisa.scheme_kind;
+}
+
+(* Shared deployment context behind every serving entry point: key
    generation once (optionally loading the public evaluation material from a
    stored RKY2 payload instead of regenerating rotation keys — the warm
    restart path), then cheap backend views over the immutable context/keys,
    one per caller-supplied sampler. Contexts and key tables are read-only
-   after this returns, so views are safe to use from concurrent domains. *)
-let deployment_views compiled ~seed ~rotation_keys ~keys_bytes ~with_secret :
-    (Chet_crypto.Sampling.t -> Hisa.t) * Hisa.scheme_kind =
+   after this returns (rotation keys are pre-generated), so views are safe
+   to use from concurrent domains. *)
+let keyset compiled ~seed ?(rotation_keys = Selected_keys) ?keys ~with_secret () =
   let rng = Chet_crypto.Sampling.create ~seed in
   match compiled.params with
   | Rns_params { n; prime_bits; num_primes; _ } ->
@@ -363,27 +365,28 @@ let deployment_views compiled ~seed ~rotation_keys ~keys_bytes ~with_secret :
          deployment seed (never persisted). With a stored key payload the
          regenerated public material is discarded and rotation-key
          generation — the expensive part — is skipped entirely. *)
-      let sk, keys = C.keygen ctx rng in
+      let sk, generated = C.keygen ctx rng in
       let keys =
-        match keys_bytes with
+        match keys with
         | Some bytes ->
             Chet_crypto.Serial.read_rns_keys (Chet_crypto.Serial.reader bytes) (C.rq_ctx ctx)
         | None ->
             (match rotation_keys with
             | Selected_keys ->
                 List.iter
-                  (fun (amount, _) -> C.add_rotation_key ctx rng sk keys amount)
+                  (fun (amount, _) -> C.add_rotation_key ctx rng sk generated amount)
                   compiled.rotations
-            | Power_of_two_keys -> C.add_power_of_two_rotation_keys ctx rng sk keys);
-            keys
+            | Power_of_two_keys -> C.add_power_of_two_rotation_keys ctx rng sk generated);
+            generated
       in
       let secret = if with_secret then Some sk else None in
       let view vrng =
         Chet_hisa.Seal_backend.make
           { Chet_hisa.Seal_backend.ctx; rng = vrng; keys; secret }
       in
-      (view, Hisa.Rns_chain (C.coeff_primes ctx))
+      { ks_seed = seed; ks_view = view; ks_scheme = Hisa.Rns_chain (C.coeff_primes ctx) }
   | Pow2_params { n; log_fresh; log_special } ->
+      (* stored keys only exist for RNS targets; HEAAN deployments re-derive *)
       let module C = Chet_crypto.Big_ckks in
       let params = C.default_params ~n ~log_special ~log_fresh () in
       let ctx = C.make_context params in
@@ -397,15 +400,33 @@ let deployment_views compiled ~seed ~rotation_keys ~keys_bytes ~with_secret :
         Chet_hisa.Heaan_backend.make
           { Chet_hisa.Heaan_backend.ctx; rng = vrng; keys; secret }
       in
-      (view, Hisa.Pow2_modulus log_fresh)
+      { ks_seed = seed; ks_view = view; ks_scheme = Hisa.Pow2_modulus log_fresh }
 
-let instantiate_factory compiled ~seed ?(rotation_keys = Selected_keys) ~with_secret () :
+(* A request's ciphertexts are a pure function of (inputs, req_seed) —
+   independent of which worker runs it or in what order: every view draws
+   its encryption randomness from a stream seeded by the request alone. *)
+let reseed ks rng ~req_seed = Chet_crypto.Sampling.reseed rng ~seed:(request_seed ~seed:ks.ks_seed ~req_seed)
+
+let factory_of ks : backend_factory =
+ fun ~req_seed -> ks.ks_view (Chet_crypto.Sampling.create ~seed:(request_seed ~seed:ks.ks_seed ~req_seed))
+
+(* The cleartext stand-in for a deployment: the Clear backend at the
+   compiled ring dimension and virtual scheme. It draws no randomness, so
+   its views ignore the sampler. *)
+let clear_keyset compiled =
+  let scheme = scheme_of_params compiled.opts compiled.params in
+  let slots = params_n compiled.params / 2 in
+  {
+    ks_seed = 0;
+    ks_view =
+      (fun _ -> Clear.make { Clear.slots; scheme; strict_modulus = false; encode_noise = false });
+    ks_scheme = scheme;
+  }
+
+let instantiate_factory compiled ~seed ?rotation_keys ~with_secret () :
     backend_factory * Hisa.scheme_kind =
-  let view, scheme = deployment_views compiled ~seed ~rotation_keys ~keys_bytes:None ~with_secret in
-  let factory ~req_seed =
-    view (Chet_crypto.Sampling.create ~seed:(request_seed ~seed ~req_seed))
-  in
-  (factory, scheme)
+  let ks = keyset compiled ~seed ?rotation_keys ~with_secret () in
+  (factory_of ks, ks.ks_scheme)
 
 let instantiate_checked compiled ~seed ?(rotation_keys = Selected_keys) ~with_secret () =
   let backend, scheme = instantiate_with_scheme compiled ~seed ~rotation_keys ~with_secret () in
@@ -422,19 +443,6 @@ module Serial = Chet_crypto.Serial
    name). Bumping the layout bumps [compiled_version] — an old frame then
    surfaces as a typed [Serial.Corrupt], never a misparse. *)
 let compiled_version = 2
-
-let int_of_policy = function
-  | Executor.All_hw -> 0
-  | Executor.All_chw -> 1
-  | Executor.Hw_conv_chw_rest -> 2
-  | Executor.Chw_fc_hw_before -> 3
-
-let policy_of_int = function
-  | 0 -> Executor.All_hw
-  | 1 -> Executor.All_chw
-  | 2 -> Executor.Hw_conv_chw_rest
-  | 3 -> Executor.Chw_fc_hw_before
-  | n -> raise (Serial.Corrupt (Printf.sprintf "bad layout policy %d" n))
 
 let write_params w = function
   | Rns_params { n; prime_bits; num_primes; log_q } ->
@@ -503,7 +511,7 @@ let write_compiled w c =
       Serial.write_int w c.opts.scales.Kernels.pm;
       Serial.write_int w c.opts.max_n;
       Serial.write_int w (if c.opts.sentinel then 1 else 0);
-      Serial.write_int w (int_of_policy c.policy);
+      Serial.write_int w (Plan.policy_tag c.policy);
       write_params w c.params;
       write_counted_pairs w c.rotations;
       let k = c.op_counters in
@@ -519,7 +527,7 @@ let write_compiled w c =
       Serial.write_int w (List.length c.reports);
       List.iter
         (fun rp ->
-          Serial.write_int w (int_of_policy rp.pr_policy);
+          Serial.write_int w (Plan.policy_tag rp.pr_policy);
           write_params w rp.pr_params;
           Serial.write_float w rp.pr_cost)
         c.reports)
@@ -575,7 +583,7 @@ let read_compiled ~circuit r =
           sentinel;
         }
       in
-      let policy = policy_of_int (Serial.read_int r) in
+      let policy = Plan.policy_of_tag (Serial.read_int r) in
       let params = read_params r in
       let rotations = read_counted_pairs r in
       let k = Instrument.fresh_counters () in
@@ -596,7 +604,7 @@ let read_compiled ~circuit r =
       if nreports < 0 || nreports > 64 then raise (Serial.Corrupt "bad report count");
       let reports =
         List.init nreports (fun _ ->
-            let pr_policy = policy_of_int (Serial.read_int r) in
+            let pr_policy = Plan.policy_of_tag (Serial.read_int r) in
             let pr_params = read_params r in
             let pr_cost = Serial.read_float r in
             { pr_policy; pr_params; pr_cost })
@@ -625,83 +633,27 @@ let export_keys compiled ~seed ?(rotation_keys = Selected_keys) () =
       Some (Serial.contents w)
   | Pow2_params _ -> None
 
-let instantiate_factory_restored compiled ~seed ?(rotation_keys = Selected_keys) ~keys:keys_bytes
-    ~with_secret () =
-  match (compiled.params, keys_bytes) with
-  | Rns_params _, Some _ ->
-      let view, scheme =
-        deployment_views compiled ~seed ~rotation_keys ~keys_bytes ~with_secret
-      in
-      let factory ~req_seed =
-        view (Chet_crypto.Sampling.create ~seed:(request_seed ~seed ~req_seed))
-      in
-      (factory, scheme)
-  | _, _ -> instantiate_factory compiled ~seed ~rotation_keys ~with_secret ()
+let instantiate_factory_restored compiled ~seed ?rotation_keys ~keys ~with_secret () =
+  let ks = keyset compiled ~seed ?rotation_keys ?keys ~with_secret () in
+  (factory_of ks, ks.ks_scheme)
 
 (* ------------------------------------------------------------------ *)
 (* Compiled execution plans (DESIGN.md §14)                            *)
 (* ------------------------------------------------------------------ *)
 
-module Plan = Chet_plan.Plan
-
 (* Compile the chosen policy into an executable plan at the compiled ring
-   dimension. Pure metadata — no keys, no ciphertexts — so this runs at
-   compile/bundle time and serialises into the Bundle's PLAN frame. A
-   zero-budget prepare against the shape backend fills in the static fusion
-   counts (they are the same for every backend) without encoding a single
-   plaintext. *)
+   dimension, on the twin geometry when the deployment carries sentinels.
+   Pure metadata — no keys, no ciphertexts — so this runs at compile/bundle
+   time and serialises into the Bundle's PLAN frame. A zero-budget prepare
+   against the shape backend fills in the static fusion counts (they are
+   the same for every backend) without encoding a single plaintext. *)
 let plan compiled =
   let slots = params_n compiled.params / 2 in
-  let p = Plan.build ~slots ~policy:compiled.policy compiled.circuit in
+  let p = Plan.build ~twin:compiled.opts.sentinel ~slots ~policy:compiled.policy compiled.circuit in
   let shape =
     Shape.make { Shape.slots; scheme = scheme_of_params compiled.opts compiled.params }
   in
   let module H = (val shape : Hisa.S) in
-  let module PE = Chet_plan.Plan_exec.Make (H) in
+  let module PE = Plan_exec.Make (H) in
   ignore (PE.prepare ~pt_budget:0 compiled.opts.scales p);
   p
-
-type plan_runner = ?cancel:Chet_hisa.Cancel.t -> worker:int -> req_seed:int -> Tensor.t -> Tensor.t
-
-(* One long-lived prepared executor per worker, created lazily on the
-   worker's first request. The worker's backend view owns a single sampler
-   that is re-pointed (Sampling.reseed) at the request's derived seed before
-   each run, which restarts exactly the stream a fresh per-request backend
-   would draw — so results stay bit-identical to the interpretive
-   [backend_factory] path while the crypto context, staged kernels and
-   encoded plaintexts are reused across requests instead of being re-derived
-   per inference. *)
-let instantiate_plan_runner compiled ~plan:the_plan ~seed ?(rotation_keys = Selected_keys)
-    ?(pt_budget = 1024) ?keys:keys_bytes ~with_secret () : plan_runner * Hisa.scheme_kind =
-  let keys_bytes =
-    match (compiled.params, keys_bytes) with Rns_params _, Some b -> Some b | _ -> None
-  in
-  let view, scheme = deployment_views compiled ~seed ~rotation_keys ~keys_bytes ~with_secret in
-  let lock = Mutex.create () in
-  let workers :
-      (int, ?cancel:Chet_hisa.Cancel.t -> req_seed:int -> Tensor.t -> Tensor.t) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let make_worker () =
-    let rng = Chet_crypto.Sampling.create ~seed in
-    let backend = view rng in
-    let module H = (val backend : Hisa.S) in
-    let module PE = Chet_plan.Plan_exec.Make (H) in
-    let prepared = PE.prepare ~pt_budget compiled.opts.scales the_plan in
-    fun ?cancel ~req_seed image ->
-      Chet_crypto.Sampling.reseed rng ~seed:(request_seed ~seed ~req_seed);
-      PE.run ?cancel prepared image
-  in
-  let runner ?cancel ~worker ~req_seed image =
-    let w =
-      Mutex.protect lock (fun () ->
-          match Hashtbl.find_opt workers worker with
-          | Some w -> w
-          | None ->
-              let w = make_worker () in
-              Hashtbl.replace workers worker w;
-              w)
-    in
-    w ?cancel ~req_seed image
-  in
-  (runner, scheme)

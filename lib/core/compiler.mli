@@ -3,9 +3,10 @@
     cheapest data layout under the scheme's cost model (§5.3), and the
     rotation keys the circuit actually uses (§5.4).
 
-    Every pass executes the homomorphic tensor circuit under a different
+    Every pass executes the circuit's compiled plan — through the same
+    {!Chet_plan.Plan_exec} deployments run — under a different
     interpretation of the HISA (§5.1): parameter selection observes modulus
-    consumption through {!Chet_hisa.Clear_backend}, cost estimation runs
+    consumption through {!Chet_hisa.Shape_backend}, cost estimation runs
     {!Chet_hisa.Sim_backend} with the target's cost model, and rotation-key
     selection records rotations with {!Chet_hisa.Instrument}. *)
 
@@ -109,19 +110,45 @@ val instantiate_checked :
     postconditions, turning silent corruption into typed
     [Chet_herr.Herr.Fhe_error]s. *)
 
+type keyset = {
+  ks_seed : int;  (** deployment seed: root of every request's randomness *)
+  ks_view : Chet_crypto.Sampling.t -> Hisa.t;
+      (** a cheap backend view over the shared (immutable, domain-safe)
+          context and keys, drawing encryption randomness from the given
+          sampler *)
+  ks_scheme : Hisa.scheme_kind;  (** the instantiated context, as in {!instantiate_with_scheme} *)
+}
+(** One deployment's key generation, shared by every view over it. *)
+
+val keyset :
+  compiled -> seed:int -> ?rotation_keys:rotation_key_policy -> ?keys:string ->
+  with_secret:bool -> unit -> keyset
+(** Key generation once. With [keys] (an {!export_keys} payload; RNS
+    targets only) the rotation-key bulk is loaded instead of regenerated —
+    the warm-restart path; the cheap base keygen still re-derives the
+    secret key from [seed]. *)
+
+val clear_keyset : compiled -> keyset
+(** The cleartext stand-in for a deployment: views of
+    {!Chet_hisa.Clear_backend} at the compiled ring dimension and virtual
+    scheme (no randomness, no secrets — an availability-over-confidentiality
+    fallback). *)
+
+val reseed : keyset -> Chet_crypto.Sampling.t -> req_seed:int -> unit
+(** Point a view's sampler at the stream of request [req_seed]: a view
+    reseeded this way draws exactly what a fresh view for that request
+    would, so a request's ciphertexts do not depend on which worker runs it
+    or in what order. *)
+
 type backend_factory = req_seed:int -> Hisa.t
-(** A deployed keyset serving a stream of requests: each call is a cheap
-    backend view over the shared (immutable, domain-safe) context and keys,
-    with encryption randomness derived from [req_seed] alone — so a
-    request's ciphertexts do not depend on scheduling order. *)
+(** A keyset serving a stream of requests: each call is a fresh view whose
+    sampler is seeded for [req_seed] (see {!reseed}). *)
 
 val instantiate_factory :
   compiled -> seed:int -> ?rotation_keys:rotation_key_policy -> with_secret:bool -> unit ->
   backend_factory * Hisa.scheme_kind
-(** Key generation once, then per-request backend views. This is the
-    deployment primitive behind {!Chet_serve.Service}'s degradation ladder;
-    the returned scheme describes the instantiated context, as in
-    {!instantiate_with_scheme}. *)
+(** {!keyset}, then per-request backend views. The returned scheme
+    describes the instantiated context, as in {!instantiate_with_scheme}. *)
 
 (** {1 Durable deployments}
 
@@ -156,9 +183,8 @@ val instantiate_factory_restored :
   with_secret:bool -> unit -> backend_factory * Hisa.scheme_kind
 (** {!instantiate_factory}, but loading the evaluation keys from a
     {!export_keys} payload instead of regenerating them — the warm-restart
-    path. The (cheap, deterministic) base keygen still runs to re-derive
-    the secret key from [seed]; the rotation-key bulk comes off the wire.
-    With [keys = None] this degrades to {!instantiate_factory}. The
+    path, through {!keyset}. With [keys = None] this degrades to
+    {!instantiate_factory}. The
     restored deployment is bit-identical to the one {!export_keys} saw:
     same keys, and per-request randomness derived from [seed]/[req_seed]
     exactly as before.
@@ -166,34 +192,13 @@ val instantiate_factory_restored :
 
 (** {1 Compiled execution plans}
 
-    The plan path (DESIGN.md §14): the compiled circuit lowered once into an
-    explicit schedule over a ciphertext arena ({!Chet_plan.Plan}), then
-    executed through prepare-once staged kernels with fused HISA dispatch.
-    Outputs are bit-identical to the interpretive executor; what changes is
-    per-request work — no layout re-derivation, no plaintext re-encoding,
-    one ciphertext allocation per accumulation step. *)
+    The circuit lowered once into an explicit schedule over a ciphertext
+    arena ({!Chet_plan.Plan}, DESIGN.md §14) and executed through
+    prepare-once staged kernels with fused HISA dispatch
+    ({!Chet_plan.Plan_exec}) — the only executor. *)
 
 val plan : compiled -> Chet_plan.Plan.t
 (** Lower the compiled policy into an executable plan at the compiled ring
-    dimension. Pure metadata (no keys or ciphertexts); serialises into the
+    dimension, on the twin geometry when [opts.sentinel] is set. Pure
+    metadata (no keys or ciphertexts); serialises into the
     {!Chet_store.Bundle} PLAN frame. *)
-
-type plan_runner =
-  ?cancel:Chet_hisa.Cancel.t -> worker:int -> req_seed:int -> Chet_tensor.Tensor.t -> Chet_tensor.Tensor.t
-(** Full-roundtrip plan inference: encrypt at the plan's input layout with
-    the request's derived randomness, execute the plan, decrypt. [worker]
-    selects a long-lived prepared executor (created lazily per worker id);
-    calls with the same [worker] must not run concurrently, different
-    workers may. *)
-
-val instantiate_plan_runner :
-  compiled -> plan:Chet_plan.Plan.t -> seed:int -> ?rotation_keys:rotation_key_policy ->
-  ?pt_budget:int -> ?keys:string -> with_secret:bool -> unit -> plan_runner * Hisa.scheme_kind
-(** Key generation once (or loaded from a {!export_keys} payload via
-    [?keys], as in {!instantiate_factory_restored}), one prepared executor
-    per worker after that. Per-worker samplers are re-seeded to
-    [request_seed seed req_seed] before each run, so results are
-    bit-identical to {!instantiate_factory}'s per-request backends.
-    [pt_budget] bounds how many weight/mask plaintexts each worker keeps
-    encoded in memory (default 1024); beyond it, staged kernels fall back to
-    per-inference encoding. *)

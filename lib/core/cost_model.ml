@@ -165,7 +165,7 @@ let calibrate_from ~scheme cells =
   let k_add = fit_pure Add d.k_add in
   (* a fused cell is a composite sample (main term + Add term): credit the
      addition at the just-fitted k_add and fold the residual into the main
-     class, so plan-path timings keep the interpretive constants honest *)
+     class, so fused timings keep the unfused constants honest *)
   let fused_samples cls =
     List.filter_map
       (fun (op, env, count, mean_s) ->

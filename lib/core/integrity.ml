@@ -23,8 +23,7 @@ module Reference = Chet_nn.Reference
 module Herr = Chet_hisa.Herr
 module Hisa = Chet_hisa.Hisa
 module Clear = Chet_hisa.Clear_backend
-module Executor = Chet_runtime.Executor
-module Kernels = Chet_runtime.Kernels
+module Plan_exec = Chet_plan.Plan_exec
 
 type spec = {
   it_probe : Tensor.t;  (* packed into the twin slots at encrypt time *)
@@ -93,7 +92,7 @@ let verify spec got =
    sentinels in RSP1 for independent supervisor-side verification. *)
 let sentinel ?observe spec =
   {
-    Executor.sn_probe = spec.it_probe;
+    Plan_exec.sn_probe = spec.it_probe;
     sn_verify =
       (fun twin ->
         (match observe with Some f -> f twin | None -> ());
@@ -103,7 +102,7 @@ let sentinel ?observe spec =
 (* Deployment-time self-check: run the circuit end to end on a twin layout
    through the clear backend, with the probe in *both* lanes, and verify
    both lanes against the reference prediction. This exercises the true
-   kernels (not a static model of them), so it proves this circuit/policy
+   plan and kernels (not a static model of them), so it proves this circuit/policy
    combination propagates the twin faithfully — layout overflows surface as
    the usual typed [Slot_overflow], and any kernel that mixed the lanes
    would fail the comparison. Returns the sentinel margin of the clean run. *)
@@ -118,8 +117,8 @@ let validate spec circuit ~scales ~policy ~slots =
       }
   in
   let module H = (val backend : Hisa.S) in
-  let module E = Executor.Make (H) in
-  let out = E.run ~sentinel:(sentinel spec) scales circuit ~policy spec.it_probe in
+  let module PE = Plan_exec.Make (H) in
+  let out = PE.eval ~sentinel:(sentinel spec) scales circuit ~policy spec.it_probe in
   (* the primary lane carried the probe too: it must meet the same bar *)
   verify spec out;
   margin_bits spec out

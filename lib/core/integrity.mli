@@ -37,7 +37,7 @@ val verify : spec -> Tensor.t -> unit
 (** @raise Chet_hisa.Herr.Fhe_error ([Integrity_violation]) if the decrypted
     twin output strays beyond the tolerance. *)
 
-val sentinel : ?observe:(Tensor.t -> unit) -> spec -> Chet_runtime.Executor.sentinel
+val sentinel : ?observe:(Tensor.t -> unit) -> spec -> Chet_plan.Plan_exec.sentinel
 (** The executor-facing hook: pack the probe at encrypt time, verify the
     decrypted twin output, calling [observe] on it first (margin gauges,
     RSP1 sentinel forwarding). *)
@@ -45,8 +45,9 @@ val sentinel : ?observe:(Tensor.t -> unit) -> spec -> Chet_runtime.Executor.sent
 val validate :
   spec -> Circuit.t -> scales:Chet_runtime.Kernels.scales ->
   policy:Chet_runtime.Executor.layout_policy -> slots:int -> float
-(** Deployment-time self-check: run the circuit on a twin layout through the
+(** Deployment-time self-check: run the circuit's twin plan through the
     clear backend with the probe in both lanes and verify both against the
     reference. Proves the circuit/policy propagates the twin faithfully
-    through the real kernels; returns the clean run's sentinel margin.
+    through the real plan and kernels; returns the clean run's sentinel
+    margin.
     @raise Chet_hisa.Herr.Fhe_error on layout overflow or lane mixing. *)

@@ -4,6 +4,8 @@ module Clear = Chet_hisa.Clear_backend
 module Checked = Chet_hisa.Checked_backend
 module Kernels = Chet_runtime.Kernels
 module Executor = Chet_runtime.Executor
+module Plan = Chet_plan.Plan
+module Plan_exec = Chet_plan.Plan_exec
 module Circuit = Chet_nn.Circuit
 module Reference = Chet_nn.Reference
 module Tensor = Chet_tensor.Tensor
@@ -37,6 +39,7 @@ let scales_of (ec, ew, eu, em) =
 (* Evaluate one candidate on the quantising cleartext backend, run under
    {!Checked_backend} so that any scale/level desynchronisation the candidate
    causes is caught as a typed error, never as garbage in the comparison.
+   The candidate's plan is prepared once at its scales and run per image.
 
    The ring dimension only has to be large enough for the layout, so we let
    parameter selection find it once per call (scales change modulus
@@ -64,13 +67,14 @@ let evaluate ?fixed_params opts circuit ~policy ~images ~tolerance (scales : Ker
           (Clear.make { Clear.slots = n / 2; scheme; strict_modulus; encode_noise = true })
       in
       let module H = (val backend) in
-      let module E = Executor.Make (H) in
+      let module PE = Plan_exec.Make (H) in
       try
+        let prepared = PE.prepare scales (Plan.build ~slots:H.slots ~policy circuit) in
         let worst = ref 0.0 in
         List.iter
           (fun image ->
             let expected = Reference.eval circuit image in
-            let got = E.run scales circuit ~policy image in
+            let got = PE.run prepared image in
             let d = Tensor.max_abs_diff (Tensor.flatten expected) (Tensor.flatten got) in
             if d > !worst then worst := d)
           images;

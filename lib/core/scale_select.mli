@@ -5,7 +5,7 @@
     (image [Pc], plaintext weights [Pw], scalar weights [Pu], masks [Pm]),
     CHET searches for the smallest acceptable ones given representative
     inputs and an output tolerance. Candidate configurations are evaluated by
-    running the homomorphic circuit on the quantising cleartext backend —
+    running the circuit's plan on the quantising cleartext backend —
     wrapped in {!Chet_hisa.Checked_backend}, so a candidate that violates an
     FHE invariant surfaces as a typed [Chet_herr.Herr.Fhe_error] — and
     comparing against the reference engine.

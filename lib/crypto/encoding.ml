@@ -35,8 +35,8 @@ let n ctx = ctx.n
 let slots ctx = ctx.slots
 
 (* Bounded LRU memo shared by [galois_element] and [automorphism_index]:
-   both are pure, both are re-derived per rotation by the interpretive
-   executor, and the working set (distinct (n, r) / (n, g) pairs of one
+   both are pure, both are re-derived per rotation by every executed
+   rotation, and the working set (distinct (n, r) / (n, g) pairs of one
    deployment) is tiny. Guarded by a mutex — serving workers are domains.
    Eviction scans for the stalest entry; at [capacity] 64 that scan is
    cheaper than what one saved [automorphism_index] call allocates. *)

@@ -1,11 +1,11 @@
 (* Cooperative cancellation token (DESIGN.md §13).
 
    One token per request, created by the serving layer and threaded through
-   the pool into the executor, which polls it at every circuit-node boundary
-   — the granularity at which per-node spans already hook. FHE ops are
+   the pool into the plan executor, which polls it at every step boundary
+   — the granularity at which per-step spans already hook. FHE ops are
    expensive enough (tens of ms to seconds each, CHET Table 1) that
-   node-boundary polling frees a worker within one op instead of one full
-   encrypted inference, while costing one atomic load per node when the
+   step-boundary polling frees a worker within one step instead of one full
+   encrypted inference, while costing one atomic load per step when the
    token is armed.
 
    The token is seeded-clock-friendly: it carries an optional absolute
@@ -62,7 +62,7 @@ let status t =
 
 let tripped t = status t <> None
 
-(* The executor's per-node poll: raise the typed taxonomy error carrying the
+(* The executor's per-step poll: raise the typed taxonomy error carrying the
    node at which the worker noticed the trip. *)
 let check ?(backend = "executor") ?layer ~node_id t =
   match status t with

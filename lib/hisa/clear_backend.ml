@@ -173,8 +173,8 @@ let make (cfg : config) : Hisa.t =
     (* Fused accumulate ops: one result array per op instead of two
        (intermediate + sum). The per-slot expression is exactly the
        composed [add (mul_* ...)] arithmetic — same operand order, same
-       quantisation — so outputs stay bit-identical to the interpretive
-       path; checks replicate the composition's in order. *)
+       quantisation — so outputs stay bit-identical to the unfused ops;
+       checks replicate the composition's in order. *)
     let fma_scalar acc x w ~scale =
       check_depth ~op:"fma_scalar" x;
       check_capacity ~op:"fma_scalar" x.budget (x.scale *. float_of_int scale);

@@ -100,8 +100,8 @@ let make_over (inner : Hisa.t) (cfg : config) : Hisa.t * clock =
         tick cfg.costs.Hisa.cm_scalar_mul c.budget;
         { c with ict = Inner.mul_scalar c.ict x ~scale }
 
-      (* fused ops charge both component costs so the simulated clock stays
-         comparable whether a circuit runs fused or interpretive *)
+      (* fused ops charge both component costs so the simulated clock prices
+         a fused accumulate exactly like the unfused mul + add it replaces *)
       let fma_scalar acc x w ~scale =
         let budget = budget_min acc.budget x.budget in
         tick cfg.costs.Hisa.cm_scalar_mul x.budget;

@@ -2,7 +2,7 @@
    backend and records per-op wall-time statistics keyed by (op, level/r),
    plus optional per-op latency histograms in a metrics registry. This is
    the measurement layer under the cost-model calibrator (`chet profile`)
-   and the per-node op attribution in traced runs (every op also ticks
+   and the per-step op attribution in traced runs (every op also ticks
    {!Chet_obs.Tracer.tick_op}).
 
    The recorder is shared across ops under a mutex: one lock/unlock pair per

@@ -1,11 +1,8 @@
 (* Compiled execution plans (DESIGN.md §14).
 
-   The interpretive executor (lib/runtime/executor.ml) walks the circuit DAG
-   per request: it re-derives layout conversions, keeps every intermediate
-   ciphertext alive in a hashtable until the inference ends, and re-encodes
-   every weight and mask plaintext. A [Plan.t] is the compile-once answer:
-   a topologically scheduled array of explicit steps over a fixed-size
-   ciphertext arena, with
+   A [Plan.t] is how every circuit runs — in deployment and in the
+   compiler's analyses alike: a topologically scheduled array of explicit
+   steps over a fixed-size ciphertext arena, with
 
    - conversions materialised as their own steps (emitted on demand before
      the first consumer that needs the kind, then shared — layout conversion
@@ -14,7 +11,9 @@
      it writes and the slots that die after it, so the executor's live set
      is bounded by the arena high-water mark instead of the circuit size;
    - static layout metadata per step, recomputed (not trusted) when a plan
-     is reloaded from its serialised frame.
+     is reloaded from its serialised frame;
+   - optionally the interleaved twin (sentinel) geometry of DESIGN.md §16,
+     so sentinel-verified inference runs the same plan machinery.
 
    The plan itself is backend-free; lib/plan/plan_exec.ml instantiates it
    against a HISA backend with prepare-once staged kernels. *)
@@ -52,9 +51,10 @@ type stats = {
 
 type t = {
   p_circuit : Circuit.t;
-  p_policy : Executor.layout_policy;
+  p_policy : Executor.layout_policy option;  (** [None]: an arbitrary per-node assignment *)
   p_slots : int;
   p_margin : int;
+  p_twin : bool;
   p_input_meta : Layout.meta;
   p_steps : step array;
   p_arena : int;  (** arena size = ciphertext-tensor high-water mark *)
@@ -103,10 +103,10 @@ let node_out_meta ~slots (node : Circuit.node) (src_metas : Layout.meta list) =
         ~layer:(Executor.op_name node)
         (Herr.Invalid_op { reason = "source arity mismatch in plan meta inference" })
 
-let input_meta_of ~slots ~margin (circuit : Circuit.t) ~kind =
+let input_meta_of ~slots ~margin ~twin (circuit : Circuit.t) ~kind =
   let node = circuit.Circuit.input in
   match node.Circuit.shape with
-  | [| c; h; w |] -> Layout.create ~kind ~slots ~channels:c ~height:h ~width:w ~margin ()
+  | [| c; h; w |] -> Layout.create ~kind ~slots ~channels:c ~height:h ~width:w ~margin ~twin ()
   | shape ->
       Herr.raise_err ~backend:"plan" ~op:"input_meta" ~node_id:node.Circuit.id
         ~layer:(Executor.op_name node)
@@ -122,13 +122,12 @@ let input_meta_of ~slots ~margin (circuit : Circuit.t) ~kind =
    ids of the producing steps), rewritten to arena slots by the liveness
    pass below. *)
 
-let build ?margin ~slots ~policy (circuit : Circuit.t) =
-  let kind_of = Executor.assign policy circuit in
+let schedule ?margin ?(twin = false) ~slots ~policy ~kind_of (circuit : Circuit.t) =
   let margin =
     match margin with Some m -> m | None -> Executor.required_margin circuit
   in
   let input_kind = kind_of circuit.Circuit.input in
-  let in_meta = input_meta_of ~slots ~margin circuit ~kind:input_kind in
+  let in_meta = input_meta_of ~slots ~margin ~twin circuit ~kind:input_kind in
   (* 1. schedule: one step per node in topo order, conversion steps emitted
      on demand before their first consumer and shared by later ones *)
   let rev_steps = ref [] in
@@ -182,18 +181,17 @@ let build ?margin ~slots ~policy (circuit : Circuit.t) =
       let sid =
         match node.Circuit.op with
         | Circuit.Input _ ->
-            (* the plan executor is handed an input encrypted at the kind the
-               policy assigns to the input node, so this is a pass-through
-               (still guarded at run time for foreign inputs) *)
+            (* the plan executor is handed an input encrypted at the plan's
+               input layout, so this is a pass-through (guarded at run time
+               against inputs encrypted at another layout) *)
             let m =
               if in_meta.Layout.kind = kind then in_meta
               else Layout.converted in_meta ~to_kind:kind
             in
             emit node Op_node kind [] m
         | Circuit.MatMul _ ->
-            (* matmul reads any layout directly, like the interpretive
-               executor: weight plaintexts are placed by the input's own
-               metadata, no conversion step *)
+            (* matmul reads any layout directly: weight plaintexts are
+               placed by the input's own metadata, no conversion step *)
             let src = List.hd (sources node) in
             let rid = raw_id src in
             let m = node_out_meta ~slots node [ Hashtbl.find step_meta rid ] in
@@ -258,12 +256,20 @@ let build ?margin ~slots ~policy (circuit : Circuit.t) =
     p_policy = policy;
     p_slots = slots;
     p_margin = margin;
+    p_twin = twin;
     p_input_meta = in_meta;
     p_steps = steps;
     p_arena = !next_slot;
     p_output = slot_of_vid.(output_vid);
     p_stats = { fused_mul_rescale = 0; fused_rot_acc = 0; fused_mul_acc = 0 };
   }
+
+let build ?margin ?twin ~slots ~policy circuit =
+  schedule ?margin ?twin ~slots ~policy:(Some policy) ~kind_of:(Executor.assign policy circuit)
+    circuit
+
+let build_assigned ?margin ?twin ~slots ~kind_of circuit =
+  schedule ?margin ?twin ~slots ~policy:None ~kind_of circuit
 
 (* --- validation -------------------------------------------------------- *)
 
@@ -321,7 +327,10 @@ let summary (t : t) =
 
 (* --- serialisation: the checksummed PLAN frame ------------------------- *)
 
-let plan_version = 1
+(* v2 added the twin flag after the policy tag; a v1 frame (written before
+   plans could carry the sentinel lane) loads as [twin = false]. A policy
+   tag of -1 marks an arbitrary per-node assignment. *)
+let plan_version = 2
 
 let policy_tag = function
   | Executor.All_hw -> 0
@@ -334,7 +343,7 @@ let policy_of_tag = function
   | 1 -> Executor.All_chw
   | 2 -> Executor.Hw_conv_chw_rest
   | 3 -> Executor.Chw_fc_hw_before
-  | n -> raise (Serial.Corrupt (Printf.sprintf "PLAN: unknown layout policy %d" n))
+  | n -> raise (Serial.Corrupt (Printf.sprintf "unknown layout policy %d" n))
 
 let kind_tag = function Layout.HW -> 0 | Layout.CHW -> 1
 
@@ -355,7 +364,8 @@ let write w (t : t) =
   Serial.write_frame w "PLAN" (fun w ->
       Serial.write_int w plan_version;
       Serial.write_string w t.p_circuit.Circuit.name;
-      Serial.write_int w (policy_tag t.p_policy);
+      Serial.write_int w (match t.p_policy with Some p -> policy_tag p | None -> -1);
+      Serial.write_int w (if t.p_twin then 1 else 0);
       Serial.write_int w t.p_slots;
       Serial.write_int w t.p_margin;
       Serial.write_int w t.p_arena;
@@ -383,15 +393,30 @@ let write w (t : t) =
 let read r ~(circuit : Circuit.t) =
   Serial.read_frame r "PLAN" (fun r ->
       let version = Serial.read_int r in
-      if version <> plan_version then
-        raise (Serial.Corrupt (Printf.sprintf "PLAN: version %d, expected %d" version plan_version));
+      if version < 1 || version > plan_version then
+        raise
+          (Serial.Corrupt (Printf.sprintf "PLAN: version %d, expected 1..%d" version plan_version));
       let name = Serial.read_string r in
       if name <> circuit.Circuit.name then
         raise
           (Serial.Corrupt
              (Printf.sprintf "PLAN: compiled for circuit %S, loading against %S" name
                 circuit.Circuit.name));
-      let policy = policy_of_tag (Serial.read_int r) in
+      let policy =
+        match Serial.read_int r with
+        | -1 when version >= 2 -> None
+        | tag -> (
+            try Some (policy_of_tag tag)
+            with Serial.Corrupt reason -> raise (Serial.Corrupt ("PLAN: " ^ reason)))
+      in
+      let twin =
+        if version < 2 then false
+        else
+          match Serial.read_int r with
+          | 0 -> false
+          | 1 -> true
+          | k -> raise (Serial.Corrupt (Printf.sprintf "PLAN: bad twin flag %d" k))
+      in
       let slots = Serial.read_int r in
       let margin = Serial.read_int r in
       let arena = Serial.read_int r in
@@ -424,9 +449,20 @@ let read r ~(circuit : Circuit.t) =
             (i, node, op, kind, dst, srcs, release))
       in
       (* recompute metas in schedule order; any structural damage surfaces
-         as Corrupt here rather than as a malformed plan downstream *)
+         as Corrupt here rather than as a malformed plan downstream. The
+         input layout takes the kind of the schedule's own input step. *)
+      let input_kind =
+        match
+          Array.find_opt
+            (fun (_, node, op, _, _, _, _) ->
+              op = Op_node && node.Circuit.id = circuit.Circuit.input.Circuit.id)
+            raw_steps
+        with
+        | Some (_, _, _, kind, _, _, _) -> kind
+        | None -> raise (Serial.Corrupt "PLAN: schedule never computes the circuit input")
+      in
       let in_meta =
-        try input_meta_of ~slots ~margin circuit ~kind:(Executor.assign policy circuit circuit.Circuit.input)
+        try input_meta_of ~slots ~margin ~twin circuit ~kind:input_kind
         with Herr.Fhe_error _ -> raise (Serial.Corrupt "PLAN: input layout does not fit the frame's slot count")
       in
       let slot_meta : Layout.meta option array = Array.make arena None in
@@ -477,6 +513,7 @@ let read r ~(circuit : Circuit.t) =
           p_policy = policy;
           p_slots = slots;
           p_margin = margin;
+          p_twin = twin;
           p_input_meta = in_meta;
           p_steps = steps;
           p_arena = arena;

@@ -5,8 +5,8 @@
     conversions made explicit, slot lifetimes precomputed (so live
     ciphertext memory is bounded by the arena high-water mark), and fusion
     opportunities counted. {!Plan_exec} stages and replays it against a
-    HISA backend with outputs bit-identical to the interpretive
-    {!Chet_runtime.Executor}.
+    HISA backend; it is the only executor, so deployments, the compiler's
+    analyses and sentinel verification all run plans.
 
     The records are deliberately transparent: the executor, the bundle
     store and the tests all inspect (and the prepare pass mutates
@@ -39,9 +39,11 @@ type stats = {
 
 type t = {
   p_circuit : Circuit.t;
-  p_policy : Executor.layout_policy;
+  p_policy : Executor.layout_policy option;
+      (** [None] for a plan built from an arbitrary per-node assignment *)
   p_slots : int;
   p_margin : int;
+  p_twin : bool;  (** interleaved sentinel geometry (DESIGN.md §16) *)
   p_input_meta : Layout.meta;
   p_steps : step array;
   p_arena : int;  (** arena size = ciphertext-tensor high-water mark *)
@@ -49,12 +51,19 @@ type t = {
   p_stats : stats;  (** fusion counts, filled in by [Plan_exec.prepare] *)
 }
 
-val build : ?margin:int -> slots:int -> policy:Executor.layout_policy -> Circuit.t -> t
+val build :
+  ?margin:int -> ?twin:bool -> slots:int -> policy:Executor.layout_policy -> Circuit.t -> t
 (** Schedule the circuit under the given layout policy: one step per node
     in topological order, conversion steps emitted on demand before their
     first consumer and shared by later ones, then arena slots assigned by
-    a liveness pass. [margin] defaults to
-    {!Executor.required_margin}. *)
+    a liveness pass. [margin] defaults to {!Executor.required_margin};
+    [twin] (default false) lays every tensor out on the interleaved
+    sentinel geometry. *)
+
+val build_assigned :
+  ?margin:int -> ?twin:bool -> slots:int -> kind_of:(Circuit.node -> Layout.kind) -> Circuit.t -> t
+(** {!build} from an arbitrary per-node layout assignment instead of one of
+    the four policies (the exhaustive layout-search ablation). *)
 
 val validate : t -> (unit, string) result
 (** Structural soundness: schedule order, slot bounds, no read of a dead
@@ -62,12 +71,20 @@ val validate : t -> (unit, string) result
 
 val summary : t -> string
 
+val policy_tag : Executor.layout_policy -> int
+(** The layout-policy codec shared by the [PLAN] and [CMPD] frames. *)
+
+val policy_of_tag : int -> Executor.layout_policy
+(** @raise Chet_crypto.Serial.Corrupt on an unknown tag. *)
+
 val to_string : t -> string
-(** The checksummed PLAN frame ({!Chet_crypto.Serial} discipline). Weights
-    and the circuit itself are {e not} serialized — a plan only references
-    its circuit's node ids. *)
+(** The checksummed PLAN frame ({!Chet_crypto.Serial} discipline), version
+    2. Weights and the circuit itself are {e not} serialized — a plan only
+    references its circuit's node ids. *)
 
 val of_string : circuit:Circuit.t -> string -> t
 (** Rebind a PLAN frame to the circuit it was built from; validates the
-    frame and the rebuilt plan. @raise Chet_crypto.Serial.Corrupt on
-    version, checksum, id or validation mismatch. *)
+    frame and the rebuilt plan. Version-1 frames (written before plans
+    carried the twin flag) load with [p_twin = false].
+    @raise Chet_crypto.Serial.Corrupt on version, checksum, id or
+    validation mismatch. *)

@@ -1,22 +1,21 @@
-(* Executes a [Plan.t] against a HISA backend (DESIGN.md §14).
+(* Executes a [Plan.t] against a HISA backend (DESIGN.md §14) — the one
+   executor: deployments run it over real scheme backends, the compiler's
+   analyses over the shape/simulation/instrumented backends (§5.1).
 
    [prepare] is the expensive, per-deployment half: it walks the schedule
    once, building a staged closure per step through the prepare-once kernels
-   of {!Chet_runtime.Kernels.Make.Staged} — weight and mask plaintexts
-   encoded up front (under a plaintext budget), geometry and shape checks
-   done, accumulation dispatched through the fused HISA ops. [run] replays
-   the closures over a fixed ciphertext arena; released slots are dropped
+   of {!Chet_runtime.Kernels.Make} — weight and mask plaintexts encoded up
+   front (under a plaintext budget), geometry and shape checks done,
+   accumulation dispatched through the fused HISA ops. [run] replays the
+   closures over a fixed ciphertext arena; released slots are dropped
    immediately, so live ciphertext memory is bounded by the arena high-water
-   mark instead of the circuit size.
-
-   The executor computes the same per-slot arithmetic in the same order as
-   the interpretive {!Chet_runtime.Executor}, so outputs are bit-identical —
-   the regression gate of test/test_runtime_prop.ml. *)
+   mark instead of the circuit size. *)
 
 module Hisa = Chet_hisa.Hisa
 module Herr = Chet_hisa.Herr
 module Cancel = Chet_hisa.Cancel
 module Circuit = Chet_nn.Circuit
+module Tensor = Chet_tensor.Tensor
 module Layout = Chet_runtime.Layout
 module Kernels = Chet_runtime.Kernels
 module Executor = Chet_runtime.Executor
@@ -35,9 +34,21 @@ let arena_live_gauge =
     (Metrics.gauge Metrics.default ~help:"live arena slots, high-water mark of the last run"
        "chet_plan_arena_live_hwm")
 
+(* Sentinel threading (DESIGN.md §16): [sn_probe] is the known input packed
+   into the twin slots at encrypt time; [sn_verify] receives the decrypted
+   twin tensor after the run and raises a typed [Herr.Integrity_violation]
+   if it strays from the clear-reference prediction. The executor stays
+   policy-free: what "too far" means belongs to the caller (lib/core's
+   Integrity module). *)
+type sentinel = {
+  sn_probe : Tensor.t;
+  sn_verify : Tensor.t -> unit;
+}
+
+type runner = ?cancel:Cancel.t -> ?sentinel:sentinel -> Tensor.t -> Tensor.t
+
 module Make (H : Hisa.S) = struct
   module K = Kernels.Make (H)
-  module S = K.Staged
 
   type prepared = {
     pr_plan : Plan.t;
@@ -75,12 +86,12 @@ module Make (H : Hisa.S) = struct
           err ~op:"exec"
             (Herr.Invalid_op { reason = Printf.sprintf "read of released arena slot %d" s })
     in
-    let of_staged (st : Plan.step) (sg : S.op) =
-      mul_rescale := !mul_rescale + sg.S.sg_mul_rescale;
-      rot_acc := !rot_acc + sg.S.sg_rot_acc;
-      mul_acc := !mul_acc + sg.S.sg_mul_acc;
+    let of_staged (st : Plan.step) (sg : K.op) =
+      mul_rescale := !mul_rescale + sg.K.sg_mul_rescale;
+      rot_acc := !rot_acc + sg.K.sg_rot_acc;
+      mul_acc := !mul_acc + sg.K.sg_mul_acc;
       let s0 = if Array.length st.Plan.st_srcs > 0 then st.Plan.st_srcs.(0) else -1 in
-      fun arena _input -> sg.S.sg_run (get arena s0)
+      fun arena _input -> sg.K.sg_run (get arena s0)
     in
     let execs =
       Array.map
@@ -91,29 +102,32 @@ module Make (H : Hisa.S) = struct
               (fun () ->
                 match st.Plan.st_op with
                 | Plan.Op_convert k ->
-                    of_staged st (S.convert cfg ~meta:(src_meta st 0) ~budget ~to_kind:k)
+                    of_staged st (K.convert cfg ~meta:(src_meta st 0) ~budget ~to_kind:k)
                 | Plan.Op_node -> begin
                     match st.Plan.st_node.Circuit.op with
                     | Circuit.Input _ ->
-                        let kind = st.Plan.st_kind in
+                        let expected = st.Plan.st_meta in
                         fun _arena input ->
-                          if input.K.meta.Layout.kind = kind then input
-                          else K.convert cfg input ~to_kind:kind
+                          if input.K.meta <> expected then
+                            err ~op:"exec"
+                              (Herr.Invalid_op
+                                 { reason = "input encrypted at a layout other than the plan's" });
+                          input
                     | Circuit.Conv2d { weights; bias; stride; padding; _ } ->
                         of_staged st
-                          (S.conv2d cfg ~meta:(src_meta st 0) ~budget ~weights ~bias ~stride
+                          (K.conv2d cfg ~meta:(src_meta st 0) ~budget ~weights ~bias ~stride
                              ~padding)
                     | Circuit.MatMul { weights; bias; _ } ->
-                        of_staged st (S.matmul cfg ~meta:(src_meta st 0) ~budget ~weights ~bias)
+                        of_staged st (K.matmul cfg ~meta:(src_meta st 0) ~budget ~weights ~bias)
                     | Circuit.AvgPool { ksize; stride; _ } ->
-                        of_staged st (S.avg_pool cfg ~meta:(src_meta st 0) ~budget ~ksize ~stride)
+                        of_staged st (K.avg_pool cfg ~meta:(src_meta st 0) ~budget ~ksize ~stride)
                     | Circuit.GlobalAvgPool _ ->
-                        of_staged st (S.global_avg_pool cfg ~meta:(src_meta st 0) ~budget)
-                    | Circuit.PolyAct { a; b; _ } -> of_staged st (S.poly_act cfg ~a ~b)
-                    | Circuit.Square _ -> of_staged st (S.square cfg)
+                        of_staged st (K.global_avg_pool cfg ~meta:(src_meta st 0) ~budget)
+                    | Circuit.PolyAct { a; b; _ } -> of_staged st (K.poly_act cfg ~a ~b)
+                    | Circuit.Square _ -> of_staged st (K.square cfg)
                     | Circuit.BatchNorm { scale; shift; _ } ->
-                        of_staged st (S.batch_norm cfg ~meta:(src_meta st 0) ~budget ~scale ~shift)
-                    | Circuit.Flatten _ -> of_staged st S.flatten
+                        of_staged st (K.batch_norm cfg ~meta:(src_meta st 0) ~budget ~scale ~shift)
+                    | Circuit.Flatten _ -> of_staged st K.flatten
                     | Circuit.Concat _ ->
                         let srcs = st.Plan.st_srcs in
                         fun arena _input ->
@@ -135,6 +149,10 @@ module Make (H : Hisa.S) = struct
     Metrics.set_gauge (Lazy.force arena_slots_gauge) (float_of_int plan.Plan.p_arena);
     { pr_plan = plan; pr_cfg = cfg; pr_execs = execs }
 
+  (* [cancel] is polled at every step boundary — the same granularity the
+     per-step spans hook — so a tripped token frees the worker within one
+     step instead of one full inference (DESIGN.md §13). The poll raises the
+     typed [Herr.Cancelled] carrying the node at which it fired. *)
   let run_encrypted ?cancel prepared (input : K.ct_tensor) =
     let plan = prepared.pr_plan in
     let arena : K.ct_tensor option array = Array.make plan.Plan.p_arena None in
@@ -152,8 +170,11 @@ module Make (H : Hisa.S) = struct
             (fun () -> prepared.pr_execs.(i) arena input)
         in
         let result =
-          (* one span per plan step when tracing is on — the plan-side twin
-             of the interpretive executor's per-node spans *)
+          (* one span per plan step when tracing is on: step, node, layer,
+             layout, arena slot and — annotated after the step ran — the
+             HISA op count attributable to it plus the result's scale and
+             remaining modulus level. Disabled tracing costs one atomic load
+             per step. *)
           if not (Tracer.enabled ()) then compute ()
           else
             Tracer.with_span ~cat:"plan"
@@ -162,6 +183,7 @@ module Make (H : Hisa.S) = struct
                   ("step", Tracer.Int st.Plan.st_id);
                   ("node_id", Tracer.Int st.Plan.st_node.Circuit.id);
                   ("layer", Tracer.Str (Executor.op_name st.Plan.st_node));
+                  ("layout", Tracer.Str (match st.Plan.st_kind with Layout.HW -> "HW" | Layout.CHW -> "CHW"));
                   ("slot", Tracer.Int st.Plan.st_dst);
                 ]
               (match st.Plan.st_op with
@@ -172,6 +194,13 @@ module Make (H : Hisa.S) = struct
                 let ops0 = Tracer.op_count () in
                 let r = compute () in
                 Tracer.annotate "ops" (Tracer.Int (Tracer.op_count () - ops0));
+                if Array.length r.K.cts > 0 then begin
+                  Tracer.annotate "scale" (Tracer.Float (H.scale_of r.K.cts.(0)));
+                  let env = H.env_of r.K.cts.(0) in
+                  Tracer.annotate "level"
+                    (Tracer.Int
+                       (if env.Hisa.env_r > 0 then env.Hisa.env_r else env.Hisa.env_log_q))
+                end;
                 r)
         in
         arena.(st.Plan.st_dst) <- Some result;
@@ -189,10 +218,37 @@ module Make (H : Hisa.S) = struct
     | None ->
         err ~op:"run" (Herr.Invalid_op { reason = "plan output slot empty after the last step" })
 
-  (* Full client–server roundtrip on a cleartext image, mirroring
-     {!Chet_runtime.Executor.Make.run}: encrypt at the plan's input layout,
-     execute, decrypt. *)
-  let run ?cancel prepared image =
-    let encrypted = K.encrypt_tensor prepared.pr_cfg prepared.pr_plan.Plan.p_input_meta image in
-    K.decrypt_tensor (run_encrypted ?cancel prepared encrypted)
+  (* Full client–server roundtrip on a cleartext image: encrypt at the
+     plan's input layout (with the sentinel probe in the twin slots), run,
+     decrypt, and verify the sentinel lane before the answer is released. *)
+  let run ?cancel ?sentinel prepared image =
+    let probe = Option.map (fun s -> s.sn_probe) sentinel in
+    let encrypted =
+      K.encrypt_tensor ?probe prepared.pr_cfg prepared.pr_plan.Plan.p_input_meta image
+    in
+    let out = run_encrypted ?cancel prepared encrypted in
+    match sentinel with
+    | None -> K.decrypt_tensor out
+    | Some s ->
+        let primary, twin_out = K.decrypt_parts out in
+        (match twin_out with
+        | Some t -> s.sn_verify t
+        | None ->
+            err ~op:"sentinel"
+              (Herr.Invalid_op { reason = "output layout lost its twin slots" }));
+        primary
+
+  (* Build, prepare and run in one call, for one-off inferences; a sentinel
+     selects the twin layout. A budget of 0 encodes each plaintext where it
+     is used, so a single run holds no more plaintexts than it needs at
+     once. *)
+  let eval ?sentinel cfg circuit ~policy image =
+    let plan = Plan.build ~twin:(sentinel <> None) ~slots:H.slots ~policy circuit in
+    run ?sentinel (prepare ~pt_budget:0 cfg plan) image
 end
+
+let prepare_runner ?pt_budget (backend : Hisa.t) cfg plan : runner =
+  let module H = (val backend) in
+  let module PE = Make (H) in
+  let prepared = PE.prepare ?pt_budget cfg plan in
+  fun ?cancel ?sentinel image -> PE.run ?cancel ?sentinel prepared image

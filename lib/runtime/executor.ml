@@ -1,14 +1,12 @@
-(* Executes a tensor circuit against a HISA backend with a concrete layout
-   assignment — the runtime half of CHET. The compiler (lib/core) calls this
-   executor with analysis backends to "dynamically unroll the data-flow graph
-   on the fly" (§5.1); deployment calls it with a real scheme backend. *)
+(* Layout policies: which physical layout kind every circuit node's output
+   takes (§5.3), plus the circuit facts layout construction needs. Plans
+   (lib/plan) are scheduled from an assignment computed here and executed
+   by lib/plan/plan_exec.ml — the single executor, which the compiler's
+   analyses also run (§5.1). *)
 
-module Hisa = Chet_hisa.Hisa
 module Herr = Chet_hisa.Herr
-module Cancel = Chet_hisa.Cancel
 module Circuit = Chet_nn.Circuit
 module Tensor = Chet_tensor.Tensor
-module Tracer = Chet_obs.Tracer
 
 (* Human description of a node for error context ("which layer broke"). *)
 let op_name (node : Circuit.node) =
@@ -106,151 +104,3 @@ let required_margin circuit =
       Hashtbl.replace cum node.Circuit.id out_cum;
       Stdlib.max acc need)
     1 (Circuit.topo_order circuit)
-
-(* Sentinel threading (DESIGN.md §16): [sn_probe] is the known input packed
-   into the layout's twin slots at encrypt time; [sn_verify] receives the
-   decrypted twin tensor after the run and raises a typed
-   [Herr.Integrity_violation] if it strays from the clear-reference
-   prediction. The executor stays policy-free: what "too far" means belongs
-   to the caller (lib/core's Integrity module). *)
-type sentinel = {
-  sn_probe : Tensor.t;
-  sn_verify : Tensor.t -> unit;
-}
-
-module Make (H : Hisa.S) = struct
-  module K = Kernels.Make (H)
-
-  let input_meta ?margin ?(twin = false) circuit ~kind =
-    let margin = match margin with Some m -> m | None -> required_margin circuit in
-    let node = circuit.Circuit.input in
-    match node.Circuit.shape with
-    | [| c; h; w |] ->
-        Layout.create ~kind ~slots:H.slots ~channels:c ~height:h ~width:w ~margin ~twin ()
-    | shape ->
-        Herr.raise_err ~backend:"executor" ~op:"input_meta" ~node_id:node.Circuit.id
-          ~layer:(op_name node)
-          (Herr.Shape_mismatch
-             {
-               expected = "[c; h; w]";
-               got =
-                 "[" ^ String.concat "; " (Array.to_list (Array.map string_of_int shape)) ^ "]";
-             })
-
-  (* Run the circuit on an already-encrypted input tensor with an arbitrary
-     per-node layout assignment (the exhaustive-search ablation uses this
-     directly; the four pruned policies go through {!run_encrypted}).
-
-     [cancel] is polled at every node boundary — the same granularity the
-     per-node spans hook — so a tripped token frees the worker within one
-     node instead of one full inference (DESIGN.md §13). The poll raises the
-     typed [Herr.Cancelled] carrying the node at which it fired. *)
-  let run_encrypted_with ?cancel cfg circuit ~kind_of (input : K.ct_tensor) =
-    let values : (int, K.ct_tensor) Hashtbl.t = Hashtbl.create 64 in
-    let raw_value (node : Circuit.node) =
-      match Hashtbl.find_opt values node.Circuit.id with
-      | Some v -> v
-      | None ->
-          Herr.raise_err ~backend:"executor" ~op:"lookup"
-            (Herr.Missing_node { node_id = node.Circuit.id })
-    in
-    let value (node : Circuit.node) ~want =
-      let v = raw_value node in
-      if v.K.meta.Layout.kind = want then v else K.convert cfg v ~to_kind:want
-    in
-    List.iter
-      (fun (node : Circuit.node) ->
-        (match cancel with
-        | Some tok -> Cancel.check tok ~node_id:node.Circuit.id ~layer:(op_name node)
-        | None -> ());
-        let kind = kind_of node in
-        (* every failure below this point carries the circuit node and a
-           human description of the layer that caused it *)
-        let compute () =
-          Herr.with_node ~node_id:node.Circuit.id ~layer:(op_name node) (fun () ->
-              match node.Circuit.op with
-              | Circuit.Input _ ->
-                  if input.K.meta.Layout.kind = kind then input
-                  else K.convert cfg input ~to_kind:kind
-              | Circuit.Conv2d { input = src; weights; bias; stride; padding } ->
-                  K.conv2d cfg (value src ~want:kind) ~weights ~bias ~stride ~padding
-              | Circuit.MatMul { input = src; weights; bias } ->
-                  (* matmul reads any layout directly (the weight plaintexts
-                     are placed by the input's own metadata), and its output
-                     is a dense vector regardless of the assigned kind *)
-                  K.matmul cfg (raw_value src) ~weights ~bias
-              | Circuit.AvgPool { input = src; ksize; stride } ->
-                  K.avg_pool cfg (value src ~want:kind) ~ksize ~stride
-              | Circuit.GlobalAvgPool src -> K.global_avg_pool cfg (value src ~want:kind)
-              | Circuit.PolyAct { input = src; a; b } ->
-                  K.poly_act cfg (value src ~want:kind) ~a ~b
-              | Circuit.Square src -> K.square cfg (value src ~want:kind)
-              | Circuit.BatchNorm { input = src; scale; shift } ->
-                  K.batch_norm cfg (value src ~want:kind) ~scale ~shift
-              | Circuit.Flatten src -> K.flatten (value src ~want:kind)
-              | Circuit.Concat srcs -> K.concat cfg (List.map (fun s -> value s ~want:kind) srcs)
-              | Circuit.Residual (a, b) -> K.residual (value a ~want:kind) (value b ~want:kind))
-        in
-        let result =
-          (* one span per circuit node when tracing is on: node id, layer
-             description, layout, and — annotated after the node ran — the
-             HISA op count attributable to it plus the result's scale and
-             remaining modulus level. Disabled tracing costs one atomic
-             load per node. *)
-          if not (Tracer.enabled ()) then compute ()
-          else
-            Tracer.with_span ~cat:"executor"
-              ~attrs:
-                [
-                  ("node_id", Tracer.Int node.Circuit.id);
-                  ("layer", Tracer.Str (op_name node));
-                  ("layout", Tracer.Str (match kind with Layout.HW -> "HW" | Layout.CHW -> "CHW"));
-                ]
-              (op_name node)
-              (fun () ->
-                let ops0 = Tracer.op_count () in
-                let r = compute () in
-                Tracer.annotate "ops" (Tracer.Int (Tracer.op_count () - ops0));
-                if Array.length r.K.cts > 0 then begin
-                  Tracer.annotate "scale" (Tracer.Float (H.scale_of r.K.cts.(0)));
-                  let env = H.env_of r.K.cts.(0) in
-                  Tracer.annotate "level"
-                    (Tracer.Int
-                       (if env.Hisa.env_r > 0 then env.Hisa.env_r else env.Hisa.env_log_q))
-                end;
-                r)
-        in
-        Hashtbl.replace values node.Circuit.id result)
-      (Circuit.topo_order circuit);
-    raw_value circuit.Circuit.output
-
-  let run_encrypted ?cancel cfg circuit ~policy input =
-    run_encrypted_with ?cancel cfg circuit ~kind_of:(assign policy circuit) input
-
-  (* Full client–server roundtrip on a cleartext image: encrypt with the
-     layout the policy assigns to the input, run, decrypt.
-
-     [twin] runs on an interleaved-twin layout without verification — the
-     compiler's analysis passes use it so a sentinel deployment's parameter,
-     cost and rotation selection see the geometry it will actually execute.
-     [sentinel] implies [twin] and additionally packs/verifies the probe. *)
-  let run ?cancel ?sentinel ?(twin = false) cfg circuit ~policy image =
-    (* compute the assignment once and reuse it for the run itself, rather
-       than paying [assign] a second time inside [run_encrypted] *)
-    let kind_of = assign policy circuit in
-    let twin = twin || sentinel <> None in
-    let meta = input_meta ~twin circuit ~kind:(kind_of circuit.Circuit.input) in
-    let probe = Option.map (fun s -> s.sn_probe) sentinel in
-    let encrypted = K.encrypt_tensor ?probe cfg meta image in
-    let out = run_encrypted_with ?cancel cfg circuit ~kind_of encrypted in
-    match sentinel with
-    | None -> K.decrypt_tensor out
-    | Some s ->
-        let primary, twin_out = K.decrypt_parts out in
-        (match twin_out with
-        | Some t -> s.sn_verify t
-        | None ->
-            Herr.raise_err ~backend:"executor" ~op:"sentinel"
-              (Herr.Invalid_op { reason = "output layout lost its twin slots" }));
-        primary
-end

@@ -3,6 +3,13 @@
    compiler's data-flow analyses — §5.1's "execute the circuit under a
    different interpretation").
 
+   Every kernel is prepare-once: its constructor does everything
+   input-independent up front — geometry, shape checks, plaintext vector
+   construction, constant-scale encodes — and returns an {!op} whose
+   [sg_run] closure replays only the per-inference homomorphic work, with
+   accumulation dispatched through the fused HISA ops. lib/plan/plan_exec.ml
+   stages one op per plan step.
+
    Conventions shared by all kernels:
    - the layout invariant: slots outside valid logical positions are zero;
      ops that scramble the gap slots (conv, pool, matmul) end with a
@@ -91,12 +98,6 @@ module Make (H : Hisa.S) = struct
 
   (* --- helpers ------------------------------------------------------ *)
 
-  let encode_plains plains ~scale = Array.map (fun v -> H.encode v ~scale) plains
-
-  let mask_with cfg t plain_vecs =
-    let plains = encode_plains plain_vecs ~scale:cfg.pm in
-    { t with cts = Array.mapi (fun i ct -> H.mul_plain ct plains.(i)) t.cts }
-
   let add_opt acc term = match acc with None -> Some term | Some a -> Some (H.add a term)
 
   (* A kernel reading [d] physical slots beyond the image on either side
@@ -109,6 +110,43 @@ module Make (H : Hisa.S) = struct
            { slots = meta.Layout.slots; requested = Layout.max_extent meta + d })
       (* layout margins too small for this kernel's taps: increase ~margin *)
 
+  (* --- prepared kernels ---------------------------------------------- *)
+
+  type op = {
+    sg_run : ct_tensor -> ct_tensor;
+    sg_mul_rescale : int;  (** fused mulPlain+rescale traversals per inference *)
+    sg_rot_acc : int;  (** fused rotate-accumulate steps per inference *)
+    sg_mul_acc : int;  (** fused multiply-accumulate steps per inference *)
+  }
+
+  let nop_counts run = { sg_run = run; sg_mul_rescale = 0; sg_rot_acc = 0; sg_mul_acc = 0 }
+
+  (* Plaintext staging: encode now while the plaintext [budget] lasts (the
+     memory bound on a prepared executor), re-encode per inference after.
+     Either way the encode is deterministic, so staging cannot change
+     results. *)
+  let staged_pt budget build ~scale =
+    if !budget > 0 then begin
+      decr budget;
+      let p = H.encode (build ()) ~scale in
+      fun () -> p
+    end
+    else fun () -> H.encode (build ()) ~scale
+
+  (* Dynamic-scale plaintexts (biases/shifts encode at the scale observed
+     mid-inference): the trajectory of a fixed circuit repeats across
+     requests, so memoise per (ct index, scale). *)
+  let dynamic_pts build_vecs =
+    let vecs = lazy (build_vecs ()) in
+    let cache = Hashtbl.create 4 in
+    fun i ~scale ->
+      match Hashtbl.find_opt cache (i, scale) with
+      | Some p -> p
+      | None ->
+          let p = H.encode (Lazy.force vecs).(i) ~scale in
+          Hashtbl.add cache (i, scale) p;
+          p
+
   (* sum a ciphertext's slots so that slot 0's block receives the total of
      the [count] blocks spaced [stride] apart; [count] must be a power of
      two. After the fold, positions offset by anything else hold partial
@@ -116,18 +154,25 @@ module Make (H : Hisa.S) = struct
   let fold_blocks ct ~count ~stride =
     let acc = ref ct and step = ref (count / 2) in
     while !step >= 1 do
-      acc := H.add !acc (rot !acc (!step * stride));
+      acc := H.fma_rot !acc !acc (!step * stride);
       step := !step / 2
     done;
     !acc
+
+  let log2i n =
+    let rec loop n acc = if n <= 1 then acc else loop (n / 2) (acc + 1) in
+    loop n 0
+
+  (* the mulPlain+rescale peephole: mask and renormalise in one traversal *)
+  let mask_normalize cfg cts pts =
+    Array.mapi (fun i ct -> rescale_toward cfg (H.mul_plain ct (pts.(i) ()))) cts
 
   (* --- convolution -------------------------------------------------- *)
 
   let conv_geometry = conv_geometry
   let tap_rotation = tap_rotation
 
-  let conv2d cfg t ~weights ~bias ~stride ~padding =
-    let meta = t.meta in
+  let conv2d cfg ~meta ~budget ~weights ~bias ~stride ~padding =
     let cout = weights.Tensor.shape.(0) and cin = weights.Tensor.shape.(1) in
     let kh = weights.Tensor.shape.(2) and kw = weights.Tensor.shape.(3) in
     if cin <> meta.Layout.channels then
@@ -135,123 +180,180 @@ module Make (H : Hisa.S) = struct
         (Herr.Shape_mismatch
            {
              expected = Printf.sprintf "weights with %d input channels" meta.Layout.channels;
-             got = Printf.sprintf "weights %s (%d input channels)" (shape_str weights.Tensor.shape) cin;
+             got =
+               Printf.sprintf "weights %s (%d input channels)" (shape_str weights.Tensor.shape)
+                 cin;
            });
     let ph, pw_, out_spatial = conv_geometry meta ~kh ~kw ~stride ~padding in
     let out_meta = Layout.with_channels out_spatial cout in
     check_taps ~op:"conv2d" meta (tap_rotation meta ~dy:ph ~dx:pw_);
     let w_at o c dy dx = Tensor.get weights [| o; c; dy; dx |] in
-    (* rotated input ciphertexts, shared across output channels *)
-    let rotated = Hashtbl.create 64 in
-    let rotated_ct j ~dy ~dx =
-      let amount = tap_rotation meta ~dy:(dy - ph) ~dx:(dx - pw_) in
-      match Hashtbl.find_opt rotated (j, amount) with
-      | Some ct -> ct
-      | None ->
-          let ct = rot t.cts.(j) amount in
-          Hashtbl.replace rotated (j, amount) ct;
-          ct
+    (* the bias is added after the rescale, at the scale then observed, so
+       its encoding scale fits a native int *)
+    let bias_pts =
+      Option.map
+        (fun bs -> dynamic_pts (fun () -> Layout.plains out_meta (fun c _ _ -> bs.(c))))
+        bias
     in
-    let out_cts =
-      match meta.Layout.kind with
-      | Layout.HW ->
-          (* one input ciphertext per channel; weights enter as scalars *)
+    let add_bias t' =
+      match bias_pts with
+      | None -> t'
+      | Some dyn ->
+          let scale_now = int_of_float (H.scale_of t'.cts.(0)) in
+          { t' with cts = Array.mapi (fun i ct -> H.add_plain ct (dyn i ~scale:scale_now)) t'.cts }
+    in
+    (* rotated input ciphertexts, shared across output channels *)
+    let rotated_of t =
+      let rotated = Hashtbl.create 64 in
+      fun j amount ->
+        match Hashtbl.find_opt rotated (j, amount) with
+        | Some ct -> ct
+        | None ->
+            let ct = rot t.cts.(j) amount in
+            Hashtbl.replace rotated (j, amount) ct;
+            ct
+    in
+    match meta.Layout.kind with
+    | Layout.HW ->
+        (* one input ciphertext per channel; weights enter as scalars, and
+           the accumulator is masked once per output ciphertext (Fig. 4) *)
+        let taps =
           Array.init cout (fun o ->
-              let acc = ref None in
+              let l = ref [] in
               for c = 0 to cin - 1 do
                 for dy = 0 to kh - 1 do
                   for dx = 0 to kw - 1 do
                     let w = w_at o c dy dx in
                     if w <> 0.0 then
-                      acc := add_opt !acc (H.mul_scalar (rotated_ct c ~dy ~dx) w ~scale:cfg.pu)
+                      l := (c, tap_rotation meta ~dy:(dy - ph) ~dx:(dx - pw_), w) :: !l
                   done
                 done
               done;
-              match !acc with
-              | Some ct -> ct
-              | None -> H.mul_scalar t.cts.(0) 0.0 ~scale:cfg.pu)
-      | Layout.CHW ->
-          (* channels packed in blocks; weights enter as plaintext vectors
-             and partial sums fold across blocks *)
-          let cpc = meta.Layout.ch_per_ct in
-          let in_cts = Layout.num_cts meta in
-          (* plaintext weights live on the *output* spatial grid but with the
-             *input* channel structure *)
-          let mid_meta = Layout.with_channels out_spatial cin in
-          let out_cpc = out_meta.Layout.ch_per_ct in
-          let out_ct_count = Layout.num_cts out_meta in
+              List.rev !l)
+        in
+        let nout = Layout.num_cts out_meta in
+        let mask_pts =
+          Array.init nout (fun j ->
+              staged_pt budget (fun () -> Layout.plain_ct out_meta j (fun _ _ _ -> 1.0)) ~scale:cfg.pm)
+        in
+        let run t =
+          let rotated_ct = rotated_of t in
+          let out_cts =
+            Array.init cout (fun o ->
+                match taps.(o) with
+                | [] -> H.mul_scalar t.cts.(0) 0.0 ~scale:cfg.pu
+                | (c0, a0, w0) :: rest ->
+                    List.fold_left
+                      (fun acc (c, a, w) -> H.fma_scalar acc (rotated_ct c a) w ~scale:cfg.pu)
+                      (H.mul_scalar (rotated_ct c0 a0) w0 ~scale:cfg.pu)
+                      rest)
+          in
+          add_bias { meta = out_meta; cts = mask_normalize cfg out_cts mask_pts }
+        in
+        {
+          sg_run = run;
+          sg_mul_rescale = nout;
+          sg_rot_acc = 0;
+          sg_mul_acc = Array.fold_left (fun a l -> a + Stdlib.max 0 (List.length l - 1)) 0 taps;
+        }
+    | Layout.CHW ->
+        (* channels packed in blocks; weights enter as plaintext vectors and
+           partial sums fold across blocks *)
+        let cpc = meta.Layout.ch_per_ct in
+        let in_cts_n = Layout.num_cts meta in
+        (* plaintext weights live on the *output* spatial grid but with the
+           *input* channel structure *)
+        let mid_meta = Layout.with_channels out_spatial cin in
+        let out_cpc = out_meta.Layout.ch_per_ct in
+        let out_ct_count = Layout.num_cts out_meta in
+        (* a tap's weight vector is nonzero exactly when one of the input
+           channels packed into ciphertext [j] has a nonzero weight there —
+           decided from the weights, without building the vector *)
+        let any_weight o j dy dx =
+          let c_hi = Stdlib.min cin ((j + 1) * mid_meta.Layout.ch_per_ct) - 1 in
+          let rec go c = c <= c_hi && (w_at o c dy dx <> 0.0 || go (c + 1)) in
+          go (j * mid_meta.Layout.ch_per_ct)
+        in
+        let taps =
+          Array.init cout (fun o ->
+              let l = ref [] in
+              for j = 0 to in_cts_n - 1 do
+                for dy = 0 to kh - 1 do
+                  for dx = 0 to kw - 1 do
+                    let build () = Layout.plain_ct mid_meta j (fun c _ _ -> w_at o c dy dx) in
+                    if any_weight o j dy dx then begin
+                      let amount = tap_rotation meta ~dy:(dy - ph) ~dx:(dx - pw_) in
+                      l := (j, amount, staged_pt budget build ~scale:cfg.pw) :: !l
+                    end
+                  done
+                done
+              done;
+              List.rev !l)
+        in
+        (* per-channel placement masks: the fold leaves partial sums in the
+           other blocks, which must not pollute sibling channels *)
+        let mask_pts =
+          Array.init cout (fun o ->
+              staged_pt budget
+                (fun () ->
+                  Layout.plain_ct out_meta (o / out_cpc) (fun c _ _ -> if c = o then 1.0 else 0.0))
+                ~scale:cfg.pm)
+        in
+        let run t =
+          let rotated_ct = rotated_of t in
           let outs = Array.make out_ct_count None in
           for o = 0 to cout - 1 do
             let acc = ref None in
-            for j = 0 to in_cts - 1 do
-              for dy = 0 to kh - 1 do
-                for dx = 0 to kw - 1 do
-                  let plain_vec = Layout.plain_ct mid_meta j (fun c _ _ -> w_at o c dy dx) in
-                  if Array.exists (fun v -> v <> 0.0) plain_vec then begin
-                    let p = H.encode plain_vec ~scale:cfg.pw in
-                    acc := add_opt !acc (H.mul_plain (rotated_ct j ~dy ~dx) p)
-                  end
-                done
-              done
-            done;
+            List.iter
+              (fun (j, amount, p) ->
+                let x = rotated_ct j amount in
+                acc :=
+                  Some
+                    (match !acc with
+                    | None -> H.mul_plain x (p ())
+                    | Some a -> H.fma_plain a x (p ())))
+              taps.(o);
             let acc =
               match !acc with
               | Some ct -> ct
               | None -> H.mul_scalar t.cts.(0) 0.0 ~scale:cfg.pw
             in
-            (* fold the per-block partials into block 0 *)
+            (* fold the per-block partials into block 0, place channel o
+               into its block of its output ciphertext, mask to that block *)
             let folded =
               if cpc > 1 then fold_blocks acc ~count:cpc ~stride:meta.Layout.ch_stride else acc
             in
-            (* place channel o into its block of its output ciphertext, then
-               mask to that block alone: the fold leaves partial sums in the
-               other blocks, which must not pollute sibling channels *)
             let placed = rot folded (-(o mod out_cpc) * out_meta.Layout.ch_stride) in
-            let mask_o =
-              Layout.plain_ct out_meta (o / out_cpc) (fun c _ _ -> if c = o then 1.0 else 0.0)
-            in
-            let masked = H.mul_plain placed (H.encode mask_o ~scale:cfg.pm) in
-            outs.(o / out_cpc) <- add_opt outs.(o / out_cpc) masked
+            let m = mask_pts.(o) () in
+            outs.(o / out_cpc) <-
+              (match outs.(o / out_cpc) with
+              | None -> Some (H.mul_plain placed m)
+              | Some a -> Some (H.fma_plain a placed m))
           done;
-          Array.map (function Some ct -> ct | None -> assert false) outs
-    in
-    (* in HW the accumulator is masked once per output ciphertext (Fig. 4);
-       in CHW the per-channel placement above already masked everything *)
-    let masked =
-      match meta.Layout.kind with
-      | Layout.HW -> mask_with cfg { meta = out_meta; cts = out_cts } (Layout.valid_mask out_meta)
-      | Layout.CHW -> { meta = out_meta; cts = out_cts }
-    in
-    (* rescale before the bias so its encoding scale fits a native int *)
-    let masked = normalize cfg masked in
-    match bias with
-    | None -> masked
-    | Some bs ->
-        let scale_now = H.scale_of masked.cts.(0) in
-        let bias_plains =
-          encode_plains (Layout.plains out_meta (fun c _ _ -> bs.(c)))
-            ~scale:(int_of_float scale_now)
+          let cts = Array.map (function Some ct -> rescale_toward cfg ct | None -> assert false) outs in
+          add_bias { meta = out_meta; cts }
         in
-        { masked with cts = Array.mapi (fun i ct -> H.add_plain ct bias_plains.(i)) masked.cts }
+        {
+          sg_run = run;
+          sg_mul_rescale = out_ct_count;
+          sg_rot_acc = (if cpc > 1 then cout * log2i cpc else 0);
+          sg_mul_acc =
+            Array.fold_left (fun a l -> a + Stdlib.max 0 (List.length l - 1)) 0 taps
+            + Stdlib.max 0 (cout - out_ct_count);
+        }
 
   (* --- pooling ------------------------------------------------------ *)
 
-  let avg_pool cfg t ~ksize ~stride =
-    (* pooling reads strictly inside the image: no head-room needed *)
-    let meta = t.meta in
-    let summed =
-      Array.map
-        (fun ct ->
-          let acc = ref ct in
-          for dy = 0 to ksize - 1 do
-            for dx = 0 to ksize - 1 do
-              if dy <> 0 || dx <> 0 then
-                acc := H.add !acc (rot ct (tap_rotation meta ~dy ~dx))
-            done
-          done;
-          !acc)
-        t.cts
-    in
+  (* pooling reads strictly inside the image: no head-room needed. The 1/k²
+     averaging factor rides along in the mask (one multiply). *)
+  let avg_pool cfg ~meta ~budget ~ksize ~stride =
+    let taps = ref [] in
+    for dy = 0 to ksize - 1 do
+      for dx = 0 to ksize - 1 do
+        if dy <> 0 || dx <> 0 then taps := tap_rotation meta ~dy ~dx :: !taps
+      done
+    done;
+    let taps = List.rev !taps in
     let out_meta =
       Layout.after_stride
         (Layout.with_spatial meta
@@ -259,75 +361,98 @@ module Make (H : Hisa.S) = struct
            ~width:(meta.Layout.width - ksize + 1))
         stride
     in
-    (* the 1/k² averaging factor rides along in the mask (one multiply) *)
     let inv = 1.0 /. float_of_int (ksize * ksize) in
-    let masks = Layout.plains out_meta (fun _ _ _ -> inv) in
-    normalize cfg (mask_with cfg { meta = out_meta; cts = summed } masks)
+    let n = Layout.num_cts out_meta in
+    let mask_pts =
+      Array.init n (fun j ->
+          staged_pt budget (fun () -> Layout.plain_ct out_meta j (fun _ _ _ -> inv)) ~scale:cfg.pm)
+    in
+    let run t =
+      let summed =
+        Array.map (fun ct -> List.fold_left (fun acc a -> H.fma_rot acc ct a) ct taps) t.cts
+      in
+      { meta = out_meta; cts = mask_normalize cfg summed mask_pts }
+    in
+    { sg_run = run; sg_mul_rescale = n; sg_rot_acc = n * List.length taps; sg_mul_acc = 0 }
 
-  let global_avg_pool cfg t =
-    let meta = t.meta in
+  (* sum rows into row 0, then columns into column 0 *)
+  let global_avg_pool cfg ~meta ~budget =
     let is_pow2 n = n > 0 && n land (n - 1) = 0 in
-    let summed =
-      Array.map
-        (fun ct ->
-          (* sum rows into row 0, then columns into column 0 *)
-          let row_sum =
-            if is_pow2 meta.Layout.height then
-              fold_blocks ct ~count:meta.Layout.height ~stride:meta.Layout.row_stride
+    let h = meta.Layout.height and w = meta.Layout.width in
+    let out_meta = Layout.with_spatial meta ~height:1 ~width:1 in
+    let inv = 1.0 /. float_of_int (h * w) in
+    let n = Layout.num_cts out_meta in
+    let mask_pts =
+      Array.init n (fun j ->
+          staged_pt budget (fun () -> Layout.plain_ct out_meta j (fun _ _ _ -> inv)) ~scale:cfg.pm)
+    in
+    let run t =
+      let summed =
+        Array.map
+          (fun ct ->
+            let row_sum =
+              if is_pow2 h then fold_blocks ct ~count:h ~stride:meta.Layout.row_stride
+              else begin
+                let acc = ref ct in
+                for i = 1 to h - 1 do
+                  acc := H.fma_rot !acc ct (i * meta.Layout.row_stride)
+                done;
+                !acc
+              end
+            in
+            if is_pow2 w then fold_blocks row_sum ~count:w ~stride:meta.Layout.col_stride
             else begin
-              let acc = ref ct in
-              for i = 1 to meta.Layout.height - 1 do
-                acc := H.add !acc (rot ct (i * meta.Layout.row_stride))
+              let acc = ref row_sum in
+              for j = 1 to w - 1 do
+                acc := H.fma_rot !acc row_sum (j * meta.Layout.col_stride)
               done;
               !acc
-            end
-          in
-          if is_pow2 meta.Layout.width then
-            fold_blocks row_sum ~count:meta.Layout.width ~stride:meta.Layout.col_stride
-          else begin
-            let acc = ref row_sum in
-            for j = 1 to meta.Layout.width - 1 do
-              acc := H.add !acc (rot row_sum (j * meta.Layout.col_stride))
-            done;
-            !acc
-          end)
-        t.cts
+            end)
+          t.cts
+      in
+      { meta = out_meta; cts = mask_normalize cfg summed mask_pts }
     in
-    let out_meta = Layout.with_spatial meta ~height:1 ~width:1 in
-    let inv = 1.0 /. float_of_int (meta.Layout.height * meta.Layout.width) in
-    let masks = Layout.plains out_meta (fun _ _ _ -> inv) in
-    normalize cfg (mask_with cfg { meta = out_meta; cts = summed } masks)
+    let per_ct =
+      (if is_pow2 h then log2i h else h - 1) + if is_pow2 w then log2i w else w - 1
+    in
+    { sg_run = run; sg_mul_rescale = n; sg_rot_acc = n * per_ct; sg_mul_acc = 0 }
 
   (* --- pointwise ops ------------------------------------------------ *)
 
-  let poly_act cfg t ~a ~b =
-    (* a·x² + b·x = (a·x + b) · x : one scalar multiply, one ct multiply.
-       Zero slots stay zero: (a·0 + b)·0 = 0, preserving the invariant. *)
-    let cts =
-      Array.map
-        (fun x ->
-          let t1 = H.add_scalar (H.mul_scalar x a ~scale:cfg.pu) b in
-          rescale_toward cfg (H.mul t1 x))
-        t.cts
-    in
-    { t with cts }
+  (* a·x² + b·x = (a·x + b) · x : one scalar multiply, one ct multiply.
+     Zero slots stay zero: (a·0 + b)·0 = 0, preserving the invariant. *)
+  let poly_act cfg ~a ~b =
+    nop_counts (fun t ->
+        let cts =
+          Array.map
+            (fun x ->
+              let t1 = H.add_scalar (H.mul_scalar x a ~scale:cfg.pu) b in
+              rescale_toward cfg (H.mul t1 x))
+            t.cts
+        in
+        { t with cts })
 
-  let square cfg t = normalize cfg { t with cts = Array.map (fun x -> H.mul x x) t.cts }
+  (* square, loop-jammed: multiply and renormalise in one traversal *)
+  let square cfg =
+    nop_counts (fun t -> { t with cts = Array.map (fun x -> rescale_toward cfg (H.mul x x)) t.cts })
 
-  let batch_norm cfg t ~scale ~shift =
-    let scale_plains = encode_plains (Layout.plains t.meta (fun c _ _ -> scale.(c))) ~scale:cfg.pw in
-    let cts = Array.mapi (fun i ct -> H.mul_plain ct scale_plains.(i)) t.cts in
-    let scaled = normalize cfg { t with cts } in
-    let s_now = H.scale_of scaled.cts.(0) in
-    let shift_plains =
-      encode_plains (Layout.plains t.meta (fun c _ _ -> shift.(c))) ~scale:(int_of_float s_now)
+  let batch_norm cfg ~meta ~budget ~scale ~shift =
+    let n = Layout.num_cts meta in
+    let scale_pts =
+      Array.init n (fun j ->
+          staged_pt budget (fun () -> Layout.plain_ct meta j (fun c _ _ -> scale.(c))) ~scale:cfg.pw)
     in
-    { scaled with cts = Array.mapi (fun i ct -> H.add_plain ct shift_plains.(i)) scaled.cts }
+    let shift_pts = dynamic_pts (fun () -> Layout.plains meta (fun c _ _ -> shift.(c))) in
+    let run t =
+      let scaled = mask_normalize cfg t.cts scale_pts in
+      let s_now = int_of_float (H.scale_of scaled.(0)) in
+      { t with cts = Array.mapi (fun i ct -> H.add_plain ct (shift_pts i ~scale:s_now)) scaled }
+    in
+    { sg_run = run; sg_mul_rescale = n; sg_rot_acc = 0; sg_mul_acc = 0 }
 
   (* --- fully connected ---------------------------------------------- *)
 
-  let matmul cfg t ~weights ~bias =
-    let meta = t.meta in
+  let matmul cfg ~meta ~budget ~weights ~bias =
     let out_dim = weights.Tensor.shape.(0) in
     let in_dim = weights.Tensor.shape.(1) in
     if in_dim <> meta.Layout.channels * meta.Layout.height * meta.Layout.width then
@@ -341,49 +466,81 @@ module Make (H : Hisa.S) = struct
              got = Printf.sprintf "weights %s" (shape_str weights.Tensor.shape);
            });
     let out_meta = Layout.vector_meta ~slots:H.slots ~length:out_dim ~twin:meta.Layout.twin () in
-    let out = ref None in
-    for o = 0 to out_dim - 1 do
-      let partial = ref None in
-      (* build the weight plaintext one ciphertext at a time: at large ring
-         dimensions the full per-output plains vector set is huge *)
-      Array.iteri
-        (fun j ct ->
-          let wp_j =
-            Layout.plain_ct meta j (fun c h w_ ->
-                Tensor.get weights [| o; Layout.flat_index meta ~c ~h ~w:w_ |])
-          in
-          partial := add_opt !partial (H.mul_plain ct (H.encode wp_j ~scale:cfg.pw)))
-        t.cts;
-      let partial = match !partial with Some p -> p | None -> assert false in
-      (* all-reduce: every slot ends up holding the dot product. Twin
-         layouts fold at stride 2 over half the slots — each parity class
-         all-reduces within itself, keeping the sentinel dot product in the
-         odd slots and the primary one in the even slots. *)
-      let total =
-        if meta.Layout.twin then fold_blocks partial ~count:(H.slots / 2) ~stride:2
-        else fold_blocks partial ~count:H.slots ~stride:1
-      in
-      (* select slot o *)
-      let mask = Array.make H.slots 0.0 in
-      mask.(Layout.slot_of out_meta ~c:o ~h:0 ~w:0) <- 1.0;
-      if meta.Layout.twin then mask.(Layout.slot_of out_meta ~c:o ~h:0 ~w:0 + 1) <- 1.0;
-      out := add_opt !out (H.mul_plain total (H.encode mask ~scale:cfg.pm))
-    done;
-    let out_ct = match !out with Some ct -> ct | None -> assert false in
-    let out_ct = rescale_toward cfg out_ct in
-    match bias with
-    | None -> { meta = out_meta; cts = [| out_ct |] }
-    | Some bs ->
-        let s_now = H.scale_of out_ct in
-        let bias_plain =
-          (encode_plains (Layout.plains out_meta (fun c _ _ -> bs.(c))) ~scale:(int_of_float s_now)).(0)
+    let n_in = Layout.num_cts meta in
+    (* weight plaintexts are built one ciphertext at a time: at large ring
+       dimensions the full per-output plains vector set is huge *)
+    let w_pts =
+      Array.init out_dim (fun o ->
+          Array.init n_in (fun j ->
+              staged_pt budget
+                (fun () ->
+                  Layout.plain_ct meta j (fun c h w_ ->
+                      Tensor.get weights [| o; Layout.flat_index meta ~c ~h ~w:w_ |]))
+                ~scale:cfg.pw))
+    in
+    (* select slot o (and its twin, so the sentinel lane survives) *)
+    let mask_pts =
+      Array.init out_dim (fun o ->
+          staged_pt budget
+            (fun () ->
+              let mask = Array.make H.slots 0.0 in
+              mask.(Layout.slot_of out_meta ~c:o ~h:0 ~w:0) <- 1.0;
+              if meta.Layout.twin then mask.(Layout.slot_of out_meta ~c:o ~h:0 ~w:0 + 1) <- 1.0;
+              mask)
+            ~scale:cfg.pm)
+    in
+    let bias_pts =
+      Option.map
+        (fun bs -> dynamic_pts (fun () -> Layout.plains out_meta (fun c _ _ -> bs.(c))))
+        bias
+    in
+    let run t =
+      let out = ref None in
+      for o = 0 to out_dim - 1 do
+        let partial = ref None in
+        Array.iteri
+          (fun j ct ->
+            let p = w_pts.(o).(j) () in
+            partial :=
+              Some
+                (match !partial with
+                | None -> H.mul_plain ct p
+                | Some a -> H.fma_plain a ct p))
+          t.cts;
+        let partial = match !partial with Some p -> p | None -> assert false in
+        (* all-reduce: every slot ends up holding the dot product. Twin
+           layouts fold at stride 2 over half the slots — each parity class
+           all-reduces within itself, keeping the sentinel dot product in the
+           odd slots and the primary one in the even slots. *)
+        let total =
+          if meta.Layout.twin then fold_blocks partial ~count:(H.slots / 2) ~stride:2
+          else fold_blocks partial ~count:H.slots ~stride:1
         in
-        { meta = out_meta; cts = [| H.add_plain out_ct bias_plain |] }
+        let m = mask_pts.(o) () in
+        out :=
+          Some
+            (match !out with
+            | None -> H.mul_plain total m
+            | Some a -> H.fma_plain a total m)
+      done;
+      let out_ct = rescale_toward cfg (match !out with Some ct -> ct | None -> assert false) in
+      match bias_pts with
+      | None -> { meta = out_meta; cts = [| out_ct |] }
+      | Some dyn ->
+          let s_now = int_of_float (H.scale_of out_ct) in
+          { meta = out_meta; cts = [| H.add_plain out_ct (dyn 0 ~scale:s_now) |] }
+    in
+    {
+      sg_run = run;
+      sg_mul_rescale = 1;
+      sg_rot_acc = out_dim * log2i H.slots;
+      sg_mul_acc = (out_dim * Stdlib.max 0 (n_in - 1)) + Stdlib.max 0 (out_dim - 1);
+    }
 
   (* --- structural ops ------------------------------------------------ *)
 
-  let flatten t = t
   (* metadata-only: matmul consumes the layout's own flat indexing *)
+  let flatten = nop_counts (fun t -> t)
 
   let residual t1 t2 =
     if t1.meta <> t2.meta then
@@ -394,7 +551,8 @@ module Make (H : Hisa.S) = struct
      multiple of the output block capacity *and* all inputs share a scale, so
      ciphertext arrays simply append. Slow path: mask each channel (with a
      per-input mask factor that equalises the product scales) and rotate it
-     into place. *)
+     into place. The mask scales depend on the scales observed at run time,
+     so nothing here is staged. *)
   let concat cfg ts =
     match List.map (normalize cfg) ts with
     | [] -> err ~op:"concat" (Herr.Invalid_op { reason = "empty input list" })
@@ -448,473 +606,57 @@ module Make (H : Hisa.S) = struct
 
   (* --- layout conversion --------------------------------------------- *)
 
-  let convert cfg t ~to_kind =
-    if t.meta.Layout.kind = to_kind then t
+  let convert cfg ~meta ~budget ~to_kind =
+    if meta.Layout.kind = to_kind then nop_counts (fun t -> t)
     else begin
+      let out_meta = Layout.converted meta ~to_kind in
       match to_kind with
       | Layout.CHW ->
           (* HW -> CHW: shift each channel into its block and add; free of
              multiplies because gap slots are zero *)
-          let out_meta = Layout.with_channels { t.meta with Layout.kind = Layout.CHW } t.meta.Layout.channels in
           let cpc = out_meta.Layout.ch_per_ct in
-          let outs = Array.make (Layout.num_cts out_meta) None in
-          Array.iteri
-            (fun c ct ->
-              let placed = rot ct (-(c mod cpc) * out_meta.Layout.ch_stride) in
-              outs.(c / cpc) <- add_opt outs.(c / cpc) placed)
-            t.cts;
-          { meta = out_meta; cts = Array.map (function Some ct -> ct | None -> assert false) outs }
+          let n_out = Layout.num_cts out_meta in
+          let run t =
+            let outs = Array.make n_out None in
+            Array.iteri
+              (fun c ct ->
+                let k = -(c mod cpc) * out_meta.Layout.ch_stride in
+                outs.(c / cpc) <-
+                  (match outs.(c / cpc) with
+                  | None -> Some (rot ct k)
+                  | Some a -> Some (H.fma_rot a ct k)))
+              t.cts;
+            { meta = out_meta; cts = Array.map (function Some ct -> ct | None -> assert false) outs }
+          in
+          {
+            sg_run = run;
+            sg_mul_rescale = 0;
+            sg_rot_acc = Stdlib.max 0 (meta.Layout.channels - n_out);
+            sg_mul_acc = 0;
+          }
       | Layout.HW ->
           (* CHW -> HW: extract each channel block and mask off its siblings *)
-          let out_meta = Layout.with_channels { t.meta with Layout.kind = Layout.HW; Layout.ch_per_ct = 1 } t.meta.Layout.channels in
-          let mask0 = Layout.plain_ct { out_meta with Layout.channels = 1 } 0 (fun _ _ _ -> 1.0) in
-          let cts =
-            Array.init t.meta.Layout.channels (fun c ->
-                let src = t.cts.(Layout.ct_index t.meta c) in
-                let moved = rot src ((c mod t.meta.Layout.ch_per_ct) * t.meta.Layout.ch_stride) in
-                H.mul_plain moved (H.encode mask0 ~scale:cfg.pm))
-          in
-          normalize cfg { meta = out_meta; cts }
-    end
-
-  (* --- staged kernels: the compiled-plan execution path --------------- *)
-
-  (* Each staged constructor does everything input-independent once —
-     geometry, shape checks, plaintext vector construction, constant-scale
-     encodes — and returns a closure replaying only the per-inference
-     homomorphic work, with accumulation dispatched through the fused HISA
-     ops. The closures compute the same per-slot arithmetic in the same
-     order as the interpretive kernels above, so outputs are bit-identical
-     (asserted by test/test_runtime_prop.ml); what changes is allocation:
-     one result ciphertext per accumulate step instead of two, and no
-     re-encoding of weights/masks per request. *)
-  module Staged = struct
-    type op = {
-      sg_run : ct_tensor -> ct_tensor;
-      sg_mul_rescale : int;  (** fused mulPlain+rescale traversals per inference *)
-      sg_rot_acc : int;  (** fused rotate-accumulate steps per inference *)
-      sg_mul_acc : int;  (** fused multiply-accumulate steps per inference *)
-    }
-
-    let nop_counts run = { sg_run = run; sg_mul_rescale = 0; sg_rot_acc = 0; sg_mul_acc = 0 }
-
-    (* Plaintext staging: encode now while the plan's plaintext [budget]
-       lasts (the memory bound on a prepared executor), re-encode per
-       inference after. Either way the encode is deterministic, so staging
-       cannot change results. *)
-    let staged_pt budget build ~scale =
-      if !budget > 0 then begin
-        decr budget;
-        let p = H.encode (build ()) ~scale in
-        fun () -> p
-      end
-      else fun () -> H.encode (build ()) ~scale
-
-    (* Dynamic-scale plaintexts (biases/shifts encode at the scale observed
-       mid-inference): the trajectory of a fixed circuit repeats across
-       requests, so memoise per (ct index, scale). *)
-    let dynamic_pts build_vecs =
-      let vecs = lazy (build_vecs ()) in
-      let cache = Hashtbl.create 4 in
-      fun i ~scale ->
-        match Hashtbl.find_opt cache (i, scale) with
-        | Some p -> p
-        | None ->
-            let p = H.encode (Lazy.force vecs).(i) ~scale in
-            Hashtbl.add cache (i, scale) p;
-            p
-
-    let fold_blocks_fused ct ~count ~stride =
-      let acc = ref ct and step = ref (count / 2) in
-      while !step >= 1 do
-        acc := H.fma_rot !acc !acc (!step * stride);
-        step := !step / 2
-      done;
-      !acc
-
-    let log2i n =
-      let rec loop n acc = if n <= 1 then acc else loop (n / 2) (acc + 1) in
-      loop n 0
-
-    (* the mulPlain+rescale peephole: mask and renormalise in one traversal *)
-    let mask_normalize cfg cts pts =
-      Array.mapi (fun i ct -> rescale_toward cfg (H.mul_plain ct (pts.(i) ()))) cts
-
-    let conv2d cfg ~meta ~budget ~weights ~bias ~stride ~padding =
-      let cout = weights.Tensor.shape.(0) and cin = weights.Tensor.shape.(1) in
-      let kh = weights.Tensor.shape.(2) and kw = weights.Tensor.shape.(3) in
-      if cin <> meta.Layout.channels then
-        err ~op:"conv2d"
-          (Herr.Shape_mismatch
-             {
-               expected = Printf.sprintf "weights with %d input channels" meta.Layout.channels;
-               got =
-                 Printf.sprintf "weights %s (%d input channels)" (shape_str weights.Tensor.shape)
-                   cin;
-             });
-      let ph, pw_, out_spatial = conv_geometry meta ~kh ~kw ~stride ~padding in
-      let out_meta = Layout.with_channels out_spatial cout in
-      check_taps ~op:"conv2d" meta (tap_rotation meta ~dy:ph ~dx:pw_);
-      let w_at o c dy dx = Tensor.get weights [| o; c; dy; dx |] in
-      let bias_pts =
-        Option.map
-          (fun bs -> dynamic_pts (fun () -> Layout.plains out_meta (fun c _ _ -> bs.(c))))
-          bias
-      in
-      let add_bias t' =
-        match bias_pts with
-        | None -> t'
-        | Some dyn ->
-            let scale_now = int_of_float (H.scale_of t'.cts.(0)) in
-            { t' with cts = Array.mapi (fun i ct -> H.add_plain ct (dyn i ~scale:scale_now)) t'.cts }
-      in
-      match meta.Layout.kind with
-      | Layout.HW ->
-          (* taps per output channel, in the interpretive loop order *)
-          let taps =
-            Array.init cout (fun o ->
-                let l = ref [] in
-                for c = 0 to cin - 1 do
-                  for dy = 0 to kh - 1 do
-                    for dx = 0 to kw - 1 do
-                      let w = w_at o c dy dx in
-                      if w <> 0.0 then
-                        l := (c, tap_rotation meta ~dy:(dy - ph) ~dx:(dx - pw_), w) :: !l
-                    done
-                  done
-                done;
-                List.rev !l)
-          in
-          let nout = Layout.num_cts out_meta in
-          let mask_pts =
-            Array.init nout (fun j ->
-                staged_pt budget (fun () -> Layout.plain_ct out_meta j (fun _ _ _ -> 1.0)) ~scale:cfg.pm)
-          in
-          let run t =
-            let rotated = Hashtbl.create 64 in
-            let rotated_ct j amount =
-              match Hashtbl.find_opt rotated (j, amount) with
-              | Some ct -> ct
-              | None ->
-                  let ct = rot t.cts.(j) amount in
-                  Hashtbl.replace rotated (j, amount) ct;
-                  ct
-            in
-            let out_cts =
-              Array.init cout (fun o ->
-                  match taps.(o) with
-                  | [] -> H.mul_scalar t.cts.(0) 0.0 ~scale:cfg.pu
-                  | (c0, a0, w0) :: rest ->
-                      List.fold_left
-                        (fun acc (c, a, w) -> H.fma_scalar acc (rotated_ct c a) w ~scale:cfg.pu)
-                        (H.mul_scalar (rotated_ct c0 a0) w0 ~scale:cfg.pu)
-                        rest)
-            in
-            add_bias { meta = out_meta; cts = mask_normalize cfg out_cts mask_pts }
-          in
-          {
-            sg_run = run;
-            sg_mul_rescale = nout;
-            sg_rot_acc = 0;
-            sg_mul_acc =
-              Array.fold_left (fun a l -> a + Stdlib.max 0 (List.length l - 1)) 0 taps;
-          }
-      | Layout.CHW ->
-          let cpc = meta.Layout.ch_per_ct in
-          let in_cts_n = Layout.num_cts meta in
-          let mid_meta = Layout.with_channels out_spatial cin in
-          let out_cpc = out_meta.Layout.ch_per_ct in
-          let out_ct_count = Layout.num_cts out_meta in
-          let taps =
-            Array.init cout (fun o ->
-                let l = ref [] in
-                for j = 0 to in_cts_n - 1 do
-                  for dy = 0 to kh - 1 do
-                    for dx = 0 to kw - 1 do
-                      let build () = Layout.plain_ct mid_meta j (fun c _ _ -> w_at o c dy dx) in
-                      if Array.exists (fun v -> v <> 0.0) (build ()) then begin
-                        let amount = tap_rotation meta ~dy:(dy - ph) ~dx:(dx - pw_) in
-                        l := (j, amount, staged_pt budget build ~scale:cfg.pw) :: !l
-                      end
-                    done
-                  done
-                done;
-                List.rev !l)
-          in
-          let mask_pts =
-            Array.init cout (fun o ->
-                staged_pt budget
-                  (fun () ->
-                    Layout.plain_ct out_meta (o / out_cpc) (fun c _ _ -> if c = o then 1.0 else 0.0))
-                  ~scale:cfg.pm)
-          in
-          let run t =
-            let rotated = Hashtbl.create 64 in
-            let rotated_ct j amount =
-              match Hashtbl.find_opt rotated (j, amount) with
-              | Some ct -> ct
-              | None ->
-                  let ct = rot t.cts.(j) amount in
-                  Hashtbl.replace rotated (j, amount) ct;
-                  ct
-            in
-            let outs = Array.make out_ct_count None in
-            for o = 0 to cout - 1 do
-              let acc = ref None in
-              List.iter
-                (fun (j, amount, p) ->
-                  let x = rotated_ct j amount in
-                  acc :=
-                    Some
-                      (match !acc with
-                      | None -> H.mul_plain x (p ())
-                      | Some a -> H.fma_plain a x (p ())))
-                taps.(o);
-              let acc =
-                match !acc with
-                | Some ct -> ct
-                | None -> H.mul_scalar t.cts.(0) 0.0 ~scale:cfg.pw
-              in
-              let folded =
-                if cpc > 1 then fold_blocks_fused acc ~count:cpc ~stride:meta.Layout.ch_stride
-                else acc
-              in
-              let placed = rot folded (-(o mod out_cpc) * out_meta.Layout.ch_stride) in
-              let m = mask_pts.(o) () in
-              outs.(o / out_cpc) <-
-                (match outs.(o / out_cpc) with
-                | None -> Some (H.mul_plain placed m)
-                | Some a -> Some (H.fma_plain a placed m))
-            done;
-            let cts = Array.map (function Some ct -> rescale_toward cfg ct | None -> assert false) outs in
-            add_bias { meta = out_meta; cts }
-          in
-          {
-            sg_run = run;
-            sg_mul_rescale = out_ct_count;
-            sg_rot_acc = (if cpc > 1 then cout * log2i cpc else 0);
-            sg_mul_acc =
-              Array.fold_left (fun a l -> a + Stdlib.max 0 (List.length l - 1)) 0 taps
-              + Stdlib.max 0 (cout - out_ct_count);
-          }
-
-    let avg_pool cfg ~meta ~budget ~ksize ~stride =
-      let taps = ref [] in
-      for dy = 0 to ksize - 1 do
-        for dx = 0 to ksize - 1 do
-          if dy <> 0 || dx <> 0 then taps := tap_rotation meta ~dy ~dx :: !taps
-        done
-      done;
-      let taps = List.rev !taps in
-      let out_meta =
-        Layout.after_stride
-          (Layout.with_spatial meta
-             ~height:(meta.Layout.height - ksize + 1)
-             ~width:(meta.Layout.width - ksize + 1))
-          stride
-      in
-      let inv = 1.0 /. float_of_int (ksize * ksize) in
-      let n = Layout.num_cts out_meta in
-      let mask_pts =
-        Array.init n (fun j ->
-            staged_pt budget (fun () -> Layout.plain_ct out_meta j (fun _ _ _ -> inv)) ~scale:cfg.pm)
-      in
-      let run t =
-        let summed =
-          Array.map (fun ct -> List.fold_left (fun acc a -> H.fma_rot acc ct a) ct taps) t.cts
-        in
-        { meta = out_meta; cts = mask_normalize cfg summed mask_pts }
-      in
-      { sg_run = run; sg_mul_rescale = n; sg_rot_acc = n * List.length taps; sg_mul_acc = 0 }
-
-    let global_avg_pool cfg ~meta ~budget =
-      let is_pow2 n = n > 0 && n land (n - 1) = 0 in
-      let h = meta.Layout.height and w = meta.Layout.width in
-      let out_meta = Layout.with_spatial meta ~height:1 ~width:1 in
-      let inv = 1.0 /. float_of_int (h * w) in
-      let n = Layout.num_cts out_meta in
-      let mask_pts =
-        Array.init n (fun j ->
-            staged_pt budget (fun () -> Layout.plain_ct out_meta j (fun _ _ _ -> inv)) ~scale:cfg.pm)
-      in
-      let run t =
-        let summed =
-          Array.map
-            (fun ct ->
-              let row_sum =
-                if is_pow2 h then fold_blocks_fused ct ~count:h ~stride:meta.Layout.row_stride
-                else begin
-                  let acc = ref ct in
-                  for i = 1 to h - 1 do
-                    acc := H.fma_rot !acc ct (i * meta.Layout.row_stride)
-                  done;
-                  !acc
-                end
-              in
-              if is_pow2 w then fold_blocks_fused row_sum ~count:w ~stride:meta.Layout.col_stride
-              else begin
-                let acc = ref row_sum in
-                for j = 1 to w - 1 do
-                  acc := H.fma_rot !acc row_sum (j * meta.Layout.col_stride)
-                done;
-                !acc
-              end)
-            t.cts
-        in
-        { meta = out_meta; cts = mask_normalize cfg summed mask_pts }
-      in
-      let per_ct =
-        (if is_pow2 h then log2i h else h - 1) + if is_pow2 w then log2i w else w - 1
-      in
-      { sg_run = run; sg_mul_rescale = n; sg_rot_acc = n * per_ct; sg_mul_acc = 0 }
-
-    let batch_norm cfg ~meta ~budget ~scale ~shift =
-      let n = Layout.num_cts meta in
-      let scale_pts =
-        Array.init n (fun j ->
-            staged_pt budget (fun () -> Layout.plain_ct meta j (fun c _ _ -> scale.(c))) ~scale:cfg.pw)
-      in
-      let shift_pts = dynamic_pts (fun () -> Layout.plains meta (fun c _ _ -> shift.(c))) in
-      let run t =
-        let scaled = mask_normalize cfg t.cts scale_pts in
-        let s_now = int_of_float (H.scale_of scaled.(0)) in
-        { t with cts = Array.mapi (fun i ct -> H.add_plain ct (shift_pts i ~scale:s_now)) scaled }
-      in
-      { sg_run = run; sg_mul_rescale = n; sg_rot_acc = 0; sg_mul_acc = 0 }
-
-    let matmul cfg ~meta ~budget ~weights ~bias =
-      let out_dim = weights.Tensor.shape.(0) in
-      let in_dim = weights.Tensor.shape.(1) in
-      if in_dim <> meta.Layout.channels * meta.Layout.height * meta.Layout.width then
-        err ~op:"matmul"
-          (Herr.Shape_mismatch
-             {
-               expected =
-                 Printf.sprintf "weights with input dimension %d (= %dx%dx%d)"
-                   (meta.Layout.channels * meta.Layout.height * meta.Layout.width)
-                   meta.Layout.channels meta.Layout.height meta.Layout.width;
-               got = Printf.sprintf "weights %s" (shape_str weights.Tensor.shape);
-             });
-      let out_meta = Layout.vector_meta ~slots:H.slots ~length:out_dim ~twin:meta.Layout.twin () in
-      let n_in = Layout.num_cts meta in
-      let w_pts =
-        Array.init out_dim (fun o ->
-            Array.init n_in (fun j ->
-                staged_pt budget
-                  (fun () ->
-                    Layout.plain_ct meta j (fun c h w_ ->
-                        Tensor.get weights [| o; Layout.flat_index meta ~c ~h ~w:w_ |]))
-                  ~scale:cfg.pw))
-      in
-      let mask_pts =
-        Array.init out_dim (fun o ->
+          let mask0_pt =
             staged_pt budget
-              (fun () ->
-                let mask = Array.make H.slots 0.0 in
-                mask.(Layout.slot_of out_meta ~c:o ~h:0 ~w:0) <- 1.0;
-                if meta.Layout.twin then mask.(Layout.slot_of out_meta ~c:o ~h:0 ~w:0 + 1) <- 1.0;
-                mask)
-              ~scale:cfg.pm)
-      in
-      let bias_pts =
-        Option.map
-          (fun bs -> dynamic_pts (fun () -> Layout.plains out_meta (fun c _ _ -> bs.(c))))
-          bias
-      in
-      let run t =
-        let out = ref None in
-        for o = 0 to out_dim - 1 do
-          let partial = ref None in
-          Array.iteri
-            (fun j ct ->
-              let p = w_pts.(o).(j) () in
-              partial :=
-                Some
-                  (match !partial with
-                  | None -> H.mul_plain ct p
-                  | Some a -> H.fma_plain a ct p))
-            t.cts;
-          let partial = match !partial with Some p -> p | None -> assert false in
-          let total =
-            if meta.Layout.twin then fold_blocks_fused partial ~count:(H.slots / 2) ~stride:2
-            else fold_blocks_fused partial ~count:H.slots ~stride:1
+              (fun () -> Layout.plain_ct { out_meta with Layout.channels = 1 } 0 (fun _ _ _ -> 1.0))
+              ~scale:cfg.pm
           in
-          let m = mask_pts.(o) () in
-          out :=
-            Some
-              (match !out with
-              | None -> H.mul_plain total m
-              | Some a -> H.fma_plain a total m)
-        done;
-        let out_ct = rescale_toward cfg (match !out with Some ct -> ct | None -> assert false) in
-        match bias_pts with
-        | None -> { meta = out_meta; cts = [| out_ct |] }
-        | Some dyn ->
-            let s_now = int_of_float (H.scale_of out_ct) in
-            { meta = out_meta; cts = [| H.add_plain out_ct (dyn 0 ~scale:s_now) |] }
-      in
-      {
-        sg_run = run;
-        sg_mul_rescale = 1;
-        sg_rot_acc = out_dim * log2i H.slots;
-        sg_mul_acc = (out_dim * Stdlib.max 0 (n_in - 1)) + Stdlib.max 0 (out_dim - 1);
-      }
-
-    let poly_act cfg ~a ~b = nop_counts (fun t -> poly_act cfg t ~a ~b)
-
-    (* square, loop-jammed: multiply and renormalise in one traversal *)
-    let square cfg =
-      nop_counts (fun t -> { t with cts = Array.map (fun x -> rescale_toward cfg (H.mul x x)) t.cts })
-
-    let flatten = nop_counts (fun t -> flatten t)
-
-    let convert cfg ~meta ~budget ~to_kind =
-      if meta.Layout.kind = to_kind then nop_counts (fun t -> t)
-      else begin
-        let out_meta = Layout.converted meta ~to_kind in
-        match to_kind with
-        | Layout.CHW ->
-            let cpc = out_meta.Layout.ch_per_ct in
-            let n_out = Layout.num_cts out_meta in
-            let run t =
-              let outs = Array.make n_out None in
-              Array.iteri
-                (fun c ct ->
-                  let k = -(c mod cpc) * out_meta.Layout.ch_stride in
-                  outs.(c / cpc) <-
-                    (match outs.(c / cpc) with
-                    | None -> Some (rot ct k)
-                    | Some a -> Some (H.fma_rot a ct k)))
-                t.cts;
-              { meta = out_meta; cts = Array.map (function Some ct -> ct | None -> assert false) outs }
+          let run t =
+            (* one mask serves every channel *)
+            let mask0 = mask0_pt () in
+            let cts =
+              Array.init meta.Layout.channels (fun c ->
+                  let src = t.cts.(Layout.ct_index meta c) in
+                  let moved = rot src ((c mod meta.Layout.ch_per_ct) * meta.Layout.ch_stride) in
+                  rescale_toward cfg (H.mul_plain moved mask0))
             in
-            {
-              sg_run = run;
-              sg_mul_rescale = 0;
-              sg_rot_acc = Stdlib.max 0 (meta.Layout.channels - n_out);
-              sg_mul_acc = 0;
-            }
-        | Layout.HW ->
-            let mask0_pt =
-              staged_pt budget
-                (fun () -> Layout.plain_ct { out_meta with Layout.channels = 1 } 0 (fun _ _ _ -> 1.0))
-                ~scale:cfg.pm
-            in
-            let run t =
-              let cts =
-                Array.init meta.Layout.channels (fun c ->
-                    let src = t.cts.(Layout.ct_index meta c) in
-                    let moved = rot src ((c mod meta.Layout.ch_per_ct) * meta.Layout.ch_stride) in
-                    rescale_toward cfg (H.mul_plain moved (mask0_pt ())))
-              in
-              { meta = out_meta; cts }
-            in
-            {
-              sg_run = run;
-              sg_mul_rescale = meta.Layout.channels;
-              sg_rot_acc = 0;
-              sg_mul_acc = 0;
-            }
-      end
-  end
+            { meta = out_meta; cts }
+          in
+          {
+            sg_run = run;
+            sg_mul_rescale = meta.Layout.channels;
+            sg_rot_acc = 0;
+            sg_mul_acc = 0;
+          }
+    end
 end

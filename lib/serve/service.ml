@@ -5,9 +5,11 @@
 module Herr = Chet_hisa.Herr
 module Hisa = Chet_hisa.Hisa
 module Cancel = Chet_hisa.Cancel
-module Clear = Chet_hisa.Clear_backend
 module Kernels = Chet_runtime.Kernels
 module Executor = Chet_runtime.Executor
+module Plan = Chet_plan.Plan
+module Plan_exec = Chet_plan.Plan_exec
+module Sampling = Chet_crypto.Sampling
 module Circuit = Chet_nn.Circuit
 module Tensor = Chet_tensor.Tensor
 module Compiler = Chet.Compiler
@@ -18,6 +20,14 @@ module Metrics = Chet_obs.Metrics
 (* Deployments                                                          *)
 (* ------------------------------------------------------------------ *)
 
+type rung_backend =
+  | Shared of { keys : Compiler.keyset; plan : Plan.t }
+      (* one keygen shared by every worker: each worker prepares [plan]
+         once over its own view and reseeds that view's sampler per attempt *)
+  | Per_attempt of (req_seed:int -> attempt:int -> Hisa.t)
+      (* a fresh backend per attempt (fault injection, gating): the plan is
+         built and prepared on it per attempt *)
+
 type deployment = {
   dep_label : string;
   dep_degraded : bool;
@@ -26,16 +36,9 @@ type deployment = {
   dep_cost_ms : float option;
       (* calibrated cost-model prediction of one inference on this rung;
          None = unknown, the rung is always admitted *)
-  dep_backend : req_seed:int -> attempt:int -> Hisa.t;
-  dep_plan :
-    (cancel:Cancel.t -> worker:int -> req_seed:int -> attempt:int -> Tensor.t -> Tensor.t) option;
-      (* when present, workers execute this rung through a prepared plan
-         (DESIGN.md §14) instead of the interpretive executor — same
-         request/attempt seed derivation, bit-identical answers, but no
-         per-request layout or plaintext re-derivation *)
+  dep_backend : rung_backend;
   dep_sentinel : Integrity.spec option;
-      (* verify every answer against the sentinel lane (DESIGN.md §16);
-         forces the interpretive executor *)
+      (* verify every answer against the sentinel lane (DESIGN.md §16) *)
   dep_twin : bool;
       (* run on twin layouts even without verification — required of every
          FHE rung of a sentinel-compiled deployment, whose rotation keys
@@ -54,10 +57,21 @@ let reduced_scales (s : Kernels.scales) k =
     pm = 1 lsl Stdlib.max 6 (e s.Kernels.pm - k);
   }
 
-let ladder_of_factory compiled ~(factory : Compiler.backend_factory) ?(reduced_rungs = 1)
+let ladder_of_keyset compiled ~(keyset : Compiler.keyset) ?(reduced_rungs = 1)
     ?(clear_fallback = true) ?(predict_cost = false) ?plan ?sentinel () =
   let scales = compiled.Compiler.opts.Compiler.scales in
   let policy = compiled.Compiler.policy in
+  let twin = sentinel <> None in
+  (* every rung runs the same plan: plans are scale-free metadata, and each
+     rung prepares it at its own scales *)
+  let plan =
+    match plan with
+    | Some p when p.Plan.p_twin = twin -> p
+    | _ ->
+        Plan.build ~twin
+          ~slots:(Compiler.params_n compiled.Compiler.params / 2)
+          ~policy compiled.Compiler.circuit
+  in
   (* the admission-control prediction comes for free: [compile] already
      ranked every layout policy under the calibrated cost model, and the
      chosen policy's report is the per-inference latency of the FHE rungs.
@@ -72,27 +86,10 @@ let ladder_of_factory compiled ~(factory : Compiler.backend_factory) ?(reduced_r
           if r.Compiler.pr_policy = policy then Some (r.Compiler.pr_cost *. 1000.0) else None)
         compiled.Compiler.reports
   in
-  (* different attempts of one request must not replay the identical
-     encryption randomness (a deterministic corruption would simply recur),
-     so the attempt index perturbs the per-request seed *)
-  let backend ~req_seed ~attempt = factory ~req_seed:(req_seed + (attempt * 7919)) in
-  (* the plan rung perturbs the attempt seed by the same formula, so a plan
-     answer for (req_seed, attempt) is bit-identical to the interpretive one *)
-  let dep_plan =
-    Option.map
-      (fun (runner : Compiler.plan_runner) ->
-        fun ~cancel ~worker ~req_seed ~attempt image ->
-         runner ~cancel ~worker ~req_seed:(req_seed + (attempt * 7919)) image)
-      plan
-  in
-  (* sentinel verification forces the interpretive executor: a plan is
-     prepared on twin-less layouts and cannot carry the probe lane *)
-  let dep_plan = if sentinel = None then dep_plan else None in
-  let twin = sentinel <> None in
+  let fhe = Shared { keys = keyset; plan } in
   let primary =
     { dep_label = "primary"; dep_degraded = false; dep_scales = scales; dep_policy = policy;
-      dep_cost_ms = scheme_cost_ms; dep_backend = backend; dep_plan; dep_sentinel = sentinel;
-      dep_twin = twin }
+      dep_cost_ms = scheme_cost_ms; dep_backend = fhe; dep_sentinel = sentinel; dep_twin = twin }
   in
   let reduced =
     List.init reduced_rungs (fun i ->
@@ -103,10 +100,7 @@ let ladder_of_factory compiled ~(factory : Compiler.backend_factory) ?(reduced_r
           dep_scales = reduced_scales scales k;
           dep_policy = policy;
           dep_cost_ms = scheme_cost_ms;
-          dep_backend = backend;
-          (* the plan's staged plaintexts are encoded at the primary scales;
-             reduced rungs change scales, so they stay interpretive *)
-          dep_plan = None;
+          dep_backend = fhe;
           (* a reduced rung trades precision for headroom by design, so the
              full-precision sentinel tolerance would reject honest degraded
              answers — it runs twin (the deployment's rotation keys cover
@@ -117,9 +111,7 @@ let ladder_of_factory compiled ~(factory : Compiler.backend_factory) ?(reduced_r
   in
   let clear =
     if not clear_fallback then []
-    else begin
-      let n = Compiler.params_n compiled.Compiler.params in
-      let scheme = Compiler.scheme_of_params compiled.Compiler.opts compiled.Compiler.params in
+    else
       [
         {
           dep_label = "clear-sim";
@@ -127,34 +119,20 @@ let ladder_of_factory compiled ~(factory : Compiler.backend_factory) ?(reduced_r
           dep_scales = scales;
           dep_policy = policy;
           dep_cost_ms = (if predict_cost then Some 0.0 else None);
-          dep_backend =
-            (fun ~req_seed:_ ~attempt:_ ->
-              Clear.make
-                { Clear.slots = n / 2; scheme; strict_modulus = false; encode_noise = false });
-          dep_plan = None;
+          dep_backend = Shared { keys = Compiler.clear_keyset compiled; plan };
           (* the cleartext rung is exact, so sentinel verification is free
              and keeps the end-to-end integrity contract on the last rung *)
           dep_sentinel = sentinel;
           dep_twin = twin;
         };
       ]
-    end
   in
   (primary :: reduced) @ clear
 
 let ladder_of_compiled compiled ~seed ?rotation_keys ?reduced_rungs ?clear_fallback ?predict_cost
-    ?plan ?sentinel ~with_secret () =
-  let factory, _scheme =
-    Compiler.instantiate_factory compiled ~seed ?rotation_keys ~with_secret ()
-  in
-  let plan_runner =
-    Option.map
-      (fun p ->
-        fst (Compiler.instantiate_plan_runner compiled ~plan:p ~seed ?rotation_keys ~with_secret ()))
-      plan
-  in
-  ladder_of_factory compiled ~factory ?reduced_rungs ?clear_fallback ?predict_cost ?plan:plan_runner
-    ?sentinel ()
+    ?sentinel ~with_secret () =
+  let keyset = Compiler.keyset compiled ~seed ?rotation_keys ~with_secret () in
+  ladder_of_keyset compiled ~keyset ?reduced_rungs ?clear_fallback ?predict_cost ?sentinel ()
 
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                        *)
@@ -231,7 +209,7 @@ type ticket = {
   req_submitted : float;
   req_cancel : Cancel.t;
       (* one token per request, armed with the deadline on the service
-         clock; threaded through the pool into the executor's per-node
+         clock; threaded through the pool into the executor's per-step
          poll (DESIGN.md §13) *)
   cell : cell;
 }
@@ -330,6 +308,10 @@ type t = {
   cfg : config;
   circuit : Circuit.t;
   ladder : (deployment * Breaker.t) array;
+  prepared : (Sampling.t * Plan_exec.runner) option array array;
+      (* per rung, per worker: the [Shared] rung's prepared plan and the
+         sampler its view draws from. Each worker only touches its own
+         column, so no lock. *)
   queue : Pool.job Queue.t;
   pool : Pool.t;
   next_id : int Atomic.t;
@@ -374,39 +356,51 @@ let transient_error = function
 (* Worker side                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let run_attempt t dep req ~attempt ~worker =
+(* The prepared plan an attempt runs. Different attempts of one request must
+   not replay the identical encryption randomness (a deterministic
+   corruption would simply recur), so the attempt index perturbs the
+   request seed. *)
+let runner_for t ~rung dep ~worker ~req_seed ~attempt =
+  match dep.dep_backend with
+  | Per_attempt backend ->
+      let backend = backend ~req_seed ~attempt in
+      let module H = (val backend : Hisa.S) in
+      Plan_exec.prepare_runner ~pt_budget:0 backend dep.dep_scales
+        (Plan.build ~twin:dep.dep_twin ~slots:H.slots ~policy:dep.dep_policy t.circuit)
+  | Shared { keys; plan } ->
+      let rng, run =
+        match t.prepared.(rung).(worker) with
+        | Some w -> w
+        | None ->
+            let rng = Sampling.create ~seed:keys.Compiler.ks_seed in
+            let w = (rng, Plan_exec.prepare_runner (keys.Compiler.ks_view rng) dep.dep_scales plan) in
+            t.prepared.(rung).(worker) <- Some w;
+            w
+      in
+      Compiler.reseed keys rng ~req_seed:(req_seed + (attempt * 7919));
+      run
+
+let run_attempt t ~rung dep req ~attempt ~worker =
   try
-    match dep.dep_plan with
-    | Some plan_run ->
-        Ok
-          ( plan_run ~cancel:req.req_cancel ~worker ~req_seed:req.req_seed ~attempt req.req_image,
-            Float.nan,
-            [||] )
-    | None ->
-        let backend = dep.dep_backend ~req_seed:req.req_seed ~attempt in
-        let module H = (val backend : Hisa.S) in
-        let module E = Executor.Make (H) in
-        let margin = ref Float.nan in
-        let lane = ref [||] in
-        let sentinel =
-          Option.map
-            (fun spec ->
-              Integrity.sentinel
-                ~observe:(fun twin ->
-                  (* the *measured* precision headroom of this answer — the
-                     noise model's predicted margin is its forecast *)
-                  let m = Integrity.margin_bits spec twin in
-                  margin := m;
-                  lane := Array.copy twin.Tensor.data;
-                  Metrics.set_gauge t.mx.mx_margin m)
-                spec)
-            dep.dep_sentinel
-        in
-        let tensor =
-          E.run ~cancel:req.req_cancel ?sentinel ~twin:dep.dep_twin dep.dep_scales t.circuit
-            ~policy:dep.dep_policy req.req_image
-        in
-        Ok (tensor, !margin, !lane)
+    let run = runner_for t ~rung dep ~worker ~req_seed:req.req_seed ~attempt in
+    let margin = ref Float.nan in
+    let lane = ref [||] in
+    let sentinel =
+      Option.map
+        (fun spec ->
+          Integrity.sentinel
+            ~observe:(fun twin ->
+              (* the *measured* precision headroom of this answer — the
+                 noise model's predicted margin is its forecast *)
+              let m = Integrity.margin_bits spec twin in
+              margin := m;
+              lane := Array.copy twin.Tensor.data;
+              Metrics.set_gauge t.mx.mx_margin m)
+            spec)
+        dep.dep_sentinel
+    in
+    let tensor = run ~cancel:req.req_cancel ?sentinel req.req_image in
+    Ok (tensor, !margin, !lane)
   with
   | Herr.Fhe_error ((Herr.Integrity_violation _ as e), c) ->
       with_lock t.ms.sm (fun () -> t.ms.integrity_failures <- t.ms.integrity_failures + 1);
@@ -562,7 +556,7 @@ let process t req ~worker =
           else begin
             incr attempts;
             let attempt_start = t.cfg.now () in
-            match run_attempt t dep req ~attempt:!attempt ~worker with
+            match run_attempt t ~rung:!i dep req ~attempt:!attempt ~worker with
             | Ok (tensor, margin_bits, lane) ->
                 Breaker.record_success brk;
                 verdict := true;
@@ -692,6 +686,7 @@ let create cfg ~circuit ~ladder =
     cfg;
     circuit;
     ladder = Array.of_list breakers;
+    prepared = Array.init (List.length ladder) (fun _ -> Array.make cfg.domains None);
     queue;
     pool;
     next_id = Atomic.make 0;
@@ -814,7 +809,7 @@ let await t (req : ticket) =
           | Some o -> o
           | None ->
               (* free the worker too: if the request is mid-circuit, the
-                 executor's next node-boundary poll sees the trip *)
+                 executor's next step-boundary poll sees the trip *)
               Cancel.trip req.req_cancel Cancel.Abandoned;
               let elapsed_ms = (now -. req.req_submitted) *. 1000.0 in
               let out =
@@ -848,10 +843,13 @@ let infer t ?deadline_ms ?seed image = await t (submit t ?deadline_ms ?seed imag
 
 (* Explicit cancellation (the CNCL frame lands here): trip the ticket's
    token and let the machinery already in place do the rest — queued
-   requests die at dequeue, running ones at the next node boundary. *)
+   requests die at dequeue, running ones at the next plan-step boundary. *)
 let cancel (req : ticket) ~reason = Cancel.trip req.req_cancel (Cancel.Requested reason)
 let ticket_id (req : ticket) = req.req_id
-let shutdown t = Pool.shutdown t.pool
+let shutdown t =
+  Pool.shutdown t.pool;
+  (* the workers are joined: their prepared plans (staged plaintexts) go *)
+  Array.iter (fun row -> Array.fill row 0 (Array.length row) None) t.prepared
 
 (* ------------------------------------------------------------------ *)
 (* Graceful drain (DESIGN.md §12)                                       *)

@@ -11,8 +11,8 @@
       predicted cost cannot fit the budget on any rung is refused up front
       (admission control, DESIGN.md §13), and a caller whose deadline passes
       mid-inference gets a typed [Deadline_exceeded] while the abandoned
-      attempt is freed at the executor's next circuit-node boundary via its
-      cancel token — a worker is lost for one node, not one inference;
+      attempt is freed at the executor's next plan-step boundary via its
+      cancel token — a worker is lost for one step, not one inference;
     - {b retries}: transient typed failures ([Numeric_blowup],
       [Corrupt_ciphertext], and the other checked-backend detections) are
       retried with capped exponential backoff + jitter, within the deadline;
@@ -27,9 +27,13 @@
       carrying an explicit [degraded : true] — then half-opens and probes
       its way back.
 
+    Every rung executes a prepared plan ({!Chet_plan.Plan_exec}, DESIGN.md
+    §14) — primary, reduced-scale and cleartext alike, with or without
+    sentinel verification.
+
     Determinism: a request's answer is a pure function of (image, request
-    seed, serving rung) — each attempt builds its backend through
-    [dep_backend ~req_seed ~attempt], so N concurrent domains produce
+    seed, serving rung) — each attempt's encryption randomness is derived
+    from [(req_seed, attempt)] alone, so N concurrent domains produce
     results bit-identical to sequential execution (asserted by
     test/test_serve.ml). *)
 
@@ -37,11 +41,27 @@ module Herr = Chet_hisa.Herr
 module Hisa = Chet_hisa.Hisa
 module Kernels = Chet_runtime.Kernels
 module Executor = Chet_runtime.Executor
+module Plan = Chet_plan.Plan
 module Circuit = Chet_nn.Circuit
 module Tensor = Chet_tensor.Tensor
 module Compiler = Chet.Compiler
 
 (** {1 Deployments and the degradation ladder} *)
+
+type rung_backend =
+  | Shared of { keys : Compiler.keyset; plan : Plan.t }
+      (** One key generation shared by every worker: each worker prepares
+          [plan] once — weight and mask plaintexts encoded, kernels staged —
+          over its own view of [keys], and reseeds that view's sampler for
+          every attempt ({!Compiler.reseed} with the request seed perturbed
+          by the attempt index). [plan] must match the rung's twin flag and
+          the keyset's slot count. *)
+  | Per_attempt of (req_seed:int -> attempt:int -> Hisa.t)
+      (** A fresh backend per attempt — for backends that differ between
+          attempts (fault injection, artificial delays). The rung's plan is
+          built from [dep_policy]/[dep_twin] and prepared on it per
+          attempt. Implementations should derive encryption randomness from
+          [req_seed] and [attempt] alone. *)
 
 type deployment = {
   dep_label : string;  (** e.g. ["primary"], ["reduced-scale-1"], ["clear-sim"] *)
@@ -52,30 +72,15 @@ type deployment = {
       (** calibrated cost-model prediction of one inference on this rung,
           used by admission control and deadline-aware rung selection
           (DESIGN.md §13); [None] = unknown, the rung is always admitted *)
-  dep_backend : req_seed:int -> attempt:int -> Hisa.t;
-      (** Fresh backend view per attempt. Implementations share the heavy
-          immutable state (context, evaluation keys) and derive only the
-          encryption randomness from [req_seed] — which is what makes
-          concurrent execution bit-identical to sequential. *)
-  dep_plan :
-    (cancel:Chet_hisa.Cancel.t -> worker:int -> req_seed:int -> attempt:int -> Tensor.t -> Tensor.t)
-    option;
-      (** When present, workers run this rung through a compiled execution
-          plan (DESIGN.md §14) instead of the interpretive executor:
-          prepare-once staged kernels over a ciphertext arena, with weight
-          and mask plaintexts already encoded. Implementations must fold
-          [attempt] into the request seed exactly as [dep_backend] does, so
-          answers stay bit-identical across the two paths. [dep_backend]
-          remains the fallback (and the contract for checked/fault
-          wrapping); [None] means the rung is always interpretive. *)
+  dep_backend : rung_backend;
   dep_sentinel : Chet.Integrity.spec option;
       (** When present, every answer this rung produces is verified against
           the sentinel lane (DESIGN.md §16): the probe rides the odd twin
-          slots through the whole circuit and its decrypted value must match
+          slots through the whole plan and its decrypted value must match
           the clear-reference prediction within the spec's tolerance. A
           mismatch surfaces as a typed [Integrity_violation] — transient, so
           the attempt is retried with fresh randomness (and, over the
-          network, on a different shard). Forces the interpretive executor. *)
+          network, on a different shard). Requires [dep_twin]. *)
   dep_twin : bool;
       (** Run on twin (interleaved-sentinel) layouts even without
           verification. Every FHE rung of a sentinel-compiled deployment
@@ -90,20 +95,20 @@ val ladder_of_compiled :
   ?reduced_rungs:int ->
   ?clear_fallback:bool ->
   ?predict_cost:bool ->
-  ?plan:Chet_plan.Plan.t ->
   ?sentinel:Chet.Integrity.spec ->
   with_secret:bool ->
   unit ->
   deployment list
-(** Build the default degradation ladder from a compiled circuit: rung 0 is
-    the full deployment at the compiled parameters ({!Compiler.instantiate_factory}
-    — shared keys, per-request randomness); each of the [reduced_rungs]
-    (default 1) reuses the same instantiated context with scale exponents
+(** Build the default degradation ladder from a compiled circuit: one
+    {!Compiler.keyset} (a single key generation) serves every FHE rung.
+    Rung 0 is the full deployment at the compiled parameters; each of the
+    [reduced_rungs] (default 1) shares its keyset with scale exponents
     shrunk along the {!Chet.Scale_select} fallback ladder (lower precision,
-    more modulus headroom, marked degraded); if [clear_fallback] (default
-    true) the last rung executes on the cleartext {!Chet_hisa.Clear_backend}
-    with the same virtual scheme — an availability-over-confidentiality last
-    resort that callers can veto.
+    more modulus headroom, marked degraded) and prepares the plan at those
+    scales; if [clear_fallback] (default true) the last rung executes on
+    the cleartext {!Chet_hisa.Clear_backend} with the same virtual scheme —
+    an availability-over-confidentiality last resort that callers can veto.
+    Every rung is [Shared]: prepared once per worker.
 
     With [predict_cost] (default false), the FHE rungs carry [dep_cost_ms]
     taken from the chosen policy's {!Compiler.policy_report} — the calibrated
@@ -111,35 +116,28 @@ val ladder_of_compiled :
     control costs nothing extra — and the cleartext rung carries [Some 0.]
     (orders of magnitude cheaper than any FHE rung).
 
-    With [?plan] (typically {!Compiler.plan}[ compiled]), the primary rung
-    executes through {!Compiler.instantiate_plan_runner} — one prepared
-    executor per worker domain, bit-identical answers. Degraded rungs stay
-    interpretive: the plan's staged plaintexts are encoded at the primary
-    scales.
-
     With [?sentinel] (the circuit must have been compiled with
     [opts.sentinel = true] so parameters and rotation keys match the twin
-    geometry), the primary and cleartext rungs verify every answer against
-    the sentinel lane and the plan path is disabled; reduced rungs run twin
-    but unverified — their deliberate precision loss would trip the
+    geometry), every rung runs the twin plan; the primary and cleartext
+    rungs verify every answer against the sentinel lane, reduced rungs run
+    twin but unverified — their deliberate precision loss would trip the
     full-precision tolerance. *)
 
-val ladder_of_factory :
+val ladder_of_keyset :
   Compiler.compiled ->
-  factory:Compiler.backend_factory ->
+  keyset:Compiler.keyset ->
   ?reduced_rungs:int ->
   ?clear_fallback:bool ->
   ?predict_cost:bool ->
-  ?plan:Compiler.plan_runner ->
+  ?plan:Plan.t ->
   ?sentinel:Chet.Integrity.spec ->
   unit ->
   deployment list
-(** {!ladder_of_compiled} around an already-instantiated deployment —
-    what a warm restart hands over after
-    {!Compiler.instantiate_factory_restored} rebuilt the keyset from a
-    stored bundle instead of regenerating it. [?plan] attaches an
-    already-instantiated plan runner (e.g. {!Chet_store.Bundle.restore_plan_runner})
-    to the primary rung. *)
+(** {!ladder_of_compiled} around an already-instantiated keyset — what a
+    warm restart hands over after {!Chet_store.Bundle.restore_keyset}
+    rebuilt it from a stored bundle instead of regenerating it. [?plan]
+    (e.g. the bundle's [b_plan]) replaces the plan the ladder would
+    otherwise build, when its twin flag matches. *)
 
 (** {1 Configuration} *)
 
@@ -202,14 +200,15 @@ val cancel : ticket -> reason:string -> unit
     token with an explicit reason (e.g. a [CNCL] wire frame, or a hedge
     sibling winning). First trip wins and the call is idempotent. A queued
     request dies at dequeue without touching a backend; a running one is
-    freed at the executor's next circuit-node boundary, delivering a typed
+    freed at the executor's next plan-step boundary, delivering a typed
     [Cancelled] that carries the node at which the worker noticed. *)
 
 val ticket_id : ticket -> int
 (** The service-assigned request id (matches [out_id] of the outcome). *)
 
 val shutdown : t -> unit
-(** Close the queue, drain in-flight work, join the worker domains. *)
+(** Close the queue, drain in-flight work, join the worker domains and drop
+    their prepared plans. *)
 
 (** {1 Graceful drain}
 

@@ -26,12 +26,12 @@ type t = {
   b_keys : string option;
   b_scale : scale_summary option;
   b_calibration : Cost_model.calibration option;
-  b_plan : Chet_plan.Plan.t option;  (* PLAN frame sidecar; warm restarts skip planning *)
+  b_plan : Chet_plan.Plan.t;  (* PLAN frame sidecar; warm restarts skip planning *)
 }
 
 let circuit_name t = t.b_compiled.Compiler.circuit.Circuit.name
 
-let build ?scale ?calibration ?(with_keys = true) ?(with_plan = true) compiled ~seed
+let build ?scale ?calibration ?(with_keys = true) compiled ~seed
     ?(rotation_keys = Compiler.Selected_keys) () =
   {
     b_seed = seed;
@@ -40,7 +40,7 @@ let build ?scale ?calibration ?(with_keys = true) ?(with_plan = true) compiled ~
     b_keys = (if with_keys then Compiler.export_keys compiled ~seed ~rotation_keys () else None);
     b_scale = scale;
     b_calibration = calibration;
-    b_plan = (if with_plan then Some (Compiler.plan compiled) else None);
+    b_plan = Compiler.plan compiled;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -141,7 +141,7 @@ let files t =
      @ (match t.b_calibration with
        | Some c -> [ (calibration_file, Jsonx.to_string (Cost_model.calibration_to_json c)) ]
        | None -> [])
-     @ match t.b_plan with Some p -> [ (plan_file, Chet_plan.Plan.to_string p) ] | None -> [])
+     @ [ (plan_file, Chet_plan.Plan.to_string t.b_plan) ])
 
 let save store t = Store.save store ~files:(files t)
 
@@ -183,13 +183,14 @@ let load store ~circuit =
             | exception Jsonx.Parse_error reason -> corrupt ~gen ~file:calibration_file reason
             | exception Failure reason -> corrupt ~gen ~file:calibration_file reason)
       in
-      (* the plan sidecar is genuinely optional (older bundles predate it);
-         when present it must parse and replay-validate against the circuit *)
+      (* bundles older than the plan sidecar get their plan rebuilt from
+         the compiled configuration; a present sidecar must parse and
+         replay-validate against the circuit *)
       let plan =
         match List.assoc_opt plan_file payload with
-        | None -> None
+        | None -> Compiler.plan compiled
         | Some bytes -> (
-            try Some (Chet_plan.Plan.of_string ~circuit bytes)
+            try Chet_plan.Plan.of_string ~circuit bytes
             with Serial.Corrupt reason -> corrupt ~gen ~file:plan_file reason)
       in
       Some
@@ -208,17 +209,10 @@ let load store ~circuit =
             };
         }
 
+let restore_keyset t ~with_secret =
+  Compiler.keyset t.b_compiled ~seed:t.b_seed ~rotation_keys:t.b_rotation_policy ?keys:t.b_keys
+    ~with_secret ()
+
 let restore_factory t ~with_secret =
   Compiler.instantiate_factory_restored t.b_compiled ~seed:t.b_seed
     ~rotation_keys:t.b_rotation_policy ~keys:t.b_keys ~with_secret ()
-
-(* Warm-restart plan deployment: the stored PLAN frame skips planning, the
-   stored keys skip rotation-key generation. [None] when the bundle carries
-   no plan (built with [with_plan:false], or predating the sidecar). *)
-let restore_plan_runner ?pt_budget t ~with_secret =
-  match t.b_plan with
-  | None -> None
-  | Some plan ->
-      Some
-        (Compiler.instantiate_plan_runner t.b_compiled ~plan ~seed:t.b_seed
-           ~rotation_keys:t.b_rotation_policy ?pt_budget ?keys:t.b_keys ~with_secret ())

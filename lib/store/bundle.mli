@@ -32,27 +32,25 @@ type t = {
   b_keys : string option;  (** [RKY2] public evaluation material; [None] for HEAAN *)
   b_scale : scale_summary option;
   b_calibration : Cost_model.calibration option;
-  b_plan : Chet_plan.Plan.t option;
+  b_plan : Chet_plan.Plan.t;
       (** compiled execution plan ([plan.chet], a [PLAN] frame); warm
-          restarts skip planning when present *)
+          restarts skip planning *)
 }
 
 val circuit_name : t -> string
 
 val build :
   ?scale:scale_summary -> ?calibration:Cost_model.calibration -> ?with_keys:bool ->
-  ?with_plan:bool ->
   Compiler.compiled -> seed:int -> ?rotation_keys:Compiler.rotation_key_policy -> unit -> t
 (** Assemble a bundle from a compile, running key generation once to export
-    the public material (see {!Compiler.export_keys}). [with_keys:false]
-    (default true) skips the export — for cleartext deployments, or when
-    the restart is allowed to re-derive everything from the seed.
-    [with_plan:false] (default true) skips compiling the execution plan
-    sidecar (see {!Compiler.plan}). *)
+    the public material (see {!Compiler.export_keys}) and lowering the
+    execution plan ({!Compiler.plan}). [with_keys:false] (default true)
+    skips the export — for cleartext deployments, or when the restart is
+    allowed to re-derive everything from the seed. *)
 
 val files : t -> (string * string) list
-(** The payload files ({!Store.save} input): [meta.chet], and when present
-    [keys.rky2] / [calibration.json] / [plan.chet]. *)
+(** The payload files ({!Store.save} input): [meta.chet], [plan.chet], and
+    when present [keys.rky2] / [calibration.json]. *)
 
 val save : Store.t -> t -> int
 (** {!files} written as a fresh store generation; returns the generation id. *)
@@ -70,23 +68,22 @@ val load : Store.t -> circuit:Circuit.t -> loaded option
     @raise Herr.Fhe_error with {!Herr.Corrupt_bundle} when a generation
     passes the store's checksums but its schema is damaged or it was
     compiled for a different circuit — callers (the CLI) treat this like an
-    empty store and fall back to a cold compile. *)
+    empty store and fall back to a cold compile. A generation without
+    [plan.chet] (written before bundles carried plans) gets its plan
+    rebuilt from the compiled configuration. *)
 
 val peek_meta : string -> string * int
 (** [(circuit name, seed)] from a [meta.chet] payload without needing the
     circuit — what [chet store ls] prints per generation.
     @raise Chet_crypto.Serial.Corrupt on damage. *)
 
+val restore_keyset : t -> with_secret:bool -> Compiler.keyset
+(** The warm-restart deployment: {!Compiler.keyset} with the bundle's seed,
+    policy and stored keys (which skip rotation-key generation) —
+    bit-identical to the deployment that produced the bundle. Serve it with
+    {!Chet_serve.Service.ladder_of_keyset} and the bundle's [b_plan]. *)
+
 val restore_factory :
   t -> with_secret:bool -> Compiler.backend_factory * Hisa.scheme_kind
-(** The warm-restart deployment: {!Compiler.instantiate_factory_restored}
-    with the bundle's seed, policy and stored keys — bit-identical to the
-    deployment that produced the bundle. *)
-
-val restore_plan_runner :
-  ?pt_budget:int -> t -> with_secret:bool ->
-  (Compiler.plan_runner * Hisa.scheme_kind) option
-(** The warm-restart {e plan} deployment: the stored [PLAN] frame skips
-    planning and the stored keys skip rotation-key generation
-    ({!Compiler.instantiate_plan_runner}). [None] when the bundle carries no
-    plan. Results are bit-identical to {!restore_factory} inference. *)
+(** {!restore_keyset} as per-request backend views
+    ({!Compiler.instantiate_factory_restored}). *)

@@ -287,8 +287,11 @@ type report = {
   r_removed_tmp : int;
 }
 
-let open_ ?(keep = 3) rt =
+let open_ ?(keep = 3) ?(create = true) rt =
   if keep < 1 then invalid_arg "Store.open_: keep must be >= 1";
+  if (not create) && not (Sys.file_exists rt && Sys.is_directory rt) then
+    Herr.raise_err ~backend:"store" ~op:"open"
+      (corrupt ~path:rt "no store at this path (nothing created)");
   mkdir_p rt;
   mkdir_p (Filename.concat rt quarantine_dirname);
   let t = { st_root = rt; st_keep = keep } in

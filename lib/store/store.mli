@@ -75,13 +75,15 @@ type report = {
   r_removed_tmp : int;  (** stray [*.tmp] debris deleted *)
 }
 
-val open_ : ?keep:int -> string -> t * report
+val open_ : ?keep:int -> ?create:bool -> string -> t * report
 (** Open (creating if needed) the store rooted at the given directory and
     run recovery: delete uncommitted [*.tmp] debris, verify every
     generation's manifest and checksums, quarantine the ones that fail,
     pick the newest valid generation as active. [keep] (default 3) is the
     retention budget {!save} applies to old generations. Never raises on
-    damaged contents — damage is reported, typed, in the report. *)
+    damaged contents — damage is reported, typed, in the report.
+    @raise Herr.Fhe_error ([Corrupt_bundle]) with [create:false] (default
+    true) when the directory does not exist; nothing is created then. *)
 
 val root : t -> string
 

@@ -35,9 +35,9 @@ echo "== smoke: store =="
 timeout 120 scripts/store_smoke.sh
 
 echo "== smoke: plan =="
-# Compiled plans end to end (@plan-smoke): bundle with a PLAN frame,
-# serve --plan from a warm restart, responses diffed against the
-# interpretive --no-plan path. Hard cap, like every smoke.
+# Compiled plans end to end: bundle with a PLAN frame, a warm restart from
+# it answering exactly like a cold serve, and a sentinel-verified serve
+# answering every request with a finite margin. Hard cap, like every smoke.
 timeout 180 scripts/plan_smoke.sh
 
 echo "== smoke: kernels (@kernel-smoke) =="
@@ -47,12 +47,11 @@ echo "== smoke: kernels (@kernel-smoke) =="
 timeout 60 dune build @kernel-smoke
 timeout 300 scripts/kernel_smoke.sh
 
-echo "== bench: plan vs interpretive =="
-# The perf gate's numbers: per-inference latency and allocation delta of
-# the plan path, plus the fast-ring kernel grid and its real-backend
-# speedup (bit-identity asserted in-bench). Lands in BENCH.json and the
-# numbered BENCH_<n>.json trajectory so future PRs have a baseline.
-timeout 420 dune exec bench/main.exe -- --plan --kernels --fast
+echo "== bench: kernels =="
+# The fast-ring kernel grid and its real-backend speedup (bit-identity
+# asserted in-bench). Lands in BENCH.json and the numbered BENCH_<n>.json
+# trajectory so future PRs have a baseline.
+timeout 420 dune exec bench/main.exe -- --kernels --fast
 
 echo "== smoke: net =="
 # The fork/exec chaos drill: supervisor + 2 shard processes, loadgen with

@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
-# Compiled-plan smoke (DESIGN.md §14): compile a bundle — which now carries
-# the checksummed PLAN frame — into a state dir, warm-restart a serve with
-# --plan, and require (a) the restart actually skipped the compile, (b) the
-# plan path actually engaged, and (c) the timing-free responses are
-# identical to the interpretive --no-plan path. The plan is a different
-# executor over the same arithmetic; any response drift is a fusion or
-# liveness bug, not noise.
+# Compiled-plan smoke (DESIGN.md §14): every answer comes from a prepared
+# plan, so the plan must survive a warm restart unchanged and must carry
+# the sentinel lane. Requires (a) the bundle carries the PLAN frame, (b) a
+# warm restart from it skips the compile and answers exactly like a cold
+# serve, and (c) a sentinel-verified serve answers every request with a
+# finite sentinel margin.
 #
 # Usage: scripts/plan_smoke.sh  (expects a completed `dune build`)
 set -euo pipefail
@@ -15,10 +14,15 @@ BIN=_build/default/bin/chet_cli.exe
 DIR=$(mktemp -d "${TMPDIR:-/tmp}/chet-plan-smoke.XXXXXX")
 trap 'rm -rf "$DIR"' EXIT
 STATE="$DIR/state"
+REQUESTS=8
 
 # per-request lines minus the latency suffix — the timing-free part
-# ("req NN: ok class=K via RUNG") must match across executors
+# ("req NN: ok class=K via RUNG") must match across restarts
 req_lines() { grep '^req ' "$1" | sed 's/ ([0-9].*//'; }
+
+echo "-- cold serve"
+"$BIN" serve micro --requests "$REQUESTS" --domains 2 >"$DIR/cold.out"
+req_lines "$DIR/cold.out" >"$DIR/cold.req"
 
 echo "-- compile into the state dir (bundle carries the PLAN frame)"
 "$BIN" compile micro --state-dir "$STATE" --no-keys >/dev/null
@@ -27,23 +31,30 @@ test -n "$(ls "$STATE"/gen-*/plan.chet 2>/dev/null)" || {
   exit 1
 }
 
-echo "-- interpretive reference (--no-plan)"
-"$BIN" serve micro --requests 8 --domains 2 --no-plan >"$DIR/interp.out"
-req_lines "$DIR/interp.out" >"$DIR/interp.req"
-
-echo "-- plan serve, warm-restarted from the bundle"
-"$BIN" serve micro --requests 8 --domains 2 --plan --state-dir "$STATE" >"$DIR/plan.out"
-grep -q '^warm restart: generation' "$DIR/plan.out" || {
+echo "-- warm restart from the bundle"
+"$BIN" serve micro --requests "$REQUESTS" --domains 2 --state-dir "$STATE" >"$DIR/warm.out"
+grep -q '^warm restart: generation' "$DIR/warm.out" || {
   echo "plan smoke FAIL: serve did not warm-restart from the bundle" >&2
   exit 1
 }
-grep -q '^plan: ' "$DIR/plan.out" || {
-  echo "plan smoke FAIL: serve --plan did not engage the plan path" >&2
+req_lines "$DIR/warm.out" >"$DIR/warm.req"
+
+echo "-- warm answers match the cold ones"
+diff -u "$DIR/cold.req" "$DIR/warm.req"
+
+echo "-- sentinel-verified serve runs the twin plan"
+"$BIN" serve micro --requests "$REQUESTS" --domains 2 --sentinel --metrics-dump >"$DIR/sentinel.out"
+ok=$(grep -c '^req [0-9]*: ok ' "$DIR/sentinel.out" || true)
+test "$ok" -eq "$REQUESTS" || {
+  echo "plan smoke FAIL: $ok of $REQUESTS sentinel requests answered" >&2
   exit 1
 }
-req_lines "$DIR/plan.out" >"$DIR/plan.req"
-
-echo "-- plan answers match the interpretive ones"
-diff -u "$DIR/interp.req" "$DIR/plan.req"
+margin=$(awk '/^chet_serve_sentinel_margin_bits / { print $2 }' "$DIR/sentinel.out")
+case "$margin" in
+  "" | nan | NaN | inf | -inf | +Inf | -Inf)
+    echo "plan smoke FAIL: sentinel margin not finite: '$margin'" >&2
+    exit 1
+    ;;
+esac
 
 echo "plan smoke OK"

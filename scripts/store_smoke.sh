@@ -3,7 +3,9 @@
 # dir, hard-kill (SIGKILL — no atexit, no cleanup) a paced serve mid-run,
 # then warm-restart from the surviving bundle and require (a) the store
 # verifies clean, (b) the restart actually skipped the compile, and (c) the
-# warm answers are identical to a cold start's.
+# warm answers are identical to a cold start's. Finally, `store ls|verify`
+# on a directory that does not exist must fail with a typed error and
+# create nothing.
 #
 # Usage: scripts/store_smoke.sh  (expects a completed `dune build`)
 set -euo pipefail
@@ -46,5 +48,23 @@ req_lines "$DIR/warm.out" >"$DIR/warm.req"
 
 echo "-- warm answers match the cold run"
 diff -u "$DIR/cold.req" "$DIR/warm.req"
+
+echo "-- inspecting a nonexistent store fails typed and creates nothing"
+MISSING="$DIR/no-such-store"
+for sub in ls verify; do
+  if "$BIN" store "$sub" "$MISSING" >"$DIR/missing.out" 2>&1; then
+    echo "store smoke FAIL: store $sub on a missing directory exited 0" >&2
+    exit 1
+  fi
+  grep -q 'no store at this path' "$DIR/missing.out" || {
+    echo "store smoke FAIL: store $sub printed no typed error" >&2
+    cat "$DIR/missing.out" >&2
+    exit 1
+  }
+  test ! -e "$MISSING" || {
+    echo "store smoke FAIL: store $sub created $MISSING" >&2
+    exit 1
+  }
+done
 
 echo "store smoke OK"

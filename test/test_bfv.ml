@@ -140,7 +140,8 @@ let test_kernels_over_bfv () =
         [ -1; 0; 1 ])
     [ -1; 0; 1 ];
   let enc = K.encrypt_tensor scales meta image in
-  let out = K.conv2d scales enc ~weights ~bias:None ~stride:1 ~padding:T.Same in
+  let conv = K.conv2d scales ~meta ~budget:(ref 0) ~weights ~bias:None ~stride:1 ~padding:T.Same in
+  let out = conv.K.sg_run enc in
   let got = K.decrypt_tensor out in
   let expected = T.conv2d ~input:image ~weights ~stride:1 ~padding:T.Same () in
   let diff = T.max_abs_diff expected got in

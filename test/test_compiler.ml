@@ -101,10 +101,10 @@ let test_compiled_runs_on_real_scheme () =
   let compiled = Compiler.compile opts micro in
   let backend = Compiler.instantiate compiled ~seed:5 ~with_secret:true () in
   let module H = (val backend : Hisa.S) in
-  let module E = Executor.Make (H) in
+  let module E = Chet_plan.Plan_exec.Make (H) in
   let image = Models.input_for Models.micro ~seed:31 in
   let expected = Reference.eval micro image in
-  let got = E.run opts.Compiler.scales micro ~policy:compiled.Compiler.policy image in
+  let got = E.eval opts.Compiler.scales micro ~policy:compiled.Compiler.policy image in
   let diff = T.max_abs_diff (T.flatten expected) (T.flatten got) in
   if diff > 0.05 then Alcotest.failf "compiled micro on real scheme: diff %.4f" diff
 
@@ -112,10 +112,10 @@ let test_compiled_runs_on_real_heaan () =
   let compiled = Compiler.compile heaan_opts micro in
   let backend = Compiler.instantiate compiled ~seed:6 ~with_secret:true () in
   let module H = (val backend : Hisa.S) in
-  let module E = Executor.Make (H) in
+  let module E = Chet_plan.Plan_exec.Make (H) in
   let image = Models.input_for Models.micro ~seed:32 in
   let expected = Reference.eval micro image in
-  let got = E.run heaan_opts.Compiler.scales micro ~policy:compiled.Compiler.policy image in
+  let got = E.eval heaan_opts.Compiler.scales micro ~policy:compiled.Compiler.policy image in
   let diff = T.max_abs_diff (T.flatten expected) (T.flatten got) in
   if diff > 0.05 then Alcotest.failf "compiled micro on real HEAAN: diff %.4f" diff
 

@@ -37,11 +37,11 @@ let run_with_fault ?(trigger = 0) fault =
   let faulty, log = Fault.wrap (Fault.default_config ~trigger (Some fault)) backend in
   let checked = Checked.wrap ~scheme faulty in
   let module H = (val checked) in
-  let module E = Executor.Make (H) in
+  let module E = Chet_plan.Plan_exec.Make (H) in
   let outcome =
     try
       ignore
-        (E.run compiled.Compiler.opts.Compiler.scales compiled.Compiler.circuit
+        (E.eval compiled.Compiler.opts.Compiler.scales compiled.Compiler.circuit
            ~policy:compiled.Compiler.policy image);
       Ok ()
     with Herr.Fhe_error (e, c) -> Error (e, c)
@@ -98,8 +98,8 @@ let test_clean_composition_transparent () =
   let run_bare () =
     let backend = Compiler.instantiate compiled ~seed:42 ~with_secret:true () in
     let module H = (val backend) in
-    let module E = Executor.Make (H) in
-    E.run compiled.Compiler.opts.Compiler.scales compiled.Compiler.circuit
+    let module E = Chet_plan.Plan_exec.Make (H) in
+    E.eval compiled.Compiler.opts.Compiler.scales compiled.Compiler.circuit
       ~policy:compiled.Compiler.policy image
   in
   let run_wrapped () =
@@ -109,9 +109,9 @@ let test_clean_composition_transparent () =
     let faulty, log = Fault.wrap (Fault.default_config None) backend in
     let checked = Checked.wrap ~scheme faulty in
     let module H = (val checked) in
-    let module E = Executor.Make (H) in
+    let module E = Chet_plan.Plan_exec.Make (H) in
     let out =
-      E.run compiled.Compiler.opts.Compiler.scales compiled.Compiler.circuit
+      E.eval compiled.Compiler.opts.Compiler.scales compiled.Compiler.circuit
         ~policy:compiled.Compiler.policy image
     in
     Alcotest.(check bool) "nothing fired" false log.Fault.fired;
@@ -146,10 +146,10 @@ let test_silent_corruption_caught_by_sentinel () =
   let faulty, log = Fault.wrap (Fault.default_config (Some Fault.Silent_corruption)) backend in
   let checked = Checked.wrap ~scheme faulty in
   let module H = (val checked) in
-  let module E = Executor.Make (H) in
+  let module E = Chet_plan.Plan_exec.Make (H) in
   let sentinel = Chet.Integrity.sentinel isp in
   match
-    E.run ~sentinel ~twin:true compiled.Compiler.opts.Compiler.scales circuit
+    E.eval ~sentinel compiled.Compiler.opts.Compiler.scales circuit
       ~policy:compiled.Compiler.policy image
   with
   | _ -> Alcotest.fail "corrupted answer escaped the sentinel"

@@ -58,14 +58,14 @@ let run_sentinel_clean (spec : Models.spec) =
   let isp = Integrity.spec_for circuit in
   let backend = clear_backend ~slots:8192 () in
   let module H = (val backend : Hisa.S) in
-  let module E = Executor.Make (H) in
+  let module E = Chet_plan.Plan_exec.Make (H) in
   List.iter
     (fun policy ->
       (* plain run = ground truth for the primary lane *)
-      let plain_out = E.run scales circuit ~policy image in
+      let plain_out = E.eval scales circuit ~policy image in
       let seen_twin = ref None in
       let sentinel = Integrity.sentinel ~observe:(fun t -> seen_twin := Some t) isp in
-      let out = E.run ~sentinel scales circuit ~policy image in
+      let out = E.eval ~sentinel scales circuit ~policy image in
       let max_diff =
         Array.fold_left Float.max 0.0
           (Array.mapi
@@ -114,11 +114,11 @@ let test_sentinel_real_backend () =
   let spec, circuit, compiled, isp = compile_sentinel () in
   let backend = Compiler.instantiate compiled ~seed:7 ~with_secret:true () in
   let module H = (val backend : Hisa.S) in
-  let module E = Executor.Make (H) in
+  let module E = Chet_plan.Plan_exec.Make (H) in
   let image = Models.input_for spec ~seed:5 in
   let margin = ref Float.nan in
   let sentinel = Integrity.sentinel ~observe:(fun t -> margin := Integrity.margin_bits isp t) isp in
-  let out = E.run ~sentinel compiled.Compiler.opts.Compiler.scales circuit
+  let out = E.eval ~sentinel compiled.Compiler.opts.Compiler.scales circuit
       ~policy:compiled.Compiler.policy image
   in
   (* primary fidelity: same bar as the compiled-deployment tests *)

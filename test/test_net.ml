@@ -53,8 +53,7 @@ let clean_dep () =
     dep_scales = seal_opts.Compiler.scales;
     dep_policy = policy ();
     dep_cost_ms = None;
-    dep_backend = (fun ~req_seed:_ ~attempt:_ -> clear_backend ());
-    dep_plan = None;
+    dep_backend = Service.Per_attempt (fun ~req_seed:_ ~attempt:_ -> clear_backend ());
     dep_sentinel = None;
     dep_twin = false;
   }
@@ -75,8 +74,8 @@ let quick_cfg () =
 let direct_clean_run img =
   let backend = clear_backend () in
   let module H = (val backend : Hisa.S) in
-  let module E = Executor.Make (H) in
-  E.run seal_opts.Compiler.scales micro ~policy:(policy ()) img
+  let module E = Chet_plan.Plan_exec.Make (H) in
+  E.eval seal_opts.Compiler.scales micro ~policy:(policy ()) img
 
 let sock_path name =
   Filename.concat (Filename.get_temp_dir_name ())
@@ -264,9 +263,10 @@ let fake_spawn ?(slow = fun _shard -> 0.0) spawned_log : Supervisor.spawn =
       {
         (clean_dep ()) with
         Service.dep_backend =
-          (fun ~req_seed:_ ~attempt:_ ->
-            Unix.sleepf delay;
-            clear_backend ());
+          Service.Per_attempt
+            (fun ~req_seed:_ ~attempt:_ ->
+              Unix.sleepf delay;
+              clear_backend ());
       }
   in
   let svc = Service.create (quick_cfg ()) ~circuit:micro ~ladder:[ dep ] in
@@ -414,12 +414,13 @@ let test_cancel_inflight_over_wire () =
     {
       (clean_dep ()) with
       Service.dep_backend =
-        (fun ~req_seed:_ ~attempt:_ ->
-          Atomic.set entered true;
-          while not (Atomic.get gate) do
-            Unix.sleepf 0.001
-          done;
-          clear_backend ());
+        Service.Per_attempt
+          (fun ~req_seed:_ ~attempt:_ ->
+            Atomic.set entered true;
+            while not (Atomic.get gate) do
+              Unix.sleepf 0.001
+            done;
+            clear_backend ());
     }
   in
   with_server ~ladder:[ gated ] "cncl" (fun server addr ->

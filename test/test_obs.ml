@@ -152,7 +152,7 @@ let test_chrome_export () =
           | None -> Alcotest.fail "span a should carry args")
       | _ -> Alcotest.fail "no traceEvents array")
 
-(* every executor node should emit one span carrying node id, layer and op
+(* every plan step should emit one span carrying node id, layer and op
    count when tracing is enabled — the --trace contract of the CLI *)
 let test_executor_spans () =
   let spec = Models.micro in
@@ -172,15 +172,18 @@ let test_executor_spans () =
   let timer = Timed.create () in
   with_tracer (fun t ->
       let module H = (val Timed.wrap timer backend : Hisa.S) in
-      let module E = Executor.Make (H) in
+      let module E = Chet_plan.Plan_exec.Make (H) in
       ignore
-        (E.run opts.Compiler.scales circuit ~policy:compiled.Compiler.policy
+        (E.eval opts.Compiler.scales circuit ~policy:compiled.Compiler.policy
            (Models.input_for spec ~seed:3));
       let node_spans =
-        List.filter (fun e -> e.Tracer.ev_cat = "executor") (Tracer.events t)
+        List.filter (fun e -> e.Tracer.ev_cat = "plan") (Tracer.events t)
       in
-      let nodes = List.length (Chet_nn.Circuit.topo_order circuit) in
-      Alcotest.(check int) "one span per circuit node" nodes (List.length node_spans);
+      let plan = Chet_plan.Plan.build ~slots:(n / 2) ~policy:compiled.Compiler.policy circuit in
+      let steps = Array.length plan.Chet_plan.Plan.p_steps in
+      Alcotest.(check bool) "every circuit node is a step" true
+        (steps >= List.length (Chet_nn.Circuit.topo_order circuit));
+      Alcotest.(check int) "one span per plan step" steps (List.length node_spans);
       List.iter
         (fun e ->
           Alcotest.(check bool) "span has node_id" true (List.mem_assoc "node_id" e.Tracer.ev_attrs);
@@ -189,7 +192,7 @@ let test_executor_spans () =
         node_spans;
       (* the per-span op counts must sum to the interceptor's total minus the
          client-side boundary ops (encrypt_tensor / decrypt_tensor run before
-         and after the node loop, outside any executor span) *)
+         and after the step loop, outside any plan span) *)
       let sum =
         List.fold_left
           (fun acc e ->
@@ -491,8 +494,8 @@ let test_calibrated_model_orders_layouts () =
         }
     in
     let module H = (val backend : Hisa.S) in
-    let module E = Executor.Make (H) in
-    ignore (E.run opts.Compiler.scales circuit ~policy (Models.input_for spec ~seed:1));
+    let module E = Chet_plan.Plan_exec.Make (H) in
+    ignore (E.eval opts.Compiler.scales circuit ~policy (Models.input_for spec ~seed:1));
     clock.Sim.elapsed
   in
   (* "measured": the shipped calibrated clock. "predicted": constants

@@ -81,8 +81,8 @@ let check_model_policy ?(tol = 2e-2) ?slots spec policy =
   let expected = Reference.eval circuit image in
   let backend = clear_backend ?slots () in
   let module H = (val backend : Hisa.S) in
-  let module E = Executor.Make (H) in
-  let got = E.run scales circuit ~policy image in
+  let module E = Chet_plan.Plan_exec.Make (H) in
+  let got = E.eval scales circuit ~policy image in
   let diff = T.max_abs_diff (T.flatten expected) (T.flatten got) in
   if diff > tol then
     Alcotest.failf "%s under %s: max diff %.6f > %.6f" spec.Models.model_name
@@ -116,8 +116,8 @@ let test_single_conv_same () =
     (fun policy ->
       let expected = Reference.eval circuit image in
       let module H = (val clear_backend () : Hisa.S) in
-      let module E = Executor.Make (H) in
-      let got = E.run scales circuit ~policy image in
+      let module E = Chet_plan.Plan_exec.Make (H) in
+      let got = E.eval scales circuit ~policy image in
       let diff = T.max_abs_diff expected got in
       if diff > 1e-3 then
         Alcotest.failf "conv same (%s): diff %.6f" (Executor.policy_name policy) diff)
@@ -135,8 +135,8 @@ let test_single_conv_stride2 () =
     (fun policy ->
       let expected = Reference.eval circuit image in
       let module H = (val clear_backend () : Hisa.S) in
-      let module E = Executor.Make (H) in
-      let got = E.run scales circuit ~policy image in
+      let module E = Chet_plan.Plan_exec.Make (H) in
+      let got = E.eval scales circuit ~policy image in
       let diff = T.max_abs_diff expected got in
       if diff > 1e-3 then
         Alcotest.failf "conv s2 (%s): diff %.6f" (Executor.policy_name policy) diff)
@@ -156,8 +156,8 @@ let test_pool_then_conv () =
     (fun policy ->
       let expected = Reference.eval circuit image in
       let module H = (val clear_backend () : Hisa.S) in
-      let module E = Executor.Make (H) in
-      let got = E.run scales circuit ~policy image in
+      let module E = Chet_plan.Plan_exec.Make (H) in
+      let got = E.eval scales circuit ~policy image in
       let diff = T.max_abs_diff expected got in
       if diff > 1e-3 then
         Alcotest.failf "pool+conv (%s): diff %.6f" (Executor.policy_name policy) diff)
@@ -178,8 +178,8 @@ let test_concat_kernel () =
     (fun policy ->
       let expected = Reference.eval circuit image in
       let module H = (val clear_backend () : Hisa.S) in
-      let module E = Executor.Make (H) in
-      let got = E.run scales circuit ~policy image in
+      let module E = Chet_plan.Plan_exec.Make (H) in
+      let got = E.eval scales circuit ~policy image in
       let diff = T.max_abs_diff expected got in
       if diff > 1e-3 then
         Alcotest.failf "concat (%s): diff %.6f" (Executor.policy_name policy) diff)
@@ -198,8 +198,8 @@ let test_residual_kernel () =
   let image = Dataset.image ~seed:7 ~channels:2 ~height:6 ~width:6 in
   let expected = Reference.eval circuit image in
   let module H = (val clear_backend () : Hisa.S) in
-  let module E = Executor.Make (H) in
-  let got = E.run scales circuit ~policy:Executor.All_chw image in
+  let module E = Chet_plan.Plan_exec.Make (H) in
+  let got = E.eval scales circuit ~policy:Executor.All_chw image in
   Alcotest.(check bool) "close" true (T.max_abs_diff expected got < 1e-2)
 
 (* ------------------------------------------------------------------ *)
@@ -217,12 +217,12 @@ let test_micro_real_seal () =
     Chet_hisa.Seal_backend.make { Chet_hisa.Seal_backend.ctx; rng; keys; secret = Some sk }
   in
   let module H = (val backend : Hisa.S) in
-  let module E = Executor.Make (H) in
+  let module E = Chet_plan.Plan_exec.Make (H) in
   let spec = Models.micro in
   let circuit = spec.Models.build () in
   let image = Models.input_for spec ~seed:21 in
   let expected = Reference.eval circuit image in
-  let got = E.run scales circuit ~policy:Executor.All_hw image in
+  let got = E.eval scales circuit ~policy:Executor.All_hw image in
   let diff = T.max_abs_diff (T.flatten expected) (T.flatten got) in
   if diff > 0.05 then Alcotest.failf "micro on real RNS-CKKS: diff %.4f" diff
 

@@ -1,5 +1,5 @@
 (* Property tests over the runtime: random well-shaped circuits must produce
-   the same outputs through the homomorphic kernels (cleartext HISA backend,
+   the same outputs through their compiled plans (cleartext HISA backend,
    any layout policy) as through the reference engine. This is the strongest
    coverage we have of kernel/layout interactions — shapes, strides, padding
    and scale management are all exercised by construction. *)
@@ -78,8 +78,8 @@ let check_circuit_policy seed policy =
   let image = Dataset.image ~seed ~channels:shape.(0) ~height:shape.(1) ~width:shape.(2) in
   let expected = Reference.eval circuit image in
   let module H = (val backend () : Hisa.S) in
-  let module E = Executor.Make (H) in
-  let got = E.run Kernels.default_scales circuit ~policy image in
+  let module E = Chet_plan.Plan_exec.Make (H) in
+  let got = E.eval Kernels.default_scales circuit ~policy image in
   let diff = T.max_abs_diff (T.flatten expected) (T.flatten got) in
   let bound = 2e-2 *. Float.max 1.0 (T.max_abs expected) in
   if diff > bound then
@@ -92,40 +92,6 @@ let prop name policy =
     (QCheck2.Test.make ~name ~count:25 ~print:string_of_int
        QCheck2.Gen.(int_range 0 10000)
        (fun seed -> check_circuit_policy seed policy))
-
-(* Compiled plans must be *bit-identical* to the interpretive executor —
-   not merely within tolerance. The staged kernels claim to preserve the
-   per-slot floating-point evaluation order exactly; any deviation here is
-   a fusion bug, not noise. *)
-let check_plan_identical seed policy =
-  let circuit = random_circuit seed in
-  let shape = circuit.Circuit.input.Circuit.shape in
-  let image = Dataset.image ~seed ~channels:shape.(0) ~height:shape.(1) ~width:shape.(2) in
-  let module H = (val backend () : Hisa.S) in
-  let module E = Executor.Make (H) in
-  let module PE = Chet_plan.Plan_exec.Make (H) in
-  let interp = E.run Kernels.default_scales circuit ~policy image in
-  let plan = Chet_plan.Plan.build ~slots:H.slots ~policy circuit in
-  (match Chet_plan.Plan.validate plan with
-  | Ok () -> ()
-  | Error r -> QCheck2.Test.fail_reportf "circuit %d: invalid plan: %s" seed r);
-  let prepared = PE.prepare Kernels.default_scales plan in
-  let planned = PE.run prepared image in
-  if interp.T.shape <> planned.T.shape then
-    QCheck2.Test.fail_reportf "circuit %d under %s: plan shape differs" seed
-      (Executor.policy_name policy)
-  else if interp.T.data <> planned.T.data then begin
-    let diff = T.max_abs_diff (T.flatten interp) (T.flatten planned) in
-    QCheck2.Test.fail_reportf "circuit %d under %s: plan output not bit-identical (max diff %g)"
-      seed (Executor.policy_name policy) diff
-  end
-  else true
-
-let plan_prop name policy =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name ~count:25 ~print:string_of_int
-       QCheck2.Gen.(int_range 0 10000)
-       (fun seed -> check_plan_identical seed policy))
 
 let test_random_assignments () =
   (* arbitrary per-node assignments (not just the four policies) must also be
@@ -144,11 +110,9 @@ let test_random_assignments () =
     let image = Dataset.image ~seed ~channels:shape.(0) ~height:shape.(1) ~width:shape.(2) in
     let expected = Reference.eval circuit image in
     let module H = (val backend () : Hisa.S) in
-    let module E = Executor.Make (H) in
-    let meta = E.input_meta circuit ~kind:(kind_of circuit.Circuit.input) in
-    let enc = E.K.encrypt_tensor Kernels.default_scales meta image in
-    let out = E.run_encrypted_with Kernels.default_scales circuit ~kind_of enc in
-    let got = E.K.decrypt_tensor out in
+    let module PE = Chet_plan.Plan_exec.Make (H) in
+    let plan = Chet_plan.Plan.build_assigned ~slots:H.slots ~kind_of circuit in
+    let got = PE.run (PE.prepare Kernels.default_scales plan) image in
     let diff = T.max_abs_diff (T.flatten expected) (T.flatten got) in
     let bound = 2e-2 *. Float.max 1.0 (T.max_abs expected) in
     if diff > bound then
@@ -162,10 +126,6 @@ let suite =
         prop "random circuits: HW" Executor.All_hw;
         prop "random circuits: CHW" Executor.All_chw;
         prop "random circuits: HW-conv CHW-rest" Executor.Hw_conv_chw_rest;
-        plan_prop "plan bit-identical: HW" Executor.All_hw;
-        plan_prop "plan bit-identical: CHW" Executor.All_chw;
-        plan_prop "plan bit-identical: HW-conv CHW-rest" Executor.Hw_conv_chw_rest;
-        plan_prop "plan bit-identical: CHW-fc HW-before" Executor.Chw_fc_hw_before;
         Alcotest.test_case "random per-node assignments" `Slow test_random_assignments;
       ] );
   ]

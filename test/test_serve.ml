@@ -53,8 +53,7 @@ let dep ?(label = "primary") ?(degraded = false) ?cost_ms backend =
     dep_scales = seal_opts.Compiler.scales;
     dep_policy = policy ();
     dep_cost_ms = cost_ms;
-    dep_backend = backend;
-    dep_plan = None;
+    dep_backend = Service.Per_attempt backend;
     dep_sentinel = None;
     dep_twin = false;
   }
@@ -93,8 +92,8 @@ let with_service cfg ladder f =
 let direct_clean_run img =
   let backend = clear_backend () in
   let module H = (val backend : Hisa.S) in
-  let module E = Executor.Make (H) in
-  E.run seal_opts.Compiler.scales micro ~policy:(policy ()) img
+  let module E = Chet_plan.Plan_exec.Make (H) in
+  E.eval seal_opts.Compiler.scales micro ~policy:(policy ()) img
 
 let ok_tensor name (o : Service.outcome) =
   match o.Service.out_result with
@@ -664,6 +663,48 @@ let test_backoff_clamped_to_budget () =
       Alcotest.(check (float 1e-6)) "clock parked at the deadline" 0.1 (Atomic.get clock);
       Alcotest.(check int) "retries stopped early" 2 o.Service.out_attempts)
 
+(* Every rung [ladder_of_compiled] builds is a plan prepared once per
+   worker, whose sampler is reseeded per attempt. On the real backend (a
+   small ring) with sentinels on, answers served concurrently must equal a
+   one-shot plan run on a fresh per-request view, bit for bit, and each must
+   carry the sentinel margin measured on the plan. *)
+let test_prepared_rungs_match_one_shot () =
+  let compiled = Compiler.compile { seal_opts with Compiler.sentinel = true } micro in
+  let compiled =
+    match compiled.Compiler.params with
+    | Compiler.Rns_params p ->
+        let params = Compiler.Rns_params { p with n = 2048 } in
+        let rotations, op_counters =
+          Compiler.select_rotations compiled.Compiler.opts micro ~policy:compiled.Compiler.policy
+            ~params
+        in
+        { compiled with Compiler.params; rotations; op_counters }
+    | Compiler.Pow2_params _ -> compiled
+  in
+  let seed = 5 and spec = Chet.Integrity.spec_for micro in
+  let ladder =
+    Service.ladder_of_compiled compiled ~seed ~reduced_rungs:0 ~clear_fallback:false
+      ~sentinel:spec ~with_secret:true ()
+  in
+  let factory, _ = Compiler.instantiate_factory compiled ~seed ~with_secret:true () in
+  let one_shot img ~req_seed =
+    let module H = (val factory ~req_seed) in
+    let module PE = Chet_plan.Plan_exec.Make (H) in
+    PE.eval ~sentinel:(Chet.Integrity.sentinel spec) compiled.Compiler.opts.Compiler.scales micro
+      ~policy:compiled.Compiler.policy img
+  in
+  with_service (quick_cfg ()) ladder (fun svc ->
+      List.init 4 (fun i -> (i, Service.submit svc ~seed:(40 + i) (image i)))
+      |> List.iter (fun (i, ticket) ->
+             let o = Service.await svc ticket in
+             let got = ok_tensor "prepared rung" o in
+             if not (Float.is_finite o.Service.out_margin_bits) then
+               Alcotest.failf "request %d: no sentinel margin" i;
+             let expected = one_shot (image i) ~req_seed:(40 + i) in
+             Alcotest.(check bool)
+               (Printf.sprintf "request %d bit-identical" i)
+               true (got.T.data = expected.T.data)))
+
 let suite =
   [
     ( "serve",
@@ -700,5 +741,7 @@ let suite =
           test_deadline_aware_rung_selection;
         Alcotest.test_case "retry backoff clamped to remaining budget" `Quick
           test_backoff_clamped_to_budget;
+        Alcotest.test_case "prepared sentinel rungs match one-shot plans (real)" `Slow
+          test_prepared_rungs_match_one_shot;
       ] );
   ]

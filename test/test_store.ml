@@ -393,8 +393,8 @@ let test_bundle_warm_restart_bit_identical () =
           let run factory =
             let backend = factory ~req_seed:77 in
             let module H = (val backend : Hisa.S) in
-            let module E = Executor.Make (H) in
-            E.run c.Compiler.opts.Compiler.scales micro ~policy:c.Compiler.policy img
+            let module E = Chet_plan.Plan_exec.Make (H) in
+            E.eval c.Compiler.opts.Compiler.scales micro ~policy:c.Compiler.policy img
           in
           let fresh, _ = Compiler.instantiate_factory c ~seed ~with_secret:true () in
           let restored, _ = Bundle.restore_factory b ~with_secret:true in
