@@ -1,9 +1,9 @@
-(* Ring-kernel microbenchmark: NTT and pointwise kernels, fast vs reference.
-   Used by scripts/kernel_smoke.sh and for tuning the fast path by hand. *)
+(* Ring-kernel microbenchmark: the fast NTT against the scalar reference
+   transform, and the pointwise kernel. Used by scripts/kernel_smoke.sh and
+   for tuning the fast path by hand. *)
 
 module Ntt = Chet_crypto.Ntt
 module Rvec = Chet_crypto.Rvec
-module Rq = Chet_crypto.Rq
 module Modarith = Chet_crypto.Modarith
 
 let time f =
@@ -23,7 +23,6 @@ let () =
   (* warm up *)
   Ntt.forward_buf tbl buf;
   Ntt.inverse_buf tbl buf;
-  Rq.set_fast_ring true;
   let t_fast =
     time (fun () ->
         for _ = 1 to reps do
@@ -38,28 +37,14 @@ let () =
           Ntt.inverse tbl arr
         done)
   in
-  Rq.set_fast_ring false;
-  let t_bounce =
-    time (fun () ->
-        for _ = 1 to reps do
-          Ntt.forward_buf tbl buf;
-          Ntt.inverse_buf tbl buf
-        done)
-  in
-  Rq.set_fast_ring true;
   let b = Rvec.of_int_array (Array.init n (fun _ -> Random.State.int rng p)) in
   let dst = Rvec.create n in
   let t_pw =
     time (fun () -> for _ = 1 to reps * 10 do Rvec.pointwise_mul_into dst buf b p done)
   in
-  let t_pw_ref =
-    time (fun () -> for _ = 1 to reps * 10 do Rvec.pointwise_mul_ref_into dst buf b p done)
-  in
   Printf.printf
-    "n=%d p=%d reps=%d\n  ntt fast      %8.1f us/op\n  ntt scalar    %8.1f us/op\n  ntt bounce    %8.1f us/op\n  pw fast       %8.1f us/op\n  pw ref        %8.1f us/op\n"
+    "n=%d p=%d reps=%d\n  ntt fast      %8.1f us/op\n  ntt scalar    %8.1f us/op\n  pw fast       %8.1f us/op\n"
     n p reps
     (1e6 *. t_fast /. float_of_int (2 * reps))
     (1e6 *. t_scalar /. float_of_int (2 * reps))
-    (1e6 *. t_bounce /. float_of_int (2 * reps))
     (1e6 *. t_pw /. float_of_int (reps * 10))
-    (1e6 *. t_pw_ref /. float_of_int (reps * 10))

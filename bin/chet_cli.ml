@@ -118,7 +118,7 @@ let save_bundle_verbose store bundle =
     (List.length files) bytes (Store.root store);
   gen
 
-(* --- fast-ring kernel options (DESIGN.md §15) -------------------------- *)
+(* --- ring kernel options (DESIGN.md §15) ------------------------------- *)
 
 let kernel_domains_arg =
   let doc =
@@ -128,13 +128,6 @@ let kernel_domains_arg =
   in
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
 
-let no_fast_ring_arg =
-  let doc =
-    "Run the scalar schoolbook ring kernels instead of the Bigarray fast path — the \
-     bit-identical (and much slower) reference oracle."
-  in
-  Arg.(value & flag & info [ "no-fast-ring" ] ~doc)
-
 let kernel_domains_gauge =
   lazy
     (Chet_obs.Metrics.gauge Chet_obs.Metrics.default ~help:"kernel-domain pool width"
@@ -142,15 +135,14 @@ let kernel_domains_gauge =
 
 (* lib/crypto cannot depend on lib/obs, so the gauge is set here, at the
    layer that also owns the pool width decision *)
-let apply_kernel_opts domains no_fast_ring =
+let apply_kernel_opts domains =
   let d =
     match domains with Some d -> Stdlib.max 1 d | None -> Domain.recommended_domain_count ()
   in
   Chet_crypto.Kpool.configure ~domains:d;
-  Chet_crypto.Rq.set_fast_ring (not no_fast_ring);
   Chet_obs.Metrics.set_gauge (Lazy.force kernel_domains_gauge) (float_of_int d)
 
-let kernel_term = Term.(const apply_kernel_opts $ kernel_domains_arg $ no_fast_ring_arg)
+let kernel_term = Term.(const apply_kernel_opts $ kernel_domains_arg)
 
 (* serve names its worker-pool width --domains already; the kernel pool gets
    an unambiguous flag there *)
@@ -161,9 +153,7 @@ let kernel_domains_serve_arg =
   in
   Arg.(value & opt int 1 & info [ "kernel-domains" ] ~docv:"N" ~doc)
 
-let kernel_term_serve =
-  Term.(const (fun d no_fast -> apply_kernel_opts (Some d) no_fast) $ kernel_domains_serve_arg
-        $ no_fast_ring_arg)
+let kernel_term_serve = Term.(const (fun d -> apply_kernel_opts (Some d)) $ kernel_domains_serve_arg)
 
 (* exit code 2: a usage error, same class as a flag cmdliner rejects *)
 let lookup_model name =

@@ -248,15 +248,14 @@ let inverse_fast (f : fast) p (a : Rvec.buf) n =
   done
 
 (* Buffer entry points. The scalar loops above remain the reference: when
-   the table has no fast companion (prime > 2^30) or the fast ring is
-   toggled off, the buffer is bounced through an int array and transformed
-   by the exact schoolbook path. *)
+   the table has no fast companion (prime > 2^30), the buffer is bounced
+   through an int array and transformed by the exact schoolbook path. *)
 
 let forward_buf t (buf : Rvec.buf) =
   if Rvec.length buf <> t.n then invalid_arg "Ntt.forward_buf: wrong length";
   match t.fast with
-  | Some f when Rq.fast_ring_enabled () -> forward_fast f t.prime buf t.n
-  | _ ->
+  | Some f -> forward_fast f t.prime buf t.n
+  | None ->
       let a = Rvec.to_int_array buf in
       forward t a;
       Rvec.blit_from_array a buf
@@ -264,8 +263,8 @@ let forward_buf t (buf : Rvec.buf) =
 let inverse_buf t (buf : Rvec.buf) =
   if Rvec.length buf <> t.n then invalid_arg "Ntt.inverse_buf: wrong length";
   match t.fast with
-  | Some f when Rq.fast_ring_enabled () -> inverse_fast f t.prime buf t.n
-  | _ ->
+  | Some f -> inverse_fast f t.prime buf t.n
+  | None ->
       let a = Rvec.to_int_array buf in
       inverse t a;
       Rvec.blit_from_array a buf

@@ -27,9 +27,9 @@ val has_fast : table -> bool
 
 val forward_buf : table -> Rvec.buf -> unit
 (** In-place forward transform of an unboxed residue buffer. With a fast
-    table and {!Rq.fast_ring_enabled}, runs the cache-blocked lazy-reduction
-    butterflies; otherwise bounces through the scalar reference path. Both
-    produce bit-identical canonical residues. *)
+    table, runs the cache-blocked lazy-reduction butterflies; otherwise
+    (prime > 2^30) bounces through the scalar reference path. Both produce
+    bit-identical canonical residues. *)
 
 val inverse_buf : table -> Rvec.buf -> unit
 

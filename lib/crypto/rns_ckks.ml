@@ -11,7 +11,6 @@
      Accumulating digit_i(d) * ksk_i then dividing by p (drop the special
      component with rounding) yields d*s' + small noise mod Q. *)
 
-module Fastring = Rq (* the unified-ring module: carries the fast-path toggle *)
 module Rq = Rq_rns
 module Bigint = Chet_bigint.Bigint
 module Herr = Chet_herr.Herr
@@ -278,7 +277,6 @@ let keyswitch ctx level (d : Rq.t) (key : kswitch_key) : Rq.t * Rq.t =
   let nb = Array.length kb in
   let n = ctx.params.n in
   let primes = Rq.ctx_primes ctx.rq in
-  let fast = Fastring.fast_ring_enabled () in
   let acc0 = Array.init nb (fun _ -> Rvec.zeroed n) in
   let acc1 = Array.init nb (fun _ -> Rvec.zeroed n) in
   Kpool.run nb (fun jk ->
@@ -291,18 +289,11 @@ let keyswitch ctx level (d : Rq.t) (key : kswitch_key) : Rq.t * Rq.t =
       let a0 = acc0.(jk) and a1 = acc1.(jk) in
       for i = 0 to level - 1 do
         let digit = Rq.raw_comp d i in
-        if fast then Rvec.broadcast_mod_into tmp digit pj
-        else Rvec.broadcast_mod_ref_into tmp digit pj;
+        Rvec.broadcast_mod_into tmp digit pj;
         Ntt.forward_buf tbl tmp;
         let b_i, a_i = key.pairs.(i) in
-        if fast then begin
-          Rvec.pointwise_mac_into a0 tmp (Rq.raw_comp b_i kslot) pj;
-          Rvec.pointwise_mac_into a1 tmp (Rq.raw_comp a_i kslot) pj
-        end
-        else begin
-          Rvec.pointwise_mac_ref_into a0 tmp (Rq.raw_comp b_i kslot) pj;
-          Rvec.pointwise_mac_ref_into a1 tmp (Rq.raw_comp a_i kslot) pj
-        end
+        Rvec.pointwise_mac_into a0 tmp (Rq.raw_comp b_i kslot) pj;
+        Rvec.pointwise_mac_into a1 tmp (Rq.raw_comp a_i kslot) pj
       done);
   let assemble comps = Rq.unsafe_of_bufs ~basis:(Array.copy kb) ~comps ~ntt:true in
   let down t = Rq.to_ntt ctx.rq (Rq.drop_last ctx.rq (Rq.from_ntt ctx.rq t) ~rounded:true) in

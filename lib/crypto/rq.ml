@@ -58,14 +58,3 @@ module type S = sig
   val to_bytes : ctx -> t -> string
   val of_bytes : ctx -> string -> t
 end
-
-(* --- the fast-ring toggle ---
-
-   [true] selects the Bigarray fast kernels (Shoup / lazy-window
-   NTT); [false] selects the schoolbook scalar reference path, kept as the
-   bit-identical oracle behind [--no-fast-ring]. An atomic so serve worker
-   domains observe a consistent value; flipped only at process start-up. *)
-
-let fast = Atomic.make true
-let set_fast_ring b = Atomic.set fast b
-let fast_ring_enabled () = Atomic.get fast

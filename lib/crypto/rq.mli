@@ -1,4 +1,4 @@
-(** The unified polynomial-ring signature and the global fast-ring toggle.
+(** The unified polynomial-ring signature.
 
     {!Rq_rns} (double-CRT over word-sized primes) and {!Rq_big} (single
     power-of-two big-integer modulus) both implement {!module-type-S}; the
@@ -37,10 +37,3 @@ module type S = sig
   val to_bytes : ctx -> t -> string
   val of_bytes : ctx -> string -> t
 end
-
-val set_fast_ring : bool -> unit
-(** Select the Bigarray fast kernels ([true], the default) or the scalar
-    schoolbook reference path ([false], the [--no-fast-ring] oracle). Both
-    produce bit-identical results; flip only at process start-up. *)
-
-val fast_ring_enabled : unit -> bool

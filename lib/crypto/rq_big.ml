@@ -119,7 +119,6 @@ let mul ctx a b =
   (* residues per prime, negacyclic NTT product over unboxed buffers;
      independent primes fan out across the kernel-domain pool *)
   let prods = Array.init nprimes (fun _ -> Rvec.create ctx.n) in
-  let fast = Rq.fast_ring_enabled () in
   Kpool.run nprimes (fun k ->
       let p = ctx.primes.(k) in
       let tbl = ctx.ntts.(k) in
@@ -131,8 +130,7 @@ let mul ctx a b =
       done;
       Ntt.forward_buf tbl ra;
       Ntt.forward_buf tbl rb;
-      if fast then Rvec.pointwise_mul_into ra ra rb p
-      else Rvec.pointwise_mul_ref_into ra ra rb p;
+      Rvec.pointwise_mul_into ra ra rb p;
       Ntt.inverse_buf tbl ra);
   let poly =
     Array.init ctx.n (fun j ->

@@ -15,10 +15,8 @@ let ctx_n ctx = ctx.n
 let ctx_primes ctx = ctx.primes
 
 (* Residue components are unboxed Bigarray buffers (Rvec) — one canonical
-   residue vector per basis prime. Kernels come in a fast (Shoup /
-   lazy-NTT) and a schoolbook reference flavour, selected
-   per call through {!Rq.fast_ring_enabled}; both are bit-identical.
-   Residue channels are independent, so the heavy per-limb kernels (NTTs,
+   residue vector per basis prime, transformed by the Shoup / lazy-NTT
+   kernels (their schoolbook oracle lives with the tests). Residue channels are independent, so the heavy per-limb kernels (NTTs,
    pointwise products) fan out across {!Kpool} domains. *)
 
 type mode = int array
@@ -141,22 +139,16 @@ let neg ctx t =
 let mul ctx a b =
   let a = to_ntt ctx a and b = to_ntt ctx b in
   check2 "Rq_rns.mul" a b;
-  let fast = Rq.fast_ring_enabled () in
   let comps =
     par_init ctx (Array.length a.basis) (fun k dst ->
-        let p = ctx.primes.(a.basis.(k)) in
-        if fast then Rvec.pointwise_mul_into dst a.comps.(k) b.comps.(k) p
-        else Rvec.pointwise_mul_ref_into dst a.comps.(k) b.comps.(k) p)
+        Rvec.pointwise_mul_into dst a.comps.(k) b.comps.(k) ctx.primes.(a.basis.(k)))
   in
   { basis = Array.copy a.basis; comps; ntt = true }
 
 let mul_scalar ctx t s =
-  let fast = Rq.fast_ring_enabled () in
   let comps =
     par_init ctx (Array.length t.basis) (fun k dst ->
-        let p = ctx.primes.(t.basis.(k)) in
-        if fast then Rvec.scalar_mul_into dst t.comps.(k) s p
-        else Rvec.scalar_mul_ref_into dst t.comps.(k) s p)
+        Rvec.scalar_mul_into dst t.comps.(k) s ctx.primes.(t.basis.(k)))
   in
   { t with comps; basis = Array.copy t.basis }
 
@@ -187,14 +179,11 @@ let drop_last ctx t ~rounded =
   let q_last = ctx.primes.(last_idx) in
   let last = t.comps.(nb - 1) in
   let basis = Array.sub t.basis 0 (nb - 1) in
-  let fast = Rq.fast_ring_enabled () in
   let comps =
     if not rounded then Array.init (nb - 1) (fun k -> Rvec.copy t.comps.(k))
     else
       par_init ctx (nb - 1) (fun k dst ->
-          let p = ctx.primes.(t.basis.(k)) in
-          if fast then Rvec.rescale_limb_into dst t.comps.(k) last ~q_last ~p
-          else Rvec.rescale_limb_ref_into dst t.comps.(k) last ~q_last ~p)
+          Rvec.rescale_limb_into dst t.comps.(k) last ~q_last ~p:ctx.primes.(t.basis.(k)))
   in
   { basis; comps; ntt = false }
 
@@ -231,10 +220,8 @@ let scale_component ctx t ~basis_index ~scalar =
       (fun k i ->
         if k <> k0 then Rvec.zeroed (Rvec.length t.comps.(k))
         else begin
-          let p = ctx.primes.(i) in
           let dst = Rvec.create (Rvec.length t.comps.(k)) in
-          if Rq.fast_ring_enabled () then Rvec.scalar_mul_into dst t.comps.(k) scalar p
-          else Rvec.scalar_mul_ref_into dst t.comps.(k) scalar p;
+          Rvec.scalar_mul_into dst t.comps.(k) scalar ctx.primes.(i);
           dst
         end)
       t.basis

@@ -19,11 +19,9 @@
      [d + (p land (d asr 62))], which adds [p] back exactly when [d] is
      negative.
 
-   Every kernel stores canonical residues in [0, p), so the fast path is
-   bit-identical to the schoolbook [mod]-based reference kernels (the
-   [_ref] twins below): the reduction strategy changes, the result never
-   does. [Rq_rns] picks fast vs reference per call from the
-   {!Rq.fast_ring_enabled} toggle. *)
+   Every kernel stores canonical residues in [0, p), so it is bit-identical
+   to the schoolbook [mod]-based computation (the test suite's reference
+   twins): the reduction strategy changes, the result never does. *)
 
 type buf = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -103,8 +101,8 @@ let neg_into (dst : buf) (a : buf) p =
     uset dst i ((p - x) land (-x asr 62))
   done
 
-(* --- multiplicative kernels, fast (Shoup; hardware [mod] where both
-   operands vary — measured faster than float-Barrett on this target) --- *)
+(* --- multiplicative kernels (Shoup; hardware [mod] where both operands
+   vary — measured faster than float-Barrett on this target) --- *)
 
 let pointwise_mul_into (dst : buf) (a : buf) (b : buf) p =
   for i = 0 to length dst - 1 do
@@ -142,31 +140,6 @@ let broadcast_mod_into (dst : buf) (src : buf) p =
     uset dst i (d + (p land (d asr 62)))
   done
 
-(* --- multiplicative kernels, reference (schoolbook [mod]) --- *)
-
-let pointwise_mul_ref_into (dst : buf) (a : buf) (b : buf) p =
-  for i = 0 to length dst - 1 do
-    uset dst i (uget a i * uget b i mod p)
-  done
-
-let pointwise_mac_ref_into (acc : buf) (a : buf) (b : buf) p =
-  for i = 0 to length acc - 1 do
-    let r = uget a i * uget b i mod p in
-    let s = uget acc i + r in
-    uset acc i (if s >= p then s - p else s)
-  done
-
-let scalar_mul_ref_into (dst : buf) (a : buf) s p =
-  let s = Modarith.reduce s p in
-  for i = 0 to length dst - 1 do
-    uset dst i (uget a i * s mod p)
-  done
-
-let broadcast_mod_ref_into (dst : buf) (src : buf) p =
-  for i = 0 to length dst - 1 do
-    uset dst i (uget src i mod p)
-  done
-
 (* --- boundary kernels (always exact [mod]; not on the per-op hot path) --- *)
 
 let reduce_centered_into (dst : buf) (coeffs : int array) p =
@@ -193,16 +166,6 @@ let rescale_limb_into (dst : buf) (src : buf) (last : buf) ~q_last ~p =
     let q = (inv_sh * t) lsr 31 in
     let r = (inv * t) - (q * p) - p in
     uset dst i (r + (p land (r asr 62)))
-  done
-
-let rescale_limb_ref_into (dst : buf) (src : buf) (last : buf) ~q_last ~p =
-  let half = q_last / 2 in
-  let inv = Modarith.inv_mod (q_last mod p) p in
-  for i = 0 to length dst - 1 do
-    let d = uget last i in
-    let d = if d > half then d - q_last else d in
-    let c = Modarith.sub_mod (uget src i) (Modarith.reduce d p) p in
-    uset dst i (Modarith.mul_mod c inv p)
   done
 
 let automorphism_into (dst : buf) (src : buf) (index : (int * bool) array) p =

@@ -5,8 +5,9 @@
     boxing. All kernels assume word-sized prime moduli [p < 2^30] and
     canonical residues in [\[0, p)] at rest; lazy [\[0, 2p)] intermediates
     are internal only. Fast kernels (Shoup for one fixed operand; hardware
-    [mod] where both operands vary) are bit-identical to their [_ref]
-    schoolbook twins — see DESIGN.md §15 for the error analysis. *)
+    [mod] where both operands vary) are bit-identical to the schoolbook
+    [mod] computation the tests check them against — see DESIGN.md §15 for
+    the error analysis. *)
 
 type buf = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -34,7 +35,7 @@ val add_into : buf -> buf -> buf -> int -> unit
 val sub_into : buf -> buf -> buf -> int -> unit
 val neg_into : buf -> buf -> int -> unit
 
-(** {1 Multiplicative kernels, fast path} *)
+(** {1 Multiplicative kernels} *)
 
 val pointwise_mul_into : buf -> buf -> buf -> int -> unit
 (** [pointwise_mul_into dst a b p]: [dst.(i) <- a.(i)*b.(i) mod p]. *)
@@ -53,15 +54,6 @@ val broadcast_mod_into : buf -> buf -> int -> unit
 val rescale_limb_into : buf -> buf -> buf -> q_last:int -> p:int -> unit
 (** [rescale_limb_into dst src last ~q_last ~p]: one limb of the CKKS
     rescale, [dst = (src - \[last\]_centered) / q_last mod p]. *)
-
-(** {1 Multiplicative kernels, schoolbook reference path} — bit-identical
-    results via plain [mod]; kept as the [--no-fast-ring] oracle. *)
-
-val pointwise_mul_ref_into : buf -> buf -> buf -> int -> unit
-val pointwise_mac_ref_into : buf -> buf -> buf -> int -> unit
-val scalar_mul_ref_into : buf -> buf -> int -> int -> unit
-val broadcast_mod_ref_into : buf -> buf -> int -> unit
-val rescale_limb_ref_into : buf -> buf -> buf -> q_last:int -> p:int -> unit
 
 (** {1 Boundary kernels} *)
 

@@ -14,7 +14,7 @@ type config = {
 }
 
 let make (cfg : config) : Hisa.t =
-  (module struct
+  (module Hisa.Fused_default (struct
     let slots = C.slot_count cfg.ctx
 
     type pt = { values : float array; pscale : float }
@@ -55,10 +55,6 @@ let make (cfg : config) : Hisa.t =
       let k = int_of_float (Float.round (x *. float_of_int scale)) in
       C.adjust_scale (C.mul_scalar cfg.ctx c k) (float_of_int scale)
 
-    let fma_scalar acc x w ~scale = add acc (mul_scalar x w ~scale)
-    let fma_plain acc x p = add acc (mul_plain x p)
-    let fma_rot acc x r = add acc (rot_left x r)
-
     (* no rescaling in BFV: Table 2's maxRescale = 1 *)
     let max_rescale _ _ = 1
 
@@ -73,4 +69,4 @@ let make (cfg : config) : Hisa.t =
     let env_of _ =
       (* the modulus is fixed for the ciphertext's lifetime *)
       { Hisa.env_n = 2 * slots; env_r = 1; env_log_q = 0 }
-  end)
+  end))

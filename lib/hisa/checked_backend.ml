@@ -69,7 +69,11 @@ let wrap ?(config = None) ?margin ~scheme (backend : Hisa.t) : Hisa.t =
   let cfg = match config with Some c -> c | None -> default_config ~scheme in
   let nm = cfg.noise in
   let module B = (val backend) in
-  (module struct
+  (* fused ops compose this module's own checked ops (Hisa.Fused_default):
+     every operand and intermediate gets the full pre/postcondition
+     treatment, and the component results are bit-identical to the fused
+     backend ops by the HISA contract *)
+  (module Hisa.Fused_default (struct
     let slots = B.slots
 
     type pt = { bp : B.pt; pscale : float; pmax : float }
@@ -291,16 +295,6 @@ let wrap ?(config = None) ?margin ~scheme (backend : Hisa.t) : Hisa.t =
         ~serr:((c.serr *. Float.abs x) +. (c.smag /. float_of_int scale))
         ~smag:(c.smag *. Float.abs x)
 
-    (* --- fused ops ----------------------------------------------------- *)
-
-    (* Composed from this module's own checked ops: every operand and
-       intermediate gets the full pre/postcondition treatment, and the
-       component results are bit-identical to the fused backend ops by the
-       HISA contract. *)
-    let fma_scalar acc x w ~scale = add acc (mul_scalar x w ~scale)
-    let fma_plain acc x p = add acc (mul_plain x p)
-    let fma_rot acc x r = add acc (rot_left x (((r mod slots) + slots) mod slots))
-
     (* --- rescaling ---------------------------------------------------- *)
 
     let log2_int n =
@@ -382,4 +376,4 @@ let wrap ?(config = None) ?margin ~scheme (backend : Hisa.t) : Hisa.t =
     let env_of c =
       live ~op:"env_of" c;
       B.env_of c.bc
-  end : Hisa.S)
+  end))

@@ -45,8 +45,10 @@ module Make (S : SCHEME) = struct
     secret : S.secret_key option;  (** client-side only; [decrypt] raises without it *)
   }
 
+  (* fused ops compose the primitives: the win on a real scheme is the
+     shared pt encoding cache, not slot-pass fusion *)
   let make (cfg : config) : Hisa.t =
-    (module struct
+    (module Hisa.Fused_default (struct
       let slots = S.slot_count cfg.ctx
 
       (* Plaintext handles are lazy: the underlying scheme needs plaintexts
@@ -115,14 +117,9 @@ module Make (S : SCHEME) = struct
       let sub_scalar c x = S.add_scalar cfg.ctx c (-.x)
       let mul_scalar c x ~scale = S.mul_scalar cfg.ctx c x ~scale:(float_of_int scale)
 
-      (* fused ops compose the primitives: the win on a real scheme is the
-         shared pt encoding cache, not slot-pass fusion *)
-      let fma_scalar acc x w ~scale = add acc (mul_scalar x w ~scale)
-      let fma_plain acc x p = add acc (mul_plain x p)
-      let fma_rot acc x r = add acc (rot_left x r)
       let rescale c x = S.rescale cfg.ctx c x
       let max_rescale c ub = S.max_rescale cfg.ctx c ub
       let scale_of c = S.scale_of c
       let env_of c = S.env_of cfg.ctx c
-    end)
+    end))
 end

@@ -1,6 +1,6 @@
-(* Generic HISA interceptor: wraps any backend and records an operation
+(* HISA op counter, a hook on {!Hisa.intercept}: records an operation
    histogram plus the multiset of rotation amounts. The compiler's
-   rotation-keys selection pass (§5.4) is this recorder around the cleartext
+   rotation-keys selection pass (§5.4) is this recorder around the value-free
    backend; the benches use it for op-count reporting. *)
 
 type counters = {
@@ -65,100 +65,30 @@ let wrap (backend : Hisa.t) : Hisa.t * counters =
       Hashtbl.replace c.rotation_counts amount (cur + 1)
     end
   in
-  let wrapped =
-    (module struct
-      let slots = B.slots
-
-      type pt = B.pt
-      type ct = B.ct
-
-      let encode v ~scale =
-        c.encodes <- c.encodes + 1;
-        B.encode v ~scale
-
-      let decode p =
-        c.decodes <- c.decodes + 1;
-        B.decode p
-
-      let encrypt p =
-        c.encrypts <- c.encrypts + 1;
-        B.encrypt p
-
-      let decrypt x =
-        c.decrypts <- c.decrypts + 1;
-        B.decrypt x
-
-      let copy = B.copy
-      let free = B.free
-
-      let rot_left x k =
-        record_rotation k;
-        B.rot_left x k
-
-      let rot_right x k =
-        record_rotation (-k);
-        B.rot_right x k
-
-      let add a b =
-        c.adds <- c.adds + 1;
-        B.add a b
-
-      let sub a b =
-        c.adds <- c.adds + 1;
-        B.sub a b
-
-      let add_plain a p =
-        c.plain_adds <- c.plain_adds + 1;
-        B.add_plain a p
-
-      let sub_plain a p =
-        c.plain_adds <- c.plain_adds + 1;
-        B.sub_plain a p
-
-      let add_scalar a x =
-        c.scalar_adds <- c.scalar_adds + 1;
-        B.add_scalar a x
-
-      let sub_scalar a x =
-        c.scalar_adds <- c.scalar_adds + 1;
-        B.sub_scalar a x
-
-      let mul a b =
-        c.ct_muls <- c.ct_muls + 1;
-        B.mul a b
-
-      let mul_plain a p =
-        c.plain_muls <- c.plain_muls + 1;
-        B.mul_plain a p
-
-      let mul_scalar a x ~scale =
+  (* fused ops count as their components so op-count reports and the
+     rotation-key selection pass see the same workload either way *)
+  let count : Hisa.op -> unit = function
+    | Encode -> c.encodes <- c.encodes + 1
+    | Decode -> c.decodes <- c.decodes + 1
+    | Encrypt -> c.encrypts <- c.encrypts + 1
+    | Decrypt -> c.decrypts <- c.decrypts + 1
+    | Rot_left k -> record_rotation k
+    | Rot_right k -> record_rotation (-k)
+    | Add | Sub -> c.adds <- c.adds + 1
+    | Add_plain | Sub_plain -> c.plain_adds <- c.plain_adds + 1
+    | Add_scalar | Sub_scalar -> c.scalar_adds <- c.scalar_adds + 1
+    | Mul -> c.ct_muls <- c.ct_muls + 1
+    | Mul_plain -> c.plain_muls <- c.plain_muls + 1
+    | Mul_scalar -> c.scalar_muls <- c.scalar_muls + 1
+    | Fma_scalar ->
         c.scalar_muls <- c.scalar_muls + 1;
-        B.mul_scalar a x ~scale
-
-      (* fused ops count as their components so op-count reports and the
-         rotation-key selection pass see the same workload either way *)
-      let fma_scalar acc x w ~scale =
-        c.scalar_muls <- c.scalar_muls + 1;
-        c.adds <- c.adds + 1;
-        B.fma_scalar acc x w ~scale
-
-      let fma_plain acc x p =
+        c.adds <- c.adds + 1
+    | Fma_plain ->
         c.plain_muls <- c.plain_muls + 1;
-        c.adds <- c.adds + 1;
-        B.fma_plain acc x p
-
-      let fma_rot acc x r =
+        c.adds <- c.adds + 1
+    | Fma_rot r ->
         record_rotation r;
-        c.adds <- c.adds + 1;
-        B.fma_rot acc x r
-
-      let rescale a x =
-        if x > 1 then c.rescales <- c.rescales + 1;
-        B.rescale a x
-
-      let max_rescale = B.max_rescale
-      let scale_of = B.scale_of
-      let env_of = B.env_of
-    end : Hisa.S)
+        c.adds <- c.adds + 1
+    | Rescale x -> if x > 1 then c.rescales <- c.rescales + 1
   in
-  (wrapped, c)
+  (Hisa.intercept { around = (fun op _ run -> count op; run ()) } backend, c)

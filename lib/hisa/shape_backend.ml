@@ -10,7 +10,7 @@
 type config = { slots : int; scheme : Hisa.scheme_kind }
 
 let make (cfg : config) : Hisa.t =
-  (module struct
+  (module Hisa.Fused_default (struct
     let slots = cfg.slots
 
     type pt = { pscale : float }
@@ -60,23 +60,6 @@ let make (cfg : config) : Hisa.t =
     let mul a b = { scale = a.scale *. b.scale; budget = budget_min ~op:"mul" a.budget b.budget }
     let mul_plain c p = { c with scale = c.scale *. p.pscale }
     let mul_scalar c _ ~scale = { c with scale = c.scale *. float_of_int scale }
-
-    (* fused ops: same scale/budget facts as the composition they replace *)
-    let fma_scalar acc x _ ~scale =
-      let product_scale = x.scale *. float_of_int scale in
-      if not (scales_compatible acc.scale product_scale) then
-        err ~op:"fma_scalar" (Herr.Scale_mismatch { expected = acc.scale; got = product_scale });
-      { acc with budget = budget_min ~op:"fma_scalar" acc.budget x.budget }
-
-    let fma_plain acc x p =
-      let product_scale = x.scale *. p.pscale in
-      if not (scales_compatible acc.scale product_scale) then
-        err ~op:"fma_plain" (Herr.Scale_mismatch { expected = acc.scale; got = product_scale });
-      { acc with budget = budget_min ~op:"fma_plain" acc.budget x.budget }
-
-    let fma_rot acc x _ =
-      check2 "fma_rot" acc x;
-      { acc with budget = budget_min ~op:"fma_rot" acc.budget x.budget }
 
     let max_rescale ct ub =
       match (cfg.scheme, ct.budget) with
@@ -142,4 +125,4 @@ let make (cfg : config) : Hisa.t =
       match ct.budget with
       | Clear_backend.Rns_level r -> { Hisa.env_n = cfg.slots * 2; env_r = r; env_log_q = 0 }
       | Clear_backend.Logq q -> { Hisa.env_n = cfg.slots * 2; env_r = 0; env_log_q = q }
-  end)
+  end))

@@ -18,7 +18,8 @@ type config = {
 }
 
 val make_over : Hisa.t -> config -> Hisa.t * clock
-(** Wrap an arbitrary backend. *)
+(** Wrap an arbitrary backend; each op is charged at the modulus status the
+    backend's [env_of] reports for its operands. Only [costs] is read. *)
 
 val make : config -> Hisa.t * clock
 (** Over the value-free {!Shape_backend} (fast; default for benches). *)

@@ -1,5 +1,5 @@
-(* Timed HISA interceptor, in the Instrument functor style: wraps any
-   backend and records per-op wall-time statistics keyed by (op, level/r),
+(* Timed HISA interceptor, a hook on {!Hisa.intercept}: wraps any backend
+   and records per-op wall-time statistics keyed by (op, level/r),
    plus optional per-op latency histograms in a metrics registry. This is
    the measurement layer under the cost-model calibrator (`chet profile`)
    and the per-step op attribution in traced runs (every op also ticks
@@ -80,51 +80,20 @@ let total_ops t =
 
 let wrap t (backend : Hisa.t) : Hisa.t =
   let module B = (val backend) in
-  (module struct
-    let slots = B.slots
-
-    type pt = B.pt
-    type ct = B.ct
-
-    (* env for ops with no ciphertext operand (encode/encrypt/decode) *)
-    let fresh_env = { Hisa.env_n = 2 * B.slots; env_r = 0; env_log_q = 0 }
-
-    let timed op env f =
-      Obs_tracer.tick_op ();
-      let t0 = Obs_clock.now_ns () in
-      let r = f () in
-      record t op env (Int64.to_float (Int64.sub (Obs_clock.now_ns ()) t0));
-      r
-
-    let encode v ~scale = timed "encode" fresh_env (fun () -> B.encode v ~scale)
-    let decode p = timed "decode" fresh_env (fun () -> B.decode p)
-    let encrypt p = timed "encrypt" fresh_env (fun () -> B.encrypt p)
-    let decrypt c = timed "decrypt" (B.env_of c) (fun () -> B.decrypt c)
-    let copy = B.copy
-    let free = B.free
-    let rot_left c k = timed "rot_left" (B.env_of c) (fun () -> B.rot_left c k)
-    let rot_right c k = timed "rot_right" (B.env_of c) (fun () -> B.rot_right c k)
-    let add a b = timed "add" (B.env_of a) (fun () -> B.add a b)
-    let sub a b = timed "sub" (B.env_of a) (fun () -> B.sub a b)
-    let add_plain c p = timed "add_plain" (B.env_of c) (fun () -> B.add_plain c p)
-    let sub_plain c p = timed "sub_plain" (B.env_of c) (fun () -> B.sub_plain c p)
-    let add_scalar c x = timed "add_scalar" (B.env_of c) (fun () -> B.add_scalar c x)
-    let sub_scalar c x = timed "sub_scalar" (B.env_of c) (fun () -> B.sub_scalar c x)
-    let mul a b = timed "mul" (B.env_of a) (fun () -> B.mul a b)
-    let mul_plain c p = timed "mul_plain" (B.env_of c) (fun () -> B.mul_plain c p)
-    let mul_scalar c x ~scale = timed "mul_scalar" (B.env_of c) (fun () -> B.mul_scalar c x ~scale)
-
-    (* fused ops get their own cells so the calibrator can fit them *)
-    let fma_scalar acc x w ~scale =
-      timed "fma_scalar" (B.env_of acc) (fun () -> B.fma_scalar acc x w ~scale)
-
-    let fma_plain acc x p = timed "fma_plain" (B.env_of acc) (fun () -> B.fma_plain acc x p)
-    let fma_rot acc x r = timed "fma_rot" (B.env_of acc) (fun () -> B.fma_rot acc x r)
-
-    let rescale c x =
-      if x > 1 then timed "rescale" (B.env_of c) (fun () -> B.rescale c x) else B.rescale c x
-
-    let max_rescale = B.max_rescale
-    let scale_of = B.scale_of
-    let env_of = B.env_of
-  end : Hisa.S)
+  (* env for ops with no ciphertext operand (encode/encrypt/decode) *)
+  let fresh_env = { Hisa.env_n = 2 * B.slots; env_r = 0; env_log_q = 0 } in
+  let around : type a. Hisa.op -> (int -> Hisa.op_env) -> (unit -> a) -> a =
+   fun op env run ->
+    match op with
+    | Rescale x when x <= 1 -> run ()
+    | _ ->
+        (* fused ops get their own cells (keyed on the accumulator's env) so
+           the calibrator can fit them *)
+        let env = match op with Encode | Decode | Encrypt -> fresh_env | _ -> env 0 in
+        Obs_tracer.tick_op ();
+        let t0 = Obs_clock.now_ns () in
+        let r = run () in
+        record t (Hisa.op_name op) env (Int64.to_float (Int64.sub (Obs_clock.now_ns ()) t0));
+        r
+  in
+  Hisa.intercept { around } backend

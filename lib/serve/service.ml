@@ -211,6 +211,10 @@ type ticket = {
       (* one token per request, armed with the deadline on the service
          clock; threaded through the pool into the executor's per-step
          poll (DESIGN.md §13) *)
+  req_attempts : int Atomic.t;
+      (* attempts a worker has started so far: the worker's outcome and the
+         one [await] builds when the deadline passes first carry the same
+         count *)
   cell : cell;
 }
 
@@ -518,7 +522,6 @@ let process t req ~worker =
   match dead_at_dequeue with
   | Some err -> deliver t req (mk ~attempts:0 (Error err))
   | None -> begin
-    let attempts = ref 0 in
     let last_err = ref None in
     let served = ref None in
     let rungs = t.ladder in
@@ -554,7 +557,7 @@ let process t req ~worker =
             stop := true
           end
           else begin
-            incr attempts;
+            Atomic.incr req.req_attempts;
             let attempt_start = t.cfg.now () in
             match run_attempt t ~rung:!i dep req ~attempt:!attempt ~worker with
             | Ok (tensor, margin_bits, lane) ->
@@ -616,7 +619,7 @@ let process t req ~worker =
       match !served with
       | Some (dep, tensor, margin_bits, lane) ->
           mk ~served_by:dep.dep_label ~degraded:dep.dep_degraded ~margin_bits ~sentinel:lane
-            ~attempts:!attempts (Ok tensor)
+            ~attempts:(Atomic.get req.req_attempts) (Ok tensor)
       | None ->
           let e, c =
             match !last_err with
@@ -635,7 +638,7 @@ let process t req ~worker =
                 ( Herr.Invalid_op { reason = "no deployment available (all circuit breakers open)" },
                   Herr.context ~backend:"serve" "infer" )
           in
-          mk ~attempts:!attempts (Error (e, c))
+          mk ~attempts:(Atomic.get req.req_attempts) (Error (e, c))
     in
     deliver t req out
   end
@@ -710,6 +713,7 @@ let submit t ?deadline_ms ?seed image =
       req_deadline = deadline;
       req_submitted = submitted;
       req_cancel = Cancel.make ~deadline ~now:t.cfg.now ();
+      req_attempts = Atomic.make 0;
       cell = { cm = Mutex.create (); result = None; abandoned = false };
     }
   in
@@ -818,7 +822,7 @@ let await t (req : ticket) =
                   out_result = Error (deadline_error req ~elapsed_ms ~op:"await");
                   out_served_by = "";
                   out_degraded = false;
-                  out_attempts = 0;
+                  out_attempts = Atomic.get req.req_attempts;
                   out_queue_ms = 0.0;
                   out_total_ms = elapsed_ms;
                   out_margin_bits = Float.nan;

@@ -164,7 +164,9 @@ type outcome = {
   out_result : (Tensor.t, Herr.error * Herr.context) result;
   out_served_by : string;  (** label of the rung that answered ([""] if none ran) *)
   out_degraded : bool;  (** the explicit degraded flag of the response *)
-  out_attempts : int;  (** inference attempts across all rungs *)
+  out_attempts : int;
+      (** inference attempts across all rungs (so far, when the caller's
+          deadline fired first) *)
   out_queue_ms : float;  (** submission -> worker pickup *)
   out_total_ms : float;  (** submission -> outcome *)
   out_margin_bits : float;

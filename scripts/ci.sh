@@ -43,14 +43,14 @@ timeout 180 scripts/plan_smoke.sh
 echo "== smoke: kernels (@kernel-smoke) =="
 # Fast-ring kernels (DESIGN.md §15): the Bigarray/Shoup NTT must beat the
 # scalar reference, and real-backend inference must be bit-identical across
-# fast/reference/2-domain runs. Real lattice ops throughout, so a hard cap.
+# 1- and 2-domain kernel pools. Real lattice ops throughout, so a hard cap.
 timeout 60 dune build @kernel-smoke
 timeout 300 scripts/kernel_smoke.sh
 
 echo "== bench: kernels =="
-# The fast-ring kernel grid and its real-backend speedup (bit-identity
-# asserted in-bench). Lands in BENCH.json and the numbered BENCH_<n>.json
-# trajectory so future PRs have a baseline.
+# The NTT grid: fast transform against the scalar reference, per ring size.
+# Lands in BENCH.json and the numbered BENCH_<n>.json trajectory so future
+# PRs have a baseline.
 timeout 420 dune exec bench/main.exe -- --kernels --fast
 
 echo "== smoke: net =="

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Fast-ring kernel smoke (DESIGN.md §15): the Bigarray/Shoup kernel path
-# must (a) beat the scalar reference on a raw NTT round trip, (b) produce
-# bit-identical inference results with the toggle flipped either way, and
-# (c) stay bit-identical when the residue channels fan out across a
-# 2-domain Kpool. Any drift is a reduction-window bug, not noise.
+# must (a) beat the scalar reference on a raw NTT round trip and (b) stay
+# bit-identical when the residue channels fan out across a 2-domain Kpool.
+# Any drift is a reduction-window bug, not noise. (Bit-identity of the fast
+# kernels against the schoolbook reference is test/test_kernels.ml's job.)
 #
 # Usage: scripts/kernel_smoke.sh  (expects a completed `dune build`)
 set -euo pipefail
@@ -30,18 +30,13 @@ echo "-- real-backend inference, fast ring (1 domain)"
 "$BIN" run micro --target seal --real --domains 1 >"$DIR/fast.out"
 result_line "$DIR/fast.out" >"$DIR/fast.res"
 
-echo "-- real-backend inference, scalar reference (--no-fast-ring)"
-"$BIN" run micro --target seal --real --domains 1 --no-fast-ring >"$DIR/ref.out"
-result_line "$DIR/ref.out" >"$DIR/ref.res"
-
 echo "-- real-backend inference, fast ring across 2 kernel domains"
 "$BIN" run micro --target seal --real --domains 2 >"$DIR/dom2.out"
 result_line "$DIR/dom2.out" >"$DIR/dom2.res"
 
-echo "-- all three runs must agree bit-for-bit"
-diff -u "$DIR/ref.res" "$DIR/fast.res"
-diff -u "$DIR/ref.res" "$DIR/dom2.res"
-cat "$DIR/ref.res"
+echo "-- both runs must agree bit-for-bit"
+diff -u "$DIR/fast.res" "$DIR/dom2.res"
+cat "$DIR/fast.res"
 
 echo "-- profile grid on the real backends (quick)"
 "$BIN" profile --quick -o "$DIR/kernel-calibration.json" >/dev/null

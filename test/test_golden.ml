@@ -11,7 +11,10 @@
      micro, CryptoNets and the five paper models, sentinel off and on. Costs
      may differ in the last bits (the fused kernels sum the simulated clock
      in a different order), so they compare to 1e-9 relative; plaintext
-     encodes may only fall.
+     encodes may only fall;
+   - timed_cells.golden: the (op, env, count) cells the Timed interceptor
+     records over one cleartext run of micro and of LeNet-5-small at their
+     compiled parameters — which ops it times and at which modulus status.
 
    The three largest paper models take minutes to compile; they are checked
    only when CHET_GOLDEN_FULL is set. *)
@@ -25,6 +28,8 @@ module T = Chet_tensor.Tensor
 module Clear = Chet_hisa.Clear_backend
 module I = Chet.Integrity
 module Ins = Chet_hisa.Instrument
+module Hisa = Chet_hisa.Hisa
+module Timed = Chet_hisa.Timed_backend
 
 let lines_of file =
   In_channel.with_open_bin file In_channel.input_all
@@ -173,6 +178,29 @@ let test_compiler_choices () =
       end)
     (M.micro :: M.cryptonets :: M.all)
 
+(* --- Timed interceptor cells ---------------------------------------------- *)
+
+let timed_lines (spec : M.spec) =
+  let circuit = spec.M.build () in
+  let compiled = C.compile (C.default_options ()) circuit in
+  let params = compiled.C.params in
+  let slots = C.params_n params / 2 in
+  let scheme = C.scheme_of_params compiled.C.opts params in
+  let timer = Timed.create () in
+  let clear = Clear.make { Clear.slots; scheme; strict_modulus = false; encode_noise = false } in
+  let module H = (val Timed.wrap timer clear) in
+  let module PE = Plan_exec.Make (H) in
+  ignore (PE.eval compiled.C.opts.C.scales circuit ~policy:compiled.C.policy (M.input_for spec ~seed:1));
+  List.map
+    (fun (op, (e : Hisa.op_env), count, _) ->
+      Printf.sprintf "timed %s %s %d %d %d %d" spec.M.model_name op e.Hisa.env_n e.Hisa.env_r
+        e.Hisa.env_log_q count)
+    (Timed.cells timer)
+
+let test_timed_cells () =
+  check_lines "timed cells" ~golden:(lines_of "data/timed_cells.golden")
+    ~got:(List.concat_map timed_lines [ M.micro; M.lenet5_small ])
+
 (* --- PLAN frames written before the twin flag ----------------------------- *)
 
 let test_plan_v1_frame () =
@@ -202,6 +230,7 @@ let suite =
         Alcotest.test_case "cleartext outputs, all policies" `Quick test_clear_outputs;
         Alcotest.test_case "real RNS-CKKS outputs, sentinel off and on" `Quick test_real_outputs;
         Alcotest.test_case "compiler choices" `Slow test_compiler_choices;
+        Alcotest.test_case "Timed interceptor cells" `Quick test_timed_cells;
         Alcotest.test_case "PLAN v1 frame loads as untwinned" `Quick test_plan_v1_frame;
       ] );
   ]

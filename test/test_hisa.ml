@@ -1,12 +1,13 @@
 (* Direct unit tests of the HISA backends: the cleartext reference's
-   scale/modulus bookkeeping, the simulator's cost clock, and the
-   instrumentation wrapper. *)
+   scale/modulus bookkeeping, the simulator's cost clock, the
+   instrumentation wrapper and the interception mechanism under both. *)
 
 module Hisa = Chet_hisa.Hisa
 module Herr = Chet_hisa.Herr
 module Clear = Chet_hisa.Clear_backend
 module Sim = Chet_hisa.Sim_backend
 module Instrument = Chet_hisa.Instrument
+module Cost_model = Chet.Cost_model
 
 let chain = [| 1073741789; 1073741783; 1073741741 |]
 
@@ -141,6 +142,74 @@ let test_instrument_counts () =
   let distinct = List.sort compare (Instrument.distinct_rotations counters) in
   Alcotest.(check (list int)) "distinct" [ 3; 15 ] distinct
 
+(* Every intercepted call reaches the hook exactly once — a fused op as one
+   call — with its rotation amount or divisor and its operand's env before
+   the op; the pass-through ops never reach it. *)
+let test_intercept_coverage () =
+  let log = ref [] in
+  let show (op : Hisa.op) =
+    Hisa.op_name op
+    ^
+    match op with
+    | Rot_left k | Rot_right k | Fma_rot k | Rescale k -> " " ^ string_of_int k
+    | _ -> ""
+  in
+  let around op env run =
+    let r = try Some (env 0).Hisa.env_r with Invalid_argument _ -> None in
+    log := (op, r) :: !log;
+    run ()
+  in
+  let module H = (val Hisa.intercept { Hisa.around } (clear ()) : Hisa.S) in
+  let seen = ref [] in
+  let call ?level expected f =
+    log := [];
+    let v = f () in
+    (match !log with
+    | [ (op, r) ] ->
+        Alcotest.(check string) "intercepted op" expected (show op);
+        Alcotest.(check (option int)) (expected ^ ": operand env") level r;
+        seen := op :: !seen
+    | l -> Alcotest.failf "%s: %d hook calls, expected 1" expected (List.length l));
+    v
+  in
+  let p = call "encode" (fun () -> H.encode [| 1.0; 2.0 |] ~scale:1024) in
+  ignore (call "decode" (fun () -> H.decode p));
+  let a = call "encrypt" (fun () -> H.encrypt p) in
+  ignore (call ~level:3 "decrypt" (fun () -> H.decrypt a));
+  ignore (call ~level:3 "rot_left 3" (fun () -> H.rot_left a 3));
+  ignore (call ~level:3 "rot_right 5" (fun () -> H.rot_right a 5));
+  ignore (call ~level:3 "add" (fun () -> H.add a a));
+  ignore (call ~level:3 "sub" (fun () -> H.sub a a));
+  ignore (call ~level:3 "add_plain" (fun () -> H.add_plain a p));
+  ignore (call ~level:3 "sub_plain" (fun () -> H.sub_plain a p));
+  ignore (call ~level:3 "add_scalar" (fun () -> H.add_scalar a 1.0));
+  ignore (call ~level:3 "sub_scalar" (fun () -> H.sub_scalar a 1.0));
+  let m = call ~level:3 "mul" (fun () -> H.mul a a) in
+  ignore (call ~level:3 "mul_plain" (fun () -> H.mul_plain a p));
+  ignore (call ~level:3 "mul_scalar" (fun () -> H.mul_scalar a 2.0 ~scale:4));
+  ignore (call ~level:3 "fma_scalar" (fun () -> H.fma_scalar a a 2.0 ~scale:1));
+  ignore (call ~level:3 "fma_plain" (fun () -> H.fma_plain m a p));
+  ignore (call ~level:3 "fma_rot 7" (fun () -> H.fma_rot a a 7));
+  ignore (call ~level:3 "rescale 1" (fun () -> H.rescale m 1));
+  let d = H.max_rescale m (1 lsl 31) in
+  let r = call ~level:3 (Printf.sprintf "rescale %d" d) (fun () -> H.rescale m d) in
+  Alcotest.(check int) "rescaled below the env the hook saw" 2 (H.env_of r).Hisa.env_r;
+  (* pass-through ops: max_rescale above, copy, free, scale_of, env_of *)
+  log := [];
+  H.free (H.copy a);
+  ignore (H.scale_of a, H.env_of a);
+  Alcotest.(check int) "pass-through ops not intercepted" 0 (List.length !log);
+  let names = List.sort_uniq compare (List.map Hisa.op_name !seen) in
+  Alcotest.(check int) "every intercepted op exercised" 19 (List.length names);
+  (* the cost model classifies every op that computes on ciphertexts; only
+     the client-side boundary ops are unpriced *)
+  List.iter
+    (fun name ->
+      let boundary = List.mem name [ "encode"; "decode"; "encrypt"; "decrypt" ] in
+      Alcotest.(check bool) (name ^ " classified") (not boundary)
+        (Cost_model.class_of_op name <> None))
+    names
+
 let suite =
   [
     ( "hisa",
@@ -155,5 +224,6 @@ let suite =
         Alcotest.test_case "sim clock" `Quick test_sim_clock;
         Alcotest.test_case "sim env-dependent cost" `Quick test_sim_env_dependent_cost;
         Alcotest.test_case "instrument counters" `Quick test_instrument_counts;
+        Alcotest.test_case "intercept: one hook call per op" `Quick test_intercept_coverage;
       ] );
   ]

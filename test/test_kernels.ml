@@ -1,12 +1,12 @@
 (* Fast-kernel correctness: the Bigarray NTT and Rvec reduction kernels
-   must be bit-identical to the scalar schoolbook reference for every prime
-   in the ladder, and the kernel-domain pool must be deterministic for
-   every width (ISSUE 9 property tests). *)
+   must be bit-identical to the scalar schoolbook reference (Ring_oracle)
+   for every prime in the ladder, and the kernel-domain pool must be
+   deterministic for every width. *)
 
 module Modarith = Chet_crypto.Modarith
 module Ntt = Chet_crypto.Ntt
 module Rvec = Chet_crypto.Rvec
-module Rq = Chet_crypto.Rq
+module Bigint = Chet_bigint.Bigint
 module Rq_rns = Chet_crypto.Rq_rns
 module Kpool = Chet_crypto.Kpool
 
@@ -16,11 +16,6 @@ let rng = Random.State.make [| 0x9e11; 0x5a3d |]
 let ladder n = Modarith.gen_ntt_primes ~bits:30 ~modulus_of:(2 * n) ~count:5
 
 let random_poly n p = Array.init n (fun _ -> Random.State.int rng p)
-
-let with_fast_ring b f =
-  let saved = Rq.fast_ring_enabled () in
-  Rq.set_fast_ring b;
-  Fun.protect ~finally:(fun () -> Rq.set_fast_ring saved) f
 
 (* --- NTT: fast path vs scalar reference --- *)
 
@@ -50,22 +45,25 @@ let test_ntt_matches_reference () =
         (ladder n))
     [ 64; 4096 ]
 
-let test_ntt_reference_path_identical () =
-  (* --no-fast-ring must agree with the fast path bit for bit *)
+let test_ntt_bounce_path () =
+  (* primes above 2^30 (the compiler admits prime_bits = 31) have no fast
+     companion: the buffer entry points bounce through the scalar path *)
   let n = 2048 in
   Array.iter
     (fun prime ->
       let tbl = Ntt.make_table ~n ~prime in
-      let a = random_poly n prime in
-      let fast = Rvec.of_int_array a in
-      let slow = Rvec.of_int_array a in
-      with_fast_ring true (fun () -> Ntt.forward_buf tbl fast);
-      with_fast_ring false (fun () -> Ntt.forward_buf tbl slow);
-      Alcotest.(check bool) "forward agree" true (Rvec.equal fast slow);
-      with_fast_ring true (fun () -> Ntt.inverse_buf tbl fast);
-      with_fast_ring false (fun () -> Ntt.inverse_buf tbl slow);
-      Alcotest.(check bool) "inverse agree" true (Rvec.equal fast slow))
-    (ladder n)
+      Alcotest.(check bool) "no fast table" false (Ntt.has_fast tbl);
+      let a = Array.init n (fun _ -> Random.State.full_int rng prime) in
+      let reference = Array.copy a in
+      let buf = Rvec.of_int_array a in
+      Ntt.forward tbl reference;
+      Ntt.forward_buf tbl buf;
+      Alcotest.(check (array int)) "forward = scalar" reference (Rvec.to_int_array buf);
+      Ntt.inverse tbl reference;
+      Ntt.inverse_buf tbl buf;
+      Alcotest.(check (array int)) "inverse = scalar" reference (Rvec.to_int_array buf);
+      Alcotest.(check (array int)) "roundtrip" a (Rvec.to_int_array buf))
+    (Modarith.gen_ntt_primes ~bits:31 ~modulus_of:(2 * n) ~count:2)
 
 (* --- Rvec kernels: fast vs schoolbook twins --- *)
 
@@ -83,28 +81,28 @@ let test_rvec_kernels () =
       in
       check "pointwise_mul"
         (fun d -> Rvec.pointwise_mul_into d a b p)
-        (fun d -> Rvec.pointwise_mul_ref_into d a b p);
+        (fun d -> Ring_oracle.pointwise_mul_into d a b p);
       let s = Random.State.int rng p in
       check "scalar_mul"
         (fun d -> Rvec.scalar_mul_into d a s p)
-        (fun d -> Rvec.scalar_mul_ref_into d a s p);
+        (fun d -> Ring_oracle.scalar_mul_into d a s p);
       (* mac starts from the same accumulator on both sides *)
       let acc0 = random_poly n p in
       let mf = Rvec.of_int_array acc0 and mr = Rvec.of_int_array acc0 in
       Rvec.pointwise_mac_into mf a b p;
-      Rvec.pointwise_mac_ref_into mr a b p;
+      Ring_oracle.pointwise_mac_into mr a b p;
       Alcotest.(check bool) "pointwise_mac" true (Rvec.equal mf mr);
       (* broadcast: residues of a *different* word-sized modulus *)
       let q = 1073741789 (* < 2^30, not one of the NTT primes *) in
       let src = Rvec.of_int_array (random_poly n q) in
       check "broadcast_mod"
         (fun d -> Rvec.broadcast_mod_into d src p)
-        (fun d -> Rvec.broadcast_mod_ref_into d src p);
+        (fun d -> Ring_oracle.broadcast_mod_into d src p);
       let q_last = 1073479681 in
       let last = Rvec.of_int_array (random_poly n q_last) in
       check "rescale_limb"
         (fun d -> Rvec.rescale_limb_into d a last ~q_last ~p)
-        (fun d -> Rvec.rescale_limb_ref_into d a last ~q_last ~p))
+        (fun d -> Ring_oracle.rescale_limb_into d a last ~q_last ~p))
     (ladder 64)
 
 let test_rvec_edge_values () =
@@ -123,7 +121,7 @@ let test_rvec_edge_values () =
       done;
       let df = Rvec.create n and dr = Rvec.create n in
       Rvec.pointwise_mul_into df a b p;
-      Rvec.pointwise_mul_ref_into dr a b p;
+      Ring_oracle.pointwise_mul_into dr a b p;
       Alcotest.(check (array int)) "mul edges" (Rvec.to_int_array dr) (Rvec.to_int_array df);
       Rvec.add_into df a b p;
       for i = 0 to n - 1 do
@@ -217,34 +215,40 @@ let test_k_domain_determinism () =
   Alcotest.(check bool) "k=1 vs k=2" true (Rq_rns.equal c0_1 c0_2 && Rq_rns.equal c1_1 c1_2);
   Alcotest.(check bool) "k=1 vs k=4" true (Rq_rns.equal c0_1 c0_4 && Rq_rns.equal c1_1 c1_4)
 
-(* --- whole-ring fast vs reference bit-identity --- *)
+(* --- whole ring expression vs a schoolbook Bigint computation --- *)
 
 let test_ring_fast_vs_reference () =
   let n = 64 in
   let primes = ladder n in
   let ca = Array.init n (fun i -> (i * 977) - (n * 488) + Random.State.int rng 3) in
   let cb = Array.init n (fun i -> (i * i) - 1000) in
-  let run fast =
-    with_fast_ring fast (fun () ->
-        let ctx = Rq_rns.make_ctx ~n ~primes in
-        let basis = Array.init (Array.length primes) (fun i -> i) in
-        let a = Rq_rns.of_centered_coeffs ctx basis ca in
-        let b = Rq_rns.of_centered_coeffs ctx basis cb in
-        let m = Rq_rns.mul ctx a b in
-        let s = Rq_rns.add ctx m (Rq_rns.to_ntt ctx (Rq_rns.neg ctx b)) in
-        let s = Rq_rns.mul_scalar ctx s 123457 in
-        let d = Rq_rns.drop_last ctx (Rq_rns.from_ntt ctx s) ~rounded:true in
-        Rq_rns.to_bigint_coeffs ctx d)
+  let s = 123457 in
+  (* drop_last((a * b - b) * s), rounded, in the RNS ring *)
+  let ctx = Rq_rns.make_ctx ~n ~primes in
+  let basis = Array.init (Array.length primes) (fun i -> i) in
+  let a = Rq_rns.of_centered_coeffs ctx basis ca in
+  let b = Rq_rns.of_centered_coeffs ctx basis cb in
+  let m = Rq_rns.mul ctx a b in
+  let x = Rq_rns.add ctx m (Rq_rns.to_ntt ctx (Rq_rns.neg ctx b)) in
+  let x = Rq_rns.mul_scalar ctx x s in
+  let d = Rq_rns.drop_last ctx (Rq_rns.from_ntt ctx x) ~rounded:true in
+  let got = Rq_rns.to_bigint_coeffs ctx d in
+  (* the same expression over Z[X]/(X^n + 1), then one exact rounded division *)
+  let big = Array.map Bigint.of_int in
+  let q = Array.fold_left (fun acc p -> Bigint.mul_int acc p) Bigint.one primes in
+  let q_last = primes.(Array.length primes - 1) in
+  let expected =
+    Array.mapi
+      (fun j c -> Bigint.mul_int (Bigint.sub c (Bigint.of_int cb.(j))) s)
+      (Ring_oracle.negacyclic_mul (big ca) (big cb))
+    |> Array.map (Ring_oracle.drop_last_rounded ~q ~q_last)
   in
-  let f = run true in
-  let r = run false in
   Array.iteri
-    (fun i x ->
+    (fun i e ->
       Alcotest.(check string)
         (Printf.sprintf "coeff %d" i)
-        (Chet_bigint.Bigint.to_string x)
-        (Chet_bigint.Bigint.to_string f.(i)))
-    r
+        (Bigint.to_string e) (Bigint.to_string got.(i)))
+    expected
 
 let suite =
   [
@@ -252,7 +256,7 @@ let suite =
       [
         Alcotest.test_case "ntt fast = scalar reference, every ladder prime" `Quick
           test_ntt_matches_reference;
-        Alcotest.test_case "ntt fast = --no-fast-ring path" `Quick test_ntt_reference_path_identical;
+        Alcotest.test_case "ntt bounce path, 31-bit prime" `Quick test_ntt_bounce_path;
         Alcotest.test_case "rvec kernels = schoolbook twins" `Quick test_rvec_kernels;
         Alcotest.test_case "rvec edge residues" `Quick test_rvec_edge_values;
         Alcotest.test_case "shoup multiplication" `Quick test_shoup;

@@ -625,7 +625,10 @@ let test_deadline_aware_rung_selection () =
    do not), a persistently-failing rung with a 100 ms budget and a 40 ms
    backoff base must stop retrying the moment the budget dies during a
    sleep: 2 attempts, the clock parked exactly at the deadline, and a typed
-   [Deadline_exceeded] — instead of burning the full 5-retry schedule. *)
+   [Deadline_exceeded] — instead of burning the full 5-retry schedule.
+   Parked at the deadline, the clock lets [await] give up before the worker
+   delivers; its outcome reports the attempts made so far, so it reads the
+   same as the worker's whichever lands first. *)
 
 let test_backoff_clamped_to_budget () =
   let clock = Atomic.make 0.0 in
