@@ -159,12 +159,10 @@ let serve_sweep ?(domains = 2) ?(burst = 48) ~high_waters () =
       Service.dep_label = "clear";
       dep_degraded = false;
       dep_scales = opts.Compiler.scales;
-      dep_policy = compiled.Compiler.policy;
+      dep_plan = Compiler.plan compiled;
       dep_cost_ms = None;
-      dep_backend =
-        Service.Shared { keys = Compiler.clear_keyset compiled; plan = Compiler.plan compiled };
+      dep_backend = Service.Shared (Compiler.clear_keyset compiled);
       dep_sentinel = None;
-      dep_twin = false;
     }
   in
   let images = Array.init burst (fun i -> Models.input_for spec ~seed:(9000 + i)) in

@@ -279,9 +279,12 @@ let run_cmd =
     let got, latency =
       Fun.protect ~finally (fun () ->
           if real then begin
+            (* one keyset, one view: --checked validates the very backend an
+               unchecked run computes on, so both produce identical bits *)
+            let ks = Compiler.keyset compiled ~seed:42 ~with_secret:true () in
+            let backend = Compiler.view ks ~req_seed:0 in
             let backend =
-              if checked then Compiler.instantiate_checked compiled ~seed:42 ~with_secret:true ()
-              else Compiler.instantiate compiled ~seed:42 ~with_secret:true ()
+              if checked then Checked.wrap ~scheme:ks.Compiler.ks_scheme backend else backend
             in
             let t0 = Unix.gettimeofday () in
             let r = run_with backend in
@@ -498,14 +501,43 @@ let trace_cmd =
 
 (* --- chet serve: the resilient inference service on a scripted trace --- *)
 
+(* A warm restart adopts a bundle only if it was compiled for the requested
+   sentinel setting: the other setting is another deployment, whose
+   parameters and rotation keys were chosen for the other geometry. *)
+let matching_bundle ~want_sentinel = function
+  | Some l
+    when l.Bundle.l_bundle.Bundle.b_compiled.Compiler.opts.Compiler.sentinel <> want_sentinel ->
+      Printf.eprintf "chet: store: generation %d was compiled %s sentinels; cold compile\n"
+        l.Bundle.l_generation
+        (if want_sentinel then "without" else "with");
+      None
+  | l -> l
+
 (* The plan every rung runs: the bundle's when a warm restart restored one
-   for the same geometry, else lowered from the compile. *)
-let plan_of ?restored compiled ~twin =
+   with the compile's geometry, else lowered from the compile. *)
+let plan_of ?restored compiled =
   match restored with
-  | Some l when l.Bundle.l_bundle.Bundle.b_plan.Plan.p_twin = twin -> l.Bundle.l_bundle.Bundle.b_plan
-  | _ ->
-      Compiler.plan
-        { compiled with Compiler.opts = { compiled.Compiler.opts with Compiler.sentinel = twin } }
+  | Some l when l.Bundle.l_bundle.Bundle.b_plan.Plan.p_twin = compiled.Compiler.opts.Compiler.sentinel
+    ->
+      l.Bundle.l_bundle.Bundle.b_plan
+  | _ -> Compiler.plan compiled
+
+(* The fault modes every serving command injects (see [arm_fault]). *)
+let fault_modes =
+  [ ("none", `None); ("transient", `Transient); ("persistent", `Persistent); ("silent", `Silent) ]
+
+let fault_arg ~doc = Arg.(value & opt (enum fault_modes) `None & info [ "fault" ] ~doc)
+
+(* SIGINT/SIGTERM ask a long-running command to stop gracefully: the
+   returned flag is what its main loop polls. *)
+let stop_on_signals () =
+  let stopping = Atomic.make false in
+  List.iter
+    (fun sg ->
+      try Sys.set_signal sg (Sys.Signal_handle (fun _ -> Atomic.set stopping true))
+      with Invalid_argument _ | Sys_error _ -> ())
+    [ Sys.sigint; Sys.sigterm ];
+  stopping
 
 (* Seeded fault injection around a cleartext backend: 'transient' NaN-
    poisons the decode path of a request's first attempt only, 'persistent'
@@ -525,21 +557,20 @@ let arm_fault fault compiled ~req_seed ~attempt base =
       let faulty, _log = Fault.wrap (Fault.default_config ~seed:req_seed (Some f)) base in
       Checked.wrap ~scheme:(Compiler.scheme_of_params compiled.Compiler.opts compiled.Compiler.params) faulty
 
-let clear_backend compiled = (Compiler.clear_keyset compiled).Compiler.ks_view (Sampling.create ~seed:0)
+let clear_backend compiled = Compiler.view (Compiler.clear_keyset compiled) ~req_seed:0
 
 (* A cleartext rung of the CLI's demo ladders. Rungs that see a different
    backend on every attempt (faults, delays) are [Per_attempt]; the others
    share one plan prepared per worker. *)
-let clear_rung compiled ~label ~degraded ?sentinel backend =
+let clear_rung compiled ~plan ~label ~degraded ?sentinel backend =
   {
     Service.dep_label = label;
     dep_degraded = degraded;
     dep_scales = compiled.Compiler.opts.Compiler.scales;
-    dep_policy = compiled.Compiler.policy;
+    dep_plan = plan;
     dep_cost_ms = None;
     dep_backend = backend;
     dep_sentinel = sentinel;
-    dep_twin = sentinel <> None;
   }
 
 let serve_cmd =
@@ -562,24 +593,13 @@ let serve_cmd =
           ~doc:"Give every k-th request a 1 ms deadline (0 = off) to exercise deadline expiry.")
   in
   let fault_arg =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("none", `None);
-               ("transient", `Transient);
-               ("persistent", `Persistent);
-               ("silent", `Silent);
-             ])
-          `None
-      & info [ "fault" ]
-          ~doc:
-            "Inject faults into the primary deployment: 'transient' NaN-poisons only the first \
-             attempt of each request (retries recover), 'persistent' NaN-poisons every attempt \
-             (the circuit breaker trips and traffic degrades to the fallback rung), 'silent' \
-             perturbs result slots with no typed error — invisible without $(b,--sentinel), \
-             which catches it and degrades to the clean fallback.")
+    fault_arg
+      ~doc:
+        "Inject faults into the primary deployment: 'transient' NaN-poisons only the first \
+         attempt of each request (retries recover), 'persistent' NaN-poisons every attempt (the \
+         circuit breaker trips and traffic degrades to the fallback rung), 'silent' perturbs \
+         result slots with no typed error — invisible without $(b,--sentinel), which catches it \
+         and degrades to the clean fallback."
   in
   let real_arg =
     Arg.(
@@ -647,6 +667,7 @@ let serve_cmd =
                       Printf.eprintf "chet: store: %s: %s; falling back to cold compile\n"
                         (Herr.error_name e) (Herr.error_detail e);
                       None))
+            |> matching_bundle ~want_sentinel
           in
           Option.iter
             (fun l ->
@@ -673,7 +694,7 @@ let serve_cmd =
           compiled
     in
     Format.printf "%a@." Compiler.pp_compiled compiled;
-    let plan = plan_of ?restored compiled ~twin:want_sentinel in
+    let plan = plan_of ?restored compiled in
     Printf.printf "plan: %s\n" (Plan.summary plan);
     let ladder =
       if real then begin
@@ -690,18 +711,17 @@ let serve_cmd =
         (* cleartext twin of the deployment ladder: same circuit, policy and
            scales, with seeded fault injection on the primary rung so the
            retry/breaker machinery has something to push against *)
-        let clear = Compiler.clear_keyset compiled in
+        let clear = Service.Shared (Compiler.clear_keyset compiled) in
         let primary =
-          if fault = `None then Service.Shared { keys = clear; plan }
+          if fault = `None then clear
           else
             Service.Per_attempt
               (fun ~req_seed ~attempt ->
                 arm_fault fault compiled ~req_seed ~attempt (clear_backend compiled))
         in
         [
-          clear_rung compiled ~label:"primary" ~degraded:false ?sentinel primary;
-          clear_rung compiled ~label:"clear-fallback" ~degraded:true ?sentinel
-            (Service.Shared { keys = clear; plan });
+          clear_rung compiled ~plan ~label:"primary" ~degraded:false ?sentinel primary;
+          clear_rung compiled ~plan ~label:"clear-fallback" ~degraded:true ?sentinel clear;
         ]
       end
     in
@@ -736,13 +756,7 @@ let serve_cmd =
     (* graceful shutdown: on SIGINT/SIGTERM stop admitting (remaining
        scripted requests are refused with the typed Overloaded vocabulary),
        drain what is in flight within its deadlines, persist state, exit 0 *)
-    let stopping = Atomic.make false in
-    let install sg =
-      try Sys.set_signal sg (Sys.Signal_handle (fun _ -> Atomic.set stopping true))
-      with Invalid_argument _ | Sys_error _ -> ()
-    in
-    install Sys.sigint;
-    install Sys.sigterm;
+    let stopping = stop_on_signals () in
     (* scripted trace: a burst by default — bigger than the queue can hold
        if [requests] outruns [queue + domains], which is the point — or
        paced with --interarrival-ms *)
@@ -913,22 +927,11 @@ let shard_worker_cmd =
     Arg.(value & opt int 64 & info [ "max-inflight" ] ~doc:"Socket-level concurrent request cap.")
   in
   let fault_arg =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("none", `None);
-               ("transient", `Transient);
-               ("persistent", `Persistent);
-               ("silent", `Silent);
-             ])
-          `None
-      & info [ "fault" ]
-          ~doc:
-            "Inject faults into the primary rung: $(b,transient)/$(b,persistent) NaN-poison (as \
-             `chet serve'), or $(b,silent) small-magnitude corruption that evades every per-op \
-             screen and is only caught by the sentinel lane (DESIGN.md §16).")
+    fault_arg
+      ~doc:
+        "Inject faults into the primary rung: $(b,transient)/$(b,persistent) NaN-poison (as \
+         `chet serve'), or $(b,silent) small-magnitude corruption that evades every per-op \
+         screen and is only caught by the sentinel lane (DESIGN.md §16)."
   in
   let sentinel_arg =
     Arg.(
@@ -960,7 +963,7 @@ let shard_worker_cmd =
       match store with
       | None -> None
       | Some st -> (
-          try Bundle.load st ~circuit
+          try Bundle.load st ~circuit |> matching_bundle ~want_sentinel
           with Herr.Fhe_error ((Herr.Corrupt_bundle _ as e), _) ->
             Printf.eprintf "chet: shard %d: store: %s: %s; cold compile\n" shard
               (Herr.error_name e) (Herr.error_detail e);
@@ -978,12 +981,12 @@ let shard_worker_cmd =
             store;
           compiled
     in
-    let plan = plan_of ?restored compiled ~twin:want_sentinel in
+    let plan = plan_of ?restored compiled in
     let primary_backend ~req_seed ~attempt =
       if slow_ms > 0.0 then Unix.sleepf (slow_ms /. 1000.0);
       arm_fault fault compiled ~req_seed ~attempt (clear_backend compiled)
     in
-    let shared = Service.Shared { keys = Compiler.clear_keyset compiled; plan } in
+    let shared = Service.Shared (Compiler.clear_keyset compiled) in
     (* NaN-poison deliberately spares the fallback (the degradation drill:
        primary poisoned, clear rung saves the request), but silent
        corruption models a bad *host* — flaky memory corrupts every rung it
@@ -991,9 +994,9 @@ let shard_worker_cmd =
        instead of being healed by degradation *)
     let ladder =
       [
-        clear_rung compiled ~label:"primary" ~degraded:false ?sentinel
+        clear_rung compiled ~plan ~label:"primary" ~degraded:false ?sentinel
           (if fault = `None && slow_ms <= 0.0 then shared else Service.Per_attempt primary_backend);
-        clear_rung compiled ~label:"clear-fallback" ~degraded:true ?sentinel
+        clear_rung compiled ~plan ~label:"clear-fallback" ~degraded:true ?sentinel
           (match fault with
           | `Silent ->
               Service.Per_attempt
@@ -1053,13 +1056,7 @@ let shard_worker_cmd =
         sentinel
     in
     let server = Net_server.start ?selftest srv_cfg svc in
-    let stopping = Atomic.make false in
-    let install sg =
-      try Sys.set_signal sg (Sys.Signal_handle (fun _ -> Atomic.set stopping true))
-      with Invalid_argument _ | Sys_error _ -> ()
-    in
-    install Sys.sigint;
-    install Sys.sigterm;
+    let stopping = stop_on_signals () in
     Printf.printf "shard %d: pid %d serving %s on %s%s\n%!" shard (Unix.getpid ()) model listen
       (match restored with Some l -> Printf.sprintf " (warm, gen %d)" l.Bundle.l_generation | None -> " (cold)");
     while not (Atomic.get stopping) do
@@ -1110,19 +1107,7 @@ let supervise_cmd =
       & info [ "duration-s" ] ~doc:"Exit cleanly after this many seconds (0 = until SIGTERM).")
   in
   let fault_arg =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("none", "none");
-               ("transient", "transient");
-               ("persistent", "persistent");
-               ("silent", "silent");
-             ])
-          "none"
-      & info [ "fault" ]
-          ~doc:"Fault mode passed through to the shard workers (see `chet shard-worker --help').")
+    fault_arg ~doc:"Fault mode passed through to the shard workers (see `chet shard-worker --help')."
   in
   let fault_shard_arg =
     Arg.(
@@ -1175,8 +1160,8 @@ let supervise_cmd =
         ]
       in
       let with_fault =
-        if fault <> "none" && (fault_shard < 0 || shard = fault_shard) then
-          base @ [ "--fault"; fault ]
+        if fault <> `None && (fault_shard < 0 || shard = fault_shard) then
+          base @ [ "--fault"; fst (List.find (fun (_, f) -> f = fault) fault_modes) ]
         else base
       in
       let with_sentinel = if want_sentinel then with_fault @ [ "--sentinel" ] else with_fault in
@@ -1204,13 +1189,7 @@ let supervise_cmd =
       Printf.eprintf "chet: supervisor: not all shards became ready within 60s; serving anyway\n";
     Printf.printf "supervisor: pid %d, %d shard(s), front %s, sockets in %s\n%!" (Unix.getpid ())
       shards front sock_dir;
-    let stopping = Atomic.make false in
-    let install sg =
-      try Sys.set_signal sg (Sys.Signal_handle (fun _ -> Atomic.set stopping true))
-      with Invalid_argument _ | Sys_error _ -> ()
-    in
-    install Sys.sigint;
-    install Sys.sigterm;
+    let stopping = stop_on_signals () in
     let started = Unix.gettimeofday () in
     while
       (not (Atomic.get stopping))

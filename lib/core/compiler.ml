@@ -295,76 +295,29 @@ let pp_compiled fmt c =
 
 type rotation_key_policy = Selected_keys | Power_of_two_keys
 
-let instantiate_with_scheme compiled ~seed ?(rotation_keys = Selected_keys) ~with_secret () =
-  let rng = Chet_crypto.Sampling.create ~seed in
-  match compiled.params with
-  | Rns_params { n; prime_bits; num_primes; _ } ->
-      let module C = Chet_crypto.Rns_ckks in
-      let params = C.default_params ~n ~bits:prime_bits ~num_coeff_primes:num_primes () in
-      let ctx = C.make_context params in
-      let sk, keys = C.keygen ctx rng in
-      (match rotation_keys with
-      | Selected_keys ->
-          List.iter (fun (amount, _) -> C.add_rotation_key ctx rng sk keys amount) compiled.rotations
-      | Power_of_two_keys -> C.add_power_of_two_rotation_keys ctx rng sk keys);
-      let backend =
-        Chet_hisa.Seal_backend.make
-          { Chet_hisa.Seal_backend.ctx; rng; keys; secret = (if with_secret then Some sk else None) }
-      in
-      (* the *actual* chain of the instantiated context (the analysis-time
-         candidate chain differs: its largest prime became the special
-         prime), so a checked wrapper validates against deployment truth *)
-      (backend, Hisa.Rns_chain (C.coeff_primes ctx))
-  | Pow2_params { n; log_fresh; log_special } ->
-      let module C = Chet_crypto.Big_ckks in
-      let params = C.default_params ~n ~log_special ~log_fresh () in
-      let ctx = C.make_context params in
-      let sk, keys = C.keygen ctx rng in
-      (match rotation_keys with
-      | Selected_keys ->
-          List.iter (fun (amount, _) -> C.add_rotation_key ctx rng sk keys amount) compiled.rotations
-      | Power_of_two_keys -> C.add_power_of_two_rotation_keys ctx rng sk keys);
-      let backend =
-        Chet_hisa.Heaan_backend.make
-          { Chet_hisa.Heaan_backend.ctx; rng; keys; secret = (if with_secret then Some sk else None) }
-      in
-      (backend, Hisa.Pow2_modulus log_fresh)
-
-let instantiate compiled ~seed ?(rotation_keys = Selected_keys) ~with_secret () =
-  fst (instantiate_with_scheme compiled ~seed ~rotation_keys ~with_secret ())
-
-(* Derive a per-request RNG seed from the deployment seed: requests must not
-   share an encryption-randomness stream (their results would then depend on
-   scheduling order), and distinct requests must not collide. An odd
-   multiplier keeps the map injective over the integers. *)
-let request_seed ~seed ~req_seed = seed lxor (0x2545F4914F6CDD1D * ((2 * req_seed) + 1))
-
-type backend_factory = req_seed:int -> Hisa.t
-
 type keyset = {
   ks_seed : int;
   ks_view : Chet_crypto.Sampling.t -> Hisa.t;
   ks_scheme : Hisa.scheme_kind;
 }
 
-(* Shared deployment context behind every serving entry point: key
-   generation once (optionally loading the public evaluation material from a
-   stored RKY2 payload instead of regenerating rotation keys — the warm
-   restart path), then cheap backend views over the immutable context/keys,
-   one per caller-supplied sampler. Contexts and key tables are read-only
-   after this returns (rotation keys are pre-generated), so views are safe
-   to use from concurrent domains. *)
-let keyset compiled ~seed ?(rotation_keys = Selected_keys) ?keys ~with_secret () =
+(* The one key generation behind every deployment entry point: build the
+   context, run the base keygen from the deployment seed, then either
+   generate the rotation keys the compile selected or load the public
+   evaluation material from a stored RKY2 payload (the warm-restart path;
+   the base keygen still re-derives the never-persisted secret key). Returns
+   the keygen sampler (which [instantiate] hands on to its backend), the
+   keyset, and a thunk serialising its public material ([None] for HEAAN
+   targets, whose key material has no wire format). Contexts and key tables
+   are read-only afterwards, so views are safe to use from concurrent
+   domains. *)
+let keygen compiled ~seed ~rotation_keys ~keys ~with_secret =
   let rng = Chet_crypto.Sampling.create ~seed in
   match compiled.params with
   | Rns_params { n; prime_bits; num_primes; _ } ->
       let module C = Chet_crypto.Rns_ckks in
       let params = C.default_params ~n ~bits:prime_bits ~num_coeff_primes:num_primes () in
       let ctx = C.make_context params in
-      (* base keygen always runs: it re-derives the secret key from the
-         deployment seed (never persisted). With a stored key payload the
-         regenerated public material is discarded and rotation-key
-         generation — the expensive part — is skipped entirely. *)
       let sk, generated = C.keygen ctx rng in
       let keys =
         match keys with
@@ -384,7 +337,16 @@ let keyset compiled ~seed ?(rotation_keys = Selected_keys) ?keys ~with_secret ()
         Chet_hisa.Seal_backend.make
           { Chet_hisa.Seal_backend.ctx; rng = vrng; keys; secret }
       in
-      { ks_seed = seed; ks_view = view; ks_scheme = Hisa.Rns_chain (C.coeff_primes ctx) }
+      let export () =
+        let w = Chet_crypto.Serial.writer () in
+        Chet_crypto.Serial.write_rns_keys w (C.rq_ctx ctx) keys;
+        Some (Chet_crypto.Serial.contents w)
+      in
+      (* the *actual* chain of the instantiated context (the analysis-time
+         candidate chain differs: its largest prime became the special
+         prime), so a checked wrapper validates against deployment truth *)
+      let ks = { ks_seed = seed; ks_view = view; ks_scheme = Hisa.Rns_chain (C.coeff_primes ctx) } in
+      (rng, ks, export)
   | Pow2_params { n; log_fresh; log_special } ->
       (* stored keys only exist for RNS targets; HEAAN deployments re-derive *)
       let module C = Chet_crypto.Big_ckks in
@@ -400,15 +362,32 @@ let keyset compiled ~seed ?(rotation_keys = Selected_keys) ?keys ~with_secret ()
         Chet_hisa.Heaan_backend.make
           { Chet_hisa.Heaan_backend.ctx; rng = vrng; keys; secret }
       in
-      { ks_seed = seed; ks_view = view; ks_scheme = Hisa.Pow2_modulus log_fresh }
+      let ks = { ks_seed = seed; ks_view = view; ks_scheme = Hisa.Pow2_modulus log_fresh } in
+      (rng, ks, Fun.const None)
+
+let keyset compiled ~seed ?(rotation_keys = Selected_keys) ?keys ~with_secret () =
+  let _, ks, _ = keygen compiled ~seed ~rotation_keys ~keys ~with_secret in
+  ks
+
+(* One backend drawing its randomness from the keygen sampler itself, as
+   the deployment's first (and only) user. *)
+let instantiate compiled ~seed ?(rotation_keys = Selected_keys) ~with_secret () =
+  let rng, ks, _ = keygen compiled ~seed ~rotation_keys ~keys:None ~with_secret in
+  ks.ks_view rng
+
+(* Derive a per-request RNG seed from the deployment seed: requests must not
+   share an encryption-randomness stream (their results would then depend on
+   scheduling order), and distinct requests must not collide. An odd
+   multiplier keeps the map injective over the integers. *)
+let request_seed ~seed ~req_seed = seed lxor (0x2545F4914F6CDD1D * ((2 * req_seed) + 1))
 
 (* A request's ciphertexts are a pure function of (inputs, req_seed) —
    independent of which worker runs it or in what order: every view draws
    its encryption randomness from a stream seeded by the request alone. *)
 let reseed ks rng ~req_seed = Chet_crypto.Sampling.reseed rng ~seed:(request_seed ~seed:ks.ks_seed ~req_seed)
 
-let factory_of ks : backend_factory =
- fun ~req_seed -> ks.ks_view (Chet_crypto.Sampling.create ~seed:(request_seed ~seed:ks.ks_seed ~req_seed))
+let view ks ~req_seed =
+  ks.ks_view (Chet_crypto.Sampling.create ~seed:(request_seed ~seed:ks.ks_seed ~req_seed))
 
 (* The cleartext stand-in for a deployment: the Clear backend at the
    compiled ring dimension and virtual scheme. It draws no randomness, so
@@ -422,15 +401,6 @@ let clear_keyset compiled =
       (fun _ -> Clear.make { Clear.slots; scheme; strict_modulus = false; encode_noise = false });
     ks_scheme = scheme;
   }
-
-let instantiate_factory compiled ~seed ?rotation_keys ~with_secret () :
-    backend_factory * Hisa.scheme_kind =
-  let ks = keyset compiled ~seed ?rotation_keys ~with_secret () in
-  (factory_of ks, ks.ks_scheme)
-
-let instantiate_checked compiled ~seed ?(rotation_keys = Selected_keys) ~with_secret () =
-  let backend, scheme = instantiate_with_scheme compiled ~seed ~rotation_keys ~with_secret () in
-  Checked.wrap ~scheme backend
 
 (* ------------------------------------------------------------------ *)
 (* Durable deployments: compiled-metadata and key persistence           *)
@@ -612,30 +582,12 @@ let read_compiled ~circuit r =
       { circuit; opts; policy; params; rotations; op_counters = k; reports })
 
 (* Public evaluation material for the compiled deployment, as the RKY2 wire
-   frame. Runs the same deterministic keygen as [instantiate_factory] —
-   including the rotation-key selection — and serialises everything except
-   the secret key, which a restore re-derives from the seed instead of ever
+   frame: the same deterministic keygen as [keyset], serialised without the
+   secret key, which a restore re-derives from the seed instead of ever
    touching disk. *)
 let export_keys compiled ~seed ?(rotation_keys = Selected_keys) () =
-  let rng = Chet_crypto.Sampling.create ~seed in
-  match compiled.params with
-  | Rns_params { n; prime_bits; num_primes; _ } ->
-      let module C = Chet_crypto.Rns_ckks in
-      let params = C.default_params ~n ~bits:prime_bits ~num_coeff_primes:num_primes () in
-      let ctx = C.make_context params in
-      let sk, keys = C.keygen ctx rng in
-      (match rotation_keys with
-      | Selected_keys ->
-          List.iter (fun (amount, _) -> C.add_rotation_key ctx rng sk keys amount) compiled.rotations
-      | Power_of_two_keys -> C.add_power_of_two_rotation_keys ctx rng sk keys);
-      let w = Serial.writer () in
-      Serial.write_rns_keys w (C.rq_ctx ctx) keys;
-      Some (Serial.contents w)
-  | Pow2_params _ -> None
-
-let instantiate_factory_restored compiled ~seed ?rotation_keys ~keys ~with_secret () =
-  let ks = keyset compiled ~seed ?rotation_keys ?keys ~with_secret () in
-  (factory_of ks, ks.ks_scheme)
+  let _, _, export = keygen compiled ~seed ~rotation_keys ~keys:None ~with_secret:false in
+  export ()
 
 (* ------------------------------------------------------------------ *)
 (* Compiled execution plans (DESIGN.md §14)                            *)

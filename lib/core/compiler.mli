@@ -85,30 +85,13 @@ val pp_compiled : Format.formatter -> compiled -> unit
 
 (** {1 Deployment}
 
-    Build a real backend configured exactly as compiled: ring dimension,
-    modulus chain, and only the selected rotation keys (plus, optionally,
-    the scheme-default power-of-two set instead — the Figure 7 baseline). *)
+    One key generation per deployment ({!keyset}): a real backend configured
+    exactly as compiled — ring dimension, modulus chain, and only the
+    selected rotation keys (or, with [Power_of_two_keys], the scheme-default
+    power-of-two set instead — the Figure 7 baseline). Every backend a
+    deployment runs on is a view over that keyset. *)
 
 type rotation_key_policy = Selected_keys | Power_of_two_keys
-
-val instantiate :
-  compiled -> seed:int -> ?rotation_keys:rotation_key_policy -> with_secret:bool -> unit -> Hisa.t
-
-val instantiate_with_scheme :
-  compiled -> seed:int -> ?rotation_keys:rotation_key_policy -> with_secret:bool -> unit ->
-  Hisa.t * Hisa.scheme_kind
-(** Like {!instantiate}, but also return the {e actual} scheme description of
-    the instantiated context (its real modulus chain / fresh logQ) — exactly
-    what {!Chet_hisa.Checked_backend.wrap} needs to validate the deployment.
-    Note this differs from {!scheme_of_params}: the analysis-time candidate
-    chain reserves its largest prime as the key-switching special prime. *)
-
-val instantiate_checked :
-  compiled -> seed:int -> ?rotation_keys:rotation_key_policy -> with_secret:bool -> unit -> Hisa.t
-(** {!instantiate_with_scheme} composed with {!Chet_hisa.Checked_backend}:
-    a deployment backend on which every HISA op validates its pre- and
-    postconditions, turning silent corruption into typed
-    [Chet_herr.Herr.Fhe_error]s. *)
 
 type keyset = {
   ks_seed : int;  (** deployment seed: root of every request's randomness *)
@@ -116,9 +99,13 @@ type keyset = {
       (** a cheap backend view over the shared (immutable, domain-safe)
           context and keys, drawing encryption randomness from the given
           sampler *)
-  ks_scheme : Hisa.scheme_kind;  (** the instantiated context, as in {!instantiate_with_scheme} *)
+  ks_scheme : Hisa.scheme_kind;
+      (** the {e actual} scheme of the instantiated context (its real
+          modulus chain / fresh logQ) — what {!Chet_hisa.Checked_backend.wrap}
+          validates a view against. It differs from {!scheme_of_params}: the
+          analysis-time candidate chain reserves its largest prime as the
+          key-switching special prime. *)
 }
-(** One deployment's key generation, shared by every view over it. *)
 
 val keyset :
   compiled -> seed:int -> ?rotation_keys:rotation_key_policy -> ?keys:string ->
@@ -126,7 +113,20 @@ val keyset :
 (** Key generation once. With [keys] (an {!export_keys} payload; RNS
     targets only) the rotation-key bulk is loaded instead of regenerated —
     the warm-restart path; the cheap base keygen still re-derives the
-    secret key from [seed]. *)
+    secret key from [seed], so the restored deployment is bit-identical to
+    the one {!export_keys} saw.
+    @raise Chet_crypto.Serial.Corrupt if the key payload is damaged. *)
+
+val view : keyset -> req_seed:int -> Hisa.t
+(** A fresh view of the keyset whose sampler is seeded for request
+    [req_seed] (see {!reseed}). Wrap it in {!Chet_hisa.Checked_backend.wrap}
+    [~scheme:ks.ks_scheme] for a deployment on which every HISA op validates
+    its pre- and postconditions. *)
+
+val instantiate :
+  compiled -> seed:int -> ?rotation_keys:rotation_key_policy -> with_secret:bool -> unit -> Hisa.t
+(** {!keyset} for a single user: the backend draws its encryption randomness
+    from the key-generation sampler itself, continuing its stream. *)
 
 val clear_keyset : compiled -> keyset
 (** The cleartext stand-in for a deployment: views of
@@ -136,19 +136,9 @@ val clear_keyset : compiled -> keyset
 
 val reseed : keyset -> Chet_crypto.Sampling.t -> req_seed:int -> unit
 (** Point a view's sampler at the stream of request [req_seed]: a view
-    reseeded this way draws exactly what a fresh view for that request
-    would, so a request's ciphertexts do not depend on which worker runs it
-    or in what order. *)
-
-type backend_factory = req_seed:int -> Hisa.t
-(** A keyset serving a stream of requests: each call is a fresh view whose
-    sampler is seeded for [req_seed] (see {!reseed}). *)
-
-val instantiate_factory :
-  compiled -> seed:int -> ?rotation_keys:rotation_key_policy -> with_secret:bool -> unit ->
-  backend_factory * Hisa.scheme_kind
-(** {!keyset}, then per-request backend views. The returned scheme
-    describes the instantiated context, as in {!instantiate_with_scheme}. *)
+    reseeded this way draws exactly what {!view} for that request would, so
+    a request's ciphertexts do not depend on which worker runs it or in
+    what order. *)
 
 (** {1 Durable deployments}
 
@@ -171,24 +161,12 @@ val read_compiled : circuit:Circuit.t -> Chet_crypto.Serial.reader -> compiled
     violation, including a frame compiled for a different circuit name. *)
 
 val export_keys : compiled -> seed:int -> ?rotation_keys:rotation_key_policy -> unit -> string option
-(** Run key generation for this deployment and serialise the {e public}
-    evaluation material (public + relin + selected rotation keys) as an
-    [RKY2] frame. The secret key is deliberately never exported — a durable
-    deployment re-derives it from [seed] at restore time. [None] for
-    power-of-two (HEAAN) targets, whose key material has no wire format;
-    those deployments re-run keygen from [seed] on restore. *)
-
-val instantiate_factory_restored :
-  compiled -> seed:int -> ?rotation_keys:rotation_key_policy -> keys:string option ->
-  with_secret:bool -> unit -> backend_factory * Hisa.scheme_kind
-(** {!instantiate_factory}, but loading the evaluation keys from a
-    {!export_keys} payload instead of regenerating them — the warm-restart
-    path, through {!keyset}. With [keys = None] this degrades to
-    {!instantiate_factory}. The
-    restored deployment is bit-identical to the one {!export_keys} saw:
-    same keys, and per-request randomness derived from [seed]/[req_seed]
-    exactly as before.
-    @raise Chet_crypto.Serial.Corrupt if the key payload is damaged. *)
+(** Run {!keyset}'s key generation for this deployment and serialise the
+    {e public} evaluation material (public + relin + selected rotation
+    keys) as an [RKY2] frame. The secret key is deliberately never exported
+    — a durable deployment re-derives it from [seed] at restore time. [None]
+    for power-of-two (HEAAN) targets, whose key material has no wire
+    format; those deployments re-run keygen from [seed] on restore. *)
 
 (** {1 Compiled execution plans}
 

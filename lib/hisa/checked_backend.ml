@@ -54,7 +54,7 @@ let default_noise_model ?(tolerance = 0.05) () =
 type config = {
   scheme : Hisa.scheme_kind;
       (** must describe the wrapped backend's *actual* modulus chain (see
-          e.g. {!Compiler.instantiate_with_scheme}) *)
+          e.g. [ks_scheme] of {!Compiler.keyset}) *)
   tolerance : float;  (** relative slack for operand-scale compatibility *)
   value_bound : float;  (** largest plausible decoded magnitude *)
   noise : noise_model option;  (** None: noise-margin guard off *)

@@ -29,7 +29,7 @@ val default_noise_model : ?tolerance:float -> unit -> noise_model
 type config = {
   scheme : Hisa.scheme_kind;
       (** must describe the wrapped backend's *actual* modulus chain (see
-          e.g. {!Chet.Compiler.instantiate_with_scheme}) *)
+          e.g. [ks_scheme] of {!Chet.Compiler.keyset}) *)
   tolerance : float;  (** relative slack for operand-scale compatibility *)
   value_bound : float;  (** largest plausible decoded magnitude *)
   noise : noise_model option;  (** [None]: noise-margin guard off *)

@@ -6,7 +6,6 @@ module Herr = Chet_hisa.Herr
 module Hisa = Chet_hisa.Hisa
 module Cancel = Chet_hisa.Cancel
 module Kernels = Chet_runtime.Kernels
-module Executor = Chet_runtime.Executor
 module Plan = Chet_plan.Plan
 module Plan_exec = Chet_plan.Plan_exec
 module Sampling = Chet_crypto.Sampling
@@ -21,28 +20,27 @@ module Metrics = Chet_obs.Metrics
 (* ------------------------------------------------------------------ *)
 
 type rung_backend =
-  | Shared of { keys : Compiler.keyset; plan : Plan.t }
-      (* one keygen shared by every worker: each worker prepares [plan]
-         once over its own view and reseeds that view's sampler per attempt *)
+  | Shared of Compiler.keyset
+      (* one keygen shared by every worker: each worker prepares the rung's
+         plan once over its own view and reseeds that view's sampler per
+         attempt *)
   | Per_attempt of (req_seed:int -> attempt:int -> Hisa.t)
-      (* a fresh backend per attempt (fault injection, gating): the plan is
-         built and prepared on it per attempt *)
+      (* a fresh backend per attempt (fault injection, gating): the rung's
+         plan is prepared on it per attempt *)
 
 type deployment = {
   dep_label : string;
   dep_degraded : bool;
   dep_scales : Kernels.scales;
-  dep_policy : Executor.layout_policy;
+  dep_plan : Plan.t;
+      (* what the rung runs — its twin flag is the compile's, so it always
+         agrees with the keys' rotation amounts *)
   dep_cost_ms : float option;
       (* calibrated cost-model prediction of one inference on this rung;
          None = unknown, the rung is always admitted *)
   dep_backend : rung_backend;
   dep_sentinel : Integrity.spec option;
       (* verify every answer against the sentinel lane (DESIGN.md §16) *)
-  dep_twin : bool;
-      (* run on twin layouts even without verification — required of every
-         FHE rung of a sentinel-compiled deployment, whose rotation keys
-         cover only the doubled (twin) rotation amounts *)
 }
 
 (* Shrink the scale exponents the way Scale_select's fallback ladder does:
@@ -59,18 +57,21 @@ let reduced_scales (s : Kernels.scales) k =
 
 let ladder_of_keyset compiled ~(keyset : Compiler.keyset) ?(reduced_rungs = 1)
     ?(clear_fallback = true) ?(predict_cost = false) ?plan ?sentinel () =
-  let scales = compiled.Compiler.opts.Compiler.scales in
+  let opts = compiled.Compiler.opts in
+  let scales = opts.Compiler.scales in
   let policy = compiled.Compiler.policy in
-  let twin = sentinel <> None in
+  (* the compile decided the geometry: a sentinel compile's rotation keys
+     cover only the twin layout's doubled amounts, so every rung runs twin
+     whether or not it verifies, and verification needs a twin compile *)
+  if sentinel <> None && not opts.Compiler.sentinel then
+    invalid_arg "Service.ladder_of_keyset: ?sentinel needs a circuit compiled with opts.sentinel";
   (* every rung runs the same plan: plans are scale-free metadata, and each
-     rung prepares it at its own scales *)
+     rung prepares it at its own scales. A supplied plan (a bundle's) is
+     used when it has the compile's geometry. *)
   let plan =
     match plan with
-    | Some p when p.Plan.p_twin = twin -> p
-    | _ ->
-        Plan.build ~twin
-          ~slots:(Compiler.params_n compiled.Compiler.params / 2)
-          ~policy compiled.Compiler.circuit
+    | Some p when p.Plan.p_twin = opts.Compiler.sentinel -> p
+    | _ -> Compiler.plan compiled
   in
   (* the admission-control prediction comes for free: [compile] already
      ranked every layout policy under the calibrated cost model, and the
@@ -86,10 +87,9 @@ let ladder_of_keyset compiled ~(keyset : Compiler.keyset) ?(reduced_rungs = 1)
           if r.Compiler.pr_policy = policy then Some (r.Compiler.pr_cost *. 1000.0) else None)
         compiled.Compiler.reports
   in
-  let fhe = Shared { keys = keyset; plan } in
   let primary =
-    { dep_label = "primary"; dep_degraded = false; dep_scales = scales; dep_policy = policy;
-      dep_cost_ms = scheme_cost_ms; dep_backend = fhe; dep_sentinel = sentinel; dep_twin = twin }
+    { dep_label = "primary"; dep_degraded = false; dep_scales = scales; dep_plan = plan;
+      dep_cost_ms = scheme_cost_ms; dep_backend = Shared keyset; dep_sentinel = sentinel }
   in
   let reduced =
     List.init reduced_rungs (fun i ->
@@ -98,15 +98,13 @@ let ladder_of_keyset compiled ~(keyset : Compiler.keyset) ?(reduced_rungs = 1)
           dep_label = Printf.sprintf "reduced-scale-%d" k;
           dep_degraded = true;
           dep_scales = reduced_scales scales k;
-          dep_policy = policy;
+          dep_plan = plan;
           dep_cost_ms = scheme_cost_ms;
-          dep_backend = fhe;
+          dep_backend = Shared keyset;
           (* a reduced rung trades precision for headroom by design, so the
              full-precision sentinel tolerance would reject honest degraded
-             answers — it runs twin (the deployment's rotation keys cover
-             only doubled amounts) but unverified *)
+             answers — it runs the (possibly twin) plan unverified *)
           dep_sentinel = None;
-          dep_twin = twin;
         })
   in
   let clear =
@@ -117,13 +115,12 @@ let ladder_of_keyset compiled ~(keyset : Compiler.keyset) ?(reduced_rungs = 1)
           dep_label = "clear-sim";
           dep_degraded = true;
           dep_scales = scales;
-          dep_policy = policy;
+          dep_plan = plan;
           dep_cost_ms = (if predict_cost then Some 0.0 else None);
-          dep_backend = Shared { keys = Compiler.clear_keyset compiled; plan };
+          dep_backend = Shared (Compiler.clear_keyset compiled);
           (* the cleartext rung is exact, so sentinel verification is free
              and keeps the end-to-end integrity contract on the last rung *)
           dep_sentinel = sentinel;
-          dep_twin = twin;
         };
       ]
   in
@@ -218,26 +215,9 @@ type ticket = {
   cell : cell;
 }
 
-type mutable_stats = {
-  sm : Mutex.t;
-  mutable submitted : int;
-  mutable succeeded : int;
-  mutable failed : int;
-  mutable shed : int;
-  mutable deadline : int;
-  mutable degraded : int;
-  mutable retries : int;
-  mutable worker_crashes : int;
-  mutable late_results : int;
-  mutable cancelled : int;
-  mutable admission_rejects : int;
-  mutable integrity_failures : int;
-  mutable latencies : float list;
-}
-
-(* Prometheus-facing mirror of [mutable_stats]: a per-service registry (so
-   concurrent services — and tests — never share state) updated on the same
-   code paths, plus an end-to-end latency histogram. [metrics_snapshot]
+(* The service's one ledger: a per-service metrics registry (so concurrent
+   services — and tests — never share state) of request counters plus an
+   end-to-end latency histogram. [stats] reads it back; [metrics_snapshot]
    renders it as text exposition. *)
 type metric_handles = {
   registry : Metrics.t;
@@ -305,12 +285,13 @@ type stats = {
   s_admission_rejects : int;
   s_integrity_failures : int;
   s_queue : Queue.stats;
-  s_latencies_ms : float array;
+  s_latency_p50_ms : float;
+  s_latency_p95_ms : float;
+  s_latency_p99_ms : float;
 }
 
 type t = {
   cfg : config;
-  circuit : Circuit.t;
   ladder : (deployment * Breaker.t) array;
   prepared : (Sampling.t * Plan_exec.runner) option array array;
       (* per rung, per worker: the [Shared] rung's prepared plan and the
@@ -319,7 +300,6 @@ type t = {
   queue : Pool.job Queue.t;
   pool : Pool.t;
   next_id : int Atomic.t;
-  ms : mutable_stats;
   mx : metric_handles;
   (* graceful drain (DESIGN.md §12): once [draining], new admissions are
      refused with a typed [Overloaded] while everything already admitted
@@ -367,17 +347,16 @@ let transient_error = function
 let runner_for t ~rung dep ~worker ~req_seed ~attempt =
   match dep.dep_backend with
   | Per_attempt backend ->
-      let backend = backend ~req_seed ~attempt in
-      let module H = (val backend : Hisa.S) in
-      Plan_exec.prepare_runner ~pt_budget:0 backend dep.dep_scales
-        (Plan.build ~twin:dep.dep_twin ~slots:H.slots ~policy:dep.dep_policy t.circuit)
-  | Shared { keys; plan } ->
+      Plan_exec.prepare_runner ~pt_budget:0 (backend ~req_seed ~attempt) dep.dep_scales dep.dep_plan
+  | Shared keys ->
       let rng, run =
         match t.prepared.(rung).(worker) with
         | Some w -> w
         | None ->
             let rng = Sampling.create ~seed:keys.Compiler.ks_seed in
-            let w = (rng, Plan_exec.prepare_runner (keys.Compiler.ks_view rng) dep.dep_scales plan) in
+            let w =
+              (rng, Plan_exec.prepare_runner (keys.Compiler.ks_view rng) dep.dep_scales dep.dep_plan)
+            in
             t.prepared.(rung).(worker) <- Some w;
             w
       in
@@ -407,7 +386,6 @@ let run_attempt t ~rung dep req ~attempt ~worker =
     Ok (tensor, !margin, !lane)
   with
   | Herr.Fhe_error ((Herr.Integrity_violation _ as e), c) ->
-      with_lock t.ms.sm (fun () -> t.ms.integrity_failures <- t.ms.integrity_failures + 1);
       Metrics.incr t.mx.mx_integrity;
       Error (e, c)
   | Herr.Fhe_error (e, c) -> Error (e, c)
@@ -415,7 +393,6 @@ let run_attempt t ~rung dep req ~attempt ~worker =
       (* a non-FHE exception is a backend bug: convert it to the typed
          taxonomy so it flows through retry/breaker/outcome like any other
          failure — and never takes the worker domain down *)
-      with_lock t.ms.sm (fun () -> t.ms.worker_crashes <- t.ms.worker_crashes + 1);
       Metrics.incr t.mx.mx_worker_crashes;
       Error
         ( Herr.Worker_crashed { worker; reason = Printexc.to_string exn },
@@ -449,41 +426,25 @@ let deadline_error req ~elapsed_ms ~op =
 
 (* Hand the outcome to the caller — unless the caller already gave up, in
    which case the computed result is discarded (and counted: a late result
-   is wasted work the deadline was supposed to prevent). *)
+   is wasted work the deadline was supposed to prevent). The ledger is
+   updated before the outcome is published, so a caller holding an outcome
+   reads stats that already count it. *)
 let deliver t req out =
   Atomic.decr t.inflight_count;
-  let late = with_lock req.cell.cm (fun () ->
-      if req.cell.abandoned then true
+  with_lock req.cell.cm (fun () ->
+      if req.cell.abandoned then Metrics.incr t.mx.mx_late
       else begin
-        (if req.cell.result = None then req.cell.result <- Some out);
-        false
-      end)
-  in
-  with_lock t.ms.sm (fun () ->
-      if late then t.ms.late_results <- t.ms.late_results + 1
-      else begin
-        t.ms.retries <- t.ms.retries + Stdlib.max 0 (out.out_attempts - 1);
-        t.ms.latencies <- out.out_total_ms :: t.ms.latencies;
-        match out.out_result with
+        Metrics.incr ~by:(Stdlib.max 0 (out.out_attempts - 1)) t.mx.mx_retries;
+        Metrics.observe t.mx.mx_latency (out.out_total_ms /. 1000.0);
+        (match out.out_result with
         | Ok _ ->
-            t.ms.succeeded <- t.ms.succeeded + 1;
-            if out.out_degraded then t.ms.degraded <- t.ms.degraded + 1
-        | Error (Herr.Deadline_exceeded _, _) -> t.ms.deadline <- t.ms.deadline + 1
-        | Error (Herr.Cancelled _, _) -> t.ms.cancelled <- t.ms.cancelled + 1
-        | Error _ -> t.ms.failed <- t.ms.failed + 1
-      end);
-  if late then Metrics.incr t.mx.mx_late
-  else begin
-    Metrics.incr ~by:(Stdlib.max 0 (out.out_attempts - 1)) t.mx.mx_retries;
-    Metrics.observe t.mx.mx_latency (out.out_total_ms /. 1000.0);
-    match out.out_result with
-    | Ok _ ->
-        Metrics.incr t.mx.mx_succeeded;
-        if out.out_degraded then Metrics.incr t.mx.mx_degraded
-    | Error (Herr.Deadline_exceeded _, _) -> Metrics.incr t.mx.mx_deadline
-    | Error (Herr.Cancelled _, _) -> Metrics.incr t.mx.mx_cancelled
-    | Error _ -> Metrics.incr t.mx.mx_failed
-  end
+            Metrics.incr t.mx.mx_succeeded;
+            if out.out_degraded then Metrics.incr t.mx.mx_degraded
+        | Error (Herr.Deadline_exceeded _, _) -> Metrics.incr t.mx.mx_deadline
+        | Error (Herr.Cancelled _, _) -> Metrics.incr t.mx.mx_cancelled
+        | Error _ -> Metrics.incr t.mx.mx_failed);
+        if req.cell.result = None then req.cell.result <- Some out
+      end)
 
 let abandoned req = with_lock req.cell.cm (fun () -> req.cell.abandoned)
 
@@ -629,8 +590,6 @@ let process t req ~worker =
                    predicted cost exceeded the remaining budget, so no work
                    was started at all — the honest answer is the typed
                    deadline, issued in O(ladder) time *)
-                with_lock t.ms.sm (fun () ->
-                    t.ms.admission_rejects <- t.ms.admission_rejects + 1);
                 Metrics.incr t.mx.mx_admission;
                 let elapsed_ms = (t.cfg.now () -. req.req_submitted) *. 1000.0 in
                 deadline_error req ~elapsed_ms ~op:"admission"
@@ -647,34 +606,36 @@ let process t req ~worker =
 (* Client side                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* The same circuit, as far as a plan can tell: callers routinely build a
+   model's circuit twice (once for the compile, once for the service), so
+   physical identity is too strict. *)
+let same_circuit (a : Circuit.t) (b : Circuit.t) =
+  a == b
+  || a.Circuit.name = b.Circuit.name
+     && a.Circuit.node_count = b.Circuit.node_count
+     && a.Circuit.input.Circuit.shape = b.Circuit.input.Circuit.shape
+     && a.Circuit.output.Circuit.shape = b.Circuit.output.Circuit.shape
+
 let create cfg ~circuit ~ladder =
   if ladder = [] then invalid_arg "Service.create: empty deployment ladder";
+  List.iter
+    (fun dep ->
+      if not (same_circuit dep.dep_plan.Plan.p_circuit circuit) then
+        invalid_arg
+          (Printf.sprintf "Service.create: rung %S runs a plan for circuit %S, not %S" dep.dep_label
+             dep.dep_plan.Plan.p_circuit.Circuit.name circuit.Circuit.name);
+      if dep.dep_sentinel <> None && not dep.dep_plan.Plan.p_twin then
+        invalid_arg
+          (Printf.sprintf "Service.create: verified rung %S needs a twin (sentinel) plan"
+             dep.dep_label))
+    ladder;
   let queue = Queue.create ~high_water:cfg.high_water () in
-  let ms =
-    {
-      sm = Mutex.create ();
-      submitted = 0;
-      succeeded = 0;
-      failed = 0;
-      shed = 0;
-      deadline = 0;
-      degraded = 0;
-      retries = 0;
-      worker_crashes = 0;
-      late_results = 0;
-      cancelled = 0;
-      admission_rejects = 0;
-      integrity_failures = 0;
-      latencies = [];
-    }
-  in
   let mx = make_metrics () in
   let pool =
     Pool.create ~domains:cfg.domains queue
       ~on_crash:(fun ~worker:_ _exn ->
         (* [process] converts everything to typed outcomes; anything landing
            here is a harness bug — count it, keep serving *)
-        with_lock ms.sm (fun () -> ms.worker_crashes <- ms.worker_crashes + 1);
         Metrics.incr mx.mx_worker_crashes)
   in
   let breakers =
@@ -687,13 +648,11 @@ let create cfg ~circuit ~ladder =
   in
   {
     cfg;
-    circuit;
     ladder = Array.of_list breakers;
     prepared = Array.init (List.length ladder) (fun _ -> Array.make cfg.domains None);
     queue;
     pool;
     next_id = Atomic.make 0;
-    ms;
     mx;
     draining = Atomic.make false;
     inflight_count = Atomic.make 0;
@@ -717,7 +676,6 @@ let submit t ?deadline_ms ?seed image =
       cell = { cm = Mutex.create (); result = None; abandoned = false };
     }
   in
-  with_lock t.ms.sm (fun () -> t.ms.submitted <- t.ms.submitted + 1);
   Metrics.incr t.mx.mx_submitted;
   let reject out_result =
     let out =
@@ -748,9 +706,6 @@ let submit t ?deadline_ms ?seed image =
       t.ladder
   in
   if not admissible then begin
-    with_lock t.ms.sm (fun () ->
-        t.ms.admission_rejects <- t.ms.admission_rejects + 1;
-        t.ms.deadline <- t.ms.deadline + 1);
     Metrics.incr t.mx.mx_admission;
     Metrics.incr t.mx.mx_deadline;
     reject (Error (deadline_error req ~elapsed_ms:0.0 ~op:"admission"));
@@ -781,7 +736,6 @@ let submit t ?deadline_ms ?seed image =
     | Ok () -> ()
     | Error depth ->
         (* shed at admission: the typed rejection is the response *)
-        with_lock t.ms.sm (fun () -> t.ms.shed <- t.ms.shed + 1);
         Metrics.incr t.mx.mx_shed;
         reject
           (Error
@@ -829,9 +783,6 @@ let await t (req : ticket) =
                   out_sentinel = [||];
                 }
               in
-              with_lock t.ms.sm (fun () ->
-                  t.ms.deadline <- t.ms.deadline + 1;
-                  t.ms.latencies <- elapsed_ms :: t.ms.latencies);
               Metrics.incr t.mx.mx_deadline;
               Metrics.observe t.mx.mx_latency (elapsed_ms /. 1000.0);
               out
@@ -888,24 +839,26 @@ let breaker_states t =
 
 let stats t =
   let trips = Array.fold_left (fun acc (_, brk) -> acc + Breaker.trip_count brk) 0 t.ladder in
-  with_lock t.ms.sm (fun () ->
-      {
-        s_submitted = t.ms.submitted;
-        s_succeeded = t.ms.succeeded;
-        s_failed = t.ms.failed;
-        s_shed = t.ms.shed;
-        s_deadline = t.ms.deadline;
-        s_degraded = t.ms.degraded;
-        s_retries = t.ms.retries;
-        s_breaker_trips = trips;
-        s_worker_crashes = t.ms.worker_crashes;
-        s_late_results = t.ms.late_results;
-        s_cancelled = t.ms.cancelled;
-        s_admission_rejects = t.ms.admission_rejects;
-        s_integrity_failures = t.ms.integrity_failures;
-        s_queue = Queue.stats t.queue;
-        s_latencies_ms = Array.of_list (List.rev t.ms.latencies);
-      })
+  let v = Metrics.counter_value and q p = Metrics.quantile t.mx.mx_latency p *. 1000.0 in
+  {
+    s_submitted = v t.mx.mx_submitted;
+    s_succeeded = v t.mx.mx_succeeded;
+    s_failed = v t.mx.mx_failed;
+    s_shed = v t.mx.mx_shed;
+    s_deadline = v t.mx.mx_deadline;
+    s_degraded = v t.mx.mx_degraded;
+    s_retries = v t.mx.mx_retries;
+    s_breaker_trips = trips;
+    s_worker_crashes = v t.mx.mx_worker_crashes;
+    s_late_results = v t.mx.mx_late;
+    s_cancelled = v t.mx.mx_cancelled;
+    s_admission_rejects = v t.mx.mx_admission;
+    s_integrity_failures = v t.mx.mx_integrity;
+    s_queue = Queue.stats t.queue;
+    s_latency_p50_ms = q 0.50;
+    s_latency_p95_ms = q 0.95;
+    s_latency_p99_ms = q 0.99;
+  }
 
 (* Nearest-rank percentile on a sorted copy. *)
 let percentile xs p =
@@ -1033,7 +986,6 @@ let restore_state t bytes =
       Ok !restored
 
 let pp_stats fmt s =
-  let pct p = percentile s.s_latencies_ms p in
   Format.fprintf fmt
     "@[<v>requests: %d submitted, %d ok (%d degraded), %d failed, %d shed, %d deadline-expired@,\
      retries: %d; breaker trips: %d; worker crashes: %d; late results: %d@,\
@@ -1043,4 +995,4 @@ let pp_stats fmt s =
     s.s_submitted s.s_succeeded s.s_degraded s.s_failed s.s_shed s.s_deadline s.s_retries
     s.s_breaker_trips s.s_worker_crashes s.s_late_results s.s_cancelled s.s_admission_rejects
     s.s_integrity_failures s.s_queue.Queue.q_pushed s.s_queue.Queue.q_shed
-    s.s_queue.Queue.q_max_depth (pct 50.0) (pct 95.0) (pct 99.0)
+    s.s_queue.Queue.q_max_depth s.s_latency_p50_ms s.s_latency_p95_ms s.s_latency_p99_ms

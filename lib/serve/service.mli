@@ -40,7 +40,6 @@
 module Herr = Chet_hisa.Herr
 module Hisa = Chet_hisa.Hisa
 module Kernels = Chet_runtime.Kernels
-module Executor = Chet_runtime.Executor
 module Plan = Chet_plan.Plan
 module Circuit = Chet_nn.Circuit
 module Tensor = Chet_tensor.Tensor
@@ -49,25 +48,27 @@ module Compiler = Chet.Compiler
 (** {1 Deployments and the degradation ladder} *)
 
 type rung_backend =
-  | Shared of { keys : Compiler.keyset; plan : Plan.t }
+  | Shared of Compiler.keyset
       (** One key generation shared by every worker: each worker prepares
-          [plan] once — weight and mask plaintexts encoded, kernels staged —
-          over its own view of [keys], and reseeds that view's sampler for
-          every attempt ({!Compiler.reseed} with the request seed perturbed
-          by the attempt index). [plan] must match the rung's twin flag and
-          the keyset's slot count. *)
+          the rung's plan once — weight and mask plaintexts encoded, kernels
+          staged — over its own view of the keyset, and reseeds that view's
+          sampler for every attempt ({!Compiler.reseed} with the request
+          seed perturbed by the attempt index). *)
   | Per_attempt of (req_seed:int -> attempt:int -> Hisa.t)
       (** A fresh backend per attempt — for backends that differ between
           attempts (fault injection, artificial delays). The rung's plan is
-          built from [dep_policy]/[dep_twin] and prepared on it per
-          attempt. Implementations should derive encryption randomness from
-          [req_seed] and [attempt] alone. *)
+          prepared on it per attempt. Implementations should derive
+          encryption randomness from [req_seed] and [attempt] alone. *)
 
 type deployment = {
   dep_label : string;  (** e.g. ["primary"], ["reduced-scale-1"], ["clear-sim"] *)
   dep_degraded : bool;  (** surfaced as [degraded] on every response it serves *)
   dep_scales : Kernels.scales;
-  dep_policy : Executor.layout_policy;
+  dep_plan : Plan.t;
+      (** The plan the rung runs, prepared at [dep_scales]
+          ({!Compiler.plan}): its slot count must be the backend's, and its
+          twin flag the compile's — a sentinel compile's rotation keys cover
+          only the twin layout's doubled rotation amounts. *)
   dep_cost_ms : float option;
       (** calibrated cost-model prediction of one inference on this rung,
           used by admission control and deadline-aware rung selection
@@ -80,12 +81,7 @@ type deployment = {
           the clear-reference prediction within the spec's tolerance. A
           mismatch surfaces as a typed [Integrity_violation] — transient, so
           the attempt is retried with fresh randomness (and, over the
-          network, on a different shard). Requires [dep_twin]. *)
-  dep_twin : bool;
-      (** Run on twin (interleaved-sentinel) layouts even without
-          verification. Every FHE rung of a sentinel-compiled deployment
-          must set this: its rotation keys cover only the doubled (twin)
-          rotation amounts. *)
+          network, on a different shard). Requires a twin [dep_plan]. *)
 }
 
 val ladder_of_compiled :
@@ -116,12 +112,14 @@ val ladder_of_compiled :
     control costs nothing extra — and the cleartext rung carries [Some 0.]
     (orders of magnitude cheaper than any FHE rung).
 
-    With [?sentinel] (the circuit must have been compiled with
-    [opts.sentinel = true] so parameters and rotation keys match the twin
-    geometry), every rung runs the twin plan; the primary and cleartext
-    rungs verify every answer against the sentinel lane, reduced rungs run
-    twin but unverified — their deliberate precision loss would trip the
-    full-precision tolerance. *)
+    The geometry is the compile's ({!Compiler.plan}): every rung of a
+    circuit compiled with [opts.sentinel = true] runs the twin plan, with
+    or without [?sentinel]. With [?sentinel] the primary and cleartext
+    rungs verify every answer against the sentinel lane; reduced rungs run
+    unverified — their deliberate precision loss would trip the
+    full-precision tolerance.
+    @raise Invalid_argument when [?sentinel] is given for a circuit not
+    compiled with [opts.sentinel]. *)
 
 val ladder_of_keyset :
   Compiler.compiled ->
@@ -136,8 +134,8 @@ val ladder_of_keyset :
 (** {!ladder_of_compiled} around an already-instantiated keyset — what a
     warm restart hands over after {!Chet_store.Bundle.restore_keyset}
     rebuilt it from a stored bundle instead of regenerating it. [?plan]
-    (e.g. the bundle's [b_plan]) replaces the plan the ladder would
-    otherwise build, when its twin flag matches. *)
+    (e.g. the bundle's [b_plan]) replaces {!Compiler.plan} when its twin
+    flag is the compile's. *)
 
 (** {1 Configuration} *)
 
@@ -182,7 +180,10 @@ type ticket
 type t
 
 val create : config -> circuit:Circuit.t -> ladder:deployment list -> t
-(** @raise Invalid_argument on an empty ladder. *)
+(** @raise Invalid_argument on an empty ladder, on a rung whose plan was
+    built for another circuit (compared by name, node count and input and
+    output shapes), and on a verified rung ([dep_sentinel]) whose plan is
+    not twin. *)
 
 val submit : t -> ?deadline_ms:float -> ?seed:int -> Tensor.t -> ticket
 (** Non-blocking admission. A request arriving over the high-water mark is
@@ -253,10 +254,19 @@ type stats = {
       (** attempts whose sentinel lane failed verification (each retried or
           degraded per {!transient_error}) *)
   s_queue : Queue.stats;
-  s_latencies_ms : float array;  (** total latency of every finished outcome *)
+  s_latency_p50_ms : float;
+  s_latency_p95_ms : float;
+  s_latency_p99_ms : float;
+      (** total-latency quantiles of every finished outcome, read off the
+          [chet_serve_latency_seconds] histogram ({!Chet_obs.Metrics.quantile});
+          [nan] before the first outcome *)
 }
 
 val stats : t -> stats
+(** The service's counters as {!metrics_snapshot} exposes them — one ledger,
+    read counter by counter (not an atomic snapshot while requests are in
+    flight). *)
+
 val breaker_states : t -> (string * Breaker.state) list
 
 val metrics_snapshot : t -> string

@@ -1,7 +1,6 @@
 module Compiler = Chet.Compiler
 module Cost_model = Chet.Cost_model
 module Circuit = Chet_nn.Circuit
-module Hisa = Chet_hisa.Hisa
 module Herr = Chet_herr.Herr
 module Serial = Chet_crypto.Serial
 module Jsonx = Chet_obs.Jsonx
@@ -212,7 +211,3 @@ let load store ~circuit =
 let restore_keyset t ~with_secret =
   Compiler.keyset t.b_compiled ~seed:t.b_seed ~rotation_keys:t.b_rotation_policy ?keys:t.b_keys
     ~with_secret ()
-
-let restore_factory t ~with_secret =
-  Compiler.instantiate_factory_restored t.b_compiled ~seed:t.b_seed
-    ~rotation_keys:t.b_rotation_policy ~keys:t.b_keys ~with_secret ()

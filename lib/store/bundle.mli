@@ -14,7 +14,6 @@
 module Compiler = Chet.Compiler
 module Cost_model = Chet.Cost_model
 module Circuit = Chet_nn.Circuit
-module Hisa = Chet_hisa.Hisa
 module Herr = Chet_herr.Herr
 
 type scale_summary = {
@@ -81,9 +80,5 @@ val restore_keyset : t -> with_secret:bool -> Compiler.keyset
 (** The warm-restart deployment: {!Compiler.keyset} with the bundle's seed,
     policy and stored keys (which skip rotation-key generation) —
     bit-identical to the deployment that produced the bundle. Serve it with
-    {!Chet_serve.Service.ladder_of_keyset} and the bundle's [b_plan]. *)
-
-val restore_factory :
-  t -> with_secret:bool -> Compiler.backend_factory * Hisa.scheme_kind
-(** {!restore_keyset} as per-request backend views
-    ({!Compiler.instantiate_factory_restored}). *)
+    {!Chet_serve.Service.ladder_of_keyset} and the bundle's [b_plan], or
+    take per-request backends from it with {!Compiler.view}. *)

@@ -49,9 +49,14 @@ timeout 300 scripts/kernel_smoke.sh
 
 echo "== bench: kernels =="
 # The NTT grid: fast transform against the scalar reference, per ring size.
-# Lands in BENCH.json and the numbered BENCH_<n>.json trajectory so future
-# PRs have a baseline.
-timeout 420 dune exec bench/main.exe -- --kernels --fast
+# Run from a scratch directory: the bench writes BENCH.json and a numbered
+# BENCH_<n>.json into its working directory, and a kernel-only fast run
+# does not belong in the checkout's trajectory.
+dune build bench/main.exe
+BENCH_BIN="$PWD/_build/default/bench/main.exe"
+BENCH_DIR=$(mktemp -d "${TMPDIR:-/tmp}/chet-ci-bench.XXXXXX")
+trap 'rm -rf "$BENCH_DIR"' EXIT
+(cd "$BENCH_DIR" && timeout 420 "$BENCH_BIN" --kernels --fast)
 
 echo "== smoke: net =="
 # The fork/exec chaos drill: supervisor + 2 shard processes, loadgen with

@@ -24,18 +24,19 @@ let seal_opts = Compiler.default_options ~target:Compiler.Seal ()
 let micro = Models.micro.Models.build ()
 let image = Models.input_for Models.micro ~seed:77
 
-(* compile once; every fault test deploys the same configuration *)
+(* compile and generate keys once; every fault test deploys the same
+   configuration, each run on a fresh view of the one keyset *)
 let compiled = lazy (Compiler.compile seal_opts micro)
+let keys = lazy (Compiler.keyset (Lazy.force compiled) ~seed:42 ~with_secret:true ())
 
 (* Run one full encrypted inference with [fault] armed between the real
    backend and the checker, returning what the checker thought of it. *)
 let run_with_fault ?(trigger = 0) fault =
-  let compiled = Lazy.force compiled in
-  let backend, scheme =
-    Compiler.instantiate_with_scheme compiled ~seed:42 ~with_secret:true ()
+  let compiled = Lazy.force compiled and ks = Lazy.force keys in
+  let faulty, log =
+    Fault.wrap (Fault.default_config ~trigger (Some fault)) (Compiler.view ks ~req_seed:0)
   in
-  let faulty, log = Fault.wrap (Fault.default_config ~trigger (Some fault)) backend in
-  let checked = Checked.wrap ~scheme faulty in
+  let checked = Checked.wrap ~scheme:ks.Compiler.ks_scheme faulty in
   let module H = (val checked) in
   let module E = Chet_plan.Plan_exec.Make (H) in
   let outcome =
@@ -93,21 +94,19 @@ let test_late_trigger_still_detected () =
 
 let test_clean_composition_transparent () =
   (* with no fault armed, Checked(Fault(backend)) computes exactly what the
-     bare backend computes — the monitors are observationally invisible *)
-  let compiled = Lazy.force compiled in
+     bare backend computes — the monitors are observationally invisible.
+     Both sides run on a view of the same keyset for the same request, so
+     they draw the same encryption randomness. *)
+  let compiled = Lazy.force compiled and ks = Lazy.force keys in
   let run_bare () =
-    let backend = Compiler.instantiate compiled ~seed:42 ~with_secret:true () in
-    let module H = (val backend) in
+    let module H = (val Compiler.view ks ~req_seed:0) in
     let module E = Chet_plan.Plan_exec.Make (H) in
     E.eval compiled.Compiler.opts.Compiler.scales compiled.Compiler.circuit
       ~policy:compiled.Compiler.policy image
   in
   let run_wrapped () =
-    let backend, scheme =
-      Compiler.instantiate_with_scheme compiled ~seed:42 ~with_secret:true ()
-    in
-    let faulty, log = Fault.wrap (Fault.default_config None) backend in
-    let checked = Checked.wrap ~scheme faulty in
+    let faulty, log = Fault.wrap (Fault.default_config None) (Compiler.view ks ~req_seed:0) in
+    let checked = Checked.wrap ~scheme:ks.Compiler.ks_scheme faulty in
     let module H = (val checked) in
     let module E = Chet_plan.Plan_exec.Make (H) in
     let out =
@@ -142,9 +141,11 @@ let test_silent_corruption_caught_by_sentinel () =
   let opts = { (Compiler.default_options ()) with Compiler.sentinel = true } in
   let compiled = Compiler.compile opts circuit in
   let isp = Chet.Integrity.spec_for circuit in
-  let backend, scheme = Compiler.instantiate_with_scheme compiled ~seed:42 ~with_secret:true () in
-  let faulty, log = Fault.wrap (Fault.default_config (Some Fault.Silent_corruption)) backend in
-  let checked = Checked.wrap ~scheme faulty in
+  let ks = Compiler.keyset compiled ~seed:42 ~with_secret:true () in
+  let faulty, log =
+    Fault.wrap (Fault.default_config (Some Fault.Silent_corruption)) (Compiler.view ks ~req_seed:0)
+  in
+  let checked = Checked.wrap ~scheme:ks.Compiler.ks_scheme faulty in
   let module H = (val checked) in
   let module E = Chet_plan.Plan_exec.Make (H) in
   let sentinel = Chet.Integrity.sentinel isp in

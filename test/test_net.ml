@@ -36,6 +36,7 @@ let micro = Models.micro.Models.build ()
 let compiled = lazy (Compiler.compile seal_opts micro)
 let scheme () = Compiler.scheme_of_params seal_opts (Lazy.force compiled).Compiler.params
 let policy () = (Lazy.force compiled).Compiler.policy
+let plan = lazy (Compiler.plan (Lazy.force compiled))
 
 let clear_backend () =
   Clear.make
@@ -51,11 +52,10 @@ let clean_dep () =
     Service.dep_label = "primary";
     dep_degraded = false;
     dep_scales = seal_opts.Compiler.scales;
-    dep_policy = policy ();
+    dep_plan = Lazy.force plan;
     dep_cost_ms = None;
     dep_backend = Service.Per_attempt (fun ~req_seed:_ ~attempt:_ -> clear_backend ());
     dep_sentinel = None;
-    dep_twin = false;
   }
 
 let quick_cfg () =

@@ -36,6 +36,7 @@ let image i = Models.input_for Models.micro ~seed:(500 + i)
 
 let scheme () = Compiler.scheme_of_params seal_opts (Lazy.force compiled).Compiler.params
 let policy () = (Lazy.force compiled).Compiler.policy
+let plan = lazy (Compiler.plan (Lazy.force compiled))
 
 let clear_backend () =
   Clear.make
@@ -51,11 +52,10 @@ let dep ?(label = "primary") ?(degraded = false) ?cost_ms backend =
     Service.dep_label = label;
     dep_degraded = degraded;
     dep_scales = seal_opts.Compiler.scales;
-    dep_policy = policy ();
+    dep_plan = Lazy.force plan;
     dep_cost_ms = cost_ms;
     dep_backend = Service.Per_attempt backend;
     dep_sentinel = None;
-    dep_twin = false;
   }
 
 let clean_dep ?label ?degraded () = dep ?label ?degraded (fun ~req_seed:_ ~attempt:_ -> clear_backend ())
@@ -666,32 +666,37 @@ let test_backoff_clamped_to_budget () =
       Alcotest.(check (float 1e-6)) "clock parked at the deadline" 0.1 (Atomic.get clock);
       Alcotest.(check int) "retries stopped early" 2 o.Service.out_attempts)
 
-(* Every rung [ladder_of_compiled] builds is a plan prepared once per
-   worker, whose sampler is reseeded per attempt. On the real backend (a
-   small ring) with sentinels on, answers served concurrently must equal a
-   one-shot plan run on a fresh per-request view, bit for bit, and each must
-   carry the sentinel margin measured on the plan. *)
+(* micro compiled with sentinels, its ring pinned to 2048 (rotation keys
+   re-selected at that size) so real key generation and inference stay
+   fast; shared by the real-backend rung tests *)
+let pinned_sentinel_compile =
+  lazy
+    (let compiled = Compiler.compile { seal_opts with Compiler.sentinel = true } micro in
+     match compiled.Compiler.params with
+     | Compiler.Rns_params p ->
+         let params = Compiler.Rns_params { p with n = 2048 } in
+         let rotations, op_counters =
+           Compiler.select_rotations compiled.Compiler.opts micro ~policy:compiled.Compiler.policy
+             ~params
+         in
+         { compiled with Compiler.params; rotations; op_counters }
+     | Compiler.Pow2_params _ -> compiled)
+
+(* Every rung [ladder_of_keyset] builds is a plan prepared once per worker,
+   whose sampler is reseeded per attempt. On the real backend (a small
+   ring) with sentinels on, answers served concurrently must equal a
+   one-shot plan run on a fresh per-request view of the same keyset, bit
+   for bit, and each must carry the sentinel margin measured on the plan. *)
 let test_prepared_rungs_match_one_shot () =
-  let compiled = Compiler.compile { seal_opts with Compiler.sentinel = true } micro in
-  let compiled =
-    match compiled.Compiler.params with
-    | Compiler.Rns_params p ->
-        let params = Compiler.Rns_params { p with n = 2048 } in
-        let rotations, op_counters =
-          Compiler.select_rotations compiled.Compiler.opts micro ~policy:compiled.Compiler.policy
-            ~params
-        in
-        { compiled with Compiler.params; rotations; op_counters }
-    | Compiler.Pow2_params _ -> compiled
-  in
+  let compiled = Lazy.force pinned_sentinel_compile in
   let seed = 5 and spec = Chet.Integrity.spec_for micro in
+  let keyset = Compiler.keyset compiled ~seed ~with_secret:true () in
   let ladder =
-    Service.ladder_of_compiled compiled ~seed ~reduced_rungs:0 ~clear_fallback:false
-      ~sentinel:spec ~with_secret:true ()
+    Service.ladder_of_keyset compiled ~keyset ~reduced_rungs:0 ~clear_fallback:false
+      ~sentinel:spec ()
   in
-  let factory, _ = Compiler.instantiate_factory compiled ~seed ~with_secret:true () in
   let one_shot img ~req_seed =
-    let module H = (val factory ~req_seed) in
+    let module H = (val Compiler.view keyset ~req_seed) in
     let module PE = Chet_plan.Plan_exec.Make (H) in
     PE.eval ~sentinel:(Chet.Integrity.sentinel spec) compiled.Compiler.opts.Compiler.scales micro
       ~policy:compiled.Compiler.policy img
@@ -707,6 +712,59 @@ let test_prepared_rungs_match_one_shot () =
              Alcotest.(check bool)
                (Printf.sprintf "request %d bit-identical" i)
                true (got.T.data = expected.T.data)))
+
+(* The twin decision is the compile's: a sentinel compile's rotation keys
+   cover only the twin layout's doubled amounts, so a ladder built from it
+   without [?sentinel] must still run the twin plan — and answer from the
+   primary rung on the first attempt, not degrade to the cleartext rung
+   after every real attempt fails on a missing rotation key. *)
+let test_sentinel_compile_unverified_ladder () =
+  let compiled = Lazy.force pinned_sentinel_compile in
+  let ladder =
+    Service.ladder_of_compiled compiled ~seed:5 ~reduced_rungs:0 ~clear_fallback:true
+      ~with_secret:true ()
+  in
+  List.iter
+    (fun (d : Service.deployment) ->
+      Alcotest.(check bool) (d.Service.dep_label ^ " runs twin") true d.Service.dep_plan.Chet_plan.Plan.p_twin)
+    ladder;
+  with_service (quick_cfg ()) ladder (fun svc ->
+      let o = Service.infer svc ~seed:9 (image 9) in
+      let got = ok_tensor "unverified twin rung" o in
+      Alcotest.(check string) "served by the primary rung" "primary" o.Service.out_served_by;
+      Alcotest.(check bool) "not degraded" false o.Service.out_degraded;
+      Alcotest.(check int) "first attempt" 1 o.Service.out_attempts;
+      Alcotest.(check bool) "unverified: no margin" true (Float.is_nan o.Service.out_margin_bits);
+      let expected = direct_clean_run (image 9) in
+      Alcotest.(check int) "same class as the clean run" (T.argmax expected) (T.argmax got))
+
+(* The twin flag cannot be asked of a compile that did not choose it, and a
+   rung cannot promise verification on a plan without the sentinel lane, or
+   run a plan built for another circuit. *)
+let test_ladder_geometry_rejected () =
+  let plain = Lazy.force compiled in
+  let spec = Chet.Integrity.spec_for micro in
+  (match
+     Service.ladder_of_keyset plain ~keyset:(Compiler.clear_keyset plain) ~sentinel:spec ()
+   with
+  | _ -> Alcotest.fail "?sentinel accepted for a circuit compiled without sentinels"
+  | exception Invalid_argument _ -> ());
+  let rejected name ladder =
+    match Service.create (quick_cfg ()) ~circuit:micro ~ladder with
+    | svc ->
+        Service.shutdown svc;
+        Alcotest.failf "Service.create accepted %s" name
+    | exception Invalid_argument _ -> ()
+  in
+  let verified = { (clean_dep ()) with Service.dep_sentinel = Some spec } in
+  rejected "a verified rung on a plan without the sentinel lane" [ verified ];
+  let other = { (Models.micro.Models.build ()) with Chet_nn.Circuit.name = "micro-2" } in
+  let foreign =
+    Chet_plan.Plan.build ~slots:(Compiler.params_n (Lazy.force compiled).Compiler.params / 2)
+      ~policy:(policy ()) other
+  in
+  rejected "a rung whose plan was built for another circuit"
+    [ { (clean_dep ()) with Service.dep_plan = foreign } ]
 
 let suite =
   [
@@ -746,5 +804,9 @@ let suite =
           test_backoff_clamped_to_budget;
         Alcotest.test_case "prepared sentinel rungs match one-shot plans (real)" `Slow
           test_prepared_rungs_match_one_shot;
+        Alcotest.test_case "sentinel compile without ?sentinel serves primary (real)" `Slow
+          test_sentinel_compile_unverified_ladder;
+        Alcotest.test_case "ladder geometry mismatches rejected" `Quick
+          test_ladder_geometry_rejected;
       ] );
   ]

@@ -390,14 +390,13 @@ let test_bundle_warm_restart_bit_identical () =
           let b = l.Bundle.l_bundle in
           Alcotest.(check int) "seed restored" seed b.Bundle.b_seed;
           let img = Models.input_for Models.micro ~seed:501 in
-          let run factory =
-            let backend = factory ~req_seed:77 in
-            let module H = (val backend : Hisa.S) in
+          let run ks =
+            let module H = (val Compiler.view ks ~req_seed:77 : Hisa.S) in
             let module E = Chet_plan.Plan_exec.Make (H) in
             E.eval c.Compiler.opts.Compiler.scales micro ~policy:c.Compiler.policy img
           in
-          let fresh, _ = Compiler.instantiate_factory c ~seed ~with_secret:true () in
-          let restored, _ = Bundle.restore_factory b ~with_secret:true in
+          let fresh = Compiler.keyset c ~seed ~with_secret:true () in
+          let restored = Bundle.restore_keyset b ~with_secret:true in
           let a = run fresh in
           let r = run restored in
           Alcotest.(check (float 0.0))
