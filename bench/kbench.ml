@@ -1,10 +1,12 @@
 (* Ring-kernel microbenchmark: the fast NTT against the scalar reference
-   transform, and the pointwise kernel. Used by scripts/kernel_smoke.sh and
-   for tuning the fast path by hand. *)
+   transform, the pointwise kernel, and hoisted rotations against the same
+   rotations one at a time. Used by scripts/kernel_smoke.sh and for tuning
+   the fast path by hand. *)
 
 module Ntt = Chet_crypto.Ntt
 module Rvec = Chet_crypto.Rvec
 module Modarith = Chet_crypto.Modarith
+module Rns = Chet_crypto.Rns_ckks
 
 let time f =
   let t0 = Unix.gettimeofday () in
@@ -48,3 +50,35 @@ let () =
     (1e6 *. t_fast /. float_of_int (2 * reps))
     (1e6 *. t_scalar /. float_of_int (2 * reps))
     (1e6 *. t_pw /. float_of_int (reps * 10))
+
+(* [Rns_ckks.rotate_many] over 8 amounts against 8 [Rns_ckks.rotate] calls
+   on one fresh ciphertext, N = 4096 with 6 chain primes *)
+let () =
+  let n = 4096 and reps = 4 in
+  let ctx = Rns.make_context (Rns.default_params ~n ~num_coeff_primes:6 ()) in
+  let rng = Chet_crypto.Sampling.create ~seed:3 in
+  let sk, keys = Rns.keygen ctx rng in
+  let amounts = Array.init 8 (fun i -> i + 1) in
+  Array.iter (Rns.add_rotation_key ctx rng sk keys) amounts;
+  let values = Array.init (n / 2) (fun i -> float_of_int (i mod 13) /. 13.0) in
+  let ct =
+    Rns.encrypt ctx rng keys.Rns.public
+      (Rns.encode_real ctx ~level:(Rns.max_level ctx) ~scale:(2.0 ** 30.0) values)
+  in
+  ignore (Rns.rotate_many ctx keys ct amounts);
+  let t_many =
+    time (fun () ->
+        for _ = 1 to reps do
+          ignore (Rns.rotate_many ctx keys ct amounts)
+        done)
+  in
+  let t_single =
+    time (fun () ->
+        for _ = 1 to reps do
+          Array.iter (fun r -> ignore (Rns.rotate ctx keys ct r)) amounts
+        done)
+  in
+  Printf.printf "  rot_many 8    %8.1f ms/call  (8 single rotations %.1f ms, n=%d, 6 primes)\n"
+    (1e3 *. t_many /. float_of_int reps)
+    (1e3 *. t_single /. float_of_int reps)
+    n

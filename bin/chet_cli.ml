@@ -356,6 +356,8 @@ let scales_cmd =
 (* Exercise every Table-1 op of a (timed) backend at each reachable level,
    descending the modulus chain by squaring + rescaling, so the calibrator
    sees samples across the (N, r)/(N, logQ) grid it fits against. *)
+let profile_amounts = Array.init 8 (fun i -> i + 1)
+
 let profile_backend timer backend ~reps =
   let module H = (val Timed_backend.wrap timer backend : Hisa.S) in
   let scale = 1 lsl 30 in
@@ -366,6 +368,8 @@ let profile_backend timer backend ~reps =
   (try
      let continue = ref true in
      while !continue do
+       (* fused accumulators must already sit at the product scale *)
+       let acc_scalar = H.mul_scalar !a 1.5 ~scale and acc_plain = H.mul_plain !a pt in
        for _ = 1 to reps do
          ignore (H.add !a !b);
          ignore (H.add_plain !a pt);
@@ -376,9 +380,11 @@ let profile_backend timer backend ~reps =
          ignore (H.rot_left !a 1);
          (* fused accumulation ops — the plan path's workhorses; their cells
             let the calibrator fit the composite main+Add terms *)
-         ignore (H.fma_scalar !a !b 1.5 ~scale);
-         ignore (H.fma_plain !a !b pt);
-         ignore (H.fma_rot !a !b 1)
+         ignore (H.fma_scalar acc_scalar !b 1.5 ~scale);
+         ignore (H.fma_plain acc_plain !b pt);
+         ignore (H.fma_rot !a !b 1);
+         (* the hoisted row: one call over the amounts with profile keys *)
+         ignore (H.rot_many !a profile_amounts)
        done;
        (* descend one rung: square, rescale back towards the working scale *)
        let m = H.mul !a !b in
@@ -414,7 +420,7 @@ let profile_cmd =
         let ctx = Rns.make_context params in
         let rng = Sampling.create ~seed:1 in
         let sk, keys = Rns.keygen ctx rng in
-        Rns.add_rotation_key ctx rng sk keys 1;
+        Array.iter (Rns.add_rotation_key ctx rng sk keys) profile_amounts;
         profile_backend seal_timer
           (Seal_backend.make { Seal_backend.ctx; rng; keys; secret = Some sk })
           ~reps)
@@ -428,7 +434,7 @@ let profile_cmd =
         let ctx = Big.make_context params in
         let rng = Sampling.create ~seed:2 in
         let sk, keys = Big.keygen ctx rng in
-        Big.add_rotation_key ctx rng sk keys 1;
+        Array.iter (Big.add_rotation_key ctx rng sk keys) profile_amounts;
         profile_backend heaan_timer
           (Heaan_backend.make { Heaan_backend.ctx; rng; keys; secret = Some sk })
           ~reps)
@@ -438,9 +444,12 @@ let profile_cmd =
     let cal = { Cost_model.seal_c; heaan_c } in
     Cost_model.save_calibration out cal;
     let pr name (c : Cost_model.constants) =
-      Printf.printf "%-6s k_add=%.3g k_scalar_mul=%.3g k_plain_mul=%.3g k_cipher_mul=%.3g k_rotate=%.3g k_rescale=%.3g\n"
+      Printf.printf
+        "%-6s k_add=%.3g k_scalar_mul=%.3g k_plain_mul=%.3g k_cipher_mul=%.3g k_rotate=%.3g \
+         k_rot_hoisted=%.3g k_rescale=%.3g\n"
         name c.Cost_model.k_add c.Cost_model.k_scalar_mul c.Cost_model.k_plain_mul
-        c.Cost_model.k_cipher_mul c.Cost_model.k_rotate c.Cost_model.k_rescale
+        c.Cost_model.k_cipher_mul c.Cost_model.k_rotate c.Cost_model.k_rot_hoisted
+        c.Cost_model.k_rescale
     in
     pr "seal" seal_c;
     pr "heaan" heaan_c;

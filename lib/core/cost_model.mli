@@ -10,6 +10,7 @@ type constants = {
   k_plain_mul : float;
   k_cipher_mul : float;
   k_rotate : float;
+  k_rot_hoisted : float;  (** one amount of a hoisted [rot_many] call *)
   k_rescale : float;
 }
 (** Seconds per elementary unit of each Table-1 asymptotic term. *)
@@ -18,7 +19,8 @@ val seal_defaults : constants
 val heaan_defaults : constants
 
 val seal : ?c:constants -> unit -> Hisa.cost_model
-(** RNS-CKKS: linear terms in [N·r]; mul/rotate in [N·logN·r²]. *)
+(** RNS-CKKS: linear terms in [N·r]; mul/rotate in [N·logN·r²]; one amount
+    of a hoisted rotation in [N·r·(r + logN)]. *)
 
 val heaan : ?c:constants -> unit -> Hisa.cost_model
 (** CKKS: [M(Q) = logQ^1.58] big-integer multiplication inside each term. *)
@@ -42,12 +44,13 @@ val fit_constant_weighted :
 
 type scheme = [ `Seal | `Heaan ]
 
-type op_class = Add | Scalar_mul | Plain_mul | Cipher_mul | Rotate | Rescale
+type op_class = Add | Scalar_mul | Plain_mul | Cipher_mul | Rotate | Rot_hoisted | Rescale
 
 val class_of_op : string -> op_class option
 (** Cost-model class for a timed HISA op name; [None] for client-side ops
     (encode/encrypt/decrypt/decode) outside Table 1. The fused ops
-    ([fma_scalar]/[fma_plain]/[fma_rot]) map to their main class. *)
+    ([fma_scalar]/[fma_plain]/[fma_rot]) map to their main class, and
+    [rot_many] to [Rot_hoisted]. *)
 
 val fused_main_class : string -> op_class option
 (** [Some main] iff the op is a fused multiply/rotate-accumulate, whose cost

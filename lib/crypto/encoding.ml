@@ -75,6 +75,7 @@ end
 
 let galois_memo : (int * int, int) Lru.t = Lru.create 64
 let automorphism_memo : (int * int, (int * bool) array) Lru.t = Lru.create 64
+let ntt_automorphism_memo : (int * int, int array) Lru.t = Lru.create 64
 
 let galois_element ctx r =
   let two_n = 2 * ctx.n in
@@ -124,3 +125,26 @@ let automorphism_index ~n ~g =
       Array.init n (fun k ->
           let e = k * g mod two_n in
           if e < n then (e, false) else (e - n, true)))
+
+(* The NTT (lib/crypto/ntt.ml) leaves the evaluation at psi^(2·brev(i)+1) in
+   position i. Since m(X^g) evaluated at psi^e is m evaluated at psi^(g·e),
+   the automorphism permutes evaluation positions and needs no sign. *)
+let ntt_automorphism_index ~n ~g =
+  if g land 1 = 0 then invalid_arg "Encoding.ntt_automorphism_index: g must be odd";
+  let two_n = 2 * n in
+  let g = ((g mod two_n) + two_n) mod two_n in
+  let bits =
+    let rec loop k acc = if k <= 1 then acc else loop (k lsr 1) (acc + 1) in
+    loop n 0
+  in
+  let brev x =
+    let r = ref 0 in
+    for b = 0 to bits - 1 do
+      if (x lsr b) land 1 = 1 then r := !r lor (1 lsl (bits - 1 - b))
+    done;
+    !r
+  in
+  Lru.find_or_add ntt_automorphism_memo (n, g) (fun () ->
+      Array.init n (fun i ->
+          let e = ((2 * brev i) + 1) * g mod two_n in
+          brev ((e - 1) / 2)))

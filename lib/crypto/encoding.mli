@@ -42,3 +42,9 @@ val automorphism_index : n:int -> g:int -> (int * bool) array
     across callers and must be treated as read-only. {!galois_element} is
     memoized the same way, so per-rotation context lookup is O(1) after
     first use instead of O(n) per call. *)
+
+val ntt_automorphism_index : n:int -> g:int -> int array
+(** The same map on the NTT form of {!Ntt}: entry [i] is the position of
+    the input whose value lands at position [i] of the output (a pure
+    permutation — no signs in the evaluation domain). Memoized like
+    {!automorphism_index}; read-only. *)

@@ -1,8 +1,9 @@
 (* RNS-CKKS. See rns_ckks.mli for the external story.
 
    Conventions:
-   - ciphertext components are kept in NTT form; rescale / automorphism /
-     key-switch digits go through coefficient form as needed;
+   - ciphertext components are kept in NTT form; rescale and key-switch
+     digits go through coefficient form as needed, automorphisms permute
+     NTT positions;
    - a level-l object lives over the prime prefix q_0..q_{l-1};
    - key-switching keys carry one (b_i, a_i) pair per chain prime over the
      extended basis (all chain primes + the special prime p):
@@ -136,9 +137,7 @@ let galois_of_rotation ctx r = Encoding.galois_element ctx.enc r
 let add_rotation_key ctx rng sk keys r =
   let g = galois_of_rotation ctx r in
   if not (Hashtbl.mem keys.rotation g) then begin
-    let s_coeff = Rq.from_ntt ctx.rq sk.s in
-    let s_g = Rq.to_ntt ctx.rq (Rq.automorphism ctx.rq s_coeff ~g) in
-    Hashtbl.replace keys.rotation g (keygen_kswitch ctx rng sk s_g)
+    Hashtbl.replace keys.rotation g (keygen_kswitch ctx rng sk (Rq.automorphism_ntt ctx.rq sk.s ~g))
   end
 
 let add_power_of_two_rotation_keys ctx rng sk keys =
@@ -264,15 +263,50 @@ let add_scalar ctx ct x =
 
 (* --- key switching --- *)
 
+(* Divide an NTT-form accumulator over the key basis [kb] (special prime
+   last) by the special prime p, rounding: the CKKS rescale of
+   {!Rq.drop_last} ~rounded, done in the NTT domain. Only the special
+   component goes through an INTT; its centered lift is broadcast to each
+   chain prime and NTT'd there, then subtracted and divided out. Every step
+   is exact modular arithmetic and the NTT is linear, so the result is bit
+   for bit the coefficient-domain rescale — at [level + 1] transforms
+   instead of [2·level + 1]. *)
+let mod_down ctx kb (acc : Rvec.buf array) =
+  let l = Array.length kb - 1 in
+  let n = ctx.params.n in
+  let primes = Rq.ctx_primes ctx.rq in
+  let p = primes.(kb.(l)) in
+  let last = Rvec.copy acc.(l) in
+  Ntt.inverse_buf (Rq.raw_ntt_table ctx.rq kb.(l)) last;
+  let half = p / 2 in
+  let centered =
+    Array.init n (fun i ->
+        let v = Rvec.get last i in
+        if v > half then v - p else v)
+  in
+  let comps = Array.init l (fun _ -> Rvec.create n) in
+  Kpool.run l (fun j ->
+      let q = primes.(kb.(j)) in
+      let d = comps.(j) in
+      Rvec.reduce_centered_into d centered q;
+      Ntt.forward_buf (Rq.raw_ntt_table ctx.rq kb.(j)) d;
+      Rvec.sub_into d acc.(j) d q;
+      Rvec.scalar_mul_into d d (Modarith.inv_mod (p mod q) q) q);
+  Rq.unsafe_of_bufs ~basis:(Array.sub kb 0 l) ~comps ~ntt:true
+
 (* The inner loop of every mul / rotation: for each of the [level] digits,
    broadcast the [0, q_i) residue vector into the extended key basis, NTT
    it there, and accumulate digit * (b_i, a_i). That is level * (level+1)
    NTTs per key switch — the single hottest kernel of the scheme — so it
    runs over raw residue buffers with in-place accumulators, fanned out
    across {!Kpool} domains per key-basis channel (channels are
-   independent: channel [jk] only touches its own acc/tmp buffers). *)
-let keyswitch ctx level (d : Rq.t) (key : kswitch_key) : Rq.t * Rq.t =
-  let d = Rq.from_ntt ctx.rq d in
+   independent: channel [jk] only touches its own acc/tmp buffers).
+
+   [digit jk i tmp] returns digit [i] in NTT form over key-basis channel
+   [jk], using [tmp] (channel-private) as scratch: {!keyswitch} computes it
+   on the fly, the hoisted rotations of {!rotate_many} permute a digit
+   decomposed once for every amount. *)
+let keyswitch_with ctx level (key : kswitch_key) digit : Rq.t * Rq.t =
   let kb = key_basis ctx level in
   let nb = Array.length kb in
   let n = ctx.params.n in
@@ -281,23 +315,28 @@ let keyswitch ctx level (d : Rq.t) (key : kswitch_key) : Rq.t * Rq.t =
   let acc1 = Array.init nb (fun _ -> Rvec.zeroed n) in
   Kpool.run nb (fun jk ->
       let pj = primes.(kb.(jk)) in
-      let tbl = Rq.raw_ntt_table ctx.rq kb.(jk) in
       (* slot of prime kb.(jk) in the keys' full basis: chain primes sit at
          their own index, the special prime after the whole chain *)
       let kslot = if jk < level then jk else ctx.num_coeff in
       let tmp = Rvec.create n in
       let a0 = acc0.(jk) and a1 = acc1.(jk) in
       for i = 0 to level - 1 do
-        let digit = Rq.raw_comp d i in
-        Rvec.broadcast_mod_into tmp digit pj;
-        Ntt.forward_buf tbl tmp;
+        let d = digit jk i tmp in
         let b_i, a_i = key.pairs.(i) in
-        Rvec.pointwise_mac_into a0 tmp (Rq.raw_comp b_i kslot) pj;
-        Rvec.pointwise_mac_into a1 tmp (Rq.raw_comp a_i kslot) pj
+        Rvec.pointwise_mac_into a0 d (Rq.raw_comp b_i kslot) pj;
+        Rvec.pointwise_mac_into a1 d (Rq.raw_comp a_i kslot) pj
       done);
-  let assemble comps = Rq.unsafe_of_bufs ~basis:(Array.copy kb) ~comps ~ntt:true in
-  let down t = Rq.to_ntt ctx.rq (Rq.drop_last ctx.rq (Rq.from_ntt ctx.rq t) ~rounded:true) in
-  (down (assemble acc0), down (assemble acc1))
+  (mod_down ctx kb acc0, mod_down ctx kb acc1)
+
+(* digit [i] of coefficient-form [d], broadcast to channel [jk] and NTT'd *)
+let digit_ntt ctx kb d jk i tmp =
+  Rvec.broadcast_mod_into tmp (Rq.raw_comp d i) (Rq.ctx_primes ctx.rq).(kb.(jk));
+  Ntt.forward_buf (Rq.raw_ntt_table ctx.rq kb.(jk)) tmp;
+  tmp
+
+let keyswitch ctx level (d : Rq.t) (key : kswitch_key) : Rq.t * Rq.t =
+  let d = Rq.from_ntt ctx.rq d in
+  keyswitch_with ctx level key (digit_ntt ctx (key_basis ctx level) d)
 
 let mul ctx keys a b =
   if a.level <> b.level then err ~op:"mul" (Herr.Level_mismatch { expected = a.level; got = b.level });
@@ -369,16 +408,19 @@ let mod_switch_to_level ctx ct target =
 
 (* --- rotation --- *)
 
+let rotation_key ~amount keys g =
+  match Hashtbl.find_opt keys.rotation g with
+  | Some k -> k
+  | None -> err ~op:"rotate" (Herr.Missing_rotation_key { amount })
+
+(* The automorphism permutes NTT positions, so both components stay in NTT
+   form; the key switch sees the same c1 polynomial as it would through the
+   coefficient domain, so the result is bit-identical to that route. *)
 let apply_galois ?(amount = 0) ctx keys ct g =
-  let key =
-    match Hashtbl.find_opt keys.rotation g with
-    | Some k -> k
-    | None -> err ~op:"rotate" (Herr.Missing_rotation_key { amount })
-  in
-  let c0 = Rq.automorphism ctx.rq (Rq.from_ntt ctx.rq ct.c0) ~g in
-  let c1 = Rq.automorphism ctx.rq (Rq.from_ntt ctx.rq ct.c1) ~g in
-  let k0, k1 = keyswitch ctx ct.level (Rq.to_ntt ctx.rq c1) key in
-  { ct with c0 = Rq.add ctx.rq (Rq.to_ntt ctx.rq c0) k0; c1 = k1 }
+  let key = rotation_key ~amount keys g in
+  let c0 = Rq.automorphism_ntt ctx.rq ct.c0 ~g in
+  let k0, k1 = keyswitch ctx ct.level (Rq.automorphism_ntt ctx.rq ct.c1 ~g) key in
+  { ct with c0 = Rq.add ctx.rq c0 k0; c1 = k1 }
 
 let rotate ctx keys ct r =
   let slots = slot_count ctx in
@@ -402,6 +444,50 @@ let rotate ctx keys ct r =
       done;
       !ct
     end
+  end
+
+(* Hoisted rotations (Halevi–Shoup 2018): the digit decomposition of c1 —
+   one INTT, then level·(level+1) NTTs — does not depend on the amount.
+   The automorphism commutes with the broadcast into each key-basis prime,
+   so it is applied afterwards, as an NTT-position permutation of the
+   decomposed digits. Each amount then costs only its permutations, the
+   inner product with its key and the mod-down. A permuted digit lifts the
+   negated coefficients as [-v] where the one-amount route lifts [q_i - v]:
+   the digits differ by multiples of [q_i], so results decrypt alike but
+   are not bit-identical to {!rotate}. *)
+let rotate_many ctx keys ct amounts =
+  let slots = slot_count ctx in
+  let norm r = ((r mod slots) + slots) mod slots in
+  let amounts = Array.map norm amounts in
+  let hoistable r = r <> 0 && Hashtbl.mem keys.rotation (galois_of_rotation ctx r) in
+  let direct = Array.fold_left (fun acc r -> if hoistable r then acc + 1 else acc) 0 amounts in
+  if direct < 2 then Array.map (rotate ctx keys ct) amounts
+  else begin
+    let level = ct.level in
+    let nb = level + 1 in
+    let n = ctx.params.n in
+    let d = Rq.from_ntt ctx.rq ct.c1 in
+    let kb = key_basis ctx level in
+    let digits = Array.init nb (fun _ -> Array.init level (fun _ -> Rvec.create n)) in
+    Kpool.run nb (fun jk ->
+        for i = 0 to level - 1 do
+          ignore (digit_ntt ctx kb d jk i digits.(jk).(i))
+        done);
+    Array.map
+      (fun r ->
+        if not (hoistable r) then rotate ctx keys ct r
+        else begin
+          let g = galois_of_rotation ctx r in
+          let key = rotation_key ~amount:r keys g in
+          let index = Encoding.ntt_automorphism_index ~n ~g in
+          let k0, k1 =
+            keyswitch_with ctx level key (fun jk i tmp ->
+                Rvec.permute_into tmp digits.(jk).(i) index;
+                tmp)
+          in
+          { ct with c0 = Rq.add ctx.rq (Rq.automorphism_ntt ctx.rq ct.c0 ~g) k0; c1 = k1 }
+        end)
+      amounts
   end
 
 let rotate_key_available keys ctx r =

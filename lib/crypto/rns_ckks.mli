@@ -106,6 +106,14 @@ val rotate : context -> keys -> ciphertext -> int -> ciphertext
     sequence of power-of-two rotations when the exact key is absent.
     @raise Not_found if no combination of available keys reaches [r]. *)
 
+val rotate_many : context -> keys -> ciphertext -> int array -> ciphertext array
+(** [rotate_many ctx keys ct amounts]: [ct] rotated left by each amount, with
+    the key-switch digit decomposition of [ct] shared by every amount that
+    has its own key (hoisting). Amounts without an exact key go through
+    {!rotate}. Results decrypt like {!rotate}'s but are not bit-identical:
+    the hoisted digits differ from the one-amount ones by multiples of the
+    chain primes. *)
+
 val rotate_key_available : keys -> context -> int -> bool
 
 val level_of : ciphertext -> int

@@ -171,6 +171,14 @@ let automorphism ctx t ~g =
   in
   { t with comps; basis = Array.copy t.basis }
 
+let automorphism_ntt ctx t ~g =
+  if not t.ntt then invalid_arg "Rq_rns.automorphism_ntt: NTT form required";
+  let index = Encoding.ntt_automorphism_index ~n:ctx.n ~g in
+  let comps =
+    par_init ctx (Array.length t.basis) (fun k dst -> Rvec.permute_into dst t.comps.(k) index)
+  in
+  { t with comps; basis = Array.copy t.basis }
+
 let drop_last ctx t ~rounded =
   if t.ntt then invalid_arg "Rq_rns.drop_last: coefficient form required";
   let nb = Array.length t.basis in

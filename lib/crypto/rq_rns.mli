@@ -63,6 +63,12 @@ val add_scalar : ctx -> t -> int -> t
 val automorphism : ctx -> t -> g:int -> t
 (** [m(X) ↦ m(X^g)], odd [g]; operand must be in coefficient form. *)
 
+val automorphism_ntt : ctx -> t -> g:int -> t
+(** {!automorphism} on an NTT-form operand, as a permutation of evaluation
+    positions: [automorphism_ntt ctx (to_ntt ctx a) ~g] equals
+    [to_ntt ctx (automorphism ctx a ~g)] bit for bit, without the
+    transforms. *)
+
 val drop_last : ctx -> t -> rounded:bool -> t
 (** Remove the last basis component [q_last]. With [~rounded:true] this is
     the CKKS [rescale]: divide by [q_last] with rounding

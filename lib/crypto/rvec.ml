@@ -175,3 +175,8 @@ let automorphism_into (dst : buf) (src : buf) (index : (int * bool) array) p =
     let v = uget src j in
     uset dst j' (if negate then (p - v) land (-v asr 62) else v)
   done
+
+let permute_into (dst : buf) (src : buf) (index : int array) =
+  for i = 0 to Array.length index - 1 do
+    uset dst i (uget src (Array.unsafe_get index i))
+  done

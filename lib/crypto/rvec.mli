@@ -64,3 +64,8 @@ val automorphism_into : buf -> buf -> (int * bool) array -> int -> unit
 (** [automorphism_into dst src index p]: apply a precomputed Galois
     permutation-with-sign table ({!Encoding.automorphism_index}). [dst]
     must not alias [src]. *)
+
+val permute_into : buf -> buf -> int array -> unit
+(** [permute_into dst src index]: [dst.(i) <- src.(index.(i))] — the Galois
+    permutation of an NTT-form residue vector
+    ({!Encoding.ntt_automorphism_index}). [dst] must not alias [src]. *)

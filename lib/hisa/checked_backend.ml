@@ -72,8 +72,9 @@ let wrap ?(config = None) ?margin ~scheme (backend : Hisa.t) : Hisa.t =
   (* fused ops compose this module's own checked ops (Hisa.Fused_default):
      every operand and intermediate gets the full pre/postcondition
      treatment, and the component results are bit-identical to the fused
-     backend ops by the HISA contract *)
-  (module Hisa.Fused_default (struct
+     backend ops by the HISA contract. [rot_many] forwards to the backend's
+     own, so hoisting survives the checker. *)
+  let module U = struct
     let slots = B.slots
 
     type pt = { bp : B.pt; pscale : float; pmax : float }
@@ -228,6 +229,20 @@ let wrap ?(config = None) ?margin ~scheme (backend : Hisa.t) : Hisa.t =
     let rot_left c k = rot ~op:"rot_left" B.rot_left c k
     let rot_right c k = rot ~op:"rot_right" B.rot_right c k
 
+    let rot_many c ks =
+      let op = "rot_many" in
+      observe ~op c;
+      Array.iter
+        (fun k ->
+          if k >= slots || k <= -slots then err ~op (Herr.Slot_overflow { slots; requested = k }))
+        ks;
+      Array.map
+        (fun bc ->
+          mk ~op bc ~sscale:c.sscale ~slevel:c.slevel
+            ~serr:(c.serr +. nmv (fun m -> m.nm_rot))
+            ~smag:c.smag)
+        (B.rot_many c.bc ks)
+
     (* --- additive ops ------------------------------------------------- *)
 
     let binop ~op f a b =
@@ -376,4 +391,9 @@ let wrap ?(config = None) ?margin ~scheme (backend : Hisa.t) : Hisa.t =
     let env_of c =
       live ~op:"env_of" c;
       B.env_of c.bc
-  end))
+  end in
+  (module struct
+    include Hisa.Fused_default (U)
+
+    let rot_many = U.rot_many
+  end)

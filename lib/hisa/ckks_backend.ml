@@ -32,6 +32,7 @@ module type SCHEME = sig
   val add_scalar : context -> ciphertext -> float -> ciphertext
   val mul_scalar : context -> ciphertext -> float -> scale:float -> ciphertext
   val rotate : context -> keys -> ciphertext -> int -> ciphertext
+  val rotate_many : context -> keys -> ciphertext -> int array -> ciphertext array
   val rescale : context -> ciphertext -> int -> ciphertext
   val max_rescale : context -> ciphertext -> int -> int
   val scale_of : ciphertext -> float
@@ -46,9 +47,10 @@ module Make (S : SCHEME) = struct
   }
 
   (* fused ops compose the primitives: the win on a real scheme is the
-     shared pt encoding cache, not slot-pass fusion *)
+     shared pt encoding cache, not slot-pass fusion. [rot_many] is the
+     scheme's own (hoisted) rotation. *)
   let make (cfg : config) : Hisa.t =
-    (module Hisa.Fused_default (struct
+    let module U = struct
       let slots = S.slot_count cfg.ctx
 
       (* Plaintext handles are lazy: the underlying scheme needs plaintexts
@@ -121,5 +123,10 @@ module Make (S : SCHEME) = struct
       let max_rescale c ub = S.max_rescale cfg.ctx c ub
       let scale_of c = S.scale_of c
       let env_of c = S.env_of cfg.ctx c
-    end))
+    end in
+    (module struct
+      include Hisa.Fused_default (U)
+
+      let rot_many ct ks = S.rotate_many cfg.ctx cfg.keys ct ks
+    end)
 end

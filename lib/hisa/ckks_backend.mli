@@ -4,7 +4,8 @@
     differ only in how a ciphertext's modulus is named — an RNS level or a
     [logq] exponent. {!Make} abstracts that into an integer [handle] and
     builds the whole {!Hisa.S} implementation (lazy per-handle plaintext
-    encoding cache, modulus equalisation before binary ops, fused ops) once. *)
+    encoding cache, modulus equalisation before binary ops, fused ops,
+    the scheme's own [rot_many]) once. *)
 
 module Complexv = Chet_crypto.Complexv
 
@@ -41,6 +42,11 @@ module type SCHEME = sig
   val add_scalar : context -> ciphertext -> float -> ciphertext
   val mul_scalar : context -> ciphertext -> float -> scale:float -> ciphertext
   val rotate : context -> keys -> ciphertext -> int -> ciphertext
+
+  val rotate_many : context -> keys -> ciphertext -> int array -> ciphertext array
+  (** {!Hisa.S.rot_many}: hoisted rotations, or the composition of
+      [rotate] where the scheme has none. *)
+
   val rescale : context -> ciphertext -> int -> ciphertext
   val max_rescale : context -> ciphertext -> int -> int
   val scale_of : ciphertext -> float

@@ -210,6 +210,8 @@ let make (cfg : config) : Hisa.t =
         budget = budget_min ~op:"fma_rot" acc.budget x.budget;
       }
 
+    let rot_many ct ks = Array.map (rot_left ct) ks
+
     let max_rescale ct ub =
       match (cfg.scheme, ct.budget) with
       | Hisa.Rns_chain primes, Rns_level level ->

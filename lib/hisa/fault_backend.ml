@@ -182,6 +182,11 @@ let wrap (cfg : config) (backend : Hisa.t) : Hisa.t * injection_log =
       let fma_plain acc x p = res2 ~op:(count "fma_plain") acc x (B.fma_plain acc.bc x.bc p)
       let fma_rot acc x r = res2 ~op:(count "fma_rot") acc x (B.fma_rot acc.bc x.bc r)
 
+      (* one op for the hoisted call; each result is a fresh ciphertext *)
+      let rot_many c ks =
+        let op = count "rot_many" in
+        Array.map (res1 ~op c) (B.rot_many c.bc ks)
+
       let rescale c x =
         let op = count "rescale" in
         if firing Dropped_rescale ~op then

@@ -84,6 +84,12 @@ module type S = sig
       rotate-accumulate step of fold/reduce trees. [r] is normalised modulo
       [slots]; [r = 0] degenerates to [add]. [acc == x] is permitted (the
       self-fold case): the result is a fresh ciphertext. *)
+
+  val rot_many : ct -> int array -> ct array
+  (** [rot_many x ks] = [Array.map (rot_left x) ks], hoisted: a scheme that
+      key-switches rotations decomposes [x] once and shares that work across
+      every amount (Halevi–Shoup 2018). Values agree with the composition up
+      to scheme noise; backends without hoisting compute exactly it. *)
 end
 
 type t = (module S)
@@ -96,6 +102,7 @@ module Fused_default (B : UNFUSED) : S with type pt = B.pt and type ct = B.ct = 
   let fma_scalar acc x w ~scale = B.add acc (B.mul_scalar x w ~scale)
   let fma_plain acc x p = B.add acc (B.mul_plain x p)
   let fma_rot acc x r = B.add acc (B.rot_left x (((r mod B.slots) + B.slots) mod B.slots))
+  let rot_many x ks = Array.map (B.rot_left x) ks
 end
 
 (* ------------------------------------------------------------------ *)
@@ -103,7 +110,7 @@ end
 (* ------------------------------------------------------------------ *)
 
 (** One call of a {!S} op, as an interceptor sees it. Rotations carry their
-    amount as passed, [Rescale] its divisor. [copy], [free], [max_rescale],
+    amounts as passed, [Rescale] its divisor. [copy], [free], [max_rescale],
     [scale_of] and [env_of] are not intercepted. *)
 type op =
   | Encode
@@ -124,6 +131,7 @@ type op =
   | Fma_scalar
   | Fma_plain
   | Fma_rot of int
+  | Rot_many of int array
   | Rescale of int
 
 (** The op's {!S} name — the key of timing cells and cost classes. *)
@@ -146,6 +154,7 @@ let op_name = function
   | Fma_scalar -> "fma_scalar"
   | Fma_plain -> "fma_plain"
   | Fma_rot _ -> "fma_rot"
+  | Rot_many _ -> "rot_many"
   | Rescale _ -> "rescale"
 
 (** [around op env run] is called once per intercepted op and must call
@@ -185,6 +194,7 @@ let intercept (h : hook) (backend : t) : t =
 
     let fma_plain acc x p = h.around Fma_plain (env2 acc x) (fun () -> B.fma_plain acc x p)
     let fma_rot acc x r = h.around (Fma_rot r) (env2 acc x) (fun () -> B.fma_rot acc x r)
+    let rot_many c ks = h.around (Rot_many ks) (env1 c) (fun () -> B.rot_many c ks)
     let rescale c x = h.around (Rescale x) (env1 c) (fun () -> B.rescale c x)
   end)
 
@@ -198,6 +208,9 @@ type cost_model = {
   cm_plain_mul : op_env -> float;
   cm_cipher_mul : op_env -> float;
   cm_rotate : op_env -> float;
+  cm_rot_hoisted : op_env -> float;
+      (** one amount of a {!S.rot_many} call, the shared decomposition
+          amortised over the call *)
   cm_rescale : op_env -> float;
 }
 
@@ -214,6 +227,7 @@ let rns_cost_model ?(c = 1e-9) () =
     cm_plain_mul = (fun e -> c *. n e *. r e);
     cm_cipher_mul = (fun e -> c *. n e *. logf e.env_n *. r e *. r e);
     cm_rotate = (fun e -> c *. n e *. logf e.env_n *. r e *. r e);
+    cm_rot_hoisted = (fun e -> c *. n e *. r e *. (r e +. logf e.env_n));
     cm_rescale = (fun e -> c *. n e *. logf e.env_n *. r e);
   }
 
@@ -228,5 +242,6 @@ let ckks_cost_model ?(c = 1e-9) () =
     cm_plain_mul = (fun e -> c *. n e *. logf e.env_n *. m_q e);
     cm_cipher_mul = (fun e -> c *. n e *. logf e.env_n *. m_q e);
     cm_rotate = (fun e -> c *. n e *. logf e.env_n *. m_q e);
+    cm_rot_hoisted = (fun e -> c *. n e *. logf e.env_n *. m_q e);
     cm_rescale = (fun e -> c *. n e *. lq e);
   }

@@ -65,8 +65,9 @@ let wrap (backend : Hisa.t) : Hisa.t * counters =
       Hashtbl.replace c.rotation_counts amount (cur + 1)
     end
   in
-  (* fused ops count as their components so op-count reports and the
-     rotation-key selection pass see the same workload either way *)
+  (* fused ops count as their components, and a hoisted [rot_many] as one
+     rotation per amount, so op-count reports and the rotation-key
+     selection pass see the same workload either way *)
   let count : Hisa.op -> unit = function
     | Encode -> c.encodes <- c.encodes + 1
     | Decode -> c.decodes <- c.decodes + 1
@@ -89,6 +90,7 @@ let wrap (backend : Hisa.t) : Hisa.t * counters =
     | Fma_rot r ->
         record_rotation r;
         c.adds <- c.adds + 1
+    | Rot_many ks -> Array.iter record_rotation ks
     | Rescale x -> if x > 1 then c.rescales <- c.rescales + 1
   in
   (Hisa.intercept { around = (fun op _ run -> count op; run ()) } backend, c)

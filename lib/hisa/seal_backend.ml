@@ -38,6 +38,7 @@ module B = Ckks_backend.Make (struct
   let add_scalar = C.add_scalar
   let mul_scalar = C.mul_scalar
   let rotate = C.rotate
+  let rotate_many = C.rotate_many
   let rescale = C.rescale
   let max_rescale = C.max_rescale
   let scale_of = C.scale_of

@@ -24,14 +24,15 @@ type config = {
 let make_over (inner : Hisa.t) (cfg : config) : Hisa.t * clock =
   let clock = { elapsed = 0.0; op_count = 0; rotate_elapsed = 0.0; rotate_count = 0 } in
   let c = cfg.costs in
+  let slots = (let module B = (val inner) in B.slots) in
   let tick cost_of env =
     clock.elapsed <- clock.elapsed +. cost_of env;
     clock.op_count <- clock.op_count + 1
   in
-  let tick_rotation env =
-    clock.rotate_elapsed <- clock.rotate_elapsed +. c.Hisa.cm_rotate env;
+  let tick_rotation ?(cost_of = c.Hisa.cm_rotate) env =
+    clock.rotate_elapsed <- clock.rotate_elapsed +. cost_of env;
     clock.rotate_count <- clock.rotate_count + 1;
-    tick c.Hisa.cm_rotate env
+    tick cost_of env
   in
   (* the modulus status an op is charged at: its operand's, or the lower
      of two (binary ops modulus-switch down). Fused ops charge both
@@ -59,6 +60,11 @@ let make_over (inner : Hisa.t) (cfg : config) : Hisa.t * clock =
     | Fma_rot _ ->
         tick_rotation (env 1);
         tick c.cm_add (min2 ())
+    | Rot_many ks ->
+        (* the hoisted row of Table 1, once per amount that rotates *)
+        Array.iter
+          (fun k -> if k mod slots <> 0 then tick_rotation ~cost_of:c.cm_rot_hoisted (env 0))
+          ks
     | Rescale _ -> tick c.cm_rescale (env 0)
   in
   (Hisa.intercept { around = (fun op env run -> charge op env; run ()) } inner, clock)

@@ -33,7 +33,7 @@ let create ?registry () = { mutex = Mutex.create (); cells = Hashtbl.create 64; 
    logQ for pow2-CKKS — whichever the scheme consumes. *)
 let level_of (env : Hisa.op_env) = if env.Hisa.env_r > 0 then env.Hisa.env_r else env.Hisa.env_log_q
 
-let record t op (env : Hisa.op_env) dt_ns =
+let record ?(count = 1) t op (env : Hisa.op_env) dt_ns =
   Mutex.lock t.mutex;
   let key = (op, env.Hisa.env_n, env.Hisa.env_r, env.Hisa.env_log_q) in
   let cell =
@@ -54,7 +54,7 @@ let record t op (env : Hisa.op_env) dt_ns =
         Hashtbl.add t.cells key c;
         c
   in
-  cell.tc_count <- cell.tc_count + 1;
+  cell.tc_count <- cell.tc_count + count;
   cell.tc_sum_ns <- cell.tc_sum_ns +. dt_ns;
   Mutex.unlock t.mutex;
   (* observe outside the recorder lock: the histogram is lock-free *)
@@ -90,10 +90,16 @@ let wrap t (backend : Hisa.t) : Hisa.t =
         (* fused ops get their own cells (keyed on the accumulator's env) so
            the calibrator can fit them *)
         let env = match op with Encode | Decode | Encrypt -> fresh_env | _ -> env 0 in
-        Obs_tracer.tick_op ();
+        (* a hoisted call is one op per amount, each at the call's
+           amortised time: the cell's mean is the hoisted row of Table 1 *)
+        let count = match op with Rot_many ks -> Array.length ks | _ -> 1 in
+        for _ = 1 to count do
+          Obs_tracer.tick_op ()
+        done;
         let t0 = Obs_clock.now_ns () in
         let r = run () in
-        record t (Hisa.op_name op) env (Int64.to_float (Int64.sub (Obs_clock.now_ns ()) t0));
+        record ~count t (Hisa.op_name op) env
+          (Int64.to_float (Int64.sub (Obs_clock.now_ns ()) t0));
         r
   in
   Hisa.intercept { around } backend

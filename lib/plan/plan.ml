@@ -79,7 +79,7 @@ let sources (node : Circuit.node) =
 
 (* Output meta of a node given its (already layout-converted) source metas —
    must mirror the meta arithmetic of the corresponding kernels exactly. *)
-let node_out_meta ~slots (node : Circuit.node) (src_metas : Layout.meta list) =
+let node_out_meta (node : Circuit.node) (src_metas : Layout.meta list) =
   match (node.Circuit.op, src_metas) with
   | Circuit.Conv2d { weights; stride; padding; _ }, [ m ] ->
       let cout = weights.Tensor.shape.(0) in
@@ -87,7 +87,7 @@ let node_out_meta ~slots (node : Circuit.node) (src_metas : Layout.meta list) =
       let _, _, out_spatial = Kernels.conv_geometry m ~kh ~kw ~stride ~padding in
       Layout.with_channels out_spatial cout
   | Circuit.MatMul { weights; _ }, [ m ] ->
-      Layout.vector_meta ~slots ~length:weights.Tensor.shape.(0) ~twin:m.Layout.twin ()
+      Kernels.dense_out_meta m ~out_dim:weights.Tensor.shape.(0)
   | Circuit.AvgPool { ksize; stride; _ }, [ m ] ->
       Layout.after_stride
         (Layout.with_spatial m ~height:(m.Layout.height - ksize + 1)
@@ -194,12 +194,12 @@ let schedule ?margin ?(twin = false) ~slots ~policy ~kind_of (circuit : Circuit.
                placed by the input's own metadata, no conversion step *)
             let src = List.hd (sources node) in
             let rid = raw_id src in
-            let m = node_out_meta ~slots node [ Hashtbl.find step_meta rid ] in
+            let m = node_out_meta node [ Hashtbl.find step_meta rid ] in
             emit node Op_node kind [ rid ] m
         | _ ->
             let sids = List.map (fun s -> value s ~want:kind) (sources node) in
             let m =
-              node_out_meta ~slots node (List.map (Hashtbl.find step_meta) sids)
+              node_out_meta node (List.map (Hashtbl.find step_meta) sids)
             in
             emit node Op_node kind sids m
       in
@@ -488,7 +488,7 @@ let read r ~(circuit : Circuit.t) =
                         if in_meta.Layout.kind = kind then in_meta
                         else Layout.converted in_meta ~to_kind:kind
                     | _ ->
-                        node_out_meta ~slots node
+                        node_out_meta node
                           (Array.to_list (Array.mapi (fun j s -> meta_at (Printf.sprintf "source %d" j) i s) srcs))
                   end
               with Herr.Fhe_error _ ->

@@ -56,6 +56,94 @@ let conv_geometry meta ~kh ~kw ~stride ~padding =
    output position (y0, x0) *)
 let tap_rotation meta ~dy ~dx = (dy * meta.Layout.row_stride) + (dx * meta.Layout.col_stride)
 
+(* --- dense layers: the lattice fold ----------------------------------
+
+   A dense layer's input occupies a lattice per ciphertext: anchor
+   [offset], then axes (col_stride, width), (row_stride, height) and
+   (ch_stride, occupied channel blocks). Folding a partial product over
+   that lattice, one power-of-two axis at a time, sums [box] slots instead
+   of all of them, and leaves the total on the box's bottom corner.
+   [dn_lanes] outputs share one fold: lane [k] reads the input lifted
+   [dn_lift - k·spread] slots, a sub-lattice disjoint from the other lanes'
+   as long as [k·spread] stays below the strides' gcd. The placement tree
+   then carries group [g] down by [g·lanes·spread] in log-depth
+   power-of-two steps — left rotations by the same amounts the folds of
+   narrower layers use — so the lanes of all groups tile consecutive output
+   positions below the lifted anchor, output 0 at [dn_base]. The lift is
+   just large enough for that tile to stay above slot 0. *)
+
+type dense_fold = {
+  dn_axes : (int * int) list;  (** (stride, power-of-two count) of each folded axis *)
+  dn_lanes : int;  (** outputs packed into one fold *)
+  dn_lift : int;  (** slots every lane is first moved up *)
+  dn_base : int;  (** slot of output 0 *)
+}
+
+(* [None] when the padded box is not mixed-radix ([count·stride] of one
+   axis overrunning the next stride) or the lifted fold would wrap past the
+   last slot; the kernel then folds over every slot. *)
+let dense_fold meta ~out_dim =
+  let spread = Layout.spread_of meta.Layout.twin in
+  let occupied =
+    match meta.Layout.kind with
+    | Layout.HW -> 1
+    | Layout.CHW -> Stdlib.min meta.Layout.ch_per_ct meta.Layout.channels
+  in
+  let rec ceil_pow2 p n = if p >= n then p else ceil_pow2 (p * 2) n in
+  let axes =
+    List.filter_map
+      (fun (s, c) -> if c > 1 then Some (s, ceil_pow2 1 c) else None)
+      [
+        (meta.Layout.col_stride, meta.Layout.width);
+        (meta.Layout.row_stride, meta.Layout.height);
+        (meta.Layout.ch_stride, occupied);
+      ]
+    |> List.sort compare
+  in
+  let rec mixed_radix = function
+    | (s, c) :: ((s', _) :: _ as rest) -> c * s <= s' && mixed_radix rest
+    | _ -> true
+  in
+  let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+  let g = List.fold_left (fun acc (s, _) -> gcd acc s) 0 axes in
+  let max_lanes = Stdlib.max 1 (Stdlib.min out_dim (if g = 0 then 1 else g / spread)) in
+  let log2 n =
+    let rec loop n acc = if n <= 1 then acc else loop (n / 2) (acc + 1) in
+    loop n 0
+  in
+  let folds = List.fold_left (fun acc (_, c) -> acc + log2 c) 0 axes in
+  let n_in = Layout.num_cts meta in
+  let groups k = (out_dim + k - 1) / k in
+  let lift k = Stdlib.max 0 ((((groups k * k) - 1) * spread) - meta.Layout.offset) in
+  (* key switches per inference: lane shifts (lane 0 too once lifted),
+     then per group its fold and its place in the tree *)
+  let cost k =
+    (n_in * (k - if lift k > 0 then 0 else 1)) + (groups k * (folds + 1)) - 1
+  in
+  let lanes = ref 1 in
+  for k = 2 to max_lanes do
+    if cost k <= cost !lanes then lanes := k
+  done;
+  let lanes = !lanes in
+  let lift = lift lanes in
+  let anchor = meta.Layout.offset + lift in
+  let top = List.fold_left (fun acc (s, c) -> acc + ((c - 1) * s)) anchor axes in
+  if mixed_radix axes && top + spread <= meta.Layout.slots then
+    Some
+      {
+        dn_axes = axes;
+        dn_lanes = lanes;
+        dn_lift = lift;
+        dn_base = anchor - (((groups lanes * lanes) - 1) * spread);
+      }
+  else None
+
+let dense_out_meta meta ~out_dim =
+  let v =
+    Layout.vector_meta ~slots:meta.Layout.slots ~length:out_dim ~twin:meta.Layout.twin ()
+  in
+  match dense_fold meta ~out_dim with Some d -> { v with Layout.offset = d.dn_base } | None -> v
+
 module Make (H : Hisa.S) = struct
   type ct_tensor = { meta : Layout.meta; cts : H.ct array }
 
@@ -202,16 +290,29 @@ module Make (H : Hisa.S) = struct
           let scale_now = int_of_float (H.scale_of t'.cts.(0)) in
           { t' with cts = Array.mapi (fun i ct -> H.add_plain ct (dyn i ~scale:scale_now)) t'.cts }
     in
-    (* rotated input ciphertexts, shared across output channels *)
-    let rotated_of t =
-      let rotated = Hashtbl.create 64 in
-      fun j amount ->
-        match Hashtbl.find_opt rotated (j, amount) with
-        | Some ct -> ct
-        | None ->
-            let ct = rot t.cts.(j) amount in
-            Hashtbl.replace rotated (j, amount) ct;
-            ct
+    (* rotated input ciphertexts, shared across output channels: every
+       amount ciphertext [j] is read at, rotated in one hoisted call *)
+    let norm a = ((a mod H.slots) + H.slots) mod H.slots in
+    let hoisted_of taps =
+      let amounts = Array.make (Layout.num_cts meta) [] in
+      Array.iter
+        (List.iter (fun (j, a) ->
+             let a = norm a in
+             if a <> 0 && not (List.mem a amounts.(j)) then amounts.(j) <- a :: amounts.(j)))
+        taps;
+      let amounts = Array.map (fun l -> Array.of_list (List.rev l)) amounts in
+      fun t ->
+        let rotated = Hashtbl.create 64 in
+        Array.iteri
+          (fun j ks ->
+            if Array.length ks > 0 then
+              Array.iteri
+                (fun i ct -> Hashtbl.replace rotated (j, ks.(i)) ct)
+                (H.rot_many t.cts.(j) ks))
+          amounts;
+        fun j a ->
+          let a = norm a in
+          if a = 0 then t.cts.(j) else Hashtbl.find rotated (j, a)
     in
     match meta.Layout.kind with
     | Layout.HW ->
@@ -231,6 +332,7 @@ module Make (H : Hisa.S) = struct
               done;
               List.rev !l)
         in
+        let rotated_of = hoisted_of (Array.map (List.map (fun (c, a, _) -> (c, a))) taps) in
         let nout = Layout.num_cts out_meta in
         let mask_pts =
           Array.init nout (fun j ->
@@ -290,6 +392,7 @@ module Make (H : Hisa.S) = struct
               done;
               List.rev !l)
         in
+        let rotated_of = hoisted_of (Array.map (List.map (fun (j, a, _) -> (j, a))) taps) in
         (* per-channel placement masks: the fold leaves partial sums in the
            other blocks, which must not pollute sibling channels *)
         let mask_pts =
@@ -367,13 +470,14 @@ module Make (H : Hisa.S) = struct
       Array.init n (fun j ->
           staged_pt budget (fun () -> Layout.plain_ct out_meta j (fun _ _ _ -> inv)) ~scale:cfg.pm)
     in
+    let taps = Array.of_list taps in
     let run t =
       let summed =
-        Array.map (fun ct -> List.fold_left (fun acc a -> H.fma_rot acc ct a) ct taps) t.cts
+        Array.map (fun ct -> Array.fold_left H.add ct (H.rot_many ct taps)) t.cts
       in
       { meta = out_meta; cts = mask_normalize cfg summed mask_pts }
     in
-    { sg_run = run; sg_mul_rescale = n; sg_rot_acc = n * List.length taps; sg_mul_acc = 0 }
+    { sg_run = run; sg_mul_rescale = n; sg_rot_acc = 0; sg_mul_acc = 0 }
 
   (* sum rows into row 0, then columns into column 0 *)
   let global_avg_pool cfg ~meta ~budget =
@@ -465,77 +569,151 @@ module Make (H : Hisa.S) = struct
                  meta.Layout.channels meta.Layout.height meta.Layout.width;
              got = Printf.sprintf "weights %s" (shape_str weights.Tensor.shape);
            });
-    let out_meta = Layout.vector_meta ~slots:H.slots ~length:out_dim ~twin:meta.Layout.twin () in
+    let out_meta = dense_out_meta meta ~out_dim in
     let n_in = Layout.num_cts meta in
-    (* weight plaintexts are built one ciphertext at a time: at large ring
-       dimensions the full per-output plains vector set is huge *)
-    let w_pts =
-      Array.init out_dim (fun o ->
-          Array.init n_in (fun j ->
-              staged_pt budget
-                (fun () ->
-                  Layout.plain_ct meta j (fun c h w_ ->
-                      Tensor.get weights [| o; Layout.flat_index meta ~c ~h ~w:w_ |]))
-                ~scale:cfg.pw))
-    in
-    (* select slot o (and its twin, so the sentinel lane survives) *)
-    let mask_pts =
-      Array.init out_dim (fun o ->
-          staged_pt budget
-            (fun () ->
-              let mask = Array.make H.slots 0.0 in
-              mask.(Layout.slot_of out_meta ~c:o ~h:0 ~w:0) <- 1.0;
-              if meta.Layout.twin then mask.(Layout.slot_of out_meta ~c:o ~h:0 ~w:0 + 1) <- 1.0;
-              mask)
-            ~scale:cfg.pm)
-    in
+    let spread = Layout.spread_of meta.Layout.twin in
     let bias_pts =
       Option.map
         (fun bs -> dynamic_pts (fun () -> Layout.plains out_meta (fun c _ _ -> bs.(c))))
         bias
     in
-    let run t =
-      let out = ref None in
-      for o = 0 to out_dim - 1 do
-        let partial = ref None in
-        Array.iteri
-          (fun j ct ->
-            let p = w_pts.(o).(j) () in
-            partial :=
-              Some
-                (match !partial with
-                | None -> H.mul_plain ct p
-                | Some a -> H.fma_plain a ct p))
-          t.cts;
-        let partial = match !partial with Some p -> p | None -> assert false in
-        (* all-reduce: every slot ends up holding the dot product. Twin
-           layouts fold at stride 2 over half the slots — each parity class
-           all-reduces within itself, keeping the sentinel dot product in the
-           odd slots and the primary one in the even slots. *)
-        let total =
-          if meta.Layout.twin then fold_blocks partial ~count:(H.slots / 2) ~stride:2
-          else fold_blocks partial ~count:H.slots ~stride:1
-        in
-        let m = mask_pts.(o) () in
-        out :=
-          Some
-            (match !out with
-            | None -> H.mul_plain total m
-            | Some a -> H.fma_plain a total m)
-      done;
-      let out_ct = rescale_toward cfg (match !out with Some ct -> ct | None -> assert false) in
+    let add_bias out_ct =
       match bias_pts with
       | None -> { meta = out_meta; cts = [| out_ct |] }
       | Some dyn ->
           let s_now = int_of_float (H.scale_of out_ct) in
           { meta = out_meta; cts = [| H.add_plain out_ct (dyn 0 ~scale:s_now) |] }
     in
-    {
-      sg_run = run;
-      sg_mul_rescale = 1;
-      sg_rot_acc = out_dim * log2i H.slots;
-      sg_mul_acc = (out_dim * Stdlib.max 0 (n_in - 1)) + Stdlib.max 0 (out_dim - 1);
-    }
+    (* weight plaintexts are built one ciphertext at a time: at large ring
+       dimensions the full per-output plains vector set is huge. [shift]
+       places them on the input lattice moved up that many slots. *)
+    let w_pt ?(shift = 0) o j =
+      let m = { meta with Layout.offset = meta.Layout.offset + shift } in
+      staged_pt budget
+        (fun () ->
+          Layout.plain_ct m j (fun c h w_ ->
+              Tensor.get weights [| o; Layout.flat_index meta ~c ~h ~w:w_ |]))
+        ~scale:cfg.pw
+    in
+    (* select [slots] (and their twins, so the sentinel lane survives) *)
+    let mask_pt slots =
+      staged_pt budget
+        (fun () ->
+          let mask = Array.make H.slots 0.0 in
+          List.iter
+            (fun s ->
+              mask.(s) <- 1.0;
+              if meta.Layout.twin then mask.(s + 1) <- 1.0)
+            slots;
+          mask)
+        ~scale:cfg.pm
+    in
+    (* a group's dot products: [terms] pairs input ciphertext [j], shifted
+       to lane [k], with that lane's weights *)
+    let partial terms inputs =
+      let acc = ref None in
+      List.iter
+        (fun (j, k, p) ->
+          let x = inputs.(j).(k) in
+          acc :=
+            Some (match !acc with None -> H.mul_plain x (p ()) | Some a -> H.fma_plain a x (p ())))
+        terms;
+      match !acc with Some a -> a | None -> assert false
+    in
+    match dense_fold meta ~out_dim with
+    | Some { dn_axes; dn_lanes = lanes; dn_lift = lift; _ } ->
+        let groups = (out_dim + lanes - 1) / lanes in
+        (* lane [k] of group [g] ends [g·lanes + k] output positions below
+           the anchor *)
+        let output g k = ((groups * lanes) - 1) - ((g * lanes) + k) in
+        let terms =
+          Array.init groups (fun g ->
+              List.concat_map
+                (fun j ->
+                  List.filter_map
+                    (fun k ->
+                      let o = output g k in
+                      if o < out_dim then Some (j, k, w_pt ~shift:(lift - (k * spread)) o j)
+                      else None)
+                    (List.init lanes Fun.id))
+                (List.init n_in Fun.id))
+        in
+        let lane_amounts = Array.init lanes (fun k -> ((k * spread) - lift + H.slots) mod H.slots) in
+        let shifted = Array.of_list (List.filter (( <> ) 0) (Array.to_list lane_amounts)) in
+        let fold_amounts =
+          List.concat_map
+            (fun (stride, count) -> List.init (log2i count) (fun i -> stride lsl i))
+            dn_axes
+        in
+        let anchor = meta.Layout.offset + lift in
+        let mask = mask_pt (List.init lanes (fun k -> anchor - (k * spread))) in
+        (* the placement tree: a block covering [2^t] groups moves down by
+           [2^t·lanes·spread] slots when it joins the block before it *)
+        let down t = (lanes * spread) lsl t in
+        let run t =
+          let lanes_of ct =
+            let moved = H.rot_many ct shifted and i = ref (-1) in
+            Array.map (fun a -> if a = 0 then ct else (incr i; moved.(!i))) lane_amounts
+          in
+          let inputs = Array.map lanes_of t.cts in
+          (* binary-counter merge: (level, block) pairs, one block per level *)
+          let stack = ref [] in
+          for g = 0 to groups - 1 do
+            let folded =
+              List.fold_left
+                (fun acc a -> H.fma_rot acc acc a)
+                (partial terms.(g) inputs) fold_amounts
+            in
+            let rec push level b = function
+              | (l, below) :: rest when l = level ->
+                  push (level + 1) (H.fma_rot below b (down level)) rest
+              | st -> (level, b) :: st
+            in
+            stack := push 0 (H.mul_plain folded (mask ())) !stack
+          done;
+          let out_ct =
+            match !stack with
+            | [] -> assert false
+            | (_, b) :: rest ->
+                List.fold_left (fun acc (l, below) -> H.fma_rot below acc (down l)) b rest
+          in
+          add_bias (rescale_toward cfg out_ct)
+        in
+        {
+          sg_run = run;
+          sg_mul_rescale = 1;
+          sg_rot_acc = (groups * List.length fold_amounts) + (groups - 1);
+          sg_mul_acc = (n_in * out_dim) - groups;
+        }
+    | None ->
+        (* fallback all-reduce: every slot ends up holding the dot product.
+           Twin layouts fold at stride 2 over half the slots — each parity
+           class all-reduces within itself, keeping the sentinel dot product
+           in the odd slots and the primary one in the even slots. *)
+        let w_pts = Array.init out_dim (fun o -> Array.init n_in (fun j -> w_pt o j)) in
+        let mask_pts =
+          Array.init out_dim (fun o -> mask_pt [ Layout.slot_of out_meta ~c:o ~h:0 ~w:0 ])
+        in
+        let count = H.slots / spread in
+        let run t =
+          let out = ref None in
+          for o = 0 to out_dim - 1 do
+            let terms = List.init n_in (fun j -> (j, 0, w_pts.(o).(j))) in
+            let total =
+              fold_blocks (partial terms (Array.map (fun c -> [| c |]) t.cts)) ~count ~stride:spread
+            in
+            let m = mask_pts.(o) () in
+            out :=
+              Some (match !out with None -> H.mul_plain total m | Some a -> H.fma_plain a total m)
+          done;
+          add_bias (rescale_toward cfg (match !out with Some ct -> ct | None -> assert false))
+        in
+        {
+          sg_run = run;
+          sg_mul_rescale = 1;
+          sg_rot_acc = out_dim * log2i count;
+          sg_mul_acc = (out_dim * Stdlib.max 0 (n_in - 1)) + Stdlib.max 0 (out_dim - 1);
+        }
 
   (* --- structural ops ------------------------------------------------ *)
 

@@ -48,6 +48,9 @@ val create :
     @raise Chet_herr.Herr.Fhe_error
       ([Slot_overflow]) if the tensor does not fit in [slots]. *)
 
+val spread_of : bool -> int
+(** Physical slots per logical position: 2 on twin layouts, else 1. *)
+
 val vector_meta : slots:int -> length:int -> ?twin:bool -> unit -> meta
 (** Dense vector layout (used for fully-connected outputs): [length]
     channels of 1×1, packed contiguously. *)

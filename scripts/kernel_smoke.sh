@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Fast-ring kernel smoke (DESIGN.md §15): the Bigarray/Shoup kernel path
-# must (a) beat the scalar reference on a raw NTT round trip and (b) stay
+# must (a) beat the scalar reference on a raw NTT round trip, (b) hoisted
+# rotations over 8 amounts must beat 8 single rotations, and (c) stay
 # bit-identical when the residue channels fan out across a 2-domain Kpool.
 # Any drift is a reduction-window bug, not noise. (Bit-identity of the fast
 # kernels against the schoolbook reference is test/test_kernels.ml's job.)
@@ -20,6 +21,14 @@ fast_us=$(awk '/ntt fast/ { print $3 }' "$DIR/kbench.out")
 scalar_us=$(awk '/ntt scalar/ { print $3 }' "$DIR/kbench.out")
 awk -v f="$fast_us" -v s="$scalar_us" 'BEGIN { exit !(f + 0 < s + 0) }' || {
   echo "kernel smoke FAIL: fast NTT ($fast_us us) not faster than scalar ($scalar_us us)" >&2
+  exit 1
+}
+
+echo "-- hoisted rotations: rot_many over 8 amounts must beat 8 single rotations"
+many_ms=$(awk '/rot_many 8/ { print $3 }' "$DIR/kbench.out")
+single_ms=$(awk '/rot_many 8/ { print $8 }' "$DIR/kbench.out")
+awk -v m="$many_ms" -v s="$single_ms" 'BEGIN { exit !(m + 0 > 0 && m + 0 < s + 0) }' || {
+  echo "kernel smoke FAIL: rot_many ($many_ms ms) not faster than 8 rotations ($single_ms ms)" >&2
   exit 1
 }
 

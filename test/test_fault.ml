@@ -83,10 +83,28 @@ let test_dropped_rescale_detected () =
     | Herr.Illegal_rescale _ -> true
     | _ -> false)
 
+(* ops a clean inference puts through the fault wrapper's counter: every
+   intercepted op but encode and decrypt, which it forwards uncounted *)
+let clean_op_count () =
+  let compiled = Lazy.force compiled and ks = Lazy.force keys in
+  let n = ref 0 in
+  let around op _ run =
+    (match op with Hisa.Encode | Hisa.Decrypt -> () | _ -> incr n);
+    run ()
+  in
+  let module H = (val Hisa.intercept { Hisa.around } (Compiler.view ks ~req_seed:0)) in
+  let module E = Chet_plan.Plan_exec.Make (H) in
+  ignore
+    (E.eval compiled.Compiler.opts.Compiler.scales compiled.Compiler.circuit
+       ~policy:compiled.Compiler.policy image);
+  !n
+
 let test_late_trigger_still_detected () =
-  (* arming the fault deep into the circuit must still be caught *)
-  let outcome, log = run_with_fault ~trigger:200 Fault.Scale_corruption in
-  Alcotest.(check bool) "fired late" true (log.Fault.fired && log.Fault.fired_at_op >= 200);
+  (* arming the fault deep into the circuit — three quarters of the way
+     through a clean run's ops — must still be caught *)
+  let trigger = 3 * clean_op_count () / 4 in
+  let outcome, log = run_with_fault ~trigger Fault.Scale_corruption in
+  Alcotest.(check bool) "fired late" true (log.Fault.fired && log.Fault.fired_at_op >= trigger);
   match outcome with
   | Ok () -> Alcotest.fail "late fault not detected"
   | Error (Herr.Scale_mismatch _, _) -> ()

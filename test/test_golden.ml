@@ -12,6 +12,8 @@
      may differ in the last bits (the fused kernels sum the simulated clock
      in a different order), so they compare to 1e-9 relative; plaintext
      encodes may only fall;
+     Its [keyswitch] rows pin the rotations and relinearisations one
+     inference of micro and LeNet-5-small performs at N = 2048;
    - timed_cells.golden: the (op, env, count) cells the Timed interceptor
      records over one cleartext run of micro and of LeNet-5-small at their
      compiled parameters — which ops it times and at which modulus status.
@@ -178,6 +180,34 @@ let test_compiler_choices () =
       end)
     (M.micro :: M.cryptonets :: M.all)
 
+(* --- pinned key-switch counts ---------------------------------------------- *)
+
+(* Rotations and relinearisations of one inference at the benchmark's pinned
+   N = 2048, counted by Instrument over the cleartext backend — a rotation
+   regression fails here deterministically, whatever the timing noise. *)
+let keyswitch_line (spec : M.spec) =
+  let circuit = spec.M.build () in
+  let compiled = pin (C.compile (C.default_options ()) circuit) in
+  let n = C.params_n compiled.C.params in
+  let scheme = C.scheme_of_params compiled.C.opts compiled.C.params in
+  let counted, k =
+    Ins.wrap (Clear.make { Clear.slots = n / 2; scheme; strict_modulus = false; encode_noise = false })
+  in
+  let module H = (val counted) in
+  let module PE = Plan_exec.Make (H) in
+  let plan = Plan.build ~slots:(n / 2) ~policy:compiled.C.policy circuit in
+  let prepared = PE.prepare compiled.C.opts.C.scales plan in
+  Ins.reset k;
+  ignore (PE.run prepared (M.input_for spec ~seed:1));
+  Printf.sprintf "keyswitch %s %d %d %d" spec.M.model_name n (Ins.total_rotations k) k.Ins.ct_muls
+
+let test_keyswitch_counts () =
+  let golden =
+    List.filter (fun l -> String.starts_with ~prefix:"keyswitch " l) (lines_of "data/compiler.golden")
+  in
+  check_lines "key switches per inference" ~golden
+    ~got:(List.map keyswitch_line [ M.micro; M.lenet5_small ])
+
 (* --- Timed interceptor cells ---------------------------------------------- *)
 
 let timed_lines (spec : M.spec) =
@@ -230,6 +260,7 @@ let suite =
         Alcotest.test_case "cleartext outputs, all policies" `Quick test_clear_outputs;
         Alcotest.test_case "real RNS-CKKS outputs, sentinel off and on" `Quick test_real_outputs;
         Alcotest.test_case "compiler choices" `Slow test_compiler_choices;
+        Alcotest.test_case "key switches per inference at N=2048" `Quick test_keyswitch_counts;
         Alcotest.test_case "Timed interceptor cells" `Quick test_timed_cells;
         Alcotest.test_case "PLAN v1 frame loads as untwinned" `Quick test_plan_v1_frame;
       ] );

@@ -22,6 +22,17 @@ let test_clear_roundtrip_and_rotation () =
   let back = H.decode (H.decrypt (H.rot_right (H.rot_left ct 5) 5)) in
   Alcotest.(check (float 1e-9)) "inverse rotations" 1.0 back.(0)
 
+(* hoisting is a no-op on the cleartext reference: rot_many is exactly the
+   mapped rot_left *)
+let test_clear_rot_many () =
+  let module H = (val clear () : Hisa.S) in
+  let ct = H.encrypt (H.encode (Array.init 16 float_of_int) ~scale:1024) in
+  let amounts = [| 1; 5; 0; -3; 17; 15 |] in
+  let dec c = H.decode (H.decrypt c) in
+  Alcotest.(check (array (array (float 0.0))))
+    "mapped rot_left" (Array.map (fun k -> dec (H.rot_left ct k)) amounts)
+    (Array.map dec (H.rot_many ct amounts))
+
 let test_clear_scale_tracking () =
   let module H = (val clear () : Hisa.S) in
   let a = H.encrypt (H.encode [| 2.0 |] ~scale:1024) in
@@ -90,6 +101,7 @@ let test_sim_clock () =
       cm_plain_mul = (fun _ -> 3.0);
       cm_cipher_mul = (fun _ -> 5.0);
       cm_rotate = (fun _ -> 7.0);
+      cm_rot_hoisted = (fun _ -> 3.5);
       cm_rescale = (fun _ -> 11.0);
     }
   in
@@ -102,7 +114,11 @@ let test_sim_clock () =
   Alcotest.(check (float 1e-9)) "elapsed" (1.0 +. 5.0 +. 7.0) clock.Sim.elapsed;
   Alcotest.(check int) "ops" 3 clock.Sim.op_count;
   Alcotest.(check (float 1e-9)) "rotate share" 7.0 clock.Sim.rotate_elapsed;
-  Alcotest.(check int) "rotate count" 1 clock.Sim.rotate_count
+  Alcotest.(check int) "rotate count" 1 clock.Sim.rotate_count;
+  (* a hoisted call is priced per rotating amount at the hoisted row *)
+  let _ = H.rot_many c [| 1; 2; 0 |] in
+  Alcotest.(check (float 1e-9)) "hoisted elapsed" (13.0 +. 7.0) clock.Sim.elapsed;
+  Alcotest.(check int) "hoisted rotate count" 3 clock.Sim.rotate_count
 
 let test_sim_env_dependent_cost () =
   (* cost must drop after rescaling (fewer active primes) *)
@@ -132,15 +148,17 @@ let test_instrument_counts () =
   let _ = H.rot_left a 3 in
   let _ = H.rot_right a 1 in
   let _ = H.rot_left a 0 in
+  (* a hoisted call counts each amount it rotates by *)
+  let _ = H.rot_many a [| 3; 0; 4 |] in
   Alcotest.(check int) "adds" 1 counters.Instrument.adds;
   Alcotest.(check int) "ct muls" 1 counters.Instrument.ct_muls;
   Alcotest.(check int) "plain muls" 1 counters.Instrument.plain_muls;
   Alcotest.(check int) "scalar muls" 1 counters.Instrument.scalar_muls;
   Alcotest.(check int) "encodes" 1 counters.Instrument.encodes;
   (* rot_right 1 records as left rotation slots-1 = 15; rot 0 not recorded *)
-  Alcotest.(check int) "total rotations" 3 (Instrument.total_rotations counters);
+  Alcotest.(check int) "total rotations" 5 (Instrument.total_rotations counters);
   let distinct = List.sort compare (Instrument.distinct_rotations counters) in
-  Alcotest.(check (list int)) "distinct" [ 3; 15 ] distinct
+  Alcotest.(check (list int)) "distinct" [ 3; 4; 15 ] distinct
 
 (* Every intercepted call reaches the hook exactly once — a fused op as one
    call — with its rotation amount or divisor and its operand's env before
@@ -152,6 +170,7 @@ let test_intercept_coverage () =
     ^
     match op with
     | Rot_left k | Rot_right k | Fma_rot k | Rescale k -> " " ^ string_of_int k
+    | Rot_many ks -> String.concat "" (Array.to_list (Array.map (Printf.sprintf " %d") ks))
     | _ -> ""
   in
   let around op env run =
@@ -190,6 +209,7 @@ let test_intercept_coverage () =
   ignore (call ~level:3 "fma_scalar" (fun () -> H.fma_scalar a a 2.0 ~scale:1));
   ignore (call ~level:3 "fma_plain" (fun () -> H.fma_plain m a p));
   ignore (call ~level:3 "fma_rot 7" (fun () -> H.fma_rot a a 7));
+  ignore (call ~level:3 "rot_many 1 4" (fun () -> H.rot_many a [| 1; 4 |]));
   ignore (call ~level:3 "rescale 1" (fun () -> H.rescale m 1));
   let d = H.max_rescale m (1 lsl 31) in
   let r = call ~level:3 (Printf.sprintf "rescale %d" d) (fun () -> H.rescale m d) in
@@ -200,7 +220,7 @@ let test_intercept_coverage () =
   ignore (H.scale_of a, H.env_of a);
   Alcotest.(check int) "pass-through ops not intercepted" 0 (List.length !log);
   let names = List.sort_uniq compare (List.map Hisa.op_name !seen) in
-  Alcotest.(check int) "every intercepted op exercised" 19 (List.length names);
+  Alcotest.(check int) "every intercepted op exercised" 20 (List.length names);
   (* the cost model classifies every op that computes on ciphertexts; only
      the client-side boundary ops are unpriced *)
   List.iter
@@ -215,6 +235,7 @@ let suite =
     ( "hisa",
       [
         Alcotest.test_case "clear roundtrip/rotation" `Quick test_clear_roundtrip_and_rotation;
+        Alcotest.test_case "clear rot_many = mapped rot_left" `Quick test_clear_rot_many;
         Alcotest.test_case "clear scale tracking" `Quick test_clear_scale_tracking;
         Alcotest.test_case "clear quantisation" `Quick test_clear_quantisation;
         Alcotest.test_case "clear RNS rescale semantics" `Quick test_clear_rns_rescale_semantics;

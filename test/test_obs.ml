@@ -403,6 +403,7 @@ let test_calibrate_roundtrip () =
       k_plain_mul = 2.2e-8;
       k_cipher_mul = 4.4e-8;
       k_rotate = 5.5e-8;
+      k_rot_hoisted = 2.5e-8;
       k_rescale = 1.7e-8;
     }
   in
@@ -419,6 +420,7 @@ let test_calibrate_roundtrip () =
     | Cost_model.Plain_mul -> truth.Cost_model.k_plain_mul
     | Cost_model.Cipher_mul -> truth.Cost_model.k_cipher_mul
     | Cost_model.Rotate -> truth.Cost_model.k_rotate
+    | Cost_model.Rot_hoisted -> truth.Cost_model.k_rot_hoisted
     | Cost_model.Rescale -> truth.Cost_model.k_rescale
   in
   let cells =
@@ -432,7 +434,7 @@ let test_calibrate_roundtrip () =
                 (op, env, 5 + i, k_of cls *. Cost_model.term_of `Seal cls env))
               envs)
       [ "add"; "sub"; "add_plain"; "add_scalar"; "mul_scalar"; "mul_plain"; "mul"; "rot_left";
-        "rescale"; "encode" (* must be ignored *) ]
+        "rot_many"; "rescale"; "encode" (* must be ignored *) ]
   in
   let fitted = Cost_model.calibrate_from ~scheme:`Seal cells in
   let close name got want =
@@ -444,6 +446,7 @@ let test_calibrate_roundtrip () =
   close "k_plain_mul" fitted.Cost_model.k_plain_mul truth.Cost_model.k_plain_mul;
   close "k_cipher_mul" fitted.Cost_model.k_cipher_mul truth.Cost_model.k_cipher_mul;
   close "k_rotate" fitted.Cost_model.k_rotate truth.Cost_model.k_rotate;
+  close "k_rot_hoisted" fitted.Cost_model.k_rot_hoisted truth.Cost_model.k_rot_hoisted;
   close "k_rescale" fitted.Cost_model.k_rescale truth.Cost_model.k_rescale;
   (* classes with no samples keep defaults *)
   let partial = Cost_model.calibrate_from ~scheme:`Heaan [] in
@@ -515,6 +518,7 @@ let test_calibrated_model_orders_layouts () =
     | Cost_model.Plain_mul -> d.Cost_model.k_plain_mul
     | Cost_model.Cipher_mul -> d.Cost_model.k_cipher_mul
     | Cost_model.Rotate -> d.Cost_model.k_rotate
+    | Cost_model.Rot_hoisted -> d.Cost_model.k_rot_hoisted
     | Cost_model.Rescale -> d.Cost_model.k_rescale
   in
   let cells =
@@ -524,7 +528,7 @@ let test_calibrated_model_orders_layouts () =
         | None -> []
         | Some cls ->
             List.map (fun env -> (op, env, 8, k_of cls *. Cost_model.term_of `Seal cls env)) envs)
-      [ "add"; "mul_scalar"; "mul_plain"; "mul"; "rot_left"; "rescale" ]
+      [ "add"; "mul_scalar"; "mul_plain"; "mul"; "rot_left"; "rot_many"; "rescale" ]
   in
   let fitted = Cost_model.calibrate_from ~scheme:`Seal cells in
   let cal = { Cost_model.seal_c = fitted; heaan_c = Cost_model.heaan_defaults } in

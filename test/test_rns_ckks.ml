@@ -147,6 +147,40 @@ let test_rotate_zero () =
   let a = random_vec 21 in
   check_close "rot by 0" a (C.rotate ctx keys (encrypt_vec a) 0)
 
+(* the NTT-domain Galois permutation against the coefficient-domain
+   automorphism, bit for bit, for every rotation amount and conjugation *)
+let test_ntt_galois_permutation () =
+  List.iter
+    (fun n ->
+      let ctx = C.make_context (C.default_params ~n ~bits:30 ~num_coeff_primes:2 ()) in
+      let rq = C.rq_ctx ctx in
+      let st = Random.State.make [| n |] in
+      let coeffs = Array.init n (fun _ -> Random.State.int st 2001 - 1000) in
+      let a = Rq_rns.of_centered_coeffs rq [| 0; 1; 2 |] coeffs in
+      let a_ntt = Rq_rns.to_ntt rq a in
+      let check g =
+        let via_coeffs = Rq_rns.to_ntt rq (Rq_rns.automorphism rq a ~g) in
+        if not (Rq_rns.equal (Rq_rns.automorphism_ntt rq a_ntt ~g) via_coeffs) then
+          Alcotest.failf "n=%d g=%d: NTT-domain permutation differs" n g
+      in
+      for r = 1 to C.slot_count ctx - 1 do
+        check (Encoding.galois_element (C.encoding ctx) r)
+      done;
+      check (Encoding.conj_element (C.encoding ctx)))
+    [ 2048; 4096 ]
+
+(* hoisted rotations decrypt to the rotated slots (exact keys, a
+   power-of-two fallback, a right rotation and zero in one call) *)
+let test_rotate_many () =
+  let a = random_vec 17 in
+  let amounts = [| 1; 3; 2; 5; -1; 0 |] in
+  let outs = C.rotate_many ctx keys (encrypt_vec a) amounts in
+  Array.iteri
+    (fun i r ->
+      let rotated = Array.init slots (fun j -> a.((((j + r) mod slots) + slots) mod slots)) in
+      check_close ~tol:1e-2 (Printf.sprintf "rot_many amount %d" r) rotated outs.(i))
+    amounts
+
 let test_wrong_key_fails () =
   (* decrypting with a fresh secret key must not recover the message *)
   let rng2 = Sampling.create ~seed:999 in
@@ -200,6 +234,8 @@ let suite =
         Alcotest.test_case "rotate pow2 fallback" `Quick test_rotate_pow2_fallback;
         Alcotest.test_case "rotate negative" `Quick test_rotate_negative;
         Alcotest.test_case "rotate zero" `Quick test_rotate_zero;
+        Alcotest.test_case "NTT-domain Galois permutation" `Quick test_ntt_galois_permutation;
+        Alcotest.test_case "hoisted rotate_many" `Quick test_rotate_many;
         Alcotest.test_case "wrong key garbles" `Quick test_wrong_key_fails;
         Alcotest.test_case "level mismatch rejected" `Quick test_level_mismatch_rejected;
         Alcotest.test_case "scale mismatch rejected" `Quick test_scale_mismatch_rejected;

@@ -119,10 +119,123 @@ let test_random_assignments () =
       Alcotest.failf "random assignment on circuit %d: diff %.5f > %.5f" seed diff bound
   done
 
+(* --- the dense kernel's lattice fold ------------------------------------
+
+   A dense layer over metas the kernel meets in practice: HW and CHW, twin,
+   strided after a pool, non-power-of-two width and height, out_dim not a
+   multiple of the lane count, and a meta whose padded box is not
+   mixed-radix (the full-fold fallback). Each must match Reference, and the
+   kernel's rotate-accumulate count must be what the interceptors see. *)
+
+module Layout = Chet_runtime.Layout
+module Instrument = Chet_hisa.Instrument
+
+let dense_case ~meta ~out_d seed =
+  let st = Random.State.make [| seed; 91 |] in
+  let c, h, w = (meta.Layout.channels, meta.Layout.height, meta.Layout.width) in
+  let b = Circuit.builder () in
+  let x = Circuit.flatten b (Circuit.input b ~name:"x" [| c; h; w |]) in
+  let weights = Dataset.glorot st [| out_d; c * h * w |] in
+  let bias = Dataset.bias st out_d in
+  let fc = Circuit.matmul b x ~weights ~bias () in
+  let circuit = Circuit.finish b ~name:"dense" ~output:fc in
+  let image = Dataset.image ~seed ~channels:c ~height:h ~width:w in
+  let expected = Reference.eval circuit image in
+  let fma_rots = ref 0 and hoisted = ref 0 in
+  let around op _ run =
+    (match op with
+    | Hisa.Fma_rot _ -> incr fma_rots
+    | Hisa.Rot_many ks -> hoisted := !hoisted + Array.length ks
+    | _ -> ());
+    run ()
+  in
+  let counted, counters = Instrument.wrap (Hisa.intercept { Hisa.around } (backend ())) in
+  let module H = (val counted : Hisa.S) in
+  let module K = Kernels.Make (H) in
+  let cfg = Kernels.default_scales in
+  let op = K.matmul cfg ~meta ~budget:(ref 0) ~weights ~bias:(Some bias) in
+  let input = K.encrypt_tensor cfg meta image in
+  Instrument.reset counters;
+  fma_rots := 0;
+  let got = K.decrypt_tensor (op.K.sg_run input) in
+  let what = Format.asprintf "%a -> %d" Layout.pp meta out_d in
+  let diff = T.max_abs_diff (T.flatten expected) (T.flatten got) in
+  let bound = 2e-2 *. Float.max 1.0 (T.max_abs expected) in
+  if diff > bound then Alcotest.failf "%s: diff %.5f > %.5f" what diff bound;
+  Alcotest.(check int) (what ^ ": sg_rot_acc = intercepted fma_rot") op.K.sg_rot_acc !fma_rots;
+  Alcotest.(check int)
+    (what ^ ": Instrument rotations = rot-acc + hoisted lane shifts")
+    (op.K.sg_rot_acc + !hoisted)
+    (Instrument.total_rotations counters);
+  match Kernels.dense_fold meta ~out_dim:out_d with
+  | None -> 0
+  | Some d ->
+      (* every lane but an unlifted lane 0 is one hoisted shift per input *)
+      let shifts = d.Kernels.dn_lanes - if d.Kernels.dn_lift > 0 then 0 else 1 in
+      Alcotest.(check int) (what ^ ": lane shifts") (Layout.num_cts meta * shifts) !hoisted;
+      d.Kernels.dn_lanes
+
+let test_dense_lattice () =
+  let slots = 2048 in
+  let create kind ?(margin = 2) ?twin c h w =
+    Layout.create ~kind ~slots ~channels:c ~height:h ~width:w ~margin ?twin ()
+  in
+  (* a 2x2/2 pool's output meta: odd extent, doubled strides *)
+  let pooled m =
+    Layout.after_stride
+      (Layout.with_spatial m ~height:(m.Layout.height - 1) ~width:(m.Layout.width - 1))
+      2
+  in
+  let lattice =
+    [
+      (create Layout.HW 2 5 7, 5);
+      (create Layout.CHW 3 6 3, 13);
+      (create Layout.CHW ~twin:true 2 5 6, 7);
+      (create Layout.HW ~twin:true 3 3 5, 4);
+      (pooled (create Layout.CHW 2 9 9), 13);
+      (pooled (create Layout.HW ~twin:true 2 7 11), 6);
+      (pooled (pooled (create Layout.CHW 4 12 12)), 10);
+      (Layout.vector_meta ~slots ~length:21 (), 3);
+    ]
+  in
+  let packed_ragged = ref false in
+  List.iteri
+    (fun i (meta, out_d) ->
+      Alcotest.(check bool) "lattice fold applies" true (Kernels.dense_fold meta ~out_dim:out_d <> None);
+      let lanes = dense_case ~meta ~out_d i in
+      if lanes > 1 && out_d mod lanes <> 0 then packed_ragged := true)
+    lattice;
+  Alcotest.(check bool) "some case packs a ragged last group" true !packed_ragged;
+  (* plan-wide: the fused rotate-accumulates the prepared plan reports are
+     the ones a LeNet-5-small inference performs *)
+  let spec = Chet_nn.Models.lenet5_small in
+  let circuit = spec.Chet_nn.Models.build () in
+  let fma_rots = ref 0 in
+  let around op _ run =
+    (match op with Hisa.Fma_rot _ -> incr fma_rots | _ -> ());
+    run ()
+  in
+  let module H = (val Hisa.intercept { Hisa.around } (backend ()) : Hisa.S) in
+  let module PE = Chet_plan.Plan_exec.Make (H) in
+  let plan = Chet_plan.Plan.build ~slots:H.slots ~policy:Executor.All_chw circuit in
+  let prepared = PE.prepare Kernels.default_scales plan in
+  ignore (PE.run prepared (Chet_nn.Models.input_for spec ~seed:1));
+  Alcotest.(check int) "plan fused_rot_acc = intercepted fma_rot"
+    plan.Chet_plan.Plan.p_stats.Chet_plan.Plan.fused_rot_acc !fma_rots;
+  (* margin 0: the width axis pads to 8 > row stride 6, so the box is not
+     mixed-radix and the kernel folds over every slot *)
+  List.iteri
+    (fun i twin ->
+      let meta = create Layout.HW ~margin:0 ~twin 2 3 6 in
+      Alcotest.(check bool) "fallback" true (Kernels.dense_fold meta ~out_dim:5 = None);
+      ignore (dense_case ~meta ~out_d:5 (100 + i)))
+    [ false; true ]
+
 let suite =
   [
     ( "runtime:props",
       [
+        Alcotest.test_case "dense lattice fold vs Reference" `Quick test_dense_lattice;
         prop "random circuits: HW" Executor.All_hw;
         prop "random circuits: CHW" Executor.All_chw;
         prop "random circuits: HW-conv CHW-rest" Executor.Hw_conv_chw_rest;
