@@ -1,12 +1,13 @@
 (* Ring-kernel microbenchmark: the fast NTT against the scalar reference
-   transform, the pointwise kernel, and hoisted rotations against the same
-   rotations one at a time. Used by scripts/kernel_smoke.sh and for tuning
-   the fast path by hand. *)
+   transform, the pointwise kernel, hoisted rotations against the same
+   rotations one at a time, and the resident size of one rotation key. Used
+   by scripts/kernel_smoke.sh and for tuning the fast path by hand. *)
 
 module Ntt = Chet_crypto.Ntt
 module Rvec = Chet_crypto.Rvec
 module Modarith = Chet_crypto.Modarith
 module Rns = Chet_crypto.Rns_ckks
+module Rq_rns = Chet_crypto.Rq_rns
 
 let time f =
   let t0 = Unix.gettimeofday () in
@@ -52,7 +53,8 @@ let () =
     (1e6 *. t_pw /. float_of_int (reps * 10))
 
 (* [Rns_ckks.rotate_many] over 8 amounts against 8 [Rns_ckks.rotate] calls
-   on one fresh ciphertext, N = 4096 with 6 chain primes *)
+   on one fresh ciphertext, N = 4096 with 6 chain primes; then the bytes and
+   residue count of one of those rotation keys *)
 let () =
   let n = 4096 and reps = 4 in
   let ctx = Rns.make_context (Rns.default_params ~n ~num_coeff_primes:6 ()) in
@@ -81,4 +83,22 @@ let () =
   Printf.printf "  rot_many 8    %8.1f ms/call  (8 single rotations %.1f ms, n=%d, 6 primes)\n"
     (1e3 *. t_many /. float_of_int reps)
     (1e3 *. t_single /. float_of_int reps)
+    n;
+  let key = Hashtbl.fold (fun _ k _ -> Some k) keys.Rns.rotation None |> Option.get in
+  let bytes = ref 0 and residues = ref 0 in
+  Array.iter
+    (fun (b, a) ->
+      List.iter
+        (fun poly ->
+          Array.iteri
+            (fun k _ ->
+              let comp = Rq_rns.raw_comp poly k in
+              bytes := !bytes + Bigarray.Array1.size_in_bytes comp;
+              residues := !residues + Rvec.length comp)
+            (Rq_rns.basis poly))
+        [ b; a ])
+    (Rns.kswitch_pairs key);
+  Printf.printf "  rotation key  %d bytes  %d residues  (%.1f bytes/residue, n=%d, 6 primes)\n"
+    !bytes !residues
+    (float_of_int !bytes /. float_of_int !residues)
     n

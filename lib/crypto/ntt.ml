@@ -152,11 +152,11 @@ let inverse t a =
 
 let leaf_len = 1024 (* 8 KB of residues: comfortably inside L1 *)
 
-(* Concrete-typed wrappers so the primitive inlines as a word load/store
-   (see the note in rvec.ml: an eta-reduced alias goes through the generic
-   bigarray stub). *)
-let[@inline] uget (b : Rvec.buf) i : int = Bigarray.Array1.unsafe_get b i
-let[@inline] uset (b : Rvec.buf) i (v : int) = Bigarray.Array1.unsafe_set b i v
+(* Concrete-typed wrappers so the primitive inlines as an unboxed 32-bit
+   load/store (see the note in rvec.ml: an eta-reduced alias goes through
+   the generic bigarray stub). Every value stored here is < 2p < 2^31. *)
+let[@inline] uget (b : Rvec.buf) i : int = Int32.to_int (Bigarray.Array1.unsafe_get b i)
+let[@inline] uset (b : Rvec.buf) i (v : int) = Bigarray.Array1.unsafe_set b i (Int32.of_int v)
 
 let forward_fast (f : fast) p (a : Rvec.buf) n =
   let w = f.fw and wsh = f.fw_sh in

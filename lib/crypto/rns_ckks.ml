@@ -266,8 +266,9 @@ let add_scalar ctx ct x =
 (* Divide an NTT-form accumulator over the key basis [kb] (special prime
    last) by the special prime p, rounding: the CKKS rescale of
    {!Rq.drop_last} ~rounded, done in the NTT domain. Only the special
-   component goes through an INTT; its centered lift is broadcast to each
-   chain prime and NTT'd there, then subtracted and divided out. Every step
+   component goes through an INTT (in place: the accumulator is the key
+   switch's own scratch); its centered lift is broadcast to each chain prime
+   and NTT'd there, then subtracted and divided out. Every step
    is exact modular arithmetic and the NTT is linear, so the result is bit
    for bit the coefficient-domain rescale — at [level + 1] transforms
    instead of [2·level + 1]. *)
@@ -276,19 +277,13 @@ let mod_down ctx kb (acc : Rvec.buf array) =
   let n = ctx.params.n in
   let primes = Rq.ctx_primes ctx.rq in
   let p = primes.(kb.(l)) in
-  let last = Rvec.copy acc.(l) in
+  let last = acc.(l) in
   Ntt.inverse_buf (Rq.raw_ntt_table ctx.rq kb.(l)) last;
-  let half = p / 2 in
-  let centered =
-    Array.init n (fun i ->
-        let v = Rvec.get last i in
-        if v > half then v - p else v)
-  in
   let comps = Array.init l (fun _ -> Rvec.create n) in
   Kpool.run l (fun j ->
       let q = primes.(kb.(j)) in
       let d = comps.(j) in
-      Rvec.reduce_centered_into d centered q;
+      Rvec.lift_centered_into d last ~from:p q;
       Ntt.forward_buf (Rq.raw_ntt_table ctx.rq kb.(j)) d;
       Rvec.sub_into d acc.(j) d q;
       Rvec.scalar_mul_into d d (Modarith.inv_mod (p mod q) q) q);

@@ -6,6 +6,8 @@ let make_ctx ~n ~primes =
   let seen = Hashtbl.create 16 in
   Array.iter
     (fun p ->
+      (* residues are stored in 32-bit words (Rvec) *)
+      if p >= 1 lsl 31 then invalid_arg "Rq_rns.make_ctx: prime must be below 2^31";
       if Hashtbl.mem seen p then invalid_arg "Rq_rns.make_ctx: duplicate prime";
       Hashtbl.add seen p ())
     primes;
@@ -14,10 +16,11 @@ let make_ctx ~n ~primes =
 let ctx_n ctx = ctx.n
 let ctx_primes ctx = ctx.primes
 
-(* Residue components are unboxed Bigarray buffers (Rvec) — one canonical
-   residue vector per basis prime, transformed by the Shoup / lazy-NTT
-   kernels (their schoolbook oracle lives with the tests). Residue channels are independent, so the heavy per-limb kernels (NTTs,
-   pointwise products) fan out across {!Kpool} domains. *)
+(* Residue components are unboxed 32-bit Bigarray buffers (Rvec) — one
+   canonical residue vector per basis prime, transformed by the Shoup /
+   lazy-NTT kernels (their schoolbook oracle lives with the tests). Residue
+   channels are independent, so the heavy per-limb kernels (NTTs, pointwise
+   products) fan out across {!Kpool} domains. *)
 
 type mode = int array
 type t = { basis : int array; comps : Rvec.buf array; ntt : bool }

@@ -12,7 +12,8 @@ type ctx
 
 val make_ctx : n:int -> primes:int array -> ctx
 (** Builds NTT tables for every prime. Primes must be distinct, NTT-friendly
-    for size [n]. *)
+    for size [n], and below [2^31] (residues are stored in 32-bit words).
+    @raise Invalid_argument otherwise. *)
 
 val ctx_n : ctx -> int
 val ctx_primes : ctx -> int array

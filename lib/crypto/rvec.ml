@@ -1,10 +1,15 @@
 (* Unboxed residue-vector kernels over Bigarray buffers (DESIGN.md §15).
 
-   Storage is the [Bigarray.int] kind — native 63-bit ints in 64-bit memory
-   words. Unlike the [int64] kind, reads and writes do not box, so the hot
-   loops below compile to straight-line word loads/stores plus integer ALU
-   ops. All residues are < 2^30 (the prime ladder is generated with
-   [bits = 30]), so a product of two residues fits comfortably in 62 bits.
+   Storage is the [Bigarray.int32] kind: one residue per 32-bit word, half
+   the memory of a native-int buffer. Every stored value is below 2^31 —
+   canonical residues are < p < 2^31 ({!Rq_rns.make_ctx} rejects larger
+   primes), and the NTT's lazy [0, 2p) window exists only for p <= 2^30 —
+   so it fits a signed int32 without wrapping. The element type is touched
+   only by [uget]/[uset] and the plain accessors below, which convert with
+   [Int32.to_int]/[Int32.of_int] in the same expression: ocamlopt unboxes
+   that pattern, so a load is one (sign-extending) word load with no
+   allocation, and the kernels compute on native ints. A product of two
+   residues fits in 62 bits.
 
    Reduction strategy (see DESIGN.md §15 for the error analysis):
    - products with one fixed multiplicand (twiddles, scalar broadcast,
@@ -14,7 +19,7 @@
    - products of two variable operands keep the hardware [mod]: a
      float-assisted Barrett variant was measured slower here (the
      int<->float conversion chain outweighs one 63-bit divide), and no
-     integer Barrett fits two 30-bit operands in a 63-bit word;
+     integer Barrett fits two 31-bit operands in a 63-bit word;
    - additive ops fold with the branchless conditional-subtract
      [d + (p land (d asr 62))], which adds [p] back exactly when [d] is
      negative.
@@ -23,20 +28,21 @@
    to the schoolbook [mod]-based computation (the test suite's reference
    twins): the reduction strategy changes, the result never does. *)
 
-type buf = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+type buf = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 (* Syntactic full applications at a concrete type: each compiles to an
-   inlined word load/store. An eta-reduced alias
+   inlined word load/store, and the int32 conversion in the same expression
+   is unboxed. An eta-reduced alias
    ([let uget = Bigarray.Array1.unsafe_get]) would instead close over the
    polymorphic primitive and dispatch through the generic C stub on every
    element access — ~10x slower in the butterfly loops. *)
-let[@inline] uget (b : buf) i : int = Bigarray.Array1.unsafe_get b i
-let[@inline] uset (b : buf) i (v : int) = Bigarray.Array1.unsafe_set b i v
-let create n : buf = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
+let[@inline] uget (b : buf) i : int = Int32.to_int (Bigarray.Array1.unsafe_get b i)
+let[@inline] uset (b : buf) i (v : int) = Bigarray.Array1.unsafe_set b i (Int32.of_int v)
+let create n : buf = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout n
 let length (b : buf) = Bigarray.Array1.dim b
-let get (b : buf) i = Bigarray.Array1.get b i
-let set (b : buf) i v = Bigarray.Array1.set b i v
-let fill (b : buf) v = Bigarray.Array1.fill b v
+let get (b : buf) i = Int32.to_int (Bigarray.Array1.get b i)
+let set (b : buf) i v = Bigarray.Array1.set b i (Int32.of_int v)
+let fill (b : buf) v = Bigarray.Array1.fill b (Int32.of_int v)
 let blit (src : buf) (dst : buf) = Bigarray.Array1.blit src dst
 
 let copy (b : buf) =
@@ -148,6 +154,13 @@ let reduce_centered_into (dst : buf) (coeffs : int array) p =
     uset dst i (Modarith.reduce (Array.unsafe_get coeffs i) p)
   done
 
+let lift_centered_into (dst : buf) (src : buf) ~from p =
+  let half = from / 2 in
+  for i = 0 to length dst - 1 do
+    let v = uget src i in
+    uset dst i (Modarith.reduce (if v > half then v - from else v) p)
+  done
+
 let rescale_limb_into (dst : buf) (src : buf) (last : buf) ~q_last ~p =
   (* CKKS rescale, one limb: dst = (src - [last]_centered) / q_last  (mod p).
      The centered lift of the dropped residue makes the division a proper
@@ -161,8 +174,10 @@ let rescale_limb_into (dst : buf) (src : buf) (last : buf) ~q_last ~p =
     (* centered d satisfies |d| < 2^30; reduce exactly, then subtract *)
     let dp = d mod p in
     let dp = if dp < 0 then dp + p else dp in
-    (* t in (0, 2p) — still below the Shoup operand bound of 2^31 *)
-    let t = uget src i - dp + p in
+    (* fold t into [0, p): below the Shoup operand bound of 2^31 for every
+       p < 2^31 (the unfolded (0, 2p) window exceeds it once p > 2^30) *)
+    let t = uget src i - dp in
+    let t = t + (p land (t asr 62)) in
     let q = (inv_sh * t) lsr 31 in
     let r = (inv * t) - (q * p) - p in
     uset dst i (r + (p land (r asr 62)))

@@ -1,15 +1,18 @@
 (** Unboxed residue-vector kernels over [Bigarray] buffers.
 
-    The storage kind is [Bigarray.int]: native 63-bit OCaml ints in 64-bit
-    memory words, which (unlike the [int64] kind) read and write without
-    boxing. All kernels assume word-sized prime moduli [p < 2^30] and
-    canonical residues in [\[0, p)] at rest; lazy [\[0, 2p)] intermediates
-    are internal only. Fast kernels (Shoup for one fixed operand; hardware
-    [mod] where both operands vary) are bit-identical to the schoolbook
-    [mod] computation the tests check them against — see DESIGN.md §15 for
-    the error analysis. *)
+    The storage kind is [Bigarray.int32]: one residue per 32-bit word, half
+    the memory of native-int storage. Reads and writes convert to and from
+    native ints in the same expression, which ocamlopt compiles to a plain
+    word load/store without boxing. Every stored value must be below
+    [2^31]: canonical residues of a prime [p < 2^31] ({!Rq_rns.make_ctx}
+    rejects larger primes) at rest, and the NTT's internal lazy [\[0, 2p)]
+    window only for primes [p <= 2^30]. A larger value would wrap silently.
+    Fast kernels (Shoup for one fixed operand; hardware [mod] where both
+    operands vary) are bit-identical to the schoolbook [mod] computation
+    the tests check them against — see DESIGN.md §15 for the bound table
+    and the error analysis. *)
 
-type buf = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+type buf = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 val create : int -> buf
 (** Uninitialised buffer of the given length. *)
@@ -50,6 +53,11 @@ val scalar_mul_into : buf -> buf -> int -> int -> unit
 val broadcast_mod_into : buf -> buf -> int -> unit
 (** [broadcast_mod_into dst src p]: reduce residues of another word-sized
     modulus into [\[0, p)] (RNS digit broadcast). *)
+
+val lift_centered_into : buf -> buf -> from:int -> int -> unit
+(** [lift_centered_into dst src ~from p]: lift residues mod [from] to their
+    centered representatives in [(-from/2, from/2\]] and reduce those into
+    [\[0, p)] — the special prime's digit in the key switch's mod-down. *)
 
 val rescale_limb_into : buf -> buf -> buf -> q_last:int -> p:int -> unit
 (** [rescale_limb_into dst src last ~q_last ~p]: one limb of the CKKS

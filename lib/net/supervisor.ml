@@ -157,6 +157,27 @@ let note_death t sh status =
   sh.sh_backoff_ms <- Float.min t.cfg.sup_backoff_cap_ms (sh.sh_backoff_ms *. 2.0);
   Breaker.record_failure sh.sh_breaker
 
+(* The supervisor's own SIGKILL (quarantine, hang): reap the process and
+   note its death right away, so the backoff clock starts at the kill
+   rather than at the next monitor tick. SIGKILL cannot be caught, so the
+   reap is prompt; if it is not, the monitor tick notes the death later. *)
+let kill_now t sh =
+  match sh.sh_proc with
+  | None -> ()
+  | Some proc ->
+      proc.sp_kill Sys.sigkill;
+      let deadline = Wire.now () +. 1.0 in
+      let rec reap () =
+        match proc.sp_poll () with
+        | Some status -> note_death t sh status
+        | None ->
+            if Wire.now () < deadline then begin
+              Thread.delay 0.005;
+              reap ()
+            end
+      in
+      reap ()
+
 (* A forwarded answer from [sh] failed sentinel verification. The failure is
    already the request's answer elsewhere (the router moved on); here the
    shard itself goes under suspicion until the health loop's selftest probe
@@ -208,9 +229,7 @@ let health_tick t =
               Metrics.incr t.quarantines;
               with_lock t (fun () ->
                   sh.sh_last_error <- "quarantined: selftest failed";
-                  match sh.sh_proc with
-                  | Some proc -> proc.sp_kill Sys.sigkill
-                  | None -> ()))
+                  kill_now t sh))
       | Some (addr, false) -> (
           match Client.ping ~deadline_s:t.cfg.sup_ping_deadline_s addr with
           | Ok (Serial.Health_ack { ha_ok = true; _ }) ->
@@ -228,17 +247,28 @@ let health_tick t =
                     (* alive but unresponsive: treat as hung, make it a crash *)
                     sh.sh_last_error <-
                       Printf.sprintf "hung (%d failed pings)" sh.sh_ping_failures;
-                    match sh.sh_proc with
-                    | Some proc -> proc.sp_kill Sys.sigkill
-                    | None -> ()
+                    kill_now t sh
                   end)))
     t.shards
 
+(* Health pings run once per [sup_health_interval_s]; between them the loop
+   also wakes when a dead shard's backoff expires, so a respawn waits for
+   its backoff and not for the next health tick. *)
 let monitor_loop t =
+  let health_due = ref neg_infinity in
   while not (Atomic.get t.stop_flag) do
     monitor_tick t;
-    health_tick t;
-    Thread.delay t.cfg.sup_health_interval_s
+    if Wire.now () >= !health_due then begin
+      health_tick t;
+      health_due := Wire.now () +. t.cfg.sup_health_interval_s
+    end;
+    let wake =
+      with_lock t (fun () ->
+          Array.fold_left
+            (fun w sh -> if sh.sh_proc = None then Float.min w sh.sh_restart_at else w)
+            !health_due t.shards)
+    in
+    Thread.delay (Float.max 0.001 (wake -. Wire.now ()))
   done
 
 (* ---- routing ---- *)

@@ -59,7 +59,7 @@ module Make (H : Hisa.S) = struct
 
   let plan prepared = prepared.pr_plan
 
-  let prepare ?(pt_budget = 1024) cfg (plan : Plan.t) =
+  let prepare ?(pt_budget = 2048) cfg (plan : Plan.t) =
     if H.slots <> plan.Plan.p_slots then
       err ~op:"prepare"
         (Herr.Invalid_op

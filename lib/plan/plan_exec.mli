@@ -38,7 +38,7 @@ module Make (H : Chet_hisa.Hisa.S) : sig
   (** Validates the plan, checks the backend's slot count, stages every
       step, and overwrites the plan's [p_stats] fusion counts (static per
       plan, so repeated prepares — one per worker — are idempotent).
-      [pt_budget] (default 1024) bounds how many weight/mask plaintexts
+      [pt_budget] (default 2048) bounds how many weight/mask plaintexts
       stay encoded; beyond it, kernels encode per inference. *)
 
   val run_encrypted : ?cancel:Cancel.t -> prepared -> K.ct_tensor -> K.ct_tensor

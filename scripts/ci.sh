@@ -58,6 +58,19 @@ BENCH_DIR=$(mktemp -d "${TMPDIR:-/tmp}/chet-ci-bench.XXXXXX")
 trap 'rm -rf "$BENCH_DIR"' EXIT
 (cd "$BENCH_DIR" && timeout 420 "$BENCH_BIN" --kernels --fast)
 
+echo "== bench: chetbench correctness =="
+# Each benchmark workload for a short run (bench/e2e/README.md): the answers
+# its oracle checks must all be right and no operation may fail. Timings
+# from a 5-second run are not evidence, so only correctness gates here.
+for W in lenet5-small-plan serve-verified; do
+  LAST=$(timeout 300 sh bench/e2e/run.sh --workload "$W" --seed 1 --seconds 5 --trace 0 | tail -n 1)
+  echo "$W: $LAST"
+  echo "$LAST" | grep -q '"correct":true' && echo "$LAST" | grep -Eq '"failed":0[,}]' || {
+    echo "chetbench FAIL: $W gave wrong answers or failed operations" >&2
+    exit 1
+  }
+done
+
 echo "== smoke: net =="
 # The fork/exec chaos drill: supervisor + 2 shard processes, loadgen with
 # wire faults, SIGKILL a shard mid-run. Everything in it is deadline-bounded

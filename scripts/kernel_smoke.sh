@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Fast-ring kernel smoke (DESIGN.md §15): the Bigarray/Shoup kernel path
 # must (a) beat the scalar reference on a raw NTT round trip, (b) hoisted
-# rotations over 8 amounts must beat 8 single rotations, and (c) stay
-# bit-identical when the residue channels fan out across a 2-domain Kpool.
+# rotations over 8 amounts must beat 8 single rotations, (c) a rotation key
+# must store its residues in 4 bytes each, and (d) stay bit-identical when
+# the residue channels fan out across a 2-domain Kpool.
 # Any drift is a reduction-window bug, not noise. (Bit-identity of the fast
 # kernels against the schoolbook reference is test/test_kernels.ml's job.)
 #
@@ -29,6 +30,14 @@ many_ms=$(awk '/rot_many 8/ { print $3 }' "$DIR/kbench.out")
 single_ms=$(awk '/rot_many 8/ { print $8 }' "$DIR/kbench.out")
 awk -v m="$many_ms" -v s="$single_ms" 'BEGIN { exit !(m + 0 > 0 && m + 0 < s + 0) }' || {
   echo "kernel smoke FAIL: rot_many ($many_ms ms) not faster than 8 rotations ($single_ms ms)" >&2
+  exit 1
+}
+
+echo "-- residue storage: a rotation key takes 4 bytes per residue"
+key_bytes=$(awk '/rotation key/ { print $3 }' "$DIR/kbench.out")
+key_residues=$(awk '/rotation key/ { print $5 }' "$DIR/kbench.out")
+awk -v b="$key_bytes" -v r="$key_residues" 'BEGIN { exit !(r + 0 > 0 && b + 0 == 4 * r) }' || {
+  echo "kernel smoke FAIL: rotation key takes $key_bytes bytes for $key_residues residues, not 4 per residue" >&2
   exit 1
 }
 

@@ -33,6 +33,12 @@ let rescale_limb_into dst src last ~q_last ~p =
       let d = if d > half then d - q_last else d in
       Modarith.mul_mod (Modarith.sub_mod (Rvec.get src i) (Modarith.reduce d p) p) inv p)
 
+let lift_centered_into dst src ~from p =
+  map_into dst (fun i ->
+      let v = Rvec.get src i in
+      let c = if 2 * v > from then v - from else v in
+      ((c mod p) + p) mod p)
+
 (* --- whole polynomials over Z[X]/(X^n + 1), exact --- *)
 
 let negacyclic_mul (a : Bigint.t array) (b : Bigint.t array) =

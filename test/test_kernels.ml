@@ -15,7 +15,7 @@ let rng = Random.State.make [| 0x9e11; 0x5a3d |]
 (* the ladder the compiler actually uses: 30-bit NTT primes *)
 let ladder n = Modarith.gen_ntt_primes ~bits:30 ~modulus_of:(2 * n) ~count:5
 
-let random_poly n p = Array.init n (fun _ -> Random.State.int rng p)
+let random_poly n p = Array.init n (fun _ -> Random.State.full_int rng p)
 
 (* --- NTT: fast path vs scalar reference --- *)
 
@@ -82,7 +82,7 @@ let test_rvec_kernels () =
       check "pointwise_mul"
         (fun d -> Rvec.pointwise_mul_into d a b p)
         (fun d -> Ring_oracle.pointwise_mul_into d a b p);
-      let s = Random.State.int rng p in
+      let s = Random.State.full_int rng p in
       check "scalar_mul"
         (fun d -> Rvec.scalar_mul_into d a s p)
         (fun d -> Ring_oracle.scalar_mul_into d a s p);
@@ -102,8 +102,129 @@ let test_rvec_kernels () =
       let last = Rvec.of_int_array (random_poly n q_last) in
       check "rescale_limb"
         (fun d -> Rvec.rescale_limb_into d a last ~q_last ~p)
-        (fun d -> Ring_oracle.rescale_limb_into d a last ~q_last ~p))
-    (ladder 64)
+        (fun d -> Ring_oracle.rescale_limb_into d a last ~q_last ~p);
+      check "lift_centered"
+        (fun d -> Rvec.lift_centered_into d last ~from:q_last p)
+        (fun d -> Ring_oracle.lift_centered_into d last ~from:q_last p))
+    (Array.append (ladder 64) (Modarith.gen_ntt_primes ~bits:31 ~modulus_of:128 ~count:2))
+
+(* --- 32-bit residue storage: the top of every window survives --- *)
+
+module Encoding = Chet_crypto.Encoding
+
+(* the smallest NTT-friendly prime for size [n] at or above 2^31 *)
+let wide_prime n =
+  let rec go p = if Modarith.is_prime p then p else go (p + (2 * n)) in
+  go ((1 lsl 31) + 1)
+
+let test_make_ctx_rejects_wide_prime () =
+  let n = 64 in
+  let wide = wide_prime n in
+  let top = Modarith.gen_ntt_prime ~bits:31 ~modulus_of:(2 * n) ~below:(1 lsl 31) in
+  Alcotest.check_raises "prime >= 2^31"
+    (Invalid_argument "Rq_rns.make_ctx: prime must be below 2^31") (fun () ->
+      ignore (Rq_rns.make_ctx ~n ~primes:[| top; wide |]));
+  (* the largest 31-bit prime is still admitted *)
+  Alcotest.(check int) "31-bit prime admitted" 1
+    (Array.length (Rq_rns.ctx_primes (Rq_rns.make_ctx ~n ~primes:[| top |])))
+
+let test_top_residue_31bit () =
+  let n = 64 in
+  let primes = Modarith.gen_ntt_primes ~bits:31 ~modulus_of:(2 * n) ~count:3 in
+  let q = primes.(2) (* another 31-bit modulus, for broadcast and rescale *) in
+  let top p = Rvec.of_int_array (Array.make n (p - 1)) in
+  Array.iter
+    (fun p ->
+      let name k = Printf.sprintf "%s p=%d" k p in
+      (* set/get and the array round trips keep p-1 *)
+      let b = Rvec.create n in
+      for i = 0 to n - 1 do
+        Rvec.set b i (p - 1)
+      done;
+      Alcotest.(check (array int)) (name "set/get") (Array.make n (p - 1)) (Rvec.to_int_array b);
+      let a = top p and last = top q in
+      let check k fast_k ref_k =
+        let df = Rvec.create n and dr = Rvec.create n in
+        fast_k df;
+        ref_k dr;
+        Alcotest.(check (array int)) (name k) (Rvec.to_int_array dr) (Rvec.to_int_array df)
+      in
+      check "add"
+        (fun d -> Rvec.add_into d a a p)
+        (fun d -> Rvec.fill d (Modarith.add_mod (p - 1) (p - 1) p));
+      check "sub" (fun d -> Rvec.sub_into d a a p) (fun d -> Rvec.fill d 0);
+      check "neg" (fun d -> Rvec.neg_into d a p) (fun d -> Rvec.fill d 1);
+      check "pointwise_mul"
+        (fun d -> Rvec.pointwise_mul_into d a a p)
+        (fun d -> Ring_oracle.pointwise_mul_into d a a p);
+      let mac_f = top p and mac_r = top p in
+      Rvec.pointwise_mac_into mac_f a a p;
+      Ring_oracle.pointwise_mac_into mac_r a a p;
+      Alcotest.(check (array int)) (name "pointwise_mac") (Rvec.to_int_array mac_r)
+        (Rvec.to_int_array mac_f);
+      check "scalar_mul"
+        (fun d -> Rvec.scalar_mul_into d a (p - 1) p)
+        (fun d -> Ring_oracle.scalar_mul_into d a (p - 1) p);
+      check "broadcast_mod"
+        (fun d -> Rvec.broadcast_mod_into d last p)
+        (fun d -> Ring_oracle.broadcast_mod_into d last p);
+      if q <> p then begin
+        check "rescale_limb"
+          (fun d -> Rvec.rescale_limb_into d a last ~q_last:q ~p)
+          (fun d -> Ring_oracle.rescale_limb_into d a last ~q_last:q ~p);
+        (* src = p-1 over a zero dropped limb: the largest Shoup operand *)
+        let zero = Rvec.zeroed n in
+        check "rescale_limb, zero limb"
+          (fun d -> Rvec.rescale_limb_into d a zero ~q_last:q ~p)
+          (fun d -> Ring_oracle.rescale_limb_into d a zero ~q_last:q ~p)
+      end;
+      check "lift_centered"
+        (fun d -> Rvec.lift_centered_into d last ~from:q p)
+        (fun d -> Ring_oracle.lift_centered_into d last ~from:q p);
+      check "reduce_centered"
+        (fun d -> Rvec.reduce_centered_into d (Array.make n (1 - p)) p)
+        (fun d -> Rvec.fill d 1);
+      let index = Encoding.automorphism_index ~n ~g:5 in
+      check "automorphism"
+        (fun d -> Rvec.automorphism_into d a index p)
+        (fun d -> Array.iter (fun (j, neg) -> Rvec.set d j (if neg then 1 else p - 1)) index);
+      check "permute"
+        (fun d -> Rvec.permute_into d a (Encoding.ntt_automorphism_index ~n ~g:5))
+        (fun d -> Rvec.fill d (p - 1)))
+    primes;
+  (* the self-contained element encoding keeps p-1 in every component *)
+  let ctx = Rq_rns.make_ctx ~n ~primes in
+  let basis = Array.init (Array.length primes) (fun i -> i) in
+  let comps = Array.map (fun p -> Array.make n (p - 1)) primes in
+  let x = Rq_rns.of_components ~basis ~comps ~ntt:true in
+  let y = Rq_rns.of_bytes ctx (Rq_rns.to_bytes ctx x) in
+  Alcotest.(check bool) "to_bytes/of_bytes" true (Rq_rns.equal x y);
+  Array.iteri
+    (fun i p ->
+      Alcotest.(check (array int)) "component" (Array.make n (p - 1))
+        (Rq_rns.component y ~basis_index:i))
+    primes
+
+let test_ntt_top_of_lazy_window () =
+  (* all-(p-1) input at the largest 30-bit fast prime drives the lazy
+     butterflies to the top of their [0, 2p) window *)
+  List.iter
+    (fun n ->
+      let p = Modarith.gen_ntt_prime ~bits:30 ~modulus_of:(2 * n) ~below:(1 lsl 30) in
+      let tbl = Ntt.make_table ~n ~prime:p in
+      Alcotest.(check bool) "fast tables built" true (Ntt.has_fast tbl);
+      let a = Array.make n (p - 1) in
+      List.iter
+        (fun (dir, scalar, fast) ->
+          let reference = Array.copy a in
+          scalar tbl reference;
+          let buf = Rvec.of_int_array a in
+          fast tbl buf;
+          Alcotest.(check (array int))
+            (Printf.sprintf "%s n=%d p=%d" dir n p)
+            reference (Rvec.to_int_array buf))
+        [ ("forward", Ntt.forward, Ntt.forward_buf); ("inverse", Ntt.inverse, Ntt.inverse_buf) ])
+    [ 64; 4096 ]
 
 let test_rvec_edge_values () =
   (* adversarial residues: 0, 1, p-1 in every combination *)
@@ -260,6 +381,12 @@ let suite =
         Alcotest.test_case "rvec kernels = schoolbook twins" `Quick test_rvec_kernels;
         Alcotest.test_case "rvec edge residues" `Quick test_rvec_edge_values;
         Alcotest.test_case "shoup multiplication" `Quick test_shoup;
+        Alcotest.test_case "make_ctx rejects a prime >= 2^31" `Quick
+          test_make_ctx_rejects_wide_prime;
+        Alcotest.test_case "residue p-1 survives storage, 31-bit primes" `Quick
+          test_top_residue_31bit;
+        Alcotest.test_case "ntt top of the lazy window = scalar" `Quick
+          test_ntt_top_of_lazy_window;
         Alcotest.test_case "kpool covers every chunk at k=1,2,4" `Quick test_kpool_runs_all_chunks;
         Alcotest.test_case "kpool propagates chunk exceptions" `Quick
           test_kpool_propagates_exceptions;
