@@ -23,11 +23,6 @@ let bechamel_ns ?(quota = 0.5) tests =
           | _ -> None))
     tests
 
-let time_once f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
 (* ------------------------------------------------------------------ *)
 (* Table printing                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -94,52 +89,3 @@ let pow2_rotation_count ~slots amount =
   let a = ((amount mod slots) + slots) mod slots in
   if a = 0 then 0 else Stdlib.min (popcount a) (popcount (slots - a))
 
-(* ------------------------------------------------------------------ *)
-(* BENCH.json: machine-readable artifact                               *)
-(* ------------------------------------------------------------------ *)
-
-module Jsonx = Chet_obs.Jsonx
-
-(* Sections accumulate as their drivers run; the main driver writes the file
-   once at the end, so a partial selection (--table 5) still yields a valid
-   artifact containing just what ran. *)
-let json_sections : (string * Jsonx.t) list ref = ref []
-let add_json name j = json_sections := (name, j) :: !json_sections
-
-(* The bench trajectory: alongside the mutable BENCH.json snapshot, every
-   run appends an immutable numbered artifact (BENCH_1.json, BENCH_2.json,
-   ...) so successive PRs keep a perf baseline to diff against. *)
-let next_trajectory_path dir =
-  let prefix = "BENCH_" and suffix = ".json" in
-  let num name =
-    if String.length name > String.length prefix + String.length suffix
-       && String.sub name 0 (String.length prefix) = prefix
-       && Filename.check_suffix name suffix
-    then
-      int_of_string_opt
-        (String.sub name (String.length prefix)
-           (String.length name - String.length prefix - String.length suffix))
-    else None
-  in
-  let highest =
-    Array.fold_left
-      (fun acc name -> match num name with Some n -> Stdlib.max acc n | None -> acc)
-      0
-      (try Sys.readdir dir with Sys_error _ -> [||])
-  in
-  Filename.concat dir (Printf.sprintf "%s%d%s" prefix (highest + 1) suffix)
-
-let write_bench_json path ~fast ~total_s =
-  let doc =
-    Jsonx.Obj
-      ([
-         ("version", Jsonx.Num 1.0);
-         ("fast", Jsonx.Bool fast);
-         ("total_seconds", Jsonx.Num total_s);
-       ]
-      @ List.rev !json_sections)
-  in
-  Jsonx.to_file path doc;
-  let numbered = next_trajectory_path (Filename.dirname path) in
-  Jsonx.to_file numbered doc;
-  Printf.printf "wrote %s and %s (%d sections)\n" path numbered (List.length !json_sections)

@@ -4,7 +4,9 @@
      dune exec bench/main.exe                 all tables and figures
      dune exec bench/main.exe -- --table 5    one table
      dune exec bench/main.exe -- --fast       small-network subset
-     dune exec bench/main.exe -- --calibrate  refit cost-model constants *)
+
+   Everything goes to stdout; no file is written. Cost-model constants are
+   refitted by `chet profile`. *)
 
 module Compiler = Chet.Compiler
 module Cost_model = Chet.Cost_model
@@ -98,21 +100,6 @@ let table1 () =
   print_table ~title:"CKKS (our HEAAN-v1.0 stand-in)"
     ~headers:[ "(N, logQ)"; "op"; "time" ]
     (rows heaan (fun (n, lq) -> Printf.sprintf "(%d, %d)" n lq));
-  let op_points label2 measured =
-    Jsonx.Arr
-      (List.map
-         (fun ((n, x), op, ns) ->
-           Jsonx.Obj
-             [
-               ("n", Jsonx.Num (float_of_int n));
-               (label2, Jsonx.Num (float_of_int x));
-               ("op", Jsonx.Str op);
-               ("ns_per_run", Jsonx.Num ns);
-             ])
-         measured)
-  in
-  add_json "table1"
-    (Jsonx.Obj [ ("rns", op_points "r" rns); ("heaan", op_points "log_q" heaan) ]);
   (* scaling sanity: ciphertext mul should grow superlinearly in r; add
      roughly linearly — the shape Table 1 predicts *)
   let find sz op l = List.find_opt (fun (s, o, _) -> s = sz && o = op) l in
@@ -121,34 +108,6 @@ let table1 () =
       Printf.printf "\nscaling r=4 -> r=8 at N=4096: mul x%.1f (model: x4 from r^2), add x%.1f (model: x2 from r)\n"
         (m8 /. m4) (a8 /. a4)
   | _ -> ())
-
-let calibrate () =
-  print_endline "\n===== Cost-model calibration (paste into lib/core/cost_model.ml) =====";
-  let logf n = log (float_of_int n) /. log 2.0 in
-  let rns = measure_rns () in
-  let env_of_rns (n, r) = { Hisa.env_n = n; env_r = r; env_log_q = 0 } in
-  let samples op = List.filter_map (fun (sz, o, ns) -> if o = op then Some (env_of_rns sz, ns /. 1e9) else None) rns in
-  let lin e = float_of_int e.Hisa.env_n *. float_of_int e.Hisa.env_r in
-  let quad e = float_of_int e.Hisa.env_n *. logf e.Hisa.env_n *. float_of_int (e.Hisa.env_r * e.Hisa.env_r) in
-  Printf.printf "SEAL: k_add=%.2e k_scalar_mul=%.2e k_plain_mul=%.2e k_cipher_mul=%.2e k_rotate=%.2e\n"
-    (Cost_model.fit_constant lin (samples "add"))
-    (Cost_model.fit_constant lin (samples "mulScalar"))
-    (Cost_model.fit_constant lin (samples "mulPlain"))
-    (Cost_model.fit_constant quad (samples "mul"))
-    (Cost_model.fit_constant quad (samples "rotate"));
-  let heaan = measure_heaan () in
-  let env_of_h (n, lq) = { Hisa.env_n = n; env_r = 0; env_log_q = lq } in
-  let hsamples op = List.filter_map (fun (sz, o, ns) -> if o = op then Some (env_of_h sz, ns /. 1e9) else None) heaan in
-  let m_q e = float_of_int e.Hisa.env_log_q ** 1.58 /. 64.0 in
-  let h_lin e = float_of_int e.Hisa.env_n *. float_of_int e.Hisa.env_log_q in
-  let h_scal e = float_of_int e.Hisa.env_n *. m_q e in
-  let h_nlog e = float_of_int e.Hisa.env_n *. logf e.Hisa.env_n *. m_q e in
-  Printf.printf "HEAAN: k_add=%.2e k_scalar_mul=%.2e k_plain_mul=%.2e k_cipher_mul=%.2e k_rotate=%.2e\n"
-    (Cost_model.fit_constant h_lin (hsamples "add"))
-    (Cost_model.fit_constant h_scal (hsamples "mulScalar"))
-    (Cost_model.fit_constant h_nlog (hsamples "mulPlain"))
-    (Cost_model.fit_constant h_nlog (hsamples "mul"))
-    (Cost_model.fit_constant h_nlog (hsamples "rotate"))
 
 (* ------------------------------------------------------------------ *)
 (* Table 3: networks                                                    *)
@@ -297,22 +256,12 @@ let table6 () =
 
 let figure5 () =
   print_endline "\n===== Figure 5: average inference latency (s) =====";
-  let points = ref [] in
   let rows =
     List.map
       (fun spec ->
         let seal = Workloads.best_policy_latency Compiler.Seal spec in
         let heaan = Workloads.best_policy_latency Compiler.Heaan spec in
         let manual = Workloads.manual_heaan_latency spec in
-        points :=
-          Jsonx.Obj
-            [
-              ("network", Jsonx.Str spec.Models.model_name);
-              ("chet_seal_s", Jsonx.Num seal);
-              ("chet_heaan_s", Jsonx.Num heaan);
-              ("manual_heaan_s", Jsonx.Num manual);
-            ]
-          :: !points;
         [
           spec.Models.model_name;
           fmt_seconds seal;
@@ -322,7 +271,6 @@ let figure5 () =
         ])
       (networks ())
   in
-  add_json "figure5" (Jsonx.Arr (List.rev !points));
   print_table ~title:"simulated latencies (calibrated clock)"
     ~headers:[ "Network"; "CHET-SEAL"; "CHET-HEAAN"; "Manual-HEAAN"; "manual/CHET" ]
     rows
@@ -381,39 +329,12 @@ let figure6 () =
   let r_theory = pearson est obs and rho_theory = spearman est obs in
   Printf.printf "\nlog-log Pearson r = %.3f, Spearman rho = %.3f over %d points\n" r_theory
     rho_theory (Array.length est);
-  let cal_stats =
-    if not with_cal then []
-    else begin
-      let est_c = arr (fun (_, _, _, ec, _) -> log (Option.get ec)) in
-      let r_cal = pearson est_c obs and rho_cal = spearman est_c obs in
-      Printf.printf
-        "calibrated estimates: Pearson r = %.3f, Spearman rho = %.3f (baseline r = %.3f)\n" r_cal
-        rho_cal r_theory;
-      [ ("pearson_calibrated", Jsonx.Num r_cal); ("spearman_calibrated", Jsonx.Num rho_cal) ]
-    end
-  in
-  let json_points =
-    List.map
-      (fun (name, target, e, ec, o) ->
-        Jsonx.Obj
-          ([
-             ("network", Jsonx.Str name);
-             ( "scheme",
-               Jsonx.Str (match target with Compiler.Seal -> "seal" | Compiler.Heaan -> "heaan") );
-             ("estimated", Jsonx.Num e);
-             ("observed_s", Jsonx.Num o);
-           ]
-          @ match ec with Some e -> [ ("estimated_calibrated_s", Jsonx.Num e) ] | None -> []))
-      pts
-  in
-  add_json "figure6"
-    (Jsonx.Obj
-       ([
-          ("points", Jsonx.Arr json_points);
-          ("pearson_log_log", Jsonx.Num r_theory);
-          ("spearman", Jsonx.Num rho_theory);
-        ]
-       @ cal_stats))
+  if with_cal then begin
+    let est_c = arr (fun (_, _, _, ec, _) -> log (Option.get ec)) in
+    Printf.printf
+      "calibrated estimates: Pearson r = %.3f, Spearman rho = %.3f (baseline r = %.3f)\n"
+      (pearson est_c obs) (spearman est_c obs) r_theory
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Figure 7: rotation-keys selection speedup                            *)
@@ -582,219 +503,6 @@ let ablation () =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* Serving layer: queue-depth sweep (lib/serve on the clear backend)    *)
-(* ------------------------------------------------------------------ *)
-
-let serve_bench () =
-  print_endline "\n===== Serving layer: queue depth vs tail latency / shed rate =====";
-  let burst = 48 in
-  let points =
-    Workloads.serve_sweep ~domains:2 ~burst ~high_waters:[ 1; 2; 4; 8; 16; burst ] ()
-  in
-  let rows =
-    List.map
-      (fun (p : Workloads.serve_point) ->
-        [
-          string_of_int p.Workloads.sv_high_water;
-          Printf.sprintf "%d/%d" p.Workloads.sv_succeeded p.Workloads.sv_submitted;
-          Printf.sprintf "%.0f%%"
-            (100.0 *. float_of_int p.Workloads.sv_shed /. float_of_int p.Workloads.sv_submitted);
-          Printf.sprintf "%.1f" p.Workloads.sv_p50_ms;
-          Printf.sprintf "%.1f" p.Workloads.sv_p95_ms;
-          Printf.sprintf "%.1f" p.Workloads.sv_p99_ms;
-        ])
-      points
-  in
-  print_table
-    ~title:
-      (Printf.sprintf
-         "%d-request burst, 2 domain workers, micro network on the cleartext backend" burst)
-    ~headers:[ "high-water"; "served"; "shed"; "p50 ms"; "p95 ms"; "p99 ms" ]
-    rows;
-  add_json "serve_sweep"
-    (Jsonx.Arr
-       (List.map
-          (fun (p : Workloads.serve_point) ->
-            Jsonx.Obj
-              [
-                ("high_water", Jsonx.Num (float_of_int p.Workloads.sv_high_water));
-                ("submitted", Jsonx.Num (float_of_int p.Workloads.sv_submitted));
-                ("succeeded", Jsonx.Num (float_of_int p.Workloads.sv_succeeded));
-                ("shed", Jsonx.Num (float_of_int p.Workloads.sv_shed));
-                ( "shed_rate",
-                  Jsonx.Num (float_of_int p.Workloads.sv_shed /. float_of_int p.Workloads.sv_submitted) );
-                ("p50_ms", Jsonx.Num p.Workloads.sv_p50_ms);
-                ("p95_ms", Jsonx.Num p.Workloads.sv_p95_ms);
-                ("p99_ms", Jsonx.Num p.Workloads.sv_p99_ms);
-              ])
-          points))
-
-(* ------------------------------------------------------------------ *)
-(* Fast ring kernels: Bigarray/Shoup NTT vs scalar reference            *)
-(* ------------------------------------------------------------------ *)
-
-(* The DESIGN.md §15 acceptance evidence: per-transform microbenchmarks of
-   the fast ring path (unboxed Bigarray storage, Shoup multiplication, lazy
-   cache-blocked NTT) against the scalar int-array transform it must match
-   bit-for-bit (test/test_kernels.ml checks the identity). *)
-let kernels_bench () =
-  print_endline "\n===== Fast ring kernels: Bigarray/Shoup vs scalar reference =====";
-  let module Ntt = Chet_crypto.Ntt in
-  let module Rvec = Chet_crypto.Rvec in
-  let module Modarith = Chet_crypto.Modarith in
-  let time_reps reps f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do f () done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps
-  in
-  let sizes = if !fast then [ (4096, 100) ] else [ (4096, 200); (8192, 100); (16384, 50) ] in
-  let ntt_points =
-    List.map
-      (fun (n, reps) ->
-        let p = (Modarith.gen_ntt_primes ~bits:30 ~modulus_of:(2 * n) ~count:1).(0) in
-        let tbl = Ntt.make_table ~n ~prime:p in
-        let rng = Random.State.make [| 7 |] in
-        let arr = Array.init n (fun _ -> Random.State.int rng p) in
-        let buf = Rvec.of_int_array arr in
-        Ntt.forward_buf tbl buf;
-        Ntt.inverse_buf tbl buf;
-        let fast_s = time_reps reps (fun () -> Ntt.forward_buf tbl buf; Ntt.inverse_buf tbl buf) in
-        let scalar_s = time_reps reps (fun () -> Ntt.forward tbl arr; Ntt.inverse tbl arr) in
-        (n, fast_s /. 2.0, scalar_s /. 2.0))
-      sizes
-  in
-  print_table ~title:"NTT round trip, one transform (fast must win)"
-    ~headers:[ "N"; "fast us/op"; "scalar us/op"; "speedup" ]
-    (List.map
-       (fun (n, f, s) ->
-         [
-           string_of_int n;
-           Printf.sprintf "%.1f" (1e6 *. f);
-           Printf.sprintf "%.1f" (1e6 *. s);
-           Printf.sprintf "%.2fx" (s /. f);
-         ])
-       ntt_points);
-  add_json "kernels"
-    (Jsonx.Obj
-       [
-         ( "ntt",
-           Jsonx.Arr
-             (List.map
-                (fun (n, f, s) ->
-                  Jsonx.Obj
-                    [
-                      ("n", Jsonx.Num (float_of_int n));
-                      ("fast_us", Jsonx.Num (1e6 *. f));
-                      ("scalar_us", Jsonx.Num (1e6 *. s));
-                      ("speedup", Jsonx.Num (s /. f));
-                    ])
-                ntt_points) );
-       ])
-
-(* ------------------------------------------------------------------ *)
-(* Result integrity: sentinel overhead & noise margins                  *)
-(* ------------------------------------------------------------------ *)
-
-(* The DESIGN.md §16 acceptance evidence: what verified serving costs per
-   inference (a sentinel-twin run against the plain run, same backend, same
-   slots), and how much precision headroom each zoo model has — the clean
-   sentinel margin and the noise-margin guard's bound at final decrypt. *)
-let integrity_bench () =
-  print_endline "\n===== Result integrity: sentinel overhead & noise margins =====";
-  let module Integrity = Chet.Integrity in
-  let module Checked = Chet_hisa.Checked_backend in
-  (* one slot count for every row: the twin layout needs 2x the live
-     region, and a fair overhead ratio needs baseline and sentinel runs on
-     identically sized vectors *)
-  let slots = 32768 in
-  let points = ref [] in
-  let rows =
-    List.map
-      (fun (spec : Models.spec) ->
-        let circuit = spec.Models.build () in
-        let compiled = Workloads.compiled_for Compiler.Seal spec in
-        let opts = compiled.Compiler.opts in
-        let scheme = Compiler.scheme_of_params opts compiled.Compiler.params in
-        let scales = opts.Compiler.scales in
-        let policy = compiled.Compiler.policy in
-        let image = Models.input_for spec ~seed:7 in
-        let backend () =
-          Clear.make { Clear.slots; scheme; strict_modulus = false; encode_noise = false }
-        in
-        let module H = (val backend () : Hisa.S) in
-        let module E = Chet_plan.Plan_exec.Make (H) in
-        let plain () = E.eval scales circuit ~policy image in
-        ignore (plain ());
-        let plain_out, base_s = time_once plain in
-        let isp = Integrity.spec_for circuit in
-        let margin = ref Float.nan in
-        let sentinel =
-          Integrity.sentinel ~observe:(fun t -> margin := Integrity.margin_bits isp t) isp
-        in
-        let verified () = E.eval ~sentinel scales circuit ~policy image in
-        ignore (verified ());
-        let v_out, v_s = time_once verified in
-        let max_diff =
-          Array.fold_left Float.max 0.0
-            (Array.mapi
-               (fun i v -> Float.abs (v -. plain_out.T.data.(i)))
-               v_out.T.data)
-        in
-        if max_diff > 1e-9 then
-          failwith (spec.Models.model_name ^ ": sentinel perturbed the primary answer");
-        if not (!margin > 0.0) then
-          failwith (Printf.sprintf "%s: clean sentinel margin %.2f" spec.Models.model_name !margin);
-        (* noise-margin guard at the model's compiled scheme: the bound is
-           conservative, so a fired guard is itself a reportable datum *)
-        let noise_margin = ref Float.nan in
-        let guard_fired = ref false in
-        (let cfg =
-           {
-             (Checked.default_config ~scheme) with
-             Checked.noise = Some (Checked.default_noise_model ());
-           }
-         in
-         let module HN =
-           (val Checked.wrap ~config:(Some cfg) ~margin:noise_margin ~scheme (backend ()) : Hisa.S)
-         in
-         let module EN = Chet_plan.Plan_exec.Make (HN) in
-         try ignore (EN.eval scales circuit ~policy image)
-         with Chet_hisa.Herr.Fhe_error (Chet_hisa.Herr.Precision_exhausted { margin_bits; _ }, _)
-         ->
-           guard_fired := true;
-           noise_margin := margin_bits);
-        let overhead = v_s /. Float.max 1e-9 base_s in
-        points :=
-          Jsonx.Obj
-            [
-              ("model", Jsonx.Str spec.Models.model_name);
-              ("baseline_seconds", Jsonx.Num base_s);
-              ("sentinel_seconds", Jsonx.Num v_s);
-              ("sentinel_overhead", Jsonx.Num overhead);
-              ("sentinel_margin_bits", Jsonx.Num !margin);
-              ( "noise_margin_bits",
-                if Float.is_nan !noise_margin then Jsonx.Null else Jsonx.Num !noise_margin );
-              ("noise_guard_fired", Jsonx.Bool !guard_fired);
-            ]
-          :: !points;
-        [
-          spec.Models.model_name;
-          fmt_seconds base_s;
-          fmt_seconds v_s;
-          Printf.sprintf "%.2fx" overhead;
-          Printf.sprintf "%.1f" !margin;
-          (if !guard_fired then Printf.sprintf "%.1f (fired)" !noise_margin
-           else Printf.sprintf "%.1f" !noise_margin);
-        ])
-      (networks ())
-  in
-  print_table ~title:"per-inference, cleartext backend, twin layout at 32768 slots"
-    ~headers:
-      [ "network"; "plain s"; "sentinel s"; "overhead"; "sent. margin b"; "noise margin b" ]
-    rows;
-  add_json "integrity" (Jsonx.Arr (List.rev !points))
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -820,13 +528,9 @@ let () =
   let rec wanted = function
     | "--table" :: n :: rest -> ("t" ^ n) :: wanted rest
     | "--figure" :: n :: rest -> ("f" ^ n) :: wanted rest
-    | "--calibrate" :: rest -> "cal" :: wanted rest
     | "--ablation" :: rest -> "abl" :: wanted rest
     | "--sweep" :: rest -> "swp" :: wanted rest
     | "--cryptonets" :: rest -> "cn" :: wanted rest
-    | "--serve" :: rest -> "srv" :: wanted rest
-    | "--kernels" :: rest -> "krn" :: wanted rest
-    | "--integrity" :: rest -> "int" :: wanted rest
     | _ :: rest -> wanted rest
     | [] -> []
   in
@@ -835,7 +539,6 @@ let () =
   let want k = all || List.mem k selected in
   let t0 = Unix.gettimeofday () in
   if want "t1" then begin table1 (); Gc.compact () end;
-  if want "cal" then begin calibrate (); Gc.compact () end;
   if want "t3" then begin table3 (); Gc.compact () end;
   if want "t4" then begin table4 (); Gc.compact () end;
   if want "t5" then begin table5 (); Gc.compact () end;
@@ -845,10 +548,6 @@ let () =
   if want "f7" then begin figure7 (); Gc.compact () end;
   if want "swp" then begin depth_sweep (); Gc.compact () end;
   if want "cn" then begin cryptonets_comparison (); Gc.compact () end;
-  if want "srv" then begin serve_bench (); Gc.compact () end;
-  if want "krn" then begin kernels_bench (); Gc.compact () end;
-  if want "int" then begin integrity_bench (); Gc.compact () end;
   if all || List.mem "abl" selected then ablation ();
   let total = Unix.gettimeofday () -. t0 in
-  Printf.printf "\ntotal bench time: %.1f s\n" total;
-  write_bench_json "BENCH.json" ~fast:!fast ~total_s:total
+  Printf.printf "\ntotal bench time: %.1f s\n" total

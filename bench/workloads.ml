@@ -125,88 +125,3 @@ let manual_heaan_latency spec =
   let params = Compiler.select_params opts (spec.Models.build ()) ~policy:Executor.All_hw in
   latency (sim_run Compiler.Heaan spec ~policy:Executor.All_hw ~params) ~keys:Pow2_only
 
-(* ------------------------------------------------------------------ *)
-(* Serving-layer sweep: queue depth vs tail latency and shed rate      *)
-(* ------------------------------------------------------------------ *)
-
-module Service = Chet_serve.Service
-
-type serve_point = {
-  sv_high_water : int;
-  sv_submitted : int;
-  sv_shed : int;
-  sv_succeeded : int;
-  sv_p50_ms : float;
-  sv_p95_ms : float;
-  sv_p99_ms : float;
-}
-
-(* One burst of [burst] requests submitted back-to-back against a pool of
-   [domains] workers serving the micro network on the cleartext backend at
-   the compiled parameters — the serving layer's control-plane costs
-   (queueing, shedding, retry/breaker bookkeeping) measured without the
-   multi-second FHE data plane drowning them out. Every request that is
-   admitted must finish [Ok]; the sweep varies only the queue's high-water
-   mark, so the shed-rate column is the direct picture of admission control
-   under a fixed burst. *)
-let serve_sweep ?(domains = 2) ?(burst = 48) ~high_waters () =
-  let spec = Models.micro in
-  let circuit = spec.Models.build () in
-  let opts = opts_for Compiler.Seal in
-  let compiled = compiled_for Compiler.Seal spec in
-  let dep =
-    {
-      Service.dep_label = "clear";
-      dep_degraded = false;
-      dep_scales = opts.Compiler.scales;
-      dep_plan = Compiler.plan compiled;
-      dep_cost_ms = None;
-      dep_backend = Service.Shared (Compiler.clear_keyset compiled);
-      dep_sentinel = None;
-    }
-  in
-  let images = Array.init burst (fun i -> Models.input_for spec ~seed:(9000 + i)) in
-  List.map
-    (fun high_water ->
-      let cfg = { (Service.default_config ~domains ()) with Service.high_water } in
-      let svc = Service.create cfg ~circuit ~ladder:[ dep ] in
-      let outcomes =
-        Fun.protect
-          ~finally:(fun () -> Service.shutdown svc)
-          (fun () ->
-            let tickets =
-              Array.to_list (Array.mapi (fun i img -> Service.submit svc ~seed:i img) images)
-            in
-            List.map (Service.await svc) tickets)
-      in
-      List.iter
-        (fun (o : Service.outcome) ->
-          match o.Service.out_result with
-          | Ok _ | Error (Chet_hisa.Herr.Overloaded _, _) -> ()
-          | Error (e, c) ->
-              failwith
-                (Printf.sprintf "serve sweep: unexpected failure: %s"
-                   (Chet_hisa.Herr.to_string (e, c))))
-        outcomes;
-      let s = Service.stats svc in
-      (* tail latency over the *served* requests; shed rejections return in
-         microseconds and would only flatter the percentiles *)
-      let lat =
-        Array.of_list
-          (List.filter_map
-             (fun (o : Service.outcome) ->
-               match o.Service.out_result with
-               | Ok _ -> Some o.Service.out_total_ms
-               | Error _ -> None)
-             outcomes)
-      in
-      {
-        sv_high_water = high_water;
-        sv_submitted = s.Service.s_submitted;
-        sv_shed = s.Service.s_shed;
-        sv_succeeded = s.Service.s_succeeded;
-        sv_p50_ms = Service.percentile lat 50.0;
-        sv_p95_ms = Service.percentile lat 95.0;
-        sv_p99_ms = Service.percentile lat 99.0;
-      })
-    high_waters

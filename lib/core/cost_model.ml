@@ -1,7 +1,7 @@
 (* Cost models for the HISA primitives (Table 1), with constants tuned
-   against microbenchmarks of this repository's own scheme implementations
-   (bench/main.exe --calibrate prints freshly measured constants; the
-   defaults below were obtained that way on the development machine).
+   against timings of this repository's own scheme implementations
+   (`chet profile` refits them on the machine it runs on; the defaults
+   below were fitted on the development machine).
 
    The RNS-CKKS model is in terms of (N, r); the CKKS model in terms of
    (N, logQ) with M(Q) = logQ^1.58 for big-integer multiplication. *)
@@ -18,9 +18,9 @@ type constants = {
   k_rescale : float;
 }
 
-(* seconds per elementary unit of the Table 1 asymptotic term; values from
-   `bench/main.exe --calibrate` against this repository's scheme
-   implementations *)
+(* seconds per elementary unit of the Table 1 asymptotic term, fitted
+   against this repository's scheme implementations; `chet profile` writes
+   a machine's own *)
 let seal_defaults =
   {
     k_add = 5.97e-8;
@@ -74,16 +74,11 @@ let heaan ?(c = heaan_defaults) () =
     cm_rescale = (fun e -> c.k_rescale *. n e *. lq e);
   }
 
-(* Calibration: given measured (env, seconds) samples for one op and that
-   op's asymptotic term, the constant is the least-squares ratio. *)
-let fit_constant term samples =
-  let num = List.fold_left (fun acc (env, t) -> acc +. (t *. term env)) 0.0 samples in
-  let den = List.fold_left (fun acc (env, _) -> acc +. (term env *. term env)) 0.0 samples in
-  if den = 0.0 then 0.0 else num /. den
-
-(* Weighted variant: each sample carries how many timed operations it
-   averages over, so heavily exercised (op, env) cells pull the fit harder
-   than cells observed once. *)
+(* Calibration: given measured (env, seconds, weight) samples for one op and
+   that op's asymptotic term, the constant is the weighted least-squares
+   ratio. Each sample's weight is how many timed operations it averages
+   over, so heavily exercised (op, env) cells pull the fit harder than cells
+   observed once. *)
 let fit_constant_weighted term samples =
   let num =
     List.fold_left (fun acc (env, t, w) -> acc +. (w *. t *. term env)) 0.0 samples

@@ -1,6 +1,6 @@
 (** Cost models for the HISA primitives (Table 1), with constants calibrated
-    against microbenchmarks of this repository's scheme implementations
-    ([bench/main.exe --calibrate] refits and prints them). *)
+    against timings of this repository's scheme implementations
+    ([chet profile] refits them; see below). *)
 
 module Hisa = Chet_hisa.Hisa
 
@@ -25,14 +25,11 @@ val seal : ?c:constants -> unit -> Hisa.cost_model
 val heaan : ?c:constants -> unit -> Hisa.cost_model
 (** CKKS: [M(Q) = logQ^1.58] big-integer multiplication inside each term. *)
 
-val fit_constant : (Hisa.op_env -> float) -> (Hisa.op_env * float) list -> float
-(** Least-squares constant for one op given (env, measured seconds) samples
-    and the op's asymptotic term. *)
-
 val fit_constant_weighted :
   (Hisa.op_env -> float) -> (Hisa.op_env * float * float) list -> float
-(** Like {!fit_constant} but each sample is [(env, seconds, weight)]; the
-    profile path weights by the number of timed operations behind a mean. *)
+(** Weighted least-squares constant for one op given [(env, seconds,
+    weight)] samples and the op's asymptotic term; the profile path weights
+    by the number of timed operations behind a mean. *)
 
 (** {2 Profile-driven calibration}
 

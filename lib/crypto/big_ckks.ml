@@ -51,9 +51,9 @@ type keys = {
 type plaintext = { poly : Rq_big.t; pt_scale : float }
 type ciphertext = { c0 : Rq_big.t; c1 : Rq_big.t; scale : float }
 
-let logq_of ct = Rq_big.mode_of ct.c0
+let logq_of ct = Rq_big.logq ct.c0
 let scale_of ct = ct.scale
-let pt_logq pt = Rq_big.mode_of pt.poly
+let pt_logq pt = Rq_big.logq pt.poly
 
 let s_poly ctx ~logq (sk : secret_key) = Rq_big.of_centered_coeffs ctx.rq logq sk.s
 
@@ -223,7 +223,7 @@ let add_scalar ctx ct x =
 
 let keyswitch ctx (d : Rq_big.t) (key : kswitch_key) =
   let log_p = ctx.params.log_special in
-  let logqp = Rq_big.mode_of d + log_p in
+  let logqp = Rq_big.logq d + log_p in
   (* centered lift of d from mod q into mod q·P *)
   let d = Rq_big.of_bigint_coeffs ctx.rq logqp (Rq_big.to_centered_bigint_coeffs ctx.rq d) in
   let k0 = Rq_big.mod_down ctx.rq key.k0 logqp in

@@ -23,15 +23,9 @@ let make_ctx ~n ~max_product_bits =
   in
   { n; primes; ntts; crt_modulus; crt_q_over; crt_invs }
 
-let ctx_n ctx = ctx.n
-let n = ctx_n
-let crt_prime_count ctx = Array.length ctx.primes
-
-type mode = int
 type t = { poly : Bigint.t array; logq : int }
 
-let mode_of t = t.logq
-let modulus _ctx logq = Bigint.pow2 logq
+let logq t = t.logq
 
 let check ctx t fn =
   if Array.length t.poly <> ctx.n then invalid_arg (fn ^ ": wrong length");
@@ -41,12 +35,6 @@ let check2 ctx a b fn =
   check ctx a fn;
   check ctx b fn;
   if a.logq <> b.logq then invalid_arg (fn ^ ": modulus mismatch")
-
-let zero ctx logq =
-  if logq <= 0 then invalid_arg "Rq_big.zero: bad modulus";
-  { poly = Array.make ctx.n Bigint.zero; logq }
-
-let copy t = { t with poly = Array.copy t.poly }
 
 let of_centered_coeffs ctx logq ints =
   if Array.length ints <> ctx.n then invalid_arg "Rq_big.of_centered_coeffs: wrong length";
@@ -78,11 +66,6 @@ let to_centered_bigint_coeffs ctx t =
   check ctx t "Rq_big.to_centered_bigint_coeffs";
   let q = Bigint.pow2 t.logq in
   Array.map (fun c -> Bigint.centered_mod c q) t.poly
-
-(* The big ring has no separate evaluation form: products run through a
-   transient CRT basis inside {!mul}. *)
-let to_eval _ctx t = t
-let from_eval _ctx t = t
 
 let add ctx a b =
   check2 ctx a b "Rq_big.add";
@@ -149,7 +132,6 @@ let mul_bigint ctx a s =
   let q = Bigint.pow2 a.logq in
   { a with poly = Array.map (fun c -> Bigint.emod (Bigint.mul c s) q) a.poly }
 
-let mul_scalar ctx a s = mul_bigint ctx a (Bigint.of_int s)
 
 let automorphism ctx a ~g =
   check ctx a "Rq_big.automorphism";
@@ -173,15 +155,6 @@ let div_round_pow2 ctx a ~k =
     logq = a.logq - k;
   }
 
-let rescale ctx a ~divisor =
-  if divisor <= 0 || divisor land (divisor - 1) <> 0 then
-    invalid_arg "Rq_big.rescale: divisor must be a positive power of two";
-  let k =
-    let rec bits k d = if d = 1 then k else bits (k + 1) (d lsr 1) in
-    bits 0 divisor
-  in
-  div_round_pow2 ctx a ~k
-
 let mod_down ctx a logq_to =
   check ctx a "Rq_big.mod_down";
   if logq_to <= 0 || logq_to > a.logq then invalid_arg "Rq_big.mod_down: bad target modulus";
@@ -192,47 +165,3 @@ let equal a b =
   a.logq = b.logq
   && Array.length a.poly = Array.length b.poly
   && Array.for_all2 Bigint.equal a.poly b.poly
-
-let to_bytes ctx t =
-  check ctx t "Rq_big.to_bytes";
-  let b = Buffer.create (16 + (ctx.n * 8)) in
-  Buffer.add_int32_le b (Int32.of_int ctx.n);
-  Buffer.add_int32_le b (Int32.of_int t.logq);
-  Array.iter
-    (fun c ->
-      let s = Bigint.to_string c in
-      Buffer.add_int32_le b (Int32.of_int (String.length s));
-      Buffer.add_string b s)
-    t.poly;
-  Buffer.contents b
-
-let of_bytes ctx s =
-  let pos = ref 0 in
-  let need k =
-    if !pos + k > String.length s then invalid_arg "Rq_big.of_bytes: truncated"
-  in
-  let read_i32 () =
-    need 4;
-    let v = Int32.to_int (String.get_int32_le s !pos) in
-    pos := !pos + 4;
-    v
-  in
-  let nn = read_i32 () in
-  if nn <> ctx.n then invalid_arg "Rq_big.of_bytes: ring-degree mismatch";
-  let logq = read_i32 () in
-  if logq <= 0 then invalid_arg "Rq_big.of_bytes: bad modulus";
-  let q = Bigint.pow2 logq in
-  let poly =
-    Array.init ctx.n (fun _ ->
-        let len = read_i32 () in
-        if len < 0 then invalid_arg "Rq_big.of_bytes: bad length";
-        need len;
-        let str = String.sub s !pos len in
-        pos := !pos + len;
-        let c = try Bigint.of_string str with _ -> invalid_arg "Rq_big.of_bytes: bad coefficient" in
-        if Bigint.sign c < 0 || Bigint.compare c q >= 0 then
-          invalid_arg "Rq_big.of_bytes: coefficient out of range";
-        c)
-  in
-  if !pos <> String.length s then invalid_arg "Rq_big.of_bytes: trailing bytes";
-  { poly; logq }

@@ -2,8 +2,7 @@
     power-of-two modulus [Q = 2^logq] — the representation used by the
     HEAAN-style CKKS scheme ({!Big_ckks}).
 
-    An instance of the unified ring signature {!Rq.S} with [mode = int]
-    (the modulus exponent [logq]); see {!Rq_conform}. Coefficients are
+    An element carries its modulus exponent [logq]. Coefficients are
     stored in [\[0, Q)]. Multiplication converts to a CRT basis of
     word-sized NTT primes (the same trick HEAAN itself uses), runs
     negacyclic NTT products over unboxed {!Rvec} buffers — fanned across
@@ -19,20 +18,11 @@ val make_ctx : n:int -> max_product_bits:int -> ctx
     magnitude this context will ever see (typically
     [2·(logq + log_special) + log2 n + 2]). *)
 
-val ctx_n : ctx -> int
-val n : ctx -> int
-val crt_prime_count : ctx -> int
-
-type mode = int
-(** The modulus exponent: an element's mode is its [logq]. *)
-
 type t
 (** A ring element: coefficients in [\[0, 2^logq)] plus its [logq]. *)
 
-val mode_of : t -> int
-val modulus : ctx -> int -> Bigint.t
-val zero : ctx -> int -> t
-val copy : t -> t
+val logq : t -> int
+(** The modulus exponent. *)
 
 val of_centered_coeffs : ctx -> int -> int array -> t
 (** Coefficients given as centered native ints, reduced into [\[0, Q)]. *)
@@ -54,12 +44,6 @@ val to_bigint_coeffs : ctx -> t -> Bigint.t array
 
 val to_centered_bigint_coeffs : ctx -> t -> Bigint.t array
 
-val to_eval : ctx -> t -> t
-(** Identity: the big ring has no persistent evaluation form (products run
-    through a transient CRT basis inside {!mul}). *)
-
-val from_eval : ctx -> t -> t
-
 val add : ctx -> t -> t -> t
 val sub : ctx -> t -> t -> t
 val neg : ctx -> t -> t
@@ -68,27 +52,16 @@ val mul : ctx -> t -> t -> t
 (** Negacyclic product mod [2^logq]. Operands are centered internally to
     keep the CRT head-room small. *)
 
-val mul_scalar : ctx -> t -> int -> t
 val mul_bigint : ctx -> t -> Bigint.t -> t
 val automorphism : ctx -> t -> g:int -> t
 
-val rescale : ctx -> t -> divisor:int -> t
-(** CKKS rescale by a power-of-two [divisor]: divide centered lifts by
-    [divisor] with rounding; result has [logq - log2 divisor]. *)
-
 val div_round_pow2 : ctx -> t -> k:int -> t
-(** Like {!rescale} but takes the exponent directly, so drops larger than
-    62 bits (the [/P] step of HEAAN key switching) are expressible. *)
+(** CKKS rescale by [2^k]: divide centered lifts by [2^k] with rounding;
+    result has [logq - k]. Takes the exponent, not the divisor, so drops
+    larger than 62 bits (the [/P] step of HEAAN key switching) are
+    expressible. *)
 
 val mod_down : ctx -> t -> int -> t
 (** Reduce to a smaller power-of-two modulus (exact modulus switching). *)
 
 val equal : t -> t -> bool
-
-val to_bytes : ctx -> t -> string
-(** Self-contained encoding of one element ([n], [logq], length-prefixed
-    decimal coefficients). Distinct from the {!Serial} wire format. *)
-
-val of_bytes : ctx -> string -> t
-(** Inverse of {!to_bytes}; validates degree, modulus and coefficient
-    ranges. @raise Invalid_argument on malformed input. *)

@@ -22,16 +22,11 @@ let ctx_primes ctx = ctx.primes
    channels are independent, so the heavy per-limb kernels (NTTs, pointwise
    products) fan out across {!Kpool} domains. *)
 
-type mode = int array
 type t = { basis : int array; comps : Rvec.buf array; ntt : bool }
 
 let basis t = t.basis
 let is_ntt t = t.ntt
 
-let zero ctx basis =
-  { basis = Array.copy basis; comps = Array.map (fun _ -> Rvec.zeroed ctx.n) basis; ntt = false }
-
-let copy t = { t with comps = Array.map Rvec.copy t.comps; basis = Array.copy t.basis }
 let same_basis a b = a.basis = b.basis
 
 (* limb-parallel map over the components of a fresh element *)
@@ -45,17 +40,6 @@ let of_centered_coeffs ctx basis coeffs =
   let comps =
     par_init ctx (Array.length basis) (fun k dst ->
         Rvec.reduce_centered_into dst coeffs ctx.primes.(basis.(k)))
-  in
-  { basis = Array.copy basis; comps; ntt = false }
-
-let of_bigint_coeffs ctx basis coeffs =
-  if Array.length coeffs <> ctx.n then invalid_arg "Rq_rns.of_bigint_coeffs: wrong length";
-  let comps =
-    Array.map
-      (fun i ->
-        let p = ctx.primes.(i) in
-        Rvec.of_int_array (Array.map (fun c -> Bigint.mod_int c p) coeffs))
-      basis
   in
   { basis = Array.copy basis; comps; ntt = false }
 
@@ -155,16 +139,6 @@ let mul_scalar ctx t s =
   in
   { t with comps; basis = Array.copy t.basis }
 
-let add_scalar ctx t s =
-  if t.ntt then invalid_arg "Rq_rns.add_scalar: coefficient form required";
-  let r = copy t in
-  Array.iteri
-    (fun k i ->
-      let p = ctx.primes.(i) in
-      Rvec.set r.comps.(k) 0 (Modarith.add_mod (Rvec.get r.comps.(k) 0) (Modarith.reduce s p) p))
-    r.basis;
-  r
-
 let automorphism ctx t ~g =
   if t.ntt then invalid_arg "Rq_rns.automorphism: coefficient form required";
   let index = Encoding.automorphism_index ~n:ctx.n ~g in
@@ -247,74 +221,4 @@ let raw_ntt_table ctx i = ctx.ntts.(i)
 let unsafe_of_bufs ~basis ~comps ~ntt =
   if Array.length basis <> Array.length comps then
     invalid_arg "Rq_rns.unsafe_of_bufs: arity mismatch";
-  { basis; comps; ntt }
-
-(* --- Rq.S conformance (mode = basis) --- *)
-
-let n = ctx_n
-let mode_of = basis
-let to_eval = to_ntt
-let from_eval = from_ntt
-
-let rescale ctx t ~divisor =
-  let t = ref (from_ntt ctx t) and d = ref divisor in
-  while !d > 1 do
-    let b = !t.basis in
-    let nb = Array.length b in
-    if nb < 2 then invalid_arg "Rq_rns.rescale: modulus exhausted";
-    let q = ctx.primes.(b.(nb - 1)) in
-    if !d mod q <> 0 then invalid_arg "Rq_rns.rescale: divisor not a product of trailing primes";
-    t := drop_last ctx !t ~rounded:true;
-    d := !d / q
-  done;
-  !t
-
-let mod_down ctx t target =
-  let t = from_ntt ctx t in
-  subset t target
-
-(* Standalone element serialization for the unified ring signature. This is
-   *not* the wire format of {!Serial} (which frames components itself and
-   is covered by golden files); it is a self-contained encoding:
-   [n; nb; ntt; basis...; residues...] as little-endian 32-bit words. *)
-
-let to_bytes ctx t =
-  let nb = Array.length t.basis in
-  let b = Buffer.create ((3 + nb + (nb * ctx.n)) * 4) in
-  let w32 v = Buffer.add_int32_le b (Int32.of_int v) in
-  w32 ctx.n;
-  w32 nb;
-  w32 (if t.ntt then 1 else 0);
-  Array.iter w32 t.basis;
-  Array.iter
-    (fun comp ->
-      for j = 0 to ctx.n - 1 do
-        w32 (Rvec.get comp j)
-      done)
-    t.comps;
-  Buffer.contents b
-
-let of_bytes ctx s =
-  let r32 off = Int32.to_int (String.get_int32_le s (off * 4)) in
-  if String.length s < 12 then invalid_arg "Rq_rns.of_bytes: truncated";
-  let n = r32 0 and nb = r32 1 and ntt = r32 2 = 1 in
-  if n <> ctx.n then invalid_arg "Rq_rns.of_bytes: ring size mismatch";
-  if String.length s <> (3 + nb + (nb * n)) * 4 then invalid_arg "Rq_rns.of_bytes: bad length";
-  let basis = Array.init nb (fun k -> r32 (3 + k)) in
-  Array.iter
-    (fun i ->
-      if i < 0 || i >= Array.length ctx.primes then invalid_arg "Rq_rns.of_bytes: bad basis index")
-    basis;
-  let comps =
-    Array.init nb (fun k ->
-        let dst = Rvec.create n in
-        let off = 3 + nb + (k * n) in
-        for j = 0 to n - 1 do
-          let v = r32 (off + j) in
-          if v < 0 || v >= ctx.primes.(basis.(k)) then
-            invalid_arg "Rq_rns.of_bytes: residue out of range";
-          Rvec.set dst j v
-        done;
-        dst)
-  in
   { basis; comps; ntt }

@@ -18,31 +18,21 @@ val make_ctx : n:int -> primes:int array -> ctx
 val ctx_n : ctx -> int
 val ctx_primes : ctx -> int array
 
-type mode = int array
-(** An element's mode is its basis: indices into the context's primes. *)
-
 type t
 
 val basis : t -> int array
 (** Indices into [ctx_primes] of this polynomial's residue components. *)
 
 val is_ntt : t -> bool
-val zero : ctx -> int array -> t
-val copy : t -> t
 
 val of_centered_coeffs : ctx -> int array -> int array -> t
 (** [of_centered_coeffs ctx basis coeffs]: coefficients given as centered
     native ints. Result is in coefficient (non-NTT) form. *)
 
-val of_bigint_coeffs : ctx -> int array -> Bigint.t array -> t
-
 val to_bigint_coeffs : ctx -> t -> Bigint.t array
 (** CRT reconstruction; results in [\[0, Q)]. Input may be in either form. *)
 
 val to_centered_bigint_coeffs : ctx -> t -> Bigint.t array
-
-val modulus : ctx -> int array -> Bigint.t
-(** [Π] of the basis primes. *)
 
 val to_ntt : ctx -> t -> t
 val from_ntt : ctx -> t -> t
@@ -56,10 +46,6 @@ val mul : ctx -> t -> t -> t
 
 val mul_scalar : ctx -> t -> int -> t
 (** Multiply by a centered integer scalar (form-preserving). *)
-
-val add_scalar : ctx -> t -> int -> t
-(** Add a centered integer to the constant coefficient (coefficient form
-    required). *)
 
 val automorphism : ctx -> t -> g:int -> t
 (** [m(X) ↦ m(X^g)], odd [g]; operand must be in coefficient form. *)
@@ -101,9 +87,6 @@ val scale_component : ctx -> t -> basis_index:int -> scalar:int -> t
     scheme layer's hot paths (key switching) read and assemble them without
     the int-array copies of {!component}/{!of_components}. *)
 
-val position : t -> int -> int
-(** Component slot of prime index [i] in this element's basis. *)
-
 val raw_comp : t -> int -> Rvec.buf
 (** The live residue buffer of component slot [k] — no copy; callers must
     not mutate it. *)
@@ -114,28 +97,3 @@ val raw_ntt_table : ctx -> int -> Ntt.table
 val unsafe_of_bufs : basis:int array -> comps:Rvec.buf array -> ntt:bool -> t
 (** Adopt buffers without copying. The caller transfers ownership: residues
     must already be canonical mod their primes. *)
-
-(** {1 Unified ring signature}
-
-    Aliases and completions making this module an instance of
-    {!Rq.S} with [mode = int array] (checked in {!Rq_conform}). *)
-
-val n : ctx -> int
-val mode_of : t -> int array
-val to_eval : ctx -> t -> t
-val from_eval : ctx -> t -> t
-
-val rescale : ctx -> t -> divisor:int -> t
-(** Repeated rounded {!drop_last}; [divisor] must be the product of the
-    trailing basis primes being dropped. *)
-
-val mod_down : ctx -> t -> int array -> t
-(** Restrict to a sub-basis (through coefficient form). *)
-
-val to_bytes : ctx -> t -> string
-(** Self-contained little-endian encoding of one element. Distinct from the
-    {!Serial} wire format, which frames components itself. *)
-
-val of_bytes : ctx -> string -> t
-(** Inverse of {!to_bytes}; validates lengths, basis indices and residue
-    ranges. @raise Invalid_argument on malformed input. *)

@@ -3,7 +3,6 @@
 
    - Seal_backend  : real RNS-CKKS ("SEAL v3.1")
    - Heaan_backend : real power-of-two CKKS ("HEAAN v1.0")
-   - Bfv_backend   : real BFV (no rescaling)
    - Clear_backend : unencrypted reference that mimics scale/modulus
      semantics — CHET's "different interpretation" execution vehicle
    - Shape_backend : value-free (scale, modulus) facts, the analyses' target

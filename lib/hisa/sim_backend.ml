@@ -5,8 +5,8 @@
    run); [make_with_values] wraps the cleartext backend when the simulated
    run's outputs matter (examples that print predictions).
 
-   The clock is calibrated against microbenchmarks of the real backends
-   (bench/main.exe --calibrate). *)
+   The clock is calibrated against timings of the real backends
+   (`chet profile`). *)
 
 type clock = {
   mutable elapsed : float;

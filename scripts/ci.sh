@@ -47,16 +47,24 @@ echo "== smoke: kernels (@kernel-smoke) =="
 timeout 60 dune build @kernel-smoke
 timeout 300 scripts/kernel_smoke.sh
 
-echo "== bench: kernels =="
-# The NTT grid: fast transform against the scalar reference, per ring size.
-# Run from a scratch directory: the bench writes BENCH.json and a numbered
-# BENCH_<n>.json into its working directory, and a kernel-only fast run
-# does not belong in the checkout's trajectory.
+echo "== bench: paper tables =="
+# The paper-table generator on one fast table, from an empty scratch
+# directory: it must exit 0, print the Table 4 rows, and write no file.
+# (The fast-vs-scalar NTT gate is kernel_smoke.sh's "ntt microbench".)
 dune build bench/main.exe
 BENCH_BIN="$PWD/_build/default/bench/main.exe"
 BENCH_DIR=$(mktemp -d "${TMPDIR:-/tmp}/chet-ci-bench.XXXXXX")
 trap 'rm -rf "$BENCH_DIR"' EXIT
-(cd "$BENCH_DIR" && timeout 420 "$BENCH_BIN" --kernels --fast)
+TABLE4=$(cd "$BENCH_DIR" && timeout 120 "$BENCH_BIN" --fast --table 4)
+echo "$TABLE4"
+echo "$TABLE4" | grep -q '^===== Table 4:' && echo "$TABLE4" | grep -q '^| LeNet-5-small ' || {
+  echo "paper-table smoke FAIL: no Table 4 rows printed" >&2
+  exit 1
+}
+if [ -n "$(ls -A "$BENCH_DIR")" ]; then
+  echo "paper-table smoke FAIL: the bench left files behind: $(ls -A "$BENCH_DIR")" >&2
+  exit 1
+fi
 
 echo "== bench: chetbench correctness =="
 # Each benchmark workload for a short run (bench/e2e/README.md): the answers

@@ -9,6 +9,8 @@ module Rvec = Chet_crypto.Rvec
 module Bigint = Chet_bigint.Bigint
 module Rq_rns = Chet_crypto.Rq_rns
 module Kpool = Chet_crypto.Kpool
+module Rns_ckks = Chet_crypto.Rns_ckks
+module Serial = Chet_crypto.Serial
 
 let rng = Random.State.make [| 0x9e11; 0x5a3d |]
 
@@ -192,13 +194,16 @@ let test_top_residue_31bit () =
         (fun d -> Rvec.permute_into d a (Encoding.ntt_automorphism_index ~n ~g:5))
         (fun d -> Rvec.fill d (p - 1)))
     primes;
-  (* the self-contained element encoding keeps p-1 in every component *)
+  (* the ciphertext wire format keeps p-1 in every component *)
   let ctx = Rq_rns.make_ctx ~n ~primes in
   let basis = Array.init (Array.length primes) (fun i -> i) in
   let comps = Array.map (fun p -> Array.make n (p - 1)) primes in
   let x = Rq_rns.of_components ~basis ~comps ~ntt:true in
-  let y = Rq_rns.of_bytes ctx (Rq_rns.to_bytes ctx x) in
-  Alcotest.(check bool) "to_bytes/of_bytes" true (Rq_rns.equal x y);
+  let w = Serial.writer () in
+  Serial.write_rns_ciphertext w ctx
+    { Rns_ckks.c0 = x; c1 = x; level = Array.length primes; scale = 1.0 };
+  let y = (Serial.read_rns_ciphertext (Serial.reader (Serial.contents w)) ctx).Rns_ckks.c1 in
+  Alcotest.(check bool) "wire round trip" true (Rq_rns.equal x y);
   Array.iteri
     (fun i p ->
       Alcotest.(check (array int)) "component" (Array.make n (p - 1))
