@@ -53,7 +53,7 @@ let params_log_q = function
 
 let pp_params fmt = function
   | Rns_params { n; prime_bits; num_primes; log_q } ->
-      Format.fprintf fmt "RNS-CKKS N=%d, %d x %d-bit primes (+special), logQ=%d" n num_primes
+      Format.fprintf fmt "RNS-CKKS N=%d, %d x %d-bit primes (+2 special), logQ=%d" n num_primes
         prime_bits log_q
   | Pow2_params { n; log_fresh; log_special } ->
       Format.fprintf fmt "CKKS N=%d, logQ=%d, logP=%d" n log_fresh log_special
@@ -142,8 +142,8 @@ let params_for_consumption opts ~n ~s_out ~env =
         Stdlib.max 1 (int_of_float (Float.ceil (remaining_bits /. float_of_int opts.prime_bits)))
       in
       let num_primes = consumed + rem_primes in
-      (* +1: the key-switching special prime also counts towards security *)
-      let log_q = (num_primes + 1) * opts.prime_bits in
+      (* +2: both key-switching special primes count towards security *)
+      let log_q = (num_primes + 2) * opts.prime_bits in
       Rns_params { n; prime_bits = opts.prime_bits; num_primes; log_q }
   | Heaan ->
       let consumed_bits = 4000 - env.Hisa.env_log_q in
@@ -299,12 +299,13 @@ type keyset = {
   ks_seed : int;
   ks_view : Chet_crypto.Sampling.t -> Hisa.t;
   ks_scheme : Hisa.scheme_kind;
+  ks_key_bytes : int;
 }
 
 (* The one key generation behind every deployment entry point: build the
    context, run the base keygen from the deployment seed, then either
    generate the rotation keys the compile selected or load the public
-   evaluation material from a stored RKY2 payload (the warm-restart path;
+   evaluation material from a stored RKY3 payload (the warm-restart path;
    the base keygen still re-derives the never-persisted secret key). Returns
    the keygen sampler (which [instantiate] hands on to its backend), the
    keyset, and a thunk serialising its public material ([None] for HEAAN
@@ -343,9 +344,16 @@ let keygen compiled ~seed ~rotation_keys ~keys ~with_secret =
         Some (Chet_crypto.Serial.contents w)
       in
       (* the *actual* chain of the instantiated context (the analysis-time
-         candidate chain differs: its largest prime became the special
-         prime), so a checked wrapper validates against deployment truth *)
-      let ks = { ks_seed = seed; ks_view = view; ks_scheme = Hisa.Rns_chain (C.coeff_primes ctx) } in
+         candidate chain differs: its two largest primes became the special
+         modulus), so a checked wrapper validates against deployment truth *)
+      let ks =
+        {
+          ks_seed = seed;
+          ks_view = view;
+          ks_scheme = Hisa.Rns_chain (C.coeff_primes ctx);
+          ks_key_bytes = C.key_bytes keys;
+        }
+      in
       (rng, ks, export)
   | Pow2_params { n; log_fresh; log_special } ->
       (* stored keys only exist for RNS targets; HEAAN deployments re-derive *)
@@ -362,7 +370,9 @@ let keygen compiled ~seed ~rotation_keys ~keys ~with_secret =
         Chet_hisa.Heaan_backend.make
           { Chet_hisa.Heaan_backend.ctx; rng = vrng; keys; secret }
       in
-      let ks = { ks_seed = seed; ks_view = view; ks_scheme = Hisa.Pow2_modulus log_fresh } in
+      let ks =
+        { ks_seed = seed; ks_view = view; ks_scheme = Hisa.Pow2_modulus log_fresh; ks_key_bytes = 0 }
+      in
       (rng, ks, Fun.const None)
 
 let keyset compiled ~seed ?(rotation_keys = Selected_keys) ?keys ~with_secret () =
@@ -400,6 +410,7 @@ let clear_keyset compiled =
     ks_view =
       (fun _ -> Clear.make { Clear.slots; scheme; strict_modulus = false; encode_noise = false });
     ks_scheme = scheme;
+    ks_key_bytes = 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -581,7 +592,7 @@ let read_compiled ~circuit r =
       in
       { circuit; opts; policy; params; rotations; op_counters = k; reports })
 
-(* Public evaluation material for the compiled deployment, as the RKY2 wire
+(* Public evaluation material for the compiled deployment, as the RKY3 wire
    frame: the same deterministic keygen as [keyset], serialised without the
    secret key, which a restore re-derives from the seed instead of ever
    touching disk. *)

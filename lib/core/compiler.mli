@@ -37,7 +37,8 @@ val default_options : ?target:target -> unit -> options
 
 type params_choice =
   | Rns_params of { n : int; prime_bits : int; num_primes : int; log_q : int }
-      (** [log_q] includes the special prime, matching how SEAL reports it *)
+      (** [log_q] includes both key-switching special primes: the whole key
+          basis [Q·P] counts towards security *)
   | Pow2_params of { n : int; log_fresh : int; log_special : int }
 
 val params_n : params_choice -> int
@@ -103,8 +104,12 @@ type keyset = {
       (** the {e actual} scheme of the instantiated context (its real
           modulus chain / fresh logQ) — what {!Chet_hisa.Checked_backend.wrap}
           validates a view against. It differs from {!scheme_of_params}: the
-          analysis-time candidate chain reserves its largest prime as the
-          key-switching special prime. *)
+          deployment reserves the two largest primes of the candidate chain
+          as the key-switching special modulus. *)
+  ks_key_bytes : int;
+      (** residue bytes of the relinearisation and rotation keys the keyset
+          holds ({!Chet_crypto.Rns_ckks.key_bytes}); 0 for HEAAN and
+          cleartext keysets *)
 }
 
 val keyset :
@@ -163,7 +168,7 @@ val read_compiled : circuit:Circuit.t -> Chet_crypto.Serial.reader -> compiled
 val export_keys : compiled -> seed:int -> ?rotation_keys:rotation_key_policy -> unit -> string option
 (** Run {!keyset}'s key generation for this deployment and serialise the
     {e public} evaluation material (public + relin + selected rotation
-    keys) as an [RKY2] frame. The secret key is deliberately never exported
+    keys) as an [RKY3] frame. The secret key is deliberately never exported
     — a durable deployment re-derives it from [seed] at restore time. [None]
     for power-of-two (HEAAN) targets, whose key material has no wire
     format; those deployments re-run keygen from [seed] on restore. *)

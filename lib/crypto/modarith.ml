@@ -24,19 +24,22 @@ let pow_mod b e p =
   loop 1 (b mod p) e
 
 let inv_mod a p =
-  (* extended Euclid; works for any modulus, not just primes *)
-  let rec egcd a b =
-    if b = 0 then (a, 1, 0)
-    else begin
-      let g, x, y = egcd b (a mod b) in
-      (g, y, x - (a / b * y))
-    end
-  in
+  (* extended Euclid, keeping t with t·a ≡ r (mod p); works for any modulus,
+     not just primes. Iterative, so it allocates nothing: the key switch
+     calls it once per digit and target prime. *)
   let a = a mod p in
   let a = if a < 0 then a + p else a in
-  let g, x, _ = egcd a p in
-  if g <> 1 then invalid_arg "Modarith.inv_mod: not invertible";
-  let x = x mod p in
+  let r0 = ref p and r1 = ref a and t0 = ref 0 and t1 = ref 1 in
+  while !r1 <> 0 do
+    let q = !r0 / !r1 in
+    let r = !r0 - (q * !r1) and t = !t0 - (q * !t1) in
+    r0 := !r1;
+    r1 := r;
+    t0 := !t1;
+    t1 := t
+  done;
+  if !r0 <> 1 then invalid_arg "Modarith.inv_mod: not invertible";
+  let x = !t0 mod p in
   if x < 0 then x + p else x
 
 let reduce a p =

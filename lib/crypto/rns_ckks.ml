@@ -5,12 +5,16 @@
      digits go through coefficient form as needed, automorphisms permute
      NTT positions;
    - a level-l object lives over the prime prefix q_0..q_{l-1};
-   - key-switching keys carry one (b_i, a_i) pair per chain prime over the
-     extended basis (all chain primes + the special prime p):
-       b_i = -a_i*s + e_i + w_i*s'   with   w_i = p mod q_i on component i,
-                                            0 on every other component.
-     Accumulating digit_i(d) * ksk_i then dividing by p (drop the special
-     component with rounding) yields d*s' + small noise mod Q. *)
+   - key switching is hybrid (DESIGN.md §15): the two largest primes form
+     the special modulus P = p_0*p_1, the chain is grouped into digits of
+     two consecutive primes (digit j = {q_2j, q_2j+1}; at an odd level the
+     last digit has one prime), and a key carries one (b_j, a_j) pair per
+     digit over the key basis (all chain primes + both special primes):
+       b_j = -a_j*s + e_j + w_j*s'   with   w_j = P mod q_i on digit j's
+                                            components, 0 on every other.
+     Accumulating D_j(d) * ksk_j, where D_j is d's exact centered value mod
+     the digit's modulus, then dividing by P (mod-down with rounding)
+     yields d*s' + small noise mod Q. *)
 
 module Rq = Rq_rns
 module Bigint = Chet_bigint.Bigint
@@ -28,33 +32,31 @@ type context = {
   rq : Rq.ctx;
   enc : Encoding.ctx;
   num_coeff : int;
-  special_index : int;
 }
 
 let make_context params =
   if params.num_coeff_primes < 1 then invalid_arg "Rns_ckks.make_context: need at least one prime";
   let primes =
     Modarith.gen_ntt_primes ~bits:params.coeff_modulus_bits ~modulus_of:(2 * params.n)
-      ~count:(params.num_coeff_primes + 1)
+      ~count:(params.num_coeff_primes + 2)
   in
-  (* primes are generated in descending order; SEAL places the largest as the
-     special prime for the smallest key-switching noise. *)
-  let special = primes.(0) in
-  let chain = Array.sub primes 1 params.num_coeff_primes in
-  (* chain order: q_0 .. q_{L-1}; rescale drops from the end *)
-  let all = Array.append chain [| special |] in
+  (* primes are generated in descending order: the two largest form the
+     special modulus, so P exceeds every digit's modulus *)
+  let chain = Array.sub primes 2 params.num_coeff_primes in
+  (* chain order: q_0 .. q_{L-1}; rescale drops from the end; the special
+     primes p_0, p_1 follow the chain *)
+  let all = Array.append chain [| primes.(0); primes.(1) |] in
   {
     params;
     rq = Rq.make_ctx ~n:params.n ~primes:all;
     enc = Encoding.make ~n:params.n;
     num_coeff = params.num_coeff_primes;
-    special_index = params.num_coeff_primes;
   }
 
 let params ctx = ctx.params
 let slot_count ctx = ctx.params.n / 2
 let coeff_primes ctx = Array.sub (Rq.ctx_primes ctx.rq) 0 ctx.num_coeff
-let special_prime ctx = (Rq.ctx_primes ctx.rq).(ctx.special_index)
+let special_primes ctx = Array.sub (Rq.ctx_primes ctx.rq) ctx.num_coeff 2
 let max_level ctx = ctx.num_coeff
 let encoding ctx = ctx.enc
 let rq_ctx ctx = ctx.rq
@@ -65,12 +67,21 @@ let total_modulus_bits ctx =
   int_of_float (Float.ceil !bits)
 
 let basis_of_level l = Array.init l (fun i -> i)
-let key_basis ctx l = Array.append (basis_of_level l) [| ctx.special_index |]
+(* a level-l key switch works over the chain prefix and both special primes *)
+let key_basis ctx l = Array.append (basis_of_level l) [| ctx.num_coeff; ctx.num_coeff + 1 |]
 let full_basis ctx = key_basis ctx ctx.num_coeff
+
+(* digits of a level-l ciphertext; digit j holds chain primes 2j and 2j+1 *)
+let digit_count l = (l + 1) / 2
+
+(* P mod q for a chain prime q *)
+let special_mod ctx q =
+  let primes = Rq.ctx_primes ctx.rq in
+  Modarith.mul_mod (primes.(ctx.num_coeff) mod q) (primes.(ctx.num_coeff + 1) mod q) q
 
 type secret_key = { s : Rq.t (* full basis, NTT *) }
 type public_key = { pk0 : Rq.t; pk1 : Rq.t (* top-level basis, NTT *) }
-type kswitch_key = { pairs : (Rq.t * Rq.t) array (* full basis, NTT *) }
+type kswitch_key = { pairs : (Rq.t * Rq.t) array (* one per digit; full basis, NTT *) }
 
 type keys = {
   public : public_key;
@@ -106,16 +117,24 @@ let sample_ternary_ntt ctx rng basis =
 let keygen_kswitch ctx rng (sk : secret_key) (target : Rq.t) : kswitch_key =
   let basis = full_basis ctx in
   let primes = Rq.ctx_primes ctx.rq in
-  let special = primes.(ctx.special_index) in
+  let n = ctx.params.n in
   let pairs =
-    Array.init ctx.num_coeff (fun i ->
+    Array.init (digit_count ctx.num_coeff) (fun j ->
         let a = sample_uniform_ntt ctx rng basis in
         let e = sample_gaussian ctx rng basis in
-        let w_target =
-          (* w_i * s': only component i is non-zero, scaled by p mod q_i *)
-          Rq.scale_component ctx.rq target ~basis_index:i ~scalar:(special mod primes.(i))
+        (* w_j * s': P mod q_i on digit j's components, zero on the others
+           (the full basis is the identity index list, so slot = prime) *)
+        let comps =
+          Array.map
+            (fun i ->
+              let w = Rvec.zeroed n in
+              if i < ctx.num_coeff && i / 2 = j then
+                Rvec.scalar_mul_into w (Rq.raw_comp target i) (special_mod ctx primes.(i)) primes.(i);
+              w)
+            basis
         in
-        let b = Rq.add ctx.rq (Rq.add ctx.rq (Rq.neg ctx.rq (Rq.mul ctx.rq a sk.s)) e) w_target in
+        let w_target = Rq.unsafe_of_bufs ~basis:(Array.copy basis) ~comps ~ntt:true in
+        let b = Rq.add ctx.rq (Rq.sub ctx.rq e (Rq.mul ctx.rq a sk.s)) w_target in
         (b, a))
   in
   { pairs }
@@ -150,6 +169,17 @@ let add_power_of_two_rotation_keys ctx rng sk keys =
   done
 
 let rotation_key_count keys = Hashtbl.length keys.rotation
+
+let key_bytes keys =
+  let poly p =
+    let bytes = ref 0 in
+    Array.iteri
+      (fun k _ -> bytes := !bytes + Bigarray.Array1.size_in_bytes (Rq.raw_comp p k))
+      (Rq.basis p);
+    !bytes
+  in
+  let key k = Array.fold_left (fun acc (b, a) -> acc + poly b + poly a) 0 k.pairs in
+  Hashtbl.fold (fun _ k acc -> acc + key k) keys.rotation (key keys.relin)
 
 (* --- encoding --- *)
 
@@ -263,41 +293,36 @@ let add_scalar ctx ct x =
 
 (* --- key switching --- *)
 
-(* Divide an NTT-form accumulator over the key basis [kb] (special prime
-   last) by the special prime p, rounding: the CKKS rescale of
-   {!Rq.drop_last} ~rounded, done in the NTT domain. Only the special
-   component goes through an INTT (in place: the accumulator is the key
-   switch's own scratch); its centered lift is broadcast to each chain prime
-   and NTT'd there, then subtracted and divided out. Every step
-   is exact modular arithmetic and the NTT is linear, so the result is bit
-   for bit the coefficient-domain rescale — at [level + 1] transforms
-   instead of [2·level + 1]. *)
-let mod_down ctx kb (acc : Rvec.buf array) =
-  let l = Array.length kb - 1 in
+(* Divide an NTT-form accumulator over the level-l key basis (both special
+   primes last) by P = p_0*p_1, rounding, in the NTT domain and in place.
+   Only the two special channels go through an INTT; the exact centered
+   lift of [acc]_P is reduced into each chain prime and NTT'd there, then
+   subtracted and divided out. Every step is exact modular arithmetic and
+   the NTT is linear, so the result is bit for bit the coefficient-domain
+   rounded division — at [level + 2] transforms instead of [2·level + 2]. *)
+let mod_down ctx level (acc : Rvec.buf array) =
   let n = ctx.params.n in
   let primes = Rq.ctx_primes ctx.rq in
-  let p = primes.(kb.(l)) in
-  let last = acc.(l) in
-  Ntt.inverse_buf (Rq.raw_ntt_table ctx.rq kb.(l)) last;
-  let comps = Array.init l (fun _ -> Rvec.create n) in
-  Kpool.run l (fun j ->
-      let q = primes.(kb.(j)) in
-      let d = comps.(j) in
-      Rvec.lift_centered_into d last ~from:p q;
-      Ntt.forward_buf (Rq.raw_ntt_table ctx.rq kb.(j)) d;
-      Rvec.sub_into d acc.(j) d q;
-      Rvec.scalar_mul_into d d (Modarith.inv_mod (p mod q) q) q);
-  Rq.unsafe_of_bufs ~basis:(Array.sub kb 0 l) ~comps ~ntt:true
+  let l0 = ctx.num_coeff and l1 = ctx.num_coeff + 1 in
+  let lo = acc.(level) and hi = acc.(level + 1) in
+  Kpool.run 2 (fun k ->
+      Ntt.inverse_buf (Rq.raw_ntt_table ctx.rq (l0 + k)) (if k = 0 then lo else hi));
+  Kpool.run level (fun j ->
+      let q = primes.(j) in
+      let d = Rvec.create n in
+      Rvec.lift_pair_centered_into d lo hi ~q_lo:primes.(l0) ~q_hi:primes.(l1) q;
+      Ntt.forward_buf (Rq.raw_ntt_table ctx.rq j) d;
+      Rvec.sub_into acc.(j) acc.(j) d q;
+      Rvec.scalar_mul_into acc.(j) acc.(j) (Modarith.inv_mod (special_mod ctx q) q) q);
+  Rq.unsafe_of_bufs ~basis:(basis_of_level level) ~comps:(Array.sub acc 0 level) ~ntt:true
 
-(* The inner loop of every mul / rotation: for each of the [level] digits,
-   broadcast the [0, q_i) residue vector into the extended key basis, NTT
-   it there, and accumulate digit * (b_i, a_i). That is level * (level+1)
-   NTTs per key switch — the single hottest kernel of the scheme — so it
-   runs over raw residue buffers with in-place accumulators, fanned out
-   across {!Kpool} domains per key-basis channel (channels are
-   independent: channel [jk] only touches its own acc/tmp buffers).
+(* The inner loop of every mul / rotation: for each key-basis channel, take
+   every digit's NTT form there and accumulate digit_j * (b_j, a_j). That is
+   ⌈level/2⌉ · (level+2) products per component, fanned out across {!Kpool}
+   domains per key-basis channel (channels are independent: channel [jk]
+   only touches its own acc/tmp buffers).
 
-   [digit jk i tmp] returns digit [i] in NTT form over key-basis channel
+   [digit jk j tmp] returns digit [j] in NTT form over key-basis channel
    [jk], using [tmp] (channel-private) as scratch: {!keyswitch} computes it
    on the fly, the hoisted rotations of {!rotate_many} permute a digit
    decomposed once for every amount. *)
@@ -309,29 +334,41 @@ let keyswitch_with ctx level (key : kswitch_key) digit : Rq.t * Rq.t =
   let acc0 = Array.init nb (fun _ -> Rvec.zeroed n) in
   let acc1 = Array.init nb (fun _ -> Rvec.zeroed n) in
   Kpool.run nb (fun jk ->
-      let pj = primes.(kb.(jk)) in
-      (* slot of prime kb.(jk) in the keys' full basis: chain primes sit at
-         their own index, the special prime after the whole chain *)
-      let kslot = if jk < level then jk else ctx.num_coeff in
+      (* the keys span the full basis, whose slots are the prime indices *)
+      let slot = kb.(jk) in
+      let pj = primes.(slot) in
       let tmp = Rvec.create n in
       let a0 = acc0.(jk) and a1 = acc1.(jk) in
-      for i = 0 to level - 1 do
-        let d = digit jk i tmp in
-        let b_i, a_i = key.pairs.(i) in
-        Rvec.pointwise_mac_into a0 d (Rq.raw_comp b_i kslot) pj;
-        Rvec.pointwise_mac_into a1 d (Rq.raw_comp a_i kslot) pj
+      for j = 0 to digit_count level - 1 do
+        let d = digit jk j tmp in
+        let b_j, a_j = key.pairs.(j) in
+        Rvec.pointwise_mac_into a0 d (Rq.raw_comp b_j slot) pj;
+        Rvec.pointwise_mac_into a1 d (Rq.raw_comp a_j slot) pj
       done);
-  (mod_down ctx kb acc0, mod_down ctx kb acc1)
+  (mod_down ctx level acc0, mod_down ctx level acc1)
 
-(* digit [i] of coefficient-form [d], broadcast to channel [jk] and NTT'd *)
-let digit_ntt ctx kb d jk i tmp =
-  Rvec.broadcast_mod_into tmp (Rq.raw_comp d i) (Rq.ctx_primes ctx.rq).(kb.(jk));
+(* digit [j]'s own channels are the NTT-form input itself: its centered
+   value is congruent to the input modulo each of the digit's primes *)
+let own_channel level jk j = jk < level && jk / 2 = j
+
+(* digit [j] of [dc] (coefficient form, level [level]) lifted exactly to its
+   centered value and reduced into key-basis channel [jk], then NTT'd *)
+let lift_digit ctx kb level dc jk j tmp =
+  let primes = Rq.ctx_primes ctx.rq in
+  let q = primes.(kb.(jk)) and lo = 2 * j in
+  if lo + 1 < level then
+    Rvec.lift_pair_centered_into tmp (Rq.raw_comp dc lo) (Rq.raw_comp dc (lo + 1))
+      ~q_lo:primes.(lo) ~q_hi:primes.(lo + 1) q
+  else Rvec.lift_centered_into tmp (Rq.raw_comp dc lo) ~from:primes.(lo) q;
   Ntt.forward_buf (Rq.raw_ntt_table ctx.rq kb.(jk)) tmp;
   tmp
 
+(* key switch of the NTT-form level-[level] polynomial [d] *)
 let keyswitch ctx level (d : Rq.t) (key : kswitch_key) : Rq.t * Rq.t =
-  let d = Rq.from_ntt ctx.rq d in
-  keyswitch_with ctx level key (digit_ntt ctx (key_basis ctx level) d)
+  let kb = key_basis ctx level in
+  let dc = Rq.from_ntt ctx.rq d in
+  keyswitch_with ctx level key (fun jk j tmp ->
+      if own_channel level jk j then Rq.raw_comp d jk else lift_digit ctx kb level dc jk j tmp)
 
 let mul ctx keys a b =
   if a.level <> b.level then err ~op:"mul" (Herr.Level_mismatch { expected = a.level; got = b.level });
@@ -442,14 +479,13 @@ let rotate ctx keys ct r =
   end
 
 (* Hoisted rotations (Halevi–Shoup 2018): the digit decomposition of c1 —
-   one INTT, then level·(level+1) NTTs — does not depend on the amount.
-   The automorphism commutes with the broadcast into each key-basis prime,
-   so it is applied afterwards, as an NTT-position permutation of the
-   decomposed digits. Each amount then costs only its permutations, the
-   inner product with its key and the mod-down. A permuted digit lifts the
-   negated coefficients as [-v] where the one-amount route lifts [q_i - v]:
-   the digits differ by multiples of [q_i], so results decrypt alike but
-   are not bit-identical to {!rotate}. *)
+   one INTT, then ⌈level/2⌉·(level+2) − level NTTs — does not depend on the
+   amount. The automorphism is a signed permutation of coefficients and the
+   centered lift commutes with negation, so it commutes with the
+   decomposition: it is applied afterwards, as an NTT-position permutation
+   of the decomposed digits. Each amount then costs only its permutations,
+   the inner product with its key and the mod-down, and its result is bit
+   for bit {!rotate}'s. *)
 let rotate_many ctx keys ct amounts =
   let slots = slot_count ctx in
   let norm r = ((r mod slots) + slots) mod slots in
@@ -459,15 +495,15 @@ let rotate_many ctx keys ct amounts =
   if direct < 2 then Array.map (rotate ctx keys ct) amounts
   else begin
     let level = ct.level in
-    let nb = level + 1 in
     let n = ctx.params.n in
-    let d = Rq.from_ntt ctx.rq ct.c1 in
     let kb = key_basis ctx level in
-    let digits = Array.init nb (fun _ -> Array.init level (fun _ -> Rvec.create n)) in
-    Kpool.run nb (fun jk ->
-        for i = 0 to level - 1 do
-          ignore (digit_ntt ctx kb d jk i digits.(jk).(i))
-        done);
+    let dc = Rq.from_ntt ctx.rq ct.c1 in
+    let digits = Array.make (Array.length kb) [||] in
+    Kpool.run (Array.length kb) (fun jk ->
+        digits.(jk) <-
+          Array.init (digit_count level) (fun j ->
+              if own_channel level jk j then Rq.raw_comp ct.c1 jk
+              else lift_digit ctx kb level dc jk j (Rvec.create n)));
     Array.map
       (fun r ->
         if not (hoistable r) then rotate ctx keys ct r
@@ -476,8 +512,8 @@ let rotate_many ctx keys ct amounts =
           let key = rotation_key ~amount:r keys g in
           let index = Encoding.ntt_automorphism_index ~n ~g in
           let k0, k1 =
-            keyswitch_with ctx level key (fun jk i tmp ->
-                Rvec.permute_into tmp digits.(jk).(i) index;
+            keyswitch_with ctx level key (fun jk j tmp ->
+                Rvec.permute_into tmp digits.(jk).(j) index;
                 tmp)
           in
           { ct with c0 = Rq.add ctx.rq (Rq.automorphism_ntt ctx.rq ct.c0 ~g) k0; c1 = k1 }

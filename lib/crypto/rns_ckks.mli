@@ -3,8 +3,11 @@
     "SEAL v3.1" in the paper.
 
     Ciphertexts live over a chain of NTT-friendly primes [q_0 … q_{l-1}];
-    {!rescale} drops primes from the end of the chain. Key switching uses
-    per-prime digit decomposition with one special prime, as in SEAL. *)
+    {!rescale} drops primes from the end of the chain. Key switching is
+    hybrid (Han–Ki 2020, DESIGN.md §15): the two largest generated primes
+    form the special modulus [P = p_0·p_1], the chain is decomposed into
+    digits of two consecutive primes, each lifted exactly to its centered
+    value, and a key carries one pair per digit. *)
 
 module Rq = Rq_rns
 module Bigint = Chet_bigint.Bigint
@@ -24,12 +27,15 @@ val make_context : params -> context
 val params : context -> params
 val slot_count : context -> int
 val coeff_primes : context -> int array
-val special_prime : context -> int
+val special_primes : context -> int array
+(** [\[| p_0; p_1 |\]], the key-switching special modulus [P = p_0·p_1];
+    both exceed every chain prime. *)
+
 val max_level : context -> int
 (** = [num_coeff_primes]; fresh ciphertexts start here. *)
 
 val total_modulus_bits : context -> int
-(** [log2 (Q * special)] — the quantity the security table bounds. *)
+(** [log2 (Q * P)] — the quantity the security table bounds. *)
 
 val encoding : context -> Encoding.ctx
 
@@ -60,6 +66,10 @@ val add_power_of_two_rotation_keys : context -> Sampling.t -> secret_key -> keys
     right rotation ([2·log2(n/2)] keys, §2.4). *)
 
 val rotation_key_count : keys -> int
+
+val key_bytes : keys -> int
+(** Residue bytes of the relinearisation and rotation keys: each holds
+    [⌈L/2⌉] pairs over the [L + 2] key-basis primes. *)
 
 type plaintext = { poly : Rq.t; pt_scale : float; pt_level : int }
 type ciphertext = { c0 : Rq.t; c1 : Rq.t; level : int; scale : float }
@@ -110,9 +120,8 @@ val rotate_many : context -> keys -> ciphertext -> int array -> ciphertext array
 (** [rotate_many ctx keys ct amounts]: [ct] rotated left by each amount, with
     the key-switch digit decomposition of [ct] shared by every amount that
     has its own key (hoisting). Amounts without an exact key go through
-    {!rotate}. Results decrypt like {!rotate}'s but are not bit-identical:
-    the hoisted digits differ from the one-amount ones by multiples of the
-    chain primes. *)
+    {!rotate}. Every result is bit for bit {!rotate}'s: the centered digits
+    commute with the automorphism. *)
 
 val rotate_key_available : keys -> context -> int -> bool
 
@@ -125,4 +134,7 @@ val scale_of : ciphertext -> float
 val public_key_parts : public_key -> Rq.t * Rq.t
 val public_key_of_parts : Rq.t * Rq.t -> public_key
 val kswitch_pairs : kswitch_key -> (Rq.t * Rq.t) array
+(** One [(b_j, a_j)] pair per digit of a top-level ciphertext
+    ([⌈L/2⌉] pairs), each over the full key basis. *)
+
 val kswitch_of_pairs : (Rq.t * Rq.t) array -> kswitch_key

@@ -198,21 +198,6 @@ let of_components ~basis ~comps ~ntt =
 
 let component t ~basis_index = Rvec.to_int_array t.comps.(position t basis_index)
 
-let scale_component ctx t ~basis_index ~scalar =
-  let k0 = position t basis_index in
-  let comps =
-    Array.mapi
-      (fun k i ->
-        if k <> k0 then Rvec.zeroed (Rvec.length t.comps.(k))
-        else begin
-          let dst = Rvec.create (Rvec.length t.comps.(k)) in
-          Rvec.scalar_mul_into dst t.comps.(k) scalar ctx.primes.(i);
-          dst
-        end)
-      t.basis
-  in
-  { t with comps; basis = Array.copy t.basis }
-
 (* --- raw buffer access (scheme-layer hot paths; see rq_rns.mli) --- *)
 
 let raw_comp t k = t.comps.(k)

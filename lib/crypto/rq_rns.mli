@@ -4,7 +4,7 @@
 
     A polynomial's basis is a set of indices into the context's prime list;
     ciphertexts use the prefix [q_0..q_{l-1}] and key-switching keys
-    additionally carry the special prime (last index). *)
+    additionally carry the two special primes (the last indices). *)
 
 module Bigint = Chet_bigint.Bigint
 
@@ -76,10 +76,6 @@ val equal : t -> t -> bool
 val of_components : basis:int array -> comps:int array array -> ntt:bool -> t
 val component : t -> basis_index:int -> int array
 (** Residue vector of the component for prime index [basis_index]. *)
-
-val scale_component : ctx -> t -> basis_index:int -> scalar:int -> t
-(** Zero every component except [basis_index], which is multiplied by
-    [scalar]. *)
 
 (** {1 Raw buffer access}
 

@@ -132,18 +132,43 @@ let scalar_mul_into (dst : buf) (a : buf) s p =
     uset dst i (d + (p land (d asr 62)))
   done
 
-let broadcast_mod_into (dst : buf) (src : buf) p =
-  (* [src] holds canonical residues of some other (word-sized) modulus,
-     each < 2^31; reduce into [0, p) with a Shoup step at w = 1:
-     q = (x * ((1 << 31) / p)) >> 31 leaves x - q*p in [0, 2p), and one
-     conditional subtract lands it canonically. Integer-only, no divide
-     in the loop. *)
-  let sh = Modarith.shoup 1 p in
+let lift_pair_centered_into (dst : buf) (lo : buf) (hi : buf) ~q_lo ~q_hi p =
+  (* Residues (a, b) mod (q_lo, q_hi) name one x in [0, Q), Q = q_lo*q_hi <
+     2^62, in mixed radix (Garner): x = a + q_lo*t with
+     t = (b - a)*q_lo^-1 mod q_hi. The centered value is x - Q when
+     x > Q/2, and x mod p = a + (q_lo mod p)*t, less Q mod p when centered
+     down. Every product has a fixed multiplicand and an operand < 2^31, so
+     each is one Shoup step; the only native-int value above 2^31 is x,
+     which is compared, never multiplied. *)
+  let q = q_lo * q_hi in
+  let half = q / 2 in
+  let one_hi = Modarith.shoup 1 q_hi in
+  let inv = Modarith.inv_mod (q_lo mod q_hi) q_hi in
+  let inv_sh = Modarith.shoup inv q_hi in
+  let one_p = Modarith.shoup 1 p in
+  let c = q_lo mod p in
+  let c_sh = Modarith.shoup c p in
+  let q_p = q mod p in
   for i = 0 to length dst - 1 do
-    let x = uget src i in
-    let q = (sh * x) lsr 31 in
-    let d = x - (q * p) - p in
-    uset dst i (d + (p land (d asr 62)))
+    let a = uget lo i in
+    (* t = (b - a mod q_hi) * inv mod q_hi *)
+    let am = a - (((one_hi * a) lsr 31) * q_hi) - q_hi in
+    let am = am + (q_hi land (am asr 62)) in
+    let t = uget hi i - am in
+    let t = t + (q_hi land (t asr 62)) in
+    let t = (inv * t) - (((inv_sh * t) lsr 31) * q_hi) - q_hi in
+    let t = t + (q_hi land (t asr 62)) in
+    (* a mod p, plus (q_lo mod p) * t mod p *)
+    let ap = a - (((one_p * a) lsr 31) * p) - p in
+    let ap = ap + (p land (ap asr 62)) in
+    let tp = (c * t) - (((c_sh * t) lsr 31) * p) - p in
+    let tp = tp + (p land (tp asr 62)) in
+    let r = ap + tp - p in
+    let r = r + (p land (r asr 62)) in
+    (* all-ones when x > Q/2: subtract Q mod p *)
+    let down = (half - (a + (q_lo * t))) asr 62 in
+    let r = r - (q_p land down) in
+    uset dst i (r + (p land (r asr 62)))
   done
 
 (* --- boundary kernels (always exact [mod]; not on the per-op hot path) --- *)

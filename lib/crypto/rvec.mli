@@ -50,14 +50,17 @@ val scalar_mul_into : buf -> buf -> int -> int -> unit
 (** [scalar_mul_into dst a s p]: Shoup multiplication by the fixed scalar
     [s] (any int; reduced mod [p] first). *)
 
-val broadcast_mod_into : buf -> buf -> int -> unit
-(** [broadcast_mod_into dst src p]: reduce residues of another word-sized
-    modulus into [\[0, p)] (RNS digit broadcast). *)
-
 val lift_centered_into : buf -> buf -> from:int -> int -> unit
 (** [lift_centered_into dst src ~from p]: lift residues mod [from] to their
     centered representatives in [(-from/2, from/2\]] and reduce those into
-    [\[0, p)] — the special prime's digit in the key switch's mod-down. *)
+    [\[0, p)] — a one-prime key-switch digit. *)
+
+val lift_pair_centered_into : buf -> buf -> buf -> q_lo:int -> q_hi:int -> int -> unit
+(** [lift_pair_centered_into dst lo hi ~q_lo ~q_hi p]: the residues
+    [(lo.(i), hi.(i))] mod [(q_lo, q_hi)] name one value mod [Q = q_lo·q_hi]
+    ([Q < 2^62]); lift it exactly to its centered representative in
+    [(-Q/2, Q/2\]] and reduce that into [\[0, p)] — a two-prime key-switch
+    digit, and the special modulus's share in the mod-down. *)
 
 val rescale_limb_into : buf -> buf -> buf -> q_last:int -> p:int -> unit
 (** [rescale_limb_into dst src last ~q_last ~p]: one limb of the CKKS

@@ -121,7 +121,7 @@ let write_frame w tag body =
   Buffer.add_int64_le w (fnv1a64 payload ~pos:0 ~len:(String.length payload));
   Buffer.add_string w payload
 
-(* Frame-boundary failures are tagged with the frame kind ("RKY2: checksum
+(* Frame-boundary failures are tagged with the frame kind ("RKY3: checksum
    mismatch"), so a [Corrupt] escaping a multi-payload protocol still says
    *which* wire object (ciphertext, key bundle, relin frame) was mangled —
    the Corrupt_ciphertext-family contract the fuzz tests assert. *)
@@ -219,18 +219,32 @@ let write_kswitch w k =
       write_rq w a)
     pairs
 
+(* one NTT-form pair over the full key basis per two-prime digit of the
+   L-prime chain (the context's last two primes are the special modulus);
+   a key of another layout (per-prime pairs, another chain) would load and
+   decrypt garbage *)
 let read_kswitch r ctx =
   let len = read_int r in
-  if len < 0 || len > 4096 then raise (Corrupt "bad key pair count");
+  let nprimes = Array.length (Rq_rns.ctx_primes ctx) in
+  let digits = (nprimes - 2 + 1) / 2 in
+  if len <> digits then
+    raise (Corrupt (Printf.sprintf "key has %d pairs, the context's chain has %d digits" len digits));
+  let full = Array.init nprimes Fun.id in
+  let poly () =
+    let p = read_rq r ctx in
+    if Rq_rns.basis p <> full || not (Rq_rns.is_ntt p) then
+      raise (Corrupt "key pair not in NTT form over the full key basis");
+    p
+  in
   Rns_ckks.kswitch_of_pairs
     (Array.init len (fun _ ->
-         let b = read_rq r ctx in
-         let a = read_rq r ctx in
+         let b = poly () in
+         let a = poly () in
          (b, a)))
 
 let write_rns_keys w ctx (keys : Rns_ckks.keys) =
   ignore ctx;
-  write_frame w "RKY2" (fun w ->
+  write_frame w "RKY3" (fun w ->
       let pk0, pk1 = Rns_ckks.public_key_parts keys.Rns_ckks.public in
       write_rq w pk0;
       write_rq w pk1;
@@ -243,7 +257,7 @@ let write_rns_keys w ctx (keys : Rns_ckks.keys) =
         keys.Rns_ckks.rotation)
 
 let read_rns_keys r ctx =
-  read_frame r "RKY2" (fun r ->
+  read_frame r "RKY3" (fun r ->
       let pk0 = read_rq r ctx in
       let pk1 = read_rq r ctx in
       let relin = read_kswitch r ctx in

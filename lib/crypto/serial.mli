@@ -68,7 +68,7 @@ val read_frame : reader -> string -> (reader -> 'a) -> 'a
 (** [read_frame r tag payload] checks the tag, length and checksum, then runs
     [payload]; the parser must consume exactly the framed length.
     @raise Corrupt on any integrity violation. The message always names the
-    frame tag (e.g. ["RKY2: checksum mismatch"]), so a rejection escaping a
+    frame tag (e.g. ["RKY3: checksum mismatch"]), so a rejection escaping a
     multi-payload protocol identifies which wire object was mangled. *)
 
 val read_frame_prefix : reader -> string -> (reader -> 'a) -> 'a
@@ -84,7 +84,10 @@ val read_rns_ciphertext : reader -> Rq_rns.ctx -> Rns_ckks.ciphertext
 (** {1 RNS-CKKS public evaluation material}
 
     The full key bundle the client ships to the server: public key,
-    relinearisation key, and the compiler-selected rotation keys. *)
+    relinearisation key, and the compiler-selected rotation keys, as an
+    [RKY3] frame. {!read_rns_keys} raises [Corrupt] for any other tag
+    (an [RKY2] bundle holds per-prime keys) and for a key whose pair count
+    is not the context's digit count [⌈L/2⌉]. *)
 
 val write_rns_keys : writer -> Rq_rns.ctx -> Rns_ckks.keys -> unit
 val read_rns_keys : reader -> Rq_rns.ctx -> Rns_ckks.keys

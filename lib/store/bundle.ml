@@ -48,7 +48,7 @@ let build ?scale ?calibration ?(with_keys = true) compiled ~seed
 
 let bundle_version = 1
 let meta_file = "meta.chet"
-let keys_file = "keys.rky2"
+let keys_file = "keys.rky3"
 let calibration_file = "calibration.json"
 let plan_file = "plan.chet"
 

@@ -5,7 +5,7 @@
     process restart without repeating the offline pipeline: the compiled
     configuration (parameters, layout policy, rotation selection — a [CMPD]
     frame inside [meta.chet]'s [BNDL] frame), the public evaluation keys
-    ([keys.rky2], an [RKY2] frame; absent for power-of-two targets, which
+    ([keys.rky3], an [RKY3] frame; absent for power-of-two targets, which
     re-derive keys from the seed), the scale-search outcome, and optionally
     the cost-model calibration in force at compile time
     ([calibration.json]). The secret key is {e never} part of a bundle — it
@@ -28,7 +28,7 @@ type t = {
   b_seed : int;  (** deployment seed: keygen and per-request randomness root *)
   b_rotation_policy : Compiler.rotation_key_policy;
   b_compiled : Compiler.compiled;
-  b_keys : string option;  (** [RKY2] public evaluation material; [None] for HEAAN *)
+  b_keys : string option;  (** [RKY3] public evaluation material; [None] for HEAAN *)
   b_scale : scale_summary option;
   b_calibration : Cost_model.calibration option;
   b_plan : Chet_plan.Plan.t;
@@ -49,7 +49,7 @@ val build :
 
 val files : t -> (string * string) list
 (** The payload files ({!Store.save} input): [meta.chet], [plan.chet], and
-    when present [keys.rky2] / [calibration.json]. *)
+    when present [keys.rky3] / [calibration.json]. *)
 
 val save : Store.t -> t -> int
 (** {!files} written as a fresh store generation; returns the generation id. *)

@@ -2,8 +2,9 @@
 # Fast-ring kernel smoke (DESIGN.md §15): the Bigarray/Shoup kernel path
 # must (a) beat the scalar reference on a raw NTT round trip, (b) hoisted
 # rotations over 8 amounts must beat 8 single rotations, (c) a rotation key
-# must store its residues in 4 bytes each, and (d) stay bit-identical when
-# the residue channels fan out across a 2-domain Kpool.
+# must store its residues in 4 bytes each and hold one pair per two-prime
+# digit over the chain and both special primes, and (d) stay bit-identical
+# when the residue channels fan out across a 2-domain Kpool.
 # Any drift is a reduction-window bug, not noise. (Bit-identity of the fast
 # kernels against the schoolbook reference is test/test_kernels.ml's job.)
 #
@@ -38,6 +39,12 @@ key_bytes=$(awk '/rotation key/ { print $3 }' "$DIR/kbench.out")
 key_residues=$(awk '/rotation key/ { print $5 }' "$DIR/kbench.out")
 awk -v b="$key_bytes" -v r="$key_residues" 'BEGIN { exit !(r + 0 > 0 && b + 0 == 4 * r) }' || {
   echo "kernel smoke FAIL: rotation key takes $key_bytes bytes for $key_residues residues, not 4 per residue" >&2
+  exit 1
+}
+
+echo "-- hybrid key layout: 3 digits x 2 polynomials x 8 key-basis primes x 4096"
+test "$key_residues" -eq $((3 * 2 * 8 * 4096)) || {
+  echo "kernel smoke FAIL: n=4096, 6-prime rotation key has $key_residues residues, not 196608" >&2
   exit 1
 }
 

@@ -23,8 +23,6 @@ let scalar_mul_into dst a s p =
   let s = Modarith.reduce s p in
   map_into dst (fun i -> Rvec.get a i * s mod p)
 
-let broadcast_mod_into dst src p = map_into dst (fun i -> Rvec.get src i mod p)
-
 let rescale_limb_into dst src last ~q_last ~p =
   let half = q_last / 2 in
   let inv = Modarith.inv_mod (q_last mod p) p in
@@ -37,6 +35,16 @@ let lift_centered_into dst src ~from p =
   map_into dst (fun i ->
       let v = Rvec.get src i in
       let c = if 2 * v > from then v - from else v in
+      ((c mod p) + p) mod p)
+
+(* CRT by Garner, then center: x in [0, Q) is a + q_lo·((b − a)·q_lo⁻¹ mod q_hi) *)
+let lift_pair_centered_into dst lo hi ~q_lo ~q_hi p =
+  let q = q_lo * q_hi in
+  let inv = Modarith.inv_mod (q_lo mod q_hi) q_hi in
+  map_into dst (fun i ->
+      let a = Rvec.get lo i and b = Rvec.get hi i in
+      let x = a + (q_lo * Modarith.mul_mod (Modarith.reduce (b - a) q_hi) inv q_hi) in
+      let c = if x > q / 2 then x - q else x in
       ((c mod p) + p) mod p)
 
 (* --- whole polynomials over Z[X]/(X^n + 1), exact --- *)

@@ -26,7 +26,7 @@ let test_params_seal_micro () =
   | Compiler.Rns_params { n; num_primes; log_q; prime_bits } ->
       Alcotest.(check bool) "enough depth" true (num_primes >= 3);
       Alcotest.(check int) "prime bits" 30 prime_bits;
-      Alcotest.(check int) "logQ" ((num_primes + 1) * 30) log_q;
+      Alcotest.(check int) "logQ" ((num_primes + 2) * 30) log_q;
       (* the security table must hold: logQ fits this N at 128 bits *)
       Alcotest.(check bool) "secure" true (log_q <= Security.max_log_q Security.Bits128 n)
   | Compiler.Pow2_params _ -> Alcotest.fail "expected RNS params for SEAL"

@@ -13,7 +13,8 @@
      in a different order), so they compare to 1e-9 relative; plaintext
      encodes may only fall;
      Its [keyswitch] rows pin the rotations and relinearisations one
-     inference of micro and LeNet-5-small performs at N = 2048;
+     inference of micro and LeNet-5-small performs at N = 2048, and its
+     [keybytes] rows the bytes of their deployment's key-switching keys;
    - timed_cells.golden: the (op, env, count) cells the Timed interceptor
      records over one cleartext run of micro and of LeNet-5-small at their
      compiled parameters — which ops it times and at which modulus status.
@@ -208,6 +209,23 @@ let test_keyswitch_counts () =
   check_lines "key switches per inference" ~golden
     ~got:(List.map keyswitch_line [ M.micro; M.lenet5_small ])
 
+(* The key-switching material a deployment holds at the benchmark's pinned
+   N = 2048: the key count (relinearisation + selected rotations) and the
+   residue bytes of {!C.keyset}'s keys — a key-layout regression fails here
+   deterministically, whatever the RSS noise. *)
+let keybytes_line (spec : M.spec) =
+  let compiled = pin (C.compile (C.default_options ()) (spec.M.build ())) in
+  let ks = C.keyset compiled ~seed:42 ~with_secret:false () in
+  Printf.sprintf "keybytes %s %d %d %d" spec.M.model_name (C.params_n compiled.C.params)
+    (1 + List.length compiled.C.rotations)
+    ks.C.ks_key_bytes
+
+let test_key_bytes () =
+  let golden =
+    List.filter (fun l -> String.starts_with ~prefix:"keybytes " l) (lines_of "data/compiler.golden")
+  in
+  check_lines "key-switching key bytes" ~golden ~got:(List.map keybytes_line [ M.micro; M.lenet5_small ])
+
 (* --- Timed interceptor cells ---------------------------------------------- *)
 
 let timed_lines (spec : M.spec) =
@@ -261,6 +279,7 @@ let suite =
         Alcotest.test_case "real RNS-CKKS outputs, sentinel off and on" `Quick test_real_outputs;
         Alcotest.test_case "compiler choices" `Slow test_compiler_choices;
         Alcotest.test_case "key switches per inference at N=2048" `Quick test_keyswitch_counts;
+        Alcotest.test_case "key-switching key bytes at N=2048" `Quick test_key_bytes;
         Alcotest.test_case "Timed interceptor cells" `Quick test_timed_cells;
         Alcotest.test_case "PLAN v1 frame loads as untwinned" `Quick test_plan_v1_frame;
       ] );

@@ -94,12 +94,13 @@ let test_rvec_kernels () =
       Rvec.pointwise_mac_into mf a b p;
       Ring_oracle.pointwise_mac_into mr a b p;
       Alcotest.(check bool) "pointwise_mac" true (Rvec.equal mf mr);
-      (* broadcast: residues of a *different* word-sized modulus *)
-      let q = 1073741789 (* < 2^30, not one of the NTT primes *) in
-      let src = Rvec.of_int_array (random_poly n q) in
-      check "broadcast_mod"
-        (fun d -> Rvec.broadcast_mod_into d src p)
-        (fun d -> Ring_oracle.broadcast_mod_into d src p);
+      (* a key-switch digit: residues of two *other* word-sized moduli *)
+      let q_lo = 1073741789 and q_hi = 1073741783 (* < 2^30, not NTT primes *) in
+      let lo = Rvec.of_int_array (random_poly n q_lo) in
+      let hi = Rvec.of_int_array (random_poly n q_hi) in
+      check "lift_pair_centered"
+        (fun d -> Rvec.lift_pair_centered_into d lo hi ~q_lo ~q_hi p)
+        (fun d -> Ring_oracle.lift_pair_centered_into d lo hi ~q_lo ~q_hi p);
       let q_last = 1073479681 in
       let last = Rvec.of_int_array (random_poly n q_last) in
       check "rescale_limb"
@@ -133,7 +134,7 @@ let test_make_ctx_rejects_wide_prime () =
 let test_top_residue_31bit () =
   let n = 64 in
   let primes = Modarith.gen_ntt_primes ~bits:31 ~modulus_of:(2 * n) ~count:3 in
-  let q = primes.(2) (* another 31-bit modulus, for broadcast and rescale *) in
+  let q = primes.(2) (* another 31-bit modulus, for rescale and the lift *) in
   let top p = Rvec.of_int_array (Array.make n (p - 1)) in
   Array.iter
     (fun p ->
@@ -167,9 +168,6 @@ let test_top_residue_31bit () =
       check "scalar_mul"
         (fun d -> Rvec.scalar_mul_into d a (p - 1) p)
         (fun d -> Ring_oracle.scalar_mul_into d a (p - 1) p);
-      check "broadcast_mod"
-        (fun d -> Rvec.broadcast_mod_into d last p)
-        (fun d -> Ring_oracle.broadcast_mod_into d last p);
       if q <> p then begin
         check "rescale_limb"
           (fun d -> Rvec.rescale_limb_into d a last ~q_last:q ~p)
@@ -209,6 +207,51 @@ let test_top_residue_31bit () =
       Alcotest.(check (array int)) "component" (Array.make n (p - 1))
         (Rq_rns.component y ~basis_index:i))
     primes
+
+(* The key switch's centered two-prime lift against its Garner twin and
+   against the exact value it must produce: digits at 30- and 31-bit primes
+   (Q up to 2^62), on random residues, at the ±Q/2 centering boundary and on
+   all-(p−1) residues (x = Q − 1, which centers to −1). *)
+let test_lift_pair_centered () =
+  List.iter
+    (fun bits ->
+      let primes = Modarith.gen_ntt_primes ~bits ~modulus_of:128 ~count:3 in
+      let q_lo = primes.(0) and q_hi = primes.(1) and p = primes.(2) in
+      let q = q_lo * q_hi in
+      let half = q / 2 in
+      (* x in [0, Q) by its residues; the fixed ones sit at 0, Q/2 and Q *)
+      let xs =
+        Array.append
+          (Array.init 64 (fun _ -> Random.State.full_int rng q))
+          [| 0; 1; half - 1; half; half + 1; half + 2; q - 2; q - 1 |]
+      in
+      let n = Array.length xs in
+      let lo = Rvec.of_int_array (Array.map (fun x -> x mod q_lo) xs) in
+      let hi = Rvec.of_int_array (Array.map (fun x -> x mod q_hi) xs) in
+      let exact = Array.map (fun x -> Modarith.reduce (if x > half then x - q else x) p) xs in
+      let name k = Printf.sprintf "%s, %d-bit primes" k bits in
+      List.iter
+        (fun (who, p) ->
+          let d = Rvec.create n in
+          Rvec.lift_pair_centered_into d lo hi ~q_lo ~q_hi p;
+          let r = Rvec.create n in
+          Ring_oracle.lift_pair_centered_into r lo hi ~q_lo ~q_hi p;
+          Alcotest.(check (array int)) (name ("oracle = fast into " ^ who)) (Rvec.to_int_array r)
+            (Rvec.to_int_array d))
+        [ ("p", p); ("q_lo", q_lo); ("q_hi", q_hi) ];
+      let d = Rvec.create n in
+      Rvec.lift_pair_centered_into d lo hi ~q_lo ~q_hi p;
+      Alcotest.(check (array int)) (name "exact centered value") exact (Rvec.to_int_array d);
+      (* Q is odd: ⌊Q/2⌋ stays positive, ⌊Q/2⌋ + 1 wraps to −⌊Q/2⌋ *)
+      Alcotest.(check int) (name "Q/2 stays") (Modarith.reduce half p) (Rvec.get d 67);
+      Alcotest.(check int) (name "Q/2+1 wraps") (Modarith.reduce (-half) p) (Rvec.get d 68);
+      let top = Rvec.create 4 in
+      Rvec.lift_pair_centered_into top
+        (Rvec.of_int_array (Array.make 4 (q_lo - 1)))
+        (Rvec.of_int_array (Array.make 4 (q_hi - 1)))
+        ~q_lo ~q_hi p;
+      Alcotest.(check (array int)) (name "all p-1 is -1") (Array.make 4 (p - 1)) (Rvec.to_int_array top))
+    [ 30; 31 ]
 
 let test_ntt_top_of_lazy_window () =
   (* all-(p-1) input at the largest 30-bit fast prime drives the lazy
@@ -386,6 +429,8 @@ let suite =
         Alcotest.test_case "rvec kernels = schoolbook twins" `Quick test_rvec_kernels;
         Alcotest.test_case "rvec edge residues" `Quick test_rvec_edge_values;
         Alcotest.test_case "shoup multiplication" `Quick test_shoup;
+        Alcotest.test_case "centered pair lift = Garner twin, 30/31-bit" `Quick
+          test_lift_pair_centered;
         Alcotest.test_case "make_ctx rejects a prime >= 2^31" `Quick
           test_make_ctx_rejects_wide_prime;
         Alcotest.test_case "residue p-1 survives storage, 31-bit primes" `Quick

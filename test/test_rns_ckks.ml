@@ -181,6 +181,83 @@ let test_rotate_many () =
       check_close ~tol:1e-2 (Printf.sprintf "rot_many amount %d" r) rotated outs.(i))
     amounts
 
+(* Key switching at every level 1..L (odd levels end in a one-prime digit).
+   Each check compares against the decryption of the operand itself, so the
+   fresh encryption noise cancels and only the key switch's error is left:
+   - rotate and hoisted rotate_many: the decrypted input's slots, rotated;
+     rotate_many is bit for bit rotate;
+   - relinearised mul: mul_plain by the decrypted second operand, which is
+     the same product without the relinearisation. *)
+let test_keyswitch_every_level () =
+  let a = random_vec 31 and b = Array.map (fun x -> x /. 2.0) (random_vec 32) in
+  let small = 16384.0 (* 2^14: the product's scale must fit level 1 *) in
+  let enc s v = C.encrypt ctx rng keys.C.public (C.encode_real ctx ~level:(C.max_level ctx) ~scale:s v) in
+  let top_a = enc (2.0 ** 20.0) a in
+  let top_x = enc small (Array.map (fun x -> x /. 2.0) a) and top_y = enc small b in
+  (* complex slots: the fresh noise's imaginary part cancels too *)
+  let slots_of ct = C.decode ctx (C.decrypt ctx sk ct) in
+  let close what tol (expected : Complexv.t) ct =
+    let diff = Complexv.max_abs_diff expected (slots_of ct) in
+    if diff > tol then Alcotest.failf "%s: max abs diff %g > %g" what diff tol
+  in
+  for level = 1 to C.max_level ctx do
+    let at ct = C.mod_switch_to_level ctx ct level in
+    let ct = at top_a in
+    let v = slots_of ct in
+    let amounts = [| 1; 3; 2; -1 |] in
+    let many = C.rotate_many ctx keys ct amounts in
+    Array.iteri
+      (fun i r ->
+        let what = Printf.sprintf "level %d, rotate %d" level r in
+        let one = C.rotate ctx keys ct r in
+        let src j = (((j + r) mod slots) + slots) mod slots in
+        let rotated =
+          Complexv.of_complex
+            (Array.init slots (fun j -> Complexv.get_re v (src j)))
+            (Array.init slots (fun j -> Complexv.get_im v (src j)))
+        in
+        close what 5e-3 rotated one;
+        if not (Rq_rns.equal one.C.c0 many.(i).C.c0 && Rq_rns.equal one.C.c1 many.(i).C.c1) then
+          Alcotest.failf "%s: rotate_many differs from rotate" what)
+      amounts;
+    let x = at top_x and y = at top_y in
+    let product = C.mul ctx keys x y in
+    let reference = C.mul_plain ctx x (C.decrypt ctx sk y) in
+    close (Printf.sprintf "level %d, relinearised mul" level) 1e-4 (slots_of reference) product
+  done
+
+(* Centered digits over a two-prime special modulus: one rotation adds less
+   than the fresh encryption error. A digit lifted into [0, q) instead has
+   mean q/2, a structured term that multiplies the slot error several-fold.
+   Max slot error over inputs uniform in [-1, 1]. *)
+let test_rotation_error_vs_fresh () =
+  let n = 2048 in
+  let ctx = C.make_context (C.default_params ~n ~bits:30 ~num_coeff_primes:6 ()) in
+  let slots = C.slot_count ctx in
+  List.iter
+    (fun seed ->
+      let rng = Sampling.create ~seed in
+      let sk, keys = C.keygen ctx rng in
+      C.add_rotation_key ctx rng sk keys 1;
+      let st = Random.State.make [| seed |] in
+      let v = Array.init slots (fun _ -> Random.State.float st 2.0 -. 1.0) in
+      List.iter
+        (fun bits ->
+          let scale = 2.0 ** float_of_int bits in
+          let ct =
+            C.encrypt ctx rng keys.C.public (C.encode_real ctx ~level:(C.max_level ctx) ~scale v)
+          in
+          let err expected ct =
+            Complexv.max_abs_diff (Complexv.of_real expected) (C.decode ctx (C.decrypt ctx sk ct))
+          in
+          let fresh = err v ct in
+          let rotated = err (Array.init slots (fun i -> v.((i + 1) mod slots))) (C.rotate ctx keys ct 1) in
+          if rotated > 2.0 *. fresh then
+            Alcotest.failf "seed %d, scale 2^%d: rotation error %g > 2 x fresh %g" seed bits rotated
+              fresh)
+        [ 20; 30 ])
+    [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+
 let test_wrong_key_fails () =
   (* decrypting with a fresh secret key must not recover the message *)
   let rng2 = Sampling.create ~seed:999 in
@@ -211,8 +288,14 @@ let test_scale_mismatch_rejected () =
 let test_security_params () =
   Alcotest.(check bool) "modulus bits counted" true (C.total_modulus_bits ctx > 0);
   Alcotest.(check int) "slot count" (n / 2) (C.slot_count ctx);
-  Alcotest.(check int) "special is largest" (Array.fold_left Stdlib.max 0 (C.coeff_primes ctx))
-    (Stdlib.min (C.special_prime ctx) (Array.fold_left Stdlib.max 0 (C.coeff_primes ctx)))
+  let specials = C.special_primes ctx in
+  Alcotest.(check int) "two special primes" 2 (Array.length specials);
+  let top = Array.fold_left Stdlib.max 0 (C.coeff_primes ctx) in
+  Array.iter
+    (fun p -> Alcotest.(check bool) (Printf.sprintf "special %d > every chain prime" p) true (p > top))
+    specials;
+  Alcotest.(check int) "one key pair per two-prime digit" ((C.max_level ctx + 1) / 2)
+    (Array.length (C.kswitch_pairs keys.C.relin))
 
 let suite =
   [
@@ -236,6 +319,8 @@ let suite =
         Alcotest.test_case "rotate zero" `Quick test_rotate_zero;
         Alcotest.test_case "NTT-domain Galois permutation" `Quick test_ntt_galois_permutation;
         Alcotest.test_case "hoisted rotate_many" `Quick test_rotate_many;
+        Alcotest.test_case "key switching at every level" `Quick test_keyswitch_every_level;
+        Alcotest.test_case "one rotation's error within 2x fresh" `Quick test_rotation_error_vs_fresh;
         Alcotest.test_case "wrong key garbles" `Quick test_wrong_key_fails;
         Alcotest.test_case "level mismatch rejected" `Quick test_level_mismatch_rejected;
         Alcotest.test_case "scale mismatch rejected" `Quick test_scale_mismatch_rejected;

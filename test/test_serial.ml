@@ -202,7 +202,7 @@ let test_fuzz_big_ciphertext () =
     | exception Serial.Corrupt _ -> ()
   done
 
-(* --- key-bundle (RKY2: public + relin + Galois/rotation keys) fuzz ---
+(* --- key-bundle (RKY3: public + relin + Galois/rotation keys) fuzz ---
    the rotation-key frames ride the same integrity envelope as ciphertexts;
    every mangling must surface as a typed [Serial.Corrupt] whose message
    names the frame tag (the Corrupt_ciphertext-family contract: the caller
@@ -225,8 +225,38 @@ let check_corrupt_carries_tag what msg =
     let rec scan i = i + k <= n && (String.sub s i k = sub || scan (i + 1)) in
     scan 0
   in
-  if not (contains msg "RKY2") then
-    Alcotest.failf "%s: Corrupt message %S does not carry the RKY2 frame tag" what msg
+  if not (contains msg "RKY3") then
+    Alcotest.failf "%s: Corrupt message %S does not carry the RKY3 frame tag" what msg
+
+(* A bundle of another key layout fails loudly instead of loading keys that
+   decrypt garbage: an RKY2 frame (per-prime keys) by its tag, a key whose
+   pair count is not the context's digit count by that count, and a pair
+   outside the full key basis by its basis. *)
+let test_keys_of_another_layout_rejected () =
+  let full, rq = sample_key_bytes () in
+  let rejected what bytes =
+    match Serial.read_rns_keys (Serial.reader bytes) rq with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Serial.Corrupt msg -> check_corrupt_carries_tag what msg
+  in
+  rejected "RKY2 frame" ("RKY2" ^ String.sub full 4 (String.length full - 4));
+  let rng = Sampling.create ~seed:11 in
+  let _, keys = Rns_ckks.keygen ctx rng in
+  let pairs = Rns_ckks.kswitch_pairs keys.Rns_ckks.relin in
+  (* 3 chain primes: two digits, the last of one prime *)
+  Alcotest.(check int) "digits of a 3-prime chain" 2 (Array.length pairs);
+  List.iter
+    (fun (what, pairs) ->
+      let w = Serial.writer () in
+      Serial.write_rns_keys w rq { keys with Rns_ckks.relin = Rns_ckks.kswitch_of_pairs pairs };
+      rejected what (Serial.contents w))
+    [
+      ("one pair short", Array.sub pairs 0 1);
+      ("one pair per chain prime", Array.append pairs [| pairs.(0) |]);
+      ( "a pair without the special primes",
+        let b, a = pairs.(1) in
+        [| pairs.(0); (Rq_rns.subset b [| 0; 1; 2 |], a) |] );
+    ]
 
 let test_fuzz_keys_truncation_every_offset () =
   let full, rq = sample_key_bytes () in
@@ -532,9 +562,11 @@ let suite =
         Alcotest.test_case "fuzz: truncation at every offset" `Quick test_fuzz_truncation_every_offset;
         Alcotest.test_case "fuzz: seeded bit flips" `Quick test_fuzz_bit_flips;
         Alcotest.test_case "fuzz: pow2 frame" `Quick test_fuzz_big_ciphertext;
-        Alcotest.test_case "fuzz: key bundle truncation (RKY2)" `Quick
+        Alcotest.test_case "fuzz: key bundle truncation (RKY3)" `Quick
           test_fuzz_keys_truncation_every_offset;
-        Alcotest.test_case "fuzz: key bundle bit flips (RKY2)" `Quick test_fuzz_keys_bit_flips;
+        Alcotest.test_case "fuzz: key bundle bit flips (RKY3)" `Quick test_fuzz_keys_bit_flips;
+        Alcotest.test_case "key bundle of another layout rejected" `Quick
+          test_keys_of_another_layout_rejected;
         Alcotest.test_case "ciphertext Corrupt carries frame tag" `Quick
           test_ciphertext_corrupt_carries_tag;
         Alcotest.test_case "trailing garbage in frame" `Quick test_trailing_garbage_in_frame_rejected;
