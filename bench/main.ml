@@ -10,7 +10,7 @@
 
 module Compiler = Chet.Compiler
 module Cost_model = Chet.Cost_model
-module Executor = Chet_runtime.Executor
+module Layout = Chet_runtime.Layout
 module Kernels = Chet_runtime.Kernels
 module Models = Chet_nn.Models
 module Circuit = Chet_nn.Circuit
@@ -393,11 +393,11 @@ let depth_sweep () =
         let circuit = chain_circuit depth in
         let seal =
           Compiler.select_params (Workloads.opts_for Compiler.Seal) circuit
-            ~policy:Executor.All_hw
+            ~policy:Layout.All_hw
         in
         let heaan =
           Compiler.select_params (Workloads.opts_for Compiler.Heaan) circuit
-            ~policy:Executor.All_hw
+            ~policy:Layout.All_hw
         in
         [
           string_of_int depth;

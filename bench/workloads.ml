@@ -4,7 +4,7 @@
 
 module Compiler = Chet.Compiler
 module Cost_model = Chet.Cost_model
-module Executor = Chet_runtime.Executor
+module Layout = Chet_runtime.Layout
 module Models = Chet_nn.Models
 module Sim = Chet_hisa.Sim_backend
 module Instrument = Chet_hisa.Instrument
@@ -26,7 +26,7 @@ type key_config = Selected | Pow2_only
 
 type cost_kind =
   | Calibrated  (** the shipped measured constants *)
-  | Theory  (** raw Table-1 asymptotics, constant 1 per op class *)
+  | Theory  (** raw Table-1 asymptotics, one constant (1e-9) for every op class *)
   | Loaded  (** constants from a --cost-file calibration (this machine) *)
 
 (* Set once at startup from --cost-file, before any cached run — [Loaded] is
@@ -42,18 +42,30 @@ type sim_run = {
   counters : Instrument.counters;
 }
 
-let run_cache : (string * Compiler.target * Executor.layout_policy * cost_kind, sim_run) Hashtbl.t =
+let run_cache : (string * Compiler.target * Layout.layout_policy * cost_kind, sim_run) Hashtbl.t =
   Hashtbl.create 64
 
+(* the Table-1 terms with the same constant for every op class *)
+let theory =
+  let k = 1e-9 in
+  {
+    Cost_model.k_add = k;
+    k_scalar_mul = k;
+    k_plain_mul = k;
+    k_cipher_mul = k;
+    k_rotate = k;
+    k_rot_hoisted = k;
+    k_rescale = k;
+  }
+
 let costs_for kind target =
-  match (kind, target) with
-  | Calibrated, Compiler.Seal -> Cost_model.seal ()
-  | Calibrated, Compiler.Heaan -> Cost_model.heaan ()
-  | Theory, Compiler.Seal -> Hisa.rns_cost_model ()
-  | Theory, Compiler.Heaan -> Hisa.ckks_cost_model ()
-  | Loaded, t ->
-      let cal = Option.value !loaded_calibration ~default:Cost_model.default_calibration in
-      Cost_model.model_for (match t with Compiler.Seal -> `Seal | Compiler.Heaan -> `Heaan) cal
+  let cal =
+    match kind with
+    | Calibrated -> Cost_model.default_calibration
+    | Theory -> { Cost_model.seal_c = theory; heaan_c = theory }
+    | Loaded -> Option.value !loaded_calibration ~default:Cost_model.default_calibration
+  in
+  Cost_model.model_for (match target with Compiler.Seal -> `Seal | Compiler.Heaan -> `Heaan) cal
 
 (* One simulated inference under [policy] with the given parameters. *)
 let sim_run ?(kind = Calibrated) target (spec : Models.spec) ~policy ~params =
@@ -122,6 +134,6 @@ let best_policy_latency ?(keys = Selected) target spec = latency (best_policy_ru
    parameters selected for that layout. *)
 let manual_heaan_latency spec =
   let opts = opts_for Compiler.Heaan in
-  let params = Compiler.select_params opts (spec.Models.build ()) ~policy:Executor.All_hw in
-  latency (sim_run Compiler.Heaan spec ~policy:Executor.All_hw ~params) ~keys:Pow2_only
+  let params = Compiler.select_params opts (spec.Models.build ()) ~policy:Layout.All_hw in
+  latency (sim_run Compiler.Heaan spec ~policy:Layout.All_hw ~params) ~keys:Pow2_only
 

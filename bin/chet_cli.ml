@@ -13,7 +13,7 @@
 module Compiler = Chet.Compiler
 module Scale_select = Chet.Scale_select
 module Integrity = Chet.Integrity
-module Executor = Chet_runtime.Executor
+module Layout = Chet_runtime.Layout
 module Plan = Chet_plan.Plan
 module Plan_exec = Chet_plan.Plan_exec
 module Models = Chet_nn.Models
@@ -340,7 +340,7 @@ let scales_cmd =
     let result =
       Scale_select.search
         ~log:(fun line -> Printf.eprintf "%s\n%!" line)
-        opts circuit ~policy:Executor.All_hw ~images ~tolerance
+        opts circuit ~policy:Layout.All_hw ~images ~tolerance
         ~start_exponents:(34, 24, 24, 18) ()
     in
     let ec, ew, eu, em = result.Scale_select.exponents in

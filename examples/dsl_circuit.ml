@@ -6,7 +6,6 @@
 
 module Parser = Chet_dsl.Parser
 module Compiler = Chet.Compiler
-module Executor = Chet_runtime.Executor
 module Reference = Chet_nn.Reference
 module Circuit = Chet_nn.Circuit
 module Dataset = Chet_tensor.Dataset

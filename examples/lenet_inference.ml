@@ -6,7 +6,6 @@
    Run with: dune exec examples/lenet_inference.exe [-- --real] *)
 
 module Compiler = Chet.Compiler
-module Executor = Chet_runtime.Executor
 module Models = Chet_nn.Models
 module Reference = Chet_nn.Reference
 module Opcount = Chet_nn.Opcount

@@ -14,7 +14,6 @@
    minutes of wall-clock for the full Industrial network) *)
 
 module Compiler = Chet.Compiler
-module Executor = Chet_runtime.Executor
 module Kernels = Chet_runtime.Kernels
 module Models = Chet_nn.Models
 module Reference = Chet_nn.Reference

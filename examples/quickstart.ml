@@ -12,7 +12,6 @@ module C = Chet_crypto.Rns_ckks
 module Sampling = Chet_crypto.Sampling
 module Hisa = Chet_hisa.Hisa
 module Compiler = Chet.Compiler
-module Executor = Chet_runtime.Executor
 module Models = Chet_nn.Models
 module Reference = Chet_nn.Reference
 module T = Chet_tensor.Tensor

@@ -8,7 +8,6 @@
    Run with: dune exec examples/squeezenet_cifar.exe *)
 
 module Compiler = Chet.Compiler
-module Executor = Chet_runtime.Executor
 module Models = Chet_nn.Models
 module Reference = Chet_nn.Reference
 module Circuit = Chet_nn.Circuit

@@ -7,7 +7,6 @@
    Run with: dune exec examples/throughput.exe *)
 
 module Compiler = Chet.Compiler
-module Executor = Chet_runtime.Executor
 module Models = Chet_nn.Models
 module Reference = Chet_nn.Reference
 module Hisa = Chet_hisa.Hisa

@@ -11,7 +11,6 @@ module Circuit = Chet_nn.Circuit
 module Tensor = Chet_tensor.Tensor
 module Kernels = Chet_runtime.Kernels
 module Layout = Chet_runtime.Layout
-module Executor = Chet_runtime.Executor
 module Plan = Chet_plan.Plan
 module Plan_exec = Chet_plan.Plan_exec
 
@@ -59,7 +58,7 @@ let pp_params fmt = function
       Format.fprintf fmt "CKKS N=%d, logQ=%d, logP=%d" n log_fresh log_special
 
 type policy_report = {
-  pr_policy : Executor.layout_policy;
+  pr_policy : Layout.layout_policy;
   pr_params : params_choice;
   pr_cost : float;
 }
@@ -67,7 +66,7 @@ type policy_report = {
 type compiled = {
   circuit : Circuit.t;
   opts : options;
-  policy : Executor.layout_policy;
+  policy : Layout.layout_policy;
   params : params_choice;
   rotations : (int * int) list;
   op_counters : Instrument.counters;
@@ -258,7 +257,7 @@ let compile opts circuit =
         let params = select_params opts circuit ~policy in
         let cost = estimate_cost opts circuit ~policy ~params in
         { pr_policy = policy; pr_params = params; pr_cost = cost })
-      Executor.all_policies
+      Layout.all_policies
   in
   let best =
     List.fold_left (fun acc r -> if r.pr_cost < acc.pr_cost then r else acc) (List.hd reports)
@@ -281,10 +280,10 @@ let pp_compiled fmt c =
   Format.fprintf fmt "@[<v>%s compiled for %s:@,  layout: %s@,  params: %a@,  rotation keys: %d@,"
     c.circuit.Circuit.name
     (match c.opts.target with Seal -> "SEAL (RNS-CKKS)" | Heaan -> "HEAAN (CKKS)")
-    (Executor.policy_name c.policy) pp_params c.params (List.length c.rotations);
+    (Layout.policy_name c.policy) pp_params c.params (List.length c.rotations);
   List.iter
     (fun r ->
-      Format.fprintf fmt "  %-18s est. %8.2f s  (N=%d, logQ=%d)@," (Executor.policy_name r.pr_policy)
+      Format.fprintf fmt "  %-18s est. %8.2f s  (N=%d, logQ=%d)@," (Layout.policy_name r.pr_policy)
         r.pr_cost (params_n r.pr_params) (params_log_q r.pr_params))
     c.reports;
   Format.fprintf fmt "@]"

@@ -13,7 +13,7 @@
 module Hisa = Chet_hisa.Hisa
 module Circuit = Chet_nn.Circuit
 module Kernels = Chet_runtime.Kernels
-module Executor = Chet_runtime.Executor
+module Layout = Chet_runtime.Layout
 
 type target = Seal | Heaan
 type security = Standard of Chet_crypto.Security.level | Legacy_heaan
@@ -46,7 +46,7 @@ val params_log_q : params_choice -> int
 val pp_params : Format.formatter -> params_choice -> unit
 
 type policy_report = {
-  pr_policy : Executor.layout_policy;
+  pr_policy : Layout.layout_policy;
   pr_params : params_choice;
   pr_cost : float;  (** estimated seconds under the cost model *)
 }
@@ -54,7 +54,7 @@ type policy_report = {
 type compiled = {
   circuit : Circuit.t;
   opts : options;
-  policy : Executor.layout_policy;
+  policy : Layout.layout_policy;
   params : params_choice;
   rotations : (int * int) list;  (** (left-rotation amount, use count) — the keys to generate *)
   op_counters : Chet_hisa.Instrument.counters;
@@ -67,14 +67,14 @@ val scheme_of_params : options -> params_choice -> Hisa.scheme_kind
 (** The virtual scheme an analysis backend should emulate for these
     parameters (used by the cost, rotation and scale-selection passes). *)
 
-val select_params : options -> Circuit.t -> policy:Executor.layout_policy -> params_choice
+val select_params : options -> Circuit.t -> policy:Layout.layout_policy -> params_choice
 (** §5.2 as a standalone pass (re-run per layout choice by {!compile}). *)
 
-val estimate_cost : options -> Circuit.t -> policy:Executor.layout_policy -> params:params_choice -> float
+val estimate_cost : options -> Circuit.t -> policy:Layout.layout_policy -> params:params_choice -> float
 (** §5.3's cost analysis for one layout choice. *)
 
 val select_rotations :
-  options -> Circuit.t -> policy:Executor.layout_policy -> params:params_choice ->
+  options -> Circuit.t -> policy:Layout.layout_policy -> params:params_choice ->
   (int * int) list * Chet_hisa.Instrument.counters
 (** §5.4: distinct rotation amounts used (with use counts). *)
 

@@ -45,50 +45,7 @@ let heaan_defaults =
     k_rescale = 5.0e-9;
   }
 
-let logf n = log (float_of_int n) /. log 2.0
-
-let seal ?(c = seal_defaults) () =
-  let n e = float_of_int e.Hisa.env_n in
-  let r e = float_of_int (Stdlib.max 1 e.Hisa.env_r) in
-  {
-    Hisa.cm_add = (fun e -> c.k_add *. n e *. r e);
-    cm_scalar_mul = (fun e -> c.k_scalar_mul *. n e *. r e);
-    cm_plain_mul = (fun e -> c.k_plain_mul *. n e *. r e);
-    cm_cipher_mul = (fun e -> c.k_cipher_mul *. n e *. logf e.Hisa.env_n *. r e *. r e);
-    cm_rotate = (fun e -> c.k_rotate *. n e *. logf e.Hisa.env_n *. r e *. r e);
-    cm_rot_hoisted = (fun e -> c.k_rot_hoisted *. n e *. r e *. (r e +. logf e.Hisa.env_n));
-    cm_rescale = (fun e -> c.k_rescale *. n e *. logf e.Hisa.env_n *. r e);
-  }
-
-let heaan ?(c = heaan_defaults) () =
-  let n e = float_of_int e.Hisa.env_n in
-  let lq e = float_of_int (Stdlib.max 1 e.Hisa.env_log_q) in
-  let m_q e = lq e ** 1.58 /. 64.0 in
-  {
-    Hisa.cm_add = (fun e -> c.k_add *. n e *. lq e);
-    cm_scalar_mul = (fun e -> c.k_scalar_mul *. n e *. m_q e);
-    cm_plain_mul = (fun e -> c.k_plain_mul *. n e *. logf e.Hisa.env_n *. m_q e);
-    cm_cipher_mul = (fun e -> c.k_cipher_mul *. n e *. logf e.Hisa.env_n *. m_q e);
-    cm_rotate = (fun e -> c.k_rotate *. n e *. logf e.Hisa.env_n *. m_q e);
-    cm_rot_hoisted = (fun e -> c.k_rot_hoisted *. n e *. logf e.Hisa.env_n *. m_q e);
-    cm_rescale = (fun e -> c.k_rescale *. n e *. lq e);
-  }
-
-(* Calibration: given measured (env, seconds, weight) samples for one op and
-   that op's asymptotic term, the constant is the weighted least-squares
-   ratio. Each sample's weight is how many timed operations it averages
-   over, so heavily exercised (op, env) cells pull the fit harder than cells
-   observed once. *)
-let fit_constant_weighted term samples =
-  let num =
-    List.fold_left (fun acc (env, t, w) -> acc +. (w *. t *. term env)) 0.0 samples
-  in
-  let den =
-    List.fold_left (fun acc (env, _, w) -> acc +. (w *. term env *. term env)) 0.0 samples
-  in
-  if den = 0.0 then 0.0 else num /. den
-
-(* ---- Profile-driven calibration (the `chet profile` path) ---------------- *)
+(* ---- Table 1 ---------------------------------------------------------------- *)
 
 type scheme = [ `Seal | `Heaan ]
 
@@ -114,8 +71,10 @@ let fused_main_class = function
   | "fma_rot" -> Some Rotate
   | _ -> None
 
-(* The asymptotic term of each (scheme, class) pair — the model bodies above
-   without their constants. *)
+let logf n = log (float_of_int n) /. log 2.0
+
+(* The asymptotic term of each (scheme, class) pair: Table 1 written once.
+   A model is a constant per class times its term. *)
 let term_of scheme cls =
   let n e = float_of_int e.Hisa.env_n in
   let r e = float_of_int (Stdlib.max 1 e.Hisa.env_r) in
@@ -143,6 +102,40 @@ let term_of scheme cls =
       | Rotate | Rot_hoisted -> fun e -> n e *. logf e.Hisa.env_n *. m_q e
       | Rescale -> fun e -> n e *. lq e
     end
+
+let model scheme c =
+  let t cls k =
+    let term = term_of scheme cls in
+    fun e -> k *. term e
+  in
+  {
+    Hisa.cm_add = t Add c.k_add;
+    cm_scalar_mul = t Scalar_mul c.k_scalar_mul;
+    cm_plain_mul = t Plain_mul c.k_plain_mul;
+    cm_cipher_mul = t Cipher_mul c.k_cipher_mul;
+    cm_rotate = t Rotate c.k_rotate;
+    cm_rot_hoisted = t Rot_hoisted c.k_rot_hoisted;
+    cm_rescale = t Rescale c.k_rescale;
+  }
+
+let seal ?(c = seal_defaults) () = model `Seal c
+let heaan ?(c = heaan_defaults) () = model `Heaan c
+
+(* ---- Profile-driven calibration (the `chet profile` path) ---------------- *)
+
+(* Calibration: given measured (env, seconds, weight) samples for one op and
+   that op's asymptotic term, the constant is the weighted least-squares
+   ratio. Each sample's weight is how many timed operations it averages
+   over, so heavily exercised (op, env) cells pull the fit harder than cells
+   observed once. *)
+let fit_constant_weighted term samples =
+  let num =
+    List.fold_left (fun acc (env, t, w) -> acc +. (w *. t *. term env)) 0.0 samples
+  in
+  let den =
+    List.fold_left (fun acc (env, _, w) -> acc +. (w *. term env *. term env)) 0.0 samples
+  in
+  if den = 0.0 then 0.0 else num /. den
 
 let defaults_of = function `Seal -> seal_defaults | `Heaan -> heaan_defaults
 

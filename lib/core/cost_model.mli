@@ -19,11 +19,13 @@ val seal_defaults : constants
 val heaan_defaults : constants
 
 val seal : ?c:constants -> unit -> Hisa.cost_model
-(** RNS-CKKS: linear terms in [N·r]; mul/rotate in [N·logN·r²]; one amount
-    of a hoisted rotation in [N·r·(r + logN)]. *)
+(** RNS-CKKS: each class's constant times its [`Seal] {!term_of} — linear
+    terms in [N·r]; mul/rotate in [N·logN·r²]; one amount of a hoisted
+    rotation in [N·r·(r + logN)]. *)
 
 val heaan : ?c:constants -> unit -> Hisa.cost_model
-(** CKKS: [M(Q) = logQ^1.58] big-integer multiplication inside each term. *)
+(** CKKS: each class's constant times its [`Heaan] {!term_of}, with
+    [M(Q) = logQ^1.58] big-integer multiplication inside each term. *)
 
 val fit_constant_weighted :
   (Hisa.op_env -> float) -> (Hisa.op_env * float * float) list -> float

@@ -44,7 +44,7 @@ val sentinel : ?observe:(Tensor.t -> unit) -> spec -> Chet_plan.Plan_exec.sentin
 
 val validate :
   spec -> Circuit.t -> scales:Chet_runtime.Kernels.scales ->
-  policy:Chet_runtime.Executor.layout_policy -> slots:int -> float
+  policy:Chet_runtime.Layout.layout_policy -> slots:int -> float
 (** Deployment-time self-check: run the circuit's twin plan through the
     clear backend with the probe in both lanes and verify both against the
     reference. Proves the circuit/policy propagates the twin faithfully

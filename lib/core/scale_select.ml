@@ -3,7 +3,7 @@ module Herr = Chet_hisa.Herr
 module Clear = Chet_hisa.Clear_backend
 module Checked = Chet_hisa.Checked_backend
 module Kernels = Chet_runtime.Kernels
-module Executor = Chet_runtime.Executor
+module Layout = Chet_runtime.Layout
 module Plan = Chet_plan.Plan
 module Plan_exec = Chet_plan.Plan_exec
 module Circuit = Chet_nn.Circuit

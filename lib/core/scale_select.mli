@@ -24,7 +24,7 @@
 
 module Herr = Chet_hisa.Herr
 module Kernels = Chet_runtime.Kernels
-module Executor = Chet_runtime.Executor
+module Layout = Chet_runtime.Layout
 module Circuit = Chet_nn.Circuit
 module Tensor = Chet_tensor.Tensor
 
@@ -49,7 +49,7 @@ type result = {
 
 val evaluate :
   ?fixed_params:Compiler.params_choice -> Compiler.options -> Circuit.t ->
-  policy:Executor.layout_policy -> images:Tensor.t list -> tolerance:float -> Kernels.scales ->
+  policy:Layout.layout_policy -> images:Tensor.t list -> tolerance:float -> Kernels.scales ->
   verdict
 (** Evaluate one candidate configuration. [fixed_params] pins the encryption
     parameters (a deployed modulus budget) instead of re-running §5.2; the
@@ -58,7 +58,7 @@ val evaluate :
 
 val acceptable :
   ?fixed_params:Compiler.params_choice -> Compiler.options -> Circuit.t ->
-  policy:Executor.layout_policy -> images:Tensor.t list -> tolerance:float -> Kernels.scales ->
+  policy:Layout.layout_policy -> images:Tensor.t list -> tolerance:float -> Kernels.scales ->
   bool
 (** [evaluate] collapsed to a boolean: does this configuration keep every
     test image's output within [tolerance] (max-abs) of the unencrypted
@@ -66,7 +66,7 @@ val acceptable :
 
 val search :
   ?fixed_params:Compiler.params_choice -> ?log:(string -> unit) -> Compiler.options -> Circuit.t ->
-  policy:Executor.layout_policy -> images:Tensor.t list -> tolerance:float ->
+  policy:Layout.layout_policy -> images:Tensor.t list -> tolerance:float ->
   ?start_exponents:int * int * int * int -> ?min_exponent:int -> unit -> result
 (** [log] receives one line per rejected candidate (structured reason
     included). If the starting configuration is rejected, a ladder of

@@ -241,33 +241,22 @@ let mul ctx keys a b =
   let k0, k1 = keyswitch ctx d2 keys.relin in
   { c0 = Rq_big.add ctx.rq d0 k0; c1 = Rq_big.add ctx.rq d1 k1; scale = a.scale *. b.scale }
 
-let max_rescale ctx ct ub =
-  ignore ctx;
-  if ub < 2 then 1
-  else begin
-    let logq = logq_of ct in
-    let k = ref 0 in
-    while 1 lsl (!k + 1) <= ub && !k + 1 < logq do
-      incr k
-    done;
-    1 lsl !k
-  end
+let pow2 ctx = Modulus.Pow2_modulus ctx.params.log_fresh
+let max_rescale ctx ct ub = Modulus.max_rescale (pow2 ctx) (Modulus.Logq (logq_of ct)) ub
 
+(* the rule picks the target logq; the ring work shifts off the difference *)
 let rescale ctx ct x =
-  if x = 1 then ct
-  else begin
-    if x land (x - 1) <> 0 then
-      err ~op:"rescale"
-        (Herr.Illegal_rescale { divisor = x; reason = "divisor must be a power of two" });
-    let k = log2_int x in
-    if k >= logq_of ct then
-      err ~op:"rescale" (Herr.Modulus_exhausted { level = logq_of ct; requested = k });
+  let logq = logq_of ct in
+  let k =
+    logq - Modulus.count (Modulus.rescale ~backend:"big_ckks" (pow2 ctx) (Modulus.Logq logq) x)
+  in
+  if k = 0 then ct
+  else
     {
       c0 = Rq_big.div_round_pow2 ctx.rq ct.c0 ~k;
       c1 = Rq_big.div_round_pow2 ctx.rq ct.c1 ~k;
       scale = ct.scale /. float_of_int x;
     }
-  end
 
 let mod_down ctx ct ~logq =
   if logq > logq_of ct then

@@ -63,9 +63,14 @@ val mul_scalar : context -> ciphertext -> float -> scale:float -> ciphertext
 val add_scalar : context -> ciphertext -> float -> ciphertext
 
 val max_rescale : context -> ciphertext -> int -> int
-(** Largest power of two [<= ub] (and [< 2^logq]). *)
+(** Largest power of two [<= ub] (and [< 2^logq]) — {!Modulus.max_rescale}. *)
 
 val rescale : context -> ciphertext -> int -> ciphertext
+(** [rescale ctx ct x]: shift off the bits {!Modulus.rescale} consumes for
+    [x], a power of two.
+    @raise Chet_herr.Herr.Fhe_error ([Illegal_rescale], [Modulus_exhausted])
+      when the rule rejects [x]. *)
+
 val mod_down : context -> ciphertext -> logq:int -> ciphertext
 val rotate : context -> keys -> ciphertext -> int -> ciphertext
 val rotate_key_available : keys -> context -> int -> bool

@@ -32,6 +32,7 @@ type context = {
   rq : Rq.ctx;
   enc : Encoding.ctx;
   num_coeff : int;
+  chain : Modulus.kind;  (** [Rns_chain] of the chain primes: what rescale may divide by *)
 }
 
 let make_context params =
@@ -51,6 +52,7 @@ let make_context params =
     rq = Rq.make_ctx ~n:params.n ~primes:all;
     enc = Encoding.make ~n:params.n;
     num_coeff = params.num_coeff_primes;
+    chain = Modulus.Rns_chain chain;
   }
 
 let params ctx = ctx.params
@@ -380,46 +382,25 @@ let mul ctx keys a b =
 
 (* --- rescaling --- *)
 
-let max_rescale ctx ct ub =
-  let primes = Rq.ctx_primes ctx.rq in
-  let prod = ref 1 in
-  let l = ref ct.level in
-  let continue_loop = ref true in
-  while !continue_loop && !l > 1 do
-    let q = primes.(!l - 1) in
-    if !prod <= ub / q && !prod * q <= ub then begin
-      prod := !prod * q;
-      decr l
-    end
-    else continue_loop := false
-  done;
-  !prod
+let max_rescale ctx ct ub = Modulus.max_rescale ctx.chain (Modulus.Rns_level ct.level) ub
 
+(* the rule picks the target level; each dropped prime divides the scale in
+   turn, from the end of the chain *)
 let rescale ctx ct x =
-  if x = 1 then ct
+  let target =
+    Modulus.count (Modulus.rescale ~backend:"rns_ckks" ctx.chain (Modulus.Rns_level ct.level) x)
+  in
+  if target = ct.level then ct
   else begin
     let primes = Rq.ctx_primes ctx.rq in
     let c0 = ref (Rq.from_ntt ctx.rq ct.c0) and c1 = ref (Rq.from_ntt ctx.rq ct.c1) in
-    let level = ref ct.level and x = ref x and scale = ref ct.scale in
-    let requested = !x in
-    while !x > 1 do
-      if !level < 1 then
-        err ~op:"rescale" (Herr.Modulus_exhausted { level = ct.level; requested });
-      let q = primes.(!level - 1) in
-      if !x mod q <> 0 then
-        err ~op:"rescale"
-          (Herr.Illegal_rescale
-             {
-               divisor = requested;
-               reason = Printf.sprintf "not a product of the next chain primes (next is %d)" q;
-             });
+    let scale = ref ct.scale in
+    for l = ct.level downto target + 1 do
       c0 := Rq.drop_last ctx.rq !c0 ~rounded:true;
       c1 := Rq.drop_last ctx.rq !c1 ~rounded:true;
-      decr level;
-      scale := !scale /. float_of_int q;
-      x := !x / q
+      scale := !scale /. float_of_int primes.(l - 1)
     done;
-    { c0 = Rq.to_ntt ctx.rq !c0; c1 = Rq.to_ntt ctx.rq !c1; level = !level; scale = !scale }
+    { c0 = Rq.to_ntt ctx.rq !c0; c1 = Rq.to_ntt ctx.rq !c1; level = target; scale = !scale }
   end
 
 let mod_switch_to_level ctx ct target =

@@ -102,10 +102,13 @@ val mul_scalar : context -> ciphertext -> float -> scale:float -> ciphertext
 val add_scalar : context -> ciphertext -> float -> ciphertext
 val max_rescale : context -> ciphertext -> int -> int
 (** Largest product of next chain primes [<= ub] (Table 2 semantics; returns
-    1 if even the next prime exceeds [ub]). *)
+    1 if even the next prime exceeds [ub]) — {!Modulus.max_rescale}. *)
 
 val rescale : context -> ciphertext -> int -> ciphertext
-(** [rescale ctx ct x]: [x] must be a value returned by {!max_rescale}. *)
+(** [rescale ctx ct x]: drop the primes {!Modulus.rescale} says [x] is the
+    product of, dividing the scale by each in turn.
+    @raise Chet_herr.Herr.Fhe_error ([Illegal_rescale], [Modulus_exhausted])
+      when the rule rejects [x]. *)
 
 val mod_switch_to_level : context -> ciphertext -> int -> ciphertext
 (** Drop chain primes (without rescaling — the scale is unchanged) until the

@@ -6,7 +6,8 @@
 
    The checker maintains, per ciphertext:
      - a shadow scale (mirrors the scheme's scale algebra op by op), and
-     - a shadow level (RNS primes remaining, or logQ bits remaining),
+     - a shadow level (a {!Chet_crypto.Modulus.level}, moved by the same
+       rescale rule the schemes apply),
    and validates both against what the wrapped backend *reports* after every
    operation. Divergence means either a violated precondition upstream or a
    corrupted/faulty backend downstream (see Fault_backend), and raises a
@@ -15,7 +16,8 @@
      - add/sub (and the plain variants) require compatible operand scales
        -> [Scale_mismatch];
      - multiplies require modulus headroom                -> [Modulus_exhausted];
-     - rescale divisors must be legal for the scheme kind -> [Illegal_rescale],
+     - rescale divisors must be legal for the scheme kind -> [Illegal_rescale]
+       (Modulus.rescale's verdict, as on the real schemes),
        and the backend must actually apply them (a dropped rescale is caught
        by the postcondition)                              -> [Illegal_rescale];
      - levels must evolve exactly as the scheme dictates  -> [Level_mismatch];
@@ -51,23 +53,13 @@ type noise_model = {
 let default_noise_model ?(tolerance = 0.05) () =
   { nm_fresh = 1e-5; nm_encode = 1e-6; nm_rot = 1e-6; nm_tolerance = tolerance }
 
-type config = {
-  scheme : Hisa.scheme_kind;
-      (** must describe the wrapped backend's *actual* modulus chain (see
-          e.g. [ks_scheme] of {!Compiler.keyset}) *)
-  tolerance : float;  (** relative slack for operand-scale compatibility *)
-  value_bound : float;  (** largest plausible decoded magnitude *)
-  noise : noise_model option;  (** None: noise-margin guard off *)
-}
+module Modulus = Hisa.Modulus
 
-let default_config ~scheme =
-  { scheme; tolerance = Herr.scale_tolerance; value_bound = 1e30; noise = None }
-
+(* largest plausible decoded magnitude *)
+let value_bound = 1e30
 let log2f x = Float.log x /. Float.log 2.0
 
-let wrap ?(config = None) ?margin ~scheme (backend : Hisa.t) : Hisa.t =
-  let cfg = match config with Some c -> c | None -> default_config ~scheme in
-  let nm = cfg.noise in
+let wrap ?noise:nm ?margin ~scheme (backend : Hisa.t) : Hisa.t =
   let module B = (val backend) in
   (* fused ops compose this module's own checked ops (Hisa.Fused_default):
      every operand and intermediate gets the full pre/postcondition
@@ -84,19 +76,16 @@ let wrap ?(config = None) ?margin ~scheme (backend : Hisa.t) : Hisa.t =
       cid : int;
       mutable freed : bool;
       mutable sscale : float;  (** shadow scale *)
-      mutable slevel : int;  (** shadow level: RNS primes or logQ bits remaining *)
+      slevel : Modulus.level;  (** shadow level *)
       mutable serr : float;  (** noise guard: message-space error bound *)
       mutable smag : float;  (** noise guard: message magnitude bound *)
     }
 
     let next_id = ref 0
 
-    let level_of_env (e : Hisa.op_env) =
-      match cfg.scheme with
-      | Hisa.Rns_chain _ -> e.Hisa.env_r
-      | Hisa.Pow2_modulus _ -> e.Hisa.env_log_q
-
-    let err ~op e = Herr.raise_err ~backend:"checked" ~op e
+    let backend = "checked"
+    let err ~op e = Herr.raise_err ~backend ~op e
+    let level_of bc = Hisa.level_of_env scheme (B.env_of bc)
 
     (* noise-guard plumbing: all bound arithmetic degenerates to zeros when
        no model is configured, so the guard never fires and costs a few
@@ -121,8 +110,6 @@ let wrap ?(config = None) ?margin ~scheme (backend : Hisa.t) : Hisa.t =
     let close a b =
       Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
 
-    let compatible a b = Float.abs (a -. b) <= cfg.tolerance *. Float.max 1.0 (Float.max a b)
-
     let live ~op c =
       if c.freed then
         err ~op (Herr.Corrupt_ciphertext { reason = Printf.sprintf "use of freed ciphertext #%d" c.cid })
@@ -134,8 +121,9 @@ let wrap ?(config = None) ?margin ~scheme (backend : Hisa.t) : Hisa.t =
       live ~op c;
       let rs = B.scale_of c.bc in
       if not (close rs c.sscale) then err ~op (Herr.Scale_mismatch { expected = c.sscale; got = rs });
-      let rl = level_of_env (B.env_of c.bc) in
-      if rl <> c.slevel then err ~op (Herr.Level_mismatch { expected = c.slevel; got = rl })
+      let rl = level_of c.bc in
+      if rl <> c.slevel then
+        err ~op (Herr.Level_mismatch { expected = Modulus.count c.slevel; got = Modulus.count rl })
 
     (* Build a checked handle for a fresh backend result whose shadow values
        are [sscale]/[slevel]; verifies the postcondition, then adopts the
@@ -151,7 +139,8 @@ let wrap ?(config = None) ?margin ~scheme (backend : Hisa.t) : Hisa.t =
       c
 
     let depth ~op c =
-      if c.slevel < 1 then err ~op (Herr.Modulus_exhausted { level = c.slevel; requested = 1 })
+      let l = Modulus.count c.slevel in
+      if l < 1 then err ~op (Herr.Modulus_exhausted { level = l; requested = 1 })
 
     let screen ~op v =
       Array.iteri
@@ -181,14 +170,14 @@ let wrap ?(config = None) ?margin ~scheme (backend : Hisa.t) : Hisa.t =
       screen ~op:"decode" v;
       Array.iteri
         (fun i x ->
-          if Float.abs x > cfg.value_bound then
+          if Float.abs x > value_bound then
             err ~op:"decode"
               (Herr.Corrupt_ciphertext
                  {
                    reason =
                      Printf.sprintf
                        "decoded slot %d magnitude %.3g exceeds plausible bound %.3g (garbage from a corrupted ciphertext?)"
-                       i x cfg.value_bound;
+                       i x value_bound;
                  }))
         v;
       v
@@ -196,7 +185,7 @@ let wrap ?(config = None) ?margin ~scheme (backend : Hisa.t) : Hisa.t =
     let encrypt p =
       let bc = B.encrypt p.bp in
       (* fresh ciphertexts anchor the shadow level at the backend's report *)
-      mk ~op:"encrypt" bc ~sscale:p.pscale ~slevel:(level_of_env (B.env_of bc))
+      mk ~op:"encrypt" bc ~sscale:p.pscale ~slevel:(level_of bc)
         ~serr:(nmv (fun m -> m.nm_fresh +. m.nm_encode))
         ~smag:p.pmax
 
@@ -248,9 +237,9 @@ let wrap ?(config = None) ?margin ~scheme (backend : Hisa.t) : Hisa.t =
     let binop ~op f a b =
       observe ~op a;
       observe ~op b;
-      if not (compatible a.sscale b.sscale) then
+      if not (Herr.scales_compatible a.sscale b.sscale) then
         err ~op (Herr.Scale_mismatch { expected = a.sscale; got = b.sscale });
-      mk ~op (f a.bc b.bc) ~sscale:a.sscale ~slevel:(Stdlib.min a.slevel b.slevel)
+      mk ~op (f a.bc b.bc) ~sscale:a.sscale ~slevel:(Modulus.meet ~backend ~op a.slevel b.slevel)
         ~serr:(a.serr +. b.serr)
         ~smag:(a.smag +. b.smag)
 
@@ -259,7 +248,7 @@ let wrap ?(config = None) ?margin ~scheme (backend : Hisa.t) : Hisa.t =
 
     let plain_add ~op f c p =
       observe ~op c;
-      if not (compatible c.sscale p.pscale) then
+      if not (Herr.scales_compatible c.sscale p.pscale) then
         err ~op (Herr.Scale_mismatch { expected = c.sscale; got = p.pscale });
       mk ~op (f c.bc p.bp) ~sscale:c.sscale ~slevel:c.slevel
         ~serr:(c.serr +. nmv (fun m -> m.nm_encode))
@@ -287,7 +276,7 @@ let wrap ?(config = None) ?margin ~scheme (backend : Hisa.t) : Hisa.t =
       (* cross-term error growth: |(a+ea)(b+eb) - ab| <= ea|b| + eb|a| + ea·eb,
          plus the relinearization rounding term *)
       mk ~op:"mul" (B.mul a.bc b.bc) ~sscale:(a.sscale *. b.sscale)
-        ~slevel:(Stdlib.min a.slevel b.slevel)
+        ~slevel:(Modulus.meet ~backend ~op:"mul" a.slevel b.slevel)
         ~serr:((a.serr *. b.smag) +. (b.serr *. a.smag) +. (a.serr *. b.serr) +. nmv (fun m -> m.nm_rot))
         ~smag:(a.smag *. b.smag)
 
@@ -312,54 +301,11 @@ let wrap ?(config = None) ?margin ~scheme (backend : Hisa.t) : Hisa.t =
 
     (* --- rescaling ---------------------------------------------------- *)
 
-    let log2_int n =
-      let rec loop n acc = if n <= 1 then acc else loop (n lsr 1) (acc + 1) in
-      loop n 0
-
-    (* Predict the level after applying divisor [x] at shadow level [l],
-       raising [Illegal_rescale]/[Modulus_exhausted] when the scheme kind
-       cannot apply it — §5.2's maxRescale legality, enforced. *)
-    let rescale_target ~op c x =
-      match cfg.scheme with
-      | Hisa.Rns_chain primes ->
-          let l = ref c.slevel and rem = ref x in
-          while !rem > 1 do
-            if !l < 1 then err ~op (Herr.Modulus_exhausted { level = c.slevel; requested = x });
-            if !l > Array.length primes then
-              err ~op
-                (Herr.Invalid_op
-                   {
-                     reason =
-                       Printf.sprintf "shadow level %d exceeds the declared %d-prime chain" !l
-                         (Array.length primes);
-                   });
-            let q = primes.(!l - 1) in
-            if !rem mod q <> 0 then
-              err ~op
-                (Herr.Illegal_rescale
-                   {
-                     divisor = x;
-                     reason =
-                       Printf.sprintf "not a product of the next chain primes (next is %d, remainder %d)" q !rem;
-                   });
-            rem := !rem / q;
-            decr l
-          done;
-          !l
-      | Hisa.Pow2_modulus _ ->
-          if x land (x - 1) <> 0 then
-            err ~op (Herr.Illegal_rescale { divisor = x; reason = "divisor must be a power of two" });
-          let k = log2_int x in
-          if k >= c.slevel then err ~op (Herr.Modulus_exhausted { level = c.slevel; requested = k });
-          c.slevel - k
-
     let rescale c x =
       observe ~op:"rescale" c;
-      if x < 1 then
-        err ~op:"rescale" (Herr.Illegal_rescale { divisor = x; reason = "divisor must be >= 1" });
+      let slevel' = Modulus.rescale ~backend scheme c.slevel x in
       if x = 1 then c
       else begin
-        let slevel' = rescale_target ~op:"rescale" c x in
         let bc = B.rescale c.bc x in
         (* postcondition: the backend must actually have divided the scale —
            a dropped rescale otherwise silently desynchronises every

@@ -26,23 +26,16 @@ val default_noise_model : ?tolerance:float -> unit -> noise_model
 (** Heuristic defaults; [tolerance] defaults to 0.05, the fidelity bar the
     compiled-deployment tests hold real backends to. *)
 
-type config = {
-  scheme : Hisa.scheme_kind;
-      (** must describe the wrapped backend's *actual* modulus chain (see
-          e.g. [ks_scheme] of {!Chet.Compiler.keyset}) *)
-  tolerance : float;  (** relative slack for operand-scale compatibility *)
-  value_bound : float;  (** largest plausible decoded magnitude *)
-  noise : noise_model option;  (** [None]: noise-margin guard off *)
-}
-
-val default_config : scheme:Hisa.scheme_kind -> config
-(** Scale tolerance {!Chet_herr.Herr.scale_tolerance}, value bound [1e30],
-    noise guard off. *)
-
-val wrap : ?config:config option -> ?margin:float ref -> scheme:Hisa.scheme_kind -> Hisa.t -> Hisa.t
-(** Checked view of [backend]. [margin] (noise guard only) receives the
-    remaining precision headroom in bits, [log2 (tolerance / error bound)],
-    updated at every decrypt — the serving layer's margin gauge.
+val wrap : ?noise:noise_model -> ?margin:float ref -> scheme:Hisa.scheme_kind -> Hisa.t -> Hisa.t
+(** Checked view of [backend]. [scheme] must describe the wrapped backend's
+    {e actual} modulus chain (see e.g. [ks_scheme] of
+    {!Chet.Compiler.keyset}); the shadow level follows it through
+    {!Chet_crypto.Modulus}, and operand scales must agree to
+    {!Chet_herr.Herr.scales_compatible}. Decoded magnitudes above [1e30]
+    are [Corrupt_ciphertext]. [noise] turns the noise-margin guard on (off
+    by default). [margin] (noise guard only) receives the remaining
+    precision headroom in bits, [log2 (tolerance / error bound)], updated
+    at every decrypt — the serving layer's margin gauge.
     @raise Chet_herr.Herr.Fhe_error
       typed per-op diagnoses: [Scale_mismatch], [Level_mismatch],
       [Modulus_exhausted], [Illegal_rescale], [Slot_overflow],

@@ -1,7 +1,13 @@
 (* Unencrypted HISA backend: computes on cleartext float vectors while
    tracking scales and modulus consumption with the same semantics as the
    target scheme. This is both the reference inference engine and the
-   execution vehicle for CHET's data-flow analyses. *)
+   execution vehicle for CHET's data-flow analyses.
+
+   What is its own: the slot values, fixed-point quantisation, the optional
+   encoding noise and the strict capacity check. The modulus level and the
+   rescale rule are {!Chet_crypto.Modulus}'s, as in the schemes. *)
+
+module Modulus = Hisa.Modulus
 
 type config = {
   slots : int;
@@ -18,20 +24,15 @@ type config = {
          the profile-guided scale search turns it on. *)
 }
 
-type budget = Rns_level of int | Logq of int
-
-let err ~op e = Herr.raise_err ~backend:"clear" ~op e
-
-let initial_budget = function
-  | Hisa.Rns_chain primes -> Rns_level (Array.length primes)
-  | Hisa.Pow2_modulus logq -> Logq logq
+let backend = "clear"
+let err ~op e = Herr.raise_err ~backend ~op e
 
 let make (cfg : config) : Hisa.t =
   (module struct
     let slots = cfg.slots
 
     type pt = { pv : float array; pscale : float }
-    type ct = { v : float array; scale : float; budget : budget }
+    type ct = { v : float array; scale : float; level : Modulus.level }
 
     let fit values =
       let v = Array.make cfg.slots 0.0 in
@@ -61,7 +62,7 @@ let make (cfg : config) : Hisa.t =
       end;
       { pv; pscale = s }
     let decode pt = Array.copy pt.pv
-    let encrypt pt = { v = Array.copy pt.pv; scale = pt.pscale; budget = initial_budget cfg.scheme }
+    let encrypt pt = { v = Array.copy pt.pv; scale = pt.pscale; level = Modulus.fresh cfg.scheme }
     let decrypt ct = { pv = Array.copy ct.v; pscale = ct.scale }
     let copy ct = { ct with v = Array.copy ct.v }
     let free _ = ()
@@ -80,11 +81,7 @@ let make (cfg : config) : Hisa.t =
 
     (* binary ops silently modulus-switch to the lower operand, as the real
        backends do *)
-    let budget_min ~op a b =
-      match (a, b) with
-      | Rns_level x, Rns_level y -> Rns_level (Stdlib.min x y)
-      | Logq x, Logq y -> Logq (Stdlib.min x y)
-      | _ -> err ~op (Herr.Invalid_op { reason = "mixed scheme budgets (RNS vs pow2)" })
+    let meet = Modulus.meet ~backend
 
     let check2 op a b =
       if not (scales_compatible a.scale b.scale) then
@@ -94,11 +91,11 @@ let make (cfg : config) : Hisa.t =
 
     let add a b =
       check2 "add" a b;
-      { a with v = map2 ( +. ) a.v b.v; budget = budget_min ~op:"add" a.budget b.budget }
+      { a with v = map2 ( +. ) a.v b.v; level = meet ~op:"add" a.level b.level }
 
     let sub a b =
       check2 "sub" a b;
-      { a with v = map2 ( -. ) a.v b.v; budget = budget_min ~op:"sub" a.budget b.budget }
+      { a with v = map2 ( -. ) a.v b.v; level = meet ~op:"sub" a.level b.level }
 
     let add_plain c p =
       if not (scales_compatible c.scale p.pscale) then
@@ -114,36 +111,31 @@ let make (cfg : config) : Hisa.t =
     let sub_scalar c x = add_scalar c (-.x)
 
     let check_depth ~op c =
-      if cfg.strict_modulus then begin
-        match c.budget with
-        | Rns_level l -> if l < 1 then err ~op (Herr.Modulus_exhausted { level = l; requested = 1 })
-        | Logq q -> if q < 1 then err ~op (Herr.Modulus_exhausted { level = q; requested = 1 })
-      end
+      let l = Modulus.count c.level in
+      if cfg.strict_modulus && l < 1 then err ~op (Herr.Modulus_exhausted { level = l; requested = 1 })
 
     let log2f x = log x /. log 2.0
 
-    (* Bits of virtual modulus left at this budget. *)
-    let capacity_bits = function
-      | Rns_level l -> (
-          match cfg.scheme with
-          | Hisa.Rns_chain primes ->
-              let b = ref 0.0 in
-              for i = 0 to Stdlib.min l (Array.length primes) - 1 do
-                b := !b +. log2f (float_of_int primes.(i))
-              done;
-              !b
-          | Hisa.Pow2_modulus _ -> 0.0)
-      | Logq q -> float_of_int q
+    (* Bits of virtual modulus left at this level. *)
+    let capacity_bits level =
+      match (cfg.scheme, level) with
+      | Hisa.Rns_chain primes, Modulus.Rns_level l ->
+          let b = ref 0.0 in
+          for i = 0 to Stdlib.min l (Array.length primes) - 1 do
+            b := !b +. log2f (float_of_int primes.(i))
+          done;
+          !b
+      | _, level -> float_of_int (Modulus.count level)
 
     (* §5.2's actual modulus constraint, enforced in strict mode: the scale
        (the fixed-point magnitude of the message) must stay below the
        remaining modulus, or the message wraps. Rescaling never descends
        below the last prime (as in the real schemes), so on a too-small
-       pinned chain a multiplication backlog genuinely exhausts the budget
+       pinned chain a multiplication backlog genuinely exhausts the modulus
        here — the failure mode the scale search must degrade around. *)
-    let check_capacity ~op budget result_scale =
+    let check_capacity ~op level result_scale =
       if cfg.strict_modulus then begin
-        let cap = capacity_bits budget in
+        let cap = capacity_bits level in
         let need = log2f result_scale in
         if need > cap then
           err ~op
@@ -153,18 +145,18 @@ let make (cfg : config) : Hisa.t =
 
     let mul a b =
       check_depth ~op:"mul" a;
-      let budget = budget_min ~op:"mul" a.budget b.budget in
-      check_capacity ~op:"mul" budget (a.scale *. b.scale);
-      { v = map2 ( *. ) a.v b.v; scale = a.scale *. b.scale; budget }
+      let level = meet ~op:"mul" a.level b.level in
+      check_capacity ~op:"mul" level (a.scale *. b.scale);
+      { v = map2 ( *. ) a.v b.v; scale = a.scale *. b.scale; level }
 
     let mul_plain c p =
       check_depth ~op:"mul_plain" c;
-      check_capacity ~op:"mul_plain" c.budget (c.scale *. p.pscale);
+      check_capacity ~op:"mul_plain" c.level (c.scale *. p.pscale);
       { c with v = map2 ( *. ) c.v p.pv; scale = c.scale *. p.pscale }
 
     let mul_scalar c x ~scale =
       check_depth ~op:"mul_scalar" c;
-      check_capacity ~op:"mul_scalar" c.budget (c.scale *. float_of_int scale);
+      check_capacity ~op:"mul_scalar" c.level (c.scale *. float_of_int scale);
       (* the runtime multiplies by the *rounded* integer, so the reference
          must quantise identically for bit-faithful comparison *)
       let quantised = Float.round (x *. float_of_int scale) /. float_of_int scale in
@@ -177,7 +169,7 @@ let make (cfg : config) : Hisa.t =
        checks replicate the composition's in order. *)
     let fma_scalar acc x w ~scale =
       check_depth ~op:"fma_scalar" x;
-      check_capacity ~op:"fma_scalar" x.budget (x.scale *. float_of_int scale);
+      check_capacity ~op:"fma_scalar" x.level (x.scale *. float_of_int scale);
       let product_scale = x.scale *. float_of_int scale in
       if not (scales_compatible acc.scale product_scale) then
         err ~op:"fma_scalar" (Herr.Scale_mismatch { expected = acc.scale; got = product_scale });
@@ -185,19 +177,19 @@ let make (cfg : config) : Hisa.t =
       {
         v = Array.init cfg.slots (fun i -> acc.v.(i) +. (x.v.(i) *. quantised));
         scale = acc.scale;
-        budget = budget_min ~op:"fma_scalar" acc.budget x.budget;
+        level = meet ~op:"fma_scalar" acc.level x.level;
       }
 
     let fma_plain acc x p =
       check_depth ~op:"fma_plain" x;
-      check_capacity ~op:"fma_plain" x.budget (x.scale *. p.pscale);
+      check_capacity ~op:"fma_plain" x.level (x.scale *. p.pscale);
       let product_scale = x.scale *. p.pscale in
       if not (scales_compatible acc.scale product_scale) then
         err ~op:"fma_plain" (Herr.Scale_mismatch { expected = acc.scale; got = product_scale });
       {
         v = Array.init cfg.slots (fun i -> acc.v.(i) +. (x.v.(i) *. p.pv.(i)));
         scale = acc.scale;
-        budget = budget_min ~op:"fma_plain" acc.budget x.budget;
+        level = meet ~op:"fma_plain" acc.level x.level;
       }
 
     let fma_rot acc x r =
@@ -207,73 +199,16 @@ let make (cfg : config) : Hisa.t =
       {
         acc with
         v = Array.init n (fun i -> acc.v.(i) +. x.v.((i + k) mod n));
-        budget = budget_min ~op:"fma_rot" acc.budget x.budget;
+        level = meet ~op:"fma_rot" acc.level x.level;
       }
 
     let rot_many ct ks = Array.map (rot_left ct) ks
 
-    let max_rescale ct ub =
-      match (cfg.scheme, ct.budget) with
-      | Hisa.Rns_chain primes, Rns_level level ->
-          let prod = ref 1 and l = ref level in
-          let continue_loop = ref true in
-          while !continue_loop && !l > 1 do
-            let q = primes.(!l - 1) in
-            if !prod <= ub / q && !prod * q <= ub then begin
-              prod := !prod * q;
-              decr l
-            end
-            else continue_loop := false
-          done;
-          !prod
-      | Hisa.Pow2_modulus _, Logq logq ->
-          if ub < 2 then 1
-          else begin
-            let k = ref 0 in
-            while 1 lsl (!k + 1) <= ub && !k + 1 < logq do
-              incr k
-            done;
-            1 lsl !k
-          end
-      | _ -> assert false
+    let max_rescale ct ub = Modulus.max_rescale cfg.scheme ct.level ub
 
     let rescale ct x =
-      if x = 1 then ct
-      else begin
-        match (cfg.scheme, ct.budget) with
-        | Hisa.Rns_chain primes, Rns_level level ->
-            let l = ref level and rem = ref x in
-            while !rem > 1 do
-              if !l < 1 then
-                err ~op:"rescale" (Herr.Modulus_exhausted { level; requested = x });
-              let q = primes.(!l - 1) in
-              if !rem mod q <> 0 then
-                err ~op:"rescale"
-                  (Herr.Illegal_rescale
-                     {
-                       divisor = x;
-                       reason =
-                         Printf.sprintf "not a product of the next chain primes (next is %d)" q;
-                     });
-              rem := !rem / q;
-              decr l
-            done;
-            { ct with scale = ct.scale /. float_of_int x; budget = Rns_level !l }
-        | Hisa.Pow2_modulus _, Logq logq ->
-            if x land (x - 1) <> 0 then
-              err ~op:"rescale"
-                (Herr.Illegal_rescale { divisor = x; reason = "divisor must be a power of two" });
-            let k = int_of_float (Float.round (log (float_of_int x) /. log 2.0)) in
-            if k >= logq then
-              err ~op:"rescale" (Herr.Modulus_exhausted { level = logq; requested = k });
-            { ct with scale = ct.scale /. float_of_int x; budget = Logq (logq - k) }
-        | _ -> assert false
-      end
+      { ct with scale = ct.scale /. float_of_int x; level = Modulus.rescale ~backend cfg.scheme ct.level x }
 
     let scale_of ct = ct.scale
-
-    let env_of ct =
-      match ct.budget with
-      | Rns_level r -> { Hisa.env_n = cfg.slots * 2; env_r = r; env_log_q = 0 }
-      | Logq q -> { Hisa.env_n = cfg.slots * 2; env_r = 0; env_log_q = q }
+    let env_of ct = Hisa.env_at ~n:(2 * cfg.slots) ct.level
   end)

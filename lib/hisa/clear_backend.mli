@@ -1,8 +1,9 @@
 (** Unencrypted HISA backend: computes on cleartext float vectors while
     tracking scales and virtual modulus consumption with the target scheme's
-    semantics. It is the reference inference engine, the vehicle for the
-    profile-guided scale search (with [encode_noise] on), and the semantics
-    that {!Shape_backend} and {!Sim_backend} reuse. *)
+    semantics — its level and rescale rule are {!Chet_crypto.Modulus}'s, as
+    in the real schemes and {!Shape_backend}. It is the reference inference
+    engine and the vehicle for the profile-guided scale search (with
+    [encode_noise] on). *)
 
 type config = {
   slots : int;
@@ -16,8 +17,4 @@ type config = {
           non-constant plaintexts — footnote 3 of the paper *)
 }
 
-type budget = Rns_level of int | Logq of int
-(** Virtual modulus state, shared with the other analysis backends. *)
-
-val initial_budget : Hisa.scheme_kind -> budget
 val make : config -> Hisa.t

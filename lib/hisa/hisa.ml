@@ -14,9 +14,12 @@
    Backends that do not fuse slot passes take their [fma_*] ops from
    {!Fused_default}. *)
 
+module Modulus = Chet_crypto.Modulus
+
 (** How the target scheme restricts [rescale] divisors — the only scheme
-    behaviour the analyses must reproduce exactly (§5.2). *)
-type scheme_kind =
+    behaviour the analyses must reproduce exactly (§5.2). The rule itself
+    is {!Modulus.rescale}, shared by the schemes and every interpretation. *)
+type scheme_kind = Modulus.kind =
   | Rns_chain of int array  (** remaining divisors are next chain primes *)
   | Pow2_modulus of int  (** any power of two [< Q]; field is [log2 Q] *)
 
@@ -24,6 +27,15 @@ type scheme_kind =
     of active RNS primes (RNS-CKKS), [log_q] the current modulus bits
     (CKKS). Cost models read whichever their scheme needs. *)
 type op_env = { env_n : int; env_r : int; env_log_q : int }
+
+(** The {!op_env} of a ciphertext at [level] in a ring of degree [n]. *)
+let env_at ~n = function
+  | Modulus.Rns_level r -> { env_n = n; env_r = r; env_log_q = 0 }
+  | Modulus.Logq q -> { env_n = n; env_r = 0; env_log_q = q }
+
+(** The level an {!op_env} reports, read as [kind]'s form. *)
+let level_of_env kind e =
+  match kind with Rns_chain _ -> Modulus.Rns_level e.env_r | Pow2_modulus _ -> Modulus.Logq e.env_log_q
 
 (** Every HISA op but the fused ones; see {!S}. *)
 module type UNFUSED = sig
@@ -201,6 +213,8 @@ let intercept (h : hook) (backend : t) : t =
 (* Cost models (Table 1)                                               *)
 (* ------------------------------------------------------------------ *)
 
+(** Seconds per op at a modulus status — what {!Sim_backend}'s clock
+    charges; Chet.Cost_model builds the SEAL and HEAAN instances. *)
 type cost_model = {
   cm_add : op_env -> float;
   cm_scalar_mul : op_env -> float;
@@ -212,35 +226,3 @@ type cost_model = {
           amortised over the call *)
   cm_rescale : op_env -> float;
 }
-
-let logf n = log (float_of_int n) /. log 2.0
-
-(* Asymptotics of Table 1 with unit constants; calibrated variants are built
-   by Cost_calibration (bench) and Chet.Cost_model. *)
-let rns_cost_model ?(c = 1e-9) () =
-  let n e = float_of_int e.env_n in
-  let r e = float_of_int e.env_r in
-  {
-    cm_add = (fun e -> c *. n e *. r e);
-    cm_scalar_mul = (fun e -> c *. n e *. r e);
-    cm_plain_mul = (fun e -> c *. n e *. r e);
-    cm_cipher_mul = (fun e -> c *. n e *. logf e.env_n *. r e *. r e);
-    cm_rotate = (fun e -> c *. n e *. logf e.env_n *. r e *. r e);
-    cm_rot_hoisted = (fun e -> c *. n e *. r e *. (r e +. logf e.env_n));
-    cm_rescale = (fun e -> c *. n e *. logf e.env_n *. r e);
-  }
-
-let ckks_cost_model ?(c = 1e-9) () =
-  let n e = float_of_int e.env_n in
-  let lq e = float_of_int e.env_log_q in
-  (* M(Q) = O(logQ^1.58) — Karatsuba-style big-integer multiplication *)
-  let m_q e = lq e ** 1.58 /. 64.0 in
-  {
-    cm_add = (fun e -> c *. n e *. lq e);
-    cm_scalar_mul = (fun e -> c *. n e *. m_q e);
-    cm_plain_mul = (fun e -> c *. n e *. logf e.env_n *. m_q e);
-    cm_cipher_mul = (fun e -> c *. n e *. logf e.env_n *. m_q e);
-    cm_rotate = (fun e -> c *. n e *. logf e.env_n *. m_q e);
-    cm_rot_hoisted = (fun e -> c *. n e *. logf e.env_n *. m_q e);
-    cm_rescale = (fun e -> c *. n e *. lq e);
-  }

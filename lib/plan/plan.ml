@@ -22,7 +22,6 @@ module Circuit = Chet_nn.Circuit
 module Tensor = Chet_tensor.Tensor
 module Herr = Chet_hisa.Herr
 module Layout = Chet_runtime.Layout
-module Executor = Chet_runtime.Executor
 module Kernels = Chet_runtime.Kernels
 module Serial = Chet_crypto.Serial
 
@@ -51,7 +50,7 @@ type stats = {
 
 type t = {
   p_circuit : Circuit.t;
-  p_policy : Executor.layout_policy option;  (** [None]: an arbitrary per-node assignment *)
+  p_policy : Layout.layout_policy option;  (** [None]: an arbitrary per-node assignment *)
   p_slots : int;
   p_margin : int;
   p_twin : bool;
@@ -100,7 +99,7 @@ let node_out_meta (node : Circuit.node) (src_metas : Layout.meta list) =
   | Circuit.Residual _, [ a; _ ] -> a
   | _ ->
       Herr.raise_err ~backend:"plan" ~op:"infer" ~node_id:node.Circuit.id
-        ~layer:(Executor.op_name node)
+        ~layer:(Layout.op_name node)
         (Herr.Invalid_op { reason = "source arity mismatch in plan meta inference" })
 
 let input_meta_of ~slots ~margin ~twin (circuit : Circuit.t) ~kind =
@@ -109,7 +108,7 @@ let input_meta_of ~slots ~margin ~twin (circuit : Circuit.t) ~kind =
   | [| c; h; w |] -> Layout.create ~kind ~slots ~channels:c ~height:h ~width:w ~margin ~twin ()
   | shape ->
       Herr.raise_err ~backend:"plan" ~op:"input_meta" ~node_id:node.Circuit.id
-        ~layer:(Executor.op_name node)
+        ~layer:(Layout.op_name node)
         (Herr.Shape_mismatch
            {
              expected = "[c; h; w]";
@@ -124,7 +123,7 @@ let input_meta_of ~slots ~margin ~twin (circuit : Circuit.t) ~kind =
 
 let schedule ?margin ?(twin = false) ~slots ~policy ~kind_of (circuit : Circuit.t) =
   let margin =
-    match margin with Some m -> m | None -> Executor.required_margin circuit
+    match margin with Some m -> m | None -> Layout.required_margin circuit
   in
   let input_kind = kind_of circuit.Circuit.input in
   let in_meta = input_meta_of ~slots ~margin ~twin circuit ~kind:input_kind in
@@ -158,7 +157,7 @@ let schedule ?margin ?(twin = false) ~slots ~policy ~kind_of (circuit : Circuit.
     | Some id -> id
     | None ->
         Herr.raise_err ~backend:"plan" ~op:"build" ~node_id:node.Circuit.id
-          ~layer:(Executor.op_name node)
+          ~layer:(Layout.op_name node)
           (Herr.Missing_node { node_id = node.Circuit.id })
   in
   let value (node : Circuit.node) ~want =
@@ -265,7 +264,7 @@ let schedule ?margin ?(twin = false) ~slots ~policy ~kind_of (circuit : Circuit.
   }
 
 let build ?margin ?twin ~slots ~policy circuit =
-  schedule ?margin ?twin ~slots ~policy:(Some policy) ~kind_of:(Executor.assign policy circuit)
+  schedule ?margin ?twin ~slots ~policy:(Some policy) ~kind_of:(Layout.assign policy circuit)
     circuit
 
 let build_assigned ?margin ?twin ~slots ~kind_of circuit =
@@ -333,16 +332,16 @@ let summary (t : t) =
 let plan_version = 2
 
 let policy_tag = function
-  | Executor.All_hw -> 0
-  | Executor.All_chw -> 1
-  | Executor.Hw_conv_chw_rest -> 2
-  | Executor.Chw_fc_hw_before -> 3
+  | Layout.All_hw -> 0
+  | Layout.All_chw -> 1
+  | Layout.Hw_conv_chw_rest -> 2
+  | Layout.Chw_fc_hw_before -> 3
 
 let policy_of_tag = function
-  | 0 -> Executor.All_hw
-  | 1 -> Executor.All_chw
-  | 2 -> Executor.Hw_conv_chw_rest
-  | 3 -> Executor.Chw_fc_hw_before
+  | 0 -> Layout.All_hw
+  | 1 -> Layout.All_chw
+  | 2 -> Layout.Hw_conv_chw_rest
+  | 3 -> Layout.Chw_fc_hw_before
   | n -> raise (Serial.Corrupt (Printf.sprintf "unknown layout policy %d" n))
 
 let kind_tag = function Layout.HW -> 0 | Layout.CHW -> 1

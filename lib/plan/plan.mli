@@ -14,7 +14,6 @@
 
 module Circuit = Chet_nn.Circuit
 module Layout = Chet_runtime.Layout
-module Executor = Chet_runtime.Executor
 
 type op =
   | Op_node  (** run the circuit node's own kernel *)
@@ -39,7 +38,7 @@ type stats = {
 
 type t = {
   p_circuit : Circuit.t;
-  p_policy : Executor.layout_policy option;
+  p_policy : Layout.layout_policy option;
       (** [None] for a plan built from an arbitrary per-node assignment *)
   p_slots : int;
   p_margin : int;
@@ -52,11 +51,11 @@ type t = {
 }
 
 val build :
-  ?margin:int -> ?twin:bool -> slots:int -> policy:Executor.layout_policy -> Circuit.t -> t
+  ?margin:int -> ?twin:bool -> slots:int -> policy:Layout.layout_policy -> Circuit.t -> t
 (** Schedule the circuit under the given layout policy: one step per node
     in topological order, conversion steps emitted on demand before their
     first consumer and shared by later ones, then arena slots assigned by
-    a liveness pass. [margin] defaults to {!Executor.required_margin};
+    a liveness pass. [margin] defaults to {!Layout.required_margin};
     [twin] (default false) lays every tensor out on the interleaved
     sentinel geometry. *)
 
@@ -71,10 +70,10 @@ val validate : t -> (unit, string) result
 
 val summary : t -> string
 
-val policy_tag : Executor.layout_policy -> int
+val policy_tag : Layout.layout_policy -> int
 (** The layout-policy codec shared by the [PLAN] and [CMPD] frames. *)
 
-val policy_of_tag : int -> Executor.layout_policy
+val policy_of_tag : int -> Layout.layout_policy
 (** @raise Chet_crypto.Serial.Corrupt on an unknown tag. *)
 
 val to_string : t -> string

@@ -18,7 +18,6 @@ module Circuit = Chet_nn.Circuit
 module Tensor = Chet_tensor.Tensor
 module Layout = Chet_runtime.Layout
 module Kernels = Chet_runtime.Kernels
-module Executor = Chet_runtime.Executor
 module Tracer = Chet_obs.Tracer
 module Metrics = Chet_obs.Metrics
 
@@ -98,7 +97,7 @@ module Make (H : Hisa.S) = struct
         (fun (st : Plan.step) ->
           let exec =
             Herr.with_node ~node_id:st.Plan.st_node.Circuit.id
-              ~layer:(Executor.op_name st.Plan.st_node)
+              ~layer:(Layout.op_name st.Plan.st_node)
               (fun () ->
                 match st.Plan.st_op with
                 | Plan.Op_convert k ->
@@ -162,11 +161,11 @@ module Make (H : Hisa.S) = struct
         (match cancel with
         | Some tok ->
             Cancel.check tok ~node_id:st.Plan.st_node.Circuit.id
-              ~layer:(Executor.op_name st.Plan.st_node)
+              ~layer:(Layout.op_name st.Plan.st_node)
         | None -> ());
         let compute () =
           Herr.with_node ~node_id:st.Plan.st_node.Circuit.id
-            ~layer:(Executor.op_name st.Plan.st_node)
+            ~layer:(Layout.op_name st.Plan.st_node)
             (fun () -> prepared.pr_execs.(i) arena input)
         in
         let result =
@@ -182,14 +181,14 @@ module Make (H : Hisa.S) = struct
                 [
                   ("step", Tracer.Int st.Plan.st_id);
                   ("node_id", Tracer.Int st.Plan.st_node.Circuit.id);
-                  ("layer", Tracer.Str (Executor.op_name st.Plan.st_node));
+                  ("layer", Tracer.Str (Layout.op_name st.Plan.st_node));
                   ("layout", Tracer.Str (match st.Plan.st_kind with Layout.HW -> "HW" | Layout.CHW -> "CHW"));
                   ("slot", Tracer.Int st.Plan.st_dst);
                 ]
               (match st.Plan.st_op with
               | Plan.Op_convert Layout.HW -> "convert->HW"
               | Plan.Op_convert Layout.CHW -> "convert->CHW"
-              | Plan.Op_node -> Executor.op_name st.Plan.st_node)
+              | Plan.Op_node -> Layout.op_name st.Plan.st_node)
               (fun () ->
                 let ops0 = Tracer.op_count () in
                 let r = compute () in

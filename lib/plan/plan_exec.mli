@@ -56,7 +56,7 @@ module Make (H : Chet_hisa.Hisa.S) : sig
 
   val eval :
     ?sentinel:sentinel -> Kernels.scales -> Chet_nn.Circuit.t ->
-    policy:Chet_runtime.Executor.layout_policy -> Chet_tensor.Tensor.t -> Chet_tensor.Tensor.t
+    policy:Chet_runtime.Layout.layout_policy -> Chet_tensor.Tensor.t -> Chet_tensor.Tensor.t
   (** {!Plan.build} at the backend's slot count, {!prepare} and {!run} in
       one call, for one-off inferences. With [sentinel] the plan is built on
       the twin geometry. Plaintexts are encoded as they are used (budget

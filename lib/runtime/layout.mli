@@ -116,3 +116,28 @@ val max_rotation_safe : meta -> int -> bool
     vector nor wrap into occupied slots. *)
 
 val pp : Format.formatter -> meta -> unit
+
+(** {1 Layout policies (§5.3)}
+
+    Which layout kind every circuit node's output takes. Plans
+    ({!Chet_plan.Plan}) are scheduled from an assignment computed here. *)
+
+(** The four pruned layout policies of §5.3. *)
+type layout_policy = All_hw | All_chw | Hw_conv_chw_rest | Chw_fc_hw_before
+
+val policy_name : layout_policy -> string
+val all_policies : layout_policy list
+
+val assign : layout_policy -> Chet_nn.Circuit.t -> Chet_nn.Circuit.node -> kind
+(** The layout kind of every node's output under a policy.
+    @raise Chet_herr.Herr.Fhe_error
+      ([Missing_node]) for a node outside the circuit the assignment was
+      built for. *)
+
+val required_margin : Chet_nn.Circuit.t -> int
+(** Border head-room (in input-image pixels) the circuit's Same
+    convolutions need, their radius scaled by the stride accumulated before
+    them. *)
+
+val op_name : Chet_nn.Circuit.node -> string
+(** Human description of a node for error context ("which layer broke"). *)

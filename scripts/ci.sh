@@ -48,8 +48,10 @@ timeout 60 dune build @kernel-smoke
 timeout 300 scripts/kernel_smoke.sh
 
 echo "== bench: paper tables =="
-# The paper-table generator on one fast table, from an empty scratch
-# directory: it must exit 0, print the Table 4 rows, and write no file.
+# The paper-table generator on a fast Table 4 and Figure 6, from an empty
+# scratch directory: it must exit 0, print the Table 4 rows, the 16 Figure 6
+# points (8 SEAL, 8 HEAAN: both schemes' simulation of every layout policy
+# under the raw Table-1 cost terms) and their Pearson r, and write no file.
 # (The fast-vs-scalar NTT gate is kernel_smoke.sh's "ntt microbench".)
 dune build bench/main.exe
 BENCH_BIN="$PWD/_build/default/bench/main.exe"
@@ -61,6 +63,14 @@ echo "$TABLE4" | grep -q '^===== Table 4:' && echo "$TABLE4" | grep -q '^| LeNet
   echo "paper-table smoke FAIL: no Table 4 rows printed" >&2
   exit 1
 }
+FIG6=$(cd "$BENCH_DIR" && timeout 120 "$BENCH_BIN" --fast --figure 6)
+echo "$FIG6"
+SEAL_POINTS=$(echo "$FIG6" | grep -Ec '^\| LeNet-5-[a-z]+ +\| SEAL +\|' || true)
+HEAAN_POINTS=$(echo "$FIG6" | grep -Ec '^\| LeNet-5-[a-z]+ +\| HEAAN +\|' || true)
+if [ "$SEAL_POINTS" -ne 8 ] || [ "$HEAAN_POINTS" -ne 8 ] || ! echo "$FIG6" | grep -q 'Pearson r = '; then
+  echo "paper-table smoke FAIL: Figure 6 printed $SEAL_POINTS SEAL and $HEAAN_POINTS HEAAN points (want 8 each) or no Pearson r" >&2
+  exit 1
+fi
 if [ -n "$(ls -A "$BENCH_DIR")" ]; then
   echo "paper-table smoke FAIL: the bench left files behind: $(ls -A "$BENCH_DIR")" >&2
   exit 1

@@ -5,7 +5,7 @@
 
 module Compiler = Chet.Compiler
 module Scale_select = Chet.Scale_select
-module Executor = Chet_runtime.Executor
+module Layout = Chet_runtime.Layout
 module Kernels = Chet_runtime.Kernels
 module Models = Chet_nn.Models
 module Circuit = Chet_nn.Circuit
@@ -21,7 +21,7 @@ let micro = Models.micro.Models.build ()
 let lenet_small = Models.lenet5_small.Models.build ()
 
 let test_params_seal_micro () =
-  let p = Compiler.select_params seal_opts micro ~policy:Executor.All_hw in
+  let p = Compiler.select_params seal_opts micro ~policy:Layout.All_hw in
   match p with
   | Compiler.Rns_params { n; num_primes; log_q; prime_bits } ->
       Alcotest.(check bool) "enough depth" true (num_primes >= 3);
@@ -32,7 +32,7 @@ let test_params_seal_micro () =
   | Compiler.Pow2_params _ -> Alcotest.fail "expected RNS params for SEAL"
 
 let test_params_heaan_micro () =
-  match Compiler.select_params heaan_opts micro ~policy:Executor.All_hw with
+  match Compiler.select_params heaan_opts micro ~policy:Layout.All_hw with
   | Compiler.Pow2_params { n; log_fresh; log_special } ->
       Alcotest.(check bool) "consumed something" true (log_fresh > 60);
       Alcotest.(check int) "special = fresh" log_fresh log_special;
@@ -42,8 +42,8 @@ let test_params_heaan_micro () =
 
 let test_params_grow_with_depth () =
   (* deeper circuits must consume more modulus *)
-  let p_small = Compiler.select_params seal_opts micro ~policy:Executor.All_hw in
-  let p_lenet = Compiler.select_params seal_opts lenet_small ~policy:Executor.All_hw in
+  let p_small = Compiler.select_params seal_opts micro ~policy:Layout.All_hw in
+  let p_lenet = Compiler.select_params seal_opts lenet_small ~policy:Layout.All_hw in
   Alcotest.(check bool) "lenet needs more primes" true
     (Compiler.params_log_q p_lenet > Compiler.params_log_q p_small)
 
@@ -55,21 +55,21 @@ let test_params_depend_on_layout () =
       Alcotest.(check bool) "n is a power of two" true
         (let n = Compiler.params_n p in
          n land (n - 1) = 0 && n >= 2048))
-    Executor.all_policies
+    Layout.all_policies
 
 let test_cost_positive_and_orders () =
-  let p = Compiler.select_params seal_opts lenet_small ~policy:Executor.All_hw in
-  let c_small = Compiler.estimate_cost seal_opts micro ~policy:Executor.All_hw
-      ~params:(Compiler.select_params seal_opts micro ~policy:Executor.All_hw)
+  let p = Compiler.select_params seal_opts lenet_small ~policy:Layout.All_hw in
+  let c_small = Compiler.estimate_cost seal_opts micro ~policy:Layout.All_hw
+      ~params:(Compiler.select_params seal_opts micro ~policy:Layout.All_hw)
   in
-  let c_lenet = Compiler.estimate_cost seal_opts lenet_small ~policy:Executor.All_hw ~params:p in
+  let c_lenet = Compiler.estimate_cost seal_opts lenet_small ~policy:Layout.All_hw ~params:p in
   Alcotest.(check bool) "positive" true (c_small > 0.0);
   Alcotest.(check bool) "bigger network costs more" true (c_lenet > c_small)
 
 let test_rotation_selection () =
-  let params = Compiler.select_params seal_opts micro ~policy:Executor.All_hw in
+  let params = Compiler.select_params seal_opts micro ~policy:Layout.All_hw in
   let rotations, counters =
-    Compiler.select_rotations seal_opts micro ~policy:Executor.All_hw ~params
+    Compiler.select_rotations seal_opts micro ~policy:Layout.All_hw ~params
   in
   Alcotest.(check bool) "has rotations" true (List.length rotations > 0);
   (* far fewer distinct keys than N/2 possible amounts (§5.4) *)
@@ -122,14 +122,14 @@ let test_compiled_runs_on_real_heaan () =
 let test_scale_search () =
   let images = List.init 2 (fun i -> Models.input_for Models.micro ~seed:(50 + i)) in
   let result =
-    Scale_select.search seal_opts micro ~policy:Executor.All_hw ~images ~tolerance:0.05
+    Scale_select.search seal_opts micro ~policy:Layout.All_hw ~images ~tolerance:0.05
       ~start_exponents:(34, 24, 24, 18) ()
   in
   let ec, ew, eu, em = result.Scale_select.exponents in
   (* the search must have shrunk something from the start *)
   Alcotest.(check bool) "made progress" true (ec + ew + eu + em < 34 + 24 + 24 + 18);
   Alcotest.(check bool) "result acceptable" true
-    (Scale_select.acceptable seal_opts micro ~policy:Executor.All_hw ~images ~tolerance:0.05
+    (Scale_select.acceptable seal_opts micro ~policy:Layout.All_hw ~images ~tolerance:0.05
        result.Scale_select.scales);
   (* shrinking any factor further must be unacceptable (local minimum) *)
   let shrunk =
@@ -141,7 +141,7 @@ let test_scale_search () =
     (fun (c, w, u, m) ->
       let s = { Kernels.pc = 1 lsl c; pw = 1 lsl w; pu = 1 lsl u; pm = 1 lsl m } in
       Alcotest.(check bool) "minimal" false
-        (Scale_select.acceptable seal_opts micro ~policy:Executor.All_hw ~images ~tolerance:0.05 s))
+        (Scale_select.acceptable seal_opts micro ~policy:Layout.All_hw ~images ~tolerance:0.05 s))
     shrunk
 
 let test_scale_search_rejects_impossible () =
@@ -149,7 +149,7 @@ let test_scale_search_rejects_impossible () =
   Alcotest.(check bool) "impossible tolerance" true
     (try
        ignore
-         (Scale_select.search seal_opts micro ~policy:Executor.All_hw ~images ~tolerance:1e-12
+         (Scale_select.search seal_opts micro ~policy:Layout.All_hw ~images ~tolerance:1e-12
             ~start_exponents:(10, 8, 8, 6) ());
        false
      with Compiler.Compilation_failure msg ->

@@ -4,7 +4,7 @@
    runtime performs has a selected key) and minimal (no unused keys). *)
 
 module Compiler = Chet.Compiler
-module Executor = Chet_runtime.Executor
+module Layout = Chet_runtime.Layout
 module Kernels = Chet_runtime.Kernels
 module Models = Chet_nn.Models
 module Circuit = Chet_nn.Circuit
@@ -28,7 +28,7 @@ let test_params_monotone_in_depth () =
       let prev = ref 0 in
       List.iter
         (fun depth ->
-          let p = Compiler.select_params opts (chain_circuit depth) ~policy:Executor.All_hw in
+          let p = Compiler.select_params opts (chain_circuit depth) ~policy:Layout.All_hw in
           let logq = Compiler.params_log_q p in
           if logq < !prev then
             Alcotest.failf "logQ decreased with depth (%d -> %d at depth %d)" !prev logq depth;
@@ -42,7 +42,7 @@ let test_params_monotone_in_scales () =
   let logq_at pc =
     let scales = { Kernels.default_scales with Kernels.pc } in
     Compiler.params_log_q
-      (Compiler.select_params { seal with Compiler.scales } circuit ~policy:Executor.All_hw)
+      (Compiler.select_params { seal with Compiler.scales } circuit ~policy:Layout.All_hw)
   in
   Alcotest.(check bool) "2^34 >= 2^30" true (logq_at (1 lsl 34) >= logq_at (1 lsl 30))
 
@@ -52,7 +52,7 @@ let test_security_invariant () =
   List.iter
     (fun spec ->
       let p =
-        Compiler.select_params seal (spec.Models.build ()) ~policy:Executor.All_chw
+        Compiler.select_params seal (spec.Models.build ()) ~policy:Layout.All_chw
       in
       let n = Compiler.params_n p and logq = Compiler.params_log_q p in
       Alcotest.(check bool)
@@ -73,9 +73,9 @@ let test_rotation_keys_sound_and_minimal () =
       let used = Instrument.distinct_rotations counters in
       let sort = List.sort compare in
       Alcotest.(check (list int))
-        (Executor.policy_name policy)
+        (Layout.policy_name policy)
         (sort used) (sort selected))
-    Executor.all_policies
+    Layout.all_policies
 
 let test_rotation_keys_count_logarithmic () =
   (* §5.4: the selected keys are "a constant factor of log(N) in every
@@ -83,8 +83,8 @@ let test_rotation_keys_count_logarithmic () =
   List.iter
     (fun spec ->
       let circuit = spec.Models.build () in
-      let params = Compiler.select_params seal circuit ~policy:Executor.All_chw in
-      let rotations, _ = Compiler.select_rotations seal circuit ~policy:Executor.All_chw ~params in
+      let params = Compiler.select_params seal circuit ~policy:Layout.All_chw in
+      let rotations, _ = Compiler.select_rotations seal circuit ~policy:Layout.All_chw ~params in
       let n = Compiler.params_n params in
       let log_n = int_of_float (Float.round (log (float_of_int n) /. log 2.0)) in
       let bound = 8 * log_n in
@@ -99,8 +99,8 @@ let test_estimated_cost_monotone_in_n () =
   let params n =
     Compiler.Rns_params { n; prime_bits = 30; num_primes = 8; log_q = 270 }
   in
-  let c1 = Compiler.estimate_cost seal circuit ~policy:Executor.All_hw ~params:(params 8192) in
-  let c2 = Compiler.estimate_cost seal circuit ~policy:Executor.All_hw ~params:(params 16384) in
+  let c1 = Compiler.estimate_cost seal circuit ~policy:Layout.All_hw ~params:(params 8192) in
+  let c2 = Compiler.estimate_cost seal circuit ~policy:Layout.All_hw ~params:(params 16384) in
   Alcotest.(check bool) "monotone" true (c2 > c1)
 
 let test_compilation_failure_reported () =

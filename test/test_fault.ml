@@ -9,7 +9,7 @@
 
 module Compiler = Chet.Compiler
 module Scale_select = Chet.Scale_select
-module Executor = Chet_runtime.Executor
+module Layout = Chet_runtime.Layout
 module Kernels = Chet_runtime.Kernels
 module Models = Chet_nn.Models
 module Circuit = Chet_nn.Circuit
@@ -224,7 +224,7 @@ let test_checked_oversized_rotation () =
 
 let test_scale_search_recovers_from_exhaustion () =
   let images = [ image ] in
-  let policy = Executor.All_hw in
+  let policy = Layout.All_hw in
   (* the budget the deployment would naturally need for the default scales *)
   let natural = Compiler.select_params seal_opts micro ~policy in
   match natural with

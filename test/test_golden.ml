@@ -8,7 +8,9 @@
      and without the sentinel lane (whose twin output is recorded too);
    - compiler.golden: what [Compiler.compile] chooses — policy, parameters,
      rotation keys, HISA op counts and every policy's estimated cost — for
-     micro, CryptoNets and the five paper models, sentinel off and on. Costs
+     micro, CryptoNets and the five paper models, sentinel off and on, at
+     the SEAL target, and for micro and LeNet-5-small at the HEAAN target
+     (rows of model "<name>/heaan"). Costs
      may differ in the last bits (the fused kernels sum the simulated clock
      in a different order), so they compare to 1e-9 relative; plaintext
      encodes may only fall;
@@ -23,7 +25,7 @@
    only when CHET_GOLDEN_FULL is set. *)
 
 module C = Chet.Compiler
-module Executor = Chet_runtime.Executor
+module Layout = Chet_runtime.Layout
 module Plan = Chet_plan.Plan
 module Plan_exec = Chet_plan.Plan_exec
 module M = Chet_nn.Models
@@ -64,7 +66,7 @@ let clear_lines (spec : M.spec) =
       let out = PE.eval compiled.C.opts.C.scales circuit ~policy image in
       Printf.sprintf "clear %s %d %d %s" spec.M.model_name (Plan.policy_tag policy) slots
         (floats out.T.data))
-    Executor.all_policies
+    Layout.all_policies
 
 (* the benchmark's ring pinning: same chain and policy at N = 2048, rotation
    keys selected again for the smaller slot count *)
@@ -130,8 +132,9 @@ let counters_of (k : Ins.counters) =
       k.plain_muls; k.scalar_muls; k.rescales;
     ]
 
-let check_compiled (spec : M.spec) sentinel golden =
-  let name = spec.M.model_name and s = if sentinel then "1" else "0" in
+let check_compiled ?(target = C.Seal) (spec : M.spec) sentinel golden =
+  let name = spec.M.model_name ^ (match target with C.Seal -> "" | C.Heaan -> "/heaan") in
+  let s = if sentinel then "1" else "0" in
   let mine = function
     | kind :: model :: s' :: rest when model = name && s' = s -> Some (kind, rest)
     | _ -> None
@@ -139,7 +142,7 @@ let check_compiled (spec : M.spec) sentinel golden =
   let rows = List.filter_map (fun l -> mine (String.split_on_char ' ' l)) golden in
   let row kind = List.filter_map (fun (k, r) -> if k = kind then Some r else None) rows in
   let what = Printf.sprintf "%s (sentinel %s)" name s in
-  let c = C.compile { (C.default_options ()) with C.sentinel } (spec.M.build ()) in
+  let c = C.compile { (C.default_options ~target ()) with C.sentinel } (spec.M.build ()) in
   (match row "compile" with
   | [ [ policy; params; rotations ] ] ->
       Alcotest.(check string) (what ^ ": policy") policy (string_of_int (Plan.policy_tag c.C.policy));
@@ -180,6 +183,16 @@ let test_compiler_choices () =
         check_compiled spec true golden
       end)
     (M.micro :: M.cryptonets :: M.all)
+
+(* The power-of-two target: the HEAAN rows (model "name/heaan") pin the
+   pow2 rescale rule as the parameter, cost and rotation passes run it. *)
+let test_heaan_compiler_choices () =
+  let golden = lines_of "data/compiler.golden" in
+  List.iter
+    (fun spec ->
+      check_compiled ~target:C.Heaan spec false golden;
+      check_compiled ~target:C.Heaan spec true golden)
+    [ M.micro; M.lenet5_small ]
 
 (* --- pinned key-switch counts ---------------------------------------------- *)
 
@@ -256,7 +269,7 @@ let test_plan_v1_frame () =
   let bytes = In_channel.with_open_bin "data/micro_plan_v1.golden" In_channel.input_all in
   let p = Plan.of_string ~circuit bytes in
   Alcotest.(check bool) "v1 loads untwinned" false p.Plan.p_twin;
-  let fresh = Plan.build ~slots:8192 ~policy:Executor.Hw_conv_chw_rest circuit in
+  let fresh = Plan.build ~slots:8192 ~policy:Layout.Hw_conv_chw_rest circuit in
   Alcotest.(check int) "same schedule" (Array.length fresh.Plan.p_steps) (Array.length p.Plan.p_steps);
   Array.iteri
     (fun i (st : Plan.step) ->
@@ -278,6 +291,7 @@ let suite =
         Alcotest.test_case "cleartext outputs, all policies" `Quick test_clear_outputs;
         Alcotest.test_case "real RNS-CKKS outputs, sentinel off and on" `Quick test_real_outputs;
         Alcotest.test_case "compiler choices" `Slow test_compiler_choices;
+        Alcotest.test_case "compiler choices at target HEAAN" `Quick test_heaan_compiler_choices;
         Alcotest.test_case "key switches per inference at N=2048" `Quick test_keyswitch_counts;
         Alcotest.test_case "key-switching key bytes at N=2048" `Quick test_key_bytes;
         Alcotest.test_case "Timed interceptor cells" `Quick test_timed_cells;

@@ -1,5 +1,6 @@
 (* Direct unit tests of the HISA backends: the cleartext reference's
-   scale/modulus bookkeeping, the simulator's cost clock, the
+   scale/modulus bookkeeping, the rescale rule as one table over Shape, Clear,
+   Checked and both real schemes, the simulator's cost clock, the
    instrumentation wrapper and the interception mechanism under both. *)
 
 module Hisa = Chet_hisa.Hisa
@@ -80,6 +81,151 @@ let test_clear_modulus_exhaustion () =
        ignore (H.rescale r (1 lsl 10));
        false
      with Herr.Fhe_error (Herr.Modulus_exhausted _, _) -> true)
+
+(* --- the rescale rule, one table over every implementation --------------- *)
+
+module Shape = Chet_hisa.Shape_backend
+module Checked = Chet_hisa.Checked_backend
+module Rns = Chet_crypto.Rns_ckks
+module Big = Chet_crypto.Big_ckks
+
+(* what one implementation answers; errors by constructor only, since each
+   implementation raises under its own backend name *)
+type seen = Int of int | Scale of float | Env of Hisa.op_env | Raised of string
+
+let seen_equal a b =
+  match (a, b) with
+  (* RNS-CKKS divides by each dropped prime in turn, the interpretations by
+     their product at once *)
+  | Scale x, Scale y -> Float.abs (x -. y) <= 1e-12 *. Float.abs x
+  | _ -> a = b
+
+let show = function
+  | Int i -> string_of_int i
+  | Scale f -> Printf.sprintf "scale %h" f
+  | Env e -> Printf.sprintf "env (%d, %d, %d)" e.Hisa.env_n e.Hisa.env_r e.Hisa.env_log_q
+  | Raised name -> "raised " ^ name
+
+let rule_n = 64
+let rule_scale = 1 lsl 20
+let ubs = [ min_int; -1; 0; 1; 2; 3; 1 lsl 19; 1 lsl 29; 1 lsl 30; 1 lsl 31; 1 lsl 59; 1 lsl 61; max_int ]
+
+(* Every answer of the rule on a fresh ciphertext: max_rescale over [ubs],
+   each illegal divisor, then two chains of legal rescales (one prime or
+   2^30 first; as much as max_int allows from fresh) with max_rescale,
+   scale and env_of after every step, and exhaustion at the bottom. *)
+let rule_trace (backend : Hisa.t) ~illegal ~exhausting =
+  let module H = (val backend) in
+  let out = ref [] in
+  let note what v = out := (what, v) :: !out in
+  let attempt what f =
+    try note what (Int (f ())) with Herr.Fhe_error (e, _) -> note what (Raised (Herr.error_name e))
+  in
+  let sweep tag ct =
+    List.iter
+      (fun ub -> attempt (Printf.sprintf "%s: max_rescale %d" tag ub) (fun () -> H.max_rescale ct ub))
+      ubs
+  in
+  let step tag ct d =
+    let r = H.rescale ct d in
+    note (tag ^ ": scale") (Scale (H.scale_of r));
+    note (tag ^ ": env") (Env (H.env_of r));
+    sweep tag r;
+    r
+  in
+  let fresh = H.encrypt (H.encode [| 0.5 |] ~scale:rule_scale) in
+  sweep "fresh" fresh;
+  List.iter
+    (fun d ->
+      attempt (Printf.sprintf "rescale by %d" d) (fun () ->
+          ignore (H.rescale fresh d);
+          0))
+    illegal;
+  let one = step "one" fresh (H.max_rescale fresh (1 lsl 31)) in
+  let bottom = step "one, rest" one (H.max_rescale one max_int) in
+  let most = step "most" fresh (H.max_rescale fresh max_int) in
+  List.iter
+    (fun (tag, ct) ->
+      let d = exhausting (H.env_of ct) in
+      attempt (Printf.sprintf "%s: exhausting rescale" tag) (fun () ->
+          ignore (H.rescale ct d);
+          0))
+    [ ("one, rest", bottom); ("most", most) ];
+  List.rev !out
+
+(* Runs the trace on Shape, Clear, Checked(Clear) and the real scheme; all
+   must agree with Shape, and Shape with [expect]. *)
+let check_rule_table ~kind ~real ~illegal ~exhausting ~expect =
+  let slots = rule_n / 2 in
+  let clear () = Clear.make { Clear.slots; scheme = kind; strict_modulus = true; encode_noise = false } in
+  let backends =
+    [
+      ("shape", Shape.make { Shape.slots; scheme = kind });
+      ("clear", clear ());
+      ("checked clear", Checked.wrap ~scheme:kind (clear ()));
+      real;
+    ]
+  in
+  let traces = List.map (fun (name, b) -> (name, rule_trace b ~illegal ~exhausting)) backends in
+  let _, reference = List.hd traces in
+  let illegal = List.map (fun d -> (Printf.sprintf "rescale by %d" d, Raised "illegal rescale")) illegal in
+  let exhausted = Raised "modulus exhausted" in
+  List.iter
+    (fun (what, want) -> Alcotest.(check string) what (show want) (show (List.assoc what reference)))
+    (illegal
+    @ [ ("one, rest: exhausting rescale", exhausted); ("most: exhausting rescale", exhausted) ]
+    @ expect);
+  List.iter
+    (fun (name, trace) ->
+      Alcotest.(check int) (name ^ ": answers") (List.length reference) (List.length trace);
+      List.iter2
+        (fun (what, want) (what', got) ->
+          Alcotest.(check string) (name ^ ": same question") what what';
+          if not (seen_equal want got) then
+            Alcotest.failf "%s, %s: shape says %s, %s says %s" name what (show want) name (show got))
+        reference trace)
+    traces
+
+let test_rescale_rule_table () =
+  (* RNS: the real RNS-CKKS chain (three ~30-bit primes) *)
+  let ctx = Rns.make_context (Rns.default_params ~n:rule_n ~bits:30 ~num_coeff_primes:3 ()) in
+  let rng = Chet_crypto.Sampling.create ~seed:5 in
+  let sk, keys = Rns.keygen ctx rng in
+  let primes = Rns.coeff_primes ctx in
+  let seal = Chet_hisa.Seal_backend.make { Chet_hisa.Seal_backend.ctx; rng; keys; secret = Some sk } in
+  check_rule_table ~kind:(Hisa.Rns_chain primes) ~real:("seal", seal)
+    ~illegal:[ 0; -1; 12345; primes.(1); 1 lsl 20 ]
+    ~exhausting:(fun e ->
+      (* every remaining prime, and the last one once more *)
+      let p = ref primes.(0) in
+      for i = 0 to e.Hisa.env_r - 1 do
+        p := !p * primes.(i)
+      done;
+      !p)
+    ~expect:
+      [
+        ("fresh: max_rescale 536870912", Int 1);
+        ("fresh: max_rescale 2147483648", Int primes.(2));
+        ("fresh: max_rescale " ^ string_of_int max_int, Int (primes.(2) * primes.(1)));
+        ("one, rest: env", Env { Hisa.env_n = rule_n; env_r = 1; env_log_q = 0 });
+        ("most: scale", Scale (float_of_int rule_scale /. float_of_int (primes.(2) * primes.(1))));
+      ];
+  (* power of two: the real CKKS at logQ = 60 *)
+  let log_fresh = 60 in
+  let ctx = Big.make_context (Big.default_params ~n:rule_n ~log_fresh ()) in
+  let rng = Chet_crypto.Sampling.create ~seed:6 in
+  let sk, keys = Big.keygen ctx rng in
+  let heaan = Chet_hisa.Heaan_backend.make { Chet_hisa.Heaan_backend.ctx; rng; keys; secret = Some sk } in
+  check_rule_table ~kind:(Hisa.Pow2_modulus log_fresh) ~real:("heaan", heaan)
+    ~illegal:[ 0; -1; 12345; 3 lsl 10 ]
+    ~exhausting:(fun e -> 1 lsl e.Hisa.env_log_q)
+    ~expect:
+      [
+        ("fresh: max_rescale 3", Int 2);
+        ("fresh: max_rescale " ^ string_of_int max_int, Int (1 lsl 59));
+        ("one: scale", Scale (2.0 ** -11.0));
+        ("one, rest: env", Env { Hisa.env_n = rule_n; env_r = 0; env_log_q = 1 });
+      ]
 
 let test_noise_model () =
   (* with encode_noise on, non-constant vectors are perturbed (deterministic
@@ -241,6 +387,7 @@ let suite =
         Alcotest.test_case "clear RNS rescale semantics" `Quick test_clear_rns_rescale_semantics;
         Alcotest.test_case "clear pow2 rescale semantics" `Quick test_clear_pow2_rescale_semantics;
         Alcotest.test_case "modulus exhaustion raises" `Quick test_clear_modulus_exhaustion;
+        Alcotest.test_case "rescale rule on every backend" `Quick test_rescale_rule_table;
         Alcotest.test_case "encoding noise model" `Quick test_noise_model;
         Alcotest.test_case "sim clock" `Quick test_sim_clock;
         Alcotest.test_case "sim env-dependent cost" `Quick test_sim_env_dependent_cost;

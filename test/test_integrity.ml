@@ -3,7 +3,6 @@
 
 module Tensor = Chet_tensor.Tensor
 module Layout = Chet_runtime.Layout
-module Executor = Chet_runtime.Executor
 module Kernels = Chet_runtime.Kernels
 module Models = Chet_nn.Models
 module Reference = Chet_nn.Reference
@@ -74,15 +73,15 @@ let run_sentinel_clean (spec : Models.spec) =
       in
       if max_diff > 1e-9 then
         Alcotest.failf "%s/%s: sentinel perturbed primary by %g" spec.Models.model_name
-          (Executor.policy_name policy) max_diff;
+          (Layout.policy_name policy) max_diff;
       match !seen_twin with
       | None -> Alcotest.fail "sentinel verify never ran"
       | Some t ->
           let m = Integrity.margin_bits isp t in
           if m <= 0.0 then
             Alcotest.failf "%s/%s: clean sentinel margin %.2f <= 0" spec.Models.model_name
-              (Executor.policy_name policy) m)
-    Executor.all_policies
+              (Layout.policy_name policy) m)
+    Layout.all_policies
 
 let test_sentinel_clean_micro () = run_sentinel_clean Models.micro
 
@@ -95,7 +94,7 @@ let test_sentinel_clean_zoo () =
       let isp = Integrity.spec_for circuit in
       let margin =
         Integrity.validate isp circuit ~scales:Kernels.default_scales
-          ~policy:Executor.All_chw ~slots:32768
+          ~policy:Layout.All_chw ~slots:32768
       in
       if margin <= 0.0 then
         Alcotest.failf "%s: clean validation margin %.2f <= 0" spec.Models.model_name margin)
@@ -134,10 +133,7 @@ let test_sentinel_real_backend () =
 
 let noise_checked ?margin ?(slots = 64) () =
   let scheme = Hisa.Pow2_modulus 8000 in
-  let cfg =
-    { (Checked.default_config ~scheme) with Checked.noise = Some (Checked.default_noise_model ()) }
-  in
-  Checked.wrap ~config:(Some cfg) ?margin ~scheme (clear_backend ~slots ())
+  Checked.wrap ~noise:(Checked.default_noise_model ()) ?margin ~scheme (clear_backend ~slots ())
 
 (* A forced over-depth circuit: squaring doubles the error bound every
    round, so the bound deterministically crosses the tolerance and the

@@ -18,7 +18,6 @@
    from its bundle) lives in scripts/net_smoke.sh. *)
 
 module Compiler = Chet.Compiler
-module Executor = Chet_runtime.Executor
 module Models = Chet_nn.Models
 module Hisa = Chet_hisa.Hisa
 module Herr = Chet_herr.Herr

@@ -13,7 +13,7 @@ module Instrument = Chet_hisa.Instrument
 module Timed = Chet_hisa.Timed_backend
 module Cost_model = Chet.Cost_model
 module Compiler = Chet.Compiler
-module Executor = Chet_runtime.Executor
+module Layout = Chet_runtime.Layout
 module Models = Chet_nn.Models
 
 let chain = [| 1073741789; 1073741783; 1073741741 |]
@@ -533,7 +533,7 @@ let test_calibrated_model_orders_layouts () =
   let fitted = Cost_model.calibrate_from ~scheme:`Seal cells in
   let cal = { Cost_model.seal_c = fitted; heaan_c = Cost_model.heaan_defaults } in
   let predicted = Cost_model.model_for `Seal cal in
-  let p1 = Executor.All_hw and p2 = Executor.All_chw in
+  let p1 = Layout.All_hw and p2 = Layout.All_chw in
   let measured_order =
     compare (latency_under (Cost_model.seal ()) p1) (latency_under (Cost_model.seal ()) p2)
   in

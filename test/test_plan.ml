@@ -9,7 +9,7 @@ module Hisa = Chet_hisa.Hisa
 module Clear = Chet_hisa.Clear_backend
 module Serial = Chet_crypto.Serial
 module Kernels = Chet_runtime.Kernels
-module Executor = Chet_runtime.Executor
+module Layout = Chet_runtime.Layout
 module Circuit = Chet_nn.Circuit
 module Models = Chet_nn.Models
 module T = Chet_tensor.Tensor
@@ -17,7 +17,7 @@ module Dataset = Chet_tensor.Dataset
 
 let slots = 2048
 
-let plan_of ?(policy = Executor.Hw_conv_chw_rest) circuit = Plan.build ~slots ~policy circuit
+let plan_of ?(policy = Layout.Hw_conv_chw_rest) circuit = Plan.build ~slots ~policy circuit
 
 let micro_plan () = plan_of (Models.micro.Models.build ())
 
@@ -58,7 +58,7 @@ let test_liveness_invariants () =
           | Ok () -> ()
           | Error r -> Alcotest.failf "%s: invalid plan: %s" spec.Models.model_name r);
           check_no_read_after_release p)
-        [ Executor.All_hw; Executor.All_chw; Executor.Hw_conv_chw_rest ])
+        [ Layout.All_hw; Layout.All_chw; Layout.Hw_conv_chw_rest ])
     [ Models.micro; Models.lenet5_small ]
 
 let test_arena_reuse () =
@@ -149,7 +149,7 @@ let test_frame_roundtrip () =
       match Plan.validate p' with
       | Ok () -> ()
       | Error r -> Alcotest.failf "reloaded plan invalid: %s" r)
-    [ Executor.All_hw; Executor.All_chw; Executor.Hw_conv_chw_rest; Executor.Chw_fc_hw_before ]
+    [ Layout.All_hw; Layout.All_chw; Layout.Hw_conv_chw_rest; Layout.Chw_fc_hw_before ]
 
 let test_frame_wrong_circuit () =
   let circuit = Models.micro.Models.build () in

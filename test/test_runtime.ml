@@ -7,7 +7,6 @@ module Hisa = Chet_hisa.Hisa
 module Clear = Chet_hisa.Clear_backend
 module Layout = Chet_runtime.Layout
 module Kernels = Chet_runtime.Kernels
-module Executor = Chet_runtime.Executor
 module Circuit = Chet_nn.Circuit
 module Models = Chet_nn.Models
 module Reference = Chet_nn.Reference
@@ -86,21 +85,21 @@ let check_model_policy ?(tol = 2e-2) ?slots spec policy =
   let diff = T.max_abs_diff (T.flatten expected) (T.flatten got) in
   if diff > tol then
     Alcotest.failf "%s under %s: max diff %.6f > %.6f" spec.Models.model_name
-      (Executor.policy_name policy) diff tol
+      (Layout.policy_name policy) diff tol
 
 let test_micro_all_policies () =
-  List.iter (check_model_policy Models.micro) Executor.all_policies
+  List.iter (check_model_policy Models.micro) Layout.all_policies
 
 let test_lenet_small_all_policies () =
-  List.iter (check_model_policy Models.lenet5_small) Executor.all_policies
+  List.iter (check_model_policy Models.lenet5_small) Layout.all_policies
 
 let test_lenet_medium_hw_chw () =
-  List.iter (check_model_policy ~slots:8192 Models.lenet5_medium) [ Executor.All_hw; Executor.All_chw ]
+  List.iter (check_model_policy ~slots:8192 Models.lenet5_medium) [ Layout.All_hw; Layout.All_chw ]
 
-let test_industrial_chw () = check_model_policy ~slots:16384 Models.industrial Executor.All_chw
+let test_industrial_chw () = check_model_policy ~slots:16384 Models.industrial Layout.All_chw
 
 let test_squeezenet_chw () =
-  check_model_policy ~slots:2048 Models.squeezenet_cifar Executor.All_chw
+  check_model_policy ~slots:2048 Models.squeezenet_cifar Layout.All_chw
 
 let test_single_conv_same () =
   (* focused conv test: Same padding, stride 1, multi-channel *)
@@ -120,8 +119,8 @@ let test_single_conv_same () =
       let got = E.eval scales circuit ~policy image in
       let diff = T.max_abs_diff expected got in
       if diff > 1e-3 then
-        Alcotest.failf "conv same (%s): diff %.6f" (Executor.policy_name policy) diff)
-    [ Executor.All_hw; Executor.All_chw ]
+        Alcotest.failf "conv same (%s): diff %.6f" (Layout.policy_name policy) diff)
+    [ Layout.All_hw; Layout.All_chw ]
 
 let test_single_conv_stride2 () =
   let b = Circuit.builder () in
@@ -139,8 +138,8 @@ let test_single_conv_stride2 () =
       let got = E.eval scales circuit ~policy image in
       let diff = T.max_abs_diff expected got in
       if diff > 1e-3 then
-        Alcotest.failf "conv s2 (%s): diff %.6f" (Executor.policy_name policy) diff)
-    [ Executor.All_hw; Executor.All_chw ]
+        Alcotest.failf "conv s2 (%s): diff %.6f" (Layout.policy_name policy) diff)
+    [ Layout.All_hw; Layout.All_chw ]
 
 let test_pool_then_conv () =
   (* strided metadata: pooling dilates, the next conv must still be right *)
@@ -160,8 +159,8 @@ let test_pool_then_conv () =
       let got = E.eval scales circuit ~policy image in
       let diff = T.max_abs_diff expected got in
       if diff > 1e-3 then
-        Alcotest.failf "pool+conv (%s): diff %.6f" (Executor.policy_name policy) diff)
-    [ Executor.All_hw; Executor.All_chw ]
+        Alcotest.failf "pool+conv (%s): diff %.6f" (Layout.policy_name policy) diff)
+    [ Layout.All_hw; Layout.All_chw ]
 
 let test_concat_kernel () =
   let b = Circuit.builder () in
@@ -182,8 +181,8 @@ let test_concat_kernel () =
       let got = E.eval scales circuit ~policy image in
       let diff = T.max_abs_diff expected got in
       if diff > 1e-3 then
-        Alcotest.failf "concat (%s): diff %.6f" (Executor.policy_name policy) diff)
-    [ Executor.All_hw; Executor.All_chw ]
+        Alcotest.failf "concat (%s): diff %.6f" (Layout.policy_name policy) diff)
+    [ Layout.All_hw; Layout.All_chw ]
 
 let test_residual_kernel () =
   let b = Circuit.builder () in
@@ -199,7 +198,7 @@ let test_residual_kernel () =
   let expected = Reference.eval circuit image in
   let module H = (val clear_backend () : Hisa.S) in
   let module E = Chet_plan.Plan_exec.Make (H) in
-  let got = E.eval scales circuit ~policy:Executor.All_chw image in
+  let got = E.eval scales circuit ~policy:Layout.All_chw image in
   Alcotest.(check bool) "close" true (T.max_abs_diff expected got < 1e-2)
 
 (* ------------------------------------------------------------------ *)
@@ -222,7 +221,7 @@ let test_micro_real_seal () =
   let circuit = spec.Models.build () in
   let image = Models.input_for spec ~seed:21 in
   let expected = Reference.eval circuit image in
-  let got = E.eval scales circuit ~policy:Executor.All_hw image in
+  let got = E.eval scales circuit ~policy:Layout.All_hw image in
   let diff = T.max_abs_diff (T.flatten expected) (T.flatten got) in
   if diff > 0.05 then Alcotest.failf "micro on real RNS-CKKS: diff %.4f" diff
 

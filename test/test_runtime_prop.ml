@@ -7,7 +7,7 @@
 module Hisa = Chet_hisa.Hisa
 module Clear = Chet_hisa.Clear_backend
 module Kernels = Chet_runtime.Kernels
-module Executor = Chet_runtime.Executor
+module Layout = Chet_runtime.Layout
 module Circuit = Chet_nn.Circuit
 module Reference = Chet_nn.Reference
 module T = Chet_tensor.Tensor
@@ -84,7 +84,7 @@ let check_circuit_policy seed policy =
   let bound = 2e-2 *. Float.max 1.0 (T.max_abs expected) in
   if diff > bound then
     QCheck2.Test.fail_reportf "circuit %d under %s: diff %.5f > %.5f" seed
-      (Executor.policy_name policy) diff bound
+      (Layout.policy_name policy) diff bound
   else true
 
 let prop name policy =
@@ -127,7 +127,6 @@ let test_random_assignments () =
    mixed-radix (the full-fold fallback). Each must match Reference, and the
    kernel's rotate-accumulate count must be what the interceptors see. *)
 
-module Layout = Chet_runtime.Layout
 module Instrument = Chet_hisa.Instrument
 
 let dense_case ~meta ~out_d seed =
@@ -217,7 +216,7 @@ let test_dense_lattice () =
   in
   let module H = (val Hisa.intercept { Hisa.around } (backend ()) : Hisa.S) in
   let module PE = Chet_plan.Plan_exec.Make (H) in
-  let plan = Chet_plan.Plan.build ~slots:H.slots ~policy:Executor.All_chw circuit in
+  let plan = Chet_plan.Plan.build ~slots:H.slots ~policy:Layout.All_chw circuit in
   let prepared = PE.prepare Kernels.default_scales plan in
   ignore (PE.run prepared (Chet_nn.Models.input_for spec ~seed:1));
   Alcotest.(check int) "plan fused_rot_acc = intercepted fma_rot"
@@ -236,9 +235,9 @@ let suite =
     ( "runtime:props",
       [
         Alcotest.test_case "dense lattice fold vs Reference" `Quick test_dense_lattice;
-        prop "random circuits: HW" Executor.All_hw;
-        prop "random circuits: CHW" Executor.All_chw;
-        prop "random circuits: HW-conv CHW-rest" Executor.Hw_conv_chw_rest;
+        prop "random circuits: HW" Layout.All_hw;
+        prop "random circuits: CHW" Layout.All_chw;
+        prop "random circuits: HW-conv CHW-rest" Layout.Hw_conv_chw_rest;
         Alcotest.test_case "random per-node assignments" `Slow test_random_assignments;
       ] );
   ]

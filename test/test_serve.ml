@@ -17,7 +17,6 @@
    real deployment would surface. *)
 
 module Compiler = Chet.Compiler
-module Executor = Chet_runtime.Executor
 module Models = Chet_nn.Models
 module Hisa = Chet_hisa.Hisa
 module Herr = Chet_hisa.Herr

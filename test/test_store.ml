@@ -22,7 +22,6 @@ module Cost_model = Chet.Cost_model
 module Models = Chet_nn.Models
 module Herr = Chet_herr.Herr
 module Serial = Chet_crypto.Serial
-module Executor = Chet_runtime.Executor
 module Hisa = Chet_hisa.Hisa
 module T = Chet_tensor.Tensor
 
