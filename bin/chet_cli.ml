@@ -531,6 +531,56 @@ let plan_of ?restored compiled =
       l.Bundle.l_bundle.Bundle.b_plan
   | _ -> Compiler.plan compiled
 
+(* Boot a deployment for `serve' and `shard-worker' (DESIGN.md §11): adopt
+   the newest bundle compiled for the requested sentinel setting, or
+   cold-compile and persist a bundle so the next start is warm. A bundle
+   that passes the store's checksums but fails schema parsing is reported
+   (typed) and treated like an empty store. [restore] runs the load; serve
+   traces and times it. *)
+let boot ~restore ~with_keys ~target ~want_sentinel ~seed store circuit =
+  let restored =
+    Option.bind store (fun st ->
+        restore (fun () ->
+            (try Bundle.load st ~circuit
+             with Herr.Fhe_error ((Herr.Corrupt_bundle _ as e), _) ->
+               Printf.eprintf "chet: store: %s: %s; falling back to cold compile\n"
+                 (Herr.error_name e) (Herr.error_detail e);
+               None)
+            |> matching_bundle ~want_sentinel))
+  in
+  match restored with
+  | Some l -> (restored, l.Bundle.l_bundle.Bundle.b_compiled)
+  | None ->
+      let opts = { (Compiler.default_options ~target ()) with Compiler.sentinel = want_sentinel } in
+      let compiled = Compiler.compile opts circuit in
+      Option.iter
+        (fun st -> ignore (save_bundle_verbose st (Bundle.build ~with_keys compiled ~seed ())))
+        store;
+      (None, compiled)
+
+(* The serving layer's learned state survives clean restarts: a rung whose
+   breaker was open before the restart stays open after it. *)
+let restore_service_state store svc =
+  Option.iter
+    (fun st ->
+      match Store.load_state st ~name:"service.state" with
+      | None -> ()
+      | Some (Ok s) -> (
+          match Service.restore_state svc s with
+          | Ok n -> if n > 0 then Printf.printf "restored breaker state for %d rung(s)\n" n
+          | Error e ->
+              Printf.eprintf "chet: store: service state ignored (%s: %s)\n" (Herr.error_name e)
+                (Herr.error_detail e))
+      | Some (Error e) ->
+          Printf.eprintf "chet: store: quarantined corrupt service state (%s)\n"
+            (Herr.error_detail e))
+    store
+
+let save_service_state store svc =
+  Option.iter
+    (fun st -> Store.save_state st ~name:"service.state" (Service.state_to_string svc))
+    store
+
 (* The fault modes every serving command injects (see [arm_fault]). *)
 let fault_modes =
   [ ("none", `None); ("transient", `Transient); ("persistent", `Persistent); ("silent", `Silent) ]
@@ -649,58 +699,36 @@ let serve_cmd =
     let circuit = spec.Models.build () in
     let sentinel = if want_sentinel then Some (Integrity.spec_for circuit) else None in
     let store = Option.map (fun d -> fst (open_store_verbose d)) state_dir in
-    (* warm restart: adopt the newest valid bundle; a bundle that passes the
-       store's checksums but fails schema parsing is reported (typed) and
-       treated like an empty store — cold compile, then save for next time *)
-    let restored =
-      match store with
-      | None -> None
-      | Some st ->
-          let tracer = Tracer.create () in
-          Tracer.set_global (Some tracer);
-          let t0 = Unix.gettimeofday () in
-          let loaded =
-            Fun.protect
-              ~finally:(fun () -> Tracer.set_global None)
-              (fun () ->
-                Tracer.with_span ~cat:"store" "restore" (fun () ->
-                    try
-                      let l = Bundle.load st ~circuit in
-                      Option.iter
-                        (fun l ->
-                          Tracer.annotate "generation" (Tracer.Int l.Bundle.l_generation);
-                          Tracer.annotate "bytes" (Tracer.Int l.Bundle.l_bytes))
-                        l;
-                      l
-                    with Herr.Fhe_error ((Herr.Corrupt_bundle _ as e), _) ->
-                      Printf.eprintf "chet: store: %s: %s; falling back to cold compile\n"
-                        (Herr.error_name e) (Herr.error_detail e);
-                      None))
-            |> matching_bundle ~want_sentinel
-          in
-          Option.iter
-            (fun l ->
-              Printf.printf
-                "warm restart: generation %d, %d bytes restored in %.1f ms (compile%s skipped)\n"
-                l.Bundle.l_generation l.Bundle.l_bytes
-                ((Unix.gettimeofday () -. t0) *. 1000.0)
-                (if l.Bundle.l_bundle.Bundle.b_keys <> None then " and keygen" else ""))
-            loaded;
-          loaded
+    let restore load =
+      let tracer = Tracer.create () in
+      Tracer.set_global (Some tracer);
+      let t0 = Unix.gettimeofday () in
+      let loaded =
+        Fun.protect
+          ~finally:(fun () -> Tracer.set_global None)
+          (fun () ->
+            Tracer.with_span ~cat:"store" "restore" (fun () ->
+                let l = load () in
+                Option.iter
+                  (fun l ->
+                    Tracer.annotate "generation" (Tracer.Int l.Bundle.l_generation);
+                    Tracer.annotate "bytes" (Tracer.Int l.Bundle.l_bytes))
+                  l;
+                l))
+      in
+      Option.iter
+        (fun l ->
+          Printf.printf
+            "warm restart: generation %d, %d bytes restored in %.1f ms (compile%s skipped)\n"
+            l.Bundle.l_generation l.Bundle.l_bytes
+            ((Unix.gettimeofday () -. t0) *. 1000.0)
+            (if l.Bundle.l_bundle.Bundle.b_keys <> None then " and keygen" else ""))
+        loaded;
+      loaded
     in
-    let compiled =
-      match restored with
-      | Some l -> l.Bundle.l_bundle.Bundle.b_compiled
-      | None ->
-          let opts = { (Compiler.default_options ~target ()) with Compiler.sentinel = want_sentinel } in
-          let compiled = Compiler.compile opts circuit in
-          (* first boot against this store: persist the bundle so the next
-             start is warm (keys only for real deployments) *)
-          Option.iter
-            (fun st ->
-              ignore (save_bundle_verbose st (Bundle.build ~with_keys:real compiled ~seed ())))
-            store;
-          compiled
+    (* keys are persisted only for real deployments *)
+    let restored, compiled =
+      boot ~restore ~with_keys:real ~target ~want_sentinel ~seed store circuit
     in
     Format.printf "%a@." Compiler.pp_compiled compiled;
     let plan = plan_of ?restored compiled in
@@ -746,22 +774,7 @@ let serve_cmd =
       }
     in
     let svc = Service.create cfg ~circuit ~ladder in
-    (* the serving layer's learned state survives clean restarts: a rung
-       whose breaker was open before the restart stays open after it *)
-    Option.iter
-      (fun st ->
-        match Store.load_state st ~name:"service.state" with
-        | None -> ()
-        | Some (Ok s) -> (
-            match Service.restore_state svc s with
-            | Ok n -> if n > 0 then Printf.printf "restored breaker state for %d rung(s)\n" n
-            | Error e ->
-                Printf.eprintf "chet: store: service state ignored (%s: %s)\n" (Herr.error_name e)
-                  (Herr.error_detail e))
-        | Some (Error e) ->
-            Printf.eprintf "chet: store: quarantined corrupt service state (%s)\n"
-              (Herr.error_detail e))
-      store;
+    restore_service_state store svc;
     (* graceful shutdown: on SIGINT/SIGTERM stop admitting (remaining
        scripted requests are refused with the typed Overloaded vocabulary),
        drain what is in flight within its deadlines, persist state, exit 0 *)
@@ -787,9 +800,7 @@ let serve_cmd =
       Printf.printf "req %02d: %-5s %s (shutting down)\n" i "ERR"
         (Herr.error_name (Herr.Overloaded { queue_depth = 0; high_water = queue_hw }))
     done;
-    Option.iter
-      (fun st -> Store.save_state st ~name:"service.state" (Service.state_to_string svc))
-      store;
+    save_service_state store svc;
     Service.shutdown svc;
     List.iter
       (fun (o : Service.outcome) ->
@@ -965,30 +976,11 @@ let shard_worker_cmd =
     let circuit = spec.Models.build () in
     let sentinel = if want_sentinel then Some (Integrity.spec_for circuit) else None in
     let store = Option.map (fun d -> fst (open_store_verbose d)) state_dir in
-    (* warm restart from the shard's own bundle (DESIGN.md §11): a corrupt or
-       empty store means cold compile, then persist for the next restart —
-       which is exactly what a SIGKILLed-and-respawned worker does *)
-    let restored =
-      match store with
-      | None -> None
-      | Some st -> (
-          try Bundle.load st ~circuit |> matching_bundle ~want_sentinel
-          with Herr.Fhe_error ((Herr.Corrupt_bundle _ as e), _) ->
-            Printf.eprintf "chet: shard %d: store: %s: %s; cold compile\n" shard
-              (Herr.error_name e) (Herr.error_detail e);
-            None)
-    in
-    let compiled =
-      match restored with
-      | Some l -> l.Bundle.l_bundle.Bundle.b_compiled
-      | None ->
-          let opts = { (Compiler.default_options ~target ()) with Compiler.sentinel = want_sentinel } in
-          let compiled = Compiler.compile opts circuit in
-          Option.iter
-            (fun st ->
-              ignore (save_bundle_verbose st (Bundle.build ~with_keys:false compiled ~seed ())))
-            store;
-          compiled
+    (* warm restart from the shard's own bundle: a SIGKILLed-and-respawned
+       worker restores what its first boot persisted *)
+    let restored, compiled =
+      boot ~restore:(fun load -> load ()) ~with_keys:false ~target ~want_sentinel ~seed store
+        circuit
     in
     let plan = plan_of ?restored compiled in
     let primary_backend ~req_seed ~attempt =
@@ -1025,15 +1017,7 @@ let shard_worker_cmd =
       }
     in
     let svc = Service.create cfg ~circuit ~ladder in
-    Option.iter
-      (fun st ->
-        match Store.load_state st ~name:"service.state" with
-        | Some (Ok s) -> ignore (Service.restore_state svc s)
-        | Some (Error e) ->
-            Printf.eprintf "chet: shard %d: corrupt service state ignored (%s)\n" shard
-              (Herr.error_detail e)
-        | None -> ())
-      store;
+    restore_service_state store svc;
     let srv_cfg =
       {
         (Net_server.default_config ~shard addr) with
@@ -1075,9 +1059,7 @@ let shard_worker_cmd =
        everything new with typed Overloaded, persist learned state, exit 0 *)
     Service.begin_drain svc;
     let drained = Service.drain svc ~timeout_ms:10_000.0 in
-    Option.iter
-      (fun st -> Store.save_state st ~name:"service.state" (Service.state_to_string svc))
-      store;
+    save_service_state store svc;
     Net_server.stop server;
     Service.shutdown svc;
     let st = Net_server.stats server in
@@ -1320,19 +1302,20 @@ let loadgen_cmd =
         Loadgen.write_bench ~path r;
         Printf.printf "wrote %s\n" path)
       bench_out;
-    (* every request must have gotten *an* answer by construction; zero
-       successes against a live target is still a failed drill *)
-    if r.Loadgen.r_ok = 0 then exit 4;
     (* --verify: an answer that fails the independent client-side re-check
        is a corruption that escaped the whole guard stack — never tolerable *)
-    if r.Loadgen.r_client_rejected > 0 then exit 5
+    if r.Loadgen.r_client_rejected > 0 then exit 5;
+    (* every request gets *an* answer by construction; the drill passes
+       only when every answer is a result *)
+    if r.Loadgen.r_ok < r.Loadgen.r_total then exit 4
   in
   Cmd.v
     (Cmd.info "loadgen"
        ~doc:
          "Drive concurrent REQ1 traffic at a shard or supervisor, optionally mangling frames on \
           the wire and SIGKILLing a shard mid-run, and report typed-error counts, throughput and \
-          latency percentiles")
+          latency percentiles. Exits 4 unless every request ended ok (after its retries), and 5 \
+          if $(b,--verify) rejected any answer")
     Term.(
       const run $ model_arg $ addr_arg $ requests_arg $ concurrency_arg $ fault_every_arg
       $ deadline_arg $ retries_arg $ kill_after_arg $ kill_shard_arg $ control_arg $ bench_arg

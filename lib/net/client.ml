@@ -1,5 +1,8 @@
 (* Client side of the REQ1/RSP1 protocol: connect, send, await, retry.
 
+   Every call — a request attempt, a health frame, a cancel — is one
+   [exchange]: a fresh connection, one frame out, one frame back.
+
    Retries follow the serving layer's own taxonomy split (Service.transient_error):
    a typed [Overloaded] or [Corrupt_frame] answer, or a transport fault, is
    retried on a fresh connection with capped exponential backoff + seeded
@@ -49,67 +52,54 @@ let transport_error reason =
 (* Same LCG the serve tests use; good enough for jitter and flip positions. *)
 let lcg state = ((state * 1103515245) + 12345) land 0x3FFFFFFF
 
-let mangle ~seed fault payload =
+(* Send one attempt's frame, mangled by [fault] when one is given. *)
+let send_mangled ~seed fault fd payload ~deadline =
+  let n = String.length payload in
+  let raw bytes = Wire.write_all fd (Bytes.of_string bytes) ~deadline in
+  let prefix = Bytes.to_string (Wire.encode_prefix n) in
   match fault with
-  | Truncate ->
-      let n = String.length payload in
-      `Truncated (String.sub payload 0 (max 1 (n / 2)))
-  | Bitflip salt ->
-      let n = String.length payload in
-      let pos = lcg (seed + salt) mod (max 1 n) in
+  | None -> Wire.send_frame fd payload ~deadline
+  | Some Truncate ->
+      (* honest length prefix, dishonest body: the server must detect the
+         EOF mid-frame, not wait forever *)
+      Result.map
+        (fun () -> try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ())
+        (raw (prefix ^ String.sub payload 0 (max 1 (n / 2))))
+  | Some (Bitflip salt) ->
+      let pos = lcg (seed + salt) mod max 1 n in
       let bit = lcg (seed + salt + 1) mod 8 in
       let b = Bytes.of_string payload in
       Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
-      `Whole (Bytes.to_string b)
-  | Stall delay -> `Stalled (delay, payload)
+      Wire.send_frame fd (Bytes.to_string b) ~deadline
+  | Some (Stall delay) ->
+      let half = max 1 (n / 2) in
+      Result.bind (raw (prefix ^ String.sub payload 0 half)) (fun () ->
+          Thread.delay delay;
+          raw (String.sub payload half (n - half)))
 
-(* One attempt: fresh connect, (possibly mangled) send, recv, parse. *)
-let attempt cfg ?fault payload : (Serial.wire_response, Herr.error * Herr.context) result =
-  let deadline = Wire.now () +. cfg.cl_io_deadline_s in
-  match Wire.connect cfg.cl_addr with
-  | Error f -> Error (transport_error (Wire.fault_name f))
+(* [read] parses the one reply frame; an error names the transport fault or
+   the parse failure. *)
+let exchange ?(max_frame = Wire.default_max_frame) ?(send = Wire.send_frame) ~deadline_s addr
+    payload read : (_, string) result =
+  let deadline = Wire.now () +. deadline_s in
+  match Wire.connect addr with
+  | Error f -> Error (Wire.fault_name f)
   | Ok fd ->
       Fun.protect
         ~finally:(fun () -> Wire.close_noerr fd)
         (fun () ->
-          let sent =
-            match fault with
-            | None -> Wire.send_frame fd payload ~deadline
-            | Some f -> (
-                match mangle ~seed:cfg.cl_seed f payload with
-                | `Whole bytes -> Wire.send_frame fd bytes ~deadline
-                | `Truncated prefix ->
-                    (* honest length prefix, dishonest body: the server must
-                       detect the EOF mid-frame, not wait forever *)
-                    let hdr = Bytes.to_string (Wire.encode_prefix (String.length payload)) in
-                    (match Wire.write_all fd (Bytes.of_string (hdr ^ prefix)) ~deadline with
-                    | Ok () ->
-                        (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
-                        Ok ()
-                    | Error f -> Error f)
-                | `Stalled (delay, bytes) -> (
-                    let n = String.length bytes in
-                    let hdr = Bytes.to_string (Wire.encode_prefix n) in
-                    let half = max 1 (n / 2) in
-                    match
-                      Wire.write_all fd (Bytes.of_string (hdr ^ String.sub bytes 0 half)) ~deadline
-                    with
-                    | Ok () ->
-                        Thread.delay delay;
-                        Wire.write_all fd
-                          (Bytes.of_string (String.sub bytes half (n - half)))
-                          ~deadline
-                    | Error f -> Error f))
-          in
-          match sent with
-          | Error f -> Error (transport_error (Wire.fault_name f))
+          match send fd payload ~deadline with
+          | Error f -> Error (Wire.fault_name f)
           | Ok () -> (
-              match Wire.recv_frame ~max_frame:cfg.cl_max_frame fd ~deadline with
-              | Error f -> Error (transport_error (Wire.fault_name f))
+              match Wire.recv_frame ~max_frame fd ~deadline with
+              | Error f -> Error (Wire.fault_name f)
               | Ok reply -> (
-                  match Serial.read_response (Serial.reader reply) with
-                  | rsp -> Ok rsp
-                  | exception Serial.Corrupt reason -> Error (transport_error reason))))
+                  try Ok (read (Serial.reader reply)) with Serial.Corrupt reason -> Error reason)))
+
+let attempt cfg ?fault payload : (Serial.wire_response, Herr.error * Herr.context) result =
+  exchange ~max_frame:cfg.cl_max_frame ~send:(send_mangled ~seed:cfg.cl_seed fault)
+    ~deadline_s:cfg.cl_io_deadline_s cfg.cl_addr payload Serial.read_response
+  |> Result.map_error transport_error
 
 let retryable = function
   | Herr.Overloaded _ | Herr.Corrupt_frame _ | Herr.Deadline_exceeded _ -> true
@@ -128,9 +118,7 @@ type result_meta = {
    first attempt, so a faulted request that eventually succeeds proves the
    recovery path end to end. *)
 let request ?fault cfg (req : Serial.wire_request) : result_meta =
-  let w = Serial.writer () in
-  Serial.write_request w req;
-  let payload = Serial.contents w in
+  let payload = Wire.serialize Serial.write_request req in
   let rec go n jitter_state =
     let this_fault = if n = 0 then fault else None in
     let res = attempt cfg ?fault:this_fault payload in
@@ -152,26 +140,8 @@ let request ?fault cfg (req : Serial.wire_request) : result_meta =
   in
   go 0 (lcg (cfg.cl_seed + req.Serial.rq_id))
 
-let health ?(deadline_s = 5.0) addr (msg : Serial.wire_health) :
-    (Serial.wire_health, string) result =
-  match Wire.connect addr with
-  | Error f -> Error (Wire.fault_name f)
-  | Ok fd ->
-      Fun.protect
-        ~finally:(fun () -> Wire.close_noerr fd)
-        (fun () ->
-          let deadline = Wire.now () +. deadline_s in
-          let w = Serial.writer () in
-          Serial.write_health w msg;
-          match Wire.send_frame fd (Serial.contents w) ~deadline with
-          | Error f -> Error (Wire.fault_name f)
-          | Ok () -> (
-              match Wire.recv_frame fd ~deadline with
-              | Error f -> Error (Wire.fault_name f)
-              | Ok reply -> (
-                  match Serial.read_health (Serial.reader reply) with
-                  | h -> Ok h
-                  | exception Serial.Corrupt reason -> Error reason)))
+let health ?(deadline_s = 5.0) addr (msg : Serial.wire_health) =
+  exchange ~deadline_s addr (Wire.serialize Serial.write_health msg) Serial.read_health
 
 let ping ?deadline_s addr = health ?deadline_s addr Serial.Health_ping
 
@@ -180,23 +150,10 @@ let ping ?deadline_s addr = health ?deadline_s addr Serial.Health_ping
    flight — [Ok false] is the common benign race (the request already
    finished, or never reached that shard). Never retried: cancellation is
    advisory, and a lost cancel costs at most the work it tried to save. *)
-let cancel ?(deadline_s = 5.0) addr ~id ~reason : (bool, string) result =
-  match Wire.connect addr with
-  | Error f -> Error (Wire.fault_name f)
-  | Ok fd ->
-      Fun.protect
-        ~finally:(fun () -> Wire.close_noerr fd)
-        (fun () ->
-          let deadline = Wire.now () +. deadline_s in
-          let w = Serial.writer () in
-          Serial.write_cancel w { Serial.cn_id = id; cn_reason = reason };
-          match Wire.send_frame fd (Serial.contents w) ~deadline with
-          | Error f -> Error (Wire.fault_name f)
-          | Ok () -> (
-              match Wire.recv_frame fd ~deadline with
-              | Error f -> Error (Wire.fault_name f)
-              | Ok reply -> (
-                  match Serial.read_health (Serial.reader reply) with
-                  | Serial.Health_ack { ha_ok; _ } -> Ok ha_ok
-                  | _ -> Error "unexpected CNCL acknowledgement"
-                  | exception Serial.Corrupt reason -> Error reason)))
+let cancel ?(deadline_s = 5.0) addr ~id ~reason =
+  exchange ~deadline_s addr
+    (Wire.serialize Serial.write_cancel { Serial.cn_id = id; cn_reason = reason })
+    (fun r ->
+      match Serial.read_health r with
+      | Serial.Health_ack { ha_ok; _ } -> ha_ok
+      | _ -> raise (Serial.Corrupt "unexpected CNCL acknowledgement"))

@@ -1,5 +1,9 @@
 (** Client side of the REQ1/RSP1 protocol: connect, send, await, retry.
 
+    Every call below — each attempt of {!request}, {!health}, {!ping} and
+    {!cancel} — is one exchange: a fresh connection, one frame out, one
+    frame back, then close.
+
     Retries follow the serving layer's taxonomy split: a typed [Overloaded],
     [Corrupt_frame], [Deadline_exceeded] or [Integrity_violation] answer, or
     a transport fault, is retried on a fresh connection with capped

@@ -1,25 +1,16 @@
 (* Shard server: the socket front of one Chet_serve.Service (DESIGN.md §12).
 
-   Thread-per-connection over blocking sockets: an accept thread hands each
-   connection to a systhread that loops { recv REQ1 -> submit -> await ->
-   send RSP1 }. The service's domain pool does the homomorphic work; the
-   connection threads only shuttle frames, so plain threads (which interleave
-   on one domain) are the right tool.
+   The transport — accept loop, connection threads, tag dispatch, typed
+   goodbyes on transport faults — is the shared Endpoint; this module
+   supplies its handlers. A REQ1 is submitted to the service and awaited;
+   the service's domain pool does the homomorphic work. A CNCL frame trips
+   the cancel token of an in-flight request by id, and duplicate REQ1 ids
+   are answered bit-identically from a bounded dedupe cache
+   (DESIGN.md §13), so client retries and supervisor hedges are idempotent.
 
-   Beyond REQ1, a connection may carry CNCL control frames (trip the cancel
-   token of an in-flight request by id) — and duplicate REQ1 ids are
-   answered bit-identically from a bounded dedupe cache (DESIGN.md §13), so
-   client retries and supervisor hedges are idempotent.
-
-   Rejections are *answers*, not dropped connections:
-   - over [max_inflight] admitted-but-unanswered requests, or a service
-     draining/shedding -> typed [Overloaded] RSP1;
-   - a frame that fails its checksum or schema -> typed [Corrupt_frame] RSP1
-     (the outer length prefix kept the stream in sync, so the connection
-     lives on);
-   - only transport faults — peer gone, a read stalled past the connection
-     deadline, an oversized length prefix — close the connection, because
-     after those the byte stream has no trustworthy boundary. *)
+   Over [max_inflight] admitted-but-unanswered requests, or a service
+   draining or shedding, the answer is a typed [Overloaded] RSP1, not a
+   dropped connection. *)
 
 module Serial = Chet_crypto.Serial
 module Herr = Chet_herr.Herr
@@ -46,14 +37,15 @@ type config = {
 }
 
 let default_config ?(shard = 0) addr =
+  let l = Endpoint.default_limits in
   {
     srv_addr = addr;
     srv_shard = shard;
-    srv_max_frame = Wire.default_max_frame;
+    srv_max_frame = l.Endpoint.max_frame;
     srv_max_inflight = 64;
-    srv_read_deadline_s = 30.0;
-    srv_idle_timeout_s = 120.0;
-    srv_write_deadline_s = 10.0;
+    srv_read_deadline_s = l.Endpoint.read_deadline_s;
+    srv_idle_timeout_s = l.Endpoint.idle_timeout_s;
+    srv_write_deadline_s = l.Endpoint.write_deadline_s;
     srv_dedup_cap = 256;
   }
 
@@ -135,15 +127,8 @@ let dedup_store dd id bytes =
 type t = {
   cfg : config;
   service : Service.t;
-  health : Serial.wire_health -> Serial.wire_health;
-  selftest : (unit -> (float, string) result) option;
-  (* sentinel-only probe inference (DESIGN.md §16): Ok margin_bits when the
-     lane verifies, Error detail when it does not. None = shard was started
-     without a sentinel deployment, so it cannot vouch for itself. *)
-  listen_fd : Unix.file_descr;
-  stop_flag : bool Atomic.t;
+  endpoint : Endpoint.t;
   inflight : int Atomic.t;
-  accepted : int Atomic.t;
   served : int Atomic.t;
   rejected : int Atomic.t;
   corrupt : int Atomic.t;
@@ -156,23 +141,17 @@ type t = {
      own cancellation scope to lose. *)
   pending : (int, Service.ticket) Hashtbl.t;
   pending_mutex : Mutex.t;
-  conns : (Unix.file_descr, unit) Hashtbl.t;
-  conns_mutex : Mutex.t;
-  mutable accept_thread : Thread.t option;
 }
 
 let stats t =
   {
-    srv_accepted = Atomic.get t.accepted;
+    srv_accepted = Endpoint.accepted t.endpoint;
     srv_served = Atomic.get t.served;
     srv_rejected = Atomic.get t.rejected;
     srv_corrupt = Atomic.get t.corrupt;
     srv_dedup_hits = Atomic.get t.dedup_hits;
     srv_cancelled = Atomic.get t.cancel_hits;
   }
-
-let track t fd = Mutex.protect t.conns_mutex (fun () -> Hashtbl.replace t.conns fd ())
-let untrack t fd = Mutex.protect t.conns_mutex (fun () -> Hashtbl.remove t.conns fd)
 
 let default_health = function
   | Serial.Health_ping -> Serial.Health_ack { ha_ok = true; ha_detail = "shard" }
@@ -181,10 +160,11 @@ let default_health = function
 
 (* The supervisor's quarantine probe: answered by the shard itself (before
    the pluggable [health] hook) because only the shard can run its own
-   sentinel lane. A shard without a selftest hook answers honestly that it
-   cannot vouch for itself — the supervisor treats that as non-exonerating. *)
-let run_selftest t =
-  match t.selftest with
+   sentinel lane. The probe is a sentinel-only inference (DESIGN.md §16):
+   Ok margin_bits when the lane verifies, Error detail when it does not. A
+   shard started without one answers honestly that it cannot vouch for
+   itself — the supervisor treats that as non-exonerating. *)
+let run_selftest = function
   | None -> Serial.Health_ack { ha_ok = false; ha_detail = "no sentinel deployment" }
   | Some probe -> (
       match probe () with
@@ -193,19 +173,10 @@ let run_selftest t =
       | Error detail -> Serial.Health_ack { ha_ok = false; ha_detail = detail }
       | exception e -> Serial.Health_ack { ha_ok = false; ha_detail = Printexc.to_string e })
 
-let error_response t ~id (err : Herr.error) reason =
+let reject t ~id (err : Herr.error) op =
   Atomic.incr t.rejected;
   (match err with Herr.Corrupt_frame _ -> Atomic.incr t.corrupt | _ -> ());
-  {
-    Serial.rs_id = id;
-    rs_shard = t.cfg.srv_shard;
-    rs_served_by = "";
-    rs_degraded = false;
-    rs_attempts = 0;
-    rs_margin_bits = Float.nan;
-    rs_sentinel = [||];
-    rs_result = Error (err, Herr.context ~backend:"net" reason);
-  }
+  Endpoint.error_response ~shard:t.cfg.srv_shard ~backend:"net" ~id err op
 
 let response_of_outcome t ~id (out : Service.outcome) =
   let rs_result =
@@ -228,17 +199,19 @@ let response_of_outcome t ~id (out : Service.outcome) =
     rs_result;
   }
 
+(* Admission takes a slot with one fetch-and-add, so concurrent connections
+   cannot all read "below the cap" before any of them counts itself; a
+   rejected request gives its slot back like an answered one. *)
 let handle_request t (rq : Serial.wire_request) =
-  if Atomic.get t.inflight >= t.cfg.srv_max_inflight then
-    error_response t ~id:rq.Serial.rq_id
-      (Herr.Overloaded
-         { queue_depth = Atomic.get t.inflight; high_water = t.cfg.srv_max_inflight })
-      "inflight cap"
-  else begin
-    Atomic.incr t.inflight;
-    Fun.protect
-      ~finally:(fun () -> Atomic.decr t.inflight)
-      (fun () ->
+  let depth = Atomic.fetch_and_add t.inflight 1 in
+  Fun.protect
+    ~finally:(fun () -> Atomic.decr t.inflight)
+    (fun () ->
+      if depth >= t.cfg.srv_max_inflight then
+        reject t ~id:rq.Serial.rq_id
+          (Herr.Overloaded { queue_depth = depth; high_water = t.cfg.srv_max_inflight })
+          "inflight cap"
+      else
         let image = Tensor.of_array rq.Serial.rq_shape rq.Serial.rq_image in
         let ticket =
           Service.submit t.service ~deadline_ms:rq.Serial.rq_deadline_ms ~seed:rq.Serial.rq_seed
@@ -251,164 +224,55 @@ let handle_request t (rq : Serial.wire_request) =
           ~finally:(fun () ->
             Mutex.protect t.pending_mutex (fun () -> Hashtbl.remove t.pending rq.Serial.rq_id))
           (fun () -> response_of_outcome t ~id:rq.Serial.rq_id (Service.await t.service ticket)))
-  end
 
-(* One received frame -> one frame to send back, or None to close. *)
-let answer t payload : string option =
-  let reply_response rsp =
-    let w = Serial.writer () in
-    Serial.write_response w rsp;
-    Some (Serial.contents w)
-  in
-  match Wire.frame_tag payload with
-  | "REQ1" -> (
-      match Serial.read_request (Serial.reader payload) with
-      | rq -> (
-          (* idempotency: a duplicate of an already-served id — a client
-             retry after a lost response, or a hedge sibling — is answered
-             from the cache with the exact bytes of the first answer, so
-             duplicates are bit-identically safe and execute zero work *)
-          match dedup_find t.dedup rq.Serial.rq_id with
-          | Some bytes ->
-              Atomic.incr t.dedup_hits;
-              Some bytes
-          | None -> (
-              match handle_request t rq with
-              | rsp ->
-                  let w = Serial.writer () in
-                  Serial.write_response w rsp;
-                  let bytes = Serial.contents w in
-                  (* only successes: a failed request must stay retryable *)
-                  (match rsp.Serial.rs_result with
-                  | Ok _ -> dedup_store t.dedup rq.Serial.rq_id bytes
-                  | Error _ -> ());
-                  Some bytes
-              | exception e ->
-                  (* a bug in the serving path must still answer the wire *)
-                  reply_response
-                    (error_response t ~id:rq.Serial.rq_id
-                       (Herr.Worker_crashed
-                          { worker = t.cfg.srv_shard; reason = Printexc.to_string e })
-                       "serve")))
-      | exception Serial.Corrupt reason ->
-          reply_response
-            (error_response t ~id:(-1) (Herr.Corrupt_frame { frame = "REQ1"; reason }) "recv")
-      | exception Invalid_argument reason ->
-          reply_response
-            (error_response t ~id:(-1) (Herr.Corrupt_frame { frame = "REQ1"; reason }) "recv"))
-  | "CNCL" -> (
-      match Serial.read_cancel (Serial.reader payload) with
-      | cn ->
-          let found =
-            match
-              Mutex.protect t.pending_mutex (fun () -> Hashtbl.find_opt t.pending cn.Serial.cn_id)
-            with
-            | Some ticket ->
-                Service.cancel ticket ~reason:cn.Serial.cn_reason;
-                true
-            | None -> false
-          in
-          if found then Atomic.incr t.cancel_hits;
-          let w = Serial.writer () in
-          Serial.write_health w
-            (Serial.Health_ack
-               { ha_ok = found; ha_detail = (if found then "cancelled" else "not in flight") });
-          Some (Serial.contents w)
-      | exception Serial.Corrupt reason ->
-          reply_response
-            (error_response t ~id:(-1) (Herr.Corrupt_frame { frame = "CNCL"; reason }) "recv"))
-  | "HLTH" -> (
-      match Serial.read_health (Serial.reader payload) with
-      | h ->
-          let reply =
-            match h with Serial.Health_selftest -> run_selftest t | h -> t.health h
-          in
-          let w = Serial.writer () in
-          Serial.write_health w reply;
-          Some (Serial.contents w)
-      | exception Serial.Corrupt reason ->
-          reply_response
-            (error_response t ~id:(-1) (Herr.Corrupt_frame { frame = "HLTH"; reason }) "recv"))
-  | tag ->
-      reply_response
-        (error_response t ~id:(-1)
-           (Herr.Corrupt_frame { frame = (if tag = "" then "????" else tag); reason = "unknown tag" })
-           "recv")
+let on_request t (rq : Serial.wire_request) =
+  (* idempotency: a duplicate of an already-served id — a client retry
+     after a lost response, or a hedge sibling — is answered from the cache
+     with the exact bytes of the first answer, so duplicates are
+     bit-identically safe and execute zero work *)
+  match dedup_find t.dedup rq.Serial.rq_id with
+  | Some bytes ->
+      Atomic.incr t.dedup_hits;
+      bytes
+  | None -> (
+      match handle_request t rq with
+      | rsp ->
+          let bytes = Wire.serialize Serial.write_response rsp in
+          (* only successes: a failed request must stay retryable *)
+          (match rsp.Serial.rs_result with
+          | Ok _ -> dedup_store t.dedup rq.Serial.rq_id bytes
+          | Error _ -> ());
+          bytes
+      | exception e ->
+          (* a bug in the serving path must still answer the wire *)
+          Wire.serialize Serial.write_response
+            (reject t ~id:rq.Serial.rq_id
+               (Herr.Worker_crashed { worker = t.cfg.srv_shard; reason = Printexc.to_string e })
+               "serve"))
 
-let conn_loop t fd =
-  let rec loop () =
-    if Atomic.get t.stop_flag then ()
-    else
-      match
-        Wire.recv_frame_idle ~max_frame:t.cfg.srv_max_frame fd
-          ~idle_deadline:(Wire.now () +. t.cfg.srv_idle_timeout_s)
-          ~frame_budget_s:t.cfg.srv_read_deadline_s
-      with
-      (* a quiet connection hanging up — or just quiet past the idle
-         timeout — is normal client behaviour, not a protocol fault *)
-      | Error (Wire.Closed | Wire.Idle) -> ()
-      | Error ((Wire.Stalled | Wire.Oversized _ | Wire.Io _) as fault) ->
-          (* best-effort typed goodbye; the stream is no longer in sync *)
-          let err =
-            match fault with
-            | Wire.Stalled ->
-                Herr.Deadline_exceeded
-                  { budget_ms = t.cfg.srv_read_deadline_s *. 1000.0; elapsed_ms = t.cfg.srv_read_deadline_s *. 1000.0 }
-            | fault -> Herr.Corrupt_frame { frame = "????"; reason = Wire.fault_name fault }
-          in
-          let w = Serial.writer () in
-          Serial.write_response w (error_response t ~id:(-1) err "recv");
-          ignore
-            (Wire.send_frame fd (Serial.contents w)
-               ~deadline:(Wire.now () +. t.cfg.srv_write_deadline_s))
-      | Ok payload -> (
-          match answer t payload with
-          | None -> ()
-          | Some reply -> (
-              match
-                Wire.send_frame fd reply ~deadline:(Wire.now () +. t.cfg.srv_write_deadline_s)
-              with
-              | Ok () -> loop ()
-              | Error _ -> ()))
-  in
-  (try loop () with _ -> ());
-  untrack t fd;
-  Wire.close_noerr fd
-
-(* Poll-then-accept: a thread parked inside [Unix.accept] is NOT woken when
-   another thread closes the listen fd (the close just orphans it), so
-   blocking straight on accept would leave [stop] joining forever. The
-   select bounds how long the loop can go without observing [stop_flag]. *)
-let accept_loop t =
-  while not (Atomic.get t.stop_flag) do
-    match Unix.select [ t.listen_fd ] [] [] 0.2 with
-    | [], _, _ -> ()
-    | _ -> (
-        match Unix.accept t.listen_fd with
-        | fd, _ ->
-            Atomic.incr t.accepted;
-            track t fd;
-            ignore (Thread.create (conn_loop t) fd)
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | exception Unix.Unix_error _ -> Atomic.set t.stop_flag true)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error _ ->
-        (* listen socket closed by [stop] (or fatally broken): exit *)
-        Atomic.set t.stop_flag true
-  done
+let on_cancel t (cn : Serial.wire_cancel) =
+  match Mutex.protect t.pending_mutex (fun () -> Hashtbl.find_opt t.pending cn.Serial.cn_id) with
+  | Some ticket ->
+      Service.cancel ticket ~reason:cn.Serial.cn_reason;
+      Atomic.incr t.cancel_hits;
+      true
+  | None -> false
 
 let start ?(health = default_health) ?selftest cfg service =
-  let listen_fd = Wire.listen cfg.srv_addr in
+  let limits =
+    {
+      Endpoint.max_frame = cfg.srv_max_frame;
+      read_deadline_s = cfg.srv_read_deadline_s;
+      idle_timeout_s = cfg.srv_idle_timeout_s;
+      write_deadline_s = cfg.srv_write_deadline_s;
+    }
+  in
   let t =
     {
       cfg;
       service;
-      health;
-      selftest;
-      listen_fd;
-      stop_flag = Atomic.make false;
+      endpoint = Endpoint.listen limits cfg.srv_addr;
       inflight = Atomic.make 0;
-      accepted = Atomic.make 0;
       served = Atomic.make 0;
       rejected = Atomic.make 0;
       corrupt = Atomic.make 0;
@@ -417,19 +281,15 @@ let start ?(health = default_health) ?selftest cfg service =
       dedup = dedup_create cfg.srv_dedup_cap;
       pending = Hashtbl.create 64;
       pending_mutex = Mutex.create ();
-      conns = Hashtbl.create 16;
-      conns_mutex = Mutex.create ();
-      accept_thread = None;
     }
   in
-  t.accept_thread <- Some (Thread.create accept_loop t);
+  Endpoint.serve t.endpoint
+    {
+      Endpoint.on_request = on_request t;
+      on_cancel = on_cancel t;
+      on_health = (function Serial.Health_selftest -> run_selftest selftest | h -> health h);
+      on_reject = reject t;
+    };
   t
 
-let stop t =
-  Atomic.set t.stop_flag true;
-  Wire.close_noerr t.listen_fd;
-  (match t.accept_thread with Some th -> Thread.join th | None -> ());
-  (* connection threads wake on their closed fds and exit on their own *)
-  Mutex.protect t.conns_mutex (fun () ->
-      Hashtbl.iter (fun fd () -> (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())) t.conns;
-      Hashtbl.reset t.conns)
+let stop t = Endpoint.stop t.endpoint

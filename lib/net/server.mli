@@ -1,17 +1,17 @@
 (** Shard server: the socket front of one [Chet_serve.Service] (DESIGN.md §12).
 
-    Thread-per-connection over blocking sockets: an accept thread hands each
-    connection to a systhread that loops recv REQ1 → submit → await → send
-    RSP1. Beyond REQ1, a connection may carry CNCL control frames (trip the
-    cancel token of an in-flight request by id) and HLTH health frames;
-    duplicate REQ1 ids are answered bit-identically from a bounded dedupe
-    cache (DESIGN.md §13), so client retries and supervisor hedges are
-    idempotent.
+    The transport is the shared {!Endpoint}: thread-per-connection, typed
+    [Corrupt_frame] answers for unparseable frames and unknown tags, a typed
+    goodbye on a transport fault, every connection shut at {!stop}. This
+    module supplies the handlers. A REQ1 is submitted to the service and
+    awaited. A CNCL frame trips the cancel token of an in-flight request by
+    id, and HLTH frames answer pings and selftest probes. Duplicate REQ1 ids
+    are answered bit-identically from a bounded dedupe cache
+    (DESIGN.md §13), so client retries and supervisor hedges are idempotent.
 
-    Rejections are {e answers}, not dropped connections: over-capacity and
-    draining yield typed [Overloaded] RSP1s, checksum/schema failures yield
-    typed [Corrupt_frame] RSP1s. Only transport faults close the connection,
-    because after those the byte stream has no trustworthy boundary. *)
+    Over [srv_max_inflight] admitted-but-unanswered requests, or with the
+    service draining, the answer is a typed [Overloaded] RSP1, not a dropped
+    connection. *)
 
 type config = {
   srv_addr : Wire.addr;

@@ -112,7 +112,7 @@ type t = {
   stop_flag : bool Atomic.t;
   started_at : float;
   rr : int Atomic.t;  (** round-robin routing cursor *)
-  listen_fd : Unix.file_descr;
+  front : Endpoint.t;  (** the front door: REQ1 proxy + HLTH control *)
   registry : Metrics.t;
   forwarded : Metrics.counter;
   routed_errors : Metrics.counter;
@@ -292,17 +292,13 @@ let route ?(exclude = -1) t : shard option =
   in
   probe 0
 
-let reject ~id err op =
-  {
-    Serial.rs_id = id;
-    rs_shard = -1;
-    rs_served_by = "";
-    rs_degraded = false;
-    rs_attempts = 0;
-    rs_margin_bits = Float.nan;
-    rs_sentinel = [||];
-    rs_result = Error (err, Herr.context ~backend:"supervisor" op);
-  }
+(* The one state where the front door answers for itself: nothing to route
+   to, so the client gets a typed [Overloaded] at once, never a hang. *)
+let unroutable t ~id reason =
+  Metrics.incr t.unroutable;
+  Endpoint.error_response ~shard:(-1) ~backend:"supervisor" ~id
+    (Herr.Overloaded { queue_depth = 0; high_water = 0 })
+    reason
 
 let forward_once t sh (rq : Serial.wire_request) =
   let cl =
@@ -320,19 +316,10 @@ let handle_sequential t (rq : Serial.wire_request) : Serial.wire_response =
      FHE error — ends the search (that is the system's answer), while a
      transport fault or shard-side shed moves on to the next shard *)
   let rec go tried =
-    if tried >= Array.length t.shards then begin
-      Metrics.incr t.unroutable;
-      reject ~id:rq.Serial.rq_id
-        (Herr.Overloaded { queue_depth = 0; high_water = 0 })
-        "no routable shard"
-    end
+    if tried >= Array.length t.shards then unroutable t ~id:rq.Serial.rq_id "no routable shard"
     else
       match route t with
-      | None ->
-          Metrics.incr t.unroutable;
-          reject ~id:rq.Serial.rq_id
-            (Herr.Overloaded { queue_depth = 0; high_water = 0 })
-            "no routable shard"
+      | None -> unroutable t ~id:rq.Serial.rq_id "no routable shard"
       | Some sh -> (
           match forward_once t sh rq with
           | Ok rsp -> (
@@ -422,11 +409,7 @@ let cancel_loser t sh ~id =
 
 let handle_hedged t (rq : Serial.wire_request) : Serial.wire_response =
   match route t with
-  | None ->
-      Metrics.incr t.unroutable;
-      reject ~id:rq.Serial.rq_id
-        (Herr.Overloaded { queue_depth = 0; high_water = 0 })
-        "no routable shard"
+  | None -> unroutable t ~id:rq.Serial.rq_id "no routable shard"
   | Some primary ->
       let cell = { hc_mutex = Mutex.create (); hc_results = [] } in
       spawn_leg t primary rq cell;
@@ -495,12 +478,8 @@ let handle_hedged t (rq : Serial.wire_request) : Serial.wire_response =
                   Metrics.incr t.routed_errors;
                   handle_sequential t rq
             end
-            else if Wire.now () >= give_up_at then begin
-              Metrics.incr t.unroutable;
-              reject ~id:rq.Serial.rq_id
-                (Herr.Overloaded { queue_depth = 0; high_water = 0 })
-                "hedge legs unresponsive"
-            end
+            else if Wire.now () >= give_up_at then
+              unroutable t ~id:rq.Serial.rq_id "hedge legs unresponsive"
             else begin
               (if List.length !legs = 1 && List.length results = 0 && Wire.now () >= hedge_at
                then
@@ -563,99 +542,23 @@ let handle_health t : Serial.wire_health -> Serial.wire_health = function
       (* the probe is a shard-side operation; the supervisor has no lane *)
       Serial.Health_ack { ha_ok = false; ha_detail = "not a shard" }
 
-(* ---- front-door socket (REQ1 proxy + HLTH control) ---- *)
-
-let answer t payload : string option =
-  let reply f =
-    let w = Serial.writer () in
-    f w;
-    Some (Serial.contents w)
-  in
-  match Wire.frame_tag payload with
-  | "REQ1" -> (
-      match Serial.read_request (Serial.reader payload) with
-      | rq -> reply (fun w -> Serial.write_response w (handle_request t rq))
-      | exception Serial.Corrupt reason ->
-          reply (fun w ->
-              Serial.write_response w
-                (reject ~id:(-1) (Herr.Corrupt_frame { frame = "REQ1"; reason }) "recv"))
-      | exception Invalid_argument reason ->
-          reply (fun w ->
-              Serial.write_response w
-                (reject ~id:(-1) (Herr.Corrupt_frame { frame = "REQ1"; reason }) "recv")))
-  | "CNCL" -> (
-      (* front-door cancellation: the supervisor does not track which shard
-         holds a given request id (hedges mean it may be several), so the
-         frame is relayed to every live shard; any hit acks true *)
-      match Serial.read_cancel (Serial.reader payload) with
-      | cn ->
-          let hit = ref false in
-          Array.iter
-            (fun sh ->
-              if with_lock t (fun () -> sh.sh_up) then begin
-                Metrics.incr t.cancels_sent;
-                match
-                  Client.cancel ~deadline_s:t.cfg.sup_ping_deadline_s sh.sh_addr
-                    ~id:cn.Serial.cn_id ~reason:cn.Serial.cn_reason
-                with
-                | Ok true -> hit := true
-                | Ok false | Error _ -> ()
-              end)
-            t.shards;
-          reply (fun w ->
-              Serial.write_health w
-                (Serial.Health_ack
-                   { ha_ok = !hit; ha_detail = (if !hit then "cancelled" else "not in flight") }))
-      | exception Serial.Corrupt reason ->
-          reply (fun w ->
-              Serial.write_response w
-                (reject ~id:(-1) (Herr.Corrupt_frame { frame = "CNCL"; reason }) "recv")))
-  | "HLTH" -> (
-      match Serial.read_health (Serial.reader payload) with
-      | h -> reply (fun w -> Serial.write_health w (handle_health t h))
-      | exception Serial.Corrupt reason ->
-          reply (fun w ->
-              Serial.write_response w
-                (reject ~id:(-1) (Herr.Corrupt_frame { frame = "HLTH"; reason }) "recv")))
-  | tag ->
-      reply (fun w ->
-          Serial.write_response w
-            (reject ~id:(-1)
-               (Herr.Corrupt_frame
-                  { frame = (if tag = "" then "????" else tag); reason = "unknown tag" })
-               "recv"))
-
-let conn_loop t fd =
-  let rec loop () =
-    if Atomic.get t.stop_flag then ()
-    else
-      match Wire.recv_frame fd ~deadline:(Wire.now () +. 30.0) with
-      | Error _ -> ()
-      | Ok payload -> (
-          match answer t payload with
-          | None -> ()
-          | Some rsp -> (
-              match Wire.send_frame fd rsp ~deadline:(Wire.now () +. 10.0) with
-              | Ok () -> loop ()
-              | Error _ -> ()))
-  in
-  (try loop () with _ -> ());
-  Wire.close_noerr fd
-
-(* Poll-then-accept for the same reason as Server.accept_loop: closing the
-   listen fd does not wake a thread already parked in [Unix.accept]. *)
-let accept_loop t =
-  while not (Atomic.get t.stop_flag) do
-    match Unix.select [ t.listen_fd ] [] [] 0.2 with
-    | [], _, _ -> ()
-    | _ -> (
-        match Unix.accept t.listen_fd with
-        | fd, _ -> ignore (Thread.create (conn_loop t) fd)
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | exception Unix.Unix_error _ -> Atomic.set t.stop_flag true)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error _ -> Atomic.set t.stop_flag true
-  done
+(* Front-door cancellation: the supervisor does not track which shard holds
+   a given request id (hedges mean it may be several), so the frame is
+   relayed to every live shard; any hit counts. *)
+let relay_cancel t (cn : Serial.wire_cancel) =
+  Array.fold_left
+    (fun hit sh ->
+      if with_lock t (fun () -> sh.sh_up) then begin
+        Metrics.incr t.cancels_sent;
+        match
+          Client.cancel ~deadline_s:t.cfg.sup_ping_deadline_s sh.sh_addr ~id:cn.Serial.cn_id
+            ~reason:cn.Serial.cn_reason
+        with
+        | Ok true -> true
+        | Ok false | Error _ -> hit
+      end
+      else hit)
+    false t.shards
 
 (* ---- assembly ---- *)
 
@@ -684,7 +587,8 @@ let start ~(spawn : spawn) cfg =
           sh_suspect = false;
         })
   in
-  let listen_fd = Wire.listen cfg.sup_front_addr in
+  (* the front door keeps the shard's default transport limits *)
+  let front = Endpoint.listen Endpoint.default_limits cfg.sup_front_addr in
   let t =
     {
       cfg;
@@ -694,7 +598,7 @@ let start ~(spawn : spawn) cfg =
       stop_flag = Atomic.make false;
       started_at = Wire.now ();
       rr = Atomic.make 0;
-      listen_fd;
+      front;
       registry;
       forwarded =
         Metrics.counter registry ~help:"requests answered by a shard" "chet_sup_forwarded_total";
@@ -723,7 +627,14 @@ let start ~(spawn : spawn) cfg =
     }
   in
   Array.iter (fun sh -> with_lock t (fun () -> spawn_shard t sh ~first:true)) t.shards;
-  t.threads <- [ Thread.create monitor_loop t; Thread.create accept_loop t ];
+  Endpoint.serve front
+    {
+      Endpoint.on_request = (fun rq -> Wire.serialize Serial.write_response (handle_request t rq));
+      on_cancel = relay_cancel t;
+      on_health = handle_health t;
+      on_reject = Endpoint.error_response ~shard:(-1) ~backend:"supervisor";
+    };
+  t.threads <- [ Thread.create monitor_loop t ];
   t
 
 (* Block until at least [n] shards answer pings, or [timeout_s] elapses. *)
@@ -743,8 +654,8 @@ let await_ready t ?(n = Array.length t.shards) ~timeout_s () =
 let metrics_snapshot t = Metrics.expose t.registry
 
 let stop ?(kill_workers = true) t =
+  Endpoint.stop t.front;
   Atomic.set t.stop_flag true;
-  Wire.close_noerr t.listen_fd;
   List.iter Thread.join t.threads;
   if kill_workers then
     Array.iter

@@ -11,6 +11,13 @@
     (DESIGN.md §13), and when nothing is routable the client gets a typed
     [Overloaded], never a hang.
 
+    The front door is an {!Endpoint} with the shard's default limits
+    ({!Endpoint.default_limits}), so its transport behaves like a shard's:
+    the same idle timeout and per-frame budget, the same typed goodbye on a
+    stalled or truncated frame, and every open connection shut at {!stop}.
+    Its handlers route REQ1s, relay CNCL frames to every live shard and
+    answer the HLTH control frames.
+
     Result integrity (DESIGN.md §16): a forwarded answer rejected by the
     shard's own sentinel lane is never the system's answer — the request
     fails over to another shard, and the offender goes under suspicion.
@@ -72,6 +79,6 @@ val metrics_snapshot : t -> string
     [chet_integrity_failures_total] and [chet_shard_quarantines_total]. *)
 
 val stop : ?kill_workers:bool -> t -> unit
-(** Stop routing and monitoring; with [kill_workers] (default) SIGTERM each
-    worker, giving a graceful drain a moment before insisting with
-    SIGKILL. *)
+(** Close the front door and its open connections, then stop monitoring;
+    with [kill_workers] (default) SIGTERM each worker, giving a graceful
+    drain a moment before insisting with SIGKILL. *)

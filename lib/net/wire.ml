@@ -206,3 +206,8 @@ let recv_frame_idle ?max_frame fd ~idle_deadline ~frame_budget_s : (string, faul
 (* Peek the Serial tag of a received frame without parsing it — the frame
    layout leads with its 4-character tag. *)
 let frame_tag payload = if String.length payload >= 4 then String.sub payload 0 4 else ""
+
+let serialize write v =
+  let w = Chet_crypto.Serial.writer () in
+  write w v;
+  Chet_crypto.Serial.contents w

@@ -86,3 +86,6 @@ val recv_frame_idle :
 val frame_tag : string -> string
 (** The leading 4-character Serial tag of a received frame (["REQ1"],
     ["RSP1"], ["HLTH"], …), or [""] if the payload is shorter than that. *)
+
+val serialize : (Chet_crypto.Serial.writer -> 'a -> unit) -> 'a -> string
+(** The payload of one frame: [serialize Serial.write_health h]. *)

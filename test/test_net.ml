@@ -12,7 +12,10 @@
          recovers through retry: the final answer is clean;
      (e) the supervisor state machine — spawn, health, kill, backoff
          restart, routing around a dead shard — driven end to end with
-         fake in-process "processes" (threads serving the same protocol).
+         fake in-process "processes" (threads serving the same protocol);
+     (f) the supervisor's front door shares the shard's transport: typed
+         goodbyes on stalled and truncated frames, typed answers to corrupt
+         frames on a surviving connection, open connections shut at stop.
 
    The real fork/exec drill (SIGKILL an actual worker process, warm restart
    from its bundle) lives in scripts/net_smoke.sh. *)
@@ -180,44 +183,102 @@ let send_recv fd payload =
       | Error f -> Alcotest.failf "recv failed: %s" (Wire.fault_name f)
       | Ok reply -> reply)
 
+let open_conn addr =
+  match Wire.connect addr with
+  | Ok fd -> fd
+  | Error f -> Alcotest.failf "connect failed: %s" (Wire.fault_name f)
+
+let frame_of write v =
+  let w = Serial.writer () in
+  write w v;
+  Serial.contents w
+
+(* Garbage, then a bit-flipped REQ1, each answered with a typed
+   [Corrupt_frame]; then a clean request on the SAME connection. *)
+let corrupt_frames_keep_connection addr =
+  let fd = open_conn addr in
+  Fun.protect
+    ~finally:(fun () -> Wire.close_noerr fd)
+    (fun () ->
+      (* 1: garbage bytes under an honest outer prefix *)
+      let rsp = Serial.read_response (Serial.reader (send_recv fd "JUNKbytes, not a frame")) in
+      (match rsp.Serial.rs_result with
+      | Error (Herr.Corrupt_frame { frame; _ }, _) ->
+          Alcotest.(check string) "rejection names the bogus tag" "JUNK" frame
+      | _ -> Alcotest.fail "garbage must answer Corrupt_frame");
+      (* 2: a real REQ1 with one body bit flipped — checksum catches it *)
+      let payload = Bytes.of_string (frame_of Serial.write_request (sample_request ())) in
+      let mid = Bytes.length payload - 8 in
+      Bytes.set payload mid (Char.chr (Char.code (Bytes.get payload mid) lxor 0x10));
+      let rsp = Serial.read_response (Serial.reader (send_recv fd (Bytes.to_string payload))) in
+      (match rsp.Serial.rs_result with
+      | Error (Herr.Corrupt_frame { frame; _ }, _) ->
+          Alcotest.(check string) "rejection names REQ1" "REQ1" frame
+      | _ -> Alcotest.fail "flipped bit must answer Corrupt_frame");
+      (* 3: the SAME connection still serves a clean request *)
+      let req = frame_of Serial.write_request (sample_request ~id:77 ()) in
+      let rsp = Serial.read_response (Serial.reader (send_recv fd req)) in
+      Alcotest.(check int) "same connection answers" 77 rsp.Serial.rs_id;
+      match rsp.Serial.rs_result with
+      | Ok _ -> ()
+      | Error (e, c) -> Alcotest.failf "clean request failed: %s" (Herr.to_string (e, c)))
+
 let test_corrupt_frame_keeps_connection () =
   with_server "cf" (fun server addr ->
-      let fd =
-        match Wire.connect addr with
-        | Ok fd -> fd
-        | Error f -> Alcotest.failf "connect failed: %s" (Wire.fault_name f)
+      corrupt_frames_keep_connection addr;
+      let s = Net_server.stats server in
+      Alcotest.(check int) "one connection total" 1 s.Net_server.srv_accepted;
+      Alcotest.(check int) "both corruptions counted" 2 s.Net_server.srv_corrupt)
+
+(* --- the inflight cap holds under concurrent arrivals ---------------- *)
+
+(* A ladder whose backend sets [entered] and blocks every attempt until
+   [gate] opens. *)
+let gated_ladder ?(entered = Atomic.make false) gate =
+  [
+    {
+      (clean_dep ()) with
+      Service.dep_backend =
+        Service.Per_attempt
+          (fun ~req_seed:_ ~attempt:_ ->
+            Atomic.set entered true;
+            while not (Atomic.get gate) do
+              Unix.sleepf 0.001
+            done;
+            clear_backend ());
+    };
+  ]
+
+let test_inflight_cap_concurrent () =
+  let cap = 2 and extra = 3 in
+  let gate = Atomic.make false in
+  with_server ~max_inflight:cap ~ladder:(gated_ladder gate) "cap" (fun server addr ->
+      let results = Array.make (cap + extra) None in
+      let threads =
+        List.init (cap + extra) (fun i ->
+            Thread.create
+              (fun () ->
+                let req = sample_request ~id:(200 + i) () in
+                let meta = Client.request (quick_client ~retries:0 addr) req in
+                results.(i) <- Some meta.Client.rm_response)
+              ())
       in
-      Fun.protect
-        ~finally:(fun () -> Wire.close_noerr fd)
-        (fun () ->
-          (* 1: garbage bytes under an honest outer prefix *)
-          let rsp = Serial.read_response (Serial.reader (send_recv fd "JUNKbytes, not a frame")) in
-          (match rsp.Serial.rs_result with
-          | Error (Herr.Corrupt_frame { frame; _ }, _) ->
-              Alcotest.(check string) "rejection names the bogus tag" "JUNK" frame
-          | _ -> Alcotest.fail "garbage must answer Corrupt_frame");
-          (* 2: a real REQ1 with one body bit flipped — checksum catches it *)
-          let w = Serial.writer () in
-          Serial.write_request w (sample_request ());
-          let payload = Bytes.of_string (Serial.contents w) in
-          let mid = Bytes.length payload - 8 in
-          Bytes.set payload mid (Char.chr (Char.code (Bytes.get payload mid) lxor 0x10));
-          let rsp = Serial.read_response (Serial.reader (send_recv fd (Bytes.to_string payload))) in
-          (match rsp.Serial.rs_result with
-          | Error (Herr.Corrupt_frame { frame; _ }, _) ->
-              Alcotest.(check string) "rejection names REQ1" "REQ1" frame
-          | _ -> Alcotest.fail "flipped bit must answer Corrupt_frame");
-          (* 3: the SAME connection still serves a clean request *)
-          let w = Serial.writer () in
-          Serial.write_request w (sample_request ~id:77 ());
-          let rsp = Serial.read_response (Serial.reader (send_recv fd (Serial.contents w))) in
-          Alcotest.(check int) "same connection answers" 77 rsp.Serial.rs_id;
-          (match rsp.Serial.rs_result with
-          | Ok _ -> ()
-          | Error (e, c) -> Alcotest.failf "clean request failed: %s" (Herr.to_string (e, c)));
-          let s = Net_server.stats server in
-          Alcotest.(check int) "one connection total" 1 s.Net_server.srv_accepted;
-          Alcotest.(check int) "both corruptions counted" 2 s.Net_server.srv_corrupt))
+      (* the admitted requests block in the service; the rest are answered
+         at once, so wait for those answers before opening the gate *)
+      let deadline = Wire.now () +. 10.0 in
+      while (Net_server.stats server).Net_server.srv_rejected < extra && Wire.now () < deadline do
+        Thread.delay 0.01
+      done;
+      Atomic.set gate true;
+      List.iter Thread.join threads;
+      let count p = Array.fold_left (fun n r -> if p r then n + 1 else n) 0 results in
+      Alcotest.(check int) "at most the cap admitted" cap
+        (count (function Some (Ok { Serial.rs_result = Ok _; _ }) -> true | _ -> false));
+      Alcotest.(check int) "the rest answered typed Overloaded" extra
+        (count (function
+          | Some (Ok { Serial.rs_result = Error (Herr.Overloaded { high_water; _ }, _); _ }) ->
+              high_water = cap
+          | _ -> false)))
 
 (* --- (d) injected wire faults recover through retry ----------------- *)
 
@@ -375,11 +436,7 @@ let test_supervisor_state_machine () =
 
 let test_dedup_bit_identical_replay () =
   with_server "dd" (fun server addr ->
-      let fd =
-        match Wire.connect addr with
-        | Ok fd -> fd
-        | Error f -> Alcotest.failf "connect failed: %s" (Wire.fault_name f)
-      in
+      let fd = open_conn addr in
       Fun.protect
         ~finally:(fun () -> Wire.close_noerr fd)
         (fun () ->
@@ -409,20 +466,7 @@ let test_dedup_bit_identical_replay () =
 
 let test_cancel_inflight_over_wire () =
   let entered = Atomic.make false and gate = Atomic.make false in
-  let gated =
-    {
-      (clean_dep ()) with
-      Service.dep_backend =
-        Service.Per_attempt
-          (fun ~req_seed:_ ~attempt:_ ->
-            Atomic.set entered true;
-            while not (Atomic.get gate) do
-              Unix.sleepf 0.001
-            done;
-            clear_backend ());
-    }
-  in
-  with_server ~ladder:[ gated ] "cncl" (fun server addr ->
+  with_server ~ladder:(gated_ladder ~entered gate) "cncl" (fun server addr ->
       let result = ref None in
       let th =
         Thread.create
@@ -524,6 +568,94 @@ let test_hedged_requests_cut_tail_latency () =
             (Net_server.stats fp.fp_server).Net_server.srv_dedup_hits)
         !spawned)
 
+(* --- (f) the front door shares the shard's transport ---------------- *)
+
+(* The front door's limits are the shard's defaults: no config field sets
+   them, so the stall test waits out the default 30 s frame budget. *)
+let front_frame_budget_s =
+  (Net_server.default_config (Wire.Unix_sock "unused")).Net_server.srv_read_deadline_s
+
+let start_front name =
+  let front = Wire.Unix_sock (sock_path (name ^ "-front")) in
+  let shard_addr i = Wire.Unix_sock (sock_path (Printf.sprintf "%s-sh%d" name i)) in
+  (Supervisor.start ~spawn:(fake_spawn (ref [])) (sup_cfg ~front ~shard_addr), front)
+
+let with_front name f =
+  let sup, front = start_front name in
+  Fun.protect ~finally:(fun () -> Supervisor.stop sup) (fun () -> f sup front)
+
+(* Write the outer prefix of a whole REQ1 but only half its body. *)
+let send_half_request fd =
+  let payload = frame_of Serial.write_request (sample_request ()) in
+  let n = String.length payload in
+  let bytes = Bytes.to_string (Wire.encode_prefix n) ^ String.sub payload 0 (n / 2) in
+  match Wire.write_all fd (Bytes.of_string bytes) ~deadline:(Wire.now () +. 5.0) with
+  | Ok () -> ()
+  | Error f -> Alcotest.failf "send failed: %s" (Wire.fault_name f)
+
+(* The typed error of the goodbye RSP1 the peer sends before closing. *)
+let goodbye fd ~within =
+  match Wire.recv_frame fd ~deadline:(Wire.now () +. within) with
+  | Error f -> Alcotest.failf "no typed goodbye: %s" (Wire.fault_name f)
+  | Ok reply -> (
+      match (Serial.read_response (Serial.reader reply)).Serial.rs_result with
+      | Error (e, _) -> e
+      | Ok _ -> Alcotest.fail "goodbye carried a result")
+
+let test_front_stalled_frame () =
+  with_front "fst" (fun _ front ->
+      let fd = open_conn front in
+      Fun.protect
+        ~finally:(fun () -> Wire.close_noerr fd)
+        (fun () ->
+          send_half_request fd;
+          match goodbye fd ~within:(front_frame_budget_s +. 10.0) with
+          | Herr.Deadline_exceeded _ -> ()
+          | e -> Alcotest.failf "expected Deadline_exceeded, got %s" (Herr.error_name e)))
+
+let test_front_truncated_frame () =
+  with_front "ftr" (fun _ front ->
+      let fd = open_conn front in
+      Fun.protect
+        ~finally:(fun () -> Wire.close_noerr fd)
+        (fun () ->
+          send_half_request fd;
+          Unix.shutdown fd Unix.SHUTDOWN_SEND;
+          match goodbye fd ~within:5.0 with
+          | Herr.Corrupt_frame { reason; _ } ->
+              Alcotest.(check bool) "names the truncation" true (contains reason "truncated")
+          | e -> Alcotest.failf "expected Corrupt_frame, got %s" (Herr.error_name e)))
+
+let test_front_corrupt_frames () =
+  with_front "fcf" (fun sup front ->
+      Alcotest.(check bool) "both shards come up" true
+        (Supervisor.await_ready sup ~timeout_s:15.0 ());
+      corrupt_frames_keep_connection front)
+
+let test_front_stop_closes_idle () =
+  let sup, front = start_front "fsp" in
+  let fd = open_conn front in
+  Fun.protect
+    ~finally:(fun () -> Wire.close_noerr fd)
+    (fun () ->
+      (* one exchange proves the connection was accepted; it is now idle *)
+      let ping = frame_of Serial.write_health Serial.Health_ping in
+      (match Serial.read_health (Serial.reader (send_recv fd ping)) with
+      | Serial.Health_ack { ha_ok = true; _ } -> ()
+      | _ -> Alcotest.fail "front must ack pings");
+      let t0 = Wire.now () in
+      let stopper = Thread.create (fun () -> Supervisor.stop sup) () in
+      let res = Wire.recv_frame fd ~deadline:(t0 +. 5.0) in
+      let waited = Wire.now () -. t0 in
+      Thread.join stopper;
+      (match res with
+      | Error Wire.Closed -> ()
+      | Error f -> Alcotest.failf "connection not closed at stop: %s" (Wire.fault_name f)
+      | Ok _ -> Alcotest.fail "unexpected frame at stop");
+      Alcotest.(check bool)
+        (Printf.sprintf "closed within about 1 s (%.2f s)" waited)
+        true (waited < 1.5))
+
 let suite =
   [
     ( "net",
@@ -543,5 +675,15 @@ let suite =
           test_cancel_inflight_over_wire;
         Alcotest.test_case "hedged requests: fast sibling wins, loser cancelled" `Quick
           test_hedged_requests_cut_tail_latency;
+        Alcotest.test_case "inflight cap holds under concurrent REQ1s" `Quick
+          test_inflight_cap_concurrent;
+        Alcotest.test_case "front door: stalled frame gets typed Deadline_exceeded" `Slow
+          test_front_stalled_frame;
+        Alcotest.test_case "front door: truncated frame gets typed Corrupt_frame" `Quick
+          test_front_truncated_frame;
+        Alcotest.test_case "front door: corrupt frame and unknown tag typed, connection survives"
+          `Quick test_front_corrupt_frames;
+        Alcotest.test_case "front door: stop closes an idle connection" `Quick
+          test_front_stop_closes_idle;
       ] );
   ]
