@@ -535,19 +535,27 @@ let plan_of ?restored compiled =
    the newest bundle compiled for the requested sentinel setting, or
    cold-compile and persist a bundle so the next start is warm. A bundle
    that passes the store's checksums but fails schema parsing is reported
-   (typed) and treated like an empty store. [restore] runs the load; serve
-   traces and times it. *)
-let boot ~restore ~with_keys ~target ~want_sentinel ~seed store circuit =
+   (typed) and treated like an empty store. A warm restart prints how long
+   the load took. *)
+let boot ~with_keys ~target ~want_sentinel ~seed store circuit =
+  let t0 = Unix.gettimeofday () in
   let restored =
     Option.bind store (fun st ->
-        restore (fun () ->
-            (try Bundle.load st ~circuit
-             with Herr.Fhe_error ((Herr.Corrupt_bundle _ as e), _) ->
-               Printf.eprintf "chet: store: %s: %s; falling back to cold compile\n"
-                 (Herr.error_name e) (Herr.error_detail e);
-               None)
-            |> matching_bundle ~want_sentinel))
+        (try Bundle.load st ~circuit
+         with Herr.Fhe_error ((Herr.Corrupt_bundle _ as e), _) ->
+           Printf.eprintf "chet: store: %s: %s; falling back to cold compile\n"
+             (Herr.error_name e) (Herr.error_detail e);
+           None)
+        |> matching_bundle ~want_sentinel)
   in
+  Option.iter
+    (fun l ->
+      Printf.printf
+        "warm restart: generation %d, %d bytes restored in %.1f ms (compile%s skipped)\n"
+        l.Bundle.l_generation l.Bundle.l_bytes
+        ((Unix.gettimeofday () -. t0) *. 1000.0)
+        (if l.Bundle.l_bundle.Bundle.b_keys <> None then " and keygen" else ""))
+    restored;
   match restored with
   | Some l -> (restored, l.Bundle.l_bundle.Bundle.b_compiled)
   | None ->
@@ -699,36 +707,9 @@ let serve_cmd =
     let circuit = spec.Models.build () in
     let sentinel = if want_sentinel then Some (Integrity.spec_for circuit) else None in
     let store = Option.map (fun d -> fst (open_store_verbose d)) state_dir in
-    let restore load =
-      let tracer = Tracer.create () in
-      Tracer.set_global (Some tracer);
-      let t0 = Unix.gettimeofday () in
-      let loaded =
-        Fun.protect
-          ~finally:(fun () -> Tracer.set_global None)
-          (fun () ->
-            Tracer.with_span ~cat:"store" "restore" (fun () ->
-                let l = load () in
-                Option.iter
-                  (fun l ->
-                    Tracer.annotate "generation" (Tracer.Int l.Bundle.l_generation);
-                    Tracer.annotate "bytes" (Tracer.Int l.Bundle.l_bytes))
-                  l;
-                l))
-      in
-      Option.iter
-        (fun l ->
-          Printf.printf
-            "warm restart: generation %d, %d bytes restored in %.1f ms (compile%s skipped)\n"
-            l.Bundle.l_generation l.Bundle.l_bytes
-            ((Unix.gettimeofday () -. t0) *. 1000.0)
-            (if l.Bundle.l_bundle.Bundle.b_keys <> None then " and keygen" else ""))
-        loaded;
-      loaded
-    in
     (* keys are persisted only for real deployments *)
     let restored, compiled =
-      boot ~restore ~with_keys:real ~target ~want_sentinel ~seed store circuit
+      boot ~with_keys:real ~target ~want_sentinel ~seed store circuit
     in
     Format.printf "%a@." Compiler.pp_compiled compiled;
     let plan = plan_of ?restored compiled in
@@ -979,8 +960,7 @@ let shard_worker_cmd =
     (* warm restart from the shard's own bundle: a SIGKILLed-and-respawned
        worker restores what its first boot persisted *)
     let restored, compiled =
-      boot ~restore:(fun load -> load ()) ~with_keys:false ~target ~want_sentinel ~seed store
-        circuit
+      boot ~with_keys:false ~target ~want_sentinel ~seed store circuit
     in
     let plan = plan_of ?restored compiled in
     let primary_backend ~req_seed ~attempt =

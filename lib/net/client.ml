@@ -82,7 +82,7 @@ let send_mangled ~seed fault fd payload ~deadline =
 let exchange ?(max_frame = Wire.default_max_frame) ?(send = Wire.send_frame) ~deadline_s addr
     payload read : (_, string) result =
   let deadline = Wire.now () +. deadline_s in
-  match Wire.connect addr with
+  match Wire.connect ~deadline addr with
   | Error f -> Error (Wire.fault_name f)
   | Ok fd ->
       Fun.protect

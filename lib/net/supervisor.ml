@@ -7,13 +7,14 @@
    (a) noticing death — waitpid for crashes, health pings for hangs —
    (b) restarting with capped exponential backoff so a crash-looping shard
    cannot monopolise the machine, and (c) keeping the front door honest
-   while a shard is down: requests route to live shards through a
-   per-shard circuit breaker, and when nothing is routable the client gets
-   a typed [Overloaded], never a hang. With [sup_hedge_delay_s] set, a slow
-   shard is raced: the request is duplicated to a second healthy shard
-   after the delay, the first acceptable answer wins, and the loser is
-   cancelled with a CNCL frame — shard-side request-id dedupe keeps the
-   duplicate bit-identically safe (DESIGN.md §13).
+   while a shard is down. One coordinator routes every request: legs go to
+   live shards through a per-shard circuit breaker, a failed leg fails over
+   to a shard the request has not used, and with [sup_hedge_delay_s] set
+   the same failover starts early when the first leg is slow (a hedge,
+   DESIGN.md §13). The first acceptable answer wins and the other legs are
+   cancelled with a CNCL frame — shard-side request-id dedupe keeps any
+   duplicate bit-identically safe. When nothing is routable the client gets
+   a typed [Overloaded], never a hang.
 
    Process management is injected ([spawn] returns pid/kill/poll closures)
    so the state machine is testable in-process with fake "processes"
@@ -63,10 +64,10 @@ type config = {
   sup_breaker_threshold : int;
   sup_breaker_cooldown_s : float;
   sup_hedge_delay_s : float;
-      (** hedged requests (DESIGN.md §13): if the routed shard has not
-          answered within this delay, duplicate the request to a second
-          breaker-healthy shard — first acceptable answer wins, the loser is
-          cancelled with a CNCL frame. [<= 0] disables hedging. *)
+      (** hedged requests (DESIGN.md §13): if the first leg has not
+          answered within this delay, start the failover leg early — first
+          acceptable answer wins, the other leg is cancelled with a CNCL
+          frame. [<= 0] disables hedging. *)
 }
 
 let default_config ~shards ~shard_addr ~front_addr =
@@ -273,17 +274,17 @@ let monitor_loop t =
 
 (* ---- routing ---- *)
 
-(* Next live shard whose breaker admits, round-robin from the cursor; the
-   breaker slot is held by the caller (release on transport failure).
-   [exclude] skips one shard id — how a hedge finds a *different* shard. *)
-let route ?(exclude = -1) t : shard option =
+(* Next live shard whose breaker admits, round-robin from the cursor,
+   skipping the shards in [exclude] (those this request already used); the
+   breaker slot is held by the caller until [settle] gives its verdict. *)
+let route ~exclude t : shard option =
   let n = Array.length t.shards in
   let start = Atomic.fetch_and_add t.rr 1 in
   let rec probe i =
     if i >= n then None
     else
       let sh = t.shards.((start + i) mod n) in
-      if sh.sh_id = exclude then probe (i + 1)
+      if List.mem sh.sh_id exclude then probe (i + 1)
       else
         (* a suspect shard is unroutable: until the selftest probe clears
            it, every answer it could give is presumed corrupt *)
@@ -300,7 +301,48 @@ let unroutable t ~id reason =
     (Herr.Overloaded { queue_depth = 0; high_water = 0 })
     reason
 
-let forward_once t sh (rq : Serial.wire_request) =
+(* What a shard's reply means for the request: the shard spoke for it, the
+   request's own cancel token tripped (no other shard can do better), or
+   try another shard. *)
+type move = Answer of Serial.wire_response | Final of Serial.wire_response | Failover
+
+(* The one place a reply becomes effects on its shard: the breaker verdict,
+   suspicion, the up flag and the failover count. Each leg settles its own
+   reply, so a leg that resolves after the request was answered still hands
+   back its breaker slot. *)
+let settle t sh res =
+  let failover () =
+    Breaker.record_failure sh.sh_breaker;
+    Metrics.incr t.routed_errors;
+    Failover
+  in
+  match res with
+  | Error _ ->
+      (* transport fault: the shard may be mid-crash; the monitor sorts it out *)
+      with_lock t (fun () -> sh.sh_up <- false);
+      failover ()
+  | Ok rsp -> (
+      match rsp.Serial.rs_result with
+      | Error ((Herr.Overloaded _ | Herr.Corrupt_frame _), _) -> failover ()
+      | Error (Herr.Integrity_violation _, _) ->
+          (* an answer the shard's own sentinel lane rejected is not the
+             system's answer: suspect the shard (the health loop confirms
+             before quarantining) and move on *)
+          mark_suspect t sh;
+          failover ()
+      | Error (Herr.Cancelled _, _) ->
+          (* breaker-neutral: the caller left, the shard did not fail, so
+             the (possibly half-open) slot is handed back without a verdict *)
+          Breaker.release sh.sh_breaker;
+          Final { rsp with Serial.rs_shard = sh.sh_id }
+      | Ok _ | Error _ ->
+          (* a typed FHE error is the shard's answer too *)
+          Breaker.record_success sh.sh_breaker;
+          Answer { rsp with Serial.rs_shard = sh.sh_id })
+
+(* One leg: forward to [sh] within the transport deadline and settle the
+   reply. Never raises, so every leg posts exactly once. *)
+let forward t sh (rq : Serial.wire_request) =
   let cl =
     {
       (Client.default_config sh.sh_addr) with
@@ -309,198 +351,102 @@ let forward_once t sh (rq : Serial.wire_request) =
       cl_seed = rq.Serial.rq_seed;
     }
   in
-  (Client.request cl rq).Client.rm_response
+  settle t sh
+    (try (Client.request cl rq).Client.rm_response
+     with e ->
+       Error
+         ( Herr.Corrupt_frame { frame = "RSP1"; reason = Printexc.to_string e },
+           Herr.context ~backend:"supervisor" "forward" ))
 
-let handle_sequential t (rq : Serial.wire_request) : Serial.wire_response =
-  (* try each routable shard once; a shard that answers — even with a typed
-     FHE error — ends the search (that is the system's answer), while a
-     transport fault or shard-side shed moves on to the next shard *)
-  let rec go tried =
-    if tried >= Array.length t.shards then unroutable t ~id:rq.Serial.rq_id "no routable shard"
-    else
-      match route t with
-      | None -> unroutable t ~id:rq.Serial.rq_id "no routable shard"
-      | Some sh -> (
-          match forward_once t sh rq with
-          | Ok rsp -> (
-              match rsp.Serial.rs_result with
-              | Error ((Herr.Overloaded _ | Herr.Corrupt_frame _), _) ->
-                  Breaker.record_failure sh.sh_breaker;
-                  Metrics.incr t.routed_errors;
-                  go (tried + 1)
-              | Error (Herr.Integrity_violation _, _) ->
-                  (* the shard produced an answer its own sentinel lane
-                     rejected: NOT the system's answer. Put the shard under
-                     suspicion (the health loop confirms before
-                     quarantining) and fail the request over to a shard
-                     whose answers still verify. *)
-                  Breaker.record_failure sh.sh_breaker;
-                  mark_suspect t sh;
-                  Metrics.incr t.routed_errors;
-                  go (tried + 1)
-              | Error (Herr.Cancelled _, _) ->
-                  (* breaker-neutral: a cancelled answer says nothing about
-                     the shard's health, so the (possibly half-open) slot is
-                     handed back without a verdict *)
-                  Breaker.release sh.sh_breaker;
-                  Metrics.incr t.forwarded;
-                  { rsp with Serial.rs_shard = sh.sh_id }
-              | Ok _ | Error _ ->
-                  Breaker.record_success sh.sh_breaker;
-                  Metrics.incr t.forwarded;
-                  { rsp with Serial.rs_shard = sh.sh_id })
-          | Error _ ->
-              (* transport fault: the shard may be mid-crash; let the
-                 monitor sort it out and try the next one *)
-              Breaker.record_failure sh.sh_breaker;
-              with_lock t (fun () -> sh.sh_up <- false);
-              Metrics.incr t.routed_errors;
-              go (tried + 1))
-  in
-  go 0
-
-(* ---- hedged requests (DESIGN.md §13) ---- *)
-
-(* Rendezvous between the coordinator and its forwarding legs: each leg
-   posts (shard id, raw result) under the mutex; the coordinator polls.
-   No timed condvar wait exists in the stdlib, so polling at 1 ms — against
-   inferences measured in tens of ms — is the repo-wide idiom. *)
-type hedge_cell = {
-  hc_mutex : Mutex.t;
-  mutable hc_results : (int * (Serial.wire_response, Herr.error * Herr.context) result) list;
-}
-
-(* One forwarding leg. The leg owns its breaker verdict (the coordinator may
-   have returned long before a losing leg resolves): answered = success,
-   shard-shed/corrupt or transport fault = failure, cancelled = neutral
-   (that is typically the loser we ourselves cancelled). *)
-let spawn_leg t sh (rq : Serial.wire_request) cell =
-  ignore
-    (Thread.create
-       (fun () ->
-         let res = forward_once t sh rq in
-         (match res with
-         | Ok { Serial.rs_result = Error ((Herr.Overloaded _ | Herr.Corrupt_frame _), _); _ } ->
-             Breaker.record_failure sh.sh_breaker
-         | Ok { Serial.rs_result = Error (Herr.Integrity_violation _, _); _ } ->
-             Breaker.record_failure sh.sh_breaker;
-             mark_suspect t sh
-         | Ok { Serial.rs_result = Error (Herr.Cancelled _, _); _ } ->
-             Breaker.release sh.sh_breaker
-         | Ok _ -> Breaker.record_success sh.sh_breaker
-         | Error _ ->
-             Breaker.record_failure sh.sh_breaker;
-             with_lock t (fun () -> sh.sh_up <- false));
-         Mutex.protect cell.hc_mutex (fun () ->
-             cell.hc_results <- (sh.sh_id, res) :: cell.hc_results))
-       ())
-
-(* Fire-and-forget CNCL to the losing shard: a lost cancel costs at most the
-   work it tried to save, so it gets its own thread and no retries. *)
+(* Fire-and-forget CNCL to a leg still in flight: a lost cancel costs at
+   most the work it tried to save, so it gets its own thread, no retries. *)
 let cancel_loser t sh ~id =
   Metrics.incr t.cancels_sent;
-  ignore
-    (Thread.create
-       (fun () ->
-         ignore
-           (Client.cancel ~deadline_s:t.cfg.sup_ping_deadline_s sh.sh_addr ~id
-              ~reason:"superseded"))
-       ())
+  let cancel () =
+    Client.cancel ~deadline_s:t.cfg.sup_ping_deadline_s sh.sh_addr ~id ~reason:"superseded"
+  in
+  ignore (Thread.create (fun () -> ignore (cancel ())) ())
 
-let handle_hedged t (rq : Serial.wire_request) : Serial.wire_response =
-  match route t with
-  | None -> unroutable t ~id:rq.Serial.rq_id "no routable shard"
-  | Some primary ->
-      let cell = { hc_mutex = Mutex.create (); hc_results = [] } in
-      spawn_leg t primary rq cell;
-      let legs = ref [ primary ] in
-      let hedge_at = Wire.now () +. t.cfg.sup_hedge_delay_s in
-      (* hard stop: every leg bounds its transport at
-         [sup_forward_deadline_s], so results must land by then; the slack
-         covers the hedge launch offset *)
-      let give_up_at =
-        Wire.now () +. t.cfg.sup_hedge_delay_s +. t.cfg.sup_forward_deadline_s +. 5.0
-      in
-      let rec wait () =
-        let results = Mutex.protect cell.hc_mutex (fun () -> cell.hc_results) in
-        (* an acceptable answer: the shard actually spoke for the request —
-           not a shed/corrupt failover signal, not a cancelled loser *)
-        let win =
-          List.find_map
-            (fun (sid, res) ->
-              match res with
-              | Ok
-                  {
-                    Serial.rs_result =
-                      Error
-                        ( ( Herr.Overloaded _ | Herr.Corrupt_frame _ | Herr.Cancelled _
-                          | Herr.Integrity_violation _ ),
-                          _ );
-                    _;
-                  } ->
-                  None
-              | Ok rsp -> Some (sid, rsp)
-              | Error _ -> None)
-            results
-        in
-        match win with
-        | Some (sid, rsp) ->
-            Metrics.incr t.forwarded;
-            if List.length !legs > 1 && sid <> primary.sh_id then Metrics.incr t.hedge_wins;
-            (* first success wins: cancel every leg still in flight *)
-            List.iter
-              (fun sh ->
-                if sh.sh_id <> sid && not (List.mem_assoc sh.sh_id results) then
-                  cancel_loser t sh ~id:rq.Serial.rq_id)
-              !legs;
-            { rsp with Serial.rs_shard = sid }
-        | None ->
-            if List.length results >= List.length !legs then begin
-              (* every leg resolved and none was acceptable. A cancelled
-                 answer is final (the request's own token tripped); anything
-                 else — shed, corrupt, transport — is a failover signal, and
-                 the sequential path picks up where the race left off (safe:
-                 the request was never answered, and shard-side dedupe makes
-                 any re-forward idempotent). *)
-              match
-                List.find_map
-                  (fun (sid, res) ->
-                    match res with
-                    | Ok ({ Serial.rs_result = Error (Herr.Cancelled _, _); _ } as rsp) ->
-                        Some (sid, rsp)
-                    | _ -> None)
-                  results
-              with
-              | Some (sid, rsp) ->
-                  Metrics.incr t.forwarded;
-                  { rsp with Serial.rs_shard = sid }
-              | None ->
-                  Metrics.incr t.routed_errors;
-                  handle_sequential t rq
-            end
-            else if Wire.now () >= give_up_at then
-              unroutable t ~id:rq.Serial.rq_id "hedge legs unresponsive"
-            else begin
-              (if List.length !legs = 1 && List.length results = 0 && Wire.now () >= hedge_at
-               then
-                 (* primary is slow: launch the duplicate on a different
-                    breaker-healthy shard, stamped with the next hedge
-                    generation so shard logs can tell the twins apart *)
-                 match route ~exclude:primary.sh_id t with
-                 | Some second ->
-                     Metrics.incr t.hedges;
-                     legs := second :: !legs;
-                     spawn_leg t second { rq with Serial.rq_hedge = rq.Serial.rq_hedge + 1 } cell
-                 | None -> ());
-              Thread.delay 0.001;
-              wait ()
-            end
-      in
-      wait ()
+(* The coordinator's inbox: legs post their settled move, the hedge timer
+   posts [None]; the coordinator sleeps on the condition in between. *)
+type cell = {
+  c_mutex : Mutex.t;
+  c_ready : Condition.t;
+  c_events : (shard * move) option Queue.t;
+}
 
+let post cell ev =
+  Mutex.protect cell.c_mutex (fun () ->
+      Queue.push ev cell.c_events;
+      Condition.signal cell.c_ready)
+
+let next_event cell =
+  Mutex.protect cell.c_mutex (fun () ->
+      while Queue.is_empty cell.c_events do
+        Condition.wait cell.c_ready cell.c_mutex
+      done;
+      Queue.pop cell.c_events)
+
+(* The router (DESIGN.md §12, §13). Each leg forwards on its own thread to
+   a shard this request has not used. When every leg started has failed
+   over, the next one starts; a hedge is that failover started early, once
+   [sup_hedge_delay_s] has passed with the first leg still silent. The
+   first answer wins and every leg still in flight is cancelled. *)
 let handle_request t (rq : Serial.wire_request) : Serial.wire_response =
-  if t.cfg.sup_hedge_delay_s > 0.0 && Array.length t.shards > 1 then handle_hedged t rq
-  else handle_sequential t rq
+  let id = rq.Serial.rq_id in
+  let cell =
+    { c_mutex = Mutex.create (); c_ready = Condition.create (); c_events = Queue.create () }
+  in
+  (* [used]: every leg's shard, newest first; [live]: legs not yet settled *)
+  let used = ref [] and live = ref [] and hedge = ref (-1) and final = ref None in
+  let start_leg () =
+    match route ~exclude:(List.map (fun sh -> sh.sh_id) !used) t with
+    | None -> None
+    | Some sh ->
+        (* leg k carries hedge generation k, so shard logs tell twins apart *)
+        let leg = { rq with Serial.rq_hedge = rq.Serial.rq_hedge + List.length !used } in
+        used := sh :: !used;
+        live := sh :: !live;
+        ignore (Thread.create (fun () -> post cell (Some (sh, forward t sh leg))) ());
+        Some sh
+  in
+  let rec wait () =
+    match next_event cell with
+    | None ->
+        (if List.length !used = 1 && !live <> [] then
+           match start_leg () with
+           | Some sh ->
+               Metrics.incr t.hedges;
+               hedge := sh.sh_id
+           | None -> ());
+        wait ()
+    | Some (sh, move) -> (
+        live := List.filter (fun l -> l != sh) !live;
+        match move with
+        | Answer rsp ->
+            Metrics.incr t.forwarded;
+            if sh.sh_id = !hedge then Metrics.incr t.hedge_wins;
+            List.iter (fun loser -> cancel_loser t loser ~id) !live;
+            rsp
+        | Final rsp ->
+            final := Some rsp;
+            resolve ()
+        | Failover -> resolve ())
+  and resolve () =
+    match (!live, !final) with
+    | _ :: _, _ -> wait ()
+    | [], Some rsp ->
+        Metrics.incr t.forwarded;
+        rsp
+    | [], None ->
+        if Option.is_none (start_leg ()) then unroutable t ~id "no routable shard" else wait ()
+  in
+  if Option.is_none (start_leg ()) then unroutable t ~id "no routable shard"
+  else begin
+    if t.cfg.sup_hedge_delay_s > 0.0 then
+      ignore (Thread.create (fun () -> Thread.delay t.cfg.sup_hedge_delay_s; post cell None) ());
+    wait ()
+  end
 
 (* ---- control plane ---- *)
 

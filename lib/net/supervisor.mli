@@ -6,10 +6,20 @@
     which is what makes SIGKILL survivable: the supervisor notices death
     (waitpid for crashes, health pings for hangs), restarts with capped
     exponential backoff, and keeps the front door honest while a shard is
-    down — requests route to live shards through per-shard circuit
-    breakers, hedged duplicates race a slow shard when configured
-    (DESIGN.md §13), and when nothing is routable the client gets a typed
-    [Overloaded], never a hang.
+    down. When nothing is routable the client gets a typed [Overloaded],
+    never a hang.
+
+    Routing is one coordinator per request. Each leg forwards to a shard on
+    its own thread, through that shard's circuit breaker, and one function
+    decides what the shard's reply means: an answer (returned; every other
+    leg in flight is cancelled with a CNCL frame), a cancellation (final
+    once no started leg can still answer), or a failover (shed, damaged,
+    sentinel-rejected or lost in transport). When every leg started has
+    failed over, the next leg goes to a routable shard this request has not
+    used. A hedge (DESIGN.md §13) is that failover started early: with
+    [sup_hedge_delay_s > 0], a second leg starts once the delay has passed
+    with the first leg still silent. Each leg is bounded by
+    [sup_forward_deadline_s], connect included.
 
     The front door is an {!Endpoint} with the shard's default limits
     ({!Endpoint.default_limits}), so its transport behaves like a shard's:
@@ -50,14 +60,16 @@ type config = {
   sup_health_interval_s : float;  (** ping cadence; also the monitor tick *)
   sup_ping_deadline_s : float;
   sup_hang_pings : int;  (** consecutive failed pings before SIGKILL *)
-  sup_forward_deadline_s : float;  (** transport budget per forwarded request *)
+  sup_forward_deadline_s : float;
+      (** transport budget per leg: connect, send and receive *)
   sup_breaker_threshold : int;
   sup_breaker_cooldown_s : float;
   sup_hedge_delay_s : float;
-      (** hedged requests (DESIGN.md §13): if the routed shard has not
-          answered within this delay, duplicate the request to a second
-          breaker-healthy shard — first acceptable answer wins, the loser is
-          cancelled with a CNCL frame. [<= 0] disables hedging. *)
+      (** hedged requests (DESIGN.md §13): if the first leg has not
+          answered within this delay, start the failover leg early on
+          another breaker-healthy shard — first acceptable answer wins, the
+          other leg is cancelled with a CNCL frame. [<= 0] disables
+          hedging: a second leg then starts only when the first has failed. *)
 }
 
 val default_config :

@@ -93,20 +93,6 @@ let listen ?(backlog = 64) addr =
      raise e);
   fd
 
-let connect addr : (Unix.file_descr, fault) result =
-  Lazy.force ignore_sigpipe;
-  let fd = Unix.socket (domain_of addr) Unix.SOCK_STREAM 0 in
-  try
-    Unix.connect fd (sockaddr_of addr);
-    Ok fd
-  with
-  | Unix.Unix_error (err, _, _) ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Error (Io (Unix.error_message err))
-  | e ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      raise e
-
 let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 let now () = Unix.gettimeofday ()
@@ -124,6 +110,47 @@ let wait_ready fd dir ~deadline =
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
   in
   go ()
+
+(* Connect without blocking past [deadline]: over TCP the connect runs
+   non-blocking and completes when the socket turns writable (SO_ERROR
+   says how); a unix socket whose listener's backlog is full refuses at
+   once with EAGAIN, so it is retried until the deadline. The socket is
+   handed back in blocking mode. *)
+let connect ~deadline addr : (Unix.file_descr, fault) result =
+  Lazy.force ignore_sigpipe;
+  let fd = Unix.socket (domain_of addr) Unix.SOCK_STREAM 0 in
+  let rec go sa =
+    match Unix.connect fd sa with
+    | () -> Ok ()
+    | exception Unix.Unix_error ((Unix.EINPROGRESS | Unix.EINTR), _, _) -> (
+        if not (wait_ready fd `Write ~deadline) then Error Stalled
+        else
+          match Unix.getsockopt_error fd with
+          | None -> Ok ()
+          | Some err -> Error (Io (Unix.error_message err)))
+    | exception Unix.Unix_error (Unix.EAGAIN, _, _) ->
+        if now () >= deadline then Error Stalled
+        else begin
+          Thread.delay 0.005;
+          go sa
+        end
+  in
+  match
+    Unix.set_nonblock fd;
+    go (sockaddr_of addr)
+  with
+  | Ok () ->
+      Unix.clear_nonblock fd;
+      Ok fd
+  | Error f ->
+      close_noerr fd;
+      Error f
+  | exception Unix.Unix_error (err, _, _) ->
+      close_noerr fd;
+      Error (Io (Unix.error_message err))
+  | exception e ->
+      close_noerr fd;
+      raise e
 
 let read_exact fd buf ~deadline : (unit, fault) result =
   let len = Bytes.length buf in

@@ -49,7 +49,10 @@ val listen : ?backlog:int -> addr -> Unix.file_descr
 (** Bind and listen (unlinking a stale unix socket path first). Forces
     SIGPIPE to be ignored for the process — see the implementation note. *)
 
-val connect : addr -> (Unix.file_descr, fault) result
+val connect : deadline:float -> addr -> (Unix.file_descr, fault) result
+(** Connect, giving up with {!Stalled} at [deadline] (absolute, {!now}'s
+    clock): a peer that drops SYNs, or a unix listener whose backlog is
+    full, cannot hold the caller past it. The socket comes back blocking. *)
 
 val close_noerr : Unix.file_descr -> unit
 

@@ -9,7 +9,10 @@
 #       duplicate leg, with losers cancelled over the wire (CNCL);
 #   (d) zero duplicate executions: every shard's shutdown line reports
 #       dedup=0 — hedge siblings go to a *different* shard and losers are
-#       cancelled, so no request id is ever executed twice.
+#       cancelled, so no request id is ever executed twice;
+#   (e) hedging off means no hedges: the unhedged drill's supervisor
+#       reports chet_sup_hedges_total 0 — the one router starts a second
+#       leg early only when a hedge delay is set.
 #
 # Usage: scripts/hedge_smoke.sh  (expects a completed `dune build`)
 set -euo pipefail
@@ -115,6 +118,13 @@ grep -Eq 'chet_sup_hedge_wins_total [1-9]' "$DIR/hedged-sup.out" || {
 grep -Eq 'chet_sup_cancels_sent_total [1-9]' "$DIR/hedged-sup.out" || {
   echo "hedge smoke FAIL: losing legs were never cancelled" >&2
   cat "$DIR/hedged-sup.out"
+  exit 1
+}
+
+echo "-- hedging off: no hedges launched"
+grep -Eq '^chet_sup_hedges_total 0$' "$DIR/unhedged-sup.out" || {
+  echo "hedge smoke FAIL: the unhedged drill launched hedges" >&2
+  cat "$DIR/unhedged-sup.out"
   exit 1
 }
 

@@ -15,7 +15,11 @@
          fake in-process "processes" (threads serving the same protocol);
      (f) the supervisor's front door shares the shard's transport: typed
          goodbyes on stalled and truncated frames, typed answers to corrupt
-         frames on a surviving connection, open connections shut at stop.
+         frames on a surviving connection, open connections shut at stop;
+     (g) nothing waits past its deadline on a peer that never accepts: a
+         connect gives up, and the supervisor SIGKILLs and respawns such a
+         shard; a sentinel-rejected answer fails over, hedged or not, and
+         its shard is quarantined.
 
    The real fork/exec drill (SIGKILL an actual worker process, warm restart
    from its bundle) lives in scripts/net_smoke.sh. *)
@@ -31,6 +35,7 @@ module Wire = Chet_net.Wire
 module Net_server = Chet_net.Server
 module Client = Chet_net.Client
 module Supervisor = Chet_net.Supervisor
+module Fault = Chet_hisa.Fault_backend
 module T = Chet_tensor.Tensor
 
 let seal_opts = Compiler.default_options ~target:Compiler.Seal ()
@@ -184,7 +189,7 @@ let send_recv fd payload =
       | Ok reply -> reply)
 
 let open_conn addr =
-  match Wire.connect addr with
+  match Wire.connect ~deadline:(Wire.now () +. 5.0) addr with
   | Ok fd -> fd
   | Error f -> Alcotest.failf "connect failed: %s" (Wire.fault_name f)
 
@@ -303,6 +308,52 @@ let test_fault_injection_recovers () =
       (* a stalled-but-finished send is within deadline: first try serves *)
       expect_recovery "stall" (Client.Stall 0.05) ~min_attempts:1)
 
+(* --- connect is bounded by the caller's deadline --------------------- *)
+
+(* A listener with backlog 0 holding one connection it never accepts: its
+   backlog is full, so no further connect can complete. Returns the bound
+   address (a TCP port 0 resolved) and an idempotent closer. *)
+let full_backlog addr =
+  let lfd = Wire.listen ~backlog:0 addr in
+  let addr =
+    match (addr, Unix.getsockname lfd) with
+    | Wire.Tcp (host, _), Unix.ADDR_INET (_, port) -> Wire.Tcp (host, port)
+    | _ -> addr
+  in
+  let filler = Wire.connect ~deadline:(Wire.now () +. 1.0) addr in
+  let closed = Atomic.make false in
+  let close () =
+    if Atomic.compare_and_set closed false true then begin
+      Result.iter Wire.close_noerr filler;
+      Wire.close_noerr lfd
+    end
+  in
+  (addr, close)
+
+(* A ping with a 0.3 s deadline must give up within 1.5 s. The ping runs on
+   its own thread and the listener is closed on the way out, so a connect
+   that ignores its deadline fails the test instead of hanging it. *)
+let test_connect_full_backlog addr () =
+  let addr, close = full_backlog addr in
+  let t0 = Wire.now () in
+  let result = ref None in
+  let pinger = Thread.create (fun () -> result := Some (Client.ping ~deadline_s:0.3 addr)) () in
+  let took =
+    Fun.protect
+      ~finally:(fun () ->
+        close ();
+        Thread.join pinger)
+      (fun () ->
+        while Option.is_none !result && Wire.now () -. t0 < 1.5 do
+          Thread.delay 0.01
+        done;
+        Wire.now () -. t0)
+  in
+  match !result with
+  | Some (Error _) when took < 1.5 -> ()
+  | Some (Ok _) -> Alcotest.fail "a listener that never accepts answered the ping"
+  | _ -> Alcotest.failf "ping still connecting after %.2f s" took
+
 (* --- (e) supervisor over fake in-process processes ------------------ *)
 
 (* A fake worker "process": a real Net_server + Service on the shard's
@@ -314,14 +365,15 @@ type fake_proc = {
   fp_status : Unix.process_status option Atomic.t;
 }
 
-let fake_spawn ?(slow = fun _shard -> 0.0) spawned_log : Supervisor.spawn =
+let fake_spawn ?(slow = fun _shard -> 0.0) ?(dep = fun _shard -> clean_dep ()) ?selftest
+    spawned_log : Supervisor.spawn =
  fun ~shard ~addr ->
   let dep =
     let delay = slow shard in
-    if delay <= 0.0 then clean_dep ()
+    if delay <= 0.0 then dep shard
     else
       {
-        (clean_dep ()) with
+        (dep shard) with
         Service.dep_backend =
           Service.Per_attempt
             (fun ~req_seed:_ ~attempt:_ ->
@@ -333,7 +385,8 @@ let fake_spawn ?(slow = fun _shard -> 0.0) spawned_log : Supervisor.spawn =
   let cfg =
     { (Net_server.default_config ~shard addr) with Net_server.srv_read_deadline_s = 0.5 }
   in
-  let fp = { fp_server = Net_server.start cfg svc; fp_service = svc; fp_status = Atomic.make None } in
+  let server = Net_server.start ?selftest:(Option.map (fun f -> f shard) selftest) cfg svc in
+  let fp = { fp_server = server; fp_service = svc; fp_status = Atomic.make None } in
   spawned_log := fp :: !spawned_log;
   {
     Supervisor.sp_pid = 10_000 + shard;
@@ -369,6 +422,28 @@ let contains hay needle =
   let rec scan i = i + k <= n && (String.sub hay i k = needle || scan (i + 1)) in
   scan 0
 
+(* Poll [cond] every 50 ms until it holds or [timeout_s] passes. *)
+let wait_until ~timeout_s cond =
+  let deadline = Wire.now () +. timeout_s in
+  let rec go () =
+    cond ()
+    || Wire.now () < deadline
+       && begin
+            Thread.delay 0.05;
+            go ()
+          end
+  in
+  go ()
+
+(* The front door's report shows [shard] up again after at least one restart. *)
+let restarted front shard =
+  match Client.health front (Serial.Health_report { hr_uptime_s = 0.0; hr_shards = [] }) with
+  | Ok (Serial.Health_report { hr_shards; _ }) ->
+      List.exists
+        (fun s -> s.Serial.hs_shard = shard && s.Serial.hs_up && s.Serial.hs_restarts >= 1)
+        hr_shards
+  | _ -> false
+
 let test_supervisor_state_machine () =
   let front = Wire.Unix_sock (sock_path "sup-front") in
   let shard_addr i = Wire.Unix_sock (sock_path (Printf.sprintf "sup-sh%d" i)) in
@@ -403,24 +478,8 @@ let test_supervisor_state_machine () =
         ignore (request_ok "request during outage" cl (sample_request ~id:i ()))
       done;
       (* the monitor notices the death and restarts shard 0 *)
-      let deadline = Wire.now () +. 15.0 in
-      let restarted () =
-        match Client.health front (Serial.Health_report { hr_uptime_s = 0.0; hr_shards = [] }) with
-        | Ok (Serial.Health_report { hr_shards; _ }) ->
-            List.exists
-              (fun s -> s.Serial.hs_shard = 0 && s.Serial.hs_up && s.Serial.hs_restarts >= 1)
-              hr_shards
-        | _ -> false
-      in
-      let rec wait () =
-        if restarted () then true
-        else if Wire.now () >= deadline then false
-        else begin
-          Thread.delay 0.05;
-          wait ()
-        end
-      in
-      Alcotest.(check bool) "shard 0 restarted and back up" true (wait ());
+      Alcotest.(check bool) "shard 0 restarted and back up" true
+        (wait_until ~timeout_s:15.0 (fun () -> restarted front 0));
       Alcotest.(check bool)
         "restart visible in metrics" true
         (contains (Supervisor.metrics_snapshot sup) "chet_sup_restarts_total{shard=\"0\"} 1");
@@ -568,6 +627,104 @@ let test_hedged_requests_cut_tail_latency () =
             (Net_server.stats fp.fp_server).Net_server.srv_dedup_hits)
         !spawned)
 
+(* --- hang detection: a shard that never answers is killed, respawned --- *)
+
+let test_supervisor_kills_hung_shard () =
+  let front = Wire.Unix_sock (sock_path "hang-front") in
+  let shard_addr i = Wire.Unix_sock (sock_path (Printf.sprintf "hang-sh%d" i)) in
+  let spawned = ref [] and wedged = ref None and killed_with = Atomic.make 0 in
+  (* shard 0's first "process" is a listener with a full backlog — alive,
+     never answering; every later spawn is a working fake shard *)
+  let spawn ~shard ~addr =
+    if shard = 0 && Option.is_none !wedged then begin
+      let _, close = full_backlog addr in
+      wedged := Some close;
+      let status = Atomic.make None in
+      {
+        Supervisor.sp_pid = 20_000;
+        sp_kill =
+          (fun signal ->
+            if Atomic.compare_and_set status None (Some (Unix.WSIGNALED signal)) then begin
+              Atomic.set killed_with signal;
+              close ()
+            end);
+        sp_poll = (fun () -> Atomic.get status);
+      }
+    end
+    else fake_spawn spawned ~shard ~addr
+  in
+  let cfg =
+    {
+      (sup_cfg ~front ~shard_addr) with
+      Supervisor.sup_ping_deadline_s = 0.2;
+      sup_hang_pings = 3;
+    }
+  in
+  let sup = Supervisor.start ~spawn cfg in
+  Fun.protect
+    ~finally:(fun () ->
+      (* closed before stop, so a connect that ignores its deadline cannot
+         hang the suite *)
+      Option.iter (fun close -> close ()) !wedged;
+      Supervisor.stop sup)
+    (fun () ->
+      Alcotest.(check bool) "hung shard 0 killed, respawned and back up" true
+        (wait_until ~timeout_s:5.0 (fun () -> restarted front 0));
+      Alcotest.(check int) "killed with SIGKILL" Sys.sigkill (Atomic.get killed_with);
+      ignore (request_ok "request after the respawn" (quick_client front) (sample_request ~id:9 ())))
+
+(* --- integrity failover: a sentinel-rejected answer is never the answer --- *)
+
+let sentinel_compiled = lazy (Compiler.compile { seal_opts with Compiler.sentinel = true } micro)
+
+(* A rung whose sentinel lane checks every answer before release; [corrupt]
+   silently perturbs every ciphertext it computes, which only the sentinel
+   lane sees. *)
+let sentinel_dep ~corrupt =
+  let compiled = Lazy.force sentinel_compiled in
+  let keyset = Compiler.clear_keyset compiled in
+  let corrupted ~req_seed ~attempt:_ =
+    let config = Fault.default_config ~seed:req_seed (Some Fault.Silent_corruption) in
+    fst (Fault.wrap config (Compiler.view keyset ~req_seed:0))
+  in
+  {
+    (clean_dep ()) with
+    Service.dep_scales = compiled.Compiler.opts.Compiler.scales;
+    dep_plan = Compiler.plan compiled;
+    dep_sentinel = Some (Chet.Integrity.spec_for micro);
+    dep_backend = (if corrupt then Service.Per_attempt corrupted else Service.Shared keyset);
+  }
+
+let test_integrity_failover ~hedge_delay_s () =
+  let name = if hedge_delay_s > 0.0 then "igh" else "igu" in
+  let front = Wire.Unix_sock (sock_path (name ^ "-front")) in
+  let shard_addr i = Wire.Unix_sock (sock_path (Printf.sprintf "%s-sh%d" name i)) in
+  (* shard 1 corrupts every answer, and its selftest probe fails *)
+  let dep shard = sentinel_dep ~corrupt:(shard = 1) in
+  let selftest shard () = if shard = 1 then Error "Integrity_violation" else Ok 40.0 in
+  let cfg = { (sup_cfg ~front ~shard_addr) with Supervisor.sup_hedge_delay_s = hedge_delay_s } in
+  let sup = Supervisor.start ~spawn:(fake_spawn ~dep ~selftest (ref [])) cfg in
+  Fun.protect
+    ~finally:(fun () -> Supervisor.stop sup)
+    (fun () ->
+      Alcotest.(check bool) "both shards up" true (Supervisor.await_ready sup ~timeout_s:15.0 ());
+      (* no client retries: the failover is the supervisor's *)
+      let cl = quick_client ~retries:0 front in
+      for i = 1 to 8 do
+        let rsp = request_ok "verified request" cl (sample_request ~id:(200 + i) ()) in
+        Alcotest.(check int) (Printf.sprintf "request %d answered by shard 0" i) 0 rsp.Serial.rs_shard
+      done;
+      Alcotest.(check bool) "shard 1 quarantined and restarted" true
+        (wait_until ~timeout_s:10.0 (fun () -> restarted front 1));
+      let m = Supervisor.metrics_snapshot sup in
+      Alcotest.(check bool) "integrity failure counted" true
+        (metric_value m "chet_integrity_failures_total" >= 1.0);
+      Alcotest.(check bool) "quarantine counted" true
+        (metric_value m "chet_shard_quarantines_total" >= 1.0);
+      if hedge_delay_s <= 0.0 then
+        Alcotest.(check (float 0.0)) "no hedge without a delay" 0.0
+          (metric_value m "chet_sup_hedges_total"))
+
 (* --- (f) the front door shares the shard's transport ---------------- *)
 
 (* The front door's limits are the shard's defaults: no config field sets
@@ -677,6 +834,16 @@ let suite =
           test_hedged_requests_cut_tail_latency;
         Alcotest.test_case "inflight cap holds under concurrent REQ1s" `Quick
           test_inflight_cap_concurrent;
+        Alcotest.test_case "connect: full unix backlog gives up at the deadline" `Quick
+          (test_connect_full_backlog (Wire.Unix_sock (sock_path "fb")));
+        Alcotest.test_case "connect: full tcp backlog gives up at the deadline" `Quick
+          (test_connect_full_backlog (Wire.Tcp ("127.0.0.1", 0)));
+        Alcotest.test_case "supervisor: hung shard SIGKILLed and respawned" `Quick
+          test_supervisor_kills_hung_shard;
+        Alcotest.test_case "supervisor: sentinel-rejected answers fail over (unhedged)" `Quick
+          (test_integrity_failover ~hedge_delay_s:0.0);
+        Alcotest.test_case "supervisor: sentinel-rejected answers fail over (hedged)" `Quick
+          (test_integrity_failover ~hedge_delay_s:0.05);
         Alcotest.test_case "front door: stalled frame gets typed Deadline_exceeded" `Slow
           test_front_stalled_frame;
         Alcotest.test_case "front door: truncated frame gets typed Corrupt_frame" `Quick
