@@ -392,7 +392,7 @@ let profile_backend timer backend ~reps =
        if d > 1 then begin
          let m' = H.rescale m d in
          a := m';
-         b := H.copy m'
+         b := m'
        end
        else continue := false
      done

@@ -19,6 +19,7 @@ module Models = Chet_nn.Models
 module Reference = Chet_nn.Reference
 module Sim = Chet_hisa.Sim_backend
 module Hisa = Chet_hisa.Hisa
+module Herr = Chet_hisa.Herr
 module T = Chet_tensor.Tensor
 
 let () =
@@ -59,4 +60,5 @@ let () =
   (try
      ignore (S.decrypt ct);
      print_endline "BUG: server decrypted!"
-   with Failure msg -> Printf.printf "server decrypt attempt: refused (%s)\n" msg)
+   with Herr.Fhe_error (Herr.Invalid_op { reason }, _) ->
+     Printf.printf "server decrypt attempt: refused (%s)\n" reason)

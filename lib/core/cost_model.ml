@@ -54,11 +54,11 @@ type scheme = [ `Seal | `Heaan ]
 type op_class = Add | Scalar_mul | Plain_mul | Cipher_mul | Rotate | Rot_hoisted | Rescale
 
 let class_of_op = function
-  | "add" | "sub" | "add_plain" | "sub_plain" | "add_scalar" | "sub_scalar" -> Some Add
+  | "add" | "add_plain" | "add_scalar" -> Some Add
   | "mul_scalar" | "fma_scalar" -> Some Scalar_mul
   | "mul_plain" | "fma_plain" -> Some Plain_mul
   | "mul" -> Some Cipher_mul
-  | "rot_left" | "rot_right" | "fma_rot" -> Some Rotate
+  | "rot_left" | "fma_rot" -> Some Rotate
   | "rot_many" -> Some Rot_hoisted
   | "rescale" -> Some Rescale
   | _ -> None

@@ -53,10 +53,8 @@ val decode : context -> plaintext -> Complexv.t
 val encrypt : context -> Sampling.t -> public_key -> plaintext -> ciphertext
 val decrypt : context -> secret_key -> ciphertext -> plaintext
 val add : context -> ciphertext -> ciphertext -> ciphertext
-val sub : context -> ciphertext -> ciphertext -> ciphertext
 val negate : context -> ciphertext -> ciphertext
 val add_plain : context -> ciphertext -> plaintext -> ciphertext
-val sub_plain : context -> ciphertext -> plaintext -> ciphertext
 val mul : context -> keys -> ciphertext -> ciphertext -> ciphertext
 val mul_plain : context -> ciphertext -> plaintext -> ciphertext
 val mul_scalar : context -> ciphertext -> float -> scale:float -> ciphertext

@@ -246,10 +246,6 @@ let add ctx a b =
   check_binop "add" a b;
   { a with c0 = Rq.add ctx.rq a.c0 b.c0; c1 = Rq.add ctx.rq a.c1 b.c1 }
 
-let sub ctx a b =
-  check_binop "sub" a b;
-  { a with c0 = Rq.sub ctx.rq a.c0 b.c0; c1 = Rq.sub ctx.rq a.c1 b.c1 }
-
 let negate ctx a = { a with c0 = Rq.neg ctx.rq a.c0; c1 = Rq.neg ctx.rq a.c1 }
 
 let check_plain op ct pt =
@@ -261,12 +257,6 @@ let add_plain ctx ct pt =
   if not (scales_compatible ct.scale pt.pt_scale) then
     err ~op:"add_plain" (Herr.Scale_mismatch { expected = ct.scale; got = pt.pt_scale });
   { ct with c0 = Rq.add ctx.rq ct.c0 pt.poly }
-
-let sub_plain ctx ct pt =
-  check_plain "sub_plain" ct pt;
-  if not (scales_compatible ct.scale pt.pt_scale) then
-    err ~op:"sub_plain" (Herr.Scale_mismatch { expected = ct.scale; got = pt.pt_scale });
-  { ct with c0 = Rq.sub ctx.rq ct.c0 pt.poly }
 
 let mul_plain ctx ct pt =
   check_plain "mul_plain" ct pt;

@@ -85,10 +85,8 @@ val encrypt : context -> Sampling.t -> public_key -> plaintext -> ciphertext
 val decrypt : context -> secret_key -> ciphertext -> plaintext
 
 val add : context -> ciphertext -> ciphertext -> ciphertext
-val sub : context -> ciphertext -> ciphertext -> ciphertext
 val negate : context -> ciphertext -> ciphertext
 val add_plain : context -> ciphertext -> plaintext -> ciphertext
-val sub_plain : context -> ciphertext -> plaintext -> ciphertext
 
 val mul : context -> keys -> ciphertext -> ciphertext -> ciphertext
 (** Ciphertext–ciphertext product, relinearised. Scales multiply. *)

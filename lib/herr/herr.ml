@@ -39,8 +39,8 @@ type error =
       (** A NaN/Inf (or otherwise non-encodable value) appeared in plaintext
           data entering or leaving the scheme. *)
   | Corrupt_ciphertext of { reason : string }
-      (** A ciphertext failed an integrity check: use-after-free, decode
-          values outside any plausible message magnitude, checksum failure. *)
+      (** A ciphertext failed an integrity check: decode values outside any
+          plausible message magnitude, checksum failure. *)
   | Shape_mismatch of { expected : string; got : string }
       (** Tensor/layout geometry disagreement in the runtime kernels. *)
   | Missing_node of { node_id : int }

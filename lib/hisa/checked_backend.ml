@@ -4,28 +4,27 @@
    exactly the §5.1 trick of executing the circuit under a different
    interpretation, here used as a runtime monitor instead of an analysis.
 
-   The checker maintains, per ciphertext:
-     - a shadow scale (mirrors the scheme's scale algebra op by op), and
-     - a shadow level (a {!Chet_crypto.Modulus.level}, moved by the same
-       rescale rule the schemes apply),
-   and validates both against what the wrapped backend *reports* after every
-   operation. Divergence means either a violated precondition upstream or a
-   corrupted/faulty backend downstream (see Fault_backend), and raises a
-   typed {!Herr.Fhe_error} instead of computing garbage:
+   The shadow is {!Shape_backend}'s (scale, level) record, moved by Shape's
+   transfer functions — the same scale algebra and rescale rule the other
+   interpretations run — and validated against what the wrapped backend
+   *reports* after every operation. Divergence means either a violated
+   precondition upstream or a corrupted/faulty backend downstream (see
+   Fault_backend), and raises a typed {!Herr.Fhe_error} instead of
+   computing garbage:
 
-     - add/sub (and the plain variants) require compatible operand scales
+     - additions (and the plain variant) require compatible operand scales
        -> [Scale_mismatch];
      - multiplies require modulus headroom                -> [Modulus_exhausted];
      - rescale divisors must be legal for the scheme kind -> [Illegal_rescale]
        (Modulus.rescale's verdict, as on the real schemes),
        and the backend must actually apply them (a dropped rescale is caught
        by the postcondition)                              -> [Illegal_rescale];
-     - levels must evolve exactly as the scheme dictates  -> [Level_mismatch];
+     - scales and levels must evolve exactly as the shadow's
+                                           -> [Scale_mismatch], [Level_mismatch];
      - rotations must stay inside the SIMD width          -> [Slot_overflow];
      - NaN/Inf may neither enter (encode) nor leave (decode) the scheme
                                                           -> [Numeric_blowup];
-     - decoded magnitudes beyond any plausible message, and any use of a
-       freed handle                                       -> [Corrupt_ciphertext].
+     - decoded magnitudes beyond any plausible message    -> [Corrupt_ciphertext].
 
    This is the moral equivalent of SEAL's transparent-ciphertext guards and
    Intel HEXL's precondition-checking debug builds: a deployment can run the
@@ -54,6 +53,7 @@ let default_noise_model ?(tolerance = 0.05) () =
   { nm_fresh = 1e-5; nm_encode = 1e-6; nm_rot = 1e-6; nm_tolerance = tolerance }
 
 module Modulus = Hisa.Modulus
+module Shape = Shape_backend
 
 (* largest plausible decoded magnitude *)
 let value_bound = 1e30
@@ -73,15 +73,10 @@ let wrap ?noise:nm ?margin ~scheme (backend : Hisa.t) : Hisa.t =
 
     type ct = {
       bc : B.ct;
-      cid : int;
-      mutable freed : bool;
-      mutable sscale : float;  (** shadow scale *)
-      slevel : Modulus.level;  (** shadow level *)
-      mutable serr : float;  (** noise guard: message-space error bound *)
-      mutable smag : float;  (** noise guard: message magnitude bound *)
+      sh : Shape.ct;  (** shadow scale and level *)
+      serr : float;  (** noise guard: message-space error bound *)
+      smag : float;  (** noise guard: message magnitude bound *)
     }
-
-    let next_id = ref 0
 
     let backend = "checked"
     let err ~op e = Herr.raise_err ~backend ~op e
@@ -110,37 +105,29 @@ let wrap ?noise:nm ?margin ~scheme (backend : Hisa.t) : Hisa.t =
     let close a b =
       Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
 
-    let live ~op c =
-      if c.freed then
-        err ~op (Herr.Corrupt_ciphertext { reason = Printf.sprintf "use of freed ciphertext #%d" c.cid })
+    (* Validate that the backend's report on [bc] agrees with the shadow
+       [sh]. Runs both as an operand precondition (catches in-place
+       corruption) and as the postcondition on every fresh result. *)
+    let agree ~op bc (sh : Shape.ct) =
+      let rs = B.scale_of bc in
+      if not (close rs sh.scale) then err ~op (Herr.Scale_mismatch { expected = sh.scale; got = rs });
+      let rl = level_of bc in
+      if rl <> sh.level then
+        err ~op (Herr.Level_mismatch { expected = Modulus.count sh.level; got = Modulus.count rl })
 
-    (* Validate that the backend's report agrees with the shadow. Runs both
-       as an operand precondition (catches in-place corruption) and as the
-       postcondition on every fresh result. *)
-    let observe ~op c =
-      live ~op c;
-      let rs = B.scale_of c.bc in
-      if not (close rs c.sscale) then err ~op (Herr.Scale_mismatch { expected = c.sscale; got = rs });
-      let rl = level_of c.bc in
-      if rl <> c.slevel then
-        err ~op (Herr.Level_mismatch { expected = Modulus.count c.slevel; got = Modulus.count rl })
+    let observe ~op c = agree ~op c.bc c.sh
 
-    (* Build a checked handle for a fresh backend result whose shadow values
-       are [sscale]/[slevel]; verifies the postcondition, then adopts the
-       backend's exact float scale so drift never accumulates. The noise
-       guard fires here: the bound is monotone, so the first op to push it
-       past tolerance is the one named in the error. *)
-    let mk ~op bc ~sscale ~slevel ~serr ~smag =
+    (* Build a checked handle for a fresh backend result whose shadow is
+       [sh]; verifies the postcondition, then adopts the backend's exact
+       float scale so drift never accumulates. The noise guard fires here:
+       the bound is monotone, so the first op to push it past tolerance is
+       the one named in the error. *)
+    let mk ~op bc sh ~serr ~smag =
       guard ~op serr;
-      incr next_id;
-      let c = { bc; cid = !next_id; freed = false; sscale; slevel; serr; smag } in
-      observe ~op c;
-      c.sscale <- B.scale_of bc;
-      c
+      agree ~op bc sh;
+      { bc; sh = { sh with scale = B.scale_of bc }; serr; smag }
 
-    let depth ~op c =
-      let l = Modulus.count c.slevel in
-      if l < 1 then err ~op (Herr.Modulus_exhausted { level = l; requested = 1 })
+    let depth ~op c = Shape.check_depth ~backend ~op c.sh
 
     let screen ~op v =
       Array.iteri
@@ -185,7 +172,8 @@ let wrap ?noise:nm ?margin ~scheme (backend : Hisa.t) : Hisa.t =
     let encrypt p =
       let bc = B.encrypt p.bp in
       (* fresh ciphertexts anchor the shadow level at the backend's report *)
-      mk ~op:"encrypt" bc ~sscale:p.pscale ~slevel:(level_of bc)
+      mk ~op:"encrypt" bc
+        { Shape.scale = p.pscale; level = level_of bc }
         ~serr:(nmv (fun m -> m.nm_fresh +. m.nm_encode))
         ~smag:p.pmax
 
@@ -195,76 +183,49 @@ let wrap ?noise:nm ?margin ~scheme (backend : Hisa.t) : Hisa.t =
          plaintext under this ciphertext is already garbage *)
       guard ~op:"decrypt" c.serr;
       gauge c.serr;
-      { bp = B.decrypt c.bc; pscale = c.sscale; pmax = c.smag }
-
-    let copy c =
-      observe ~op:"copy" c;
-      mk ~op:"copy" (B.copy c.bc) ~sscale:c.sscale ~slevel:c.slevel ~serr:c.serr ~smag:c.smag
-
-    let free c =
-      live ~op:"free" c;
-      c.freed <- true;
-      B.free c.bc
+      { bp = B.decrypt c.bc; pscale = c.sh.scale; pmax = c.smag }
 
     (* --- rotations ---------------------------------------------------- *)
 
-    let rot ~op f c k =
-      observe ~op c;
-      if k >= slots || k <= -slots then err ~op (Herr.Slot_overflow { slots; requested = k });
-      mk ~op (f c.bc k) ~sscale:c.sscale ~slevel:c.slevel
-        ~serr:(c.serr +. nmv (fun m -> m.nm_rot))
-        ~smag:c.smag
+    let check_amount ~op k =
+      if k >= slots || k <= -slots then err ~op (Herr.Slot_overflow { slots; requested = k })
 
-    let rot_left c k = rot ~op:"rot_left" B.rot_left c k
-    let rot_right c k = rot ~op:"rot_right" B.rot_right c k
+    let rotated ~op c bc = mk ~op bc c.sh ~serr:(c.serr +. nmv (fun m -> m.nm_rot)) ~smag:c.smag
+
+    let rot_left c k =
+      let op = "rot_left" in
+      observe ~op c;
+      check_amount ~op k;
+      rotated ~op c (B.rot_left c.bc k)
 
     let rot_many c ks =
       let op = "rot_many" in
       observe ~op c;
-      Array.iter
-        (fun k ->
-          if k >= slots || k <= -slots then err ~op (Herr.Slot_overflow { slots; requested = k }))
-        ks;
-      Array.map
-        (fun bc ->
-          mk ~op bc ~sscale:c.sscale ~slevel:c.slevel
-            ~serr:(c.serr +. nmv (fun m -> m.nm_rot))
-            ~smag:c.smag)
-        (B.rot_many c.bc ks)
+      Array.iter (check_amount ~op) ks;
+      Array.map (rotated ~op c) (B.rot_many c.bc ks)
 
     (* --- additive ops ------------------------------------------------- *)
 
-    let binop ~op f a b =
+    let add a b =
+      let op = "add" in
       observe ~op a;
       observe ~op b;
-      if not (Herr.scales_compatible a.sscale b.sscale) then
-        err ~op (Herr.Scale_mismatch { expected = a.sscale; got = b.sscale });
-      mk ~op (f a.bc b.bc) ~sscale:a.sscale ~slevel:(Modulus.meet ~backend ~op a.slevel b.slevel)
-        ~serr:(a.serr +. b.serr)
-        ~smag:(a.smag +. b.smag)
+      let sh = Shape.add ~backend ~op a.sh b.sh in
+      mk ~op (B.add a.bc b.bc) sh ~serr:(a.serr +. b.serr) ~smag:(a.smag +. b.smag)
 
-    let add a b = binop ~op:"add" B.add a b
-    let sub a b = binop ~op:"sub" B.sub a b
-
-    let plain_add ~op f c p =
+    let add_plain c p =
+      let op = "add_plain" in
       observe ~op c;
-      if not (Herr.scales_compatible c.sscale p.pscale) then
-        err ~op (Herr.Scale_mismatch { expected = c.sscale; got = p.pscale });
-      mk ~op (f c.bc p.bp) ~sscale:c.sscale ~slevel:c.slevel
+      let sh = Shape.add_plain ~backend ~op c.sh p.pscale in
+      mk ~op (B.add_plain c.bc p.bp) sh
         ~serr:(c.serr +. nmv (fun m -> m.nm_encode))
         ~smag:(c.smag +. p.pmax)
 
-    let add_plain c p = plain_add ~op:"add_plain" B.add_plain c p
-    let sub_plain c p = plain_add ~op:"sub_plain" B.sub_plain c p
-
-    let scalar ~op f c x =
+    let add_scalar c x =
+      let op = "add_scalar" in
       observe ~op c;
       screen_scalar ~op x;
-      mk ~op (f c.bc x) ~sscale:c.sscale ~slevel:c.slevel ~serr:c.serr
-        ~smag:(c.smag +. Float.abs x)
-
-    let add_scalar c x = scalar ~op:"add_scalar" B.add_scalar c x
-    let sub_scalar c x = scalar ~op:"sub_scalar" B.sub_scalar c x
+      mk ~op (B.add_scalar c.bc x) c.sh ~serr:c.serr ~smag:(c.smag +. Float.abs x)
 
     (* --- multiplicative ops ------------------------------------------- *)
 
@@ -273,17 +234,17 @@ let wrap ?noise:nm ?margin ~scheme (backend : Hisa.t) : Hisa.t =
       observe ~op:"mul" b;
       depth ~op:"mul" a;
       depth ~op:"mul" b;
+      let sh = Shape.mul ~backend a.sh b.sh in
       (* cross-term error growth: |(a+ea)(b+eb) - ab| <= ea|b| + eb|a| + ea·eb,
          plus the relinearization rounding term *)
-      mk ~op:"mul" (B.mul a.bc b.bc) ~sscale:(a.sscale *. b.sscale)
-        ~slevel:(Modulus.meet ~backend ~op:"mul" a.slevel b.slevel)
+      mk ~op:"mul" (B.mul a.bc b.bc) sh
         ~serr:((a.serr *. b.smag) +. (b.serr *. a.smag) +. (a.serr *. b.serr) +. nmv (fun m -> m.nm_rot))
         ~smag:(a.smag *. b.smag)
 
     let mul_plain c p =
       observe ~op:"mul_plain" c;
       depth ~op:"mul_plain" c;
-      mk ~op:"mul_plain" (B.mul_plain c.bc p.bp) ~sscale:(c.sscale *. p.pscale) ~slevel:c.slevel
+      mk ~op:"mul_plain" (B.mul_plain c.bc p.bp) (Shape.mul_plain c.sh p.pscale)
         ~serr:((c.serr *. p.pmax) +. (c.smag *. nmv (fun m -> m.nm_encode)))
         ~smag:(c.smag *. p.pmax)
 
@@ -294,8 +255,7 @@ let wrap ?noise:nm ?margin ~scheme (backend : Hisa.t) : Hisa.t =
       (* the scalar is quantized to the 1/scale grid before multiplying *)
       mk ~op:"mul_scalar"
         (B.mul_scalar c.bc x ~scale)
-        ~sscale:(c.sscale *. float_of_int scale)
-        ~slevel:c.slevel
+        (Shape.mul_scalar c.sh ~scale)
         ~serr:((c.serr *. Float.abs x) +. (c.smag /. float_of_int scale))
         ~smag:(c.smag *. Float.abs x)
 
@@ -303,40 +263,32 @@ let wrap ?noise:nm ?margin ~scheme (backend : Hisa.t) : Hisa.t =
 
     let rescale c x =
       observe ~op:"rescale" c;
-      let slevel' = Modulus.rescale ~backend scheme c.slevel x in
+      let sh = Shape.rescale ~backend scheme c.sh x in
       if x = 1 then c
       else begin
         let bc = B.rescale c.bc x in
         (* postcondition: the backend must actually have divided the scale —
            a dropped rescale otherwise silently desynchronises every
            downstream scale *)
-        let expected = c.sscale /. float_of_int x in
         let rs = B.scale_of bc in
-        if not (close rs expected) then
+        if not (close rs sh.scale) then
           err ~op:"rescale"
             (Herr.Illegal_rescale
                {
                  divisor = x;
                  reason =
                    Printf.sprintf "backend did not apply the divisor: scale %.6g where %.6g expected (dropped rescale?)"
-                     rs expected;
+                     rs sh.scale;
                });
-        mk ~op:"rescale" bc ~sscale:expected ~slevel:slevel'
-          ~serr:(c.serr +. nmv (fun m -> m.nm_rot))
-          ~smag:c.smag
+        mk ~op:"rescale" bc sh ~serr:(c.serr +. nmv (fun m -> m.nm_rot)) ~smag:c.smag
       end
 
     let max_rescale c ub =
       observe ~op:"max_rescale" c;
       B.max_rescale c.bc ub
 
-    let scale_of c =
-      live ~op:"scale_of" c;
-      B.scale_of c.bc
-
-    let env_of c =
-      live ~op:"env_of" c;
-      B.env_of c.bc
+    let scale_of c = B.scale_of c.bc
+    let env_of c = B.env_of c.bc
   end in
   (module struct
     include Hisa.Fused_default (U)

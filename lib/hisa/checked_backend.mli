@@ -1,7 +1,8 @@
 (** Precondition/postcondition-validating HISA interceptor: wrap any
-    backend and every op is checked against a shadow data-flow computation
-    of what the scale and modulus level must be — §5.1's
-    different-interpretation trick used as a runtime monitor. Divergence
+    backend and every op is checked against a shadow of what the scale and
+    modulus level must be — {!Shape_backend}'s record, moved by Shape's
+    transfer functions: §5.1's different-interpretation trick used as a
+    runtime monitor. Divergence
     (violated precondition upstream, corrupted backend downstream) raises a
     typed {!Chet_herr.Herr.Fhe_error} instead of computing garbage.
 

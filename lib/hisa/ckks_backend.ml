@@ -24,10 +24,8 @@ module type SCHEME = sig
   val encrypt : context -> Chet_crypto.Sampling.t -> keys -> plaintext -> ciphertext
   val decrypt : context -> secret_key -> ciphertext -> plaintext
   val add : context -> ciphertext -> ciphertext -> ciphertext
-  val sub : context -> ciphertext -> ciphertext -> ciphertext
   val mul : context -> keys -> ciphertext -> ciphertext -> ciphertext
   val add_plain : context -> ciphertext -> plaintext -> ciphertext
-  val sub_plain : context -> ciphertext -> plaintext -> ciphertext
   val mul_plain : context -> ciphertext -> plaintext -> ciphertext
   val add_scalar : context -> ciphertext -> float -> ciphertext
   val mul_scalar : context -> ciphertext -> float -> scale:float -> ciphertext
@@ -89,10 +87,7 @@ module Make (S : SCHEME) = struct
             let z = S.decode cfg.ctx (S.decrypt cfg.ctx sk ct) in
             { values = z.Complexv.re; pscale = S.scale_of ct; cache = [] }
 
-      let copy ct = ct (* ciphertexts are immutable in this implementation *)
-      let free _ = ()
       let rot_left ct k = S.rotate cfg.ctx cfg.keys ct k
-      let rot_right ct k = S.rotate cfg.ctx cfg.keys ct (-k)
 
       (* binary ops modulus-switch the fresher operand down, as the scheme's
          user code must do by hand *)
@@ -104,19 +99,13 @@ module Make (S : SCHEME) = struct
         let a, b = handle_match a b in
         S.add cfg.ctx a b
 
-      let sub a b =
-        let a, b = handle_match a b in
-        S.sub cfg.ctx a b
-
       let mul a b =
         let a, b = handle_match a b in
         S.mul cfg.ctx cfg.keys a b
 
       let add_plain c p = S.add_plain cfg.ctx c (encoded p ~handle:(S.handle_of c))
-      let sub_plain c p = S.sub_plain cfg.ctx c (encoded p ~handle:(S.handle_of c))
       let mul_plain c p = S.mul_plain cfg.ctx c (encoded p ~handle:(S.handle_of c))
       let add_scalar c x = S.add_scalar cfg.ctx c x
-      let sub_scalar c x = S.add_scalar cfg.ctx c (-.x)
       let mul_scalar c x ~scale = S.mul_scalar cfg.ctx c x ~scale:(float_of_int scale)
 
       let rescale c x = S.rescale cfg.ctx c x

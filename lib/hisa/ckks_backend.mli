@@ -34,10 +34,8 @@ module type SCHEME = sig
   val encrypt : context -> Chet_crypto.Sampling.t -> keys -> plaintext -> ciphertext
   val decrypt : context -> secret_key -> ciphertext -> plaintext
   val add : context -> ciphertext -> ciphertext -> ciphertext
-  val sub : context -> ciphertext -> ciphertext -> ciphertext
   val mul : context -> keys -> ciphertext -> ciphertext -> ciphertext
   val add_plain : context -> ciphertext -> plaintext -> ciphertext
-  val sub_plain : context -> ciphertext -> plaintext -> ciphertext
   val mul_plain : context -> ciphertext -> plaintext -> ciphertext
   val add_scalar : context -> ciphertext -> float -> ciphertext
   val mul_scalar : context -> ciphertext -> float -> scale:float -> ciphertext

@@ -3,11 +3,14 @@
    target scheme. This is both the reference inference engine and the
    execution vehicle for CHET's data-flow analyses.
 
-   What is its own: the slot values, fixed-point quantisation, the optional
-   encoding noise and the strict capacity check. The modulus level and the
-   rescale rule are {!Chet_crypto.Modulus}'s, as in the schemes. *)
+   A ciphertext is its slot values plus {!Shape_backend}'s (scale, level)
+   record, moved by Shape's transfer functions: the scale algebra and the
+   rescale rule are not written here. What is its own: the slot values,
+   fixed-point quantisation, the optional encoding noise and the strict
+   depth and capacity checks. *)
 
 module Modulus = Hisa.Modulus
+module Shape = Shape_backend
 
 type config = {
   slots : int;
@@ -25,14 +28,13 @@ type config = {
 }
 
 let backend = "clear"
-let err ~op e = Herr.raise_err ~backend ~op e
 
 let make (cfg : config) : Hisa.t =
   (module struct
     let slots = cfg.slots
 
     type pt = { pv : float array; pscale : float }
-    type ct = { v : float array; scale : float; level : Modulus.level }
+    type ct = { v : float array; sh : Shape.ct }
 
     let fit values =
       let v = Array.make cfg.slots 0.0 in
@@ -62,58 +64,21 @@ let make (cfg : config) : Hisa.t =
       end;
       { pv; pscale = s }
     let decode pt = Array.copy pt.pv
-    let encrypt pt = { v = Array.copy pt.pv; scale = pt.pscale; level = Modulus.fresh cfg.scheme }
-    let decrypt ct = { pv = Array.copy ct.v; pscale = ct.scale }
-    let copy ct = { ct with v = Array.copy ct.v }
-    let free _ = ()
+    let encrypt pt = { v = Array.copy pt.pv; sh = Shape.fresh cfg.scheme ~scale:pt.pscale }
+    let decrypt ct = { pv = Array.copy ct.v; pscale = ct.sh.scale }
 
     let rot_left ct k =
       let n = cfg.slots in
       let k = ((k mod n) + n) mod n in
       { ct with v = Array.init n (fun i -> ct.v.((i + k) mod n)) }
 
-    let rot_right ct k = rot_left ct (-k)
-
-    (* kernels equalise scales only approximately (integer mask factors, RNS
-       rescaling drift); [Herr.scale_tolerance] relative slack admits value
-       error well below the scheme noise floor *)
-    let scales_compatible = Herr.scales_compatible
-
-    (* binary ops silently modulus-switch to the lower operand, as the real
-       backends do *)
-    let meet = Modulus.meet ~backend
-
-    let check2 op a b =
-      if not (scales_compatible a.scale b.scale) then
-        err ~op (Herr.Scale_mismatch { expected = a.scale; got = b.scale })
-
     let map2 f a b = Array.init cfg.slots (fun i -> f a.(i) b.(i))
-
-    let add a b =
-      check2 "add" a b;
-      { a with v = map2 ( +. ) a.v b.v; level = meet ~op:"add" a.level b.level }
-
-    let sub a b =
-      check2 "sub" a b;
-      { a with v = map2 ( -. ) a.v b.v; level = meet ~op:"sub" a.level b.level }
+    let add a b = { v = map2 ( +. ) a.v b.v; sh = Shape.add ~backend ~op:"add" a.sh b.sh }
 
     let add_plain c p =
-      if not (scales_compatible c.scale p.pscale) then
-        err ~op:"add_plain" (Herr.Scale_mismatch { expected = c.scale; got = p.pscale });
-      { c with v = map2 ( +. ) c.v p.pv }
-
-    let sub_plain c p =
-      if not (scales_compatible c.scale p.pscale) then
-        err ~op:"sub_plain" (Herr.Scale_mismatch { expected = c.scale; got = p.pscale });
-      { c with v = map2 ( -. ) c.v p.pv }
+      { v = map2 ( +. ) c.v p.pv; sh = Shape.add_plain ~backend ~op:"add_plain" c.sh p.pscale }
 
     let add_scalar c x = { c with v = Array.map (fun a -> a +. x) c.v }
-    let sub_scalar c x = add_scalar c (-.x)
-
-    let check_depth ~op c =
-      let l = Modulus.count c.level in
-      if cfg.strict_modulus && l < 1 then err ~op (Herr.Modulus_exhausted { level = l; requested = 1 })
-
     let log2f x = log x /. log 2.0
 
     (* Bits of virtual modulus left at this level. *)
@@ -127,40 +92,40 @@ let make (cfg : config) : Hisa.t =
           !b
       | _, level -> float_of_int (Modulus.count level)
 
-    (* §5.2's actual modulus constraint, enforced in strict mode: the scale
-       (the fixed-point magnitude of the message) must stay below the
-       remaining modulus, or the message wraps. Rescaling never descends
-       below the last prime (as in the real schemes), so on a too-small
-       pinned chain a multiplication backlog genuinely exhausts the modulus
-       here — the failure mode the scale search must degrade around. *)
-    let check_capacity ~op level result_scale =
+    (* The strict multiply checks on [x], the operand being multiplied, and
+       [product], Shape's record for the result: a level to spend, and
+       §5.2's actual modulus constraint — the scale (the fixed-point
+       magnitude of the message) must stay below the remaining modulus, or
+       the message wraps. Rescaling never descends below the last prime (as
+       in the real schemes), so on a too-small pinned chain a multiplication
+       backlog genuinely exhausts the modulus here — the failure mode the
+       scale search must degrade around. *)
+    let strict ~op x product =
       if cfg.strict_modulus then begin
-        let cap = capacity_bits level in
-        let need = log2f result_scale in
+        Shape.check_depth ~backend ~op x;
+        let cap = capacity_bits product.Shape.level in
+        let need = log2f product.Shape.scale in
         if need > cap then
-          err ~op
+          Herr.raise_err ~backend ~op
             (Herr.Modulus_exhausted
                { level = int_of_float cap; requested = int_of_float (Float.ceil need) })
-      end
+      end;
+      product
 
-    let mul a b =
-      check_depth ~op:"mul" a;
-      let level = meet ~op:"mul" a.level b.level in
-      check_capacity ~op:"mul" level (a.scale *. b.scale);
-      { v = map2 ( *. ) a.v b.v; scale = a.scale *. b.scale; level }
+    let mul a b = { v = map2 ( *. ) a.v b.v; sh = strict ~op:"mul" a.sh (Shape.mul ~backend a.sh b.sh) }
 
     let mul_plain c p =
-      check_depth ~op:"mul_plain" c;
-      check_capacity ~op:"mul_plain" c.level (c.scale *. p.pscale);
-      { c with v = map2 ( *. ) c.v p.pv; scale = c.scale *. p.pscale }
+      let sh = strict ~op:"mul_plain" c.sh (Shape.mul_plain c.sh p.pscale) in
+      { v = map2 ( *. ) c.v p.pv; sh }
+
+    (* the runtime multiplies by the *rounded* integer, so the reference
+       must quantise identically for bit-faithful comparison *)
+    let quantise w ~scale = Float.round (w *. float_of_int scale) /. float_of_int scale
 
     let mul_scalar c x ~scale =
-      check_depth ~op:"mul_scalar" c;
-      check_capacity ~op:"mul_scalar" c.level (c.scale *. float_of_int scale);
-      (* the runtime multiplies by the *rounded* integer, so the reference
-         must quantise identically for bit-faithful comparison *)
-      let quantised = Float.round (x *. float_of_int scale) /. float_of_int scale in
-      { c with v = Array.map (fun a -> a *. quantised) c.v; scale = c.scale *. float_of_int scale }
+      let sh = strict ~op:"mul_scalar" c.sh (Shape.mul_scalar c.sh ~scale) in
+      let q = quantise x ~scale in
+      { v = Array.map (fun a -> a *. q) c.v; sh }
 
     (* Fused accumulate ops: one result array per op instead of two
        (intermediate + sum). The per-slot expression is exactly the
@@ -168,47 +133,25 @@ let make (cfg : config) : Hisa.t =
        quantisation — so outputs stay bit-identical to the unfused ops;
        checks replicate the composition's in order. *)
     let fma_scalar acc x w ~scale =
-      check_depth ~op:"fma_scalar" x;
-      check_capacity ~op:"fma_scalar" x.level (x.scale *. float_of_int scale);
-      let product_scale = x.scale *. float_of_int scale in
-      if not (scales_compatible acc.scale product_scale) then
-        err ~op:"fma_scalar" (Herr.Scale_mismatch { expected = acc.scale; got = product_scale });
-      let quantised = Float.round (w *. float_of_int scale) /. float_of_int scale in
-      {
-        v = Array.init cfg.slots (fun i -> acc.v.(i) +. (x.v.(i) *. quantised));
-        scale = acc.scale;
-        level = meet ~op:"fma_scalar" acc.level x.level;
-      }
+      let op = "fma_scalar" in
+      let sh = Shape.add ~backend ~op acc.sh (strict ~op x.sh (Shape.mul_scalar x.sh ~scale)) in
+      let q = quantise w ~scale in
+      { v = Array.init cfg.slots (fun i -> acc.v.(i) +. (x.v.(i) *. q)); sh }
 
     let fma_plain acc x p =
-      check_depth ~op:"fma_plain" x;
-      check_capacity ~op:"fma_plain" x.level (x.scale *. p.pscale);
-      let product_scale = x.scale *. p.pscale in
-      if not (scales_compatible acc.scale product_scale) then
-        err ~op:"fma_plain" (Herr.Scale_mismatch { expected = acc.scale; got = product_scale });
-      {
-        v = Array.init cfg.slots (fun i -> acc.v.(i) +. (x.v.(i) *. p.pv.(i)));
-        scale = acc.scale;
-        level = meet ~op:"fma_plain" acc.level x.level;
-      }
+      let op = "fma_plain" in
+      let sh = Shape.add ~backend ~op acc.sh (strict ~op x.sh (Shape.mul_plain x.sh p.pscale)) in
+      { v = Array.init cfg.slots (fun i -> acc.v.(i) +. (x.v.(i) *. p.pv.(i))); sh }
 
     let fma_rot acc x r =
-      check2 "fma_rot" acc x;
+      let sh = Shape.add ~backend ~op:"fma_rot" acc.sh x.sh in
       let n = cfg.slots in
       let k = ((r mod n) + n) mod n in
-      {
-        acc with
-        v = Array.init n (fun i -> acc.v.(i) +. x.v.((i + k) mod n));
-        level = meet ~op:"fma_rot" acc.level x.level;
-      }
+      { v = Array.init n (fun i -> acc.v.(i) +. x.v.((i + k) mod n)); sh }
 
     let rot_many ct ks = Array.map (rot_left ct) ks
-
-    let max_rescale ct ub = Modulus.max_rescale cfg.scheme ct.level ub
-
-    let rescale ct x =
-      { ct with scale = ct.scale /. float_of_int x; level = Modulus.rescale ~backend cfg.scheme ct.level x }
-
-    let scale_of ct = ct.scale
-    let env_of ct = Hisa.env_at ~n:(2 * cfg.slots) ct.level
+    let max_rescale ct ub = Shape.max_rescale cfg.scheme ct.sh ub
+    let rescale ct x = { ct with sh = Shape.rescale ~backend cfg.scheme ct.sh x }
+    let scale_of ct = ct.sh.scale
+    let env_of ct = Shape.env_of ~slots ct.sh
   end)

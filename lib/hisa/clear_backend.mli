@@ -1,9 +1,9 @@
 (** Unencrypted HISA backend: computes on cleartext float vectors while
     tracking scales and virtual modulus consumption with the target scheme's
-    semantics — its level and rescale rule are {!Chet_crypto.Modulus}'s, as
-    in the real schemes and {!Shape_backend}. It is the reference inference
-    engine and the vehicle for the profile-guided scale search (with
-    [encode_noise] on). *)
+    semantics — a ciphertext is its slot values plus {!Shape_backend}'s
+    (scale, level) record, moved by Shape's transfer functions. It is the
+    reference inference engine and the vehicle for the profile-guided scale
+    search (with [encode_noise] on). *)
 
 type config = {
   slots : int;

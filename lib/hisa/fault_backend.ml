@@ -143,8 +143,6 @@ let wrap (cfg : config) (backend : Hisa.t) : Hisa.t * injection_log =
 
       let encrypt p = mk ~op:(count "encrypt") (B.encrypt p)
       let decrypt c = B.decrypt c.bc
-      let copy c = { c with bc = B.copy c.bc }
-      let free c = B.free c.bc
 
       (* Fresh results of arithmetic and rotations are fair game for
          fresh-ct lies, and additionally inherit any operand lie so a
@@ -162,14 +160,10 @@ let wrap (cfg : config) (backend : Hisa.t) : Hisa.t * injection_log =
         { m with fscale = m.fscale *. a.fscale; fdrop = Stdlib.max m.fdrop a.fdrop }
 
       let rot_left c k = res1 ~op:(count "rot_left") c (B.rot_left c.bc k)
-      let rot_right c k = res1 ~op:(count "rot_right") c (B.rot_right c.bc k)
 
       let add a b = res2 ~op:(count "add") a b (B.add a.bc b.bc)
-      let sub a b = res2 ~op:(count "sub") a b (B.sub a.bc b.bc)
       let add_plain c p = res1 ~op:(count "add_plain") c (B.add_plain c.bc p)
-      let sub_plain c p = res1 ~op:(count "sub_plain") c (B.sub_plain c.bc p)
       let add_scalar c x = res1 ~op:(count "add_scalar") c (B.add_scalar c.bc x)
-      let sub_scalar c x = res1 ~op:(count "sub_scalar") c (B.sub_scalar c.bc x)
       let mul a b = res2 ~op:(count "mul") a b (B.mul a.bc b.bc)
       let mul_plain c p = res1 ~op:(count "mul_plain") c (B.mul_plain c.bc p)
       let mul_scalar c x ~scale = res1 ~op:(count "mul_scalar") c (B.mul_scalar c.bc x ~scale)
@@ -191,7 +185,7 @@ let wrap (cfg : config) (backend : Hisa.t) : Hisa.t * injection_log =
         let op = count "rescale" in
         if firing Dropped_rescale ~op then
           (* the silent no-op: hand back the undivided ciphertext *)
-          { c with bc = B.copy c.bc }
+          c
         else res1 ~op c (B.rescale c.bc x)
 
       let max_rescale c ub = B.max_rescale c.bc ub

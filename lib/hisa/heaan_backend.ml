@@ -30,10 +30,8 @@ module B = Ckks_backend.Make (struct
   let encrypt ctx rng (keys : C.keys) pt = C.encrypt ctx rng keys.C.public pt
   let decrypt = C.decrypt
   let add = C.add
-  let sub = C.sub
   let mul = C.mul
   let add_plain = C.add_plain
-  let sub_plain = C.sub_plain
   let mul_plain = C.mul_plain
   let add_scalar = C.add_scalar
   let mul_scalar = C.mul_scalar

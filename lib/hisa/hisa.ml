@@ -3,16 +3,22 @@
 
    - Seal_backend  : real RNS-CKKS ("SEAL v3.1")
    - Heaan_backend : real power-of-two CKKS ("HEAAN v1.0")
-   - Clear_backend : unencrypted reference that mimics scale/modulus
-     semantics — CHET's "different interpretation" execution vehicle
-   - Shape_backend : value-free (scale, modulus) facts, the analyses' target
+   - Shape_backend : value-free (scale, modulus) facts, the analyses' target,
+     and the scale algebra the other interpretations share
+   - Clear_backend : unencrypted reference — slot values carrying Shape's
+     record; CHET's "different interpretation" execution vehicle
 
    Further interpretations observe another backend without changing its
    values: they are hooks on {!intercept} (Instrument's op counters,
    Sim_backend's cost clock, Timed_backend's wall-time cells). Checked and
    Fault wrappers replace the ciphertext itself and are written out by hand.
    Backends that do not fuse slot passes take their [fma_*] ops from
-   {!Fused_default}. *)
+   {!Fused_default}.
+
+   Only the ops the runtime calls are carried. Table 2's other ops are
+   expressed through them: a right rotation by [k] is [rot_left] by [-k],
+   and the garbage collector stands in for [copy] and [free] (ciphertexts
+   are immutable values; a plan's arena frees a slot by dropping it). *)
 
 module Modulus = Chet_crypto.Modulus
 
@@ -49,16 +55,10 @@ module type UNFUSED = sig
   val decode : pt -> float array
   val encrypt : pt -> ct
   val decrypt : ct -> pt
-  val copy : ct -> ct
-  val free : ct -> unit
   val rot_left : ct -> int -> ct
-  val rot_right : ct -> int -> ct
   val add : ct -> ct -> ct
   val add_plain : ct -> pt -> ct
   val add_scalar : ct -> float -> ct
-  val sub : ct -> ct -> ct
-  val sub_plain : ct -> pt -> ct
-  val sub_scalar : ct -> float -> ct
   val mul : ct -> ct -> ct
   val mul_plain : ct -> pt -> ct
 
@@ -121,21 +121,17 @@ end
 (* ------------------------------------------------------------------ *)
 
 (** One call of a {!S} op, as an interceptor sees it. Rotations carry their
-    amounts as passed, [Rescale] its divisor. [copy], [free], [max_rescale],
-    [scale_of] and [env_of] are not intercepted. *)
+    amounts as passed, [Rescale] its divisor. [max_rescale], [scale_of] and
+    [env_of] are not intercepted. *)
 type op =
   | Encode
   | Decode
   | Encrypt
   | Decrypt
   | Rot_left of int
-  | Rot_right of int
   | Add
-  | Sub
   | Add_plain
-  | Sub_plain
   | Add_scalar
-  | Sub_scalar
   | Mul
   | Mul_plain
   | Mul_scalar
@@ -152,13 +148,9 @@ let op_name = function
   | Encrypt -> "encrypt"
   | Decrypt -> "decrypt"
   | Rot_left _ -> "rot_left"
-  | Rot_right _ -> "rot_right"
   | Add -> "add"
-  | Sub -> "sub"
   | Add_plain -> "add_plain"
-  | Sub_plain -> "sub_plain"
   | Add_scalar -> "add_scalar"
-  | Sub_scalar -> "sub_scalar"
   | Mul -> "mul"
   | Mul_plain -> "mul_plain"
   | Mul_scalar -> "mul_scalar"
@@ -189,13 +181,9 @@ let intercept (h : hook) (backend : t) : t =
     let encrypt p = h.around Encrypt none (fun () -> B.encrypt p)
     let decrypt c = h.around Decrypt (env1 c) (fun () -> B.decrypt c)
     let rot_left c k = h.around (Rot_left k) (env1 c) (fun () -> B.rot_left c k)
-    let rot_right c k = h.around (Rot_right k) (env1 c) (fun () -> B.rot_right c k)
     let add a b = h.around Add (env2 a b) (fun () -> B.add a b)
-    let sub a b = h.around Sub (env2 a b) (fun () -> B.sub a b)
     let add_plain c p = h.around Add_plain (env1 c) (fun () -> B.add_plain c p)
-    let sub_plain c p = h.around Sub_plain (env1 c) (fun () -> B.sub_plain c p)
     let add_scalar c x = h.around Add_scalar (env1 c) (fun () -> B.add_scalar c x)
-    let sub_scalar c x = h.around Sub_scalar (env1 c) (fun () -> B.sub_scalar c x)
     let mul a b = h.around Mul (env2 a b) (fun () -> B.mul a b)
     let mul_plain c p = h.around Mul_plain (env1 c) (fun () -> B.mul_plain c p)
     let mul_scalar c x ~scale = h.around Mul_scalar (env1 c) (fun () -> B.mul_scalar c x ~scale)

@@ -74,10 +74,9 @@ let wrap (backend : Hisa.t) : Hisa.t * counters =
     | Encrypt -> c.encrypts <- c.encrypts + 1
     | Decrypt -> c.decrypts <- c.decrypts + 1
     | Rot_left k -> record_rotation k
-    | Rot_right k -> record_rotation (-k)
-    | Add | Sub -> c.adds <- c.adds + 1
-    | Add_plain | Sub_plain -> c.plain_adds <- c.plain_adds + 1
-    | Add_scalar | Sub_scalar -> c.scalar_adds <- c.scalar_adds + 1
+    | Add -> c.adds <- c.adds + 1
+    | Add_plain -> c.plain_adds <- c.plain_adds + 1
+    | Add_scalar -> c.scalar_adds <- c.scalar_adds + 1
     | Mul -> c.ct_muls <- c.ct_muls + 1
     | Mul_plain -> c.plain_muls <- c.plain_muls + 1
     | Mul_scalar -> c.scalar_muls <- c.scalar_muls + 1

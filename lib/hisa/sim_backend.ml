@@ -45,9 +45,9 @@ let make_over (inner : Hisa.t) (cfg : config) : Hisa.t * clock =
     in
     match op with
     | Encode | Decode | Encrypt | Decrypt -> ()
-    | Rot_left _ | Rot_right _ -> tick_rotation (env 0)
-    | Add | Sub -> tick c.cm_add (min2 ())
-    | Add_plain | Sub_plain | Add_scalar | Sub_scalar -> tick c.cm_add (env 0)
+    | Rot_left _ -> tick_rotation (env 0)
+    | Add -> tick c.cm_add (min2 ())
+    | Add_plain | Add_scalar -> tick c.cm_add (env 0)
     | Mul -> tick c.cm_cipher_mul (min2 ())
     | Mul_plain -> tick c.cm_plain_mul (env 0)
     | Mul_scalar -> tick c.cm_scalar_mul (env 0)

@@ -13,6 +13,7 @@ module Reference = Chet_nn.Reference
 module Security = Chet_crypto.Security
 module T = Chet_tensor.Tensor
 module Hisa = Chet_hisa.Hisa
+module Herr = Chet_hisa.Herr
 
 let seal_opts = Compiler.default_options ~target:Compiler.Seal ()
 let heaan_opts = Compiler.default_options ~target:Compiler.Heaan ()
@@ -119,6 +120,27 @@ let test_compiled_runs_on_real_heaan () =
   let diff = T.max_abs_diff (T.flatten expected) (T.flatten got) in
   if diff > 0.05 then Alcotest.failf "compiled micro on real HEAAN: diff %.4f" diff
 
+(* A keyset built without the secret key is the server's: its views encrypt
+   but refuse to decrypt, with the typed error, at either target. The ring
+   is shrunk and no rotation keys are made, since nothing is evaluated. *)
+let test_server_keyset_cannot_decrypt () =
+  List.iter
+    (fun opts ->
+      let compiled = Compiler.compile opts micro in
+      let params =
+        match compiled.Compiler.params with
+        | Compiler.Rns_params p -> Compiler.Rns_params { p with n = 64 }
+        | Compiler.Pow2_params p -> Compiler.Pow2_params { p with n = 64 }
+      in
+      let server = { compiled with Compiler.params; rotations = [] } in
+      let ks = Compiler.keyset server ~seed:9 ~with_secret:false () in
+      let module H = (val Compiler.view ks ~req_seed:0) in
+      let ct = H.encrypt (H.encode [| 0.5 |] ~scale:opts.Compiler.scales.Kernels.pc) in
+      match H.decrypt ct with
+      | _ -> Alcotest.fail "a server keyset decrypted"
+      | exception Herr.Fhe_error (Herr.Invalid_op _, _) -> ())
+    [ seal_opts; heaan_opts ]
+
 let test_scale_search () =
   let images = List.init 2 (fun i -> Models.input_for Models.micro ~seed:(50 + i)) in
   let result =
@@ -177,6 +199,7 @@ let suite =
         Alcotest.test_case "compile picks cheapest layout" `Quick test_compile_end_to_end_micro;
         Alcotest.test_case "compiled config runs on real SEAL" `Slow test_compiled_runs_on_real_scheme;
         Alcotest.test_case "compiled config runs on real HEAAN" `Slow test_compiled_runs_on_real_heaan;
+        Alcotest.test_case "server keyset cannot decrypt" `Quick test_server_keyset_cannot_decrypt;
         Alcotest.test_case "profile-guided scale search" `Slow test_scale_search;
         Alcotest.test_case "scale search rejects impossible" `Quick test_scale_search_rejects_impossible;
       ] );

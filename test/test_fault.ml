@@ -184,16 +184,6 @@ let checked_clear () =
   Checked.wrap ~scheme
     (Clear.make { Clear.slots = 16; scheme; strict_modulus = false; encode_noise = false })
 
-let test_checked_use_after_free () =
-  let module H = (val checked_clear () : Hisa.S) in
-  let a = H.encrypt (H.encode [| 1.0 |] ~scale:1024) in
-  H.free a;
-  Alcotest.(check bool) "caught" true
-    (try
-       ignore (H.add a a);
-       false
-     with Herr.Fhe_error (Herr.Corrupt_ciphertext _, _) -> true)
-
 let test_checked_illegal_divisor () =
   let module H = (val checked_clear () : Hisa.S) in
   let a = H.encrypt (H.encode [| 1.0 |] ~scale:(1 lsl 40)) in
@@ -310,7 +300,6 @@ let suite =
           test_silent_corruption_evades_monitors;
         Alcotest.test_case "silent corruption -> Integrity_violation (sentinel)" `Quick
           test_silent_corruption_caught_by_sentinel;
-        Alcotest.test_case "checked: use after free" `Quick test_checked_use_after_free;
         Alcotest.test_case "checked: illegal divisor" `Quick test_checked_illegal_divisor;
         Alcotest.test_case "checked: NaN encode" `Quick test_checked_nan_encode;
         Alcotest.test_case "checked: oversized rotation" `Quick test_checked_oversized_rotation;

@@ -379,7 +379,7 @@ let test_instrument_decode_and_reset () =
   Alcotest.(check int) "decrypt counted" 1 c.Instrument.decrypts;
   ignore (H.rot_left ct 5);
   ignore (H.rot_left ct 2);
-  ignore (H.rot_right ct 1);
+  ignore (H.rot_left ct (-1));
   (* sorted ascending, right-rotation normalised to a left amount *)
   Alcotest.(check (list int)) "distinct rotations sorted" [ 2; 5; 15 ]
     (Instrument.distinct_rotations c);
