@@ -1,7 +1,9 @@
 (* Ring-kernel microbenchmark: the fast NTT against the scalar reference
-   transform, the pointwise kernel, hoisted rotations against the same
-   rotations one at a time, and the resident size of one rotation key. Used
-   by scripts/kernel_smoke.sh and for tuning the fast path by hand. *)
+   transform, the pointwise kernel, the key switch's one-pass inner product,
+   the NTT-domain rescale, hoisted rotations against the same rotations one
+   at a time, a sum of hoisted rotations settled once against the same
+   rotations each settled first, and the resident size of one rotation key.
+   Used by scripts/kernel_smoke.sh and for tuning the fast path by hand. *)
 
 module Ntt = Chet_crypto.Ntt
 module Rvec = Chet_crypto.Rvec
@@ -52,7 +54,40 @@ let () =
     (1e6 *. t_scalar /. float_of_int (2 * reps))
     (1e6 *. t_pw /. float_of_int (reps * 10))
 
-(* [Rns_ckks.rotate_many] over 8 amounts against 8 [Rns_ckks.rotate] calls
+(* the key switch's inner product over one channel at 5 and 7 digits (the
+   digit counts of 10 and 14 chain primes), and the NTT-domain rescale of one
+   component, N = 4096 with 6 chain primes *)
+let () =
+  let n = 4096 and reps = 200 in
+  let primes = Modarith.gen_ntt_primes ~bits:30 ~modulus_of:(2 * n) ~count:6 in
+  let p = primes.(0) in
+  let rng = Random.State.make [| 11 |] in
+  let random p = Rvec.of_int_array (Array.init n (fun _ -> Random.State.int rng p)) in
+  let per_call k =
+    let bufs () = Array.init k (fun _ -> random p) in
+    let ds = bufs () and bs = bufs () and cs = bufs () in
+    let acc0 = Rvec.create n and acc1 = Rvec.create n in
+    let index = Array.init n Fun.id in
+    Rvec.inner_product_into acc0 acc1 ds bs cs index p;
+    1e6
+    *. time (fun () ->
+           for _ = 1 to reps do
+             Rvec.inner_product_into acc0 acc1 ds bs cs index p
+           done)
+    /. float_of_int reps
+  in
+  let ip5 = per_call 5 in
+  let ip7 = per_call 7 in
+  Printf.printf "  inner product %8.1f us/channel at 5 digits, %.1f at 7 (n=%d)\n" ip5 ip7 n;
+  let ctx = Rq_rns.make_ctx ~n ~primes in
+  let basis = Array.init 6 Fun.id in
+  let x = Rq_rns.unsafe_of_bufs ~basis ~comps:(Array.map random primes) ~ntt:true in
+  ignore (Rq_rns.div_round_ntt ctx x ~drop:1);
+  let t = time (fun () -> for _ = 1 to reps do ignore (Rq_rns.div_round_ntt ctx x ~drop:1) done) in
+  Printf.printf "  rescale       %8.1f us/component (NTT domain, n=%d, 6 primes)\n"
+    (1e6 *. t /. float_of_int reps) n
+
+(* [Rns_ckks.rotate_many] over 8 amounts, each settled, against 8 [Rns_ckks.rotate] calls
    on one fresh ciphertext, N = 4096 with 6 chain primes; then the bytes and
    residue count of one of those rotation keys *)
 let () =
@@ -67,11 +102,12 @@ let () =
     Rns.encrypt ctx rng keys.Rns.public
       (Rns.encode_real ctx ~level:(Rns.max_level ctx) ~scale:(2.0 ** 30.0) values)
   in
-  ignore (Rns.rotate_many ctx keys ct amounts);
+  let settled_many () = Array.map Rns.settle (Rns.rotate_many ctx keys ct amounts) in
+  ignore (settled_many ());
   let t_many =
     time (fun () ->
         for _ = 1 to reps do
-          ignore (Rns.rotate_many ctx keys ct amounts)
+          ignore (settled_many ())
         done)
   in
   let t_single =
@@ -83,6 +119,30 @@ let () =
   Printf.printf "  rot_many 8    %8.1f ms/call  (8 single rotations %.1f ms, n=%d, 6 primes)\n"
     (1e3 *. t_many /. float_of_int reps)
     (1e3 *. t_single /. float_of_int reps)
+    n;
+  (* a weighted sum of the 8 hoisted amounts: settled once at the end
+     (one mod-down per component) against each amount settled first *)
+  let ws = 1024.0 in
+  let sum rotations =
+    let acc = ref (Rns.mul_scalar ctx rotations.(0) 0.5 ~scale:ws) in
+    for i = 1 to Array.length rotations - 1 do
+      acc := Rns.fma_scalar ctx !acc rotations.(i) (0.1 *. float_of_int i) ~scale:ws
+    done;
+    Rns.settle !acc
+  in
+  let t_sum settle_each =
+    time (fun () ->
+        for _ = 1 to reps do
+          let rotations = Rns.rotate_many ctx keys ct amounts in
+          ignore (sum (if settle_each then Array.map Rns.settle rotations else rotations))
+        done)
+  in
+  ignore (t_sum false);
+  let t_deferred = t_sum false in
+  let t_each = t_sum true in
+  Printf.printf "  rot-sum 8     %8.1f ms/call  (settle-each %.1f ms, n=%d, 6 primes)\n"
+    (1e3 *. t_deferred /. float_of_int reps)
+    (1e3 *. t_each /. float_of_int reps)
     n;
   let key = Hashtbl.fold (fun _ k _ -> Some k) keys.Rns.rotation None |> Option.get in
   let bytes = ref 0 and residues = ref 0 in

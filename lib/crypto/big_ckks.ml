@@ -174,7 +174,6 @@ let add ctx a b =
   check_binop "add" a b;
   { a with c0 = Rq_big.add ctx.rq a.c0 b.c0; c1 = Rq_big.add ctx.rq a.c1 b.c1 }
 
-let negate ctx a = { a with c0 = Rq_big.neg ctx.rq a.c0; c1 = Rq_big.neg ctx.rq a.c1 }
 
 let check_plain op (ct : ciphertext) (pt : plaintext) =
   if logq_of ct <> pt_logq pt then

@@ -53,7 +53,6 @@ val decode : context -> plaintext -> Complexv.t
 val encrypt : context -> Sampling.t -> public_key -> plaintext -> ciphertext
 val decrypt : context -> secret_key -> ciphertext -> plaintext
 val add : context -> ciphertext -> ciphertext -> ciphertext
-val negate : context -> ciphertext -> ciphertext
 val add_plain : context -> ciphertext -> plaintext -> ciphertext
 val mul : context -> keys -> ciphertext -> ciphertext -> ciphertext
 val mul_plain : context -> ciphertext -> plaintext -> ciphertext

@@ -14,7 +14,12 @@
                                             components, 0 on every other.
      Accumulating D_j(d) * ksk_j, where D_j is d's exact centered value mod
      the digit's modulus, then dividing by P (mod-down with rounding)
-     yields d*s' + small noise mod Q. *)
+     yields d*s' + small noise mod Q;
+   - a ciphertext is settled (over the chain prefix) or unsettled: a
+     hoisted rotation before its mod-down, over the key basis, decrypting
+     to P times its message. Sums and scalar products of unsettled
+     ciphertexts stay unsettled, so a sum of rotations pays one mod-down;
+     every other op settles its operands first (DESIGN.md §15). *)
 
 module Rq = Rq_rns
 module Bigint = Chet_bigint.Bigint
@@ -33,6 +38,8 @@ type context = {
   enc : Encoding.ctx;
   num_coeff : int;
   chain : Modulus.kind;  (** [Rns_chain] of the chain primes: what rescale may divide by *)
+  p_mod : int array;  (** P mod q_i for every chain prime: lifts a settled term to the key basis *)
+  identity : int array;  (** the identity permutation of [n] positions *)
 }
 
 let make_context params =
@@ -47,12 +54,15 @@ let make_context params =
   (* chain order: q_0 .. q_{L-1}; rescale drops from the end; the special
      primes p_0, p_1 follow the chain *)
   let all = Array.append chain [| primes.(0); primes.(1) |] in
+  let p_mod = Array.map (fun q -> Modarith.mul_mod (primes.(0) mod q) (primes.(1) mod q) q) chain in
   {
     params;
     rq = Rq.make_ctx ~n:params.n ~primes:all;
     enc = Encoding.make ~n:params.n;
     num_coeff = params.num_coeff_primes;
     chain = Modulus.Rns_chain chain;
+    p_mod;
+    identity = Array.init params.n Fun.id;
   }
 
 let params ctx = ctx.params
@@ -76,11 +86,6 @@ let full_basis ctx = key_basis ctx ctx.num_coeff
 (* digits of a level-l ciphertext; digit j holds chain primes 2j and 2j+1 *)
 let digit_count l = (l + 1) / 2
 
-(* P mod q for a chain prime q *)
-let special_mod ctx q =
-  let primes = Rq.ctx_primes ctx.rq in
-  Modarith.mul_mod (primes.(ctx.num_coeff) mod q) (primes.(ctx.num_coeff + 1) mod q) q
-
 type secret_key = { s : Rq.t (* full basis, NTT *) }
 type public_key = { pk0 : Rq.t; pk1 : Rq.t (* top-level basis, NTT *) }
 type kswitch_key = { pairs : (Rq.t * Rq.t) array (* one per digit; full basis, NTT *) }
@@ -92,8 +97,16 @@ type keys = {
 }
 
 type plaintext = { poly : Rq.t; pt_scale : float; pt_level : int }
-type ciphertext = { c0 : Rq.t; c1 : Rq.t; level : int; scale : float }
 
+(* [c0], [c1] span the chain prefix when [form] is [Settled] and the key
+   basis of [level] when [Unsettled]; an unsettled ciphertext carries its
+   context and memoises its settled form *)
+type ciphertext = { c0 : Rq.t; c1 : Rq.t; level : int; scale : float; form : form }
+and form = Settled | Unsettled of { ctx : context; mutable settled : ciphertext option }
+
+let of_parts ~c0 ~c1 ~level ~scale = { c0; c1; level; scale; form = Settled }
+let unsettled ctx ~c0 ~c1 ~level ~scale = { c0; c1; level; scale; form = Unsettled { ctx; settled = None } }
+let is_settled ct = match ct.form with Settled -> true | Unsettled _ -> false
 let level_of ct = ct.level
 let scale_of ct = ct.scale
 
@@ -131,7 +144,7 @@ let keygen_kswitch ctx rng (sk : secret_key) (target : Rq.t) : kswitch_key =
             (fun i ->
               let w = Rvec.zeroed n in
               if i < ctx.num_coeff && i / 2 = j then
-                Rvec.scalar_mul_into w (Rq.raw_comp target i) (special_mod ctx primes.(i)) primes.(i);
+                Rvec.scalar_mul_into w (Rq.raw_comp target i) ctx.p_mod.(i) primes.(i);
               w)
             basis
         in
@@ -212,6 +225,27 @@ let decode ctx pt =
   let re, im = Encoding.decode ctx.enc ~scale:pt.pt_scale floats in
   Complexv.of_complex re im
 
+(* --- settling --- *)
+
+(* the key switch's mod-down: divide a key-basis polynomial by P, rounding *)
+let mod_down ctx u = Rq.div_round_ntt ctx.rq u ~drop:2
+
+(* One mod-down per component, memoised: a rotation read by many consumers
+   settles once. For a hoisted rotation (P·σ(c0) + u0, u1) the rounded
+   division gives σ(c0) + (u0 − [u0]_P)/P, which is {!rotate}'s result. *)
+let settle ct =
+  match ct.form with
+  | Settled -> ct
+  | Unsettled ({ ctx; settled } as memo) -> (
+      match settled with
+      | Some s -> s
+      | None ->
+          let s =
+            of_parts ~c0:(mod_down ctx ct.c0) ~c1:(mod_down ctx ct.c1) ~level:ct.level ~scale:ct.scale
+          in
+          memo.settled <- Some s;
+          s)
+
 (* --- encryption --- *)
 
 let encrypt ctx rng (pk : public_key) pt =
@@ -223,9 +257,10 @@ let encrypt ctx rng (pk : public_key) pt =
   let e1 = sample_gaussian ctx rng basis in
   let c0 = Rq.add ctx.rq (Rq.add ctx.rq (Rq.mul ctx.rq pk.pk0 u) e0) pt.poly in
   let c1 = Rq.add ctx.rq (Rq.mul ctx.rq pk.pk1 u) e1 in
-  { c0; c1; level = ctx.num_coeff; scale = pt.pt_scale }
+  of_parts ~c0 ~c1 ~level:ctx.num_coeff ~scale:pt.pt_scale
 
 let decrypt ctx sk ct =
+  let ct = settle ct in
   let s_l = Rq.subset sk.s (basis_of_level ct.level) in
   let m = Rq.add ctx.rq ct.c0 (Rq.mul ctx.rq ct.c1 s_l) in
   { poly = m; pt_scale = ct.scale; pt_level = ct.level }
@@ -237,28 +272,83 @@ let decrypt ctx sk ct =
    error well below the scheme noise floor *)
 let scales_compatible = Herr.scales_compatible
 
-let check_binop op a b =
-  if a.level <> b.level then err ~op (Herr.Level_mismatch { expected = a.level; got = b.level });
-  if not (scales_compatible a.scale b.scale) then
-    err ~op (Herr.Scale_mismatch { expected = a.scale; got = b.scale })
+(* [add]'s checks against an addend of the given level and scale *)
+let check_add op a ~level ~scale =
+  if a.level <> level then err ~op (Herr.Level_mismatch { expected = a.level; got = level });
+  if not (scales_compatible a.scale scale) then
+    err ~op (Herr.Scale_mismatch { expected = a.scale; got = scale })
+
+(* A polynomial over [basis] (NTT form) whose channel [k] is [f k p], [p]
+   its prime; a channel may return an operand's buffer unchanged, since
+   residue buffers are never written after construction. *)
+let build ctx basis f =
+  let primes = Rq.ctx_primes ctx.rq in
+  let comps = Array.make (Array.length basis) (Rvec.create 0) in
+  Kpool.run (Array.length basis) (fun k -> comps.(k) <- f k primes.(basis.(k)));
+  Rq.unsafe_of_bufs ~basis ~comps ~ntt:true
+
+(* [a + s·b] for components of ciphertexts of either form at [level]
+   ([ua], [ub]: the operand is unsettled). The result is unsettled when an
+   operand is: a settled operand then enters times P on the chain channels
+   and as zero on the special ones, which is one Shoup multiply per
+   channel. Every channel is a canonical residue of the same integer as
+   the composed ops', so the composition is reproduced bit for bit. *)
+let axpy ctx ~level (a, ua) (b, ub) s =
+  let lifted = ua || ub in
+  let basis = if lifted then key_basis ctx level else basis_of_level level in
+  let n = ctx.params.n in
+  build ctx basis (fun k p ->
+      let raw t = Rq.raw_comp t k in
+      if k >= level then begin
+        (* a special channel: only unsettled operands have one *)
+        let one = Modarith.reduce s p = 1 in
+        if not ub then raw a
+        else if (not ua) && one then raw b
+        else begin
+          let dst = Rvec.create n in
+          if not ua then Rvec.scalar_mul_into dst (raw b) s p
+          else if one then Rvec.add_into dst (raw a) (raw b) p
+          else Rvec.scalar_mac_into dst (raw a) (raw b) s p;
+          dst
+        end
+      end
+      else begin
+        let lift u = if lifted && not u then ctx.p_mod.(k) else 1 in
+        let sb = Modarith.mul_mod (Modarith.reduce s p) (lift ub) p in
+        let dst = Rvec.create n in
+        if lift ua <> 1 then begin
+          Rvec.scalar_mul_into dst (raw a) (lift ua) p;
+          Rvec.scalar_mac_into dst dst (raw b) sb p
+        end
+        else if sb = 1 then Rvec.add_into dst (raw a) (raw b) p
+        else Rvec.scalar_mac_into dst (raw a) (raw b) sb p;
+        dst
+      end)
+
+(* [a + s·x] as a ciphertext with [a]'s level and scale *)
+let accumulate ctx a x s =
+  let ua = not (is_settled a) and ux = not (is_settled x) in
+  let c0 = axpy ctx ~level:a.level (a.c0, ua) (x.c0, ux) s in
+  let c1 = axpy ctx ~level:a.level (a.c1, ua) (x.c1, ux) s in
+  if ua || ux then unsettled ctx ~c0 ~c1 ~level:a.level ~scale:a.scale else { a with c0; c1 }
 
 let add ctx a b =
-  check_binop "add" a b;
-  { a with c0 = Rq.add ctx.rq a.c0 b.c0; c1 = Rq.add ctx.rq a.c1 b.c1 }
-
-let negate ctx a = { a with c0 = Rq.neg ctx.rq a.c0; c1 = Rq.neg ctx.rq a.c1 }
+  check_add "add" a ~level:b.level ~scale:b.scale;
+  accumulate ctx a b 1
 
 let check_plain op ct pt =
   if ct.level <> pt.pt_level then
     err ~op (Herr.Level_mismatch { expected = ct.level; got = pt.pt_level })
 
 let add_plain ctx ct pt =
+  let ct = settle ct in
   check_plain "add_plain" ct pt;
   if not (scales_compatible ct.scale pt.pt_scale) then
     err ~op:"add_plain" (Herr.Scale_mismatch { expected = ct.scale; got = pt.pt_scale });
   { ct with c0 = Rq.add ctx.rq ct.c0 pt.poly }
 
 let mul_plain ctx ct pt =
+  let ct = settle ct in
   check_plain "mul_plain" ct pt;
   {
     ct with
@@ -267,16 +357,38 @@ let mul_plain ctx ct pt =
     scale = ct.scale *. pt.pt_scale;
   }
 
+let scalar_of x ~scale = int_of_float (Float.round (x *. scale))
+
+(* either form: a scalar multiplies every key-basis channel alike *)
 let mul_scalar ctx ct x ~scale =
-  let s = int_of_float (Float.round (x *. scale)) in
-  {
-    ct with
-    c0 = Rq.mul_scalar ctx.rq ct.c0 s;
-    c1 = Rq.mul_scalar ctx.rq ct.c1 s;
-    scale = ct.scale *. scale;
-  }
+  let s = scalar_of x ~scale in
+  let c0 = Rq.mul_scalar ctx.rq ct.c0 s and c1 = Rq.mul_scalar ctx.rq ct.c1 s in
+  let scale = ct.scale *. scale in
+  match ct.form with
+  | Settled -> { ct with c0; c1; scale }
+  | Unsettled _ -> unsettled ctx ~c0 ~c1 ~level:ct.level ~scale
+
+let fma_scalar ctx acc x w ~scale =
+  check_add "add" acc ~level:x.level ~scale:(x.scale *. scale);
+  accumulate ctx acc x (scalar_of w ~scale)
+
+let fma_plain ctx acc x pt =
+  let x = settle x in
+  check_plain "mul_plain" x pt;
+  check_add "add" acc ~level:x.level ~scale:(x.scale *. pt.pt_scale);
+  match acc.form with
+  | Unsettled _ -> add ctx acc (mul_plain ctx x pt)
+  | Settled ->
+      let mac a b =
+        build ctx (basis_of_level acc.level) (fun k p ->
+            let dst = Rvec.create ctx.params.n in
+            Rvec.mul_add_into dst (Rq.raw_comp a k) (Rq.raw_comp b k) (Rq.raw_comp pt.poly k) p;
+            dst)
+      in
+      { acc with c0 = mac acc.c0 x.c0; c1 = mac acc.c1 x.c1 }
 
 let add_scalar ctx ct x =
+  let ct = settle ct in
   let c = int_of_float (Float.round (x *. ct.scale)) in
   let const = Array.make ctx.params.n 0 in
   const.(0) <- c;
@@ -285,115 +397,103 @@ let add_scalar ctx ct x =
 
 (* --- key switching --- *)
 
-(* Divide an NTT-form accumulator over the level-l key basis (both special
-   primes last) by P = p_0*p_1, rounding, in the NTT domain and in place.
-   Only the two special channels go through an INTT; the exact centered
-   lift of [acc]_P is reduced into each chain prime and NTT'd there, then
-   subtracted and divided out. Every step is exact modular arithmetic and
-   the NTT is linear, so the result is bit for bit the coefficient-domain
-   rounded division — at [level + 2] transforms instead of [2·level + 2]. *)
-let mod_down ctx level (acc : Rvec.buf array) =
-  let n = ctx.params.n in
-  let primes = Rq.ctx_primes ctx.rq in
-  let l0 = ctx.num_coeff and l1 = ctx.num_coeff + 1 in
-  let lo = acc.(level) and hi = acc.(level + 1) in
-  Kpool.run 2 (fun k ->
-      Ntt.inverse_buf (Rq.raw_ntt_table ctx.rq (l0 + k)) (if k = 0 then lo else hi));
-  Kpool.run level (fun j ->
-      let q = primes.(j) in
-      let d = Rvec.create n in
-      Rvec.lift_pair_centered_into d lo hi ~q_lo:primes.(l0) ~q_hi:primes.(l1) q;
-      Ntt.forward_buf (Rq.raw_ntt_table ctx.rq j) d;
-      Rvec.sub_into acc.(j) acc.(j) d q;
-      Rvec.scalar_mul_into acc.(j) acc.(j) (Modarith.inv_mod (special_mod ctx q) q) q);
-  Rq.unsafe_of_bufs ~basis:(basis_of_level level) ~comps:(Array.sub acc 0 level) ~ntt:true
-
-(* The inner loop of every mul / rotation: for each key-basis channel, take
-   every digit's NTT form there and accumulate digit_j * (b_j, a_j). That is
-   ⌈level/2⌉ · (level+2) products per component, fanned out across {!Kpool}
-   domains per key-basis channel (channels are independent: channel [jk]
-   only touches its own acc/tmp buffers).
-
-   [digit jk j tmp] returns digit [j] in NTT form over key-basis channel
-   [jk], using [tmp] (channel-private) as scratch: {!keyswitch} computes it
-   on the fly, the hoisted rotations of {!rotate_many} permute a digit
-   decomposed once for every amount. *)
-let keyswitch_with ctx level (key : kswitch_key) digit : Rq.t * Rq.t =
-  let kb = key_basis ctx level in
-  let nb = Array.length kb in
-  let n = ctx.params.n in
-  let primes = Rq.ctx_primes ctx.rq in
-  let acc0 = Array.init nb (fun _ -> Rvec.zeroed n) in
-  let acc1 = Array.init nb (fun _ -> Rvec.zeroed n) in
-  Kpool.run nb (fun jk ->
-      (* the keys span the full basis, whose slots are the prime indices *)
-      let slot = kb.(jk) in
-      let pj = primes.(slot) in
-      let tmp = Rvec.create n in
-      let a0 = acc0.(jk) and a1 = acc1.(jk) in
-      for j = 0 to digit_count level - 1 do
-        let d = digit jk j tmp in
-        let b_j, a_j = key.pairs.(j) in
-        Rvec.pointwise_mac_into a0 d (Rq.raw_comp b_j slot) pj;
-        Rvec.pointwise_mac_into a1 d (Rq.raw_comp a_j slot) pj
-      done);
-  (mod_down ctx level acc0, mod_down ctx level acc1)
-
 (* digit [j]'s own channels are the NTT-form input itself: its centered
    value is congruent to the input modulo each of the digit's primes *)
 let own_channel level jk j = jk < level && jk / 2 = j
 
-(* digit [j] of [dc] (coefficient form, level [level]) lifted exactly to its
-   centered value and reduced into key-basis channel [jk], then NTT'd *)
-let lift_digit ctx kb level dc jk j tmp =
+(* The digit decomposition of the NTT-form level-[level] polynomial [d]:
+   a function from key-basis channel [jk] to the ⌈level/2⌉ digits in NTT
+   form over that channel. [d] goes through one INTT; each two-prime
+   digit's Garner digit is computed once per coefficient, and every
+   channel only reduces it into its prime and transforms it. *)
+let decompose ctx level (d : Rq.t) =
+  let kb = key_basis ctx level in
   let primes = Rq.ctx_primes ctx.rq in
-  let q = primes.(kb.(jk)) and lo = 2 * j in
-  if lo + 1 < level then
-    Rvec.lift_pair_centered_into tmp (Rq.raw_comp dc lo) (Rq.raw_comp dc (lo + 1))
-      ~q_lo:primes.(lo) ~q_hi:primes.(lo + 1) q
-  else Rvec.lift_centered_into tmp (Rq.raw_comp dc lo) ~from:primes.(lo) q;
-  Ntt.forward_buf (Rq.raw_ntt_table ctx.rq kb.(jk)) tmp;
-  tmp
+  let n = ctx.params.n in
+  let dc = Rq.from_ntt ctx.rq d in
+  let garner = Array.make (digit_count level) None in
+  Kpool.run (digit_count level) (fun j ->
+      let lo = 2 * j in
+      if lo + 1 < level then begin
+        let g = Rvec.create n in
+        Rvec.garner_digit_into g (Rq.raw_comp dc lo) (Rq.raw_comp dc (lo + 1)) ~q_lo:primes.(lo)
+          ~q_hi:primes.(lo + 1);
+        garner.(j) <- Some g
+      end);
+  fun jk ->
+    Array.init (digit_count level) (fun j ->
+        if own_channel level jk j then Rq.raw_comp d jk
+        else begin
+          let q = primes.(kb.(jk)) and lo = 2 * j in
+          let dst = Rvec.create n in
+          (match garner.(j) with
+          | Some g ->
+              Rvec.lift_garner_into dst (Rq.raw_comp dc lo) g ~q_lo:primes.(lo) ~q_hi:primes.(lo + 1) q
+          | None -> Rvec.lift_centered_into dst (Rq.raw_comp dc lo) ~from:primes.(lo) q);
+          Ntt.forward_buf (Rq.raw_ntt_table ctx.rq kb.(jk)) dst;
+          dst
+        end)
+
+(* The inner loop of every mul / rotation: over each key-basis channel,
+   Σ_j digit_j · (b_j, a_j) in one pass (Rvec.inner_product_into), fanned
+   out across {!Kpool} domains per channel. [digits jk] gives channel
+   [jk]'s digits in NTT form, read through the NTT-position permutation
+   [index]. The result is the key switch before its mod-down: two
+   polynomials over the key basis. *)
+let inner_product ctx level (key : kswitch_key) ~index digits =
+  let kb = key_basis ctx level in
+  let nb = Array.length kb in
+  let primes = Rq.ctx_primes ctx.rq in
+  let acc0 = Array.init nb (fun _ -> Rvec.create ctx.params.n) in
+  let acc1 = Array.init nb (fun _ -> Rvec.create ctx.params.n) in
+  Kpool.run nb (fun jk ->
+      (* the keys span the full basis, whose slots are the prime indices *)
+      let slot = kb.(jk) in
+      let part f = Array.init (digit_count level) (fun j -> Rq.raw_comp (f key.pairs.(j)) slot) in
+      Rvec.inner_product_into acc0.(jk) acc1.(jk) (digits jk) (part fst) (part snd) index
+        primes.(slot));
+  (acc0, acc1)
+
+let of_key_basis ctx level comps = Rq.unsafe_of_bufs ~basis:(key_basis ctx level) ~comps ~ntt:true
 
 (* key switch of the NTT-form level-[level] polynomial [d] *)
 let keyswitch ctx level (d : Rq.t) (key : kswitch_key) : Rq.t * Rq.t =
-  let kb = key_basis ctx level in
-  let dc = Rq.from_ntt ctx.rq d in
-  keyswitch_with ctx level key (fun jk j tmp ->
-      if own_channel level jk j then Rq.raw_comp d jk else lift_digit ctx kb level dc jk j tmp)
+  let u0, u1 = inner_product ctx level key ~index:ctx.identity (decompose ctx level d) in
+  (mod_down ctx (of_key_basis ctx level u0), mod_down ctx (of_key_basis ctx level u1))
 
 let mul ctx keys a b =
+  let a = settle a and b = settle b in
   if a.level <> b.level then err ~op:"mul" (Herr.Level_mismatch { expected = a.level; got = b.level });
   let d0 = Rq.mul ctx.rq a.c0 b.c0 in
   let d1 = Rq.add ctx.rq (Rq.mul ctx.rq a.c0 b.c1) (Rq.mul ctx.rq a.c1 b.c0) in
   let d2 = Rq.mul ctx.rq a.c1 b.c1 in
   let k0, k1 = keyswitch ctx a.level d2 keys.relin in
-  { c0 = Rq.add ctx.rq d0 k0; c1 = Rq.add ctx.rq d1 k1; level = a.level; scale = a.scale *. b.scale }
+  of_parts ~c0:(Rq.add ctx.rq d0 k0) ~c1:(Rq.add ctx.rq d1 k1) ~level:a.level ~scale:(a.scale *. b.scale)
 
 (* --- rescaling --- *)
 
 let max_rescale ctx ct ub = Modulus.max_rescale ctx.chain (Modulus.Rns_level ct.level) ub
 
 (* the rule picks the target level; each dropped prime divides the scale in
-   turn, from the end of the chain *)
+   turn, from the end of the chain, in the NTT domain *)
 let rescale ctx ct x =
   let target =
     Modulus.count (Modulus.rescale ~backend:"rns_ckks" ctx.chain (Modulus.Rns_level ct.level) x)
   in
   if target = ct.level then ct
   else begin
+    let ct = settle ct in
     let primes = Rq.ctx_primes ctx.rq in
-    let c0 = ref (Rq.from_ntt ctx.rq ct.c0) and c1 = ref (Rq.from_ntt ctx.rq ct.c1) in
-    let scale = ref ct.scale in
+    let c0 = ref ct.c0 and c1 = ref ct.c1 and scale = ref ct.scale in
     for l = ct.level downto target + 1 do
-      c0 := Rq.drop_last ctx.rq !c0 ~rounded:true;
-      c1 := Rq.drop_last ctx.rq !c1 ~rounded:true;
+      c0 := Rq.div_round_ntt ctx.rq !c0 ~drop:1;
+      c1 := Rq.div_round_ntt ctx.rq !c1 ~drop:1;
       scale := !scale /. float_of_int primes.(l - 1)
     done;
-    { c0 = Rq.to_ntt ctx.rq !c0; c1 = Rq.to_ntt ctx.rq !c1; level = target; scale = !scale }
+    of_parts ~c0:!c0 ~c1:!c1 ~level:target ~scale:!scale
   end
 
-let mod_switch_to_level ctx ct target =
+let mod_switch_to_level _ctx ct target =
   if target > ct.level then
     err ~op:"mod_switch_to_level" (Herr.Level_mismatch { expected = ct.level; got = target });
   if target < 1 then
@@ -401,12 +501,8 @@ let mod_switch_to_level ctx ct target =
       (Herr.Invalid_op { reason = Printf.sprintf "target level must be >= 1, got %d" target });
   if target = ct.level then ct
   else begin
-    let c0 = ref (Rq.from_ntt ctx.rq ct.c0) and c1 = ref (Rq.from_ntt ctx.rq ct.c1) in
-    for _ = target + 1 to ct.level do
-      c0 := Rq.drop_last ctx.rq !c0 ~rounded:false;
-      c1 := Rq.drop_last ctx.rq !c1 ~rounded:false
-    done;
-    { ct with c0 = Rq.to_ntt ctx.rq !c0; c1 = Rq.to_ntt ctx.rq !c1; level = target }
+    let ct = settle ct in
+    { ct with c0 = Rq.truncate ct.c0 target; c1 = Rq.truncate ct.c1 target; level = target }
   end
 
 (* --- rotation --- *)
@@ -430,6 +526,7 @@ let rotate ctx keys ct r =
   let r = ((r mod slots) + slots) mod slots in
   if r = 0 then ct
   else begin
+    let ct = settle ct in
     let g = galois_of_rotation ctx r in
     if Hashtbl.mem keys.rotation g then apply_galois ~amount:r ctx keys ct g
     else begin
@@ -449,32 +546,31 @@ let rotate ctx keys ct r =
     end
   end
 
-(* Hoisted rotations (Halevi–Shoup 2018): the digit decomposition of c1 —
-   one INTT, then ⌈level/2⌉·(level+2) − level NTTs — does not depend on the
-   amount. The automorphism is a signed permutation of coefficients and the
-   centered lift commutes with negation, so it commutes with the
-   decomposition: it is applied afterwards, as an NTT-position permutation
-   of the decomposed digits. Each amount then costs only its permutations,
-   the inner product with its key and the mod-down, and its result is bit
-   for bit {!rotate}'s. *)
+(* Hoisted rotations (Halevi–Shoup 2018): the digit decomposition of c1
+   does not depend on the amount. The automorphism is a signed permutation
+   of coefficients and the centered lift commutes with negation, so it
+   commutes with the decomposition: it is applied afterwards, as an
+   NTT-position permutation of the decomposed digits, which the inner
+   product reads them through. Each amount then costs only that inner
+   product with its key, and is
+   returned unsettled, as (P·σ(c0) + u0, u1) over the key basis: its
+   mod-down waits for the op that needs it, so a sum of amounts pays one.
+   Settled, it is bit for bit {!rotate}'s result. *)
 let rotate_many ctx keys ct amounts =
   let slots = slot_count ctx in
   let norm r = ((r mod slots) + slots) mod slots in
   let amounts = Array.map norm amounts in
   let hoistable r = r <> 0 && Hashtbl.mem keys.rotation (galois_of_rotation ctx r) in
   let direct = Array.fold_left (fun acc r -> if hoistable r then acc + 1 else acc) 0 amounts in
+  let ct = settle ct in
   if direct < 2 then Array.map (rotate ctx keys ct) amounts
   else begin
     let level = ct.level in
     let n = ctx.params.n in
-    let kb = key_basis ctx level in
-    let dc = Rq.from_ntt ctx.rq ct.c1 in
-    let digits = Array.make (Array.length kb) [||] in
-    Kpool.run (Array.length kb) (fun jk ->
-        digits.(jk) <-
-          Array.init (digit_count level) (fun j ->
-              if own_channel level jk j then Rq.raw_comp ct.c1 jk
-              else lift_digit ctx kb level dc jk j (Rvec.create n)));
+    let primes = Rq.ctx_primes ctx.rq in
+    let decomposed = decompose ctx level ct.c1 in
+    let digits = Array.make (level + 2) [||] in
+    Kpool.run (level + 2) (fun jk -> digits.(jk) <- decomposed jk);
     Array.map
       (fun r ->
         if not (hoistable r) then rotate ctx keys ct r
@@ -482,12 +578,12 @@ let rotate_many ctx keys ct amounts =
           let g = galois_of_rotation ctx r in
           let key = rotation_key ~amount:r keys g in
           let index = Encoding.ntt_automorphism_index ~n ~g in
-          let k0, k1 =
-            keyswitch_with ctx level key (fun jk j tmp ->
-                Rvec.permute_into tmp digits.(jk).(j) index;
-                tmp)
-          in
-          { ct with c0 = Rq.add ctx.rq (Rq.automorphism_ntt ctx.rq ct.c0 ~g) k0; c1 = k1 }
+          let u0, u1 = inner_product ctx level key ~index (Array.get digits) in
+          let c0 = Rq.automorphism_ntt ctx.rq ct.c0 ~g in
+          Kpool.run level (fun j ->
+              Rvec.scalar_mac_into u0.(j) u0.(j) (Rq.raw_comp c0 j) ctx.p_mod.(j) primes.(j));
+          unsettled ctx ~c0:(of_key_basis ctx level u0) ~c1:(of_key_basis ctx level u1) ~level
+            ~scale:ct.scale
         end)
       amounts
   end
@@ -500,3 +596,5 @@ let public_key_parts pk = (pk.pk0, pk.pk1)
 let public_key_of_parts (pk0, pk1) = { pk0; pk1 }
 let kswitch_pairs k = k.pairs
 let kswitch_of_pairs pairs = { pairs }
+let c0 ct = (settle ct).c0
+let c1 ct = (settle ct).c1

@@ -7,7 +7,18 @@
     hybrid (Han–Ki 2020, DESIGN.md §15): the two largest generated primes
     form the special modulus [P = p_0·p_1], the chain is decomposed into
     digits of two consecutive primes, each lifted exactly to its centered
-    value, and a key carries one pair per digit. *)
+    value, and a key carries one pair per digit.
+
+    A ciphertext is {e settled}, over the chain [q_0 … q_{l-1}], or
+    {e unsettled}: a hoisted rotation from {!rotate_many} before its
+    mod-down, over the key basis (chain plus special primes), holding [P]
+    times a ciphertext plus the key switch's terms. {!add},
+    {!mul_scalar}, {!fma_scalar} and {!fma_plain}'s accumulator keep an
+    unsettled operand in the key basis (a settled one joins it times [P]),
+    so a sum of rotations pays one mod-down when it is settled. Every other
+    op settles its operands first. Settling is memoised in the ciphertext;
+    a settled rotation is bit for bit {!rotate}'s result, and only sums
+    round differently (once, at the end). *)
 
 module Rq = Rq_rns
 module Bigint = Chet_bigint.Bigint
@@ -72,7 +83,22 @@ val key_bytes : keys -> int
     [⌈L/2⌉] pairs over the [L + 2] key-basis primes. *)
 
 type plaintext = { poly : Rq.t; pt_scale : float; pt_level : int }
-type ciphertext = { c0 : Rq.t; c1 : Rq.t; level : int; scale : float }
+type ciphertext
+
+val of_parts : c0:Rq.t -> c1:Rq.t -> level:int -> scale:float -> ciphertext
+(** A settled ciphertext from NTT-form components over the chain prefix
+    [q_0 … q_{level-1}] (deserialisation). *)
+
+val settle : ciphertext -> ciphertext
+(** The settled form: the ciphertext itself when settled, else one
+    mod-down per component, computed once and returned physically equal
+    on every later call. *)
+
+val is_settled : ciphertext -> bool
+
+val c0 : ciphertext -> Rq.t
+val c1 : ciphertext -> Rq.t
+(** Components of the settled form (settling if needed). *)
 
 val encode : context -> level:int -> scale:float -> Complexv.t -> plaintext
 (** Encode [n/2] complex slot values. *)
@@ -85,7 +111,8 @@ val encrypt : context -> Sampling.t -> public_key -> plaintext -> ciphertext
 val decrypt : context -> secret_key -> ciphertext -> plaintext
 
 val add : context -> ciphertext -> ciphertext -> ciphertext
-val negate : context -> ciphertext -> ciphertext
+(** Either form; the sum is unsettled when an operand is. *)
+
 val add_plain : context -> ciphertext -> plaintext -> ciphertext
 
 val mul : context -> keys -> ciphertext -> ciphertext -> ciphertext
@@ -96,6 +123,16 @@ val mul_plain : context -> ciphertext -> plaintext -> ciphertext
 val mul_scalar : context -> ciphertext -> float -> scale:float -> ciphertext
 (** [mul_scalar ctx ct x ~scale]: multiply every slot by [round(x·scale)]
     (an integer constant — the cheap [mulScalar] of Table 2). *)
+
+val fma_scalar : context -> ciphertext -> ciphertext -> float -> scale:float -> ciphertext
+(** [fma_scalar ctx acc x w ~scale] = [add ctx acc (mul_scalar ctx x w ~scale)]
+    in one pass over each channel, bit for bit; either operand may be
+    unsettled. *)
+
+val fma_plain : context -> ciphertext -> ciphertext -> plaintext -> ciphertext
+(** [fma_plain ctx acc x p] = [add ctx acc (mul_plain ctx x p)], bit for
+    bit, in one pass when [acc] is settled. [x] is settled first; an
+    unsettled [acc] stays unsettled. *)
 
 val add_scalar : context -> ciphertext -> float -> ciphertext
 val max_rescale : context -> ciphertext -> int -> int
@@ -120,9 +157,11 @@ val rotate : context -> keys -> ciphertext -> int -> ciphertext
 val rotate_many : context -> keys -> ciphertext -> int array -> ciphertext array
 (** [rotate_many ctx keys ct amounts]: [ct] rotated left by each amount, with
     the key-switch digit decomposition of [ct] shared by every amount that
-    has its own key (hoisting). Amounts without an exact key go through
-    {!rotate}. Every result is bit for bit {!rotate}'s: the centered digits
-    commute with the automorphism. *)
+    has its own key (hoisting). Those amounts come back unsettled; settled,
+    each is bit for bit {!rotate}'s result (the centered digits commute
+    with the automorphism, and [(P·a + u − \[u\]_P)/P = a + (u − \[u\]_P)/P]).
+    Amounts without an exact key, and calls with fewer than two such
+    amounts, go through {!rotate}. *)
 
 val rotate_key_available : keys -> context -> int -> bool
 

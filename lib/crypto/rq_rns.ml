@@ -156,21 +156,39 @@ let automorphism_ntt ctx t ~g =
   in
   { t with comps; basis = Array.copy t.basis }
 
-let drop_last ctx t ~rounded =
-  if t.ntt then invalid_arg "Rq_rns.drop_last: coefficient form required";
+let div_round_ntt ctx t ~drop =
+  if not t.ntt then invalid_arg "Rq_rns.div_round_ntt: NTT form required";
   let nb = Array.length t.basis in
-  if nb < 2 then invalid_arg "Rq_rns.drop_last: nothing to drop";
-  let last_idx = t.basis.(nb - 1) in
-  let q_last = ctx.primes.(last_idx) in
-  let last = t.comps.(nb - 1) in
-  let basis = Array.sub t.basis 0 (nb - 1) in
-  let comps =
-    if not rounded then Array.init (nb - 1) (fun k -> Rvec.copy t.comps.(k))
-    else
-      par_init ctx (nb - 1) (fun k dst ->
-          Rvec.rescale_limb_into dst t.comps.(k) last ~q_last ~p:ctx.primes.(t.basis.(k)))
+  let keep = nb - drop in
+  if drop < 1 || drop > 2 || keep < 1 then invalid_arg "Rq_rns.div_round_ntt: bad drop count";
+  let dropped = Array.sub t.basis keep drop in
+  (* only the dropped channels go to coefficient form *)
+  let tail = Array.init drop (fun k -> Rvec.copy t.comps.(keep + k)) in
+  Kpool.run drop (fun k -> Ntt.inverse_buf ctx.ntts.(dropped.(k)) tail.(k));
+  let q_lo = ctx.primes.(dropped.(0)) in
+  let lift =
+    if drop = 1 then fun dst p -> Rvec.lift_centered_into dst tail.(0) ~from:q_lo p
+    else begin
+      let q_hi = ctx.primes.(dropped.(1)) in
+      let g = Rvec.create ctx.n in
+      Rvec.garner_digit_into g tail.(0) tail.(1) ~q_lo ~q_hi;
+      fun dst p -> Rvec.lift_garner_into dst tail.(0) g ~q_lo ~q_hi p
+    end
   in
-  { basis; comps; ntt = false }
+  let comps =
+    par_init ctx keep (fun k dst ->
+        let i = t.basis.(k) in
+        let p = ctx.primes.(i) in
+        lift dst p;
+        Ntt.forward_buf ctx.ntts.(i) dst;
+        let r = Array.fold_left (fun acc d -> Modarith.mul_mod acc (ctx.primes.(d) mod p) p) 1 dropped in
+        Rvec.sub_scale_into dst t.comps.(k) dst (Modarith.inv_mod r p) p)
+  in
+  { basis = Array.sub t.basis 0 keep; comps; ntt = true }
+
+let truncate t k =
+  if k < 1 || k > Array.length t.basis then invalid_arg "Rq_rns.truncate: bad length";
+  { t with basis = Array.sub t.basis 0 k; comps = Array.sub t.comps 0 k }
 
 let position t i =
   let rec find k =

@@ -56,12 +56,18 @@ val automorphism_ntt : ctx -> t -> g:int -> t
     [to_ntt ctx (automorphism ctx a ~g)] bit for bit, without the
     transforms. *)
 
-val drop_last : ctx -> t -> rounded:bool -> t
-(** Remove the last basis component [q_last]. With [~rounded:true] this is
-    the CKKS [rescale]: divide by [q_last] with rounding
-    ([c ↦ (c - \[c\]_{q_last}) / q_last] on centered lifts). With
-    [~rounded:false] it simply forgets the component (exact only if the
-    value is unchanged mod the remaining basis). Coefficient form required. *)
+val div_round_ntt : ctx -> t -> drop:int -> t
+(** [div_round_ntt ctx t ~drop]: remove the last [drop] (1 or 2) basis
+    components and divide by their product [R] with rounding,
+    [c ↦ (c - \[c\]_R) / R] on the centered lift of [\[c\]_R]: the CKKS
+    rescale ([drop = 1]) and the key switch's mod-down by [P] ([drop = 2]).
+    NTT form in and out; only the dropped components are inverted, their
+    centered lift is reduced and transformed per kept prime, so the result
+    is bit for bit the coefficient-domain rounded division. *)
+
+val truncate : t -> int -> t
+(** [truncate t k]: the first [k] components, sharing their buffers — the
+    exact modulus switch to a prefix of the basis, in either form. *)
 
 val subset : t -> int array -> t
 (** Restrict to a sub-basis (indices must be present). *)

@@ -115,11 +115,41 @@ let pointwise_mul_into (dst : buf) (a : buf) (b : buf) p =
     uset dst i (uget a i * uget b i mod p)
   done
 
-let pointwise_mac_into (acc : buf) (a : buf) (b : buf) p =
-  for i = 0 to length acc - 1 do
+let mul_add_into (dst : buf) (acc : buf) (a : buf) (b : buf) p =
+  for i = 0 to length dst - 1 do
     let r = uget a i * uget b i mod p in
     let s = uget acc i + r - p in
-    uset acc i (s + (p land (s asr 62)))
+    uset dst i (s + (p land (s asr 62)))
+  done
+
+(* Both sums stay in registers across the digits. A residue product is at
+   most (p-1)^2, so [batch] products fit on top of a reduced partial sum
+   without passing max_int: 4 for 30-bit primes, 1 for 31-bit ones. The
+   final [mod] sees the same integer sum as a chain of per-digit
+   reductions, so the residues are identical. *)
+let inner_product_into (acc0 : buf) (acc1 : buf) (ds : buf array) (bs : buf array) (cs : buf array)
+    (index : int array) p =
+  let k = Array.length ds in
+  if Array.length bs <> k || Array.length cs <> k then
+    invalid_arg "Rvec.inner_product_into: operand counts differ";
+  if Array.length index <> length acc0 then invalid_arg "Rvec.inner_product_into: index length";
+  let batch = Stdlib.max 1 ((max_int - (p - 1)) / ((p - 1) * (p - 1))) in
+  for i = 0 to length acc0 - 1 do
+    let at = Array.unsafe_get index i in
+    let s0 = ref 0 and s1 = ref 0 and pending = ref 0 in
+    for j = 0 to k - 1 do
+      let d = uget (Array.unsafe_get ds j) at in
+      s0 := !s0 + (d * uget (Array.unsafe_get bs j) i);
+      s1 := !s1 + (d * uget (Array.unsafe_get cs j) i);
+      incr pending;
+      if !pending = batch then begin
+        s0 := !s0 mod p;
+        s1 := !s1 mod p;
+        pending := 0
+      end
+    done;
+    uset acc0 i (!s0 mod p);
+    uset acc1 i (!s1 mod p)
   done
 
 let scalar_mul_into (dst : buf) (a : buf) s p =
@@ -132,24 +162,44 @@ let scalar_mul_into (dst : buf) (a : buf) s p =
     uset dst i (d + (p land (d asr 62)))
   done
 
-let lift_pair_centered_into (dst : buf) (lo : buf) (hi : buf) ~q_lo ~q_hi p =
-  (* Residues (a, b) mod (q_lo, q_hi) name one x in [0, Q), Q = q_lo*q_hi <
-     2^62, in mixed radix (Garner): x = a + q_lo*t with
-     t = (b - a)*q_lo^-1 mod q_hi. The centered value is x - Q when
-     x > Q/2, and x mod p = a + (q_lo mod p)*t, less Q mod p when centered
-     down. Every product has a fixed multiplicand and an operand < 2^31, so
-     each is one Shoup step; the only native-int value above 2^31 is x,
-     which is compared, never multiplied. *)
-  let q = q_lo * q_hi in
-  let half = q / 2 in
+let scalar_mac_into (dst : buf) (a : buf) (b : buf) s p =
+  let s = Modarith.reduce s p in
+  let ssh = Modarith.shoup s p in
+  for i = 0 to length dst - 1 do
+    let x = uget b i in
+    let r = (s * x) - (((ssh * x) lsr 31) * p) - p in
+    let r = r + (p land (r asr 62)) in
+    let d = uget a i + r - p in
+    uset dst i (d + (p land (d asr 62)))
+  done
+
+let sub_scale_into (dst : buf) (a : buf) (b : buf) s p =
+  let s = Modarith.reduce s p in
+  let ssh = Modarith.shoup s p in
+  for i = 0 to length dst - 1 do
+    (* fold the difference into [0, p), below the Shoup operand bound *)
+    let t = uget a i - uget b i in
+    let t = t + (p land (t asr 62)) in
+    let r = (s * t) - (((ssh * t) lsr 31) * p) - p in
+    uset dst i (r + (p land (r asr 62)))
+  done
+
+(* Residues (a, b) mod (q_lo, q_hi) name one x in [0, Q), Q = q_lo*q_hi <
+   2^62, in mixed radix (Garner): x = a + q_lo*t with
+   t = (b - a)*q_lo^-1 mod q_hi. The centered value is x - Q when x > Q/2.
+   [garner_digit_into] computes t once per coefficient and stores it as
+   [t lxor down], [down] all-ones exactly when x is centered down: t < 2^31,
+   so the flag is the sign of the stored int32 and [lnot t] still fits.
+   [lift_garner_into] then reduces into each target prime p:
+   x mod p = a + (q_lo mod p)*t, less Q mod p when centered down. Every
+   product has a fixed multiplicand and an operand < 2^31, so each is one
+   Shoup step; x is compared once, never multiplied. *)
+let garner_digit_into (g : buf) (lo : buf) (hi : buf) ~q_lo ~q_hi =
+  let half = q_lo * q_hi / 2 in
   let one_hi = Modarith.shoup 1 q_hi in
   let inv = Modarith.inv_mod (q_lo mod q_hi) q_hi in
   let inv_sh = Modarith.shoup inv q_hi in
-  let one_p = Modarith.shoup 1 p in
-  let c = q_lo mod p in
-  let c_sh = Modarith.shoup c p in
-  let q_p = q mod p in
-  for i = 0 to length dst - 1 do
+  for i = 0 to length g - 1 do
     let a = uget lo i in
     (* t = (b - a mod q_hi) * inv mod q_hi *)
     let am = a - (((one_hi * a) lsr 31) * q_hi) - q_hi in
@@ -158,6 +208,20 @@ let lift_pair_centered_into (dst : buf) (lo : buf) (hi : buf) ~q_lo ~q_hi p =
     let t = t + (q_hi land (t asr 62)) in
     let t = (inv * t) - (((inv_sh * t) lsr 31) * q_hi) - q_hi in
     let t = t + (q_hi land (t asr 62)) in
+    let down = (half - (a + (q_lo * t))) asr 62 in
+    uset g i (t lxor down)
+  done
+
+let lift_garner_into (dst : buf) (lo : buf) (g : buf) ~q_lo ~q_hi p =
+  let one_p = Modarith.shoup 1 p in
+  let c = q_lo mod p in
+  let c_sh = Modarith.shoup c p in
+  let q_p = q_lo * q_hi mod p in
+  for i = 0 to length dst - 1 do
+    let a = uget lo i in
+    let stored = uget g i in
+    let down = stored asr 62 in
+    let t = stored lxor down in
     (* a mod p, plus (q_lo mod p) * t mod p *)
     let ap = a - (((one_p * a) lsr 31) * p) - p in
     let ap = ap + (p land (ap asr 62)) in
@@ -165,8 +229,6 @@ let lift_pair_centered_into (dst : buf) (lo : buf) (hi : buf) ~q_lo ~q_hi p =
     let tp = tp + (p land (tp asr 62)) in
     let r = ap + tp - p in
     let r = r + (p land (r asr 62)) in
-    (* all-ones when x > Q/2: subtract Q mod p *)
-    let down = (half - (a + (q_lo * t))) asr 62 in
     let r = r - (q_p land down) in
     uset dst i (r + (p land (r asr 62)))
   done
@@ -184,28 +246,6 @@ let lift_centered_into (dst : buf) (src : buf) ~from p =
   for i = 0 to length dst - 1 do
     let v = uget src i in
     uset dst i (Modarith.reduce (if v > half then v - from else v) p)
-  done
-
-let rescale_limb_into (dst : buf) (src : buf) (last : buf) ~q_last ~p =
-  (* CKKS rescale, one limb: dst = (src - [last]_centered) / q_last  (mod p).
-     The centered lift of the dropped residue makes the division a proper
-     rounding (rq_rns.drop_last ~rounded:true). *)
-  let half = q_last / 2 in
-  let inv = Modarith.inv_mod (q_last mod p) p in
-  let inv_sh = Modarith.shoup inv p in
-  for i = 0 to length dst - 1 do
-    let d = uget last i in
-    let d = if d > half then d - q_last else d in
-    (* centered d satisfies |d| < 2^30; reduce exactly, then subtract *)
-    let dp = d mod p in
-    let dp = if dp < 0 then dp + p else dp in
-    (* fold t into [0, p): below the Shoup operand bound of 2^31 for every
-       p < 2^31 (the unfolded (0, 2p) window exceeds it once p > 2^30) *)
-    let t = uget src i - dp in
-    let t = t + (p land (t asr 62)) in
-    let q = (inv_sh * t) lsr 31 in
-    let r = (inv * t) - (q * p) - p in
-    uset dst i (r + (p land (r asr 62)))
   done
 
 let automorphism_into (dst : buf) (src : buf) (index : (int * bool) array) p =

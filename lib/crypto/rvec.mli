@@ -43,28 +43,52 @@ val neg_into : buf -> buf -> int -> unit
 val pointwise_mul_into : buf -> buf -> buf -> int -> unit
 (** [pointwise_mul_into dst a b p]: [dst.(i) <- a.(i)*b.(i) mod p]. *)
 
-val pointwise_mac_into : buf -> buf -> buf -> int -> unit
-(** [pointwise_mac_into acc a b p]: [acc.(i) <- acc.(i) + a.(i)*b.(i) mod p]. *)
+val mul_add_into : buf -> buf -> buf -> buf -> int -> unit
+(** [mul_add_into dst acc a b p]: [dst.(i) <- acc.(i) + a.(i)*b.(i) mod p]
+    (the plaintext multiply-accumulate). *)
+
+val inner_product_into :
+  buf -> buf -> buf array -> buf array -> buf array -> int array -> int -> unit
+(** [inner_product_into acc0 acc1 ds bs cs index p]: the key switch's inner
+    product over one channel, with the digits read through [index],
+    [acc0.(i) <- Σ_j ds_j.(index.(i))*bs_j.(i) mod p] and
+    [acc1.(i) <- Σ_j ds_j.(index.(i))*cs_j.(i) mod p], in one pass that
+    keeps both sums in registers and reduces only when another product
+    could overflow. [index] is the identity for a plain key switch and a
+    Galois permutation ({!permute_into}'s) for a hoisted rotation.
+    Bit-identical to permuting the digits, then a chain of per-digit
+    multiply-accumulates. The destinations must not alias an operand. *)
 
 val scalar_mul_into : buf -> buf -> int -> int -> unit
 (** [scalar_mul_into dst a s p]: Shoup multiplication by the fixed scalar
     [s] (any int; reduced mod [p] first). *)
+
+val scalar_mac_into : buf -> buf -> buf -> int -> int -> unit
+(** [scalar_mac_into dst a b s p]: [dst.(i) <- a.(i) + s*b.(i) mod p], one
+    Shoup step per element ([s] any int). *)
+
+val sub_scale_into : buf -> buf -> buf -> int -> int -> unit
+(** [sub_scale_into dst a b s p]: [dst.(i) <- (a.(i) - b.(i))*s mod p] — the
+    last step of a rounded division, with [s] the divisor's inverse. *)
 
 val lift_centered_into : buf -> buf -> from:int -> int -> unit
 (** [lift_centered_into dst src ~from p]: lift residues mod [from] to their
     centered representatives in [(-from/2, from/2\]] and reduce those into
     [\[0, p)] — a one-prime key-switch digit. *)
 
-val lift_pair_centered_into : buf -> buf -> buf -> q_lo:int -> q_hi:int -> int -> unit
-(** [lift_pair_centered_into dst lo hi ~q_lo ~q_hi p]: the residues
-    [(lo.(i), hi.(i))] mod [(q_lo, q_hi)] name one value mod [Q = q_lo·q_hi]
-    ([Q < 2^62]); lift it exactly to its centered representative in
-    [(-Q/2, Q/2\]] and reduce that into [\[0, p)] — a two-prime key-switch
-    digit, and the special modulus's share in the mod-down. *)
+val garner_digit_into : buf -> buf -> buf -> q_lo:int -> q_hi:int -> unit
+(** [garner_digit_into g lo hi ~q_lo ~q_hi]: the residues
+    [(lo.(i), hi.(i))] mod [(q_lo, q_hi)] name one value
+    [x = lo.(i) + q_lo·t] mod [Q = q_lo·q_hi] ([Q < 2^62]); store its
+    mixed-radix digit [t], with the sign of the stored word marking that
+    the centered representative is [x - Q]. Computed once per coefficient,
+    then reduced into every target prime by {!lift_garner_into}. *)
 
-val rescale_limb_into : buf -> buf -> buf -> q_last:int -> p:int -> unit
-(** [rescale_limb_into dst src last ~q_last ~p]: one limb of the CKKS
-    rescale, [dst = (src - \[last\]_centered) / q_last mod p]. *)
+val lift_garner_into : buf -> buf -> buf -> q_lo:int -> q_hi:int -> int -> unit
+(** [lift_garner_into dst lo g ~q_lo ~q_hi p]: the centered value that
+    [lo] and {!garner_digit_into}'s [g] name, reduced into [\[0, p)] — a
+    two-prime key-switch digit, and the special modulus's share in the
+    mod-down. *)
 
 (** {1 Boundary kernels} *)
 

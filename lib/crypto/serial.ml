@@ -194,13 +194,16 @@ let read_rq r ctx =
   in
   Rq_rns.of_components ~basis ~comps ~ntt
 
+(* the settled form: an unsettled rotation goes on the wire as the
+   ciphertext it settles to *)
 let write_rns_ciphertext w ctx (ct : Rns_ckks.ciphertext) =
   ignore ctx;
+  let ct = Rns_ckks.settle ct in
   write_frame w "RCT2" (fun w ->
-      write_int w ct.Rns_ckks.level;
-      write_float w ct.Rns_ckks.scale;
-      write_rq w ct.Rns_ckks.c0;
-      write_rq w ct.Rns_ckks.c1)
+      write_int w (Rns_ckks.level_of ct);
+      write_float w (Rns_ckks.scale_of ct);
+      write_rq w (Rns_ckks.c0 ct);
+      write_rq w (Rns_ckks.c1 ct))
 
 let read_rns_ciphertext r ctx =
   read_frame r "RCT2" (fun r ->
@@ -208,7 +211,7 @@ let read_rns_ciphertext r ctx =
       let scale = read_float r in
       let c0 = read_rq r ctx in
       let c1 = read_rq r ctx in
-      { Rns_ckks.c0; c1; level; scale })
+      Rns_ckks.of_parts ~c0 ~c1 ~level ~scale)
 
 let write_kswitch w k =
   let pairs = Rns_ckks.kswitch_pairs k in

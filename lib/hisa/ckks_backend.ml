@@ -29,6 +29,8 @@ module type SCHEME = sig
   val mul_plain : context -> ciphertext -> plaintext -> ciphertext
   val add_scalar : context -> ciphertext -> float -> ciphertext
   val mul_scalar : context -> ciphertext -> float -> scale:float -> ciphertext
+  val fma_scalar : context -> ciphertext -> ciphertext -> float -> scale:float -> ciphertext
+  val fma_plain : context -> ciphertext -> ciphertext -> plaintext -> ciphertext
   val rotate : context -> keys -> ciphertext -> int -> ciphertext
   val rotate_many : context -> keys -> ciphertext -> int array -> ciphertext array
   val rescale : context -> ciphertext -> int -> ciphertext
@@ -44,9 +46,11 @@ module Make (S : SCHEME) = struct
     secret : S.secret_key option;  (** client-side only; [decrypt] raises without it *)
   }
 
-  (* fused ops compose the primitives: the win on a real scheme is the
-     shared pt encoding cache, not slot-pass fusion. [rot_many] is the
-     scheme's own (hoisted) rotation. *)
+  (* [fma_scalar] and [fma_plain] are the scheme's own at one modulus
+     handle, and the composition they stand for otherwise (the modulus
+     switch of the product must come after the multiply to match it);
+     [fma_rot] composes the primitives. [rot_many] is the scheme's own
+     (hoisted) rotation. *)
   let make (cfg : config) : Hisa.t =
     let module U = struct
       let slots = S.slot_count cfg.ctx
@@ -115,6 +119,16 @@ module Make (S : SCHEME) = struct
     end in
     (module struct
       include Hisa.Fused_default (U)
+
+      let same_handle a b = S.handle_of a = S.handle_of b
+
+      let fma_scalar acc x w ~scale =
+        if same_handle acc x then S.fma_scalar cfg.ctx acc x w ~scale:(float_of_int scale)
+        else U.add acc (U.mul_scalar x w ~scale)
+
+      let fma_plain acc x p =
+        if same_handle acc x then S.fma_plain cfg.ctx acc x (U.encoded p ~handle:(S.handle_of x))
+        else U.add acc (U.mul_plain x p)
 
       let rot_many ct ks = S.rotate_many cfg.ctx cfg.keys ct ks
     end)

@@ -39,6 +39,16 @@ module type SCHEME = sig
   val mul_plain : context -> ciphertext -> plaintext -> ciphertext
   val add_scalar : context -> ciphertext -> float -> ciphertext
   val mul_scalar : context -> ciphertext -> float -> scale:float -> ciphertext
+
+  val fma_scalar : context -> ciphertext -> ciphertext -> float -> scale:float -> ciphertext
+  (** [fma_scalar ctx acc x w ~scale] = [add ctx acc (mul_scalar ctx x w ~scale)]
+      and [fma_plain ctx acc x p] = [add ctx acc (mul_plain ctx x p)], bit
+      for bit, for operands at one modulus handle: {!Hisa.S.fma_scalar} and
+      {!Hisa.S.fma_plain}. A scheme fuses them into one pass (RNS-CKKS,
+      which also accumulates unsettled rotations in the key basis) or
+      composes them (HEAAN). *)
+
+  val fma_plain : context -> ciphertext -> ciphertext -> plaintext -> ciphertext
   val rotate : context -> keys -> ciphertext -> int -> ciphertext
 
   val rotate_many : context -> keys -> ciphertext -> int array -> ciphertext array

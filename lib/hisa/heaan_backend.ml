@@ -35,6 +35,8 @@ module B = Ckks_backend.Make (struct
   let mul_plain = C.mul_plain
   let add_scalar = C.add_scalar
   let mul_scalar = C.mul_scalar
+  let fma_scalar ctx acc x w ~scale = C.add ctx acc (C.mul_scalar ctx x w ~scale)
+  let fma_plain ctx acc x p = C.add ctx acc (C.mul_plain ctx x p)
   let rotate = C.rotate
   let rotate_many ctx keys ct ks = Array.map (C.rotate ctx keys ct) ks
   let rescale = C.rescale

@@ -13,7 +13,8 @@
    Sim_backend's cost clock, Timed_backend's wall-time cells). Checked and
    Fault wrappers replace the ciphertext itself and are written out by hand.
    Backends that do not fuse slot passes take their [fma_*] ops from
-   {!Fused_default}.
+   {!Fused_default} (the CKKS backends take [fma_scalar] and [fma_plain]
+   from their scheme).
 
    Only the ops the runtime calls are carried. Table 2's other ops are
    expressed through them: a right rotation by [k] is [rot_left] by [-k],

@@ -35,6 +35,8 @@ module B = Ckks_backend.Make (struct
   let mul_plain = C.mul_plain
   let add_scalar = C.add_scalar
   let mul_scalar = C.mul_scalar
+  let fma_scalar = C.fma_scalar
+  let fma_plain = C.fma_plain
   let rotate = C.rotate
   let rotate_many = C.rotate_many
   let rescale = C.rescale

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Fast-ring kernel smoke (DESIGN.md §15): the Bigarray/Shoup kernel path
 # must (a) beat the scalar reference on a raw NTT round trip, (b) hoisted
-# rotations over 8 amounts must beat 8 single rotations, (c) a rotation key
+# rotations over 8 amounts must beat 8 single rotations, and their sum
+# settled once must beat the same sum of rotations each settled, (c) a rotation key
 # must store its residues in 4 bytes each and hold one pair per two-prime
 # digit over the chain and both special primes, and (d) stay bit-identical
 # when the residue channels fan out across a 2-domain Kpool.
@@ -31,6 +32,14 @@ many_ms=$(awk '/rot_many 8/ { print $3 }' "$DIR/kbench.out")
 single_ms=$(awk '/rot_many 8/ { print $8 }' "$DIR/kbench.out")
 awk -v m="$many_ms" -v s="$single_ms" 'BEGIN { exit !(m + 0 > 0 && m + 0 < s + 0) }' || {
   echo "kernel smoke FAIL: rot_many ($many_ms ms) not faster than 8 rotations ($single_ms ms)" >&2
+  exit 1
+}
+
+echo "-- deferred mod-down: a sum of 8 hoisted rotations settled once must beat settling each"
+sum_ms=$(awk '/rot-sum 8/ { print $3 }' "$DIR/kbench.out")
+each_ms=$(awk '/rot-sum 8/ { print $6 }' "$DIR/kbench.out")
+awk -v d="$sum_ms" -v e="$each_ms" 'BEGIN { exit !(d + 0 > 0 && d + 0 < e + 0) }' || {
+  echo "kernel smoke FAIL: rot-sum settled once ($sum_ms ms) not faster than settle-each ($each_ms ms)" >&2
   exit 1
 }
 

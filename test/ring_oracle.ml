@@ -1,11 +1,13 @@
 (* The schoolbook ring oracle: [mod]-based twins of the fast Rvec kernels
-   (Shoup / lazy-window reductions) and a Bigint reference for whole
+   (Shoup / lazy-window reductions), the per-digit and coefficient-domain
+   forms the fused kernels replaced, and a Bigint reference for whole
    ring-element expressions. test_kernels.ml checks the fast kernels
-   against both, bit for bit; nothing outside the tests runs them. *)
+   against them, bit for bit; nothing outside the tests runs them. *)
 
 module Bigint = Chet_bigint.Bigint
 module Modarith = Chet_crypto.Modarith
 module Rvec = Chet_crypto.Rvec
+module Rq_rns = Chet_crypto.Rq_rns
 
 let map_into dst f =
   for i = 0 to Rvec.length dst - 1 do
@@ -22,6 +24,27 @@ let pointwise_mac_into acc a b p =
 let scalar_mul_into dst a s p =
   let s = Modarith.reduce s p in
   map_into dst (fun i -> Rvec.get a i * s mod p)
+
+let scalar_mac_into dst a b s p =
+  let s = Modarith.reduce s p in
+  map_into dst (fun i -> Modarith.add_mod (Rvec.get a i) (Rvec.get b i * s mod p) p)
+
+let sub_scale_into dst a b s p =
+  let s = Modarith.reduce s p in
+  map_into dst (fun i -> Modarith.sub_mod (Rvec.get a i) (Rvec.get b i) p * s mod p)
+
+(* the key switch's inner product as each digit permuted by [index], then
+   one multiply-accumulate pass per digit *)
+let inner_product_into acc0 acc1 ds bs cs index p =
+  Rvec.fill acc0 0;
+  Rvec.fill acc1 0;
+  Array.iteri
+    (fun j d ->
+      let permuted = Rvec.create (Rvec.length d) in
+      Rvec.permute_into permuted d index;
+      pointwise_mac_into acc0 permuted bs.(j) p;
+      pointwise_mac_into acc1 permuted cs.(j) p)
+    ds
 
 let rescale_limb_into dst src last ~q_last ~p =
   let half = q_last / 2 in
@@ -46,6 +69,48 @@ let lift_pair_centered_into dst lo hi ~q_lo ~q_hi p =
       let x = a + (q_lo * Modarith.mul_mod (Modarith.reduce (b - a) q_hi) inv q_hi) in
       let c = if x > q / 2 then x - q else x in
       ((c mod p) + p) mod p)
+
+(* --- rounded division by the last primes, in coefficient form --- *)
+
+(* Remove the last basis component; with [~rounded:true] divide by its
+   prime with rounding, limb by limb: the CKKS rescale as it was computed
+   before it moved to the NTT domain. Coefficient form in and out. *)
+let drop_last ctx t ~rounded =
+  if Rq_rns.is_ntt t then invalid_arg "Ring_oracle.drop_last: coefficient form required";
+  let basis = Rq_rns.basis t and primes = Rq_rns.ctx_primes ctx in
+  let nb = Array.length basis in
+  let last = Rq_rns.raw_comp t (nb - 1) in
+  let comps =
+    Array.init (nb - 1) (fun k ->
+        let src = Rq_rns.raw_comp t k in
+        let dst = Rvec.create (Rvec.length src) in
+        if rounded then
+          rescale_limb_into dst src last ~q_last:primes.(basis.(nb - 1)) ~p:primes.(basis.(k))
+        else Rvec.blit src dst;
+        dst)
+  in
+  Rq_rns.unsafe_of_bufs ~basis:(Array.sub basis 0 (nb - 1)) ~comps ~ntt:false
+
+(* Divide by P = q_lo·q_hi, the last two primes, with rounding: the
+   key switch's mod-down through the coefficient domain. *)
+let drop_last_pair ctx t =
+  if Rq_rns.is_ntt t then invalid_arg "Ring_oracle.drop_last_pair: coefficient form required";
+  let basis = Rq_rns.basis t and primes = Rq_rns.ctx_primes ctx in
+  let nb = Array.length basis in
+  let lo = Rq_rns.raw_comp t (nb - 2) and hi = Rq_rns.raw_comp t (nb - 1) in
+  let q_lo = primes.(basis.(nb - 2)) and q_hi = primes.(basis.(nb - 1)) in
+  let comps =
+    Array.init (nb - 2) (fun k ->
+        let p = primes.(basis.(k)) in
+        let src = Rq_rns.raw_comp t k in
+        let lifted = Rvec.create (Rvec.length src) in
+        lift_pair_centered_into lifted lo hi ~q_lo ~q_hi p;
+        let inv = Modarith.inv_mod (Modarith.mul_mod (q_lo mod p) (q_hi mod p) p) p in
+        let dst = Rvec.create (Rvec.length src) in
+        sub_scale_into dst src lifted inv p;
+        dst)
+  in
+  Rq_rns.unsafe_of_bufs ~basis:(Array.sub basis 0 (nb - 2)) ~comps ~ntt:false
 
 (* --- whole polynomials over Z[X]/(X^n + 1), exact --- *)
 

@@ -88,24 +88,30 @@ let test_rvec_kernels () =
       check "scalar_mul"
         (fun d -> Rvec.scalar_mul_into d a s p)
         (fun d -> Ring_oracle.scalar_mul_into d a s p);
-      (* mac starts from the same accumulator on both sides *)
-      let acc0 = random_poly n p in
-      let mf = Rvec.of_int_array acc0 and mr = Rvec.of_int_array acc0 in
-      Rvec.pointwise_mac_into mf a b p;
-      Ring_oracle.pointwise_mac_into mr a b p;
-      Alcotest.(check bool) "pointwise_mac" true (Rvec.equal mf mr);
+      (* the multiply-accumulate starts from the same accumulator on both sides *)
+      let acc = Rvec.of_int_array (random_poly n p) in
+      check "mul_add"
+        (fun d -> Rvec.mul_add_into d acc a b p)
+        (fun d ->
+          Rvec.blit acc d;
+          Ring_oracle.pointwise_mac_into d a b p);
+      check "scalar_mac"
+        (fun d -> Rvec.scalar_mac_into d acc a s p)
+        (fun d -> Ring_oracle.scalar_mac_into d acc a s p);
+      check "sub_scale"
+        (fun d -> Rvec.sub_scale_into d a b s p)
+        (fun d -> Ring_oracle.sub_scale_into d a b s p);
       (* a key-switch digit: residues of two *other* word-sized moduli *)
       let q_lo = 1073741789 and q_hi = 1073741783 (* < 2^30, not NTT primes *) in
       let lo = Rvec.of_int_array (random_poly n q_lo) in
       let hi = Rvec.of_int_array (random_poly n q_hi) in
-      check "lift_pair_centered"
-        (fun d -> Rvec.lift_pair_centered_into d lo hi ~q_lo ~q_hi p)
+      let g = Rvec.create n in
+      Rvec.garner_digit_into g lo hi ~q_lo ~q_hi;
+      check "lift_garner"
+        (fun d -> Rvec.lift_garner_into d lo g ~q_lo ~q_hi p)
         (fun d -> Ring_oracle.lift_pair_centered_into d lo hi ~q_lo ~q_hi p);
       let q_last = 1073479681 in
       let last = Rvec.of_int_array (random_poly n q_last) in
-      check "rescale_limb"
-        (fun d -> Rvec.rescale_limb_into d a last ~q_last ~p)
-        (fun d -> Ring_oracle.rescale_limb_into d a last ~q_last ~p);
       check "lift_centered"
         (fun d -> Rvec.lift_centered_into d last ~from:q_last p)
         (fun d -> Ring_oracle.lift_centered_into d last ~from:q_last p))
@@ -160,24 +166,36 @@ let test_top_residue_31bit () =
       check "pointwise_mul"
         (fun d -> Rvec.pointwise_mul_into d a a p)
         (fun d -> Ring_oracle.pointwise_mul_into d a a p);
-      let mac_f = top p and mac_r = top p in
-      Rvec.pointwise_mac_into mac_f a a p;
-      Ring_oracle.pointwise_mac_into mac_r a a p;
-      Alcotest.(check (array int)) (name "pointwise_mac") (Rvec.to_int_array mac_r)
-        (Rvec.to_int_array mac_f);
+      check "mul_add"
+        (fun d -> Rvec.mul_add_into d a a a p)
+        (fun d ->
+          Rvec.blit a d;
+          Ring_oracle.pointwise_mac_into d a a p);
       check "scalar_mul"
         (fun d -> Rvec.scalar_mul_into d a (p - 1) p)
         (fun d -> Ring_oracle.scalar_mul_into d a (p - 1) p);
-      if q <> p then begin
-        check "rescale_limb"
-          (fun d -> Rvec.rescale_limb_into d a last ~q_last:q ~p)
-          (fun d -> Ring_oracle.rescale_limb_into d a last ~q_last:q ~p);
-        (* src = p-1 over a zero dropped limb: the largest Shoup operand *)
-        let zero = Rvec.zeroed n in
-        check "rescale_limb, zero limb"
-          (fun d -> Rvec.rescale_limb_into d a zero ~q_last:q ~p)
-          (fun d -> Ring_oracle.rescale_limb_into d a zero ~q_last:q ~p)
-      end;
+      check "scalar_mac"
+        (fun d -> Rvec.scalar_mac_into d a a (p - 1) p)
+        (fun d -> Ring_oracle.scalar_mac_into d a a (p - 1) p);
+      (* p-1 less a zero limb: the largest Shoup operand *)
+      let zero = Rvec.zeroed n in
+      check "sub_scale"
+        (fun d -> Rvec.sub_scale_into d a zero (p - 1) p)
+        (fun d -> Ring_oracle.sub_scale_into d a zero (p - 1) p);
+      check "sub_scale, wrapped"
+        (fun d -> Rvec.sub_scale_into d zero a (p - 1) p)
+        (fun d -> Ring_oracle.sub_scale_into d zero a (p - 1) p);
+      (* seven all-(p-1) digits: the largest sums the inner product holds *)
+      let ds = Array.make 7 a in
+      let ip_f0 = Rvec.create n and ip_f1 = Rvec.create n in
+      let ip_r0 = Rvec.create n and ip_r1 = Rvec.create n in
+      let identity = Array.init n Fun.id in
+      Rvec.inner_product_into ip_f0 ip_f1 ds ds ds identity p;
+      Ring_oracle.inner_product_into ip_r0 ip_r1 ds ds ds identity p;
+      Alcotest.(check (array int)) (name "inner_product") (Rvec.to_int_array ip_r0)
+        (Rvec.to_int_array ip_f0);
+      Alcotest.(check (array int)) (name "inner_product, second sum") (Rvec.to_int_array ip_r1)
+        (Rvec.to_int_array ip_f1);
       check "lift_centered"
         (fun d -> Rvec.lift_centered_into d last ~from:q p)
         (fun d -> Ring_oracle.lift_centered_into d last ~from:q p);
@@ -199,8 +217,8 @@ let test_top_residue_31bit () =
   let x = Rq_rns.of_components ~basis ~comps ~ntt:true in
   let w = Serial.writer () in
   Serial.write_rns_ciphertext w ctx
-    { Rns_ckks.c0 = x; c1 = x; level = Array.length primes; scale = 1.0 };
-  let y = (Serial.read_rns_ciphertext (Serial.reader (Serial.contents w)) ctx).Rns_ckks.c1 in
+    (Rns_ckks.of_parts ~c0:x ~c1:x ~level:(Array.length primes) ~scale:1.0);
+  let y = Rns_ckks.c1 (Serial.read_rns_ciphertext (Serial.reader (Serial.contents w)) ctx) in
   Alcotest.(check bool) "wire round trip" true (Rq_rns.equal x y);
   Array.iteri
     (fun i p ->
@@ -208,11 +226,17 @@ let test_top_residue_31bit () =
         (Rq_rns.component y ~basis_index:i))
     primes
 
-(* The key switch's centered two-prime lift against its Garner twin and
+(* The key switch's centered two-prime lift, its Garner digit computed once
+   and reduced into each target, against the per-target Garner twin and
    against the exact value it must produce: digits at 30- and 31-bit primes
    (Q up to 2^62), on random residues, at the ±Q/2 centering boundary and on
    all-(p−1) residues (x = Q − 1, which centers to −1). *)
 let test_lift_pair_centered () =
+  let lift d lo hi ~q_lo ~q_hi p =
+    let g = Rvec.create (Rvec.length d) in
+    Rvec.garner_digit_into g lo hi ~q_lo ~q_hi;
+    Rvec.lift_garner_into d lo g ~q_lo ~q_hi p
+  in
   List.iter
     (fun bits ->
       let primes = Modarith.gen_ntt_primes ~bits ~modulus_of:128 ~count:3 in
@@ -233,25 +257,83 @@ let test_lift_pair_centered () =
       List.iter
         (fun (who, p) ->
           let d = Rvec.create n in
-          Rvec.lift_pair_centered_into d lo hi ~q_lo ~q_hi p;
+          lift d lo hi ~q_lo ~q_hi p;
           let r = Rvec.create n in
           Ring_oracle.lift_pair_centered_into r lo hi ~q_lo ~q_hi p;
           Alcotest.(check (array int)) (name ("oracle = fast into " ^ who)) (Rvec.to_int_array r)
             (Rvec.to_int_array d))
         [ ("p", p); ("q_lo", q_lo); ("q_hi", q_hi) ];
       let d = Rvec.create n in
-      Rvec.lift_pair_centered_into d lo hi ~q_lo ~q_hi p;
+      lift d lo hi ~q_lo ~q_hi p;
       Alcotest.(check (array int)) (name "exact centered value") exact (Rvec.to_int_array d);
       (* Q is odd: ⌊Q/2⌋ stays positive, ⌊Q/2⌋ + 1 wraps to −⌊Q/2⌋ *)
       Alcotest.(check int) (name "Q/2 stays") (Modarith.reduce half p) (Rvec.get d 67);
       Alcotest.(check int) (name "Q/2+1 wraps") (Modarith.reduce (-half) p) (Rvec.get d 68);
       let top = Rvec.create 4 in
-      Rvec.lift_pair_centered_into top
+      lift top
         (Rvec.of_int_array (Array.make 4 (q_lo - 1)))
         (Rvec.of_int_array (Array.make 4 (q_hi - 1)))
         ~q_lo ~q_hi p;
       Alcotest.(check (array int)) (name "all p-1 is -1") (Array.make 4 (p - 1)) (Rvec.to_int_array top))
     [ 30; 31 ]
+
+(* The one-pass inner product against permuting the digits, then one
+   multiply-accumulate pass per digit, for every digit count a chain of up
+   to 16 primes uses, at 30- and 31-bit primes (4 and 1 products between
+   reductions), through the identity and through a Galois permutation. *)
+let test_inner_product () =
+  let n = 256 in
+  let indices =
+    [ ("identity", Array.init n Fun.id); ("galois", Encoding.ntt_automorphism_index ~n ~g:5) ]
+  in
+  List.iter
+    (fun bits ->
+      Array.iter
+        (fun p ->
+          for k = 1 to 8 do
+            let bufs () = Array.init k (fun _ -> Rvec.of_int_array (random_poly n p)) in
+            let ds = bufs () and bs = bufs () and cs = bufs () in
+            List.iter
+              (fun (name, index) ->
+                let f0 = Rvec.create n and f1 = Rvec.create n in
+                let r0 = Rvec.create n and r1 = Rvec.create n in
+                Rvec.inner_product_into f0 f1 ds bs cs index p;
+                Ring_oracle.inner_product_into r0 r1 ds bs cs index p;
+                let what = Printf.sprintf "%d digits, %s, p=%d" k name p in
+                Alcotest.(check bool) (what ^ ": b sum") true (Rvec.equal f0 r0);
+                Alcotest.(check bool) (what ^ ": a sum") true (Rvec.equal f1 r1))
+              indices
+          done)
+        (Modarith.gen_ntt_primes ~bits ~modulus_of:(2 * n) ~count:2))
+    [ 30; 31 ]
+
+(* The NTT-domain rounded division against its coefficient-domain twins at
+   every basis length: by the last prime (rescale) against
+   Ring_oracle.drop_last, by the last two (mod-down by P) against
+   Ring_oracle.drop_last_pair; and the NTT-form prefix (modulus switch)
+   against an unrounded drop through the coefficient domain. *)
+let test_div_round_ntt () =
+  let n = 64 in
+  let primes = Modarith.gen_ntt_primes ~bits:30 ~modulus_of:(2 * n) ~count:8 in
+  let ctx = Rq_rns.make_ctx ~n ~primes in
+  for len = 2 to Array.length primes do
+    let basis = Array.init len Fun.id in
+    let comps = Array.map (fun i -> random_poly n primes.(i)) basis in
+    let x = Rq_rns.of_components ~basis ~comps ~ntt:true in
+    let xc = Rq_rns.from_ntt ctx x in
+    let check what got want =
+      if not (Rq_rns.equal got want) then Alcotest.failf "%d primes: %s differs" len what
+    in
+    check "rescale"
+      (Rq_rns.div_round_ntt ctx x ~drop:1)
+      (Rq_rns.to_ntt ctx (Ring_oracle.drop_last ctx xc ~rounded:true));
+    if len > 2 then
+      check "mod-down"
+        (Rq_rns.div_round_ntt ctx x ~drop:2)
+        (Rq_rns.to_ntt ctx (Ring_oracle.drop_last_pair ctx xc));
+    check "modulus switch" (Rq_rns.truncate x (len - 1))
+      (Rq_rns.to_ntt ctx (Ring_oracle.drop_last ctx xc ~rounded:false))
+  done
 
 let test_ntt_top_of_lazy_window () =
   (* all-(p-1) input at the largest 30-bit fast prime drives the lazy
@@ -375,7 +457,7 @@ let encrypt_with_domains k =
       let ct = C.mul ctx keys ct ct in
       let ct = C.rescale ctx ct (C.max_rescale ctx ct (1 lsl 30)) in
       let ct = C.rotate ctx keys ct 3 in
-      (ct.C.c0, ct.C.c1))
+      (C.c0 ct, C.c1 ct))
 
 let test_k_domain_determinism () =
   let c0_1, c1_1 = encrypt_with_domains 1 in
@@ -392,7 +474,7 @@ let test_ring_fast_vs_reference () =
   let ca = Array.init n (fun i -> (i * 977) - (n * 488) + Random.State.int rng 3) in
   let cb = Array.init n (fun i -> (i * i) - 1000) in
   let s = 123457 in
-  (* drop_last((a * b - b) * s), rounded, in the RNS ring *)
+  (* (a * b - b) * s divided by the last prime, rounded, in the RNS ring *)
   let ctx = Rq_rns.make_ctx ~n ~primes in
   let basis = Array.init (Array.length primes) (fun i -> i) in
   let a = Rq_rns.of_centered_coeffs ctx basis ca in
@@ -400,7 +482,7 @@ let test_ring_fast_vs_reference () =
   let m = Rq_rns.mul ctx a b in
   let x = Rq_rns.add ctx m (Rq_rns.to_ntt ctx (Rq_rns.neg ctx b)) in
   let x = Rq_rns.mul_scalar ctx x s in
-  let d = Rq_rns.drop_last ctx (Rq_rns.from_ntt ctx x) ~rounded:true in
+  let d = Rq_rns.div_round_ntt ctx x ~drop:1 in
   let got = Rq_rns.to_bigint_coeffs ctx d in
   (* the same expression over Z[X]/(X^n + 1), then one exact rounded division *)
   let big = Array.map Bigint.of_int in
@@ -431,6 +513,9 @@ let suite =
         Alcotest.test_case "shoup multiplication" `Quick test_shoup;
         Alcotest.test_case "centered pair lift = Garner twin, 30/31-bit" `Quick
           test_lift_pair_centered;
+        Alcotest.test_case "one-pass inner product = per-digit MACs" `Quick test_inner_product;
+        Alcotest.test_case "NTT-domain rounded division = coefficient twin" `Quick
+          test_div_round_ntt;
         Alcotest.test_case "make_ctx rejects a prime >= 2^31" `Quick
           test_make_ctx_rejects_wide_prime;
         Alcotest.test_case "residue p-1 survives storage, 31-bit primes" `Quick

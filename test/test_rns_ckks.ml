@@ -42,16 +42,12 @@ let test_encrypt_decrypt () =
 let test_encrypt_is_randomized () =
   let v = random_vec 2 in
   let a = encrypt_vec v and b = encrypt_vec v in
-  Alcotest.(check bool) "ciphertexts differ" false (a.C.c0 = b.C.c0)
+  Alcotest.(check bool) "ciphertexts differ" false (C.c0 a = C.c0 b)
 
 let test_add () =
   let a = random_vec 3 and b = random_vec 4 in
   let sum = Array.init slots (fun i -> a.(i) +. b.(i)) in
   check_close "add" sum (C.add ctx (encrypt_vec a) (encrypt_vec b))
-
-let test_negate () =
-  let a = random_vec 5 in
-  check_close "negate" (Array.map (fun x -> -.x) a) (C.negate ctx (encrypt_vec a))
 
 let test_add_plain () =
   let a = random_vec 7 and b = random_vec 8 in
@@ -183,7 +179,8 @@ let test_rotate_many () =
    Each check compares against the decryption of the operand itself, so the
    fresh encryption noise cancels and only the key switch's error is left:
    - rotate and hoisted rotate_many: the decrypted input's slots, rotated;
-     rotate_many is bit for bit rotate;
+     rotate_many's amounts come back unsettled and settle bit for bit to
+     rotate's result;
    - relinearised mul: mul_plain by the decrypted second operand, which is
      the same product without the relinearisation. *)
 let test_keyswitch_every_level () =
@@ -215,14 +212,136 @@ let test_keyswitch_every_level () =
             (Array.init slots (fun j -> Complexv.get_im v (src j)))
         in
         close what 5e-3 rotated one;
-        if not (Rq_rns.equal one.C.c0 many.(i).C.c0 && Rq_rns.equal one.C.c1 many.(i).C.c1) then
-          Alcotest.failf "%s: rotate_many differs from rotate" what)
+        if C.is_settled many.(i) then Alcotest.failf "%s: hoisted amount settled" what;
+        if not (Rq_rns.equal (C.c0 one) (C.c0 many.(i)) && Rq_rns.equal (C.c1 one) (C.c1 many.(i)))
+        then Alcotest.failf "%s: rotate_many differs from rotate" what)
       amounts;
     let x = at top_x and y = at top_y in
     let product = C.mul ctx keys x y in
     let reference = C.mul_plain ctx x (C.decrypt ctx sk y) in
     close (Printf.sprintf "level %d, relinearised mul" level) 1e-4 (slots_of reference) product
   done
+
+(* The scheme's fused multiply-accumulates against the composition they
+   stand for, bit for bit, at every level and for every mix of settled and
+   unsettled (hoisted) operands: the same form, level, scale and settled
+   components. *)
+let test_fused_fma_every_level () =
+  let same what a b =
+    if
+      not
+        (C.is_settled a = C.is_settled b
+        && C.level_of a = C.level_of b
+        && C.scale_of a = C.scale_of b
+        && Rq_rns.equal (C.c0 a) (C.c0 b)
+        && Rq_rns.equal (C.c1 a) (C.c1 b))
+    then Alcotest.failf "%s: fused differs from the composition" what
+  in
+  for level = 1 to C.max_level ctx do
+    let at seed = C.mod_switch_to_level ctx (encrypt_vec (random_vec seed)) level in
+    let base = at 41 and x = at 42 in
+    let hoisted ct = C.rotate_many ctx keys ct [| 1; 2 |] in
+    let base_u = (hoisted base).(0) and x_u = (hoisted x).(1) in
+    let w = 0.37 and ws = 1024.0 in
+    (* accumulators at the product's scale *)
+    let acc = C.mul_scalar ctx base 0.8 ~scale:ws and acc_u = C.mul_scalar ctx base_u 0.8 ~scale:ws in
+    List.iter
+      (fun (tag, a, y) ->
+        same
+          (Printf.sprintf "level %d, fma_scalar %s" level tag)
+          (C.fma_scalar ctx a y w ~scale:ws)
+          (C.add ctx a (C.mul_scalar ctx y w ~scale:ws)))
+      [
+        ("settled + settled", acc, x);
+        ("unsettled + settled", acc_u, x);
+        ("settled + unsettled", acc, x_u);
+        ("unsettled + unsettled", acc_u, x_u);
+      ];
+    let pt = C.encode_real ctx ~level ~scale (random_vec 43) in
+    List.iter
+      (fun (tag, a, y) ->
+        same
+          (Printf.sprintf "level %d, fma_plain %s" level tag)
+          (C.fma_plain ctx a y pt)
+          (C.add ctx a (C.mul_plain ctx y pt)))
+      [
+        ("settled + settled", C.mul_plain ctx base pt, x);
+        ("settled + unsettled", C.mul_plain ctx base pt, x_u);
+        ("unsettled + settled", C.mul_scalar ctx base_u 0.5 ~scale, x);
+      ]
+  done
+
+(* A weighted sum of 8 hoisted amounts, with settled terms mixed in, stays
+   unsettled until it is used, decrypts to the cleartext sum, and differs
+   from the same sum of settled rotations only by rounding. *)
+let test_deferred_rotation_sum () =
+  let a = random_vec 51 in
+  let ct = encrypt_vec a in
+  let amounts = [| 1; 2; 3; 4; 8; 16; 32; 64 |] in
+  let weights = Array.init 8 (fun i -> 0.25 +. (0.1 *. float_of_int i)) in
+  let ws = 1024.0 in
+  let sum rotations =
+    let acc = ref (C.mul_scalar ctx rotations.(0) weights.(0) ~scale:ws) in
+    for i = 1 to 7 do
+      acc := C.fma_scalar ctx !acc rotations.(i) weights.(i) ~scale:ws;
+      (* a settled term joins halfway *)
+      if i = 4 then acc := C.fma_scalar ctx !acc ct 0.5 ~scale:ws
+    done;
+    C.add ctx !acc (C.mul_scalar ctx ct (-0.25) ~scale:ws)
+  in
+  let hoisted = C.rotate_many ctx keys ct amounts in
+  Array.iter (fun r -> Alcotest.(check bool) "hoisted amount unsettled" false (C.is_settled r)) hoisted;
+  let deferred = sum hoisted in
+  Alcotest.(check bool) "sum unsettled" false (C.is_settled deferred);
+  let settled_each = sum (Array.map C.settle hoisted) in
+  Alcotest.(check bool) "sum of settled rotations settled" true (C.is_settled settled_each);
+  let expected =
+    Array.init slots (fun j ->
+        let acc = ref (0.25 *. a.(j)) in
+        Array.iteri (fun i r -> acc := !acc +. (weights.(i) *. a.((j + r) mod slots))) amounts;
+        !acc)
+  in
+  check_close ~tol:5e-3 "deferred sum" expected deferred;
+  let diff = Complexv.max_abs_diff (decrypt_vec deferred) (decrypt_vec settled_each) in
+  if diff > 1e-4 then Alcotest.failf "deferred vs settled-each sum: %g > 1e-4" diff
+
+(* settling is memoised: the same value, physically, on every call *)
+let test_settle_memoised () =
+  let ct = encrypt_vec (random_vec 52) in
+  Alcotest.(check bool) "a settled ciphertext settles to itself" true (C.settle ct == ct);
+  let r = (C.rotate_many ctx keys ct [| 1; 3 |]).(0) in
+  let s = C.settle r in
+  Alcotest.(check bool) "settled" true (C.is_settled s);
+  Alcotest.(check bool) "settling twice" true (C.settle r == s);
+  Alcotest.(check bool) "components" true (C.c0 r == C.c0 s && C.c1 r == C.c1 s);
+  Alcotest.(check bool) "a settled form settles to itself" true (C.settle s == s)
+
+(* every op that needs the chain basis takes an unsettled operand and
+   decrypts exactly as when given its settled form *)
+let test_settling_ops () =
+  let ct = encrypt_vec (random_vec 53) in
+  let u = (C.rotate_many ctx keys ct [| 1; 3 |]).(0) in
+  let s = C.settle u in
+  let pt = C.encode_real ctx ~level:(C.max_level ctx) ~scale (random_vec 54) in
+  let poly ct = (C.decrypt ctx sk ct).C.poly in
+  let check what f =
+    let from_u = f u and from_s = f s in
+    Array.iteri
+      (fun i (a, b) ->
+        if not (Rq_rns.equal (poly a) (poly b)) then
+          Alcotest.failf "%s (result %d): unsettled operand decrypts differently" what i)
+      (Array.combine from_u from_s)
+  in
+  let one f x = [| f x |] in
+  check "mul_plain" (one (fun x -> C.mul_plain ctx x pt));
+  check "add_plain" (one (fun x -> C.add_plain ctx x pt));
+  check "add_scalar" (one (fun x -> C.add_scalar ctx x 0.75));
+  check "mul" (one (fun x -> C.mul ctx keys x x));
+  check "rescale" (one (fun x -> C.rescale ctx x (C.max_rescale ctx x (1 lsl 30))));
+  check "mod_switch_to_level" (one (fun x -> C.mod_switch_to_level ctx x (C.max_level ctx - 1)));
+  check "rotate" (one (fun x -> C.rotate ctx keys x 1));
+  check "rotate_many" (fun x -> C.rotate_many ctx keys x [| 1; 3; 5 |]);
+  check "decrypt" (one Fun.id)
 
 (* Centered digits over a two-prime special modulus: one rotation adds less
    than the fresh encryption error. A digit lifted into [0, q) instead has
@@ -302,7 +421,6 @@ let suite =
         Alcotest.test_case "encrypt/decrypt" `Quick test_encrypt_decrypt;
         Alcotest.test_case "encryption randomized" `Quick test_encrypt_is_randomized;
         Alcotest.test_case "add" `Quick test_add;
-        Alcotest.test_case "negate" `Quick test_negate;
         Alcotest.test_case "add_plain" `Quick test_add_plain;
         Alcotest.test_case "mul (relinearised)" `Quick test_mul;
         Alcotest.test_case "mul_plain" `Quick test_mul_plain;
@@ -318,6 +436,11 @@ let suite =
         Alcotest.test_case "NTT-domain Galois permutation" `Quick test_ntt_galois_permutation;
         Alcotest.test_case "hoisted rotate_many" `Quick test_rotate_many;
         Alcotest.test_case "key switching at every level" `Quick test_keyswitch_every_level;
+        Alcotest.test_case "fused fma = composition at every level" `Quick
+          test_fused_fma_every_level;
+        Alcotest.test_case "deferred sum of hoisted rotations" `Quick test_deferred_rotation_sum;
+        Alcotest.test_case "settling is memoised" `Quick test_settle_memoised;
+        Alcotest.test_case "settling ops accept unsettled operands" `Quick test_settling_ops;
         Alcotest.test_case "one rotation's error within 2x fresh" `Quick test_rotation_error_vs_fresh;
         Alcotest.test_case "wrong key garbles" `Quick test_wrong_key_fails;
         Alcotest.test_case "level mismatch rejected" `Quick test_level_mismatch_rejected;

@@ -51,12 +51,12 @@ let test_rns_mul_matches_bigint () =
   Array.iteri (fun i e -> Alcotest.(check int) (Printf.sprintf "c%d" i) e (B.to_int got.(i))) expected
 
 let test_rns_drop_last_rounded_divides () =
-  (* rescale semantics: drop_last ~rounded divides centered values by q_last
-     with bounded rounding error *)
+  (* rescale semantics: dropping the last prime with rounding divides
+     centered values by q_last with bounded rounding error *)
   let big = 1 lsl 40 in
   let ints = random_ints 5 big in
-  let p = poly_of_ints ints in
-  let dropped = Rq_rns.drop_last ctx p ~rounded:true in
+  let p = Rq_rns.to_ntt ctx (poly_of_ints ints) in
+  let dropped = Rq_rns.div_round_ntt ctx p ~drop:1 in
   let got = Rq_rns.to_centered_bigint_coeffs ctx dropped in
   let q_last = float_of_int primes.(3) in
   Array.iteri
@@ -69,7 +69,7 @@ let test_rns_drop_last_rounded_divides () =
 let test_rns_drop_last_unrounded_is_projection () =
   let ints = random_ints 6 1000 in
   let p = poly_of_ints ints in
-  let dropped = Rq_rns.drop_last ctx p ~rounded:false in
+  let dropped = Rq_rns.truncate p 3 in
   Alcotest.(check bool) "same as subset" true
     (Rq_rns.equal dropped (Rq_rns.subset p [| 0; 1; 2 |]))
 

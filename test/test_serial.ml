@@ -66,11 +66,41 @@ let test_rns_ciphertext_roundtrip () =
   Serial.write_rns_ciphertext w rq ct;
   let bytes = Serial.contents w in
   let ct' = Serial.read_rns_ciphertext (Serial.reader bytes) rq in
-  Alcotest.(check int) "level" ct.Rns_ckks.level ct'.Rns_ckks.level;
+  Alcotest.(check int) "level" (Rns_ckks.level_of ct) (Rns_ckks.level_of ct');
   (* decrypting the deserialised ciphertext recovers the message *)
   let got = Rns_ckks.decode ctx (Rns_ckks.decrypt ctx sk ct') in
   let diff = Complexv.max_abs_diff (Complexv.of_real v) got in
   Alcotest.(check bool) "decrypts" true (diff < 5e-3)
+
+(* a hoisted rotation goes on the wire as the ciphertext it settles to:
+   the same bytes as its settled form, and it decrypts to the rotation *)
+let test_rns_unsettled_roundtrip () =
+  let rng = Sampling.create ~seed:5 in
+  let sk, keys = Rns_ckks.keygen ctx rng in
+  List.iter (Rns_ckks.add_rotation_key ctx rng sk keys) [ 1; 2 ];
+  let slots = Rns_ckks.slot_count ctx in
+  let v = Array.init slots (fun i -> 0.01 *. float_of_int i) in
+  let ct =
+    Rns_ckks.encrypt ctx rng keys.Rns_ckks.public
+      (Rns_ckks.encode_real ctx ~level:3 ~scale:1073741824.0 v)
+  in
+  let rotated = (Rns_ckks.rotate_many ctx keys ct [| 1; 2 |]).(0) in
+  Alcotest.(check bool) "hoisted amount is unsettled" false (Rns_ckks.is_settled rotated);
+  let rq = Rns_ckks.rq_ctx ctx in
+  let bytes ct =
+    let w = Serial.writer () in
+    Serial.write_rns_ciphertext w rq ct;
+    Serial.contents w
+  in
+  let wire = bytes rotated in
+  Alcotest.(check string) "bytes of the settled form" (bytes (Rns_ckks.settle rotated)) wire;
+  let back = Serial.read_rns_ciphertext (Serial.reader wire) rq in
+  Alcotest.(check bool) "read back settled" true (Rns_ckks.is_settled back);
+  Alcotest.(check string) "re-serialises to the same bytes" wire (bytes back);
+  let got = Rns_ckks.decode ctx (Rns_ckks.decrypt ctx sk back) in
+  let expected = Array.init slots (fun i -> v.((i + 1) mod slots)) in
+  let diff = Complexv.max_abs_diff (Complexv.of_real expected) got in
+  Alcotest.(check bool) "decrypts to the rotation" true (diff < 5e-3)
 
 let test_rns_corrupt_tag () =
   let w = Serial.writer () in
@@ -557,6 +587,8 @@ let suite =
         Alcotest.test_case "truncation rejected" `Quick test_truncation_rejected;
         Alcotest.test_case "bad lengths rejected" `Quick test_bad_lengths_rejected;
         Alcotest.test_case "RNS ciphertext roundtrip" `Quick test_rns_ciphertext_roundtrip;
+        Alcotest.test_case "unsettled rotation roundtrips settled" `Quick
+          test_rns_unsettled_roundtrip;
         Alcotest.test_case "corrupt tag rejected" `Quick test_rns_corrupt_tag;
         Alcotest.test_case "pow2 ciphertext roundtrip" `Quick test_big_ciphertext_roundtrip;
         Alcotest.test_case "fuzz: truncation at every offset" `Quick test_fuzz_truncation_every_offset;
