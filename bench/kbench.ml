@@ -1,9 +1,12 @@
 (* Ring-kernel microbenchmark: the fast NTT against the scalar reference
-   transform, the pointwise kernel, the key switch's one-pass inner product,
-   the NTT-domain rescale, hoisted rotations against the same rotations one
-   at a time, a sum of hoisted rotations settled once against the same
-   rotations each settled first, and the resident size of one rotation key.
-   Used by scripts/kernel_smoke.sh and for tuning the fast path by hand. *)
+   transform (and the fast one at N = 2048 and 32768), the pointwise
+   kernel, the key switch's one-pass inner product, the NTT-domain rescale,
+   hoisted rotations against the same rotations one at a time, a sum of
+   hoisted rotations settled once against the same rotations each settled
+   first, the resident size of one rotation key, and a 100-term
+   multiply-accumulate chain computed as one pending sum against the chain
+   of two-operand passes. Used by scripts/kernel_smoke.sh and for tuning the
+   fast path by hand. *)
 
 module Ntt = Chet_crypto.Ntt
 module Rvec = Chet_crypto.Rvec
@@ -53,6 +56,28 @@ let () =
     (1e6 *. t_fast /. float_of_int (2 * reps))
     (1e6 *. t_scalar /. float_of_int (2 * reps))
     (1e6 *. t_pw /. float_of_int (reps * 10))
+
+(* the fast NTT (a forward and an inverse transform, averaged) at the
+   benchmark's pinned ring and at LeNet-5-small's compiled one *)
+let () =
+  List.iter
+    (fun n ->
+      let p = (Modarith.gen_ntt_primes ~bits:30 ~modulus_of:(2 * n) ~count:1).(0) in
+      let tbl = Ntt.make_table ~n ~prime:p in
+      let rng = Random.State.make [| 5 |] in
+      let buf = Rvec.of_int_array (Array.init n (fun _ -> Random.State.int rng p)) in
+      let reps = 2 * 65536 / n in
+      Ntt.forward_buf tbl buf;
+      Ntt.inverse_buf tbl buf;
+      let t =
+        time (fun () ->
+            for _ = 1 to reps do
+              Ntt.forward_buf tbl buf;
+              Ntt.inverse_buf tbl buf
+            done)
+      in
+      Printf.printf "  ntt at n=%-6d %8.1f us/transform\n" n (1e6 *. t /. float_of_int (2 * reps)))
+    [ 2048; 32768 ]
 
 (* the key switch's inner product over one channel at 5 and 7 digits (the
    digit counts of 10 and 14 chain primes), and the NTT-domain rescale of one
@@ -162,3 +187,37 @@ let () =
     !bytes !residues
     (float_of_int !bytes /. float_of_int !residues)
     n
+
+(* A 100-term sum of scalar multiples over 13 primes at N = 2048 (26
+   channels, a conv tap chain's shape): computed once from the pending sum
+   against the chain of two-operand passes (each step materialised), which
+   is what every [fma_scalar] cost before sums were deferred *)
+let () =
+  let n = 2048 and primes = 13 and terms = 100 and reps = 5 in
+  let ctx = Rns.make_context (Rns.default_params ~n ~num_coeff_primes:primes ()) in
+  let rng = Random.State.make [| 17 |] in
+  let chain = Rns.coeff_primes ctx in
+  let residues p = Rvec.of_int_array (Array.init n (fun _ -> Random.State.int rng p)) in
+  let poly () =
+    Rq_rns.unsafe_of_bufs ~basis:(Array.init primes Fun.id) ~comps:(Array.map residues chain)
+      ~ntt:true
+  in
+  let xs =
+    Array.init terms (fun _ -> Rns.of_parts ~c0:(poly ()) ~c1:(poly ()) ~level:primes ~scale:1024.0)
+  in
+  let ws = 256.0 in
+  let sum step =
+    let acc = ref (Rns.mul_scalar ctx xs.(0) 0.5 ~scale:ws) in
+    for i = 1 to terms - 1 do
+      acc := step (Rns.fma_scalar ctx !acc xs.(i) (0.01 *. float_of_int i) ~scale:ws)
+    done;
+    Rns.materialise !acc
+  in
+  let per_sum step =
+    ignore (sum step);
+    1e3 *. time (fun () -> for _ = 1 to reps do ignore (sum step) done) /. float_of_int reps
+  in
+  let pending = per_sum Fun.id in
+  let chained = per_sum Rns.materialise in
+  Printf.printf "  mac-chain %d %8.1f ms/call  (chain %.1f ms, n=%d, %d primes)\n" terms pending
+    chained n primes

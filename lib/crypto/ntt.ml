@@ -1,19 +1,15 @@
 (* Negacyclic NTT with psi-power tables in bit-reversed order (the scheme of
    Longa & Naehrig, as implemented in SEAL): the twist by powers of the 2n-th
    root psi is fused into the butterflies, so forward/inverse are single
-   passes with no separate pre/post scaling. *)
+   passes with no separate pre/post scaling. The int-array loops below are
+   the reference; residue buffers are transformed on a domain-local
+   native-int scratch, cache-blocked and radix-4 inside L1 (the fast path
+   further down), with bit-identical results. *)
 
-(* Fast-path companion tables: the same psi powers in unboxed buffers plus
-   their Shoup words. Built only for primes p <= 2^30, where the lazy
-   [0, 2p) representation stays below the Shoup operand bound of 2^31. *)
-type fast = {
-  fw : Rvec.buf; (* psi_rev *)
-  fw_sh : Rvec.buf;
-  fi : Rvec.buf; (* psi_inv_rev *)
-  fi_sh : Rvec.buf;
-  f_ninv : int;
-  f_ninv_sh : int;
-}
+(* Fast-path companion tables: the Shoup words of the psi powers (the
+   tables below). Built only for primes p <= 2^30, where the lazy [0, 2p)
+   representation stays below the Shoup operand bound of 2^31. *)
+type fast = { fw_sh : int array; fi_sh : int array; f_ninv_sh : int }
 
 type table = {
   n : int;
@@ -62,17 +58,9 @@ let make_table ~n ~prime =
   let fast =
     if prime > 1 lsl 30 then None
     else begin
-      let with_shoup src =
-        let b = Rvec.of_int_array src in
-        let sh = Rvec.create n in
-        for i = 0 to n - 1 do
-          Rvec.set sh i (Modarith.shoup src.(i) prime)
-        done;
-        (b, sh)
-      in
-      let fw, fw_sh = with_shoup psi_rev in
-      let fi, fi_sh = with_shoup psi_inv_rev in
-      Some { fw; fw_sh; fi; fi_sh; f_ninv = n_inv; f_ninv_sh = Modarith.shoup n_inv prime }
+      let shoup = Array.map (fun w -> Modarith.shoup w prime) in
+      Some
+        { fw_sh = shoup psi_rev; fi_sh = shoup psi_inv_rev; f_ninv_sh = Modarith.shoup n_inv prime }
     end
   in
   { n; prime; psi_rev; psi_inv_rev; n_inv; fast }
@@ -131,121 +119,189 @@ let inverse t a =
     a.(j) <- a.(j) * t.n_inv mod p
   done
 
-(* --- fast path: cache-blocked butterflies over unboxed buffers ---
+(* --- fast path: a native-int scratch, radix-4 inside L1-sized blocks ---
 
    Same butterfly network and twiddle tables as the scalar loops above, so
-   results are bit-identical; only the traversal order and the reduction
-   strategy differ. The iterative loops stream the whole array once per
-   level (log n passes); here each transform recurses down the butterfly
-   tree until a subtree fits in L1 ([leaf_len] words), then finishes that
-   subtree with the iterative schedule while it is cache-hot. Twiddle
+   results are bit-identical; only the storage, the traversal order and the
+   reduction strategy differ. The residues are copied into a domain-local
+   [int array] (Kpool transforms several channels at once, one per domain;
+   see [acquire] for systhreads), so every load and store in the butterflies is a plain word access, with
+   no int32 sign-extend or retag. The transform recurses down the butterfly
+   tree, one radix-2 row per node, until a subtree fits in L1 ([leaf_len]
+   words), and finishes that subtree cache-hot two stages per pass
+   (radix-4: four residues loaded, four butterflies, four stored), plus one
+   radix-2 row over the whole leaf when it has an odd number of stages
+   (the first stage forward, the last inverse). Twiddle
    indexing: tree node [mi] (root 1, children [2mi], [2mi+1]) uses
    psi_rev.(mi) — the iterative stage-[m] group-[i] index [m + i] is
    exactly the node id — and within a leaf at node [mi], local stage [m']
    group [i'] uses index [mi * m' + i'].
 
-   Values between levels live in the lazy window [0, 2p): one branchless
+   Values between stages live in the lazy window [0, 2p): one branchless
    fold per operand replaces the two exact reductions of the scalar path,
-   and a final canonicalisation pass restores [0, p). (Harvey's wider
+   and the pass that copies the scratch back into the buffer canonicalises
+   into [0, p) (the inverse also scales by 1/n there). Harvey's wider
    [0, 4p) window would push operands past the 2^31 Shoup bound for our
-   30-bit primes.) *)
+   30-bit primes. *)
 
-let leaf_len = 1024 (* 8 KB of residues: comfortably inside L1 *)
+let leaf_len = 2048 (* 16 KB of native ints: inside L1 with the twiddles *)
 
-(* Concrete-typed wrappers so the primitive inlines as an unboxed 32-bit
-   load/store (see the note in rvec.ml: an eta-reduced alias goes through
-   the generic bigarray stub). Every value stored here is < 2p < 2^31. *)
-let[@inline] uget (b : Rvec.buf) i : int = Int32.to_int (Bigarray.Array1.unsafe_get b i)
-let[@inline] uset (b : Rvec.buf) i (v : int) = Bigarray.Array1.unsafe_set b i (Int32.of_int v)
+(* Each domain keeps one scratch in its slot. A transform takes it out of
+   the slot for its whole run and puts it back after, so a systhread that
+   preempts it on the same domain (they share the slot) finds the slot
+   empty and allocates its own rather than writing into a scratch in use. *)
+let scratch_key = Domain.DLS.new_key (fun () -> Atomic.make [||])
 
-let forward_fast (f : fast) p (a : Rvec.buf) n =
-  let w = f.fw and wsh = f.fw_sh in
-  (* butterflies pairing [base+j] with [base+h+j]; inputs/outputs [0, 2p) *)
-  let row base h s ssh =
-    for j = base to base + h - 1 do
-      let u = uget a j and x = uget a (j + h) in
-      let u =
-        let d = u - p in
-        d + (p land (d asr 62))
-      in
-      let t =
-        let q = (ssh * x) lsr 31 in
-        let r = (s * x) - (q * p) - p in
-        r + (p land (r asr 62))
-      in
-      uset a j (u + t);
-      uset a (j + h) (u - t + p)
-    done
-  in
-  let rec node base len mi =
-    if len <= leaf_len then begin
-      let m' = ref 1 and t = ref (len lsr 1) in
-      while !t >= 1 do
-        let idx0 = mi * !m' in
-        for i = 0 to !m' - 1 do
-          row (base + (2 * i * !t)) !t (uget w (idx0 + i)) (uget wsh (idx0 + i))
-        done;
-        m' := !m' lsl 1;
-        t := !t lsr 1
+(* a scratch of at least [n] words, the caller's until {!release} *)
+let acquire n =
+  let a = Atomic.exchange (Domain.DLS.get scratch_key) [||] in
+  if Array.length a >= n then a else Array.make n 0
+
+let release a = Atomic.set (Domain.DLS.get scratch_key) a
+
+(* Concrete-typed accessors, so each compiles to an inlined word access
+   (see the note in rvec.ml on eta-reduced Bigarray aliases). *)
+let[@inline] load (b : Rvec.buf) i : int = Int32.to_int (Bigarray.Array1.unsafe_get b i)
+let[@inline] store (b : Rvec.buf) i (v : int) = Bigarray.Array1.unsafe_set b i (Int32.of_int v)
+let[@inline] aget (a : int array) i = Array.unsafe_get a i
+let[@inline] aset (a : int array) i (v : int) = Array.unsafe_set a i v
+
+(* [d] folded into [0, m) from [-m, m) *)
+let[@inline] fold m d = d + (m land (d asr 62))
+
+(* w·x mod p for x < 2^31: in [0, 2p) lazily, [0, p) corrected *)
+let[@inline] shoup_lazy w wsh x p = (w * x) - (((wsh * x) lsr 31) * p)
+let[@inline] shoup w wsh x p = fold p (shoup_lazy w wsh x p - p)
+
+(* Forward (Cooley–Tukey) butterflies pairing [j] with [j + h], operands in
+   [0, 2p): u folds to [0, p), w·x is one corrected Shoup product, and
+   (u + w·x, u − w·x + p) are back in [0, 2p). *)
+let fwd_row a p lo h w wsh =
+  for j = lo to lo + h - 1 do
+    let u = fold p (aget a j - p) and t = shoup w wsh (aget a (j + h)) p in
+    aset a j (u + t);
+    aset a (j + h) (u - t + p)
+  done
+
+let fwd_leaf a (w : int array) (wsh : int array) p base len mi =
+  let m = ref 1 and t = ref (len lsr 1) in
+  (* an odd stage count starts with one radix-2 row over the whole leaf *)
+  if log2 len land 1 = 1 then begin
+    fwd_row a p base !t (aget w mi) (aget wsh mi);
+    m := 2;
+    t := !t lsr 1
+  end;
+  while !t >= 2 do
+    (* stage [m] pairs at distance [t1], stage [2m] at [t2] *)
+    let m1 = !m and t1 = !t in
+    let t2 = t1 lsr 1 in
+    for i = 0 to m1 - 1 do
+      let b = base + (2 * i * t1) in
+      let k1 = (mi * m1) + i and k2 = (2 * mi * m1) + (2 * i) in
+      let w1 = aget w k1 and w1s = aget wsh k1 in
+      let wa = aget w k2 and was = aget wsh k2 in
+      let wb = aget w (k2 + 1) and wbs = aget wsh (k2 + 1) in
+      for j = b to b + t2 - 1 do
+        let x0 = fold p (aget a j - p) and x1 = fold p (aget a (j + t2) - p) in
+        let y2 = shoup w1 w1s (aget a (j + t1)) p in
+        let y3 = shoup w1 w1s (aget a (j + t1 + t2)) p in
+        (* stage m left (x0 + y2, x1 + y3) and right (x0 − y2 + p, x1 − y3 + p) *)
+        let z0 = fold p (x0 + y2 - p) and z1 = shoup wa was (x1 + y3) p in
+        let z2 = fold p (x0 - y2) and z3 = shoup wb wbs (x1 - y3 + p) p in
+        aset a j (z0 + z1);
+        aset a (j + t2) (z0 - z1 + p);
+        aset a (j + t1) (z2 + z3);
+        aset a (j + t1 + t2) (z2 - z3 + p)
       done
-    end
+    done;
+    m := m1 * 4;
+    t := t2 lsr 1
+  done
+
+let forward_fast t (f : fast) (buf : Rvec.buf) =
+  let p = t.prime and n = t.n in
+  let a = acquire n in
+  for j = 0 to n - 1 do
+    aset a j (load buf j)
+  done;
+  let w = t.psi_rev and wsh = f.fw_sh in
+  let rec node base len mi =
+    if len <= leaf_len then fwd_leaf a w wsh p base len mi
     else begin
       let h = len lsr 1 in
-      row base h (uget w mi) (uget wsh mi);
+      fwd_row a p base h (aget w mi) (aget wsh mi);
       node base h (2 * mi);
       node (base + h) h ((2 * mi) + 1)
     end
   in
   node 0 n 1;
   for j = 0 to n - 1 do
-    let d = uget a j - p in
-    uset a j (d + (p land (d asr 62)))
+    store buf j (fold p (aget a j - p))
+  done;
+  release a
+
+(* Inverse (Gentleman–Sande) butterflies pairing [j] with [j + h], operands
+   in [0, 2p): (u + v, w·(u − v)), the sum folded by 2p and the product a
+   lazy Shoup step, both back in [0, 2p). *)
+let inv_row a p lo h w wsh =
+  let p2 = 2 * p in
+  for j = lo to lo + h - 1 do
+    let u = aget a j and v = aget a (j + h) in
+    aset a j (fold p2 (u + v - p2));
+    aset a (j + h) (shoup_lazy w wsh (fold p2 (u - v)) p)
   done
 
-let inverse_fast (f : fast) p (a : Rvec.buf) n =
-  let w = f.fi and wsh = f.fi_sh in
+let inv_leaf a (w : int array) (wsh : int array) p base len mi =
   let p2 = 2 * p in
-  let row base h s ssh =
-    for j = base to base + h - 1 do
-      let u = uget a j and v = uget a (j + h) in
-      let s0 = u + v - p2 in
-      uset a j (s0 + (p2 land (s0 asr 62)));
-      let dd = u - v + p2 in
-      let dd =
-        let d = dd - p2 in
-        d + (p2 land (d asr 62))
-      in
-      let q = (ssh * dd) lsr 31 in
-      uset a (j + h) ((s * dd) - (q * p))
-    done
-  in
-  let rec node base len mi =
-    if len <= leaf_len then begin
-      let t = ref 1 and hh = ref (len lsr 1) in
-      while !hh >= 1 do
-        let idx0 = mi * !hh in
-        for i = 0 to !hh - 1 do
-          row (base + (2 * i * !t)) !t (uget w (idx0 + i)) (uget wsh (idx0 + i))
-        done;
-        t := !t lsl 1;
-        hh := !hh lsr 1
+  let t = ref 1 and hh = ref (len lsr 1) in
+  while !hh >= 2 do
+    (* stage [t] has [hh1] groups, stage [2t] half as many *)
+    let t1 = !t and hh1 = !hh in
+    let t2 = 2 * t1 in
+    for i = 0 to (hh1 / 2) - 1 do
+      let b = base + (4 * i * t1) in
+      let k1 = (mi * hh1) + (2 * i) and k2 = (mi * (hh1 / 2)) + i in
+      let wa = aget w k1 and was = aget wsh k1 in
+      let wb = aget w (k1 + 1) and wbs = aget wsh (k1 + 1) in
+      let w2 = aget w k2 and w2s = aget wsh k2 in
+      for j = b to b + t1 - 1 do
+        let x0 = aget a j and x1 = aget a (j + t1) in
+        let x2 = aget a (j + t2) and x3 = aget a (j + t2 + t1) in
+        let y0 = fold p2 (x0 + x1 - p2) and y1 = shoup_lazy wa was (fold p2 (x0 - x1)) p in
+        let y2 = fold p2 (x2 + x3 - p2) and y3 = shoup_lazy wb wbs (fold p2 (x2 - x3)) p in
+        aset a j (fold p2 (y0 + y2 - p2));
+        aset a (j + t2) (shoup_lazy w2 w2s (fold p2 (y0 - y2)) p);
+        aset a (j + t1) (fold p2 (y1 + y3 - p2));
+        aset a (j + t2 + t1) (shoup_lazy w2 w2s (fold p2 (y1 - y3)) p)
       done
-    end
+    done;
+    t := 2 * t2;
+    hh := hh1 / 4
+  done;
+  if !hh = 1 then inv_row a p base !t (aget w mi) (aget wsh mi)
+
+let inverse_fast t (f : fast) (buf : Rvec.buf) =
+  let p = t.prime and n = t.n in
+  let a = acquire n in
+  for j = 0 to n - 1 do
+    aset a j (load buf j)
+  done;
+  let w = t.psi_inv_rev and wsh = f.fi_sh in
+  let rec node base len mi =
+    if len <= leaf_len then inv_leaf a w wsh p base len mi
     else begin
       let h = len lsr 1 in
       node base h (2 * mi);
       node (base + h) h ((2 * mi) + 1);
-      row base h (uget w mi) (uget wsh mi)
+      inv_row a p base h (aget w mi) (aget wsh mi)
     end
   in
   node 0 n 1;
-  let ninv = f.f_ninv and ninv_sh = f.f_ninv_sh in
+  let ninv = t.n_inv and ninv_sh = f.f_ninv_sh in
   for j = 0 to n - 1 do
-    let x = uget a j in
-    let q = (ninv_sh * x) lsr 31 in
-    let r = (ninv * x) - (q * p) - p in
-    uset a j (r + (p land (r asr 62)))
-  done
+    store buf j (shoup ninv ninv_sh (aget a j) p)
+  done;
+  release a
 
 (* Buffer entry points. The scalar loops above remain the reference: when
    the table has no fast companion (prime > 2^30), the buffer is bounced
@@ -254,7 +310,7 @@ let inverse_fast (f : fast) p (a : Rvec.buf) n =
 let forward_buf t (buf : Rvec.buf) =
   if Rvec.length buf <> t.n then invalid_arg "Ntt.forward_buf: wrong length";
   match t.fast with
-  | Some f -> forward_fast f t.prime buf t.n
+  | Some f -> forward_fast t f buf
   | None ->
       let a = Rvec.to_int_array buf in
       forward t a;
@@ -263,7 +319,7 @@ let forward_buf t (buf : Rvec.buf) =
 let inverse_buf t (buf : Rvec.buf) =
   if Rvec.length buf <> t.n then invalid_arg "Ntt.inverse_buf: wrong length";
   match t.fast with
-  | Some f -> inverse_fast f t.prime buf t.n
+  | Some f -> inverse_fast t f buf
   | None ->
       let a = Rvec.to_int_array buf in
       inverse t a;

@@ -27,9 +27,11 @@ val has_fast : table -> bool
 
 val forward_buf : table -> Rvec.buf -> unit
 (** In-place forward transform of an unboxed residue buffer. With a fast
-    table, runs the cache-blocked lazy-reduction butterflies; otherwise
-    (prime > 2^30) bounces through the scalar reference path. Both produce
-    bit-identical canonical residues. *)
+    table, copies the residues into a domain-local native-int scratch and
+    runs the cache-blocked, radix-4, lazy-reduction butterflies there
+    (safe on several domains and systhreads at once); otherwise (prime > 2^30) bounces
+    through the scalar reference path. Both produce bit-identical
+    canonical residues. *)
 
 val inverse_buf : table -> Rvec.buf -> unit
 

@@ -19,7 +19,11 @@
      hoisted rotation before its mod-down, over the key basis, decrypting
      to P times its message. Sums and scalar products of unsettled
      ciphertexts stay unsettled, so a sum of rotations pays one mod-down;
-     every other op settles its operands first (DESIGN.md §15). *)
+     every other op settles its operands first (DESIGN.md §15);
+   - [add], [fma_scalar] and [fma_plain] return a pending sum: the terms,
+     not yet added. The first op that reads the polynomials materialises
+     it in one pass per channel over all terms, into a settled or
+     unsettled ciphertext, once. *)
 
 module Rq = Rq_rns
 module Bigint = Chet_bigint.Bigint
@@ -98,15 +102,26 @@ type keys = {
 
 type plaintext = { poly : Rq.t; pt_scale : float; pt_level : int }
 
-(* [c0], [c1] span the chain prefix when [form] is [Settled] and the key
-   basis of [level] when [Unsettled]; an unsettled ciphertext carries its
-   context and memoises its settled form *)
-type ciphertext = { c0 : Rq.t; c1 : Rq.t; level : int; scale : float; form : form }
-and form = Settled | Unsettled of { ctx : context; mutable settled : ciphertext option }
+(* [c0], [c1] span the chain prefix when [Settled] and the key basis of
+   [level] when [Unsettled]; an unsettled ciphertext memoises its settled
+   form. A [Pending] sum is replaced, in place, by the ciphertext its terms
+   add up to the first time its polynomials are read. *)
+type ciphertext = { level : int; scale : float; mutable body : body }
 
-let of_parts ~c0 ~c1 ~level ~scale = { c0; c1; level; scale; form = Settled }
-let unsettled ctx ~c0 ~c1 ~level ~scale = { c0; c1; level; scale; form = Unsettled { ctx; settled = None } }
-let is_settled ct = match ct.form with Settled -> true | Unsettled _ -> false
+and body =
+  | Settled of { c0 : Rq.t; c1 : Rq.t }
+  | Unsettled of { c0 : Rq.t; c1 : Rq.t; ctx : context; mutable settled : ciphertext option }
+  | Pending of { ctx : context; terms : term list }
+
+(* [Scaled (x, s)] is s·x for a settled or unsettled [x]; [Product (x, p)]
+   is x·p for a settled [x] *)
+and term = Scaled of ciphertext * int | Product of ciphertext * plaintext
+
+let of_parts ~c0 ~c1 ~level ~scale = { level; scale; body = Settled { c0; c1 } }
+
+let unsettled ctx ~c0 ~c1 ~level ~scale =
+  { level; scale; body = Unsettled { c0; c1; ctx; settled = None } }
+
 let level_of ct = ct.level
 let scale_of ct = ct.scale
 
@@ -230,21 +245,108 @@ let decode ctx pt =
 (* the key switch's mod-down: divide a key-basis polynomial by P, rounding *)
 let mod_down ctx u = Rq.div_round_ntt ctx.rq u ~drop:2
 
+(* A polynomial over [basis] (NTT form) whose channel [k] is [f k p], [p]
+   its prime; a channel may return an operand's buffer unchanged, since
+   residue buffers are never written after construction. *)
+let build ctx basis f =
+  let primes = Rq.ctx_primes ctx.rq in
+  let comps = Array.make (Array.length basis) (Rvec.create 0) in
+  Kpool.run (Array.length basis) (fun k -> comps.(k) <- f k primes.(basis.(k)));
+  Rq.unsafe_of_bufs ~basis ~comps ~ntt:true
+
+let rec is_settled ct =
+  match ct.body with
+  | Settled _ -> true
+  | Unsettled _ -> false
+  | Pending { terms; _ } ->
+      List.for_all (function Scaled (x, _) -> is_settled x | Product _ -> true) terms
+
+(* the components of a settled or unsettled ciphertext, over the key basis
+   when it is unsettled *)
+let parts ct =
+  match ct.body with
+  | Settled { c0; c1 } | Unsettled { c0; c1; _ } -> (c0, c1)
+  | Pending _ -> invalid_arg "Rns_ckks.parts: pending sum"
+
+(* One pass per channel over every term ({!Rvec.sum_into}); no term is
+   itself pending. The sum lives in the key basis when any term is
+   unsettled: a settled term then enters times P on the chain channels and
+   as zero on the special ones, which folds [P mod q_k] into its scalar, or
+   into the one [lift] of all the products. Every channel is a canonical
+   residue of the same integer as a chain of two-operand passes would
+   leave, so this is that chain's result bit for bit. *)
+let sum_terms ctx ~level terms =
+  let scaled =
+    List.filter_map
+      (function Scaled (x, s) -> Some (parts x, is_settled x, s) | Product _ -> None)
+      terms
+  in
+  let products =
+    Array.of_list
+      (List.filter_map
+         (function Product (x, pt) -> Some (parts x, pt.poly) | Scaled _ -> None)
+         terms)
+  in
+  let lifted = List.exists (fun (_, settled, _) -> not settled) scaled in
+  let basis = if lifted then key_basis ctx level else basis_of_level level in
+  let component part =
+    build ctx basis (fun k p ->
+        let special = k >= level in
+        let lift = if lifted && not special then ctx.p_mod.(k) else 1 in
+        let scaled = List.filter (fun (_, settled, _) -> not (special && settled)) scaled in
+        let products = if special then [||] else products in
+        let vs = Array.of_list (List.map (fun (x, _, _) -> Rq.raw_comp (part x) k) scaled) in
+        let ws =
+          Array.of_list
+            (List.map
+               (fun (_, settled, s) ->
+                 Modarith.mul_mod (Modarith.reduce s p) (if settled then lift else 1) p)
+               scaled)
+        in
+        if Array.length products = 0 && ws = [| 1 |] then vs.(0)
+        else begin
+          let dst = Rvec.create ctx.params.n in
+          Rvec.sum_into dst vs ws
+            (Array.map (fun (x, _) -> Rq.raw_comp (part x) k) products)
+            (Array.map (fun (_, poly) -> Rq.raw_comp poly k) products)
+            ~lift p;
+          dst
+        end)
+  in
+  (lifted, component fst, component snd)
+
+(* a pending sum is computed once and replaces its terms *)
+let materialise ct =
+  (match ct.body with
+  | Pending { ctx; terms } ->
+      let lifted, c0, c1 = sum_terms ctx ~level:ct.level terms in
+      ct.body <-
+        (if lifted then Unsettled { c0; c1; ctx; settled = None } else Settled { c0; c1 })
+  | Settled _ | Unsettled _ -> ());
+  ct
+
+let is_pending ct = match ct.body with Pending _ -> true | Settled _ | Unsettled _ -> false
+let components ct = parts (materialise ct)
+
 (* One mod-down per component, memoised: a rotation read by many consumers
    settles once. For a hoisted rotation (P·σ(c0) + u0, u1) the rounded
    division gives σ(c0) + (u0 − [u0]_P)/P, which is {!rotate}'s result. *)
 let settle ct =
-  match ct.form with
-  | Settled -> ct
-  | Unsettled ({ ctx; settled } as memo) -> (
+  match (materialise ct).body with
+  | Settled _ -> ct
+  | Unsettled ({ c0; c1; ctx; settled } as memo) -> (
       match settled with
       | Some s -> s
       | None ->
           let s =
-            of_parts ~c0:(mod_down ctx ct.c0) ~c1:(mod_down ctx ct.c1) ~level:ct.level ~scale:ct.scale
+            of_parts ~c0:(mod_down ctx c0) ~c1:(mod_down ctx c1) ~level:ct.level ~scale:ct.scale
           in
           memo.settled <- Some s;
           s)
+  | Pending _ -> assert false
+
+(* the components of the settled form *)
+let settled_parts ct = components (settle ct)
 
 (* --- encryption --- *)
 
@@ -260,9 +362,9 @@ let encrypt ctx rng (pk : public_key) pt =
   of_parts ~c0 ~c1 ~level:ctx.num_coeff ~scale:pt.pt_scale
 
 let decrypt ctx sk ct =
-  let ct = settle ct in
+  let c0, c1 = settled_parts ct in
   let s_l = Rq.subset sk.s (basis_of_level ct.level) in
-  let m = Rq.add ctx.rq ct.c0 (Rq.mul ctx.rq ct.c1 s_l) in
+  let m = Rq.add ctx.rq c0 (Rq.mul ctx.rq c1 s_l) in
   { poly = m; pt_scale = ct.scale; pt_level = ct.level }
 
 (* --- arithmetic --- *)
@@ -278,122 +380,58 @@ let check_add op a ~level ~scale =
   if not (scales_compatible a.scale scale) then
     err ~op (Herr.Scale_mismatch { expected = a.scale; got = scale })
 
-(* A polynomial over [basis] (NTT form) whose channel [k] is [f k p], [p]
-   its prime; a channel may return an operand's buffer unchanged, since
-   residue buffers are never written after construction. *)
-let build ctx basis f =
-  let primes = Rq.ctx_primes ctx.rq in
-  let comps = Array.make (Array.length basis) (Rvec.create 0) in
-  Kpool.run (Array.length basis) (fun k -> comps.(k) <- f k primes.(basis.(k)));
-  Rq.unsafe_of_bufs ~basis ~comps ~ntt:true
-
-(* [a + s·b] for components of ciphertexts of either form at [level]
-   ([ua], [ub]: the operand is unsettled). The result is unsettled when an
-   operand is: a settled operand then enters times P on the chain channels
-   and as zero on the special ones, which is one Shoup multiply per
-   channel. Every channel is a canonical residue of the same integer as
-   the composed ops', so the composition is reproduced bit for bit. *)
-let axpy ctx ~level (a, ua) (b, ub) s =
-  let lifted = ua || ub in
-  let basis = if lifted then key_basis ctx level else basis_of_level level in
-  let n = ctx.params.n in
-  build ctx basis (fun k p ->
-      let raw t = Rq.raw_comp t k in
-      if k >= level then begin
-        (* a special channel: only unsettled operands have one *)
-        let one = Modarith.reduce s p = 1 in
-        if not ub then raw a
-        else if (not ua) && one then raw b
-        else begin
-          let dst = Rvec.create n in
-          if not ua then Rvec.scalar_mul_into dst (raw b) s p
-          else if one then Rvec.add_into dst (raw a) (raw b) p
-          else Rvec.scalar_mac_into dst (raw a) (raw b) s p;
-          dst
-        end
-      end
-      else begin
-        let lift u = if lifted && not u then ctx.p_mod.(k) else 1 in
-        let sb = Modarith.mul_mod (Modarith.reduce s p) (lift ub) p in
-        let dst = Rvec.create n in
-        if lift ua <> 1 then begin
-          Rvec.scalar_mul_into dst (raw a) (lift ua) p;
-          Rvec.scalar_mac_into dst dst (raw b) sb p
-        end
-        else if sb = 1 then Rvec.add_into dst (raw a) (raw b) p
-        else Rvec.scalar_mac_into dst (raw a) (raw b) sb p;
-        dst
-      end)
-
-(* [a + s·x] as a ciphertext with [a]'s level and scale *)
-let accumulate ctx a x s =
-  let ua = not (is_settled a) and ux = not (is_settled x) in
-  let c0 = axpy ctx ~level:a.level (a.c0, ua) (x.c0, ux) s in
-  let c1 = axpy ctx ~level:a.level (a.c1, ua) (x.c1, ux) s in
-  if ua || ux then unsettled ctx ~c0 ~c1 ~level:a.level ~scale:a.scale else { a with c0; c1 }
+(* a pending sum: [a]'s terms and [more] *)
+let terms_of ct = match ct.body with Pending { terms; _ } -> terms | _ -> [ Scaled (ct, 1) ]
+let pending ctx a more = { a with body = Pending { ctx; terms = more @ terms_of a } }
 
 let add ctx a b =
   check_add "add" a ~level:b.level ~scale:b.scale;
-  accumulate ctx a b 1
+  pending ctx a (terms_of b)
 
 let check_plain op ct pt =
   if ct.level <> pt.pt_level then
     err ~op (Herr.Level_mismatch { expected = ct.level; got = pt.pt_level })
 
 let add_plain ctx ct pt =
-  let ct = settle ct in
   check_plain "add_plain" ct pt;
   if not (scales_compatible ct.scale pt.pt_scale) then
     err ~op:"add_plain" (Herr.Scale_mismatch { expected = ct.scale; got = pt.pt_scale });
-  { ct with c0 = Rq.add ctx.rq ct.c0 pt.poly }
+  let c0, c1 = settled_parts ct in
+  of_parts ~c0:(Rq.add ctx.rq c0 pt.poly) ~c1 ~level:ct.level ~scale:ct.scale
 
 let mul_plain ctx ct pt =
-  let ct = settle ct in
   check_plain "mul_plain" ct pt;
-  {
-    ct with
-    c0 = Rq.mul ctx.rq ct.c0 pt.poly;
-    c1 = Rq.mul ctx.rq ct.c1 pt.poly;
-    scale = ct.scale *. pt.pt_scale;
-  }
+  let c0, c1 = settled_parts ct in
+  of_parts ~c0:(Rq.mul ctx.rq c0 pt.poly) ~c1:(Rq.mul ctx.rq c1 pt.poly) ~level:ct.level
+    ~scale:(ct.scale *. pt.pt_scale)
 
 let scalar_of x ~scale = int_of_float (Float.round (x *. scale))
 
 (* either form: a scalar multiplies every key-basis channel alike *)
 let mul_scalar ctx ct x ~scale =
   let s = scalar_of x ~scale in
-  let c0 = Rq.mul_scalar ctx.rq ct.c0 s and c1 = Rq.mul_scalar ctx.rq ct.c1 s in
+  let c0, c1 = components ct in
+  let c0 = Rq.mul_scalar ctx.rq c0 s and c1 = Rq.mul_scalar ctx.rq c1 s in
   let scale = ct.scale *. scale in
-  match ct.form with
-  | Settled -> { ct with c0; c1; scale }
-  | Unsettled _ -> unsettled ctx ~c0 ~c1 ~level:ct.level ~scale
+  if is_settled ct then of_parts ~c0 ~c1 ~level:ct.level ~scale
+  else unsettled ctx ~c0 ~c1 ~level:ct.level ~scale
 
 let fma_scalar ctx acc x w ~scale =
   check_add "add" acc ~level:x.level ~scale:(x.scale *. scale);
-  accumulate ctx acc x (scalar_of w ~scale)
+  pending ctx acc [ Scaled (materialise x, scalar_of w ~scale) ]
 
 let fma_plain ctx acc x pt =
-  let x = settle x in
   check_plain "mul_plain" x pt;
   check_add "add" acc ~level:x.level ~scale:(x.scale *. pt.pt_scale);
-  match acc.form with
-  | Unsettled _ -> add ctx acc (mul_plain ctx x pt)
-  | Settled ->
-      let mac a b =
-        build ctx (basis_of_level acc.level) (fun k p ->
-            let dst = Rvec.create ctx.params.n in
-            Rvec.mul_add_into dst (Rq.raw_comp a k) (Rq.raw_comp b k) (Rq.raw_comp pt.poly k) p;
-            dst)
-      in
-      { acc with c0 = mac acc.c0 x.c0; c1 = mac acc.c1 x.c1 }
+  pending ctx acc [ Product (settle x, pt) ]
 
 let add_scalar ctx ct x =
-  let ct = settle ct in
   let c = int_of_float (Float.round (x *. ct.scale)) in
   let const = Array.make ctx.params.n 0 in
   const.(0) <- c;
   let p = Rq.to_ntt ctx.rq (Rq.of_centered_coeffs ctx.rq (basis_of_level ct.level) const) in
-  { ct with c0 = Rq.add ctx.rq ct.c0 p }
+  let c0, c1 = settled_parts ct in
+  of_parts ~c0:(Rq.add ctx.rq c0 p) ~c1 ~level:ct.level ~scale:ct.scale
 
 (* --- key switching --- *)
 
@@ -462,11 +500,11 @@ let keyswitch ctx level (d : Rq.t) (key : kswitch_key) : Rq.t * Rq.t =
   (mod_down ctx (of_key_basis ctx level u0), mod_down ctx (of_key_basis ctx level u1))
 
 let mul ctx keys a b =
-  let a = settle a and b = settle b in
   if a.level <> b.level then err ~op:"mul" (Herr.Level_mismatch { expected = a.level; got = b.level });
-  let d0 = Rq.mul ctx.rq a.c0 b.c0 in
-  let d1 = Rq.add ctx.rq (Rq.mul ctx.rq a.c0 b.c1) (Rq.mul ctx.rq a.c1 b.c0) in
-  let d2 = Rq.mul ctx.rq a.c1 b.c1 in
+  let a0, a1 = settled_parts a and b0, b1 = settled_parts b in
+  let d0 = Rq.mul ctx.rq a0 b0 in
+  let d1 = Rq.add ctx.rq (Rq.mul ctx.rq a0 b1) (Rq.mul ctx.rq a1 b0) in
+  let d2 = Rq.mul ctx.rq a1 b1 in
   let k0, k1 = keyswitch ctx a.level d2 keys.relin in
   of_parts ~c0:(Rq.add ctx.rq d0 k0) ~c1:(Rq.add ctx.rq d1 k1) ~level:a.level ~scale:(a.scale *. b.scale)
 
@@ -482,9 +520,9 @@ let rescale ctx ct x =
   in
   if target = ct.level then ct
   else begin
-    let ct = settle ct in
     let primes = Rq.ctx_primes ctx.rq in
-    let c0 = ref ct.c0 and c1 = ref ct.c1 and scale = ref ct.scale in
+    let c0, c1 = settled_parts ct in
+    let c0 = ref c0 and c1 = ref c1 and scale = ref ct.scale in
     for l = ct.level downto target + 1 do
       c0 := Rq.div_round_ntt ctx.rq !c0 ~drop:1;
       c1 := Rq.div_round_ntt ctx.rq !c1 ~drop:1;
@@ -501,8 +539,8 @@ let mod_switch_to_level _ctx ct target =
       (Herr.Invalid_op { reason = Printf.sprintf "target level must be >= 1, got %d" target });
   if target = ct.level then ct
   else begin
-    let ct = settle ct in
-    { ct with c0 = Rq.truncate ct.c0 target; c1 = Rq.truncate ct.c1 target; level = target }
+    let c0, c1 = settled_parts ct in
+    of_parts ~c0:(Rq.truncate c0 target) ~c1:(Rq.truncate c1 target) ~level:target ~scale:ct.scale
   end
 
 (* --- rotation --- *)
@@ -517,9 +555,10 @@ let rotation_key ~amount keys g =
    coefficient domain, so the result is bit-identical to that route. *)
 let apply_galois ?(amount = 0) ctx keys ct g =
   let key = rotation_key ~amount keys g in
-  let c0 = Rq.automorphism_ntt ctx.rq ct.c0 ~g in
-  let k0, k1 = keyswitch ctx ct.level (Rq.automorphism_ntt ctx.rq ct.c1 ~g) key in
-  { ct with c0 = Rq.add ctx.rq c0 k0; c1 = k1 }
+  let c0, c1 = settled_parts ct in
+  let k0, k1 = keyswitch ctx ct.level (Rq.automorphism_ntt ctx.rq c1 ~g) key in
+  of_parts ~c0:(Rq.add ctx.rq (Rq.automorphism_ntt ctx.rq c0 ~g) k0) ~c1:k1 ~level:ct.level
+    ~scale:ct.scale
 
 let rotate ctx keys ct r =
   let slots = slot_count ctx in
@@ -568,7 +607,8 @@ let rotate_many ctx keys ct amounts =
     let level = ct.level in
     let n = ctx.params.n in
     let primes = Rq.ctx_primes ctx.rq in
-    let decomposed = decompose ctx level ct.c1 in
+    let c0, c1 = components ct in
+    let decomposed = decompose ctx level c1 in
     let digits = Array.make (level + 2) [||] in
     Kpool.run (level + 2) (fun jk -> digits.(jk) <- decomposed jk);
     Array.map
@@ -579,7 +619,7 @@ let rotate_many ctx keys ct amounts =
           let key = rotation_key ~amount:r keys g in
           let index = Encoding.ntt_automorphism_index ~n ~g in
           let u0, u1 = inner_product ctx level key ~index (Array.get digits) in
-          let c0 = Rq.automorphism_ntt ctx.rq ct.c0 ~g in
+          let c0 = Rq.automorphism_ntt ctx.rq c0 ~g in
           Kpool.run level (fun j ->
               Rvec.scalar_mac_into u0.(j) u0.(j) (Rq.raw_comp c0 j) ctx.p_mod.(j) primes.(j));
           unsettled ctx ~c0:(of_key_basis ctx level u0) ~c1:(of_key_basis ctx level u1) ~level
@@ -596,5 +636,5 @@ let public_key_parts pk = (pk.pk0, pk.pk1)
 let public_key_of_parts (pk0, pk1) = { pk0; pk1 }
 let kswitch_pairs k = k.pairs
 let kswitch_of_pairs pairs = { pairs }
-let c0 ct = (settle ct).c0
-let c1 ct = (settle ct).c1
+let c0 ct = fst (settled_parts ct)
+let c1 ct = snd (settled_parts ct)

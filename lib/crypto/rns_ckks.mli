@@ -18,7 +18,16 @@
     so a sum of rotations pays one mod-down when it is settled. Every other
     op settles its operands first. Settling is memoised in the ciphertext;
     a settled rotation is bit for bit {!rotate}'s result, and only sums
-    round differently (once, at the end). *)
+    round differently (once, at the end).
+
+    {!add}, {!fma_scalar} and {!fma_plain} compute nothing: they check
+    levels and scales at once and return a {e pending} sum, the
+    accumulator's terms plus the new one. The first op that reads the
+    polynomials ({!materialise}, {!settle}, {!c0}/{!c1}, {!decrypt}, every
+    other arithmetic op, serialisation) computes it once, in one pass per
+    channel over all terms ({!Rvec.sum_into}), and the ciphertext keeps the
+    result. Modular sums are exact, so it is the chain of two-operand ops,
+    bit for bit. *)
 
 module Rq = Rq_rns
 module Bigint = Chet_bigint.Bigint
@@ -95,6 +104,15 @@ val settle : ciphertext -> ciphertext
     on every later call. *)
 
 val is_settled : ciphertext -> bool
+(** Whether the (materialised) ciphertext is over the chain; a pending sum
+    is settled when all its terms are. Reads no polynomial. *)
+
+val materialise : ciphertext -> ciphertext
+(** The ciphertext itself, with a pending sum computed (once: later calls
+    do no work). *)
+
+val is_pending : ciphertext -> bool
+(** Whether the ciphertext is a sum not yet materialised. *)
 
 val c0 : ciphertext -> Rq.t
 val c1 : ciphertext -> Rq.t
@@ -111,7 +129,7 @@ val encrypt : context -> Sampling.t -> public_key -> plaintext -> ciphertext
 val decrypt : context -> secret_key -> ciphertext -> plaintext
 
 val add : context -> ciphertext -> ciphertext -> ciphertext
-(** Either form; the sum is unsettled when an operand is. *)
+(** Either form; the sum is pending, and unsettled when an operand is. *)
 
 val add_plain : context -> ciphertext -> plaintext -> ciphertext
 
@@ -125,14 +143,14 @@ val mul_scalar : context -> ciphertext -> float -> scale:float -> ciphertext
     (an integer constant — the cheap [mulScalar] of Table 2). *)
 
 val fma_scalar : context -> ciphertext -> ciphertext -> float -> scale:float -> ciphertext
-(** [fma_scalar ctx acc x w ~scale] = [add ctx acc (mul_scalar ctx x w ~scale)]
-    in one pass over each channel, bit for bit; either operand may be
+(** [fma_scalar ctx acc x w ~scale] = [add ctx acc (mul_scalar ctx x w ~scale)],
+    bit for bit, as one more term of a pending sum; either operand may be
     unsettled. *)
 
 val fma_plain : context -> ciphertext -> ciphertext -> plaintext -> ciphertext
 (** [fma_plain ctx acc x p] = [add ctx acc (mul_plain ctx x p)], bit for
-    bit, in one pass when [acc] is settled. [x] is settled first; an
-    unsettled [acc] stays unsettled. *)
+    bit, as one more term of a pending sum. [x] is settled first; an
+    unsettled [acc] keeps the sum unsettled. *)
 
 val add_scalar : context -> ciphertext -> float -> ciphertext
 val max_rescale : context -> ciphertext -> int -> int

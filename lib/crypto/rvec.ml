@@ -1,10 +1,10 @@
 (* Unboxed residue-vector kernels over Bigarray buffers (DESIGN.md §15).
 
    Storage is the [Bigarray.int32] kind: one residue per 32-bit word, half
-   the memory of a native-int buffer. Every stored value is below 2^31 —
-   canonical residues are < p < 2^31 ({!Rq_rns.make_ctx} rejects larger
-   primes), and the NTT's lazy [0, 2p) window exists only for p <= 2^30 —
-   so it fits a signed int32 without wrapping. The element type is touched
+   the memory of a native-int buffer. Every stored value is a canonical
+   residue below p < 2^31 ({!Rq_rns.make_ctx} rejects larger primes; the
+   NTT keeps its lazy [0, 2p) window in a native-int scratch), so it fits
+   a signed int32 without wrapping. The element type is touched
    only by [uget]/[uset] and the plain accessors below, which convert with
    [Int32.to_int]/[Int32.of_int] in the same expression: ocamlopt unboxes
    that pattern, so a load is one (sign-extending) word load with no
@@ -72,13 +72,6 @@ let blit_from_array (a : int array) (b : buf) =
     uset b i (Array.unsafe_get a i)
   done
 
-let blit_to_array (b : buf) (a : int array) =
-  let n = Array.length a in
-  if length b <> n then invalid_arg "Rvec.blit_to_array: length mismatch";
-  for i = 0 to n - 1 do
-    Array.unsafe_set a i (uget b i)
-  done
-
 let equal (a : buf) (b : buf) =
   length a = length b
   &&
@@ -115,13 +108,6 @@ let pointwise_mul_into (dst : buf) (a : buf) (b : buf) p =
     uset dst i (uget a i * uget b i mod p)
   done
 
-let mul_add_into (dst : buf) (acc : buf) (a : buf) (b : buf) p =
-  for i = 0 to length dst - 1 do
-    let r = uget a i * uget b i mod p in
-    let s = uget acc i + r - p in
-    uset dst i (s + (p land (s asr 62)))
-  done
-
 (* Both sums stay in registers across the digits. A residue product is at
    most (p-1)^2, so [batch] products fit on top of a reduced partial sum
    without passing max_int: 4 for 30-bit primes, 1 for 31-bit ones. The
@@ -150,6 +136,63 @@ let inner_product_into (acc0 : buf) (acc1 : buf) (ds : buf array) (bs : buf arra
     done;
     uset acc0 i (!s0 mod p);
     uset acc1 i (!s1 mod p)
+  done
+
+(* A multiply-accumulate chain in one pass: the product terms, then the
+   scalar terms, summed over a block of [sum_block] coefficients that stays
+   in L1 while every term streams through it. Products are raw and reduced
+   every [batch] terms, as in [inner_product_into]; their sum is reduced
+   once and multiplied by [lift]; each scalar term is one Shoup step left
+   lazily in [0, 2p). The one final [mod] sees an integer congruent to the
+   chain's result, so the residues are identical. *)
+let sum_block = 256
+
+let sum_into (dst : buf) (vs : buf array) (ws : int array) (xs : buf array) (ys : buf array) ~lift
+    p =
+  let k = Array.length vs and m = Array.length xs in
+  if Array.length ws <> k || Array.length ys <> m then
+    invalid_arg "Rvec.sum_into: operand counts differ";
+  let ws = Array.map (fun s -> Modarith.reduce s p) ws in
+  let wsh = Array.map (fun s -> Modarith.shoup s p) ws in
+  let lift = Modarith.reduce lift p in
+  let lift_sh = Modarith.shoup lift p in
+  let batch = Stdlib.max 1 ((max_int - (p - 1)) / ((p - 1) * (p - 1))) in
+  let acc = Array.make sum_block 0 in
+  let n = length dst in
+  let lo = ref 0 in
+  while !lo < n do
+    let base = !lo in
+    let len = Stdlib.min sum_block (n - base) in
+    Array.fill acc 0 len 0;
+    if m > 0 then begin
+      for j = 0 to m - 1 do
+        let x = Array.unsafe_get xs j and y = Array.unsafe_get ys j in
+        for i = 0 to len - 1 do
+          Array.unsafe_set acc i
+            (Array.unsafe_get acc i + (uget x (base + i) * uget y (base + i)))
+        done;
+        if (j + 1) mod batch = 0 then
+          for i = 0 to len - 1 do
+            Array.unsafe_set acc i (Array.unsafe_get acc i mod p)
+          done
+      done;
+      for i = 0 to len - 1 do
+        let s = Array.unsafe_get acc i mod p in
+        Array.unsafe_set acc i ((lift * s) - (((lift_sh * s) lsr 31) * p))
+      done
+    end;
+    for j = 0 to k - 1 do
+      let v = Array.unsafe_get vs j in
+      let w = Array.unsafe_get ws j and wh = Array.unsafe_get wsh j in
+      for i = 0 to len - 1 do
+        let x = uget v (base + i) in
+        Array.unsafe_set acc i (Array.unsafe_get acc i + (w * x) - (((wh * x) lsr 31) * p))
+      done
+    done;
+    for i = 0 to len - 1 do
+      uset dst (base + i) (Array.unsafe_get acc i mod p)
+    done;
+    lo := base + len
   done
 
 let scalar_mul_into (dst : buf) (a : buf) s p =

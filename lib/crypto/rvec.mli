@@ -5,12 +5,14 @@
     native ints in the same expression, which ocamlopt compiles to a plain
     word load/store without boxing. Every stored value must be below
     [2^31]: canonical residues of a prime [p < 2^31] ({!Rq_rns.make_ctx}
-    rejects larger primes) at rest, and the NTT's internal lazy [\[0, 2p)]
-    window only for primes [p <= 2^30]. A larger value would wrap silently.
+    rejects larger primes); the NTT's lazy [\[0, 2p)] window lives in its
+    own native-int scratch. A larger value would wrap silently.
     Fast kernels (Shoup for one fixed operand; hardware [mod] where both
     operands vary) are bit-identical to the schoolbook [mod] computation
     the tests check them against — see DESIGN.md §15 for the bound table
-    and the error analysis. *)
+    and the error analysis. Two kernels fuse what would be many passes:
+    {!inner_product_into} (a key switch's digits) and {!sum_into} (a
+    multiply-accumulate chain, a pending ciphertext sum). *)
 
 type buf = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -27,7 +29,6 @@ val copy : buf -> buf
 val of_int_array : int array -> buf
 val to_int_array : buf -> int array
 val blit_from_array : int array -> buf -> unit
-val blit_to_array : buf -> int array -> unit
 val equal : buf -> buf -> bool
 
 (** {1 Additive kernels} — branchless conditional-subtract reduction. All
@@ -43,10 +44,6 @@ val neg_into : buf -> buf -> int -> unit
 val pointwise_mul_into : buf -> buf -> buf -> int -> unit
 (** [pointwise_mul_into dst a b p]: [dst.(i) <- a.(i)*b.(i) mod p]. *)
 
-val mul_add_into : buf -> buf -> buf -> buf -> int -> unit
-(** [mul_add_into dst acc a b p]: [dst.(i) <- acc.(i) + a.(i)*b.(i) mod p]
-    (the plaintext multiply-accumulate). *)
-
 val inner_product_into :
   buf -> buf -> buf array -> buf array -> buf array -> int array -> int -> unit
 (** [inner_product_into acc0 acc1 ds bs cs index p]: the key switch's inner
@@ -58,6 +55,17 @@ val inner_product_into :
     Galois permutation ({!permute_into}'s) for a hoisted rotation.
     Bit-identical to permuting the digits, then a chain of per-digit
     multiply-accumulates. The destinations must not alias an operand. *)
+
+val sum_into :
+  buf -> buf array -> int array -> buf array -> buf array -> lift:int -> int -> unit
+(** [sum_into dst vs ws xs ys ~lift p]: a multiply-accumulate chain in one
+    pass, [dst.(i) <- lift·Σ_j xs_j.(i)*ys_j.(i) + Σ_k ws_k*vs_k.(i) mod p]
+    ([ws] and [lift] any ints). Scalar terms are Shoup products kept in
+    [\[0, 2p)], products are reduced every few terms, and the sum is
+    reduced once, over blocks of coefficients that stay in L1.
+    Bit-identical to the chain of {!scalar_mac_into} and plaintext
+    multiply-accumulate passes it replaces. [dst] must not alias an
+    operand. *)
 
 val scalar_mul_into : buf -> buf -> int -> int -> unit
 (** [scalar_mul_into dst a s p]: Shoup multiplication by the fixed scalar

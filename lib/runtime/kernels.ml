@@ -70,13 +70,27 @@ let tap_rotation meta ~dy ~dx = (dy * meta.Layout.row_stride) + (dx * meta.Layou
    power-of-two steps — left rotations by the same amounts the folds of
    narrower layers use — so the lanes of all groups tile consecutive output
    positions below the lifted anchor, output 0 at [dn_base]. The lift is
-   just large enough for that tile to stay above slot 0. *)
+   just large enough for that tile to stay above slot 0.
+
+   An input lattice with a single axis folds once instead ([dn_once]):
+   each output's partial product gets its own box, [dn_stride] slots below
+   the previous one — the smallest power of two at or above the box's
+   extent, so the boxes are disjoint — and the placement tree merges the
+   partials before the fold. One fold then sums every box at once, and one
+   mask keeps the [out_dim] corners: [out_dim − 1 + F] key switches for F
+   fold steps, against [out_dim·(F + 1) − 1] folding per output. The
+   output is a strided vector, output [o] at [dn_base + o·dn_stride].
+   Multi-axis inputs keep the per-group fold: their boxes are wide, so the
+   stride would spread the outputs over many more rotation amounts (keys)
+   for few key switches saved. *)
 
 type dense_fold = {
   dn_axes : (int * int) list;  (** (stride, power-of-two count) of each folded axis *)
-  dn_lanes : int;  (** outputs packed into one fold *)
+  dn_lanes : int;  (** outputs packed into one fold (1 when folding once) *)
   dn_lift : int;  (** slots every lane is first moved up *)
   dn_base : int;  (** slot of output 0 *)
+  dn_stride : int;  (** slots between consecutive outputs *)
+  dn_once : bool;  (** one fold after the placement tree serves every output *)
 }
 
 (* [None] when the padded box is not mixed-radix ([count·stride] of one
@@ -125,24 +139,55 @@ let dense_fold meta ~out_dim =
     if cost k <= cost !lanes then lanes := k
   done;
   let lanes = !lanes in
-  let lift = lift lanes in
-  let anchor = meta.Layout.offset + lift in
-  let top = List.fold_left (fun acc (s, c) -> acc + ((c - 1) * s)) anchor axes in
-  if mixed_radix axes && top + spread <= meta.Layout.slots then
-    Some
-      {
-        dn_axes = axes;
-        dn_lanes = lanes;
-        dn_lift = lift;
-        dn_base = anchor - (((groups lanes * lanes) - 1) * spread);
-      }
-  else None
+  let per_group =
+    let lift = lift lanes in
+    let anchor = meta.Layout.offset + lift in
+    let top = List.fold_left (fun acc (s, c) -> acc + ((c - 1) * s)) anchor axes in
+    if mixed_radix axes && top + spread <= meta.Layout.slots then
+      Some
+        {
+          dn_axes = axes;
+          dn_lanes = lanes;
+          dn_lift = lift;
+          dn_base = anchor - (((groups lanes * lanes) - 1) * spread);
+          dn_stride = spread;
+          dn_once = false;
+        }
+    else None
+  in
+  let once =
+    match axes with
+    | [ (s, c) ] ->
+        (* a box spans the axis and the twin slot; [t] is a power of two,
+           hence a multiple of [spread] *)
+        let extent = ((c - 1) * s) + spread in
+        let t = ceil_pow2 1 extent in
+        let lift = Stdlib.max 0 (((out_dim - 1) * t) - meta.Layout.offset) in
+        let anchor = meta.Layout.offset + lift in
+        let cost_once = out_dim - 1 + folds + if lift > 0 then n_in else 0 in
+        let cheaper = match per_group with None -> true | Some _ -> cost_once < cost lanes in
+        if cheaper && anchor + extent <= meta.Layout.slots then
+          Some
+            {
+              dn_axes = axes;
+              dn_lanes = 1;
+              dn_lift = lift;
+              dn_base = anchor - ((out_dim - 1) * t);
+              dn_stride = t;
+              dn_once = true;
+            }
+        else None
+    | _ -> None
+  in
+  match once with Some _ -> once | None -> per_group
 
 let dense_out_meta meta ~out_dim =
-  let v =
-    Layout.vector_meta ~slots:meta.Layout.slots ~length:out_dim ~twin:meta.Layout.twin ()
+  let vector ?stride () =
+    Layout.vector_meta ~slots:meta.Layout.slots ~length:out_dim ~twin:meta.Layout.twin ?stride ()
   in
-  match dense_fold meta ~out_dim with Some d -> { v with Layout.offset = d.dn_base } | None -> v
+  match dense_fold meta ~out_dim with
+  | Some d -> { (vector ~stride:d.dn_stride ()) with Layout.offset = d.dn_base }
+  | None -> vector ()
 
 module Make (H : Hisa.S) = struct
   type ct_tensor = { meta : Layout.meta; cts : H.ct array }
@@ -620,7 +665,51 @@ module Make (H : Hisa.S) = struct
         terms;
       match !acc with Some a -> a | None -> assert false
     in
+    let fold_amounts axes =
+      List.concat_map (fun (stride, count) -> List.init (log2i count) (fun i -> stride lsl i)) axes
+    in
+    let fold axes ct = List.fold_left (fun acc a -> H.fma_rot acc acc a) ct (fold_amounts axes) in
+    (* the placement tree: block [g] of [count] moves [g·unit] slots down, in
+       log-depth power-of-two steps (binary-counter merge, one block per
+       level): a block covering [2^l] blocks moves down [unit·2^l] when it
+       joins the block before it *)
+    let place ~unit count block =
+      let stack = ref [] in
+      for g = 0 to count - 1 do
+        let rec push level b = function
+          | (l, below) :: rest when l = level ->
+              push (level + 1) (H.fma_rot below b (unit lsl level)) rest
+          | st -> (level, b) :: st
+        in
+        stack := push 0 (block g) !stack
+      done;
+      match !stack with
+      | [] -> assert false
+      | (_, b) :: rest ->
+          List.fold_left (fun acc (l, below) -> H.fma_rot below acc (unit lsl l)) b rest
+    in
     match dense_fold meta ~out_dim with
+    | Some { dn_once = true; dn_axes; dn_lift = lift; dn_stride = t; _ } ->
+        (* tree block [g] is output [out_dim − 1 − g], so output [o] ends
+           [o·t] slots above output 0 *)
+        let terms =
+          Array.init out_dim (fun g ->
+              List.init n_in (fun j -> (j, 0, w_pt ~shift:lift (out_dim - 1 - g) j)))
+        in
+        let anchor = meta.Layout.offset + lift in
+        let mask = mask_pt (List.init out_dim (fun g -> anchor - (g * t))) in
+        let run x =
+          let lifted ct = if lift = 0 then ct else (H.rot_many ct [| H.slots - lift |]).(0) in
+          let inputs = Array.map (fun ct -> [| lifted ct |]) x.cts in
+          let merged = place ~unit:t out_dim (fun g -> partial terms.(g) inputs) in
+          add_bias (rescale_toward cfg (H.mul_plain (fold dn_axes merged) (mask ())))
+        in
+        {
+          sg_run = run;
+          sg_mul_rescale = 1;
+          sg_rot_acc = out_dim - 1 + List.length (fold_amounts dn_axes);
+          sg_mul_acc = (n_in - 1) * out_dim;
+        }
     | Some { dn_axes; dn_lanes = lanes; dn_lift = lift; _ } ->
         let groups = (out_dim + lanes - 1) / lanes in
         (* lane [k] of group [g] ends [g·lanes + k] output positions below
@@ -640,49 +729,21 @@ module Make (H : Hisa.S) = struct
         in
         let lane_amounts = Array.init lanes (fun k -> ((k * spread) - lift + H.slots) mod H.slots) in
         let shifted = Array.of_list (List.filter (( <> ) 0) (Array.to_list lane_amounts)) in
-        let fold_amounts =
-          List.concat_map
-            (fun (stride, count) -> List.init (log2i count) (fun i -> stride lsl i))
-            dn_axes
-        in
         let anchor = meta.Layout.offset + lift in
         let mask = mask_pt (List.init lanes (fun k -> anchor - (k * spread))) in
-        (* the placement tree: a block covering [2^t] groups moves down by
-           [2^t·lanes·spread] slots when it joins the block before it *)
-        let down t = (lanes * spread) lsl t in
         let run t =
           let lanes_of ct =
             let moved = H.rot_many ct shifted and i = ref (-1) in
             Array.map (fun a -> if a = 0 then ct else (incr i; moved.(!i))) lane_amounts
           in
           let inputs = Array.map lanes_of t.cts in
-          (* binary-counter merge: (level, block) pairs, one block per level *)
-          let stack = ref [] in
-          for g = 0 to groups - 1 do
-            let folded =
-              List.fold_left
-                (fun acc a -> H.fma_rot acc acc a)
-                (partial terms.(g) inputs) fold_amounts
-            in
-            let rec push level b = function
-              | (l, below) :: rest when l = level ->
-                  push (level + 1) (H.fma_rot below b (down level)) rest
-              | st -> (level, b) :: st
-            in
-            stack := push 0 (H.mul_plain folded (mask ())) !stack
-          done;
-          let out_ct =
-            match !stack with
-            | [] -> assert false
-            | (_, b) :: rest ->
-                List.fold_left (fun acc (l, below) -> H.fma_rot below acc (down l)) b rest
-          in
-          add_bias (rescale_toward cfg out_ct)
+          let block g = H.mul_plain (fold dn_axes (partial terms.(g) inputs)) (mask ()) in
+          add_bias (rescale_toward cfg (place ~unit:(lanes * spread) groups block))
         in
         {
           sg_run = run;
           sg_mul_rescale = 1;
-          sg_rot_acc = (groups * List.length fold_amounts) + (groups - 1);
+          sg_rot_acc = (groups * List.length (fold_amounts dn_axes)) + (groups - 1);
           sg_mul_acc = (n_in * out_dim) - groups;
         }
     | None ->

@@ -65,10 +65,11 @@ let create ~kind ~slots ~channels ~height ~width ?(margin = 2) ?(twin = false) (
     twin;
   }
 
-let vector_meta ~slots ~length ?(twin = false) () =
+let vector_meta ~slots ~length ?(twin = false) ?stride () =
   let spread = spread_of twin in
-  if length * spread > slots then
-    err ~op:"vector_meta" (Herr.Slot_overflow { slots; requested = length * spread });
+  let stride = Option.value stride ~default:spread in
+  if length * stride > slots then
+    err ~op:"vector_meta" (Herr.Slot_overflow { slots; requested = length * stride });
   {
     kind = CHW;
     channels = length;
@@ -77,9 +78,9 @@ let vector_meta ~slots ~length ?(twin = false) () =
     offset = 0;
     col_stride = spread;
     row_stride = spread;
-    ch_stride = spread;
+    ch_stride = stride;
     ch_per_ct =
-      Stdlib.max 1 (Stdlib.min (slots / spread) (floor_pow2 (Stdlib.max 1 length) * 2));
+      Stdlib.max 1 (Stdlib.min (slots / stride) (floor_pow2 (Stdlib.max 1 length) * 2));
     slots;
     twin;
   }

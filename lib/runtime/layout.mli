@@ -51,9 +51,11 @@ val create :
 val spread_of : bool -> int
 (** Physical slots per logical position: 2 on twin layouts, else 1. *)
 
-val vector_meta : slots:int -> length:int -> ?twin:bool -> unit -> meta
+val vector_meta : slots:int -> length:int -> ?twin:bool -> ?stride:int -> unit -> meta
 (** Dense vector layout (used for fully-connected outputs): [length]
-    channels of 1×1, packed contiguously. *)
+    channels of 1×1, [stride] slots apart (default: packed contiguously,
+    one physical position each). A dense layer that folds once leaves a
+    strided vector; [stride] must then be a power of two. *)
 
 val num_cts : meta -> int
 val ct_index : meta -> int -> int

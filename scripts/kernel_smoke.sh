@@ -2,10 +2,12 @@
 # Fast-ring kernel smoke (DESIGN.md §15): the Bigarray/Shoup kernel path
 # must (a) beat the scalar reference on a raw NTT round trip, (b) hoisted
 # rotations over 8 amounts must beat 8 single rotations, and their sum
-# settled once must beat the same sum of rotations each settled, (c) a rotation key
-# must store its residues in 4 bytes each and hold one pair per two-prime
-# digit over the chain and both special primes, and (d) stay bit-identical
-# when the residue channels fan out across a 2-domain Kpool.
+# settled once must beat the same sum of rotations each settled, (c) a
+# 100-term multiply-accumulate chain computed once as a pending sum must beat
+# the chain of two-operand passes, (d) a rotation key must store its residues
+# in 4 bytes each and hold one pair per two-prime digit over the chain and
+# both special primes, and (e) stay bit-identical when the residue channels
+# fan out across a 2-domain Kpool.
 # Any drift is a reduction-window bug, not noise. (Bit-identity of the fast
 # kernels against the schoolbook reference is test/test_kernels.ml's job.)
 #
@@ -40,6 +42,14 @@ sum_ms=$(awk '/rot-sum 8/ { print $3 }' "$DIR/kbench.out")
 each_ms=$(awk '/rot-sum 8/ { print $6 }' "$DIR/kbench.out")
 awk -v d="$sum_ms" -v e="$each_ms" 'BEGIN { exit !(d + 0 > 0 && d + 0 < e + 0) }' || {
   echo "kernel smoke FAIL: rot-sum settled once ($sum_ms ms) not faster than settle-each ($each_ms ms)" >&2
+  exit 1
+}
+
+echo "-- pending sums: a 100-term multiply-accumulate in one pass must beat the chain"
+mac_ms=$(awk '/mac-chain 100/ { print $3 }' "$DIR/kbench.out")
+chain_ms=$(awk '/mac-chain 100/ { print $6 }' "$DIR/kbench.out")
+awk -v m="$mac_ms" -v c="$chain_ms" 'BEGIN { exit !(m + 0 > 0 && m + 0 < c + 0) }' || {
+  echo "kernel smoke FAIL: pending sum ($mac_ms ms) not faster than the chain ($chain_ms ms)" >&2
   exit 1
 }
 

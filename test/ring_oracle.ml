@@ -33,6 +33,14 @@ let sub_scale_into dst a b s p =
   let s = Modarith.reduce s p in
   map_into dst (fun i -> Modarith.sub_mod (Rvec.get a i) (Rvec.get b i) p * s mod p)
 
+(* the multiply-accumulate chain [Rvec.sum_into] replaces: one pass per
+   product, the lift, then one pass per scalar term *)
+let sum_into dst vs ws xs ys ~lift p =
+  Rvec.fill dst 0;
+  Array.iteri (fun j x -> pointwise_mac_into dst x ys.(j) p) xs;
+  scalar_mul_into dst dst lift p;
+  Array.iteri (fun k v -> scalar_mac_into dst dst v ws.(k) p) vs
+
 (* the key switch's inner product as each digit permuted by [index], then
    one multiply-accumulate pass per digit *)
 let inner_product_into acc0 acc1 ds bs cs index p =

@@ -21,16 +21,21 @@ let random_poly n p = Array.init n (fun _ -> Random.State.full_int rng p)
 
 (* --- NTT: fast path vs scalar reference --- *)
 
+(* every ring dimension the compiler emits, plus one all-in-one-leaf size
+   and one with an odd number of stages in a leaf *)
+let ntt_sizes = [ 64; 128; 2048; 4096; 8192; 16384; 32768; 65536 ]
+
 let test_ntt_matches_reference () =
-  (* n = 4096 > leaf size exercises the blocked recursion; n = 64 the
-     all-in-one-leaf case *)
+  (* every ladder prime at the small sizes; one prime, one draw at the
+     large ones, where the scalar reference is slow *)
   List.iter
     (fun n ->
+      let primes = if n <= 4096 then ladder n else [| (ladder n).(0) |] in
       Array.iter
         (fun prime ->
           let tbl = Ntt.make_table ~n ~prime in
           Alcotest.(check bool) "fast tables built" true (Ntt.has_fast tbl);
-          for _ = 1 to 3 do
+          for _ = 1 to (if n <= 4096 then 3 else 1) do
             let a = random_poly n prime in
             let reference = Array.copy a in
             Ntt.forward tbl reference;
@@ -39,13 +44,17 @@ let test_ntt_matches_reference () =
             Alcotest.(check (array int))
               (Printf.sprintf "forward n=%d p=%d" n prime)
               reference (Rvec.to_int_array buf);
+            Ntt.inverse tbl reference;
             Ntt.inverse_buf tbl buf;
+            Alcotest.(check (array int))
+              (Printf.sprintf "inverse n=%d p=%d" n prime)
+              reference (Rvec.to_int_array buf);
             Alcotest.(check (array int))
               (Printf.sprintf "roundtrip n=%d p=%d" n prime)
               a (Rvec.to_int_array buf)
           done)
-        (ladder n))
-    [ 64; 4096 ]
+        primes)
+    ntt_sizes
 
 let test_ntt_bounce_path () =
   (* primes above 2^30 (the compiler admits prime_bits = 31) have no fast
@@ -90,8 +99,8 @@ let test_rvec_kernels () =
         (fun d -> Ring_oracle.scalar_mul_into d a s p);
       (* the multiply-accumulate starts from the same accumulator on both sides *)
       let acc = Rvec.of_int_array (random_poly n p) in
-      check "mul_add"
-        (fun d -> Rvec.mul_add_into d acc a b p)
+      check "sum, one product"
+        (fun d -> Rvec.sum_into d [| acc |] [| 1 |] [| a |] [| b |] ~lift:1 p)
         (fun d ->
           Rvec.blit acc d;
           Ring_oracle.pointwise_mac_into d a b p);
@@ -166,11 +175,17 @@ let test_top_residue_31bit () =
       check "pointwise_mul"
         (fun d -> Rvec.pointwise_mul_into d a a p)
         (fun d -> Ring_oracle.pointwise_mul_into d a a p);
-      check "mul_add"
-        (fun d -> Rvec.mul_add_into d a a a p)
+      check "sum, one product"
+        (fun d -> Rvec.sum_into d [| a |] [| 1 |] [| a |] [| a |] ~lift:1 p)
         (fun d ->
           Rvec.blit a d;
           Ring_oracle.pointwise_mac_into d a a p);
+      (* a hundred all-(p-1) terms of each kind, lifted by p-1: the largest
+         sums the one-pass chain holds *)
+      let many = Array.make 100 a and top_w = Array.make 100 (p - 1) in
+      check "sum, 100 + 100 terms"
+        (fun d -> Rvec.sum_into d many top_w many many ~lift:(p - 1) p)
+        (fun d -> Ring_oracle.sum_into d many top_w many many ~lift:(p - 1) p);
       check "scalar_mul"
         (fun d -> Rvec.scalar_mul_into d a (p - 1) p)
         (fun d -> Ring_oracle.scalar_mul_into d a (p - 1) p);
@@ -335,6 +350,30 @@ let test_div_round_ntt () =
       (Rq_rns.to_ntt ctx (Ring_oracle.drop_last ctx xc ~rounded:false))
   done
 
+(* the one-pass multiply-accumulate chain against the chain of passes, for
+   0..9 scalar and product terms, any-int scalars and lifts, 30- and 31-bit
+   primes, and a length that is not a multiple of the block *)
+let test_sum_matches_chain () =
+  let n = 700 in
+  Array.iter
+    (fun p ->
+      for k = 0 to 9 do
+        for m = 0 to 9 do
+          if k + m > 0 then begin
+            let bufs c = Array.init c (fun _ -> Rvec.of_int_array (random_poly n p)) in
+            let vs = bufs k and xs = bufs m and ys = bufs m in
+            let ws = Array.init k (fun _ -> Random.State.full_int rng (1 lsl 40) - (1 lsl 39)) in
+            let lift = Random.State.full_int rng (1 lsl 40) in
+            let got = Rvec.create n and expected = Rvec.create n in
+            Rvec.sum_into got vs ws xs ys ~lift p;
+            Ring_oracle.sum_into expected vs ws xs ys ~lift p;
+            if not (Rvec.equal got expected) then
+              Alcotest.failf "sum of %d scalar and %d product terms, p=%d" k m p
+          end
+        done
+      done)
+    (Array.append (ladder 64) (Modarith.gen_ntt_primes ~bits:31 ~modulus_of:128 ~count:2))
+
 let test_ntt_top_of_lazy_window () =
   (* all-(p-1) input at the largest 30-bit fast prime drives the lazy
      butterflies to the top of their [0, 2p) window *)
@@ -354,7 +393,7 @@ let test_ntt_top_of_lazy_window () =
             (Printf.sprintf "%s n=%d p=%d" dir n p)
             reference (Rvec.to_int_array buf))
         [ ("forward", Ntt.forward, Ntt.forward_buf); ("inverse", Ntt.inverse, Ntt.inverse_buf) ])
-    [ 64; 4096 ]
+    ntt_sizes
 
 let test_rvec_edge_values () =
   (* adversarial residues: 0, 1, p-1 in every combination *)
@@ -466,6 +505,32 @@ let test_k_domain_determinism () =
   Alcotest.(check bool) "k=1 vs k=2" true (Rq_rns.equal c0_1 c0_2 && Rq_rns.equal c1_1 c1_2);
   Alcotest.(check bool) "k=1 vs k=4" true (Rq_rns.equal c0_1 c0_4 && Rq_rns.equal c1_1 c1_4)
 
+(* Systhreads share their domain's NTT scratch slot: a thread preempted in
+   the middle of a transform must not have its scratch used by another
+   thread of the same domain. Three threads transform their own buffers
+   for long enough that the tick thread switches between them mid-loop. *)
+let test_ntt_systhreads () =
+  let n = 4096 in
+  let prime = (ladder n).(0) in
+  let tbl = Ntt.make_table ~n ~prime in
+  let failures = Atomic.make 0 in
+  let worker seed () =
+    let st = Random.State.make [| seed |] in
+    let a = Array.init n (fun _ -> Random.State.int st prime) in
+    let expected = Array.copy a in
+    Ntt.forward tbl expected;
+    let deadline = Unix.gettimeofday () +. 0.3 in
+    while Unix.gettimeofday () < deadline do
+      let buf = Rvec.of_int_array a in
+      Ntt.forward_buf tbl buf;
+      if Rvec.to_int_array buf <> expected then Atomic.incr failures;
+      Ntt.inverse_buf tbl buf;
+      if Rvec.to_int_array buf <> a then Atomic.incr failures
+    done
+  in
+  List.iter Thread.join (List.init 3 (fun i -> Thread.create (worker (i + 1)) ()));
+  Alcotest.(check int) "transforms corrupted by another thread" 0 (Atomic.get failures)
+
 (* --- whole ring expression vs a schoolbook Bigint computation --- *)
 
 let test_ring_fast_vs_reference () =
@@ -520,11 +585,13 @@ let suite =
           test_make_ctx_rejects_wide_prime;
         Alcotest.test_case "residue p-1 survives storage, 31-bit primes" `Quick
           test_top_residue_31bit;
+        Alcotest.test_case "one-pass sum = multiply-accumulate chain" `Quick test_sum_matches_chain;
         Alcotest.test_case "ntt top of the lazy window = scalar" `Quick
           test_ntt_top_of_lazy_window;
         Alcotest.test_case "kpool covers every chunk at k=1,2,4" `Quick test_kpool_runs_all_chunks;
         Alcotest.test_case "kpool propagates chunk exceptions" `Quick
           test_kpool_propagates_exceptions;
+        Alcotest.test_case "ntt scratch safe under systhreads" `Quick test_ntt_systhreads;
         Alcotest.test_case "k-domain determinism: identical ciphertexts" `Quick
           test_k_domain_determinism;
         Alcotest.test_case "ring ops fast = reference, bit-identical" `Quick

@@ -271,6 +271,127 @@ let test_fused_fma_every_level () =
       ]
   done
 
+(* Pending sums: [fma_scalar], [fma_plain] and [add] only collect terms,
+   and the one-pass materialisation equals the chain of two-operand ops
+   (each step materialised at once) bit for bit, at every level, for every
+   mix of settled and unsettled accumulators, scalar, plaintext and added
+   terms, and pending addends. *)
+let same_ct what a b =
+  if
+    not
+      (C.is_settled a = C.is_settled b
+      && C.level_of a = C.level_of b
+      && C.scale_of a = C.scale_of b
+      && Rq_rns.equal (C.c0 a) (C.c0 b)
+      && Rq_rns.equal (C.c1 a) (C.c1 b))
+  then Alcotest.failf "%s: differs" what
+
+let test_pending_sum_every_level () =
+  let ws = 1024.0 in
+  for level = 1 to C.max_level ctx do
+    let at seed = C.mod_switch_to_level ctx (encrypt_vec (random_vec seed)) level in
+    let hoisted ct = (C.rotate_many ctx keys ct [| 1; 3 |]).(0) in
+    let base = at 61 and x = at 62 and y = at 63 in
+    let x_u = hoisted x and y_u = hoisted y in
+    let pt seed = C.encode_real ctx ~level ~scale:ws (random_vec seed) in
+    let pt1 = pt 64 and pt2 = pt 65 in
+    (* addends at the product's scale; the last one is itself pending *)
+    let add_s = C.mul_scalar ctx y 0.3 ~scale:ws in
+    let add_u = C.mul_scalar ctx y_u (-0.7) ~scale:ws in
+    let terms =
+      [
+        ("scalar settled", fun acc -> C.fma_scalar ctx acc x 0.37 ~scale:ws);
+        ("scalar unsettled", fun acc -> C.fma_scalar ctx acc x_u (-0.61) ~scale:ws);
+        ("plain", fun acc -> C.fma_plain ctx acc y pt1);
+        ("plain of unsettled", fun acc -> C.fma_plain ctx acc x_u pt2);
+        ("add settled", fun acc -> C.add ctx acc add_s);
+        ("add unsettled", fun acc -> C.add ctx acc add_u);
+        ("add pending", fun acc -> C.add ctx acc (C.fma_plain ctx add_s x pt1));
+      ]
+    in
+    let sequences =
+      List.map (fun (tag, f) -> (tag ^ " x3", [ f; f; f ])) terms
+      @ [ ("every kind", List.map snd terms); ("every kind, reversed", List.rev_map snd terms) ]
+    in
+    List.iter
+      (fun (acc_tag, acc) ->
+        List.iter
+          (fun (tag, steps) ->
+            let what = Printf.sprintf "level %d, %s accumulator, %s" level acc_tag tag in
+            let chain = List.fold_left (fun a f -> C.materialise (f a)) acc steps in
+            let sum = List.fold_left (fun a f -> f a) acc steps in
+            if not (C.is_pending sum) then Alcotest.failf "%s: sum computed eagerly" what;
+            same_ct what chain sum)
+          sequences)
+      [
+        ("settled", C.mul_scalar ctx base 0.8 ~scale:ws);
+        ("unsettled", C.mul_scalar ctx (hoisted base) 0.8 ~scale:ws);
+      ]
+  done
+
+(* [sum ()] builds a fresh pending sum of the same terms, settled or
+   unsettled, each time it is called *)
+let pending_sum seed ~unsettled =
+  let ws = 1024.0 in
+  let ct = encrypt_vec (random_vec seed) in
+  let x = if unsettled then (C.rotate_many ctx keys ct [| 1; 3 |]).(1) else ct in
+  let pt = C.encode_real ctx ~level:(C.max_level ctx) ~scale:ws (random_vec (seed + 1)) in
+  fun () ->
+    C.fma_plain ctx (C.fma_scalar ctx (C.mul_scalar ctx ct 0.5 ~scale:ws) x 0.25 ~scale:ws) ct pt
+
+(* materialising is done once: the same value, physically, on every call *)
+let test_materialise_once () =
+  List.iter
+    (fun unsettled ->
+      let s = pending_sum 71 ~unsettled () in
+      Alcotest.(check bool) "pending" true (C.is_pending s);
+      Alcotest.(check bool) "form known before" unsettled (not (C.is_settled s));
+      let m = C.materialise s in
+      Alcotest.(check bool) "materialised" false (C.is_pending m);
+      Alcotest.(check bool) "materialising twice" true (C.materialise s == m);
+      Alcotest.(check bool) "form kept" unsettled (not (C.is_settled m));
+      Alcotest.(check bool) "settled once" true (C.settle s == C.settle m);
+      Alcotest.(check bool) "components" true (C.c0 s == C.c0 m && C.c1 s == C.c1 m))
+    [ false; true ]
+
+(* every op that reads the polynomials takes a pending operand and gives
+   what it gives on the materialised form, bit for bit *)
+let test_materialising_ops () =
+  let pt = C.encode_real ctx ~level:(C.max_level ctx) ~scale (random_vec 74) in
+  let poly ct = (C.decrypt ctx sk ct).C.poly in
+  List.iter
+    (fun unsettled ->
+      let sum = pending_sum 72 ~unsettled in
+      let check what f =
+        let from_pending = f (sum ()) in
+        let from_value = f (C.materialise (sum ())) in
+        Array.iteri
+          (fun i (a, b) ->
+            if not (Rq_rns.equal (poly a) (poly b)) then
+              Alcotest.failf "%s (%s, result %d): pending operand differs" what
+                (if unsettled then "unsettled" else "settled") i)
+          (Array.combine from_pending from_value)
+      in
+      let one f x = [| f x |] in
+      check "settle" (one C.settle);
+      check "decrypt" (one Fun.id);
+      check "mul_plain" (one (fun x -> C.mul_plain ctx x pt));
+      let addend x =
+        C.encode_real ctx ~level:(C.max_level ctx) ~scale:(C.scale_of x) (random_vec 75)
+      in
+      check "add_plain" (one (fun x -> C.add_plain ctx x (addend x)));
+      check "add_scalar" (one (fun x -> C.add_scalar ctx x 0.75));
+      check "mul_scalar" (one (fun x -> C.mul_scalar ctx x 0.5 ~scale:16.0));
+      check "mul" (one (fun x -> C.mul ctx keys x x));
+      check "rescale" (one (fun x -> C.rescale ctx x (C.max_rescale ctx x (1 lsl 30))));
+      check "mod_switch_to_level"
+        (one (fun x -> C.mod_switch_to_level ctx x (C.max_level ctx - 1)));
+      check "rotate" (one (fun x -> C.rotate ctx keys x 1));
+      check "rotate_many" (fun x -> C.rotate_many ctx keys x [| 1; 3; 5 |]);
+      let c0 x = C.of_parts ~c0:(C.c0 x) ~c1:(C.c1 x) ~level:(C.level_of x) ~scale:(C.scale_of x) in
+      check "c0/c1" (one c0))
+    [ false; true ]
+
 (* A weighted sum of 8 hoisted amounts, with settled terms mixed in, stays
    unsettled until it is used, decrypts to the cleartext sum, and differs
    from the same sum of settled rotations only by rounding. *)
@@ -441,6 +562,11 @@ let suite =
         Alcotest.test_case "deferred sum of hoisted rotations" `Quick test_deferred_rotation_sum;
         Alcotest.test_case "settling is memoised" `Quick test_settle_memoised;
         Alcotest.test_case "settling ops accept unsettled operands" `Quick test_settling_ops;
+        Alcotest.test_case "pending sum = two-operand chain at every level" `Quick
+          test_pending_sum_every_level;
+        Alcotest.test_case "a pending sum materialises once" `Quick test_materialise_once;
+        Alcotest.test_case "materialising ops accept pending operands" `Quick
+          test_materialising_ops;
         Alcotest.test_case "one rotation's error within 2x fresh" `Quick test_rotation_error_vs_fresh;
         Alcotest.test_case "wrong key garbles" `Quick test_wrong_key_fails;
         Alcotest.test_case "level mismatch rejected" `Quick test_level_mismatch_rejected;

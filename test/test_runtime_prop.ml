@@ -124,8 +124,9 @@ let test_random_assignments () =
    A dense layer over metas the kernel meets in practice: HW and CHW, twin,
    strided after a pool, non-power-of-two width and height, out_dim not a
    multiple of the lane count, and a meta whose padded box is not
-   mixed-radix (the full-fold fallback). Each must match Reference, and the
-   kernel's rotate-accumulate count must be what the interceptors see. *)
+   mixed-radix (the full-fold fallback). Each must match Reference, the
+   kernel's rotate-accumulate count must be what the interceptors see, and
+   its output meta must be {!Kernels.dense_out_meta}'s. *)
 
 module Instrument = Chet_hisa.Instrument
 
@@ -156,8 +157,12 @@ let dense_case ~meta ~out_d seed =
   let input = K.encrypt_tensor cfg meta image in
   Instrument.reset counters;
   fma_rots := 0;
-  let got = K.decrypt_tensor (op.K.sg_run input) in
+  let out = op.K.sg_run input in
+  let got = K.decrypt_tensor out in
   let what = Format.asprintf "%a -> %d" Layout.pp meta out_d in
+  if out.K.meta <> Kernels.dense_out_meta meta ~out_dim:out_d then
+    Alcotest.failf "%s: output meta %a, dense_out_meta %a" what Layout.pp out.K.meta Layout.pp
+      (Kernels.dense_out_meta meta ~out_dim:out_d);
   let diff = T.max_abs_diff (T.flatten expected) (T.flatten got) in
   let bound = 2e-2 *. Float.max 1.0 (T.max_abs expected) in
   if diff > bound then Alcotest.failf "%s: diff %.5f > %.5f" what diff bound;
@@ -200,7 +205,12 @@ let test_dense_lattice () =
   let packed_ragged = ref false in
   List.iteri
     (fun i (meta, out_d) ->
-      Alcotest.(check bool) "lattice fold applies" true (Kernels.dense_fold meta ~out_dim:out_d <> None);
+      (match Kernels.dense_fold meta ~out_dim:out_d with
+      | None -> Alcotest.fail "lattice fold applies"
+      | Some d ->
+          (* only a single-axis lattice (the vector) may fold once *)
+          let single = List.length d.Kernels.dn_axes = 1 in
+          if d.Kernels.dn_once && not single then Alcotest.fail "folds once on a multi-axis meta");
       let lanes = dense_case ~meta ~out_d i in
       if lanes > 1 && out_d mod lanes <> 0 then packed_ragged := true)
     lattice;
@@ -230,11 +240,114 @@ let test_dense_lattice () =
       ignore (dense_case ~meta ~out_d:5 (100 + i)))
     [ false; true ]
 
+(* --- folding once ------------------------------------------------------
+
+   A dense layer over a vector (a single-axis lattice) folds once, after
+   merging the outputs' partial products into disjoint boxes: contiguous
+   and twin vectors, ragged output counts (not a power of two), inputs that
+   must be lifted first and inputs already high enough. A strided vector,
+   which is what a fold-once layer leaves for the next one, leaves room for
+   lanes and folds per group. *)
+
+let test_dense_fold_once () =
+  let slots = 2048 in
+  let vec ?twin ?stride ?(offset = 0) length =
+    { (Layout.vector_meta ~slots ~length ?twin ?stride ()) with Layout.offset }
+  in
+  let once =
+    [
+      (vec 21, 3, true);
+      (vec 32, 10, true);
+      (vec ~twin:true 12, 5, true);
+      (vec ~offset:300 21, 7, false);
+      (vec ~twin:true ~offset:400 12, 6, false);
+    ]
+  in
+  List.iteri
+    (fun i (meta, out_d, lifted) ->
+      let what = Format.asprintf "%a -> %d" Layout.pp meta out_d in
+      (match Kernels.dense_fold meta ~out_dim:out_d with
+      | Some d ->
+          if not d.Kernels.dn_once then Alcotest.failf "%s: does not fold once" what;
+          Alcotest.(check bool) (what ^ ": lifted") lifted (d.Kernels.dn_lift > 0);
+          (* outputs [dn_stride] apart, a power of two past the box *)
+          let t = d.Kernels.dn_stride in
+          Alcotest.(check bool) (what ^ ": power-of-two stride") true (t land (t - 1) = 0)
+      | None -> Alcotest.failf "%s: no fold" what);
+      ignore (dense_case ~meta ~out_d (200 + i)))
+    once;
+  List.iteri
+    (fun i (meta, out_d) ->
+      match Kernels.dense_fold meta ~out_dim:out_d with
+      | Some d when not d.Kernels.dn_once -> ignore (dense_case ~meta ~out_d (300 + i))
+      | _ -> Alcotest.fail "a strided vector folds per group")
+    [ (vec ~stride:32 ~offset:64 10, 2); (vec ~twin:true ~stride:64 ~offset:128 6, 5) ];
+  (* a strided vector packs and unpacks, with zeros everywhere else *)
+  List.iter
+    (fun twin ->
+      let meta = vec ~twin ~stride:32 ~offset:96 10 in
+      let st = Random.State.make [| 7 |] in
+      let values = Array.init 10 (fun _ -> Random.State.float st 2.0 -. 1.0) in
+      let t = T.of_array [| 10; 1; 1 |] values in
+      let packed = Layout.pack meta t in
+      Alcotest.(check int) "one ciphertext" 1 (Array.length packed);
+      let nonzero = Array.fold_left (fun a v -> if v <> 0.0 then a + 1 else a) 0 packed.(0) in
+      Alcotest.(check int) "only the outputs' slots" 10 nonzero;
+      Alcotest.(check bool)
+        "pack/unpack round trip" true
+        (T.flatten (Layout.unpack meta packed) = T.flatten t))
+    [ false; true ];
+  (* the plan's static metas of dense layers fed by a vector and by a
+     strided vector are the kernel's *)
+  let b = Circuit.builder () in
+  let st = Random.State.make [| 5 |] in
+  let x = Circuit.flatten b (Circuit.input b ~name:"x" [| 2; 4; 4 |]) in
+  let dense input out_d in_d =
+    Circuit.matmul b input ~weights:(Dataset.glorot st [| out_d; in_d |])
+      ~bias:(Dataset.bias st out_d) ()
+  in
+  let fc1 = dense x 24 32 in
+  let fc2 = dense fc1 7 24 in
+  let fc3 = dense fc2 5 7 in
+  let circuit = Circuit.finish b ~name:"three-dense" ~output:fc3 in
+  let image = Dataset.image ~seed:3 ~channels:2 ~height:4 ~width:4 in
+  let expected = Reference.eval circuit image in
+  List.iter
+    (fun policy ->
+      let module H = (val backend () : Hisa.S) in
+      let module PE = Chet_plan.Plan_exec.Make (H) in
+      let plan = Chet_plan.Plan.build ~slots:H.slots ~policy circuit in
+      let metas = Hashtbl.create 8 in
+      Array.iter
+        (fun (step : Chet_plan.Plan.step) ->
+          (match step.Chet_plan.Plan.st_node.Circuit.op with
+          | Circuit.MatMul { input; weights; _ }
+            when step.Chet_plan.Plan.st_op = Chet_plan.Plan.Op_node ->
+              let src = Hashtbl.find metas input.Circuit.id in
+              let out_dim = weights.T.shape.(0) in
+              if step.Chet_plan.Plan.st_meta <> Kernels.dense_out_meta src ~out_dim then
+                Alcotest.fail "plan meta differs from dense_out_meta";
+              if input == fc1 then
+                Alcotest.(check bool) "fc2 folds once" true
+                  (match Kernels.dense_fold src ~out_dim with
+                  | Some d -> d.Kernels.dn_once
+                  | None -> false)
+          | _ -> ());
+          Hashtbl.replace metas step.Chet_plan.Plan.st_node.Circuit.id step.Chet_plan.Plan.st_meta)
+        plan.Chet_plan.Plan.p_steps;
+      let got = PE.run (PE.prepare Kernels.default_scales plan) image in
+      let diff = T.max_abs_diff (T.flatten expected) (T.flatten got) in
+      if diff > 2e-2 *. Float.max 1.0 (T.max_abs expected) then
+        Alcotest.failf "three dense layers (%s): diff %.5f" (Layout.policy_name policy) diff)
+    [ Layout.All_hw; Layout.All_chw ]
+
 let suite =
   [
     ( "runtime:props",
       [
         Alcotest.test_case "dense lattice fold vs Reference" `Quick test_dense_lattice;
+        Alcotest.test_case "dense fold-once on vector inputs vs Reference" `Quick
+          test_dense_fold_once;
         prop "random circuits: HW" Layout.All_hw;
         prop "random circuits: CHW" Layout.All_chw;
         prop "random circuits: HW-conv CHW-rest" Layout.Hw_conv_chw_rest;

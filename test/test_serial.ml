@@ -72,6 +72,41 @@ let test_rns_ciphertext_roundtrip () =
   let diff = Complexv.max_abs_diff (Complexv.of_real v) got in
   Alcotest.(check bool) "decrypts" true (diff < 5e-3)
 
+(* a pending sum goes on the wire as the bytes of its materialised form *)
+let test_rns_pending_roundtrip () =
+  let rng = Sampling.create ~seed:6 in
+  let sk, keys = Rns_ckks.keygen ctx rng in
+  Rns_ckks.add_rotation_key ctx rng sk keys 1;
+  let slots = Rns_ckks.slot_count ctx in
+  let v = Array.init slots (fun i -> 0.01 *. float_of_int i) in
+  let ct =
+    Rns_ckks.encrypt ctx rng keys.Rns_ckks.public
+      (Rns_ckks.encode_real ctx ~level:3 ~scale:1073741824.0 v)
+  in
+  let rotated = (Rns_ckks.rotate_many ctx keys ct [| 1; 1 |]).(0) in
+  let sum () =
+    Rns_ckks.fma_scalar ctx (Rns_ckks.mul_scalar ctx ct 0.5 ~scale:256.0) rotated 0.25 ~scale:256.0
+  in
+  let rq = Rns_ckks.rq_ctx ctx in
+  let bytes ct =
+    let w = Serial.writer () in
+    Serial.write_rns_ciphertext w rq ct;
+    Serial.contents w
+  in
+  let pending = sum () in
+  Alcotest.(check bool) "pending" true (Rns_ckks.is_pending pending);
+  let wire = bytes pending in
+  Alcotest.(check string)
+    "bytes of the materialised form"
+    (bytes (Rns_ckks.materialise (sum ())))
+    wire;
+  let back = Serial.read_rns_ciphertext (Serial.reader wire) rq in
+  Alcotest.(check string) "re-serialises to the same bytes" wire (bytes back);
+  let expected = Array.init slots (fun i -> (0.5 *. v.(i)) +. (0.25 *. v.((i + 1) mod slots))) in
+  let got = Rns_ckks.decode ctx (Rns_ckks.decrypt ctx sk back) in
+  let diff = Complexv.max_abs_diff (Complexv.of_real expected) got in
+  Alcotest.(check bool) "decrypts to the sum" true (diff < 5e-3)
+
 (* a hoisted rotation goes on the wire as the ciphertext it settles to:
    the same bytes as its settled form, and it decrypts to the rotation *)
 let test_rns_unsettled_roundtrip () =
@@ -589,6 +624,7 @@ let suite =
         Alcotest.test_case "RNS ciphertext roundtrip" `Quick test_rns_ciphertext_roundtrip;
         Alcotest.test_case "unsettled rotation roundtrips settled" `Quick
           test_rns_unsettled_roundtrip;
+        Alcotest.test_case "pending sum roundtrips materialised" `Quick test_rns_pending_roundtrip;
         Alcotest.test_case "corrupt tag rejected" `Quick test_rns_corrupt_tag;
         Alcotest.test_case "pow2 ciphertext roundtrip" `Quick test_big_ciphertext_roundtrip;
         Alcotest.test_case "fuzz: truncation at every offset" `Quick test_fuzz_truncation_every_offset;
