@@ -192,14 +192,9 @@ let compile_cmd =
   in
   let run model target security cost_file state_dir seed no_keys =
     let spec = lookup_model model in
-    let opts = { (Compiler.default_options ~target ()) with Compiler.security } in
-    let calibration = Option.map load_calibration_or_exit cost_file in
     let opts =
-      match calibration with
-      | None -> opts
-      | Some cal ->
-          let scheme = match target with Compiler.Seal -> `Seal | Compiler.Heaan -> `Heaan in
-          { opts with Compiler.cost = Some (Cost_model.model_for scheme cal) }
+      apply_cost_file { (Compiler.default_options ~target ()) with Compiler.security } target
+        cost_file
     in
     let compiled = Compiler.compile opts (spec.Models.build ()) in
     Format.printf "%a@." Compiler.pp_compiled compiled;
@@ -207,7 +202,7 @@ let compile_cmd =
     | None -> ()
     | Some dir ->
         let store, _report = open_store_verbose dir in
-        let bundle = Bundle.build ?calibration ~with_keys:(not no_keys) compiled ~seed () in
+        let bundle = Bundle.build ~with_keys:(not no_keys) compiled ~seed () in
         ignore (save_bundle_verbose store bundle)
   in
   Cmd.v (Cmd.info "compile" ~doc:"Compile a network and report the chosen configuration")
@@ -522,15 +517,6 @@ let matching_bundle ~want_sentinel = function
       None
   | l -> l
 
-(* The plan every rung runs: the bundle's when a warm restart restored one
-   with the compile's geometry, else lowered from the compile. *)
-let plan_of ?restored compiled =
-  match restored with
-  | Some l when l.Bundle.l_bundle.Bundle.b_plan.Plan.p_twin = compiled.Compiler.opts.Compiler.sentinel
-    ->
-      l.Bundle.l_bundle.Bundle.b_plan
-  | _ -> Compiler.plan compiled
-
 (* Boot a deployment for `serve' and `shard-worker' (DESIGN.md §11): adopt
    the newest bundle compiled for the requested sentinel setting, or
    cold-compile and persist a bundle so the next start is warm. A bundle
@@ -712,7 +698,7 @@ let serve_cmd =
       boot ~with_keys:real ~target ~want_sentinel ~seed store circuit
     in
     Format.printf "%a@." Compiler.pp_compiled compiled;
-    let plan = plan_of ?restored compiled in
+    let plan = Compiler.plan compiled in
     Printf.printf "plan: %s\n" (Plan.summary plan);
     let ladder =
       if real then begin
@@ -723,7 +709,7 @@ let serve_cmd =
           | Some l -> Bundle.restore_keyset l.Bundle.l_bundle ~with_secret:true
           | None -> Compiler.keyset compiled ~seed ~with_secret:true ()
         in
-        Service.ladder_of_keyset compiled ~keyset ~plan ~predict_cost:true ?sentinel ()
+        Service.ladder_of_keyset compiled ~keyset ~predict_cost:true ?sentinel ()
       end
       else begin
         (* cleartext twin of the deployment ladder: same circuit, policy and
@@ -962,7 +948,7 @@ let shard_worker_cmd =
     let restored, compiled =
       boot ~with_keys:false ~target ~want_sentinel ~seed store circuit
     in
-    let plan = plan_of ?restored compiled in
+    let plan = Compiler.plan compiled in
     let primary_backend ~req_seed ~attempt =
       if slow_ms > 0.0 then Unix.sleepf (slow_ms /. 1000.0);
       arm_fault fault compiled ~req_seed ~attempt (clear_backend compiled)

@@ -472,6 +472,21 @@ let read_counted_pairs r =
       let b = Serial.read_int r in
       (a, b))
 
+(* The layout-policy codec of the CMPD frame (chosen policy and report
+   rows); the tags are also the policy column of test/data's golden files. *)
+let policy_tag = function
+  | Layout.All_hw -> 0
+  | Layout.All_chw -> 1
+  | Layout.Hw_conv_chw_rest -> 2
+  | Layout.Chw_fc_hw_before -> 3
+
+let policy_of_tag = function
+  | 0 -> Layout.All_hw
+  | 1 -> Layout.All_chw
+  | 2 -> Layout.Hw_conv_chw_rest
+  | 3 -> Layout.Chw_fc_hw_before
+  | n -> raise (Serial.Corrupt (Printf.sprintf "unknown layout policy %d" n))
+
 let write_compiled w c =
   Serial.write_frame w "CMPD" (fun w ->
       Serial.write_int w compiled_version;
@@ -491,7 +506,7 @@ let write_compiled w c =
       Serial.write_int w c.opts.scales.Kernels.pm;
       Serial.write_int w c.opts.max_n;
       Serial.write_int w (if c.opts.sentinel then 1 else 0);
-      Serial.write_int w (Plan.policy_tag c.policy);
+      Serial.write_int w (policy_tag c.policy);
       write_params w c.params;
       write_counted_pairs w c.rotations;
       let k = c.op_counters in
@@ -507,7 +522,7 @@ let write_compiled w c =
       Serial.write_int w (List.length c.reports);
       List.iter
         (fun rp ->
-          Serial.write_int w (Plan.policy_tag rp.pr_policy);
+          Serial.write_int w (policy_tag rp.pr_policy);
           write_params w rp.pr_params;
           Serial.write_float w rp.pr_cost)
         c.reports)
@@ -563,7 +578,7 @@ let read_compiled ~circuit r =
           sentinel;
         }
       in
-      let policy = Plan.policy_of_tag (Serial.read_int r) in
+      let policy = policy_of_tag (Serial.read_int r) in
       let params = read_params r in
       let rotations = read_counted_pairs r in
       let k = Instrument.fresh_counters () in
@@ -584,7 +599,7 @@ let read_compiled ~circuit r =
       if nreports < 0 || nreports > 64 then raise (Serial.Corrupt "bad report count");
       let reports =
         List.init nreports (fun _ ->
-            let pr_policy = Plan.policy_of_tag (Serial.read_int r) in
+            let pr_policy = policy_of_tag (Serial.read_int r) in
             let pr_params = read_params r in
             let pr_cost = Serial.read_float r in
             { pr_policy; pr_params; pr_cost })
@@ -605,8 +620,9 @@ let export_keys compiled ~seed ?(rotation_keys = Selected_keys) () =
 
 (* Compile the chosen policy into an executable plan at the compiled ring
    dimension, on the twin geometry when the deployment carries sentinels.
-   Pure metadata — no keys, no ciphertexts — so this runs at compile/bundle
-   time and serialises into the Bundle's PLAN frame. A zero-budget prepare
+   Pure metadata — no keys, no ciphertexts — and cheap, so a bundle does
+   not store it: every deployment, warm or cold, rebuilds it from the
+   compiled decisions (DESIGN.md §11). A zero-budget prepare
    against the shape backend fills in the static fusion counts (they are
    the same for every backend) without encoding a single plaintext. *)
 let plan compiled =

@@ -158,12 +158,15 @@ val write_compiled : Chet_crypto.Serial.writer -> compiled -> unit
 (** Everything in {!compiled} except the circuit itself (stored by name),
     as a [CMPD] integrity frame: options, chosen policy and parameters,
     rotation selection, op counters and the per-policy reports. The cost
-    model override ([opts.cost]) is not persisted — reattach a calibration
-    via {!Cost_model.model_for} after restore. *)
+    model override ([opts.cost]) is not persisted: the reports already
+    carry the costs it gave. *)
 
 val read_compiled : circuit:Circuit.t -> Chet_crypto.Serial.reader -> compiled
 (** @raise Chet_crypto.Serial.Corrupt on any integrity or structural
     violation, including a frame compiled for a different circuit name. *)
+
+val policy_tag : Layout.layout_policy -> int
+(** The [CMPD] frame's layout-policy tag. *)
 
 val export_keys : compiled -> seed:int -> ?rotation_keys:rotation_key_policy -> unit -> string option
 (** Run {!keyset}'s key generation for this deployment and serialise the
@@ -183,5 +186,6 @@ val export_keys : compiled -> seed:int -> ?rotation_keys:rotation_key_policy -> 
 val plan : compiled -> Chet_plan.Plan.t
 (** Lower the compiled policy into an executable plan at the compiled ring
     dimension, on the twin geometry when [opts.sentinel] is set. Pure
-    metadata (no keys or ciphertexts); serialises into the
-    {!Chet_store.Bundle} PLAN frame. *)
+    metadata (no keys or ciphertexts) and a function of the compiled
+    decisions alone, so bundles do not store it: every deployment,
+    including a warm restart, calls this. *)

@@ -10,8 +10,7 @@
    - buffer lifetimes resolved at plan time: each step names the arena slot
      it writes and the slots that die after it, so the executor's live set
      is bounded by the arena high-water mark instead of the circuit size;
-   - static layout metadata per step, recomputed (not trusted) when a plan
-     is reloaded from its serialised frame;
+   - static layout metadata per step;
    - optionally the interleaved twin (sentinel) geometry of DESIGN.md §16,
      so sentinel-verified inference runs the same plan machinery.
 
@@ -23,7 +22,6 @@ module Tensor = Chet_tensor.Tensor
 module Herr = Chet_hisa.Herr
 module Layout = Chet_runtime.Layout
 module Kernels = Chet_runtime.Kernels
-module Serial = Chet_crypto.Serial
 
 let err ~op e = Herr.raise_err ~backend:"plan" ~op e
 
@@ -274,8 +272,8 @@ let build_assigned ?margin ?twin ~slots ~kind_of circuit =
 
 (* Replay the schedule against a liveness bitmap: every read hits a live
    slot, no step releases its own destination, the output survives. This is
-   both the arena invariant the tests assert and the schema check applied to
-   deserialised plans before any ciphertext touches them. *)
+   both the arena invariant the tests assert and the check [Plan_exec.prepare]
+   applies before any ciphertext touches a plan. *)
 let validate (t : t) =
   let problem = ref None in
   let fail r = if !problem = None then problem := Some r in
@@ -323,210 +321,3 @@ let summary (t : t) =
     "%d steps (%d conversions), arena %d slots, fused: %d mul+rescale, %d rot-acc, %d mul-acc"
     (Array.length t.p_steps) conversions t.p_arena t.p_stats.fused_mul_rescale
     t.p_stats.fused_rot_acc t.p_stats.fused_mul_acc
-
-(* --- serialisation: the checksummed PLAN frame ------------------------- *)
-
-(* v2 added the twin flag after the policy tag; a v1 frame (written before
-   plans could carry the sentinel lane) loads as [twin = false]. A policy
-   tag of -1 marks an arbitrary per-node assignment. *)
-let plan_version = 2
-
-let policy_tag = function
-  | Layout.All_hw -> 0
-  | Layout.All_chw -> 1
-  | Layout.Hw_conv_chw_rest -> 2
-  | Layout.Chw_fc_hw_before -> 3
-
-let policy_of_tag = function
-  | 0 -> Layout.All_hw
-  | 1 -> Layout.All_chw
-  | 2 -> Layout.Hw_conv_chw_rest
-  | 3 -> Layout.Chw_fc_hw_before
-  | n -> raise (Serial.Corrupt (Printf.sprintf "unknown layout policy %d" n))
-
-let kind_tag = function Layout.HW -> 0 | Layout.CHW -> 1
-
-let kind_of_tag = function
-  | 0 -> Layout.HW
-  | 1 -> Layout.CHW
-  | n -> raise (Serial.Corrupt (Printf.sprintf "PLAN: unknown layout kind %d" n))
-
-let op_tag = function Op_node -> 0 | Op_convert k -> 1 + kind_tag k
-
-let op_of_tag = function
-  | 0 -> Op_node
-  | 1 -> Op_convert Layout.HW
-  | 2 -> Op_convert Layout.CHW
-  | n -> raise (Serial.Corrupt (Printf.sprintf "PLAN: unknown step op %d" n))
-
-let write w (t : t) =
-  Serial.write_frame w "PLAN" (fun w ->
-      Serial.write_int w plan_version;
-      Serial.write_string w t.p_circuit.Circuit.name;
-      Serial.write_int w (match t.p_policy with Some p -> policy_tag p | None -> -1);
-      Serial.write_int w (if t.p_twin then 1 else 0);
-      Serial.write_int w t.p_slots;
-      Serial.write_int w t.p_margin;
-      Serial.write_int w t.p_arena;
-      Serial.write_int w t.p_output;
-      Serial.write_int w t.p_stats.fused_mul_rescale;
-      Serial.write_int w t.p_stats.fused_rot_acc;
-      Serial.write_int w t.p_stats.fused_mul_acc;
-      Serial.write_int w (Array.length t.p_steps);
-      Array.iter
-        (fun st ->
-          Serial.write_int w st.st_node.Circuit.id;
-          Serial.write_int w (op_tag st.st_op);
-          Serial.write_int w (kind_tag st.st_kind);
-          Serial.write_int w st.st_dst;
-          Serial.write_int_array w st.st_srcs;
-          Serial.write_int_array w st.st_release)
-        t.p_steps)
-
-(* Deserialise against a circuit the caller already has (plans never carry
-   weights — the Bundle's own metadata identifies the model). The layout
-   metadata is *recomputed* from the schedule, not read from the wire, and
-   the result is replay-validated, so a truncated or bit-flipped frame that
-   somehow survives the checksum still cannot direct a read at a released
-   slot. *)
-let read r ~(circuit : Circuit.t) =
-  Serial.read_frame r "PLAN" (fun r ->
-      let version = Serial.read_int r in
-      if version < 1 || version > plan_version then
-        raise
-          (Serial.Corrupt (Printf.sprintf "PLAN: version %d, expected 1..%d" version plan_version));
-      let name = Serial.read_string r in
-      if name <> circuit.Circuit.name then
-        raise
-          (Serial.Corrupt
-             (Printf.sprintf "PLAN: compiled for circuit %S, loading against %S" name
-                circuit.Circuit.name));
-      let policy =
-        match Serial.read_int r with
-        | -1 when version >= 2 -> None
-        | tag -> (
-            try Some (policy_of_tag tag)
-            with Serial.Corrupt reason -> raise (Serial.Corrupt ("PLAN: " ^ reason)))
-      in
-      let twin =
-        if version < 2 then false
-        else
-          match Serial.read_int r with
-          | 0 -> false
-          | 1 -> true
-          | k -> raise (Serial.Corrupt (Printf.sprintf "PLAN: bad twin flag %d" k))
-      in
-      let slots = Serial.read_int r in
-      let margin = Serial.read_int r in
-      let arena = Serial.read_int r in
-      let output = Serial.read_int r in
-      let fused_mul_rescale = Serial.read_int r in
-      let fused_rot_acc = Serial.read_int r in
-      let fused_mul_acc = Serial.read_int r in
-      let n = Serial.read_int r in
-      if n < 0 || n > 1_000_000 then
-        raise (Serial.Corrupt (Printf.sprintf "PLAN: implausible step count %d" n));
-      if arena < 1 || arena > n then
-        raise (Serial.Corrupt (Printf.sprintf "PLAN: implausible arena size %d" arena));
-      let nodes : (int, Circuit.node) Hashtbl.t = Hashtbl.create 64 in
-      List.iter
-        (fun (nd : Circuit.node) -> Hashtbl.replace nodes nd.Circuit.id nd)
-        (Circuit.topo_order circuit);
-      let node_of id =
-        match Hashtbl.find_opt nodes id with
-        | Some nd -> nd
-        | None -> raise (Serial.Corrupt (Printf.sprintf "PLAN: unknown circuit node %d" id))
-      in
-      let raw_steps =
-        Array.init n (fun i ->
-            let node = node_of (Serial.read_int r) in
-            let op = op_of_tag (Serial.read_int r) in
-            let kind = kind_of_tag (Serial.read_int r) in
-            let dst = Serial.read_int r in
-            let srcs = Serial.read_int_array r in
-            let release = Serial.read_int_array r in
-            (i, node, op, kind, dst, srcs, release))
-      in
-      (* recompute metas in schedule order; any structural damage surfaces
-         as Corrupt here rather than as a malformed plan downstream. The
-         input layout takes the kind of the schedule's own input step. *)
-      let input_kind =
-        match
-          Array.find_opt
-            (fun (_, node, op, _, _, _, _) ->
-              op = Op_node && node.Circuit.id = circuit.Circuit.input.Circuit.id)
-            raw_steps
-        with
-        | Some (_, _, _, kind, _, _, _) -> kind
-        | None -> raise (Serial.Corrupt "PLAN: schedule never computes the circuit input")
-      in
-      let in_meta =
-        try input_meta_of ~slots ~margin ~twin circuit ~kind:input_kind
-        with Herr.Fhe_error _ -> raise (Serial.Corrupt "PLAN: input layout does not fit the frame's slot count")
-      in
-      let slot_meta : Layout.meta option array = Array.make arena None in
-      let meta_at what i s =
-        match if s >= 0 && s < arena then slot_meta.(s) else None with
-        | Some m -> m
-        | None ->
-            raise (Serial.Corrupt (Printf.sprintf "PLAN: step %d %s reads slot %d with no value" i what s))
-      in
-      let steps =
-        Array.map
-          (fun (i, node, op, kind, dst, srcs, release) ->
-            let meta =
-              try
-                match op with
-                | Op_convert k ->
-                    if Array.length srcs <> 1 then
-                      raise (Serial.Corrupt (Printf.sprintf "PLAN: step %d convert arity" i));
-                    Layout.converted (meta_at "convert" i srcs.(0)) ~to_kind:k
-                | Op_node -> begin
-                    match node.Circuit.op with
-                    | Circuit.Input _ ->
-                        if in_meta.Layout.kind = kind then in_meta
-                        else Layout.converted in_meta ~to_kind:kind
-                    | _ ->
-                        node_out_meta node
-                          (Array.to_list (Array.mapi (fun j s -> meta_at (Printf.sprintf "source %d" j) i s) srcs))
-                  end
-              with Herr.Fhe_error _ ->
-                raise (Serial.Corrupt (Printf.sprintf "PLAN: step %d meta inference failed" i))
-            in
-            if dst >= 0 && dst < arena then slot_meta.(dst) <- Some meta;
-            {
-              st_id = i;
-              st_node = node;
-              st_op = op;
-              st_kind = kind;
-              st_srcs = srcs;
-              st_dst = dst;
-              st_release = release;
-              st_meta = meta;
-            })
-          raw_steps
-      in
-      let t =
-        {
-          p_circuit = circuit;
-          p_policy = policy;
-          p_slots = slots;
-          p_margin = margin;
-          p_twin = twin;
-          p_input_meta = in_meta;
-          p_steps = steps;
-          p_arena = arena;
-          p_output = output;
-          p_stats = { fused_mul_rescale; fused_rot_acc; fused_mul_acc };
-        }
-      in
-      match validate t with
-      | Ok () -> t
-      | Error reason -> raise (Serial.Corrupt ("PLAN: " ^ reason)))
-
-let to_string (t : t) =
-  let w = Serial.writer () in
-  write w t;
-  Serial.contents w
-
-let of_string ~circuit s = read (Serial.reader s) ~circuit

@@ -8,8 +8,8 @@
     HISA backend; it is the only executor, so deployments, the compiler's
     analyses and sentinel verification all run plans.
 
-    The records are deliberately transparent: the executor, the bundle
-    store and the tests all inspect (and the prepare pass mutates
+    The records are deliberately transparent: the executor, the serving
+    layer and the tests all inspect (and the prepare pass mutates
     [p_stats] of) a plan directly. *)
 
 module Circuit = Chet_nn.Circuit
@@ -69,21 +69,3 @@ val validate : t -> (unit, string) result
     or released slot, output alive at the end. *)
 
 val summary : t -> string
-
-val policy_tag : Layout.layout_policy -> int
-(** The layout-policy codec shared by the [PLAN] and [CMPD] frames. *)
-
-val policy_of_tag : int -> Layout.layout_policy
-(** @raise Chet_crypto.Serial.Corrupt on an unknown tag. *)
-
-val to_string : t -> string
-(** The checksummed PLAN frame ({!Chet_crypto.Serial} discipline), version
-    2. Weights and the circuit itself are {e not} serialized — a plan only
-    references its circuit's node ids. *)
-
-val of_string : circuit:Circuit.t -> string -> t
-(** Rebind a PLAN frame to the circuit it was built from; validates the
-    frame and the rebuilt plan. Version-1 frames (written before plans
-    carried the twin flag) load with [p_twin = false].
-    @raise Chet_crypto.Serial.Corrupt on version, checksum, id or
-    validation mismatch. *)

@@ -56,7 +56,7 @@ let reduced_scales (s : Kernels.scales) k =
   }
 
 let ladder_of_keyset compiled ~(keyset : Compiler.keyset) ?(reduced_rungs = 1)
-    ?(clear_fallback = true) ?(predict_cost = false) ?plan ?sentinel () =
+    ?(clear_fallback = true) ?(predict_cost = false) ?sentinel () =
   let opts = compiled.Compiler.opts in
   let scales = opts.Compiler.scales in
   let policy = compiled.Compiler.policy in
@@ -66,13 +66,8 @@ let ladder_of_keyset compiled ~(keyset : Compiler.keyset) ?(reduced_rungs = 1)
   if sentinel <> None && not opts.Compiler.sentinel then
     invalid_arg "Service.ladder_of_keyset: ?sentinel needs a circuit compiled with opts.sentinel";
   (* every rung runs the same plan: plans are scale-free metadata, and each
-     rung prepares it at its own scales. A supplied plan (a bundle's) is
-     used when it has the compile's geometry. *)
-  let plan =
-    match plan with
-    | Some p when p.Plan.p_twin = opts.Compiler.sentinel -> p
-    | _ -> Compiler.plan compiled
-  in
+     rung prepares it at its own scales *)
+  let plan = Compiler.plan compiled in
   (* the admission-control prediction comes for free: [compile] already
      ranked every layout policy under the calibrated cost model, and the
      chosen policy's report is the per-inference latency of the FHE rungs.

@@ -127,15 +127,13 @@ val ladder_of_keyset :
   ?reduced_rungs:int ->
   ?clear_fallback:bool ->
   ?predict_cost:bool ->
-  ?plan:Plan.t ->
   ?sentinel:Chet.Integrity.spec ->
   unit ->
   deployment list
 (** {!ladder_of_compiled} around an already-instantiated keyset — what a
     warm restart hands over after {!Chet_store.Bundle.restore_keyset}
-    rebuilt it from a stored bundle instead of regenerating it. [?plan]
-    (e.g. the bundle's [b_plan]) replaces {!Compiler.plan} when its twin
-    flag is the compile's. *)
+    rebuilt it from a stored bundle instead of regenerating it. Every rung
+    runs {!Compiler.plan} of [compiled]; a bundle stores no plan. *)
 
 (** {1 Configuration} *)
 

@@ -1,56 +1,34 @@
 module Compiler = Chet.Compiler
-module Cost_model = Chet.Cost_model
 module Circuit = Chet_nn.Circuit
 module Herr = Chet_herr.Herr
 module Serial = Chet_crypto.Serial
-module Jsonx = Chet_obs.Jsonx
-
-type scale_summary = {
-  ss_exponents : int * int * int * int;
-  ss_evaluations : int;
-  ss_rejections : int;
-}
-
-let summary_of_search (r : Chet.Scale_select.result) =
-  {
-    ss_exponents = r.exponents;
-    ss_evaluations = r.evaluations;
-    ss_rejections = List.length r.rejections;
-  }
 
 type t = {
   b_seed : int;
   b_rotation_policy : Compiler.rotation_key_policy;
   b_compiled : Compiler.compiled;
   b_keys : string option;
-  b_scale : scale_summary option;
-  b_calibration : Cost_model.calibration option;
-  b_plan : Chet_plan.Plan.t;  (* PLAN frame sidecar; warm restarts skip planning *)
 }
 
 let circuit_name t = t.b_compiled.Compiler.circuit.Circuit.name
 
-let build ?scale ?calibration ?(with_keys = true) compiled ~seed
-    ?(rotation_keys = Compiler.Selected_keys) () =
+let build ?(with_keys = true) compiled ~seed ?(rotation_keys = Compiler.Selected_keys) () =
   {
     b_seed = seed;
     b_rotation_policy = rotation_keys;
     b_compiled = compiled;
     b_keys = (if with_keys then Compiler.export_keys compiled ~seed ~rotation_keys () else None);
-    b_scale = scale;
-    b_calibration = calibration;
-    b_plan = Compiler.plan compiled;
   }
 
 (* ------------------------------------------------------------------ *)
 (* meta.chet: BNDL frame                                                *)
 (* ------------------------------------------------------------------ *)
 
-let bundle_version = 1
+(* Version 2 dropped the scale-summary and calibration records; a version-1
+   frame is refused as corrupt, and the caller cold-compiles. *)
+let bundle_version = 2
 let meta_file = "meta.chet"
 let keys_file = "keys.rky3"
-let calibration_file = "calibration.json"
-let plan_file = "plan.chet"
 
 let int_of_rotation_policy = function Compiler.Selected_keys -> 0 | Compiler.Power_of_two_keys -> 1
 
@@ -68,13 +46,6 @@ let meta_bytes t =
       Serial.write_int w t.b_seed;
       Serial.write_int w (int_of_rotation_policy t.b_rotation_policy);
       Serial.write_int w (if t.b_keys = None then 0 else 1);
-      Serial.write_int w (if t.b_calibration = None then 0 else 1);
-      (match t.b_scale with
-      | None -> Serial.write_int w 0
-      | Some s ->
-          Serial.write_int w 1;
-          let a, b, c, d = s.ss_exponents in
-          List.iter (Serial.write_int w) [ a; b; c; d; s.ss_evaluations; s.ss_rejections ]);
       Compiler.write_compiled w t.b_compiled);
   Serial.contents w
 
@@ -83,8 +54,6 @@ type meta_head = {
   mh_seed : int;
   mh_policy : Compiler.rotation_key_policy;
   mh_has_keys : bool;
-  mh_has_calibration : bool;
-  mh_scale : scale_summary option;
 }
 
 let read_meta ~circuit bytes =
@@ -98,22 +67,7 @@ let read_meta ~circuit bytes =
         let mh_seed = Serial.read_int r in
         let mh_policy = rotation_policy_of_int (Serial.read_int r) in
         let mh_has_keys = Serial.read_int r <> 0 in
-        let mh_has_calibration = Serial.read_int r <> 0 in
-        let mh_scale =
-          match Serial.read_int r with
-          | 0 -> None
-          | 1 ->
-              let i () = Serial.read_int r in
-              let a = i () in
-              let b = i () in
-              let c = i () in
-              let d = i () in
-              let ev = i () in
-              let rj = i () in
-              Some { ss_exponents = (a, b, c, d); ss_evaluations = ev; ss_rejections = rj }
-          | k -> raise (Serial.Corrupt (Printf.sprintf "BNDL: bad scale-summary flag %d" k))
-        in
-        let head = { mh_name; mh_seed; mh_policy; mh_has_keys; mh_has_calibration; mh_scale } in
+        let head = { mh_name; mh_seed; mh_policy; mh_has_keys } in
         let compiled = Compiler.read_compiled ~circuit r in
         (head, compiled))
   in
@@ -136,11 +90,7 @@ let peek_meta bytes =
 
 let files t =
   (meta_file, meta_bytes t)
-  :: ((match t.b_keys with Some k -> [ (keys_file, k) ] | None -> [])
-     @ (match t.b_calibration with
-       | Some c -> [ (calibration_file, Jsonx.to_string (Cost_model.calibration_to_json c)) ]
-       | None -> [])
-     @ [ (plan_file, Chet_plan.Plan.to_string t.b_plan) ])
+  :: (match t.b_keys with Some k -> [ (keys_file, k) ] | None -> [])
 
 let save store t = Store.save store ~files:(files t)
 
@@ -171,27 +121,6 @@ let load store ~circuit =
         | true, Some k -> Some k
         | true, None -> corrupt ~gen ~file:keys_file "meta promises evaluation keys, file absent"
       in
-      let calibration =
-        match (head.mh_has_calibration, List.assoc_opt calibration_file payload) with
-        | false, _ -> None
-        | true, None ->
-            corrupt ~gen ~file:calibration_file "meta promises a calibration, file absent"
-        | true, Some j -> (
-            match Cost_model.calibration_of_json (Jsonx.of_string j) with
-            | c -> Some c
-            | exception Jsonx.Parse_error reason -> corrupt ~gen ~file:calibration_file reason
-            | exception Failure reason -> corrupt ~gen ~file:calibration_file reason)
-      in
-      (* bundles older than the plan sidecar get their plan rebuilt from
-         the compiled configuration; a present sidecar must parse and
-         replay-validate against the circuit *)
-      let plan =
-        match List.assoc_opt plan_file payload with
-        | None -> Compiler.plan compiled
-        | Some bytes -> (
-            try Chet_plan.Plan.of_string ~circuit bytes
-            with Serial.Corrupt reason -> corrupt ~gen ~file:plan_file reason)
-      in
       Some
         {
           l_generation = gen;
@@ -202,9 +131,6 @@ let load store ~circuit =
               b_rotation_policy = head.mh_policy;
               b_compiled = compiled;
               b_keys = keys;
-              b_scale = head.mh_scale;
-              b_calibration = calibration;
-              b_plan = plan;
             };
         }
 

@@ -35,8 +35,8 @@ echo "== smoke: store =="
 timeout 120 scripts/store_smoke.sh
 
 echo "== smoke: plan =="
-# Compiled plans end to end: bundle with a PLAN frame, a warm restart from
-# it answering exactly like a cold serve, and a sentinel-verified serve
+# Compiled plans end to end: a bundle that stores no plan, a warm restart
+# from it answering exactly like a cold serve, and a sentinel-verified serve
 # answering every request with a finite margin. Hard cap, like every smoke.
 timeout 180 scripts/plan_smoke.sh
 

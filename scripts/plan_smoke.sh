@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Compiled-plan smoke (DESIGN.md §14): every answer comes from a prepared
-# plan, so the plan must survive a warm restart unchanged and must carry
-# the sentinel lane. Requires (a) the bundle carries the PLAN frame, (b) a
-# warm restart from it skips the compile and answers exactly like a cold
-# serve, and (c) a sentinel-verified serve answers every request with a
-# finite sentinel margin.
+# plan, which a warm restart rebuilds from the bundle's compiled decisions
+# (DESIGN.md §11), and the plan must carry the sentinel lane. Requires
+# (a) a fresh generation stores no plan (no plan.chet), (b) a warm restart
+# from it skips the compile and answers exactly like a cold serve, and
+# (c) a sentinel-verified serve answers every request with a finite
+# sentinel margin.
 #
 # Usage: scripts/plan_smoke.sh  (expects a completed `dune build`)
 set -euo pipefail
@@ -24,10 +25,14 @@ echo "-- cold serve"
 "$BIN" serve micro --requests "$REQUESTS" --domains 2 >"$DIR/cold.out"
 req_lines "$DIR/cold.out" >"$DIR/cold.req"
 
-echo "-- compile into the state dir (bundle carries the PLAN frame)"
+echo "-- compile into the state dir (the bundle stores no plan)"
 "$BIN" compile micro --state-dir "$STATE" --no-keys >/dev/null
-test -n "$(ls "$STATE"/gen-*/plan.chet 2>/dev/null)" || {
-  echo "plan smoke FAIL: bundle has no plan.chet sidecar" >&2
+test -n "$(ls "$STATE"/gen-*/meta.chet 2>/dev/null)" || {
+  echo "plan smoke FAIL: compile saved no generation" >&2
+  exit 1
+}
+test -z "$(ls "$STATE"/gen-*/plan.chet 2>/dev/null)" || {
+  echo "plan smoke FAIL: a fresh generation has a plan.chet" >&2
   exit 1
 }
 

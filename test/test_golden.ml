@@ -64,7 +64,7 @@ let clear_lines (spec : M.spec) =
       in
       let module PE = Plan_exec.Make (H) in
       let out = PE.eval compiled.C.opts.C.scales circuit ~policy image in
-      Printf.sprintf "clear %s %d %d %s" spec.M.model_name (Plan.policy_tag policy) slots
+      Printf.sprintf "clear %s %d %d %s" spec.M.model_name (C.policy_tag policy) slots
         (floats out.T.data))
     Layout.all_policies
 
@@ -145,7 +145,7 @@ let check_compiled ?(target = C.Seal) (spec : M.spec) sentinel golden =
   let c = C.compile { (C.default_options ~target ()) with C.sentinel } (spec.M.build ()) in
   (match row "compile" with
   | [ [ policy; params; rotations ] ] ->
-      Alcotest.(check string) (what ^ ": policy") policy (string_of_int (Plan.policy_tag c.C.policy));
+      Alcotest.(check string) (what ^ ": policy") policy (string_of_int (C.policy_tag c.C.policy));
       Alcotest.(check string) (what ^ ": params") params (params_str c.C.params);
       Alcotest.(check string)
         (what ^ ": rotation keys") rotations
@@ -166,7 +166,7 @@ let check_compiled ?(target = C.Seal) (spec : M.spec) sentinel golden =
       match golden_row with
       | [ policy; params; cost ] ->
           Alcotest.(check string) (what ^ ": report policy") policy
-            (string_of_int (Plan.policy_tag r.C.pr_policy));
+            (string_of_int (C.policy_tag r.C.pr_policy));
           Alcotest.(check string) (what ^ ": report params") params (params_str r.C.pr_params);
           let cost = float_of_string cost in
           if Float.abs (r.C.pr_cost -. cost) > 1e-9 *. Float.abs cost then
@@ -262,28 +262,6 @@ let test_timed_cells () =
   check_lines "timed cells" ~golden:(lines_of "data/timed_cells.golden")
     ~got:(List.concat_map timed_lines [ M.micro; M.lenet5_small ])
 
-(* --- PLAN frames written before the twin flag ----------------------------- *)
-
-let test_plan_v1_frame () =
-  let circuit = M.micro.M.build () in
-  let bytes = In_channel.with_open_bin "data/micro_plan_v1.golden" In_channel.input_all in
-  let p = Plan.of_string ~circuit bytes in
-  Alcotest.(check bool) "v1 loads untwinned" false p.Plan.p_twin;
-  let fresh = Plan.build ~slots:8192 ~policy:Layout.Hw_conv_chw_rest circuit in
-  Alcotest.(check int) "same schedule" (Array.length fresh.Plan.p_steps) (Array.length p.Plan.p_steps);
-  Array.iteri
-    (fun i (st : Plan.step) ->
-      let st' = p.Plan.p_steps.(i) in
-      Alcotest.(check bool) "same step" true
-        (st.Plan.st_op = st'.Plan.st_op
-        && st.Plan.st_dst = st'.Plan.st_dst
-        && st.Plan.st_srcs = st'.Plan.st_srcs
-        && st.Plan.st_meta = st'.Plan.st_meta))
-    fresh.Plan.p_steps;
-  (* re-saved, it is a current-version frame that still loads untwinned *)
-  let p' = Plan.of_string ~circuit (Plan.to_string p) in
-  Alcotest.(check bool) "v2 roundtrip" false p'.Plan.p_twin
-
 let suite =
   [
     ( "golden",
@@ -295,6 +273,5 @@ let suite =
         Alcotest.test_case "key switches per inference at N=2048" `Quick test_keyswitch_counts;
         Alcotest.test_case "key-switching key bytes at N=2048" `Quick test_key_bytes;
         Alcotest.test_case "Timed interceptor cells" `Quick test_timed_cells;
-        Alcotest.test_case "PLAN v1 frame loads as untwinned" `Quick test_plan_v1_frame;
       ] );
   ]

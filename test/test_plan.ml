@@ -1,13 +1,11 @@
 (* Compiled execution plans (DESIGN.md §14): arena-liveness invariants on
-   built plans, slot-reuse behaviour, and the PLAN frame's corruption
-   contract — truncations and bit flips must surface as [Serial.Corrupt],
-   never as a crash or a silently wrong schedule. *)
+   built plans, slot-reuse behaviour, and the validation that refuses a
+   mangled schedule before any ciphertext touches it. *)
 
 module Plan = Chet_plan.Plan
 module Plan_exec = Chet_plan.Plan_exec
 module Hisa = Chet_hisa.Hisa
 module Clear = Chet_hisa.Clear_backend
-module Serial = Chet_crypto.Serial
 module Kernels = Chet_runtime.Kernels
 module Layout = Chet_runtime.Layout
 module Circuit = Chet_nn.Circuit
@@ -53,13 +51,19 @@ let test_liveness_invariants () =
       let circuit = spec.Models.build () in
       List.iter
         (fun policy ->
-          let p = plan_of ~policy circuit in
-          (match Plan.validate p with
-          | Ok () -> ()
-          | Error r -> Alcotest.failf "%s: invalid plan: %s" spec.Models.model_name r);
-          check_no_read_after_release p)
-        [ Layout.All_hw; Layout.All_chw; Layout.Hw_conv_chw_rest ])
-    [ Models.micro; Models.lenet5_small ]
+          List.iter
+            (fun twin ->
+              let p = Plan.build ~twin ~slots ~policy circuit in
+              (match Plan.validate p with
+              | Ok () -> ()
+              | Error r ->
+                  Alcotest.failf "%s, %s, twin=%b: invalid plan: %s" spec.Models.model_name
+                    (Layout.policy_name policy) twin r);
+              check_no_read_after_release p)
+            [ false; true ])
+        Layout.all_policies)
+    (* the models whose twin layout fits 2048 slots *)
+    [ Models.micro; Models.lenet5_small; Models.lenet5_medium ]
 
 let test_arena_reuse () =
   (* a deep elementwise chain keeps exactly one value alive at a time: the
@@ -123,68 +127,6 @@ let test_prepare_rejects_invalid () =
   | _ -> Alcotest.fail "prepare accepted an invalid plan"
   | exception Chet_hisa.Herr.Fhe_error (Chet_hisa.Herr.Invalid_op _, _) -> ()
 
-(* --- PLAN frame: roundtrip and corruption fuzz ------------------------- *)
-
-let test_frame_roundtrip () =
-  List.iter
-    (fun policy ->
-      let circuit = Models.micro.Models.build () in
-      let p = plan_of ~policy circuit in
-      let p' = Plan.of_string ~circuit (Plan.to_string p) in
-      Alcotest.(check int) "steps" (Array.length p.Plan.p_steps) (Array.length p'.Plan.p_steps);
-      Alcotest.(check int) "arena" p.Plan.p_arena p'.Plan.p_arena;
-      Alcotest.(check int) "output" p.Plan.p_output p'.Plan.p_output;
-      Alcotest.(check int) "slots" p.Plan.p_slots p'.Plan.p_slots;
-      Array.iteri
-        (fun i (st : Plan.step) ->
-          let st' = p'.Plan.p_steps.(i) in
-          Alcotest.(check int) "node" st.Plan.st_node.Circuit.id st'.Plan.st_node.Circuit.id;
-          Alcotest.(check bool) "op" true (st.Plan.st_op = st'.Plan.st_op);
-          Alcotest.(check bool) "kind" true (st.Plan.st_kind = st'.Plan.st_kind);
-          Alcotest.(check int) "dst" st.Plan.st_dst st'.Plan.st_dst;
-          Alcotest.(check (array int)) "srcs" st.Plan.st_srcs st'.Plan.st_srcs;
-          Alcotest.(check (array int)) "release" st.Plan.st_release st'.Plan.st_release;
-          Alcotest.(check bool) "meta" true (st.Plan.st_meta = st'.Plan.st_meta))
-        p.Plan.p_steps;
-      match Plan.validate p' with
-      | Ok () -> ()
-      | Error r -> Alcotest.failf "reloaded plan invalid: %s" r)
-    [ Layout.All_hw; Layout.All_chw; Layout.Hw_conv_chw_rest; Layout.Chw_fc_hw_before ]
-
-let test_frame_wrong_circuit () =
-  let circuit = Models.micro.Models.build () in
-  let bytes = Plan.to_string (plan_of circuit) in
-  let b = Circuit.builder () in
-  let x = Circuit.input b ~name:"x" [| 1; 8; 8 |] in
-  let other = Circuit.finish b ~name:"other" ~output:(Circuit.square b x) in
-  match Plan.of_string ~circuit:other bytes with
-  | _ -> Alcotest.fail "PLAN frame for another circuit accepted"
-  | exception Serial.Corrupt _ -> ()
-
-let test_frame_truncation_every_offset () =
-  let circuit = Models.micro.Models.build () in
-  let bytes = Plan.to_string (plan_of circuit) in
-  for cut = 0 to String.length bytes - 1 do
-    match Plan.of_string ~circuit (String.sub bytes 0 cut) with
-    | _ -> Alcotest.failf "truncation at offset %d accepted" cut
-    | exception Serial.Corrupt _ -> ()
-  done
-
-let test_frame_bit_flips () =
-  let circuit = Models.micro.Models.build () in
-  let bytes = Plan.to_string (plan_of circuit) in
-  let nbits = 8 * String.length bytes in
-  let st = Random.State.make [| 0x504c414e |] in
-  for _ = 1 to 400 do
-    let bit = Random.State.int st nbits in
-    let b = Bytes.of_string bytes in
-    let i = bit / 8 in
-    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))));
-    match Plan.of_string ~circuit (Bytes.to_string b) with
-    | _ -> Alcotest.failf "bit flip at %d accepted" bit
-    | exception Serial.Corrupt _ -> ()
-  done
-
 let suite =
   [
     ( "plan",
@@ -193,9 +135,5 @@ let suite =
         Alcotest.test_case "arena reuse bounds a deep chain" `Quick test_arena_reuse;
         Alcotest.test_case "validate rejects mangled schedules" `Quick test_validate_rejects_mangled;
         Alcotest.test_case "prepare refuses an invalid plan" `Quick test_prepare_rejects_invalid;
-        Alcotest.test_case "PLAN frame roundtrip (all policies)" `Quick test_frame_roundtrip;
-        Alcotest.test_case "PLAN frame rejects another circuit" `Quick test_frame_wrong_circuit;
-        Alcotest.test_case "PLAN frame truncation sweep" `Quick test_frame_truncation_every_offset;
-        Alcotest.test_case "PLAN frame bit-flip fuzz" `Quick test_frame_bit_flips;
       ] );
   ]

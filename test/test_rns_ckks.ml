@@ -9,6 +9,9 @@ let n = 256
 let scale = 1073741824.0 (* 2^30, matching the chain prime size as in SEAL *)
 let params = C.default_params ~n ~bits:30 ~num_coeff_primes:4 ()
 let ctx = C.make_context params
+(* the module-level generator serves keygen only: every encryption draws
+   from its own generator, seeded by the test, so a test's ciphertexts do
+   not depend on which tests ran before it *)
 let rng = Sampling.create ~seed:12345
 let sk, keys = C.keygen ctx rng
 
@@ -23,8 +26,9 @@ let random_vec seed =
   let st = Random.State.make [| seed |] in
   Array.init slots (fun _ -> Random.State.float st 4.0 -. 2.0)
 
-let encrypt_vec v =
-  C.encrypt ctx rng keys.C.public (C.encode_real ctx ~level:(C.max_level ctx) ~scale v)
+let encrypt_vec ~seed v =
+  C.encrypt ctx (Sampling.create ~seed) keys.C.public
+    (C.encode_real ctx ~level:(C.max_level ctx) ~scale v)
 
 let decrypt_vec ct = C.decode ctx (C.decrypt ctx sk ct)
 
@@ -37,28 +41,28 @@ let check_close ?(tol = 5e-3) msg expected ct =
 
 let test_encrypt_decrypt () =
   let v = random_vec 1 in
-  check_close "roundtrip" v (encrypt_vec v)
+  check_close "roundtrip" v (encrypt_vec ~seed:1 v)
 
 let test_encrypt_is_randomized () =
   let v = random_vec 2 in
-  let a = encrypt_vec v and b = encrypt_vec v in
+  let a = encrypt_vec ~seed:2 v and b = encrypt_vec ~seed:102 v in
   Alcotest.(check bool) "ciphertexts differ" false (C.c0 a = C.c0 b)
 
 let test_add () =
   let a = random_vec 3 and b = random_vec 4 in
   let sum = Array.init slots (fun i -> a.(i) +. b.(i)) in
-  check_close "add" sum (C.add ctx (encrypt_vec a) (encrypt_vec b))
+  check_close "add" sum (C.add ctx (encrypt_vec ~seed:3 a) (encrypt_vec ~seed:4 b))
 
 let test_add_plain () =
   let a = random_vec 7 and b = random_vec 8 in
   let pt = C.encode_real ctx ~level:(C.max_level ctx) ~scale b in
   let sum = Array.init slots (fun i -> a.(i) +. b.(i)) in
-  check_close "add_plain" sum (C.add_plain ctx (encrypt_vec a) pt)
+  check_close "add_plain" sum (C.add_plain ctx (encrypt_vec ~seed:7 a) pt)
 
 let test_mul () =
   let a = random_vec 9 and b = random_vec 10 in
   let prod = Array.init slots (fun i -> a.(i) *. b.(i)) in
-  let ct = C.mul ctx keys (encrypt_vec a) (encrypt_vec b) in
+  let ct = C.mul ctx keys (encrypt_vec ~seed:9 a) (encrypt_vec ~seed:10 b) in
   Alcotest.(check bool) "scale squared" true (Float.abs (C.scale_of ct -. (scale *. scale)) < 1.0);
   check_close ~tol:1e-2 "mul" prod ct
 
@@ -66,20 +70,20 @@ let test_mul_plain () =
   let a = random_vec 11 and b = random_vec 12 in
   let pt = C.encode_real ctx ~level:(C.max_level ctx) ~scale b in
   let prod = Array.init slots (fun i -> a.(i) *. b.(i)) in
-  check_close ~tol:1e-2 "mul_plain" prod (C.mul_plain ctx (encrypt_vec a) pt)
+  check_close ~tol:1e-2 "mul_plain" prod (C.mul_plain ctx (encrypt_vec ~seed:11 a) pt)
 
 let test_mul_scalar () =
   let a = random_vec 13 in
-  let ct = C.mul_scalar ctx (encrypt_vec a) 1.5 ~scale in
+  let ct = C.mul_scalar ctx (encrypt_vec ~seed:13 a) 1.5 ~scale in
   check_close ~tol:1e-2 "mul_scalar" (Array.map (fun x -> x *. 1.5) a) ct
 
 let test_add_scalar () =
   let a = random_vec 14 in
-  check_close "add_scalar" (Array.map (fun x -> x +. 0.75) a) (C.add_scalar ctx (encrypt_vec a) 0.75)
+  check_close "add_scalar" (Array.map (fun x -> x +. 0.75) a) (C.add_scalar ctx (encrypt_vec ~seed:14 a) 0.75)
 
 let test_rescale () =
   let a = random_vec 15 and b = random_vec 16 in
-  let ct = C.mul ctx keys (encrypt_vec a) (encrypt_vec b) in
+  let ct = C.mul ctx keys (encrypt_vec ~seed:15 a) (encrypt_vec ~seed:16 b) in
   let ub = int_of_float scale in
   let d = C.max_rescale ctx ct ub in
   Alcotest.(check bool) "divisor > 1" true (d > 1);
@@ -90,7 +94,7 @@ let test_rescale () =
   check_close ~tol:1e-2 "value preserved" prod ct'
 
 let test_max_rescale_bounds () =
-  let a = encrypt_vec (random_vec 17) in
+  let a = encrypt_vec ~seed:17 (random_vec 17) in
   Alcotest.(check int) "ub=1 -> 1" 1 (C.max_rescale ctx a 1);
   let one_prime = C.max_rescale ctx a ((1 lsl 30) - 1) in
   let primes = C.coeff_primes ctx in
@@ -108,7 +112,7 @@ let test_max_rescale_bounds () =
 let test_depth_chain () =
   (* squaring chain: depth = num_coeff_primes - 1 with rescaling *)
   let v = Array.init slots (fun i -> 0.5 +. (0.001 *. float_of_int (i mod 7))) in
-  let ct = ref (encrypt_vec v) in
+  let ct = ref (encrypt_vec ~seed:5 v) in
   let expected = ref (Array.copy v) in
   for _ = 1 to 2 do
     ct := C.mul ctx keys !ct !ct;
@@ -121,25 +125,25 @@ let test_depth_chain () =
 let test_rotate_exact_key () =
   let a = random_vec 18 in
   let rotated = Array.init slots (fun i -> a.((i + 1) mod slots)) in
-  check_close ~tol:1e-2 "rot by 1" rotated (C.rotate ctx keys (encrypt_vec a) 1);
+  check_close ~tol:1e-2 "rot by 1" rotated (C.rotate ctx keys (encrypt_vec ~seed:18 a) 1);
   let rotated3 = Array.init slots (fun i -> a.((i + 3) mod slots)) in
-  check_close ~tol:1e-2 "rot by 3" rotated3 (C.rotate ctx keys (encrypt_vec a) 3)
+  check_close ~tol:1e-2 "rot by 3" rotated3 (C.rotate ctx keys (encrypt_vec ~seed:118 a) 3)
 
 let test_rotate_pow2_fallback () =
   (* 5 = 4 + 1 has no exact key here; must fall back to power-of-two keys *)
   let a = random_vec 19 in
   Alcotest.(check bool) "no exact key for 5" false (C.rotate_key_available keys ctx 5);
   let rotated = Array.init slots (fun i -> a.((i + 5) mod slots)) in
-  check_close ~tol:1e-2 "rot by 5 via pow2" rotated (C.rotate ctx keys (encrypt_vec a) 5)
+  check_close ~tol:1e-2 "rot by 5 via pow2" rotated (C.rotate ctx keys (encrypt_vec ~seed:19 a) 5)
 
 let test_rotate_negative () =
   let a = random_vec 20 in
   let rotated = Array.init slots (fun i -> a.((i - 1 + slots) mod slots)) in
-  check_close ~tol:1e-2 "rot right by 1" rotated (C.rotate ctx keys (encrypt_vec a) (-1))
+  check_close ~tol:1e-2 "rot right by 1" rotated (C.rotate ctx keys (encrypt_vec ~seed:20 a) (-1))
 
 let test_rotate_zero () =
   let a = random_vec 21 in
-  check_close "rot by 0" a (C.rotate ctx keys (encrypt_vec a) 0)
+  check_close "rot by 0" a (C.rotate ctx keys (encrypt_vec ~seed:21 a) 0)
 
 (* the NTT-domain Galois permutation against the coefficient-domain
    automorphism, bit for bit, for every rotation amount and conjugation *)
@@ -168,7 +172,7 @@ let test_ntt_galois_permutation () =
 let test_rotate_many () =
   let a = random_vec 17 in
   let amounts = [| 1; 3; 2; 5; -1; 0 |] in
-  let outs = C.rotate_many ctx keys (encrypt_vec a) amounts in
+  let outs = C.rotate_many ctx keys (encrypt_vec ~seed:17 a) amounts in
   Array.iteri
     (fun i r ->
       let rotated = Array.init slots (fun j -> a.((((j + r) mod slots) + slots) mod slots)) in
@@ -186,9 +190,13 @@ let test_rotate_many () =
 let test_keyswitch_every_level () =
   let a = random_vec 31 and b = Array.map (fun x -> x /. 2.0) (random_vec 32) in
   let small = 16384.0 (* 2^14: the product's scale must fit level 1 *) in
-  let enc s v = C.encrypt ctx rng keys.C.public (C.encode_real ctx ~level:(C.max_level ctx) ~scale:s v) in
-  let top_a = enc (2.0 ** 20.0) a in
-  let top_x = enc small (Array.map (fun x -> x /. 2.0) a) and top_y = enc small b in
+  let enc ~seed s v =
+    C.encrypt ctx (Sampling.create ~seed) keys.C.public
+      (C.encode_real ctx ~level:(C.max_level ctx) ~scale:s v)
+  in
+  let top_a = enc ~seed:31 (2.0 ** 20.0) a in
+  let top_x = enc ~seed:131 small (Array.map (fun x -> x /. 2.0) a)
+  and top_y = enc ~seed:32 small b in
   (* complex slots: the fresh noise's imaginary part cancels too *)
   let slots_of ct = C.decode ctx (C.decrypt ctx sk ct) in
   let close what tol (expected : Complexv.t) ct =
@@ -238,7 +246,7 @@ let test_fused_fma_every_level () =
     then Alcotest.failf "%s: fused differs from the composition" what
   in
   for level = 1 to C.max_level ctx do
-    let at seed = C.mod_switch_to_level ctx (encrypt_vec (random_vec seed)) level in
+    let at seed = C.mod_switch_to_level ctx (encrypt_vec ~seed (random_vec seed)) level in
     let base = at 41 and x = at 42 in
     let hoisted ct = C.rotate_many ctx keys ct [| 1; 2 |] in
     let base_u = (hoisted base).(0) and x_u = (hoisted x).(1) in
@@ -289,7 +297,7 @@ let same_ct what a b =
 let test_pending_sum_every_level () =
   let ws = 1024.0 in
   for level = 1 to C.max_level ctx do
-    let at seed = C.mod_switch_to_level ctx (encrypt_vec (random_vec seed)) level in
+    let at seed = C.mod_switch_to_level ctx (encrypt_vec ~seed (random_vec seed)) level in
     let hoisted ct = (C.rotate_many ctx keys ct [| 1; 3 |]).(0) in
     let base = at 61 and x = at 62 and y = at 63 in
     let x_u = hoisted x and y_u = hoisted y in
@@ -333,7 +341,7 @@ let test_pending_sum_every_level () =
    unsettled, each time it is called *)
 let pending_sum seed ~unsettled =
   let ws = 1024.0 in
-  let ct = encrypt_vec (random_vec seed) in
+  let ct = encrypt_vec ~seed (random_vec seed) in
   let x = if unsettled then (C.rotate_many ctx keys ct [| 1; 3 |]).(1) else ct in
   let pt = C.encode_real ctx ~level:(C.max_level ctx) ~scale:ws (random_vec (seed + 1)) in
   fun () ->
@@ -397,7 +405,7 @@ let test_materialising_ops () =
    from the same sum of settled rotations only by rounding. *)
 let test_deferred_rotation_sum () =
   let a = random_vec 51 in
-  let ct = encrypt_vec a in
+  let ct = encrypt_vec ~seed:51 a in
   let amounts = [| 1; 2; 3; 4; 8; 16; 32; 64 |] in
   let weights = Array.init 8 (fun i -> 0.25 +. (0.1 *. float_of_int i)) in
   let ws = 1024.0 in
@@ -428,7 +436,7 @@ let test_deferred_rotation_sum () =
 
 (* settling is memoised: the same value, physically, on every call *)
 let test_settle_memoised () =
-  let ct = encrypt_vec (random_vec 52) in
+  let ct = encrypt_vec ~seed:52 (random_vec 52) in
   Alcotest.(check bool) "a settled ciphertext settles to itself" true (C.settle ct == ct);
   let r = (C.rotate_many ctx keys ct [| 1; 3 |]).(0) in
   let s = C.settle r in
@@ -440,7 +448,7 @@ let test_settle_memoised () =
 (* every op that needs the chain basis takes an unsettled operand and
    decrypts exactly as when given its settled form *)
 let test_settling_ops () =
-  let ct = encrypt_vec (random_vec 53) in
+  let ct = encrypt_vec ~seed:53 (random_vec 53) in
   let u = (C.rotate_many ctx keys ct [| 1; 3 |]).(0) in
   let s = C.settle u in
   let pt = C.encode_real ctx ~level:(C.max_level ctx) ~scale (random_vec 54) in
@@ -501,12 +509,12 @@ let test_wrong_key_fails () =
   let rng2 = Sampling.create ~seed:999 in
   let sk2, _ = C.keygen ctx rng2 in
   let a = random_vec 22 in
-  let got = C.decode ctx (C.decrypt ctx sk2 (encrypt_vec a)) in
+  let got = C.decode ctx (C.decrypt ctx sk2 (encrypt_vec ~seed:22 a)) in
   let diff = Complexv.max_abs_diff (Complexv.of_real a) got in
   Alcotest.(check bool) "garbage without the key" true (diff > 1.0)
 
 let test_level_mismatch_rejected () =
-  let a = encrypt_vec (random_vec 23) and b = encrypt_vec (random_vec 24) in
+  let a = encrypt_vec ~seed:23 (random_vec 23) and b = encrypt_vec ~seed:24 (random_vec 24) in
   let b' = C.rescale ctx (C.mul ctx keys b b) (C.max_rescale ctx b (int_of_float scale)) in
   Alcotest.(check bool) "raises" true
     (try
@@ -515,8 +523,8 @@ let test_level_mismatch_rejected () =
      with Herr.Fhe_error (Herr.Level_mismatch _, _) -> true)
 
 let test_scale_mismatch_rejected () =
-  let a = encrypt_vec (random_vec 25) in
-  let b = C.mul_scalar ctx (encrypt_vec (random_vec 26)) 1.0 ~scale:2.0 in
+  let a = encrypt_vec ~seed:25 (random_vec 25) in
+  let b = C.mul_scalar ctx (encrypt_vec ~seed:26 (random_vec 26)) 1.0 ~scale:2.0 in
   Alcotest.(check bool) "raises" true
     (try
        ignore (C.add ctx a b);

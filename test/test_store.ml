@@ -18,7 +18,6 @@
 module Store = Chet_store.Store
 module Bundle = Chet_store.Bundle
 module Compiler = Chet.Compiler
-module Cost_model = Chet.Cost_model
 module Models = Chet_nn.Models
 module Herr = Chet_herr.Herr
 module Serial = Chet_crypto.Serial
@@ -344,9 +343,7 @@ let test_compiled_roundtrip () =
 let test_bundle_fields_roundtrip () =
   with_store_dir (fun dir ->
       let c = small_compiled () in
-      let scale = { Bundle.ss_exponents = (30, 16, 16, 14); ss_evaluations = 12; ss_rejections = 3 } in
-      let calibration = Cost_model.default_calibration in
-      let bundle = Bundle.build ~scale ~calibration ~with_keys:false c ~seed:9 () in
+      let bundle = Bundle.build ~with_keys:false c ~seed:9 () in
       (match List.assoc_opt "meta.chet" (Bundle.files bundle) with
       | Some meta ->
           let name, seed = Bundle.peek_meta meta in
@@ -358,21 +355,35 @@ let test_bundle_fields_roundtrip () =
       (match Bundle.load store ~circuit:micro with
       | Some l ->
           let b = l.Bundle.l_bundle in
-          Alcotest.(check bool) "scale summary restored" true (b.Bundle.b_scale = Some scale);
-          Alcotest.(check bool) "calibration restored" true
-            (b.Bundle.b_calibration = Some calibration);
           Alcotest.(check bool) "no keys stored" true (b.Bundle.b_keys = None);
           Alcotest.(check bool) "compiled params restored" true
             (b.Bundle.b_compiled.Compiler.params = c.Compiler.params)
       | None -> Alcotest.fail "bundle load failed");
       (* schema damage *below* the store's checksums (a wrong-but-intact
-         frame) surfaces as a typed Corrupt_bundle, not a crash *)
-      let w = Serial.writer () in
-      Serial.write_frame w "STAT" (fun w -> Serial.write_string w "not a bundle");
-      ignore (Store.save store ~files:[ ("meta.chet", Serial.contents w) ]);
-      match Bundle.load store ~circuit:micro with
-      | exception Herr.Fhe_error (Herr.Corrupt_bundle _, _) -> ()
-      | _ -> Alcotest.fail "schema damage not reported as typed Corrupt_bundle")
+         frame) surfaces as a typed Corrupt_bundle, not a crash; so does an
+         intact frame of the retired version 1, which carried scale-summary
+         and calibration flags between the key flag and the CMPD frame *)
+      let frame tag body =
+        let w = Serial.writer () in
+        Serial.write_frame w tag body;
+        Serial.contents w
+      in
+      let not_a_bundle = frame "STAT" (fun w -> Serial.write_string w "not a bundle") in
+      let bndl_v1 =
+        frame "BNDL" (fun w ->
+            Serial.write_int w 1;
+            Serial.write_string w "micro";
+            (* seed, rotation policy, no keys, no calibration, no scale summary *)
+            List.iter (Serial.write_int w) [ 9; 0; 0; 0; 0 ];
+            Compiler.write_compiled w c)
+      in
+      List.iter
+        (fun (what, meta) ->
+          ignore (Store.save store ~files:[ ("meta.chet", meta) ]);
+          match Bundle.load store ~circuit:micro with
+          | exception Herr.Fhe_error (Herr.Corrupt_bundle _, _) -> ()
+          | _ -> Alcotest.failf "%s not reported as typed Corrupt_bundle" what)
+        [ ("schema damage", not_a_bundle); ("a version-1 BNDL frame", bndl_v1) ])
 
 let test_bundle_warm_restart_bit_identical () =
   with_store_dir (fun dir ->
