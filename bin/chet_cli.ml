@@ -621,7 +621,6 @@ let clear_rung compiled ~plan ~label ~degraded ?sentinel backend =
     dep_degraded = degraded;
     dep_scales = compiled.Compiler.opts.Compiler.scales;
     dep_plan = plan;
-    dep_cost_ms = None;
     dep_backend = backend;
     dep_sentinel = sentinel;
   }
@@ -698,8 +697,6 @@ let serve_cmd =
       boot ~with_keys:real ~target ~want_sentinel ~seed store circuit
     in
     Format.printf "%a@." Compiler.pp_compiled compiled;
-    let plan = Compiler.plan compiled in
-    Printf.printf "plan: %s\n" (Plan.summary plan);
     let ladder =
       if real then begin
         (* the bundle's seed governs: the restored deployment must be
@@ -709,12 +706,13 @@ let serve_cmd =
           | Some l -> Bundle.restore_keyset l.Bundle.l_bundle ~with_secret:true
           | None -> Compiler.keyset compiled ~seed ~with_secret:true ()
         in
-        Service.ladder_of_keyset compiled ~keyset ~predict_cost:true ?sentinel ()
+        Service.ladder_of_keyset compiled ~keyset ?sentinel ()
       end
       else begin
         (* cleartext twin of the deployment ladder: same circuit, policy and
            scales, with seeded fault injection on the primary rung so the
            retry/breaker machinery has something to push against *)
+        let plan = Compiler.plan compiled in
         let clear = Service.Shared (Compiler.clear_keyset compiled) in
         let primary =
           if fault = `None then clear
@@ -729,6 +727,8 @@ let serve_cmd =
         ]
       end
     in
+    (* every rung runs the same plan *)
+    Printf.printf "plan: %s\n" (Plan.summary (List.hd ladder).Service.dep_plan);
     let cfg =
       {
         (Service.default_config ~domains ()) with

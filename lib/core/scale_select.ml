@@ -99,7 +99,7 @@ let fallback_starts (ec, ew, eu, em) =
       (Stdlib.max 8 (ec - d), Stdlib.max 6 (ew - d / 2), Stdlib.max 6 (eu - d / 2), Stdlib.max 6 (em - d / 2)))
 
 let search ?fixed_params ?log opts circuit ~policy ~images ~tolerance
-    ?(start_exponents = (40, 30, 30, 20)) ?(min_exponent = 4) () =
+    ?(start_exponents = (40, 30, 30, 20)) () =
   let evaluations = ref 0 in
   let rejections = ref [] in
   let note exps verdict =
@@ -138,6 +138,8 @@ let search ?fixed_params ?log opts circuit ~policy ~images ~tolerance
                   | [] -> "none tried")))
     end
   in
+  (* no scale exponent is shaved below 2^4 *)
+  let min_exponent = 4 in
   let current = ref start in
   let progress = ref true in
   (* round-robin: shave one bit off each factor in turn while acceptable *)

@@ -67,7 +67,7 @@ val acceptable :
 val search :
   ?fixed_params:Compiler.params_choice -> ?log:(string -> unit) -> Compiler.options -> Circuit.t ->
   policy:Layout.layout_policy -> images:Tensor.t list -> tolerance:float ->
-  ?start_exponents:int * int * int * int -> ?min_exponent:int -> unit -> result
+  ?start_exponents:int * int * int * int -> unit -> result
 (** [log] receives one line per rejected candidate (structured reason
     included). If the starting configuration is rejected, a ladder of
     smaller fallback starts is tried before giving up.

@@ -363,7 +363,9 @@ type wire_health =
           corrupts results before quarantining it (DESIGN.md §16) *)
 
 (* Full bijective codec for the error taxonomy: the client must receive the
-   same typed value the server raised, not a stringified shadow of it. *)
+   same typed value the server raised, not a stringified shadow of it. Codes
+   are never reused: 18 (a retired precision-guard error) stays unassigned,
+   so an old peer's code 18 is refused as corrupt rather than misread. *)
 
 let write_herr_error w (e : Herr.error) =
   match e with
@@ -440,10 +442,6 @@ let write_herr_error w (e : Herr.error) =
       write_int w slot;
       write_float w expected;
       write_float w got
-  | Herr.Precision_exhausted { margin_bits; tolerance } ->
-      write_int w 18;
-      write_float w margin_bits;
-      write_float w tolerance
 
 let read_herr_error r : Herr.error =
   match read_int r with
@@ -513,10 +511,6 @@ let read_herr_error r : Herr.error =
       let expected = read_float r in
       let got = read_float r in
       Herr.Integrity_violation { slot; expected; got }
-  | 18 ->
-      let margin_bits = read_float r in
-      let tolerance = read_float r in
-      Herr.Precision_exhausted { margin_bits; tolerance }
   | k -> raise (Corrupt (Printf.sprintf "unknown error code %d" k))
 
 let write_herr_context w (c : Herr.context) =

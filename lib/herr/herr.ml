@@ -93,13 +93,6 @@ type error =
           result shares the ciphertext and cannot be trusted. Retryable —
           on a {e different} shard. [slot] is the worst offending sentinel
           slot; [expected]/[got] are its reference and decrypted values. *)
-  | Precision_exhausted of { margin_bits : float; tolerance : float }
-      (** The noise-margin guard's conservative CKKS error bound crossed
-          the compiled precision tolerance: continuing would decrypt to
-          garbage that no scale/level screen can catch. Raised {e before}
-          the bad decrypt. [margin_bits] is log2(tolerance / error-bound)
-          at the point of exhaustion (<= 0 by definition here). Recoverable
-          only by recompiling with more modulus budget or larger scales. *)
 
 type context = {
   op : string;  (** HISA/kernel operation, e.g. ["mul"], ["conv2d"] *)
@@ -134,7 +127,6 @@ let error_name = function
   | Corrupt_frame _ -> "corrupt frame"
   | Cancelled _ -> "cancelled"
   | Integrity_violation _ -> "integrity violation"
-  | Precision_exhausted _ -> "precision exhausted"
 
 let error_detail = function
   | Scale_mismatch { expected; got } -> Printf.sprintf "expected scale %.6g, got %.6g" expected got
@@ -164,9 +156,6 @@ let error_detail = function
   | Integrity_violation { slot; expected; got } ->
       Printf.sprintf "sentinel slot %d decrypted to %.6g, reference predicts %.6g" slot got
         expected
-  | Precision_exhausted { margin_bits; tolerance } ->
-      Printf.sprintf "noise margin %.2f bits (error bound crossed tolerance %.3g)" margin_bits
-        tolerance
 
 (* One line, grep-able, front-loaded with the coordinates a human needs:
    where (node/layer), what op, which backend, which invariant, details. *)

@@ -31,35 +31,13 @@
    whole inference under [wrap] and turn silent corruption into a typed,
    per-op diagnosable error. *)
 
-(* The noise-margin guard (DESIGN.md §16): alongside scale and level, the
-   checker can track a conservative interval model of CKKS error growth —
-   per ciphertext, an absolute message-space error bound [serr] and a
-   message magnitude bound [smag], grown per op with the standard heuristic
-   rules (LibFHE's catalogue: additive for add/rot/rescale, cross-term
-   products for multiplies). When the bound crosses the deployment's
-   precision tolerance, the request raises a typed [Precision_exhausted]
-   *before* it decrypts to garbage — turning "the answer looked wrong" into
-   a diagnosable, pre-decrypt failure. The constants are heuristics
-   calibrated to this repo's backends at the default scales; the point is
-   the monotone bound and the margin gauge, not a tight noise proof. *)
-type noise_model = {
-  nm_fresh : float;  (** message-space error of a fresh encryption *)
-  nm_encode : float;  (** error contributed by encoding a plaintext *)
-  nm_rot : float;  (** key-switch/relin/rescale rounding error per op *)
-  nm_tolerance : float;  (** error bound at which [Precision_exhausted] fires *)
-}
-
-let default_noise_model ?(tolerance = 0.05) () =
-  { nm_fresh = 1e-5; nm_encode = 1e-6; nm_rot = 1e-6; nm_tolerance = tolerance }
-
 module Modulus = Hisa.Modulus
 module Shape = Shape_backend
 
 (* largest plausible decoded magnitude *)
 let value_bound = 1e30
-let log2f x = Float.log x /. Float.log 2.0
 
-let wrap ?noise:nm ?margin ~scheme (backend : Hisa.t) : Hisa.t =
+let wrap ~scheme (backend : Hisa.t) : Hisa.t =
   let module B = (val backend) in
   (* fused ops compose this module's own checked ops (Hisa.Fused_default):
      every operand and intermediate gets the full pre/postcondition
@@ -69,35 +47,12 @@ let wrap ?noise:nm ?margin ~scheme (backend : Hisa.t) : Hisa.t =
   let module U = struct
     let slots = B.slots
 
-    type pt = { bp : B.pt; pscale : float; pmax : float }
-
-    type ct = {
-      bc : B.ct;
-      sh : Shape.ct;  (** shadow scale and level *)
-      serr : float;  (** noise guard: message-space error bound *)
-      smag : float;  (** noise guard: message magnitude bound *)
-    }
+    type pt = { bp : B.pt; pscale : float }
+    type ct = { bc : B.ct; sh : Shape.ct  (** shadow scale and level *) }
 
     let backend = "checked"
     let err ~op e = Herr.raise_err ~backend ~op e
     let level_of bc = Hisa.level_of_env scheme (B.env_of bc)
-
-    (* noise-guard plumbing: all bound arithmetic degenerates to zeros when
-       no model is configured, so the guard never fires and costs a few
-       float ops per call *)
-    let nmv f = match nm with Some m -> f m | None -> 0.0
-
-    let margin_of m e = log2f (m.nm_tolerance /. Float.max e Float.min_float)
-
-    let guard ~op e =
-      match nm with
-      | Some m when e > m.nm_tolerance ->
-          (match margin with Some r -> r := margin_of m e | None -> ());
-          err ~op (Herr.Precision_exhausted { margin_bits = margin_of m e; tolerance = m.nm_tolerance })
-      | _ -> ()
-
-    let gauge e =
-      match (nm, margin) with Some m, Some r -> r := margin_of m e | _ -> ()
 
     (* shadow-vs-observed scale agreement: the shadow mirrors the backend's
        own float algebra, so only representation drift (sequential vs fused
@@ -119,13 +74,10 @@ let wrap ?noise:nm ?margin ~scheme (backend : Hisa.t) : Hisa.t =
 
     (* Build a checked handle for a fresh backend result whose shadow is
        [sh]; verifies the postcondition, then adopts the backend's exact
-       float scale so drift never accumulates. The noise guard fires here:
-       the bound is monotone, so the first op to push it past tolerance is
-       the one named in the error. *)
-    let mk ~op bc sh ~serr ~smag =
-      guard ~op serr;
+       float scale so drift never accumulates. *)
+    let mk ~op bc sh =
       agree ~op bc sh;
-      { bc; sh = { sh with scale = B.scale_of bc }; serr; smag }
+      { bc; sh = { sh with scale = B.scale_of bc } }
 
     let depth ~op c = Shape.check_depth ~backend ~op c.sh
 
@@ -149,8 +101,7 @@ let wrap ?noise:nm ?margin ~scheme (backend : Hisa.t) : Hisa.t =
         err ~op:"encode"
           (Herr.Invalid_op { reason = Printf.sprintf "encode scale must be >= 1, got %d" scale });
       screen ~op:"encode" values;
-      let pmax = Array.fold_left (fun a x -> Float.max a (Float.abs x)) 0.0 values in
-      { bp = B.encode values ~scale; pscale = float_of_int scale; pmax }
+      { bp = B.encode values ~scale; pscale = float_of_int scale }
 
     let decode p =
       let v = B.decode p.bp in
@@ -172,25 +123,18 @@ let wrap ?noise:nm ?margin ~scheme (backend : Hisa.t) : Hisa.t =
     let encrypt p =
       let bc = B.encrypt p.bp in
       (* fresh ciphertexts anchor the shadow level at the backend's report *)
-      mk ~op:"encrypt" bc
-        { Shape.scale = p.pscale; level = level_of bc }
-        ~serr:(nmv (fun m -> m.nm_fresh +. m.nm_encode))
-        ~smag:p.pmax
+      mk ~op:"encrypt" bc { Shape.scale = p.pscale; level = level_of bc }
 
     let decrypt c =
       observe ~op:"decrypt" c;
-      (* the pre-decrypt precision gate: a bound past tolerance means the
-         plaintext under this ciphertext is already garbage *)
-      guard ~op:"decrypt" c.serr;
-      gauge c.serr;
-      { bp = B.decrypt c.bc; pscale = c.sh.scale; pmax = c.smag }
+      { bp = B.decrypt c.bc; pscale = c.sh.scale }
 
     (* --- rotations ---------------------------------------------------- *)
 
     let check_amount ~op k =
       if k >= slots || k <= -slots then err ~op (Herr.Slot_overflow { slots; requested = k })
 
-    let rotated ~op c bc = mk ~op bc c.sh ~serr:(c.serr +. nmv (fun m -> m.nm_rot)) ~smag:c.smag
+    let rotated ~op c bc = mk ~op bc c.sh
 
     let rot_left c k =
       let op = "rot_left" in
@@ -211,21 +155,19 @@ let wrap ?noise:nm ?margin ~scheme (backend : Hisa.t) : Hisa.t =
       observe ~op a;
       observe ~op b;
       let sh = Shape.add ~backend ~op a.sh b.sh in
-      mk ~op (B.add a.bc b.bc) sh ~serr:(a.serr +. b.serr) ~smag:(a.smag +. b.smag)
+      mk ~op (B.add a.bc b.bc) sh
 
     let add_plain c p =
       let op = "add_plain" in
       observe ~op c;
       let sh = Shape.add_plain ~backend ~op c.sh p.pscale in
       mk ~op (B.add_plain c.bc p.bp) sh
-        ~serr:(c.serr +. nmv (fun m -> m.nm_encode))
-        ~smag:(c.smag +. p.pmax)
 
     let add_scalar c x =
       let op = "add_scalar" in
       observe ~op c;
       screen_scalar ~op x;
-      mk ~op (B.add_scalar c.bc x) c.sh ~serr:c.serr ~smag:(c.smag +. Float.abs x)
+      mk ~op (B.add_scalar c.bc x) c.sh
 
     (* --- multiplicative ops ------------------------------------------- *)
 
@@ -234,30 +176,18 @@ let wrap ?noise:nm ?margin ~scheme (backend : Hisa.t) : Hisa.t =
       observe ~op:"mul" b;
       depth ~op:"mul" a;
       depth ~op:"mul" b;
-      let sh = Shape.mul ~backend a.sh b.sh in
-      (* cross-term error growth: |(a+ea)(b+eb) - ab| <= ea|b| + eb|a| + ea·eb,
-         plus the relinearization rounding term *)
-      mk ~op:"mul" (B.mul a.bc b.bc) sh
-        ~serr:((a.serr *. b.smag) +. (b.serr *. a.smag) +. (a.serr *. b.serr) +. nmv (fun m -> m.nm_rot))
-        ~smag:(a.smag *. b.smag)
+      mk ~op:"mul" (B.mul a.bc b.bc) (Shape.mul ~backend a.sh b.sh)
 
     let mul_plain c p =
       observe ~op:"mul_plain" c;
       depth ~op:"mul_plain" c;
       mk ~op:"mul_plain" (B.mul_plain c.bc p.bp) (Shape.mul_plain c.sh p.pscale)
-        ~serr:((c.serr *. p.pmax) +. (c.smag *. nmv (fun m -> m.nm_encode)))
-        ~smag:(c.smag *. p.pmax)
 
     let mul_scalar c x ~scale =
       observe ~op:"mul_scalar" c;
       screen_scalar ~op:"mul_scalar" x;
       depth ~op:"mul_scalar" c;
-      (* the scalar is quantized to the 1/scale grid before multiplying *)
-      mk ~op:"mul_scalar"
-        (B.mul_scalar c.bc x ~scale)
-        (Shape.mul_scalar c.sh ~scale)
-        ~serr:((c.serr *. Float.abs x) +. (c.smag /. float_of_int scale))
-        ~smag:(c.smag *. Float.abs x)
+      mk ~op:"mul_scalar" (B.mul_scalar c.bc x ~scale) (Shape.mul_scalar c.sh ~scale)
 
     (* --- rescaling ---------------------------------------------------- *)
 
@@ -280,7 +210,7 @@ let wrap ?noise:nm ?margin ~scheme (backend : Hisa.t) : Hisa.t =
                    Printf.sprintf "backend did not apply the divisor: scale %.6g where %.6g expected (dropped rescale?)"
                      rs sh.scale;
                });
-        mk ~op:"rescale" bc sh ~serr:(c.serr +. nmv (fun m -> m.nm_rot)) ~smag:c.smag
+        mk ~op:"rescale" bc sh
       end
 
     let max_rescale c ub =

@@ -1,6 +1,5 @@
 (* Timed HISA interceptor, a hook on {!Hisa.intercept}: wraps any backend
-   and records per-op wall-time statistics keyed by (op, level/r),
-   plus optional per-op latency histograms in a metrics registry. This is
+   and records per-op wall-time statistics keyed by (op, level/r). This is
    the measurement layer under the cost-model calibrator (`chet profile`)
    and the per-step op attribution in traced runs (every op also ticks
    {!Chet_obs.Tracer.tick_op}).
@@ -11,27 +10,20 @@
 
 module Obs_clock = Chet_obs.Clock
 module Obs_tracer = Chet_obs.Tracer
-module Metrics = Chet_obs.Metrics
 
 type cell = {
   tc_op : string;
   tc_env : Hisa.op_env;
   mutable tc_count : int;
   mutable tc_sum_ns : float;
-  tc_hist : Metrics.histogram option;
 }
 
 type t = {
   mutex : Mutex.t;
   cells : (string * int * int * int, cell) Hashtbl.t;  (** (op, n, r, logq) *)
-  registry : Metrics.t option;
 }
 
-let create ?registry () = { mutex = Mutex.create (); cells = Hashtbl.create 64; registry }
-
-(* The histogram/cost-model key: active RNS primes for RNS-CKKS, current
-   logQ for pow2-CKKS — whichever the scheme consumes. *)
-let level_of (env : Hisa.op_env) = if env.Hisa.env_r > 0 then env.Hisa.env_r else env.Hisa.env_log_q
+let create () = { mutex = Mutex.create (); cells = Hashtbl.create 64 }
 
 let record ?(count = 1) t op (env : Hisa.op_env) dt_ns =
   Mutex.lock t.mutex;
@@ -40,25 +32,13 @@ let record ?(count = 1) t op (env : Hisa.op_env) dt_ns =
     match Hashtbl.find_opt t.cells key with
     | Some c -> c
     | None ->
-        let hist =
-          Option.map
-            (fun reg ->
-              Metrics.histogram reg ~help:"wall time of HISA ops by (op, level)" ~lo:1e-8
-                ~labels:
-                  [ ("op", op); ("n", string_of_int env.Hisa.env_n);
-                    ("level", string_of_int (level_of env)) ]
-                "chet_hisa_op_seconds")
-            t.registry
-        in
-        let c = { tc_op = op; tc_env = env; tc_count = 0; tc_sum_ns = 0.0; tc_hist = hist } in
+        let c = { tc_op = op; tc_env = env; tc_count = 0; tc_sum_ns = 0.0 } in
         Hashtbl.add t.cells key c;
         c
   in
   cell.tc_count <- cell.tc_count + count;
   cell.tc_sum_ns <- cell.tc_sum_ns +. dt_ns;
-  Mutex.unlock t.mutex;
-  (* observe outside the recorder lock: the histogram is lock-free *)
-  Option.iter (fun h -> Metrics.observe h (dt_ns /. 1e9)) cell.tc_hist
+  Mutex.unlock t.mutex
 
 (* Measurement cells: (op, env, count, mean seconds) — the calibrator's
    input. Sorted for deterministic reports. *)

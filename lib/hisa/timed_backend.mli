@@ -6,9 +6,7 @@
 
 type t
 
-val create : ?registry:Chet_obs.Metrics.t -> unit -> t
-(** With [registry], each (op, n, level) cell additionally feeds a
-    [chet_hisa_op_seconds] latency histogram in it. *)
+val create : unit -> t
 
 val wrap : t -> Hisa.t -> Hisa.t
 
@@ -19,6 +17,3 @@ val cells : t -> (string * Hisa.op_env * int * float) list
     drops modulus ([divisor > 1]), mirroring {!Instrument}. *)
 
 val total_ops : t -> int
-
-val level_of : Hisa.op_env -> int
-(** Active RNS primes for RNS-CKKS, current logQ for pow2-CKKS. *)

@@ -153,17 +153,12 @@ let stats t =
     srv_cancelled = Atomic.get t.cancel_hits;
   }
 
-let default_health = function
-  | Serial.Health_ping -> Serial.Health_ack { ha_ok = true; ha_detail = "shard" }
-  | Serial.Health_kill _ | Serial.Health_report _ | Serial.Health_ack _ | Serial.Health_selftest ->
-      Serial.Health_ack { ha_ok = false; ha_detail = "not a supervisor" }
-
-(* The supervisor's quarantine probe: answered by the shard itself (before
-   the pluggable [health] hook) because only the shard can run its own
-   sentinel lane. The probe is a sentinel-only inference (DESIGN.md §16):
-   Ok margin_bits when the lane verifies, Error detail when it does not. A
-   shard started without one answers honestly that it cannot vouch for
-   itself — the supervisor treats that as non-exonerating. *)
+(* The supervisor's quarantine probe: answered by the shard itself because
+   only the shard can run its own sentinel lane. The probe is a
+   sentinel-only inference (DESIGN.md §16): Ok margin_bits when the lane
+   verifies, Error detail when it does not. A shard started without one
+   answers honestly that it cannot vouch for itself — the supervisor treats
+   that as non-exonerating. *)
 let run_selftest = function
   | None -> Serial.Health_ack { ha_ok = false; ha_detail = "no sentinel deployment" }
   | Some probe -> (
@@ -258,7 +253,7 @@ let on_cancel t (cn : Serial.wire_cancel) =
       true
   | None -> false
 
-let start ?(health = default_health) ?selftest cfg service =
+let start ?selftest cfg service =
   let limits =
     {
       Endpoint.max_frame = cfg.srv_max_frame;
@@ -287,7 +282,12 @@ let start ?(health = default_health) ?selftest cfg service =
     {
       Endpoint.on_request = on_request t;
       on_cancel = on_cancel t;
-      on_health = (function Serial.Health_selftest -> run_selftest selftest | h -> health h);
+      on_health =
+        (function
+        | Serial.Health_ping -> Serial.Health_ack { ha_ok = true; ha_detail = "shard" }
+        | Serial.Health_selftest -> run_selftest selftest
+        | Serial.Health_kill _ | Serial.Health_report _ | Serial.Health_ack _ ->
+            Serial.Health_ack { ha_ok = false; ha_detail = "not a supervisor" });
       on_reject = reject t;
     };
   t

@@ -43,23 +43,14 @@ type stats = {
 
 type t
 
-val default_health : Chet_crypto.Serial.wire_health -> Chet_crypto.Serial.wire_health
-(** Answers pings; declines supervisor-only frames with [ha_ok = false]. *)
-
-val start :
-  ?health:(Chet_crypto.Serial.wire_health -> Chet_crypto.Serial.wire_health) ->
-  ?selftest:(unit -> (float, string) result) ->
-  config ->
-  Chet_serve.Service.t ->
-  t
-(** Bind, listen, and serve until {!stop}. [health] answers HLTH frames
-    other than selftest. [selftest] is the sentinel-only probe inference of
-    DESIGN.md §16 — [Ok margin_bits] when the shard's own lane verifies,
-    [Error detail] when it does not; it answers [Health_selftest] frames
-    {e before} the pluggable [health] hook, because only the shard can run
-    its own sentinel lane. When absent, selftest probes are answered
-    [ha_ok = false] ("no sentinel deployment") — the supervisor treats that
-    as non-exonerating. *)
+val start : ?selftest:(unit -> (float, string) result) -> config -> Chet_serve.Service.t -> t
+(** Bind, listen, and serve until {!stop}. HLTH pings are acked; the
+    supervisor-only frames are declined with [ha_ok = false].
+    [selftest] is the sentinel-only probe inference of DESIGN.md §16 —
+    [Ok margin_bits] when the shard's own lane verifies, [Error detail] when
+    it does not; it answers [Health_selftest] frames. When absent, selftest
+    probes are answered [ha_ok = false] ("no sentinel deployment") — the
+    supervisor treats that as non-exonerating. *)
 
 val stats : t -> stats
 

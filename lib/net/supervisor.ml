@@ -599,31 +599,30 @@ let await_ready t ?(n = Array.length t.shards) ~timeout_s () =
 
 let metrics_snapshot t = Metrics.expose t.registry
 
-let stop ?(kill_workers = true) t =
+let stop t =
   Endpoint.stop t.front;
   Atomic.set t.stop_flag true;
   List.iter Thread.join t.threads;
-  if kill_workers then
-    Array.iter
-      (fun sh ->
-        match with_lock t (fun () -> sh.sh_proc) with
-        | Some proc ->
-            proc.sp_kill Sys.sigterm;
-            (* give a graceful drain a moment, then insist *)
-            let deadline = Wire.now () +. 5.0 in
-            let rec reap () =
-              match proc.sp_poll () with
-              | Some _ -> ()
-              | None ->
-                  if Wire.now () >= deadline then begin
-                    proc.sp_kill Sys.sigkill;
-                    ignore (proc.sp_poll ())
-                  end
-                  else begin
-                    Thread.delay 0.05;
-                    reap ()
-                  end
-            in
-            reap ()
-        | None -> ())
-      t.shards
+  Array.iter
+    (fun sh ->
+      match with_lock t (fun () -> sh.sh_proc) with
+      | Some proc ->
+          proc.sp_kill Sys.sigterm;
+          (* give a graceful drain a moment, then insist *)
+          let deadline = Wire.now () +. 5.0 in
+          let rec reap () =
+            match proc.sp_poll () with
+            | Some _ -> ()
+            | None ->
+                if Wire.now () >= deadline then begin
+                  proc.sp_kill Sys.sigkill;
+                  ignore (proc.sp_poll ())
+                end
+                else begin
+                  Thread.delay 0.05;
+                  reap ()
+                end
+          in
+          reap ()
+      | None -> ())
+    t.shards

@@ -90,7 +90,7 @@ val metrics_snapshot : t -> string
 (** Prometheus-style exposition of the supervisor's counters, including
     [chet_integrity_failures_total] and [chet_shard_quarantines_total]. *)
 
-val stop : ?kill_workers:bool -> t -> unit
-(** Close the front door and its open connections, then stop monitoring;
-    with [kill_workers] (default) SIGTERM each worker, giving a graceful
-    drain a moment before insisting with SIGKILL. *)
+val stop : t -> unit
+(** Close the front door and its open connections, stop monitoring, then
+    SIGTERM each worker, giving a graceful drain a moment before insisting
+    with SIGKILL. *)

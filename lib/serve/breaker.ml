@@ -7,8 +7,8 @@
    entirely — no point burning a worker's time (and the request's deadline)
    on a deployment that has exhausted its modulus chain or whose checked
    backend keeps tripping. After [cooldown] seconds the breaker half-opens
-   and admits a bounded number of probe requests; one probe success closes it
-   again, a probe failure re-opens it for another cooldown.
+   and admits one probe request; a probe success closes it again, a probe
+   failure re-opens it for another cooldown.
 
    The clock is injected so tests can drive the state machine without
    sleeping. Thread-safe: the service consults breakers from many domains. *)
@@ -21,30 +21,28 @@ type t = {
   mutex : Mutex.t;
   threshold : int;  (** consecutive failures that trip the breaker *)
   cooldown : float;  (** seconds [Open] before probing again *)
-  probes : int;  (** concurrent probe budget while [Half_open] *)
   now : unit -> float;
   mutable st : state;
   mutable consecutive_failures : int;
   mutable opened_at : float;
-  mutable probes_in_flight : int;
+  mutable probing : bool;  (** the one [Half_open] probe is outstanding *)
   mutable trips : int;  (** lifetime Closed/Half_open -> Open transitions *)
 }
 
 (* Default clock is monotonic (Chet_obs.Clock): a wall-clock step (NTP slew,
    manual adjustment) must not spuriously hold a breaker open or snap it
    half-open early. Tests still inject their own [now]. *)
-let create ?(threshold = 3) ?(cooldown = 30.0) ?(probes = 1) ?(now = Chet_obs.Clock.now_s) () =
+let create ?(threshold = 3) ?(cooldown = 30.0) ?(now = Chet_obs.Clock.now_s) () =
   if threshold < 1 then invalid_arg "Breaker.create: threshold must be >= 1";
   {
     mutex = Mutex.create ();
     threshold;
     cooldown;
-    probes;
     now;
     st = Closed;
     consecutive_failures = 0;
     opened_at = neg_infinity;
-    probes_in_flight = 0;
+    probing = false;
     trips = 0;
   }
 
@@ -58,32 +56,31 @@ let trip_count b = with_lock b (fun () -> b.trips)
 let trip b =
   b.st <- Open;
   b.opened_at <- b.now ();
-  b.probes_in_flight <- 0;
+  b.probing <- false;
   b.trips <- b.trips + 1
 
 (* May this request use the guarded deployment? Also the place where an
    [Open] breaker past its cooldown transitions to [Half_open]: admission is
    the only event that needs to observe the timeout.
 
-   Exactly-one-probe invariant: while [Half_open], at most [probes]
-   (default 1) admissions may be outstanding at any instant — the
-   Open->Half_open transition *is* the first admission, and every further
-   [allow] is refused until that probe resolves ([record_success],
-   [record_failure]) or hands its slot back ([release]). Concurrent callers
-   race on the mutex, never on the state: whichever domain takes the
-   transition gets the probe, the loser observes [Half_open] with the
-   budget spent. test/test_serve.ml hammers this from 2 domains. *)
+   Exactly-one-probe invariant: while [Half_open], at most one admission
+   may be outstanding at any instant — the Open->Half_open transition *is*
+   that admission, and every further [allow] is refused until the probe
+   resolves ([record_success], [record_failure]) or hands its slot back
+   ([release]). Concurrent callers race on the mutex, never on the state:
+   whichever domain takes the transition gets the probe, the loser observes
+   [Half_open] with the probe out. test/test_serve.ml hammers this from 2 domains. *)
 let allow b =
   with_lock b (fun () ->
       match b.st with
       | Closed -> true
       | Open when b.now () -. b.opened_at >= b.cooldown ->
           b.st <- Half_open;
-          b.probes_in_flight <- 1;
+          b.probing <- true;
           true
       | Open -> false
-      | Half_open when b.probes_in_flight < b.probes ->
-          b.probes_in_flight <- b.probes_in_flight + 1;
+      | Half_open when not b.probing ->
+          b.probing <- true;
           true
       | Half_open -> false)
 
@@ -94,7 +91,7 @@ let allow b =
 let release b =
   with_lock b (fun () ->
       match b.st with
-      | Half_open -> b.probes_in_flight <- Stdlib.max 0 (b.probes_in_flight - 1)
+      | Half_open -> b.probing <- false
       | Open | Closed -> ())
 
 let record_success b =
@@ -104,7 +101,7 @@ let record_success b =
       | Half_open | Open ->
           (* a probe (or straggler from before the trip) came back healthy *)
           b.st <- Closed;
-          b.probes_in_flight <- 0
+          b.probing <- false
       | Closed -> ())
 
 (* --- persistence (DESIGN.md §11) ---
@@ -138,11 +135,11 @@ let restore b sn =
   with_lock b (fun () ->
       b.consecutive_failures <- Stdlib.max 0 sn.sn_consecutive_failures;
       b.trips <- Stdlib.max 0 sn.sn_trips;
-      b.probes_in_flight <- 0;
+      b.probing <- false;
       match sn.sn_state with
       | Closed -> b.st <- Closed
       | Half_open ->
-          (* in-flight probes died with the old process: re-open with the
+          (* the in-flight probe died with the old process: re-open with the
              cooldown already elapsed, so the next admission probes at once *)
           b.st <- Open;
           b.opened_at <- b.now () -. b.cooldown

@@ -2,8 +2,8 @@
 
     Each rung of the degradation ladder owns one. [threshold] consecutive
     failures trip it [Open]; after [cooldown] seconds it half-opens and
-    admits up to [probes] concurrent probe requests — one probe success
-    closes it, a probe failure re-opens it. Thread-safe; the clock is
+    admits one probe request — a probe success closes it, a probe failure
+    re-opens it. Thread-safe; the clock is
     injected so tests can drive the state machine without sleeping. *)
 
 type state = Closed | Open | Half_open
@@ -12,9 +12,9 @@ val state_name : state -> string
 
 type t
 
-val create : ?threshold:int -> ?cooldown:float -> ?probes:int -> ?now:(unit -> float) -> unit -> t
-(** Defaults: [threshold = 3], [cooldown = 30.0], [probes = 1], monotonic
-    clock. @raise Invalid_argument if [threshold < 1]. *)
+val create : ?threshold:int -> ?cooldown:float -> ?now:(unit -> float) -> unit -> t
+(** Defaults: [threshold = 3], [cooldown = 30.0], monotonic clock.
+    @raise Invalid_argument if [threshold < 1]. *)
 
 val state : t -> state
 val trip_count : t -> int
@@ -38,7 +38,7 @@ val record_failure : t -> unit
     Clock-free snapshot: [Open] carries its {e remaining} cooldown, not an
     absolute timestamp, because the monotonic clock restarts with the
     process. A [Half_open] snapshot restores as [Open] with the cooldown
-    already elapsed (its in-flight probes died with the old process). *)
+    already elapsed (its in-flight probe died with the old process). *)
 
 type snapshot = {
   sn_state : state;

@@ -10,77 +10,29 @@
    Nothing here knows about inference: the pool moves [worker:int -> unit]
    thunks so tests can drive it with plain closures. The worker id is passed
    through so jobs can use worker-private resources (e.g. a per-domain
-   backend instance).
+   backend instance). *)
 
-   Jobs may carry a cancel token (DESIGN.md §13). The pool publishes the
-   token of whatever each worker is currently running, so [cancel_inflight]
-   can trip every in-flight request — e.g. at shutdown — without knowing
-   anything about what the jobs compute. *)
+type job = worker:int -> unit
 
-module Cancel = Chet_hisa.Cancel
+type t = { queue : job Queue.t; domains : unit Domain.t array }
 
-type job = {
-  job_cancel : Cancel.t option;
-      (** token of the request this job runs, if cancellable *)
-  job_run : worker:int -> unit;
-}
-
-type t = {
-  queue : job Queue.t;
-  domains : unit Domain.t array;
-  (* what each worker is running right now: written by the worker around
-     each job, read by [cancel_inflight]. One atomic per worker, no lock. *)
-  running : Cancel.t option Atomic.t array;
-  crashes : int Atomic.t;
-  on_crash : worker:int -> exn -> unit;
-}
-
-let worker_loop pool id =
-  let slot = pool.running.(id) in
+let worker_loop queue on_crash id =
   let rec loop () =
-    match Queue.pop pool.queue with
+    match Queue.pop queue with
     | None -> () (* closed and drained: clean exit *)
     | Some job ->
-        Atomic.set slot job.job_cancel;
-        (try job.job_run ~worker:id with
-        | exn ->
-            (* never let a job take the worker down with it *)
-            Atomic.incr pool.crashes;
-            (try pool.on_crash ~worker:id exn with _ -> ()));
-        Atomic.set slot None;
+        (try job ~worker:id
+         with exn ->
+           (* never let a job take the worker down with it *)
+           (try on_crash ~worker:id exn with _ -> ()));
         loop ()
   in
   loop ()
 
 let create ?(on_crash = fun ~worker:_ _ -> ()) ~domains queue =
   if domains < 1 then invalid_arg "Pool.create: domains must be >= 1";
-  let pool =
-    {
-      queue;
-      domains = [||];
-      running = Array.init domains (fun _ -> Atomic.make None);
-      crashes = Atomic.make 0;
-      on_crash;
-    }
-  in
-  let spawned = Array.init domains (fun id -> Domain.spawn (fun () -> worker_loop pool id)) in
-  { pool with domains = spawned }
-
-let size pool = Array.length pool.domains
-let crash_count pool = Atomic.get pool.crashes
-
-(* Trip the token of every job currently on a worker. Queued-but-unstarted
-   jobs are untouched (their own deadline/cancel discipline applies when a
-   worker picks them up). Returns how many live tokens were tripped. *)
-let cancel_inflight pool reason =
-  Array.fold_left
-    (fun acc slot ->
-      match Atomic.get slot with
-      | Some tok ->
-          Cancel.trip tok reason;
-          acc + 1
-      | None -> acc)
-    0 pool.running
+  let spawn id = Domain.spawn (fun () -> worker_loop queue on_crash id) in
+  { queue; domains = Array.init domains spawn }
 
 (* Graceful shutdown: stop admitting, drain what is queued, join every
    domain. Idempotent ([Domain.join] on a finished domain returns). *)

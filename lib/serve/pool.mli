@@ -11,27 +11,13 @@
     {e inside} a Pool job composes without oversubscription because Kpool
     falls back to sequential execution on nested entry. *)
 
-module Cancel = Chet_hisa.Cancel
-
-type job = {
-  job_cancel : Cancel.t option;
-      (** token of the request this job runs, if cancellable *)
-  job_run : worker:int -> unit;
-}
+type job = worker:int -> unit
 
 type t
 
 val create : ?on_crash:(worker:int -> exn -> unit) -> domains:int -> job Queue.t -> t
 (** Spawn [domains] workers consuming from the queue.
     @raise Invalid_argument if [domains < 1]. *)
-
-val size : t -> int
-val crash_count : t -> int
-
-val cancel_inflight : t -> Cancel.reason -> int
-(** Trip the cancel token of every job currently on a worker (e.g. at
-    shutdown); queued-but-unstarted jobs are untouched. Returns how many
-    live tokens were tripped. *)
 
 val shutdown : t -> unit
 (** Close the queue, drain what is left, join every domain. Idempotent. *)

@@ -35,9 +35,6 @@ type deployment = {
   dep_plan : Plan.t;
       (* what the rung runs — its twin flag is the compile's, so it always
          agrees with the keys' rotation amounts *)
-  dep_cost_ms : float option;
-      (* calibrated cost-model prediction of one inference on this rung;
-         None = unknown, the rung is always admitted *)
   dep_backend : rung_backend;
   dep_sentinel : Integrity.spec option;
       (* verify every answer against the sentinel lane (DESIGN.md §16) *)
@@ -56,10 +53,9 @@ let reduced_scales (s : Kernels.scales) k =
   }
 
 let ladder_of_keyset compiled ~(keyset : Compiler.keyset) ?(reduced_rungs = 1)
-    ?(clear_fallback = true) ?(predict_cost = false) ?sentinel () =
+    ?(clear_fallback = true) ?sentinel () =
   let opts = compiled.Compiler.opts in
   let scales = opts.Compiler.scales in
-  let policy = compiled.Compiler.policy in
   (* the compile decided the geometry: a sentinel compile's rotation keys
      cover only the twin layout's doubled amounts, so every rung runs twin
      whether or not it verifies, and verification needs a twin compile *)
@@ -68,23 +64,9 @@ let ladder_of_keyset compiled ~(keyset : Compiler.keyset) ?(reduced_rungs = 1)
   (* every rung runs the same plan: plans are scale-free metadata, and each
      rung prepares it at its own scales *)
   let plan = Compiler.plan compiled in
-  (* the admission-control prediction comes for free: [compile] already
-     ranked every layout policy under the calibrated cost model, and the
-     chosen policy's report is the per-inference latency of the FHE rungs.
-     Reduced-scale rungs run the same op sequence at the same parameters, so
-     they share the estimate; the cleartext rung is orders of magnitude
-     cheaper than any FHE rung and is treated as always fitting. *)
-  let scheme_cost_ms =
-    if not predict_cost then None
-    else
-      List.find_map
-        (fun r ->
-          if r.Compiler.pr_policy = policy then Some (r.Compiler.pr_cost *. 1000.0) else None)
-        compiled.Compiler.reports
-  in
   let primary =
     { dep_label = "primary"; dep_degraded = false; dep_scales = scales; dep_plan = plan;
-      dep_cost_ms = scheme_cost_ms; dep_backend = Shared keyset; dep_sentinel = sentinel }
+      dep_backend = Shared keyset; dep_sentinel = sentinel }
   in
   let reduced =
     List.init reduced_rungs (fun i ->
@@ -94,7 +76,6 @@ let ladder_of_keyset compiled ~(keyset : Compiler.keyset) ?(reduced_rungs = 1)
           dep_degraded = true;
           dep_scales = reduced_scales scales k;
           dep_plan = plan;
-          dep_cost_ms = scheme_cost_ms;
           dep_backend = Shared keyset;
           (* a reduced rung trades precision for headroom by design, so the
              full-precision sentinel tolerance would reject honest degraded
@@ -111,7 +92,6 @@ let ladder_of_keyset compiled ~(keyset : Compiler.keyset) ?(reduced_rungs = 1)
           dep_degraded = true;
           dep_scales = scales;
           dep_plan = plan;
-          dep_cost_ms = (if predict_cost then Some 0.0 else None);
           dep_backend = Shared (Compiler.clear_keyset compiled);
           (* the cleartext rung is exact, so sentinel verification is free
              and keeps the end-to-end integrity contract on the last rung *)
@@ -121,10 +101,10 @@ let ladder_of_keyset compiled ~(keyset : Compiler.keyset) ?(reduced_rungs = 1)
   in
   (primary :: reduced) @ clear
 
-let ladder_of_compiled compiled ~seed ?rotation_keys ?reduced_rungs ?clear_fallback ?predict_cost
-    ?sentinel ~with_secret () =
+let ladder_of_compiled compiled ~seed ?rotation_keys ?reduced_rungs ?clear_fallback ?sentinel
+    ~with_secret () =
   let keyset = Compiler.keyset compiled ~seed ?rotation_keys ~with_secret () in
-  ladder_of_keyset compiled ~keyset ?reduced_rungs ?clear_fallback ?predict_cost ?sentinel ()
+  ladder_of_keyset compiled ~keyset ?reduced_rungs ?clear_fallback ?sentinel ()
 
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                        *)
@@ -226,8 +206,6 @@ type metric_handles = {
   mx_worker_crashes : Metrics.counter;
   mx_late : Metrics.counter;
   mx_cancelled : Metrics.counter;
-  mx_admission : Metrics.counter;
-  mx_cancel_saved_ms : Metrics.counter;
   mx_integrity : Metrics.counter;
   mx_margin : Metrics.gauge;
   mx_latency : Metrics.histogram;
@@ -248,12 +226,6 @@ let make_metrics () =
     mx_worker_crashes = c "chet_serve_worker_crashes_total" "non-FHE exceptions in workers";
     mx_late = c "chet_serve_late_results_total" "results finished after the caller gave up";
     mx_cancelled = c "chet_serve_requests_cancelled_total" "outcomes delivered as typed Cancelled";
-    mx_admission =
-      c "chet_serve_admission_rejects_total"
-        "requests rejected because no rung's predicted cost fit the budget";
-    mx_cancel_saved_ms =
-      c "chet_serve_cancel_saved_ms_total"
-        "predicted milliseconds of wasted work avoided by mid-circuit cancellation";
     mx_integrity =
       c "chet_integrity_failures_total" "attempts whose sentinel lane failed verification";
     mx_margin =
@@ -277,7 +249,6 @@ type stats = {
   s_worker_crashes : int;
   s_late_results : int;
   s_cancelled : int;
-  s_admission_rejects : int;
   s_integrity_failures : int;
   s_queue : Queue.stats;
   s_latency_p50_ms : float;
@@ -322,10 +293,6 @@ let transient_error = function
   | Herr.Modulus_exhausted _ | Herr.Slot_overflow _ | Herr.Shape_mismatch _ | Herr.Missing_node _
   | Herr.Missing_rotation_key _ | Herr.Invalid_op _ | Herr.Overloaded _
   | Herr.Deadline_exceeded _ | Herr.Worker_crashed _ | Herr.Corrupt_bundle _
-  (* the deployment's modulus budget cannot produce a precise answer for
-     this circuit — deterministic, so retrying reproduces it; only the
-     degradation ladder (a differently-compiled rung) can help *)
-  | Herr.Precision_exhausted _
   (* the requester no longer wants the answer; retrying would be the exact
      wasted work cancellation exists to avoid *)
   | Herr.Cancelled _ ->
@@ -368,8 +335,7 @@ let run_attempt t ~rung dep req ~attempt ~worker =
         (fun spec ->
           Integrity.sentinel
             ~observe:(fun twin ->
-              (* the *measured* precision headroom of this answer — the
-                 noise model's predicted margin is its forecast *)
+              (* the *measured* precision headroom of this answer *)
               let m = Integrity.margin_bits spec twin in
               margin := m;
               lane := Array.copy twin.Tensor.data;
@@ -482,22 +448,10 @@ let process t req ~worker =
     let served = ref None in
     let rungs = t.ladder in
     let stop = ref false in
-    let skipped_unfit = ref 0 in
     let i = ref 0 in
     while (not !stop) && !served = None && !i < Array.length rungs do
       let dep, brk = rungs.(!i) in
-      (* deadline-aware rung selection (DESIGN.md §13): the ladder is ordered
-         highest-fidelity first, so the first rung whose predicted cost fits
-         the remaining budget is the best answer we can still deliver in
-         time. The fit check runs *before* [Breaker.allow] so an unfit rung
-         never consumes a half-open probe slot. *)
-      let fits =
-        match dep.dep_cost_ms with
-        | None -> true
-        | Some c -> c <= (req.req_deadline -. t.cfg.now ()) *. 1000.0
-      in
-      if not fits then incr skipped_unfit
-      else if Breaker.allow brk then begin
+      if Breaker.allow brk then begin
         (* retry loop on this rung. [verdict] tracks whether the admission
            (possibly a half-open probe) was resolved against the breaker;
            an exit with no verdict — deadline fired, caller abandoned —
@@ -514,7 +468,6 @@ let process t req ~worker =
           end
           else begin
             Atomic.incr req.req_attempts;
-            let attempt_start = t.cfg.now () in
             match run_attempt t ~rung:!i dep req ~attempt:!attempt ~worker with
             | Ok (tensor, margin_bits, lane) ->
                 Breaker.record_success brk;
@@ -524,15 +477,7 @@ let process t req ~worker =
             | Error ((Herr.Cancelled _, _) as cancelled) ->
                 (* the token tripped mid-circuit. No breaker verdict: a
                    cancellation says nothing about this rung's health, so the
-                   probe slot is handed back via [release] below. Credit the
-                   wasted-work metric with the predicted remainder of the
-                   inference the worker did *not* have to run. *)
-                (match dep.dep_cost_ms with
-                | Some c ->
-                    let done_ms = (t.cfg.now () -. attempt_start) *. 1000.0 in
-                    let saved = int_of_float (Float.max 0.0 (c -. done_ms)) in
-                    if saved > 0 then Metrics.incr ~by:saved t.mx.mx_cancel_saved_ms
-                | None -> ());
+                   probe slot is handed back via [release] below. *)
                 let elapsed_ms = (t.cfg.now () -. req.req_submitted) *. 1000.0 in
                 (* a deadline-reason trip keeps the deadline's established
                    observable surface: callers see the same typed
@@ -580,14 +525,6 @@ let process t req ~worker =
           let e, c =
             match !last_err with
             | Some ec -> ec
-            | None when !skipped_unfit > 0 ->
-                (* admission control at dequeue: every reachable rung's
-                   predicted cost exceeded the remaining budget, so no work
-                   was started at all — the honest answer is the typed
-                   deadline, issued in O(ladder) time *)
-                Metrics.incr t.mx.mx_admission;
-                let elapsed_ms = (t.cfg.now () -. req.req_submitted) *. 1000.0 in
-                deadline_error req ~elapsed_ms ~op:"admission"
             | None ->
                 ( Herr.Invalid_op { reason = "no deployment available (all circuit breakers open)" },
                   Herr.context ~backend:"serve" "infer" )
@@ -688,56 +625,30 @@ let submit t ?deadline_ms ?seed image =
     in
     with_lock req.cell.cm (fun () -> req.cell.result <- Some out)
   in
-  (* admission control at submit (DESIGN.md §13): if no rung of the ladder
-     could finish inside the *full* budget even starting right now, the
-     request can never be served — fail fast with the typed deadline without
-     enqueueing, so it never occupies a domain. (Rungs whose cost is unknown
-     count as fitting; the dequeue-side check re-evaluates against the
-     budget actually remaining after queueing.) *)
-  let admissible =
-    Array.exists
-      (fun (dep, _) ->
-        match dep.dep_cost_ms with None -> true | Some c -> c <= budget_ms)
-      t.ladder
+  let admit () =
+    if Atomic.get t.draining then
+      (* draining: the typed refusal clients already understand — retry
+         against another instance, this one is on its way down *)
+      Error (Queue.length t.queue)
+    else begin
+      Atomic.incr t.inflight_count;
+      match Queue.push t.queue (fun ~worker -> process t req ~worker) with
+      | Ok () -> Ok ()
+      | Error depth ->
+          Atomic.decr t.inflight_count;
+          Error depth
+    end
   in
-  if not admissible then begin
-    Metrics.incr t.mx.mx_admission;
-    Metrics.incr t.mx.mx_deadline;
-    reject (Error (deadline_error req ~elapsed_ms:0.0 ~op:"admission"));
-    req
-  end
-  else begin
-    let admit () =
-      if Atomic.get t.draining then
-        (* draining: the typed refusal clients already understand — retry
-           against another instance, this one is on its way down *)
-        Error (Queue.length t.queue)
-      else begin
-        Atomic.incr t.inflight_count;
-        match
-          Queue.push t.queue
-            {
-              Pool.job_cancel = Some req.req_cancel;
-              job_run = (fun ~worker -> process t req ~worker);
-            }
-        with
-        | Ok () -> Ok ()
-        | Error depth ->
-            Atomic.decr t.inflight_count;
-            Error depth
-      end
-    in
-    (match admit () with
-    | Ok () -> ()
-    | Error depth ->
-        (* shed at admission: the typed rejection is the response *)
-        Metrics.incr t.mx.mx_shed;
-        reject
-          (Error
-             ( Herr.Overloaded { queue_depth = depth; high_water = Queue.high_water t.queue },
-               Herr.context ~backend:"serve" "submit" )));
-    req
-  end
+  (match admit () with
+  | Ok () -> ()
+  | Error depth ->
+      (* shed at admission: the typed rejection is the response *)
+      Metrics.incr t.mx.mx_shed;
+      reject
+        (Error
+           ( Herr.Overloaded { queue_depth = depth; high_water = Queue.high_water t.queue },
+             Herr.context ~backend:"serve" "submit" )));
+  req
 
 let await t (req : ticket) =
   let poll_ms = 1.0 in
@@ -847,7 +758,6 @@ let stats t =
     s_worker_crashes = v t.mx.mx_worker_crashes;
     s_late_results = v t.mx.mx_late;
     s_cancelled = v t.mx.mx_cancelled;
-    s_admission_rejects = v t.mx.mx_admission;
     s_integrity_failures = v t.mx.mx_integrity;
     s_queue = Queue.stats t.queue;
     s_latency_p50_ms = q 0.50;
@@ -984,10 +894,9 @@ let pp_stats fmt s =
   Format.fprintf fmt
     "@[<v>requests: %d submitted, %d ok (%d degraded), %d failed, %d shed, %d deadline-expired@,\
      retries: %d; breaker trips: %d; worker crashes: %d; late results: %d@,\
-     cancelled: %d; admission rejects: %d; integrity failures: %d@,\
+     cancelled: %d; integrity failures: %d@,\
      queue: %d admitted, %d shed, max depth %d@,\
      latency ms: p50 %.1f  p95 %.1f  p99 %.1f@]"
     s.s_submitted s.s_succeeded s.s_degraded s.s_failed s.s_shed s.s_deadline s.s_retries
-    s.s_breaker_trips s.s_worker_crashes s.s_late_results s.s_cancelled s.s_admission_rejects
-    s.s_integrity_failures s.s_queue.Queue.q_pushed s.s_queue.Queue.q_shed
-    s.s_queue.Queue.q_max_depth s.s_latency_p50_ms s.s_latency_p95_ms s.s_latency_p99_ms
+    s.s_breaker_trips s.s_worker_crashes s.s_late_results s.s_cancelled s.s_integrity_failures
+    s.s_queue.Queue.q_pushed s.s_queue.Queue.q_shed s.s_queue.Queue.q_max_depth s.s_latency_p50_ms s.s_latency_p95_ms s.s_latency_p99_ms

@@ -6,13 +6,14 @@
     module is the serving substrate around that stream: a bounded job queue
     feeding a pool of OCaml 5 domain workers, with
 
-    - {b deadlines}: every request carries a latency budget; a request whose
-      deadline passes while queued is never started, a request whose
-      predicted cost cannot fit the budget on any rung is refused up front
-      (admission control, DESIGN.md §13), and a caller whose deadline passes
+    - {b deadlines}: every request carries a latency budget, enforced by
+      elapsed time alone (DESIGN.md §13): a request whose deadline passes
+      while queued is never started, and a caller whose deadline passes
       mid-inference gets a typed [Deadline_exceeded] while the abandoned
       attempt is freed at the executor's next plan-step boundary via its
-      cancel token — a worker is lost for one step, not one inference;
+      cancel token — a worker is lost for one step, not one inference. A
+      request that cannot make its deadline always ends as
+      [Deadline_exceeded]; it is never rerouted to a degraded rung;
     - {b retries}: transient typed failures ([Numeric_blowup],
       [Corrupt_ciphertext], and the other checked-backend detections) are
       retried with capped exponential backoff + jitter, within the deadline;
@@ -69,10 +70,6 @@ type deployment = {
           ({!Compiler.plan}): its slot count must be the backend's, and its
           twin flag the compile's — a sentinel compile's rotation keys cover
           only the twin layout's doubled rotation amounts. *)
-  dep_cost_ms : float option;
-      (** calibrated cost-model prediction of one inference on this rung,
-          used by admission control and deadline-aware rung selection
-          (DESIGN.md §13); [None] = unknown, the rung is always admitted *)
   dep_backend : rung_backend;
   dep_sentinel : Chet.Integrity.spec option;
       (** When present, every answer this rung produces is verified against
@@ -90,7 +87,6 @@ val ladder_of_compiled :
   ?rotation_keys:Compiler.rotation_key_policy ->
   ?reduced_rungs:int ->
   ?clear_fallback:bool ->
-  ?predict_cost:bool ->
   ?sentinel:Chet.Integrity.spec ->
   with_secret:bool ->
   unit ->
@@ -106,12 +102,6 @@ val ladder_of_compiled :
     an availability-over-confidentiality last resort that callers can veto.
     Every rung is [Shared]: prepared once per worker.
 
-    With [predict_cost] (default false), the FHE rungs carry [dep_cost_ms]
-    taken from the chosen policy's {!Compiler.policy_report} — the calibrated
-    cost model already priced every layout during compilation, so admission
-    control costs nothing extra — and the cleartext rung carries [Some 0.]
-    (orders of magnitude cheaper than any FHE rung).
-
     The geometry is the compile's ({!Compiler.plan}): every rung of a
     circuit compiled with [opts.sentinel = true] runs the twin plan, with
     or without [?sentinel]. With [?sentinel] the primary and cleartext
@@ -126,7 +116,6 @@ val ladder_of_keyset :
   keyset:Compiler.keyset ->
   ?reduced_rungs:int ->
   ?clear_fallback:bool ->
-  ?predict_cost:bool ->
   ?sentinel:Chet.Integrity.spec ->
   unit ->
   deployment list
@@ -246,8 +235,6 @@ type stats = {
   s_worker_crashes : int;  (** non-FHE exceptions converted to [Worker_crashed] *)
   s_late_results : int;  (** attempts that finished after their caller gave up *)
   s_cancelled : int;  (** outcomes delivered as typed [Cancelled] *)
-  s_admission_rejects : int;
-      (** requests refused because no rung's predicted cost fit the budget *)
   s_integrity_failures : int;
       (** attempts whose sentinel lane failed verification (each retried or
           degraded per {!transient_error}) *)

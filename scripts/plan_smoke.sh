@@ -3,9 +3,11 @@
 # plan, which a warm restart rebuilds from the bundle's compiled decisions
 # (DESIGN.md §11), and the plan must carry the sentinel lane. Requires
 # (a) a fresh generation stores no plan (no plan.chet), (b) a warm restart
-# from it skips the compile and answers exactly like a cold serve, and
+# from it skips the compile and answers exactly like a cold serve,
 # (c) a sentinel-verified serve answers every request with a finite
-# sentinel margin.
+# sentinel margin, and (d) a real micro serve whose deadline one inference
+# (about 2.4 s on 2 vCPUs) fits is answered by the primary rung: deadlines
+# are enforced by elapsed time, not by a cost prediction.
 #
 # Usage: scripts/plan_smoke.sh  (expects a completed `dune build`)
 set -euo pipefail
@@ -61,5 +63,13 @@ case "$margin" in
     exit 1
     ;;
 esac
+
+echo "-- a real serve that fits its deadline is answered by the primary"
+"$BIN" serve micro --real --requests 1 --domains 1 --deadline-ms 8000 >"$DIR/real.out"
+grep -q '^req 00: ok .* via primary' "$DIR/real.out" || {
+  echo "plan smoke FAIL: real serve within its deadline not answered by the primary:" >&2
+  grep '^req ' "$DIR/real.out" >&2 || true
+  exit 1
+}
 
 echo "plan smoke OK"

@@ -1,5 +1,5 @@
-(* End-to-end result integrity (DESIGN.md §16): sentinel twin layouts, the
-   noise-margin guard, and the fault classes they must catch. *)
+(* End-to-end result integrity (DESIGN.md §16): sentinel twin layouts and
+   the fault classes they must catch. *)
 
 module Tensor = Chet_tensor.Tensor
 module Layout = Chet_runtime.Layout
@@ -87,7 +87,7 @@ let test_sentinel_clean_micro () = run_sentinel_clean Models.micro
 
 let test_sentinel_clean_zoo () =
   (* all five Table-3 networks, validated through the real kernels on the
-     clear backend (the per-model deployment self-check the service runs) *)
+     clear backend *)
   List.iter
     (fun (spec : Models.spec) ->
       let circuit = spec.Models.build () in
@@ -129,58 +129,12 @@ let test_sentinel_real_backend () =
   if diff > 0.05 then Alcotest.failf "primary fidelity under sentinel: diff %.4f" diff;
   if not (!margin > 0.0) then Alcotest.failf "real-backend sentinel margin %.2f" !margin
 
-(* --- noise-margin guard ---------------------------------------------- *)
+(* --- checked backend on a deep chain ---------------------------------
+   Checked predicts no precision: a legal circuit of any depth runs, and
+   precision is measured by the sentinel lane instead. *)
 
-let noise_checked ?margin ?(slots = 64) () =
-  let scheme = Hisa.Pow2_modulus 8000 in
-  Checked.wrap ~noise:(Checked.default_noise_model ()) ?margin ~scheme (clear_backend ~slots ())
-
-(* A forced over-depth circuit: squaring doubles the error bound every
-   round, so the bound deterministically crosses the tolerance and the
-   guard must raise typed [Precision_exhausted] BEFORE any decrypt — and
-   the modulus budget (8000 logQ bits, ~13 of 400 possible rescales used)
-   guarantees nothing else fires first. *)
-let test_precision_exhausted () =
-  let module H = (val noise_checked () : Hisa.S) in
-  let scale = 1 lsl 20 in
-  let x = H.encrypt (H.encode (Array.make 64 1.0) ~scale) in
-  let fired = ref None in
-  let decrypted = ref false in
-  (try
-     let c = ref x in
-     for _ = 1 to 40 do
-       let sq = H.mul !c !c in
-       c := H.rescale sq scale
-     done;
-     decrypted := true;
-     ignore (H.decode (H.decrypt !c))
-   with Herr.Fhe_error (Herr.Precision_exhausted { margin_bits; tolerance }, ctx) ->
-     fired := Some (margin_bits, tolerance, ctx.Herr.op));
-  match !fired with
-  | None -> Alcotest.fail "over-depth square chain never raised Precision_exhausted"
-  | Some (margin_bits, tolerance, op) ->
-      Alcotest.(check bool) "raised before decrypt" false !decrypted;
-      Alcotest.(check (float 1e-9)) "tolerance carried" 0.05 tolerance;
-      if margin_bits > 0.0 then Alcotest.failf "exhausted margin %.2f should be <= 0" margin_bits;
-      Alcotest.(check string) "named the crossing op" "mul" op
-
-let test_noise_margin_gauge () =
-  let margin = ref Float.nan in
-  let module H = (val noise_checked ~margin () : Hisa.S) in
-  let scale = 1 lsl 20 in
-  let x = H.encrypt (H.encode (Array.make 64 1.0) ~scale) in
-  let y = H.rescale (H.mul x x) scale in
-  ignore (H.decode (H.decrypt y));
-  let shallow = !margin in
-  if not (shallow > 0.0) then Alcotest.failf "shallow margin %.2f should be positive" shallow;
-  (* more depth consumes margin monotonically *)
-  let z = H.rescale (H.mul y y) scale in
-  ignore (H.decode (H.decrypt z));
-  if not (!margin < shallow) then
-    Alcotest.failf "margin must shrink with depth: %.2f -> %.2f" shallow !margin
-
-let test_noise_guard_off_by_default () =
-  (* without a noise model the guard never fires, whatever the depth *)
+let test_checked_deep_square_chain () =
+  (* 40 squarings, each rescaled, inside an 8000-bit modulus budget *)
   let scheme = Hisa.Pow2_modulus 8000 in
   let module H = (val Checked.wrap ~scheme (clear_backend ~slots:64 ()) : Hisa.S) in
   let scale = 1 lsl 20 in
@@ -199,8 +153,6 @@ let suite =
         Alcotest.test_case "sentinel clean: micro, all policies" `Quick test_sentinel_clean_micro;
         Alcotest.test_case "sentinel clean: zoo validation" `Slow test_sentinel_clean_zoo;
         Alcotest.test_case "sentinel on real backend" `Slow test_sentinel_real_backend;
-        Alcotest.test_case "precision exhausted before decrypt" `Quick test_precision_exhausted;
-        Alcotest.test_case "noise margin gauge" `Quick test_noise_margin_gauge;
-        Alcotest.test_case "noise guard off by default" `Quick test_noise_guard_off_by_default;
+        Alcotest.test_case "checked: 40-deep squaring runs" `Quick test_checked_deep_square_chain;
       ] );
   ]

@@ -60,7 +60,6 @@ let clean_dep () =
     dep_degraded = false;
     dep_scales = seal_opts.Compiler.scales;
     dep_plan = Lazy.force plan;
-    dep_cost_ms = None;
     dep_backend = Service.Per_attempt (fun ~req_seed:_ ~attempt:_ -> clear_backend ());
     dep_sentinel = None;
   }

@@ -452,7 +452,6 @@ let sample_errors : Herr.error list =
     Herr.Cancelled { node_id = Some 23; reason = "superseded" };
     Herr.Cancelled { node_id = None; reason = "caller went away" };
     Herr.Integrity_violation { slot = 33; expected = 0.75; got = 0.1875 };
-    Herr.Precision_exhausted { margin_bits = -1.5; tolerance = 0.05 };
   ]
 
 let sample_response_ok =
@@ -521,7 +520,29 @@ let test_wire_response_roundtrip () =
       let back = Serial.read_response (Serial.reader (frame_bytes Serial.write_response rsp)) in
       if back <> rsp then
         Alcotest.failf "error variant %s did not roundtrip" (Herr.error_name err))
-    sample_errors
+    sample_errors;
+  (* error code 18 belonged to an error nothing raises any more; it stays
+     unassigned, so an RSP1 carrying it is refused, typed *)
+  let retired =
+    frame_bytes
+      (fun w () ->
+        Serial.write_frame w "RSP1" (fun w ->
+            Serial.write_int w Serial.wire_version;
+            List.iter (Serial.write_int w) [ 8 (* id *); 0 (* shard *) ];
+            Serial.write_string w "";
+            List.iter (Serial.write_int w) [ 0 (* degraded *); 1 (* attempts *) ];
+            Serial.write_float w 0.0;
+            Serial.write_float_array w [||];
+            List.iter (Serial.write_int w) [ 1 (* error result *); 18 ];
+            Serial.write_float w (-1.5);
+            Serial.write_float w 0.05;
+            Serial.write_herr_context w (Herr.context "decrypt")))
+      ()
+  in
+  match Serial.read_response (Serial.reader retired) with
+  | _ -> Alcotest.fail "RSP1 with unassigned error code 18 accepted"
+  | exception Serial.Corrupt msg ->
+      Alcotest.(check string) "typed reason" "RSP1: unknown error code 18" msg
 
 let test_wire_health_roundtrip () =
   List.iter

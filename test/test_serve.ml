@@ -46,13 +46,12 @@ let clear_backend () =
       encode_noise = false;
     }
 
-let dep ?(label = "primary") ?(degraded = false) ?cost_ms backend =
+let dep ?(label = "primary") ?(degraded = false) backend =
   {
     Service.dep_label = label;
     dep_degraded = degraded;
     dep_scales = seal_opts.Compiler.scales;
     dep_plan = Lazy.force plan;
-    dep_cost_ms = cost_ms;
     dep_backend = Service.Per_attempt backend;
     dep_sentinel = None;
   }
@@ -556,69 +555,6 @@ let test_midcircuit_cancel_frees_worker () =
       Alcotest.(check int) "cancel counted" 1 s.Service.s_cancelled;
       Alcotest.(check int) "no worker crashes" 0 s.Service.s_worker_crashes)
 
-(* --- admission control (DESIGN.md §13) -------------------------------
-   A deadline no rung's predicted cost can fit is refused at submit: typed
-   [Deadline_exceeded] in O(ladder) time, no backend construction, no
-   queue push — the request never occupies a domain. *)
-
-let test_admission_control_rejects_unfittable () =
-  let invoked = Atomic.make false in
-  let pricey =
-    dep ~label:"pricey" ~cost_ms:10_000.0 (fun ~req_seed:_ ~attempt:_ ->
-        Atomic.set invoked true;
-        clear_backend ())
-  in
-  with_service (quick_cfg ~domains:1 ()) [ pricey ] (fun svc ->
-      let o = Service.infer svc ~deadline_ms:5.0 ~seed:1 (image 1) in
-      (match o.Service.out_result with
-      | Error (Herr.Deadline_exceeded { budget_ms; elapsed_ms }, _) ->
-          Alcotest.(check (float 0.01)) "budget echoed" 5.0 budget_ms;
-          Alcotest.(check (float 0.001)) "refused with zero work" 0.0 elapsed_ms
-      | Ok _ -> Alcotest.fail "unfittable deadline must be refused"
-      | Error (e, c) -> Alcotest.failf "wrong error class: %s" (Herr.to_string (e, c)));
-      Alcotest.(check bool) "backend never built" false (Atomic.get invoked);
-      let s = Service.stats svc in
-      Alcotest.(check int) "admission reject counted" 1 s.Service.s_admission_rejects;
-      Alcotest.(check int) "never enqueued: no domain occupied" 0
-        s.Service.s_queue.Squeue.q_pushed;
-      (* the same ladder serves a request whose budget the cost model fits *)
-      let fine = Service.infer svc ~deadline_ms:60_000.0 ~seed:2 (image 2) in
-      ignore (ok_tensor "fitting request" fine);
-      Alcotest.(check bool) "pricey rung ran this time" true (Atomic.get invoked))
-
-(* --- deadline-aware rung selection -----------------------------------
-   With per-rung cost predictions, a tight budget routes straight to the
-   cheapest rung that fits — the unfit primary is skipped without running
-   (and without consuming a breaker probe slot). *)
-
-let test_deadline_aware_rung_selection () =
-  let primary_ran = Atomic.make false in
-  let pricey =
-    dep ~label:"pricey" ~cost_ms:50_000.0 (fun ~req_seed:_ ~attempt:_ ->
-        Atomic.set primary_ran true;
-        clear_backend ())
-  in
-  let cheap =
-    dep ~label:"cheap" ~degraded:true ~cost_ms:0.0 (fun ~req_seed:_ ~attempt:_ ->
-        clear_backend ())
-  in
-  with_service (quick_cfg ~domains:1 ()) [ pricey; cheap ] (fun svc ->
-      let o = Service.infer svc ~deadline_ms:2_000.0 ~seed:3 (image 3) in
-      let got = ok_tensor "tight-budget request" o in
-      Alcotest.(check string) "served by the fitting rung" "cheap" o.Service.out_served_by;
-      Alcotest.(check bool) "flagged degraded" true o.Service.out_degraded;
-      Alcotest.(check bool) "unfit primary never ran" false (Atomic.get primary_ran);
-      let expected = direct_clean_run (image 3) in
-      Alcotest.(check (float 0.0))
-        "bit-identical answer" 0.0
-        (T.max_abs_diff (T.flatten expected) (T.flatten got));
-      Alcotest.(check int) "skipping a rung is not an admission reject" 0
-        (Service.stats svc).Service.s_admission_rejects;
-      (* with budget to spare, fidelity wins: the primary serves again *)
-      let o2 = Service.infer svc ~deadline_ms:600_000.0 ~seed:4 (image 4) in
-      ignore (ok_tensor "generous-budget request" o2);
-      Alcotest.(check string) "primary serves when it fits" "pricey" o2.Service.out_served_by)
-
 (* --- retry backoff clamped to the remaining budget --------------------
    On a manual clock (only backoff sleeps advance it; the 1 ms await polls
    do not), a persistently-failing rung with a 100 ms budget and a 40 ms
@@ -795,10 +731,6 @@ let suite =
           test_graceful_drain;
         Alcotest.test_case "cancel mid-circuit frees the worker, typed + node id" `Quick
           test_midcircuit_cancel_frees_worker;
-        Alcotest.test_case "admission control refuses unfittable deadlines" `Quick
-          test_admission_control_rejects_unfittable;
-        Alcotest.test_case "deadline-aware rung selection skips unfit rungs" `Quick
-          test_deadline_aware_rung_selection;
         Alcotest.test_case "retry backoff clamped to remaining budget" `Quick
           test_backoff_clamped_to_budget;
         Alcotest.test_case "prepared sentinel rungs match one-shot plans (real)" `Slow
