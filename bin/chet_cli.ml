@@ -92,8 +92,8 @@ let apply_cost_file opts target = function
 let state_dir_arg =
   let doc =
     "Durable deployment store directory (created if absent). `compile' saves the deployment \
-     bundle there; `serve' warm-restarts from it — skipping compilation and key generation — \
-     and persists its breaker state on clean shutdown. Inspect with `chet store'."
+     bundle there; `serve' warm-restarts from it, skipping compilation and key generation. \
+     Inspect with `chet store'."
   in
   Arg.(value & opt (some string) None & info [ "state-dir" ] ~docv:"DIR" ~doc)
 
@@ -552,29 +552,6 @@ let boot ~with_keys ~target ~want_sentinel ~seed store circuit =
         store;
       (None, compiled)
 
-(* The serving layer's learned state survives clean restarts: a rung whose
-   breaker was open before the restart stays open after it. *)
-let restore_service_state store svc =
-  Option.iter
-    (fun st ->
-      match Store.load_state st ~name:"service.state" with
-      | None -> ()
-      | Some (Ok s) -> (
-          match Service.restore_state svc s with
-          | Ok n -> if n > 0 then Printf.printf "restored breaker state for %d rung(s)\n" n
-          | Error e ->
-              Printf.eprintf "chet: store: service state ignored (%s: %s)\n" (Herr.error_name e)
-                (Herr.error_detail e))
-      | Some (Error e) ->
-          Printf.eprintf "chet: store: quarantined corrupt service state (%s)\n"
-            (Herr.error_detail e))
-    store
-
-let save_service_state store svc =
-  Option.iter
-    (fun st -> Store.save_state st ~name:"service.state" (Service.state_to_string svc))
-    store
-
 (* The fault modes every serving command injects (see [arm_fault]). *)
 let fault_modes =
   [ ("none", `None); ("transient", `Transient); ("persistent", `Persistent); ("silent", `Silent) ]
@@ -612,13 +589,12 @@ let arm_fault fault compiled ~req_seed ~attempt base =
 
 let clear_backend compiled = Compiler.view (Compiler.clear_keyset compiled) ~req_seed:0
 
-(* A cleartext rung of the CLI's demo ladders. Rungs that see a different
-   backend on every attempt (faults, delays) are [Per_attempt]; the others
-   share one plan prepared per worker. *)
-let clear_rung compiled ~plan ~label ~degraded ?sentinel backend =
+(* The cleartext deployment of `serve' and `shard-worker'. One that sees a
+   different backend on every attempt (faults, delays) is [Per_attempt];
+   otherwise it shares one plan prepared per worker. *)
+let clear_deployment compiled ~plan ?sentinel backend =
   {
-    Service.dep_label = label;
-    dep_degraded = degraded;
+    Service.dep_label = "primary";
     dep_scales = compiled.Compiler.opts.Compiler.scales;
     dep_plan = plan;
     dep_backend = backend;
@@ -647,16 +623,16 @@ let serve_cmd =
   let fault_arg =
     fault_arg
       ~doc:
-        "Inject faults into the primary deployment: 'transient' NaN-poisons only the first \
-         attempt of each request (retries recover), 'persistent' NaN-poisons every attempt (the \
-         circuit breaker trips and traffic degrades to the fallback rung), 'silent' perturbs \
-         result slots with no typed error — invisible without $(b,--sentinel), which catches it \
-         and degrades to the clean fallback."
+        "Inject faults into the cleartext deployment: 'transient' NaN-poisons only the first \
+         attempt of each request (retries recover), 'persistent' NaN-poisons every attempt (each \
+         request ends in a typed error after its retries), 'silent' perturbs result slots with \
+         no typed error — invisible without $(b,--sentinel), which fails each request with a \
+         typed Integrity_violation after its retries."
   in
   let real_arg =
     Arg.(
       value & flag
-      & info [ "real" ] ~doc:"Serve on the real instantiated scheme ladder instead of cleartext.")
+      & info [ "real" ] ~doc:"Serve on the real instantiated scheme instead of cleartext.")
   in
   let sentinel_arg =
     Arg.(
@@ -675,7 +651,7 @@ let serve_cmd =
       & info [ "metrics-dump" ]
           ~doc:
             "After the trace, print the service's metrics registry in Prometheus text \
-             exposition format (request counters, latency histogram, breaker-state gauges).")
+             exposition format (request counters, latency histogram, queue gauges).")
   in
   let interarrival_arg =
     Arg.(
@@ -697,7 +673,7 @@ let serve_cmd =
       boot ~with_keys:real ~target ~want_sentinel ~seed store circuit
     in
     Format.printf "%a@." Compiler.pp_compiled compiled;
-    let ladder =
+    let deployment =
       if real then begin
         (* the bundle's seed governs: the restored deployment must be
            bit-identical to the one that wrote it *)
@@ -709,42 +685,31 @@ let serve_cmd =
         Service.ladder_of_keyset compiled ~keyset ?sentinel ()
       end
       else begin
-        (* cleartext twin of the deployment ladder: same circuit, policy and
-           scales, with seeded fault injection on the primary rung so the
-           retry/breaker machinery has something to push against *)
-        let plan = Compiler.plan compiled in
-        let clear = Service.Shared (Compiler.clear_keyset compiled) in
-        let primary =
-          if fault = `None then clear
-          else
-            Service.Per_attempt
-              (fun ~req_seed ~attempt ->
-                arm_fault fault compiled ~req_seed ~attempt (clear_backend compiled))
-        in
-        [
-          clear_rung compiled ~plan ~label:"primary" ~degraded:false ?sentinel primary;
-          clear_rung compiled ~plan ~label:"clear-fallback" ~degraded:true ?sentinel clear;
-        ]
+        (* the cleartext deployment: same circuit, policy and scales, with
+           seeded fault injection so the retry machinery has something to
+           push against *)
+        clear_deployment compiled ~plan:(Compiler.plan compiled) ?sentinel
+          (if fault = `None then Service.Shared (Compiler.clear_keyset compiled)
+           else
+             Service.Per_attempt
+               (fun ~req_seed ~attempt ->
+                 arm_fault fault compiled ~req_seed ~attempt (clear_backend compiled)))
       end
     in
-    (* every rung runs the same plan *)
-    Printf.printf "plan: %s\n" (Plan.summary (List.hd ladder).Service.dep_plan);
+    Printf.printf "plan: %s\n" (Plan.summary deployment.Service.dep_plan);
     let cfg =
       {
         (Service.default_config ~domains ()) with
         Service.high_water = queue_hw;
-        breaker_threshold = 3;
-        breaker_cooldown_ms = 500.0;
         backoff_base_ms = 1.0;
         backoff_cap_ms = 10.0;
         default_deadline_ms = deadline_ms;
       }
     in
-    let svc = Service.create cfg ~circuit ~ladder in
-    restore_service_state store svc;
+    let svc = Service.create cfg ~circuit ~ladder:deployment in
     (* graceful shutdown: on SIGINT/SIGTERM stop admitting (remaining
        scripted requests are refused with the typed Overloaded vocabulary),
-       drain what is in flight within its deadlines, persist state, exit 0 *)
+       drain what is in flight within its deadlines, exit 0 *)
     let stopping = stop_on_signals () in
     (* scripted trace: a burst by default — bigger than the queue can hold
        if [requests] outruns [queue + domains], which is the point — or
@@ -767,16 +732,13 @@ let serve_cmd =
       Printf.printf "req %02d: %-5s %s (shutting down)\n" i "ERR"
         (Herr.error_name (Herr.Overloaded { queue_depth = 0; high_water = queue_hw }))
     done;
-    save_service_state store svc;
     Service.shutdown svc;
     List.iter
       (fun (o : Service.outcome) ->
         match o.Service.out_result with
         | Ok t ->
-            Printf.printf "req %02d: ok    class=%d via %s%s (%d attempt%s, %.1f ms)\n"
-              o.Service.out_id (T.argmax t) o.Service.out_served_by
-              (if o.Service.out_degraded then " [degraded]" else "")
-              o.Service.out_attempts
+            Printf.printf "req %02d: ok    class=%d via %s (%d attempt%s, %.1f ms)\n"
+              o.Service.out_id (T.argmax t) o.Service.out_served_by o.Service.out_attempts
               (if o.Service.out_attempts = 1 then "" else "s")
               o.Service.out_total_ms
         | Error (e, _) ->
@@ -785,9 +747,8 @@ let serve_cmd =
     Format.printf "%a@." Service.pp_stats (Service.stats svc);
     if metrics_dump then print_string (Service.metrics_snapshot svc);
     if Atomic.get stopping then begin
-      Printf.printf "graceful shutdown: drained %d in-flight, refused %d, state %s\n"
-        (List.length outcomes) !refused
-        (if Option.is_some store then "persisted" else "not persisted (no --state-dir)");
+      Printf.printf "graceful shutdown: drained %d in-flight, refused %d\n" (List.length outcomes)
+        !refused;
       exit 0
     end
   in
@@ -795,7 +756,7 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run the supervised inference service on a scripted request trace (deadlines, retries, \
-          load shedding, circuit-breaker degradation) and print a stats summary")
+          load shedding) against one deployment and print a stats summary")
     Term.(
       const run $ kernel_term_serve $ model_arg $ target_arg $ requests_arg $ domains_arg
       $ queue_arg $ deadline_arg
@@ -916,9 +877,12 @@ let shard_worker_cmd =
   let fault_arg =
     fault_arg
       ~doc:
-        "Inject faults into the primary rung: $(b,transient)/$(b,persistent) NaN-poison (as \
-         `chet serve'), or $(b,silent) small-magnitude corruption that evades every per-op \
-         screen and is only caught by the sentinel lane (DESIGN.md §16)."
+        "Inject faults into the shard's deployment: $(b,transient) NaN-poisons the first attempt \
+         of each request (retries recover), $(b,persistent) every attempt (each request ends in \
+         a typed error after its retries), $(b,silent) is small-magnitude corruption that evades \
+         every per-op screen: with $(b,--sentinel) each request fails with a typed \
+         Integrity_violation, which the supervisor answers by sending it to another shard \
+         (DESIGN.md §16)."
   in
   let sentinel_arg =
     Arg.(
@@ -933,8 +897,8 @@ let shard_worker_cmd =
       value & opt float 0.0
       & info [ "slow-ms" ]
           ~doc:
-            "Artificially sleep this long inside every primary-rung attempt — makes this shard a \
-             predictable straggler for hedging demos (scripts/hedge_smoke.sh).")
+            "Artificially sleep this long inside every attempt — makes this shard a predictable \
+             straggler for hedging demos (scripts/hedge_smoke.sh).")
   in
   let run () model target listen shard domains queue_hw max_inflight fault want_sentinel slow_ms
       state_dir seed =
@@ -953,37 +917,20 @@ let shard_worker_cmd =
       if slow_ms > 0.0 then Unix.sleepf (slow_ms /. 1000.0);
       arm_fault fault compiled ~req_seed ~attempt (clear_backend compiled)
     in
-    let shared = Service.Shared (Compiler.clear_keyset compiled) in
-    (* NaN-poison deliberately spares the fallback (the degradation drill:
-       primary poisoned, clear rung saves the request), but silent
-       corruption models a bad *host* — flaky memory corrupts every rung it
-       computes on, so the Integrity_violation escapes to the supervisor
-       instead of being healed by degradation *)
-    let ladder =
-      [
-        clear_rung compiled ~plan ~label:"primary" ~degraded:false ?sentinel
-          (if fault = `None && slow_ms <= 0.0 then shared else Service.Per_attempt primary_backend);
-        clear_rung compiled ~plan ~label:"clear-fallback" ~degraded:true ?sentinel
-          (match fault with
-          | `Silent ->
-              Service.Per_attempt
-                (fun ~req_seed ~attempt ->
-                  arm_fault fault compiled ~req_seed ~attempt (clear_backend compiled))
-          | _ -> shared);
-      ]
+    let deployment =
+      clear_deployment compiled ~plan ?sentinel
+        (if fault = `None && slow_ms <= 0.0 then Service.Shared (Compiler.clear_keyset compiled)
+         else Service.Per_attempt primary_backend)
     in
     let cfg =
       {
         (Service.default_config ~domains ()) with
         Service.high_water = queue_hw;
-        breaker_threshold = 3;
-        breaker_cooldown_ms = 500.0;
         backoff_base_ms = 1.0;
         backoff_cap_ms = 10.0;
       }
     in
-    let svc = Service.create cfg ~circuit ~ladder in
-    restore_service_state store svc;
+    let svc = Service.create cfg ~circuit ~ladder:deployment in
     let srv_cfg =
       {
         (Net_server.default_config ~shard addr) with
@@ -1022,10 +969,9 @@ let shard_worker_cmd =
       Thread.delay 0.05
     done;
     (* graceful drain (DESIGN.md §12): finish what was admitted, answer
-       everything new with typed Overloaded, persist learned state, exit 0 *)
+       everything new with typed Overloaded, exit 0 *)
     Service.begin_drain svc;
     let drained = Service.drain svc ~timeout_ms:10_000.0 in
-    save_service_state store svc;
     Net_server.stop server;
     Service.shutdown svc;
     let st = Net_server.stats server in
@@ -1041,8 +987,8 @@ let shard_worker_cmd =
     (Cmd.info "shard-worker"
        ~doc:
          "Serve one model shard over a socket: REQ1 inference frames in, RSP1 answers (or typed \
-          errors) out, HLTH pings for the supervisor. SIGTERM drains gracefully and persists \
-          state; meant to be forked by `chet supervise' but runnable by hand")
+          errors) out, HLTH pings for the supervisor. SIGTERM drains gracefully; meant to be \
+          forked by `chet supervise' but runnable by hand")
     Term.(
       const run $ kernel_term_serve $ model_arg $ target_arg $ listen_arg $ shard_arg
       $ domains_arg $ queue_arg
@@ -1064,7 +1010,12 @@ let supervise_cmd =
       & info [ "duration-s" ] ~doc:"Exit cleanly after this many seconds (0 = until SIGTERM).")
   in
   let fault_arg =
-    fault_arg ~doc:"Fault mode passed through to the shard workers (see `chet shard-worker --help')."
+    fault_arg
+      ~doc:
+        "Fault mode passed through to the shard workers: $(b,persistent) ends each request in a \
+         typed error after its retries; $(b,silent) with $(b,--sentinel) fails each answer with \
+         a typed Integrity_violation, and the request goes to another shard (see `chet \
+         shard-worker --help')."
   in
   let fault_shard_arg =
     Arg.(

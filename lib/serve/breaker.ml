@@ -1,17 +1,17 @@
-(* Per-deployment circuit breaker (DESIGN.md §9).
+(* Circuit breaker (DESIGN.md §12).
 
-   Each rung of the degradation ladder owns one of these. The service records
-   a *failure* when a request exhausts its retries on (or hard-fails out of)
-   that rung, and a *success* when the rung answers. After [threshold]
-   consecutive failures the breaker trips [Open]: the rung is skipped
-   entirely — no point burning a worker's time (and the request's deadline)
-   on a deployment that has exhausted its modulus chain or whose checked
-   backend keeps tripping. After [cooldown] seconds the breaker half-opens
-   and admits one probe request; a probe success closes it again, a probe
-   failure re-opens it for another cooldown.
+   The supervisor keeps one per shard. It records a *failure* when the
+   shard's transport fails, it refuses a request, its sentinel lane rejects
+   its answer or its process dies, and a *success* when it answers (a typed
+   FHE error is an answer too). After [threshold] consecutive failures the breaker trips
+   [Open]: the shard is skipped entirely — no point spending the request's
+   deadline on a shard that keeps failing. After [cooldown] seconds the
+   breaker half-opens and admits one probe request; a probe success closes
+   it again, a probe failure re-opens it for another cooldown.
 
    The clock is injected so tests can drive the state machine without
-   sleeping. Thread-safe: the service consults breakers from many domains. *)
+   sleeping. Thread-safe: the supervisor consults breakers from many
+   threads. *)
 
 type state = Closed | Open | Half_open
 
@@ -103,50 +103,6 @@ let record_success b =
           b.st <- Closed;
           b.probing <- false
       | Closed -> ())
-
-(* --- persistence (DESIGN.md §11) ---
-
-   A breaker's memory should survive a clean restart: a rung that had
-   exhausted its modulus chain before the restart is still broken after it,
-   and re-learning that costs [threshold] real requests. The snapshot is
-   clock-free — [Open] carries its *remaining* cooldown, not an absolute
-   timestamp, because the monotonic clock restarts with the process. *)
-
-type snapshot = {
-  sn_state : state;
-  sn_consecutive_failures : int;
-  sn_trips : int;
-  sn_cooldown_remaining : float;  (** seconds left before probing; 0 unless [Open] *)
-}
-
-let snapshot b =
-  with_lock b (fun () ->
-      {
-        sn_state = b.st;
-        sn_consecutive_failures = b.consecutive_failures;
-        sn_trips = b.trips;
-        sn_cooldown_remaining =
-          (match b.st with
-          | Open -> Float.max 0.0 (b.cooldown -. (b.now () -. b.opened_at))
-          | Closed | Half_open -> 0.0);
-      })
-
-let restore b sn =
-  with_lock b (fun () ->
-      b.consecutive_failures <- Stdlib.max 0 sn.sn_consecutive_failures;
-      b.trips <- Stdlib.max 0 sn.sn_trips;
-      b.probing <- false;
-      match sn.sn_state with
-      | Closed -> b.st <- Closed
-      | Half_open ->
-          (* the in-flight probe died with the old process: re-open with the
-             cooldown already elapsed, so the next admission probes at once *)
-          b.st <- Open;
-          b.opened_at <- b.now () -. b.cooldown
-      | Open ->
-          b.st <- Open;
-          b.opened_at <-
-            b.now () -. (b.cooldown -. Float.min b.cooldown (Float.max 0.0 sn.sn_cooldown_remaining)))
 
 let record_failure b =
   with_lock b (fun () ->

@@ -1,6 +1,6 @@
-(** Per-deployment circuit breaker (DESIGN.md §9).
+(** Circuit breaker (DESIGN.md §12).
 
-    Each rung of the degradation ladder owns one. [threshold] consecutive
+    The supervisor keeps one per shard. [threshold] consecutive
     failures trip it [Open]; after [cooldown] seconds it half-opens and
     admits one probe request — a probe success closes it, a probe failure
     re-opens it. Thread-safe; the clock is
@@ -32,20 +32,3 @@ val release : t -> unit
 
 val record_success : t -> unit
 val record_failure : t -> unit
-
-(** {1 Persistence (DESIGN.md §11)}
-
-    Clock-free snapshot: [Open] carries its {e remaining} cooldown, not an
-    absolute timestamp, because the monotonic clock restarts with the
-    process. A [Half_open] snapshot restores as [Open] with the cooldown
-    already elapsed (its in-flight probe died with the old process). *)
-
-type snapshot = {
-  sn_state : state;
-  sn_consecutive_failures : int;
-  sn_trips : int;
-  sn_cooldown_remaining : float;  (** seconds left before probing; 0 unless [Open] *)
-}
-
-val snapshot : t -> snapshot
-val restore : t -> snapshot -> unit

@@ -1,5 +1,5 @@
 (* The supervised encrypted-inference service: bounded queue -> domain pool
-   -> degradation ladder, with deadlines, retries and circuit breakers.
+   -> one deployment, with deadlines and retries.
    Interface documentation in service.mli; architecture in DESIGN.md §9. *)
 
 module Herr = Chet_hisa.Herr
@@ -16,95 +16,51 @@ module Integrity = Chet.Integrity
 module Metrics = Chet_obs.Metrics
 
 (* ------------------------------------------------------------------ *)
-(* Deployments                                                          *)
+(* The deployment                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type rung_backend =
+type backend =
   | Shared of Compiler.keyset
-      (* one keygen shared by every worker: each worker prepares the rung's
-         plan once over its own view and reseeds that view's sampler per
-         attempt *)
+      (* one keygen shared by every worker: each worker prepares the plan
+         once over its own view and reseeds that view's sampler per attempt *)
   | Per_attempt of (req_seed:int -> attempt:int -> Hisa.t)
-      (* a fresh backend per attempt (fault injection, gating): the rung's
-         plan is prepared on it per attempt *)
+      (* a fresh backend per attempt (fault injection, gating): the plan is
+         prepared on it per attempt *)
 
 type deployment = {
   dep_label : string;
-  dep_degraded : bool;
   dep_scales : Kernels.scales;
   dep_plan : Plan.t;
-      (* what the rung runs — its twin flag is the compile's, so it always
-         agrees with the keys' rotation amounts *)
-  dep_backend : rung_backend;
+      (* its twin flag is the compile's, so it always agrees with the keys'
+         rotation amounts *)
+  dep_backend : backend;
   dep_sentinel : Integrity.spec option;
       (* verify every answer against the sentinel lane (DESIGN.md §16) *)
 }
 
-(* Shrink the scale exponents the way Scale_select's fallback ladder does:
-   rung k costs the image scale 2k bits and each weight/mask scale k bits,
-   preserving the kernels' pw*pm = pu*pm = pc rescale invariant. *)
-let reduced_scales (s : Kernels.scales) k =
-  let e v = Stdlib.max 1 (int_of_float (Float.round (log (float_of_int v) /. log 2.0))) in
-  {
-    Kernels.pc = 1 lsl Stdlib.max 8 (e s.Kernels.pc - (2 * k));
-    pw = 1 lsl Stdlib.max 6 (e s.Kernels.pw - k);
-    pu = 1 lsl Stdlib.max 6 (e s.Kernels.pu - k);
-    pm = 1 lsl Stdlib.max 6 (e s.Kernels.pm - k);
-  }
-
-let ladder_of_keyset compiled ~(keyset : Compiler.keyset) ?(reduced_rungs = 1)
-    ?(clear_fallback = true) ?sentinel () =
+let ladder_of_keyset compiled ~(keyset : Compiler.keyset) ?sentinel () =
   let opts = compiled.Compiler.opts in
-  let scales = opts.Compiler.scales in
   (* the compile decided the geometry: a sentinel compile's rotation keys
-     cover only the twin layout's doubled amounts, so every rung runs twin
-     whether or not it verifies, and verification needs a twin compile *)
+     cover only the twin layout's doubled amounts, so the deployment runs
+     twin whether or not it verifies, and verification needs a twin compile *)
   if sentinel <> None && not opts.Compiler.sentinel then
     invalid_arg "Service.ladder_of_keyset: ?sentinel needs a circuit compiled with opts.sentinel";
-  (* every rung runs the same plan: plans are scale-free metadata, and each
-     rung prepares it at its own scales *)
-  let plan = Compiler.plan compiled in
-  let primary =
-    { dep_label = "primary"; dep_degraded = false; dep_scales = scales; dep_plan = plan;
-      dep_backend = Shared keyset; dep_sentinel = sentinel }
-  in
-  let reduced =
-    List.init reduced_rungs (fun i ->
-        let k = i + 1 in
-        {
-          dep_label = Printf.sprintf "reduced-scale-%d" k;
-          dep_degraded = true;
-          dep_scales = reduced_scales scales k;
-          dep_plan = plan;
-          dep_backend = Shared keyset;
-          (* a reduced rung trades precision for headroom by design, so the
-             full-precision sentinel tolerance would reject honest degraded
-             answers — it runs the (possibly twin) plan unverified *)
-          dep_sentinel = None;
-        })
-  in
-  let clear =
-    if not clear_fallback then []
-    else
-      [
-        {
-          dep_label = "clear-sim";
-          dep_degraded = true;
-          dep_scales = scales;
-          dep_plan = plan;
-          dep_backend = Shared (Compiler.clear_keyset compiled);
-          (* the cleartext rung is exact, so sentinel verification is free
-             and keeps the end-to-end integrity contract on the last rung *)
-          dep_sentinel = sentinel;
-        };
-      ]
-  in
-  (primary :: reduced) @ clear
+  {
+    dep_label = "primary";
+    dep_scales = opts.Compiler.scales;
+    dep_plan = Compiler.plan compiled;
+    dep_backend = Shared keyset;
+    dep_sentinel = sentinel;
+  }
 
-let ladder_of_compiled compiled ~seed ?rotation_keys ?reduced_rungs ?clear_fallback ?sentinel
-    ~with_secret () =
+(* [?reduced_rungs] and [?clear_fallback] remain only because the frozen
+   end-to-end benchmark passes them (at 0 and false) *)
+let ladder_of_compiled compiled ~seed ?rotation_keys ?(reduced_rungs = 0) ?(clear_fallback = false)
+    ?sentinel ~with_secret () =
+  if reduced_rungs <> 0 || clear_fallback then
+    invalid_arg "Service.ladder_of_compiled: a service serves one deployment";
   let keyset = Compiler.keyset compiled ~seed ?rotation_keys ~with_secret () in
-  ladder_of_keyset compiled ~keyset ?reduced_rungs ?clear_fallback ?sentinel ()
+  ladder_of_keyset compiled ~keyset ?sentinel ()
 
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                        *)
@@ -117,8 +73,6 @@ type config = {
   backoff_base_ms : float;
   backoff_cap_ms : float;
   backoff_jitter : float;
-  breaker_threshold : int;
-  breaker_cooldown_ms : float;
   default_deadline_ms : float;
   now : unit -> float;
   sleep_ms : float -> unit;
@@ -137,11 +91,9 @@ let default_config ?domains () =
     backoff_base_ms = 5.0;
     backoff_cap_ms = 100.0;
     backoff_jitter = 0.2;
-    breaker_threshold = 3;
-    breaker_cooldown_ms = 1000.0;
     default_deadline_ms = 300_000.0;
-    (* monotonic by default — deadlines and breaker cooldowns must not move
-       with wall-clock adjustments; tests inject a manual clock instead *)
+    (* monotonic by default — deadlines must not move with wall-clock
+       adjustments; tests inject a manual clock instead *)
     now = Chet_obs.Clock.now_s;
     sleep_ms = (fun ms -> if ms > 0.0 then Unix.sleepf (ms /. 1000.0));
   }
@@ -154,13 +106,13 @@ type outcome = {
   out_id : int;
   out_result : (Tensor.t, Herr.error * Herr.context) result;
   out_served_by : string;
-  out_degraded : bool;
+  out_degraded : bool;  (* always false: read only by the frozen end-to-end benchmark *)
   out_attempts : int;
   out_queue_ms : float;
   out_total_ms : float;
   out_margin_bits : float;
       (* measured sentinel margin of the winning attempt; nan when the
-         serving rung ran without a sentinel lane (DESIGN.md §16) *)
+         deployment ran without a sentinel lane (DESIGN.md §16) *)
   out_sentinel : float array;
       (* decrypted sentinel twin lane, [||] when unverified — carried to the
          wire so clients can re-verify independently of the shard *)
@@ -201,7 +153,6 @@ type metric_handles = {
   mx_failed : Metrics.counter;
   mx_shed : Metrics.counter;
   mx_deadline : Metrics.counter;
-  mx_degraded : Metrics.counter;
   mx_retries : Metrics.counter;
   mx_worker_crashes : Metrics.counter;
   mx_late : Metrics.counter;
@@ -221,7 +172,6 @@ let make_metrics () =
     mx_failed = c "chet_serve_requests_failed_total" "typed failures other than shed/deadline";
     mx_shed = c "chet_serve_requests_shed_total" "requests rejected at the high-water mark";
     mx_deadline = c "chet_serve_requests_deadline_total" "requests that exceeded their deadline";
-    mx_degraded = c "chet_serve_requests_degraded_total" "successes served by a degraded rung";
     mx_retries = c "chet_serve_retries_total" "inference attempts beyond the first";
     mx_worker_crashes = c "chet_serve_worker_crashes_total" "non-FHE exceptions in workers";
     mx_late = c "chet_serve_late_results_total" "results finished after the caller gave up";
@@ -243,9 +193,8 @@ type stats = {
   s_failed : int;
   s_shed : int;
   s_deadline : int;
-  s_degraded : int;
+  s_degraded : int;  (* always 0: read only by the frozen end-to-end benchmark *)
   s_retries : int;
-  s_breaker_trips : int;
   s_worker_crashes : int;
   s_late_results : int;
   s_cancelled : int;
@@ -258,11 +207,11 @@ type stats = {
 
 type t = {
   cfg : config;
-  ladder : (deployment * Breaker.t) array;
-  prepared : (Sampling.t * Plan_exec.runner) option array array;
-      (* per rung, per worker: the [Shared] rung's prepared plan and the
-         sampler its view draws from. Each worker only touches its own
-         column, so no lock. *)
+  dep : deployment;
+  prepared : (Sampling.t * Plan_exec.runner) option array;
+      (* per worker: the [Shared] deployment's prepared plan and the sampler
+         its view draws from. Each worker only touches its own slot, so no
+         lock. *)
   queue : Pool.job Queue.t;
   pool : Pool.t;
   next_id : int Atomic.t;
@@ -306,28 +255,29 @@ let transient_error = function
    not replay the identical encryption randomness (a deterministic
    corruption would simply recur), so the attempt index perturbs the
    request seed. *)
-let runner_for t ~rung dep ~worker ~req_seed ~attempt =
+let runner_for t ~worker ~req_seed ~attempt =
+  let dep = t.dep in
   match dep.dep_backend with
   | Per_attempt backend ->
       Plan_exec.prepare_runner ~pt_budget:0 (backend ~req_seed ~attempt) dep.dep_scales dep.dep_plan
   | Shared keys ->
       let rng, run =
-        match t.prepared.(rung).(worker) with
+        match t.prepared.(worker) with
         | Some w -> w
         | None ->
             let rng = Sampling.create ~seed:keys.Compiler.ks_seed in
             let w =
               (rng, Plan_exec.prepare_runner (keys.Compiler.ks_view rng) dep.dep_scales dep.dep_plan)
             in
-            t.prepared.(rung).(worker) <- Some w;
+            t.prepared.(worker) <- Some w;
             w
       in
       Compiler.reseed keys rng ~req_seed:(req_seed + (attempt * 7919));
       run
 
-let run_attempt t ~rung dep req ~attempt ~worker =
+let run_attempt t req ~attempt ~worker =
   try
-    let run = runner_for t ~rung dep ~worker ~req_seed:req.req_seed ~attempt in
+    let run = runner_for t ~worker ~req_seed:req.req_seed ~attempt in
     let margin = ref Float.nan in
     let lane = ref [||] in
     let sentinel =
@@ -341,7 +291,7 @@ let run_attempt t ~rung dep req ~attempt ~worker =
               lane := Array.copy twin.Tensor.data;
               Metrics.set_gauge t.mx.mx_margin m)
             spec)
-        dep.dep_sentinel
+        t.dep.dep_sentinel
     in
     let tensor = run ~cancel:req.req_cancel ?sentinel req.req_image in
     Ok (tensor, !margin, !lane)
@@ -352,12 +302,12 @@ let run_attempt t ~rung dep req ~attempt ~worker =
   | Herr.Fhe_error (e, c) -> Error (e, c)
   | exn ->
       (* a non-FHE exception is a backend bug: convert it to the typed
-         taxonomy so it flows through retry/breaker/outcome like any other
-         failure — and never takes the worker domain down *)
+         taxonomy so it flows through retry/outcome like any other failure —
+         and never takes the worker domain down *)
       Metrics.incr t.mx.mx_worker_crashes;
       Error
         ( Herr.Worker_crashed { worker; reason = Printexc.to_string exn },
-          Herr.context ~backend:dep.dep_label "infer" )
+          Herr.context ~backend:t.dep.dep_label "infer" )
 
 (* Sleep before the next retry — clamped to the request's remaining budget,
    and honest about exhaustion: [`Exhausted] means the budget ran out before
@@ -398,9 +348,7 @@ let deliver t req out =
         Metrics.incr ~by:(Stdlib.max 0 (out.out_attempts - 1)) t.mx.mx_retries;
         Metrics.observe t.mx.mx_latency (out.out_total_ms /. 1000.0);
         (match out.out_result with
-        | Ok _ ->
-            Metrics.incr t.mx.mx_succeeded;
-            if out.out_degraded then Metrics.incr t.mx.mx_degraded
+        | Ok _ -> Metrics.incr t.mx.mx_succeeded
         | Error (Herr.Deadline_exceeded _, _) -> Metrics.incr t.mx.mx_deadline
         | Error (Herr.Cancelled _, _) -> Metrics.incr t.mx.mx_cancelled
         | Error _ -> Metrics.incr t.mx.mx_failed);
@@ -409,19 +357,23 @@ let deliver t req out =
 
 let abandoned req = with_lock req.cell.cm (fun () -> req.cell.abandoned)
 
+(* The outcome's [served_by]: the deployment, once an attempt has started. *)
+let served_by t attempts = if attempts > 0 then t.dep.dep_label else ""
+
 let process t req ~worker =
   let pickup = t.cfg.now () in
   let queue_ms = (pickup -. req.req_submitted) *. 1000.0 in
-  let mk ?(served_by = "") ?(degraded = false) ?(margin_bits = Float.nan) ?(sentinel = [||])
-      ~attempts result =
+  let elapsed_ms () = (t.cfg.now () -. req.req_submitted) *. 1000.0 in
+  let mk ?(margin_bits = Float.nan) ?(sentinel = [||]) result =
+    let attempts = Atomic.get req.req_attempts in
     {
       out_id = req.req_id;
       out_result = result;
-      out_served_by = served_by;
-      out_degraded = degraded;
+      out_served_by = served_by t attempts;
+      out_degraded = false;
       out_attempts = attempts;
       out_queue_ms = queue_ms;
-      out_total_ms = (t.cfg.now () -. req.req_submitted) *. 1000.0;
+      out_total_ms = elapsed_ms ();
       out_margin_bits = margin_bits;
       out_sentinel = sentinel;
     }
@@ -441,98 +393,43 @@ let process t req ~worker =
           Some (deadline_error req ~elapsed_ms:queue_ms ~op:"dequeue")
         else None
   in
-  match dead_at_dequeue with
-  | Some err -> deliver t req (mk ~attempts:0 (Error err))
-  | None -> begin
-    let last_err = ref None in
-    let served = ref None in
-    let rungs = t.ladder in
-    let stop = ref false in
-    let i = ref 0 in
-    while (not !stop) && !served = None && !i < Array.length rungs do
-      let dep, brk = rungs.(!i) in
-      if Breaker.allow brk then begin
-        (* retry loop on this rung. [verdict] tracks whether the admission
-           (possibly a half-open probe) was resolved against the breaker;
-           an exit with no verdict — deadline fired, caller abandoned —
-           must hand the probe slot back or the breaker wedges Half_open. *)
-        let verdict = ref false in
-        let rung_done = ref false in
-        let attempt = ref 0 in
-        while not !rung_done do
-          if t.cfg.now () >= req.req_deadline || abandoned req then begin
-            let elapsed_ms = (t.cfg.now () -. req.req_submitted) *. 1000.0 in
-            last_err := Some (deadline_error req ~elapsed_ms ~op:"infer");
-            rung_done := true;
-            stop := true
-          end
-          else begin
-            Atomic.incr req.req_attempts;
-            match run_attempt t ~rung:!i dep req ~attempt:!attempt ~worker with
-            | Ok (tensor, margin_bits, lane) ->
-                Breaker.record_success brk;
-                verdict := true;
-                served := Some (dep, tensor, margin_bits, lane);
-                rung_done := true
-            | Error ((Herr.Cancelled _, _) as cancelled) ->
-                (* the token tripped mid-circuit. No breaker verdict: a
-                   cancellation says nothing about this rung's health, so the
-                   probe slot is handed back via [release] below. *)
-                let elapsed_ms = (t.cfg.now () -. req.req_submitted) *. 1000.0 in
-                (* a deadline-reason trip keeps the deadline's established
-                   observable surface: callers see the same typed
-                   [Deadline_exceeded] whether the budget expired in the
-                   queue, between nodes, or mid-node *)
-                (match Cancel.status req.req_cancel with
-                | Some Cancel.Deadline ->
-                    last_err := Some (deadline_error req ~elapsed_ms ~op:"infer")
-                | _ -> last_err := Some cancelled);
-                rung_done := true;
-                stop := true
-            | Error (e, c) ->
-                last_err := Some (e, c);
-                if transient_error e && !attempt < t.cfg.max_retries then begin
-                  match backoff t req ~attempt:!attempt with
-                  | `Slept -> incr attempt
-                  | `Exhausted ->
-                      (* the budget died during (or before) the backoff
-                         sleep: fail fast with the typed deadline instead of
-                         starting an attempt that cannot finish *)
-                      let elapsed_ms = (t.cfg.now () -. req.req_submitted) *. 1000.0 in
-                      last_err := Some (deadline_error req ~elapsed_ms ~op:"backoff");
-                      rung_done := true;
-                      stop := true
-                end
-                else begin
-                  (* retries exhausted, or a hard failure: this rung failed
-                     the request — feed its breaker and degrade *)
-                  Breaker.record_failure brk;
-                  verdict := true;
-                  rung_done := true
-                end
-          end
-        done;
-        if not !verdict then Breaker.release brk
-      end;
-      incr i
-    done;
-    let out =
-      match !served with
-      | Some (dep, tensor, margin_bits, lane) ->
-          mk ~served_by:dep.dep_label ~degraded:dep.dep_degraded ~margin_bits ~sentinel:lane
-            ~attempts:(Atomic.get req.req_attempts) (Ok tensor)
-      | None ->
-          let e, c =
-            match !last_err with
-            | Some ec -> ec
-            | None ->
-                ( Herr.Invalid_op { reason = "no deployment available (all circuit breakers open)" },
-                  Herr.context ~backend:"serve" "infer" )
-          in
-          mk ~attempts:(Atomic.get req.req_attempts) (Error (e, c))
-    in
-    deliver t req out
-  end
+  (* the retry loop: a transient failure is retried with fresh randomness
+     while the budget lasts; anything else is the request's outcome *)
+  let rec attempt k =
+    if t.cfg.now () >= req.req_deadline || abandoned req then
+      Error (deadline_error req ~elapsed_ms:(elapsed_ms ()) ~op:"infer")
+    else begin
+      Atomic.incr req.req_attempts;
+      match run_attempt t req ~attempt:k ~worker with
+      | Ok _ as ok -> ok
+      | Error (Herr.Cancelled _, _) as cancelled -> (
+          (* the token tripped mid-circuit. A deadline-reason trip keeps the
+             deadline's established observable surface: callers see the same
+             typed [Deadline_exceeded] whether the budget expired in the
+             queue, between nodes, or mid-node *)
+          match Cancel.status req.req_cancel with
+          | Some Cancel.Deadline -> Error (deadline_error req ~elapsed_ms:(elapsed_ms ()) ~op:"infer")
+          | _ -> cancelled)
+      | Error (e, _) when transient_error e && k < t.cfg.max_retries -> (
+          match backoff t req ~attempt:k with
+          | `Slept -> attempt (k + 1)
+          | `Exhausted ->
+              (* the budget died during (or before) the backoff sleep: fail
+                 fast with the typed deadline instead of starting an attempt
+                 that cannot finish *)
+              Error (deadline_error req ~elapsed_ms:(elapsed_ms ()) ~op:"backoff"))
+      | Error _ as failed -> failed
+    end
+  in
+  let out =
+    match dead_at_dequeue with
+    | Some err -> mk (Error err)
+    | None -> (
+        match attempt 0 with
+        | Ok (tensor, margin_bits, lane) -> mk ~margin_bits ~sentinel:lane (Ok tensor)
+        | Error err -> mk (Error err))
+  in
+  deliver t req out
 
 (* ------------------------------------------------------------------ *)
 (* Client side                                                          *)
@@ -548,19 +445,15 @@ let same_circuit (a : Circuit.t) (b : Circuit.t) =
      && a.Circuit.input.Circuit.shape = b.Circuit.input.Circuit.shape
      && a.Circuit.output.Circuit.shape = b.Circuit.output.Circuit.shape
 
-let create cfg ~circuit ~ladder =
-  if ladder = [] then invalid_arg "Service.create: empty deployment ladder";
-  List.iter
-    (fun dep ->
-      if not (same_circuit dep.dep_plan.Plan.p_circuit circuit) then
-        invalid_arg
-          (Printf.sprintf "Service.create: rung %S runs a plan for circuit %S, not %S" dep.dep_label
-             dep.dep_plan.Plan.p_circuit.Circuit.name circuit.Circuit.name);
-      if dep.dep_sentinel <> None && not dep.dep_plan.Plan.p_twin then
-        invalid_arg
-          (Printf.sprintf "Service.create: verified rung %S needs a twin (sentinel) plan"
-             dep.dep_label))
-    ladder;
+let create cfg ~circuit ~ladder:dep =
+  if not (same_circuit dep.dep_plan.Plan.p_circuit circuit) then
+    invalid_arg
+      (Printf.sprintf "Service.create: deployment %S runs a plan for circuit %S, not %S"
+         dep.dep_label dep.dep_plan.Plan.p_circuit.Circuit.name circuit.Circuit.name);
+  if dep.dep_sentinel <> None && not dep.dep_plan.Plan.p_twin then
+    invalid_arg
+      (Printf.sprintf "Service.create: verified deployment %S needs a twin (sentinel) plan"
+         dep.dep_label);
   let queue = Queue.create ~high_water:cfg.high_water () in
   let mx = make_metrics () in
   let pool =
@@ -570,18 +463,10 @@ let create cfg ~circuit ~ladder =
            here is a harness bug — count it, keep serving *)
         Metrics.incr mx.mx_worker_crashes)
   in
-  let breakers =
-    List.map
-      (fun dep ->
-        ( dep,
-          Breaker.create ~threshold:cfg.breaker_threshold
-            ~cooldown:(cfg.breaker_cooldown_ms /. 1000.0) ~now:cfg.now () ))
-      ladder
-  in
   {
     cfg;
-    ladder = Array.of_list breakers;
-    prepared = Array.init (List.length ladder) (fun _ -> Array.make cfg.domains None);
+    dep;
+    prepared = Array.make cfg.domains None;
     queue;
     pool;
     next_id = Atomic.make 0;
@@ -676,13 +561,14 @@ let await t (req : ticket) =
                  executor's next step-boundary poll sees the trip *)
               Cancel.trip req.req_cancel Cancel.Abandoned;
               let elapsed_ms = (now -. req.req_submitted) *. 1000.0 in
+              let attempts = Atomic.get req.req_attempts in
               let out =
                 {
                   out_id = req.req_id;
                   out_result = Error (deadline_error req ~elapsed_ms ~op:"await");
-                  out_served_by = "";
+                  out_served_by = served_by t attempts;
                   out_degraded = false;
-                  out_attempts = Atomic.get req.req_attempts;
+                  out_attempts = attempts;
                   out_queue_ms = 0.0;
                   out_total_ms = elapsed_ms;
                   out_margin_bits = Float.nan;
@@ -706,11 +592,11 @@ let infer t ?deadline_ms ?seed image = await t (submit t ?deadline_ms ?seed imag
    token and let the machinery already in place do the rest — queued
    requests die at dequeue, running ones at the next plan-step boundary. *)
 let cancel (req : ticket) ~reason = Cancel.trip req.req_cancel (Cancel.Requested reason)
-let ticket_id (req : ticket) = req.req_id
+
 let shutdown t =
   Pool.shutdown t.pool;
   (* the workers are joined: their prepared plans (staged plaintexts) go *)
-  Array.iter (fun row -> Array.fill row 0 (Array.length row) None) t.prepared
+  Array.fill t.prepared 0 (Array.length t.prepared) None
 
 (* ------------------------------------------------------------------ *)
 (* Graceful drain (DESIGN.md §12)                                       *)
@@ -740,11 +626,7 @@ let drain t ~timeout_ms =
 (* Introspection                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let breaker_states t =
-  Array.to_list (Array.map (fun (dep, brk) -> (dep.dep_label, Breaker.state brk)) t.ladder)
-
 let stats t =
-  let trips = Array.fold_left (fun acc (_, brk) -> acc + Breaker.trip_count brk) 0 t.ladder in
   let v = Metrics.counter_value and q p = Metrics.quantile t.mx.mx_latency p *. 1000.0 in
   {
     s_submitted = v t.mx.mx_submitted;
@@ -752,9 +634,8 @@ let stats t =
     s_failed = v t.mx.mx_failed;
     s_shed = v t.mx.mx_shed;
     s_deadline = v t.mx.mx_deadline;
-    s_degraded = v t.mx.mx_degraded;
+    s_degraded = 0;
     s_retries = v t.mx.mx_retries;
-    s_breaker_trips = trips;
     s_worker_crashes = v t.mx.mx_worker_crashes;
     s_late_results = v t.mx.mx_late;
     s_cancelled = v t.mx.mx_cancelled;
@@ -776,29 +657,10 @@ let percentile xs p =
     s.(Stdlib.max 0 (Stdlib.min (n - 1) (rank - 1)))
   end
 
-(* Prometheus text exposition of the service registry. Point-in-time state
-   (breaker per rung, queue depths) is refreshed into gauges here rather
-   than on the hot path — the counters and the latency histogram were
-   updated live. *)
+(* Prometheus text exposition of the service registry. Point-in-time queue
+   state is refreshed into gauges here rather than on the hot path — the
+   counters and the latency histogram were updated live. *)
 let metrics_snapshot t =
-  Array.iter
-    (fun (dep, brk) ->
-      let g =
-        Metrics.gauge t.mx.registry
-          ~help:"0 = closed, 1 = half-open, 2 = open"
-          ~labels:[ ("rung", dep.dep_label) ]
-          "chet_serve_breaker_state"
-      in
-      Metrics.set_gauge g
-        (match Breaker.state brk with Breaker.Closed -> 0.0 | Breaker.Half_open -> 1.0
-        | Breaker.Open -> 2.0);
-      let trips =
-        Metrics.gauge t.mx.registry ~help:"lifetime breaker trips"
-          ~labels:[ ("rung", dep.dep_label) ]
-          "chet_serve_breaker_trips"
-      in
-      Metrics.set_gauge trips (float_of_int (Breaker.trip_count brk)))
-    t.ladder;
   let q = Queue.stats t.queue in
   let qg name help v =
     Metrics.set_gauge (Metrics.gauge t.mx.registry ~help name) (float_of_int v)
@@ -808,95 +670,12 @@ let metrics_snapshot t =
   qg "chet_serve_queue_max_depth" "deepest queue occupancy seen" q.Queue.q_max_depth;
   Metrics.expose t.mx.registry
 
-(* ------------------------------------------------------------------ *)
-(* State persistence (DESIGN.md §11)                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* The serving layer's learned state — per-rung breaker memory — as an SRVC
-   checksum frame, keyed by rung label so a restart with a different ladder
-   shape restores what still matches and ignores the rest. *)
-
-module Serial = Chet_crypto.Serial
-
-let service_state_version = 1
-
-let int_of_breaker_state = function
-  | Breaker.Closed -> 0
-  | Breaker.Open -> 1
-  | Breaker.Half_open -> 2
-
-let breaker_state_of_int = function
-  | 0 -> Breaker.Closed
-  | 1 -> Breaker.Open
-  | 2 -> Breaker.Half_open
-  | k -> raise (Serial.Corrupt (Printf.sprintf "SRVC: unknown breaker state %d" k))
-
-let state_to_string t =
-  let w = Serial.writer () in
-  Serial.write_frame w "SRVC" (fun w ->
-      Serial.write_int w service_state_version;
-      Serial.write_int w (Array.length t.ladder);
-      Array.iter
-        (fun (dep, brk) ->
-          let sn = Breaker.snapshot brk in
-          Serial.write_string w dep.dep_label;
-          Serial.write_int w (int_of_breaker_state sn.Breaker.sn_state);
-          Serial.write_int w sn.Breaker.sn_consecutive_failures;
-          Serial.write_int w sn.Breaker.sn_trips;
-          Serial.write_float w sn.Breaker.sn_cooldown_remaining)
-        t.ladder);
-  Serial.contents w
-
-let restore_state t bytes =
-  match
-    let r = Serial.reader bytes in
-    let v =
-      Serial.read_frame r "SRVC" (fun r ->
-          let version = Serial.read_int r in
-          if version <> service_state_version then
-            raise (Serial.Corrupt (Printf.sprintf "SRVC: unsupported version %d" version));
-          let count = Serial.read_int r in
-          if count < 0 || count > 1024 then raise (Serial.Corrupt "SRVC: bad rung count");
-          List.init count (fun _ ->
-              let label = Serial.read_string r in
-              let st = breaker_state_of_int (Serial.read_int r) in
-              let fails = Serial.read_int r in
-              let trips = Serial.read_int r in
-              let remaining = Serial.read_float r in
-              if fails < 0 || trips < 0 || not (Float.is_finite remaining) then
-                raise (Serial.Corrupt "SRVC: implausible breaker snapshot");
-              ( label,
-                {
-                  Breaker.sn_state = st;
-                  sn_consecutive_failures = fails;
-                  sn_trips = trips;
-                  sn_cooldown_remaining = remaining;
-                } )))
-    in
-    if not (Serial.reader_eof r) then raise (Serial.Corrupt "SRVC: trailing bytes");
-    v
-  with
-  | exception Serial.Corrupt reason ->
-      Error (Herr.Corrupt_bundle { path = "service-state"; reason })
-  | snapshots ->
-      let restored = ref 0 in
-      Array.iter
-        (fun (dep, brk) ->
-          match List.assoc_opt dep.dep_label snapshots with
-          | Some sn ->
-              Breaker.restore brk sn;
-              incr restored
-          | None -> ())
-        t.ladder;
-      Ok !restored
-
 let pp_stats fmt s =
   Format.fprintf fmt
-    "@[<v>requests: %d submitted, %d ok (%d degraded), %d failed, %d shed, %d deadline-expired@,\
-     retries: %d; breaker trips: %d; worker crashes: %d; late results: %d@,\
+    "@[<v>requests: %d submitted, %d ok, %d failed, %d shed, %d deadline-expired@,\
+     retries: %d; worker crashes: %d; late results: %d@,\
      cancelled: %d; integrity failures: %d@,\
      queue: %d admitted, %d shed, max depth %d@,\
      latency ms: p50 %.1f  p95 %.1f  p99 %.1f@]"
-    s.s_submitted s.s_succeeded s.s_degraded s.s_failed s.s_shed s.s_deadline s.s_retries
-    s.s_breaker_trips s.s_worker_crashes s.s_late_results s.s_cancelled s.s_integrity_failures
+    s.s_submitted s.s_succeeded s.s_failed s.s_shed s.s_deadline s.s_retries s.s_worker_crashes s.s_late_results s.s_cancelled s.s_integrity_failures
     s.s_queue.Queue.q_pushed s.s_queue.Queue.q_shed s.s_queue.Queue.q_max_depth s.s_latency_p50_ms s.s_latency_p95_ms s.s_latency_p99_ms

@@ -63,6 +63,6 @@ val peek_meta : string -> string * int
 val restore_keyset : t -> with_secret:bool -> Compiler.keyset
 (** The warm-restart deployment: {!Compiler.keyset} with the bundle's seed,
     policy and stored keys (which skip rotation-key generation) —
-    bit-identical to the deployment that produced the bundle. Serve it with
-    {!Chet_serve.Service.ladder_of_keyset}, or take per-request backends
-    from it with {!Compiler.view}. *)
+    bit-identical to the deployment that produced the bundle. Serve it as
+    a service's one deployment ({!Chet_serve.Service.ladder_of_keyset}), or
+    take per-request backends from it with {!Compiler.view}. *)

@@ -252,9 +252,9 @@ let verify t =
 (* Quarantine                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Move a damaged entry (generation dir or sidecar file) under quarantine/,
+(* Move a damaged generation directory under quarantine/,
    keeping it for post-mortem instead of deleting evidence; the typed reason
-   is written alongside so `chet store ls` can display it. *)
+   is written into it as QUARANTINE. *)
 let quarantine_entry t ~name (reason : Herr.error) =
   mkdir_p (quarantine_path t);
   let src = Filename.concat t.st_root name in
@@ -266,11 +266,8 @@ let quarantine_entry t ~name (reason : Herr.error) =
   in
   let dest = fresh_dest 0 in
   Sys.rename src dest;
-  let reason_path =
-    if Sys.is_directory dest then Filename.concat dest "QUARANTINE" else dest ^ ".reason"
-  in
   (try
-     let oc = open_out_bin reason_path in
+     let oc = open_out_bin (Filename.concat dest "QUARANTINE") in
      output_string oc (Herr.error_name reason ^ ": " ^ Herr.error_detail reason ^ "\n");
      close_out_noerr oc
    with Sys_error _ -> ());
@@ -295,8 +292,8 @@ let open_ ?(keep = 3) ?(create = true) rt =
   mkdir_p rt;
   mkdir_p (Filename.concat rt quarantine_dirname);
   let t = { st_root = rt; st_keep = keep } in
-  (* stray *.tmp at the root (sidecar writes that never committed) are
-     uncommitted by construction: delete *)
+  (* stray *.tmp at the root (an older version's sidecar writes that never
+     committed) are uncommitted by construction: delete *)
   let removed = ref 0 in
   Array.iter
     (fun name ->
@@ -362,19 +359,13 @@ let gc t ~keep =
      generation names sort by id) entries go once the box overflows *)
   let qdir = quarantine_path t in
   if Sys.file_exists qdir then begin
-    let entries =
-      Sys.readdir qdir |> Array.to_list
-      |> List.filter (fun n -> not (Filename.check_suffix n ".reason"))
-      |> List.sort compare
-    in
+    let entries = Sys.readdir qdir |> Array.to_list |> List.sort compare in
     let excess = List.length entries - quarantine_cap in
     if excess > 0 then
       List.iteri
         (fun i n ->
           if i < excess then begin
             remove_tree (Filename.concat qdir n);
-            let reason = Filename.concat qdir (n ^ ".reason") in
-            if Sys.file_exists reason then Sys.remove reason;
             removed := Filename.concat quarantine_dirname n :: !removed
           end)
         entries
@@ -431,36 +422,3 @@ let save t ~files =
   check Post_manifest_rename;
   ignore (gc t ~keep:t.st_keep);
   id
-
-(* ------------------------------------------------------------------ *)
-(* Sidecar state files                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let state_frame bytes =
-  let w = Serial.writer () in
-  Serial.write_frame w "STAT" (fun w -> Serial.write_string w bytes);
-  Serial.contents w
-
-let parse_state_frame bytes =
-  let r = Serial.reader bytes in
-  let v = Serial.read_frame r "STAT" Serial.read_string in
-  if not (Serial.reader_eof r) then raise (Serial.Corrupt "STAT: trailing bytes");
-  v
-
-let save_state t ~name bytes =
-  if not (valid_name name) || gen_id_of_dirname name <> None || name = quarantine_dirname then
-    invalid_arg (Printf.sprintf "Store.save_state: unusable sidecar name %S" name);
-  write_atomic ~pre_tmp:(Pre_file_tmp name) ~mid:(Mid_file_write name)
-    ~pre_rename:(Pre_file_rename name) ~dir:t.st_root ~name (state_frame bytes)
-
-let load_state t ~name =
-  let path = Filename.concat t.st_root name in
-  if not (Sys.file_exists path) then None
-  else
-    match parse_state_frame (read_file path) with
-    | bytes -> Some (Ok bytes)
-    | exception Serial.Corrupt reason ->
-        let err = corrupt ~path:name reason in
-        ignore (quarantine_entry t ~name err);
-        Some (Error err)
-    | exception Sys_error reason -> Some (Error (corrupt ~path:name reason))

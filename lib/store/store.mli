@@ -18,9 +18,10 @@
     active one — the fall-back-to-previous-generation contract. Old
     generations beyond a retention budget are garbage-collected.
 
-    Small mutable {e sidecar} files (the serving layer's breaker/rung
-    snapshot) live beside the generations under the same
-    tmp-write/flush/rename + checksum-frame discipline.
+    Nothing else is written: the store holds generations and the
+    quarantine. Other files in the root (such as the [service.state]
+    sidecar an older version wrote) are neither read nor touched, except
+    uncommitted [*.tmp] debris, which {!open_} deletes.
 
     The kill-point hook ({!arm_kill_point}, mirroring
     {!Chet_hisa.Fault_backend}'s seeded-injection style) aborts the write
@@ -55,7 +56,7 @@ val kill_points : files:string list -> kill_point list
     order {!save} traverses it — the enumeration the recovery tests sweep. *)
 
 val arm_kill_point : kill_point option -> unit
-(** Arm the hook: the next time {!save} (or a sidecar write) reaches the
+(** Arm the hook: the next time {!save} reaches the
     given point it raises {!Killed} — once; the hook disarms on firing.
     [None] disarms. Test-only machinery, like [Fault_backend.wrap]. *)
 
@@ -114,13 +115,3 @@ val verify : t -> status list
 val gc : t -> keep:int -> string list
 (** Remove generations beyond the [keep] newest and cap quarantine debris;
     returns the removed directory names. *)
-
-(** {1 Sidecar state files} *)
-
-val save_state : t -> name:string -> string -> unit
-(** Atomically replace the sidecar [<name>] (a [STAT] checksum frame,
-    tmp-write/flush/rename like any payload). *)
-
-val load_state : t -> name:string -> (string, Herr.error) result option
-(** [None] if absent; [Some (Error _)] if present but corrupt — the damaged
-    file is quarantined so the next boot starts clean. *)

@@ -6,8 +6,10 @@
 # from it skips the compile and answers exactly like a cold serve,
 # (c) a sentinel-verified serve answers every request with a finite
 # sentinel margin, and (d) a real micro serve whose deadline one inference
-# (about 2.4 s on 2 vCPUs) fits is answered by the primary rung: deadlines
-# are enforced by elapsed time, not by a cost prediction.
+# (about 2.4 s on 2 vCPUs) fits is answered by the primary deployment:
+# deadlines are enforced by elapsed time, not by a cost prediction, and
+# (e) a persistently faulty serve ends every request in a typed error: a
+# service has one deployment and nothing to fall back to.
 #
 # Usage: scripts/plan_smoke.sh  (expects a completed `dune build`)
 set -euo pipefail
@@ -71,5 +73,19 @@ grep -q '^req 00: ok .* via primary' "$DIR/real.out" || {
   grep '^req ' "$DIR/real.out" >&2 || true
   exit 1
 }
+
+echo "-- a persistent fault ends every request in a typed error"
+FAULTY=4
+"$BIN" serve micro --requests "$FAULTY" --fault persistent >"$DIR/persistent.out"
+errs=$(grep -c '^req [0-9]*: ERR ' "$DIR/persistent.out" || true)
+test "$errs" -eq "$FAULTY" || {
+  echo "plan smoke FAIL: $errs of $FAULTY persistently faulty requests ended in a typed error" >&2
+  grep '^req ' "$DIR/persistent.out" >&2 || true
+  exit 1
+}
+if grep -qE '\[degraded\]|clear-fallback' "$DIR/persistent.out"; then
+  echo "plan smoke FAIL: a persistently faulty request was answered by a fallback" >&2
+  exit 1
+fi
 
 echo "plan smoke OK"

@@ -57,7 +57,6 @@ let clear_backend () =
 let clean_dep () =
   {
     Service.dep_label = "primary";
-    dep_degraded = false;
     dep_scales = seal_opts.Compiler.scales;
     dep_plan = Lazy.force plan;
     dep_backend = Service.Per_attempt (fun ~req_seed:_ ~attempt:_ -> clear_backend ());
@@ -72,8 +71,6 @@ let quick_cfg () =
     max_retries = 1;
     backoff_base_ms = 1.0;
     backoff_cap_ms = 5.0;
-    breaker_threshold = 3;
-    breaker_cooldown_ms = 60_000.0;
     default_deadline_ms = 60_000.0;
   }
 
@@ -100,10 +97,10 @@ let sample_request ?(id = 42) ?(seed = 7) () =
 
 (* Run [f server addr] against an in-process shard server over a unix
    socket; always tears the server and its service down. *)
-let with_server ?(shard = 3) ?(max_inflight = 8) ?ladder name f =
+let with_server ?(shard = 3) ?(max_inflight = 8) ?deployment name f =
   let addr = Wire.Unix_sock (sock_path name) in
-  let ladder = Option.value ladder ~default:[ clean_dep () ] in
-  let svc = Service.create (quick_cfg ()) ~circuit:micro ~ladder in
+  let deployment = Option.value deployment ~default:(clean_dep ()) in
+  let svc = Service.create (quick_cfg ()) ~circuit:micro ~ladder:deployment in
   let cfg =
     {
       (Net_server.default_config ~shard addr)
@@ -236,27 +233,25 @@ let test_corrupt_frame_keeps_connection () =
 
 (* --- the inflight cap holds under concurrent arrivals ---------------- *)
 
-(* A ladder whose backend sets [entered] and blocks every attempt until
-   [gate] opens. *)
-let gated_ladder ?(entered = Atomic.make false) gate =
-  [
-    {
-      (clean_dep ()) with
-      Service.dep_backend =
-        Service.Per_attempt
-          (fun ~req_seed:_ ~attempt:_ ->
-            Atomic.set entered true;
-            while not (Atomic.get gate) do
-              Unix.sleepf 0.001
-            done;
-            clear_backend ());
-    };
-  ]
+(* A deployment whose backend sets [entered] and blocks every attempt
+   until [gate] opens. *)
+let gated_deployment ?(entered = Atomic.make false) gate =
+  {
+    (clean_dep ()) with
+    Service.dep_backend =
+      Service.Per_attempt
+        (fun ~req_seed:_ ~attempt:_ ->
+          Atomic.set entered true;
+          while not (Atomic.get gate) do
+            Unix.sleepf 0.001
+          done;
+          clear_backend ());
+  }
 
 let test_inflight_cap_concurrent () =
   let cap = 2 and extra = 3 in
   let gate = Atomic.make false in
-  with_server ~max_inflight:cap ~ladder:(gated_ladder gate) "cap" (fun server addr ->
+  with_server ~max_inflight:cap ~deployment:(gated_deployment gate) "cap" (fun server addr ->
       let results = Array.make (cap + extra) None in
       let threads =
         List.init (cap + extra) (fun i ->
@@ -380,7 +375,7 @@ let fake_spawn ?(slow = fun _shard -> 0.0) ?(dep = fun _shard -> clean_dep ()) ?
               clear_backend ());
       }
   in
-  let svc = Service.create (quick_cfg ()) ~circuit:micro ~ladder:[ dep ] in
+  let svc = Service.create (quick_cfg ()) ~circuit:micro ~ladder:dep in
   let cfg =
     { (Net_server.default_config ~shard addr) with Net_server.srv_read_deadline_s = 0.5 }
   in
@@ -524,7 +519,7 @@ let test_dedup_bit_identical_replay () =
 
 let test_cancel_inflight_over_wire () =
   let entered = Atomic.make false and gate = Atomic.make false in
-  with_server ~ladder:(gated_ladder ~entered gate) "cncl" (fun server addr ->
+  with_server ~deployment:(gated_deployment ~entered gate) "cncl" (fun server addr ->
       let result = ref None in
       let th =
         Thread.create
@@ -676,7 +671,7 @@ let test_supervisor_kills_hung_shard () =
 
 let sentinel_compiled = lazy (Compiler.compile { seal_opts with Compiler.sentinel = true } micro)
 
-(* A rung whose sentinel lane checks every answer before release; [corrupt]
+(* A deployment whose sentinel lane checks every answer before release; [corrupt]
    silently perturbs every ciphertext it computes, which only the sentinel
    lane sees. *)
 let sentinel_dep ~corrupt =

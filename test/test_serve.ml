@@ -3,8 +3,8 @@
 
      (a) a transient injected fault is retried and the final answer matches
          the clean run bit-for-bit;
-     (b) a persistent fault trips the circuit breaker and subsequent
-         requests succeed via the degraded fallback with [degraded:true];
+     (b) a persistent fault ends the request in its typed error once the
+         retry budget is spent, and the service keeps answering;
      (c) an over-deadline request returns [Deadline_exceeded] while the
          pool keeps serving later requests;
      (d) queue overflow yields [Overloaded] with zero worker crashes;
@@ -46,17 +46,16 @@ let clear_backend () =
       encode_noise = false;
     }
 
-let dep ?(label = "primary") ?(degraded = false) backend =
+let dep ?(label = "primary") backend =
   {
     Service.dep_label = label;
-    dep_degraded = degraded;
     dep_scales = seal_opts.Compiler.scales;
     dep_plan = Lazy.force plan;
     dep_backend = Service.Per_attempt backend;
     dep_sentinel = None;
   }
 
-let clean_dep ?label ?degraded () = dep ?label ?degraded (fun ~req_seed:_ ~attempt:_ -> clear_backend ())
+let clean_dep () = dep (fun ~req_seed:_ ~attempt:_ -> clear_backend ())
 
 (* NaN-poison the decode path, detected by the checked wrapper as a typed
    [Numeric_blowup] — the transient class the retry policy targets. *)
@@ -78,13 +77,11 @@ let quick_cfg ?(domains = 2) ?(high_water = 16) ?(max_retries = 2) () =
     max_retries;
     backoff_base_ms = 1.0;
     backoff_cap_ms = 5.0;
-    breaker_threshold = 3;
-    breaker_cooldown_ms = 60_000.0 (* effectively never half-opens within a test *);
     default_deadline_ms = 60_000.0;
   }
 
-let with_service cfg ladder f =
-  let svc = Service.create cfg ~circuit:micro ~ladder in
+let with_service cfg deployment f =
+  let svc = Service.create cfg ~circuit:micro ~ladder:deployment in
   Fun.protect ~finally:(fun () -> Service.shutdown svc) (fun () -> f svc)
 
 let direct_clean_run img =
@@ -101,12 +98,10 @@ let ok_tensor name (o : Service.outcome) =
 (* --- (a) transient fault: retried to a bit-identical answer --------- *)
 
 let test_transient_fault_retried () =
-  with_service (quick_cfg ()) [ transient_fault_dep (); clean_dep ~label:"fallback" ~degraded:true () ]
-    (fun svc ->
+  with_service (quick_cfg ()) (transient_fault_dep ()) (fun svc ->
       let o = Service.infer svc ~seed:7 (image 1) in
       let got = ok_tensor "transient" o in
-      Alcotest.(check string) "served by the primary rung" "primary" o.Service.out_served_by;
-      Alcotest.(check bool) "not degraded" false o.Service.out_degraded;
+      Alcotest.(check string) "served by the deployment" "primary" o.Service.out_served_by;
       Alcotest.(check bool) "was retried" true (o.Service.out_attempts >= 2);
       let expected = direct_clean_run (image 1) in
       Alcotest.(check (float 0.0))
@@ -116,35 +111,34 @@ let test_transient_fault_retried () =
       Alcotest.(check bool) "retry counted" true (s.Service.s_retries >= 1);
       Alcotest.(check int) "no worker crashes" 0 s.Service.s_worker_crashes)
 
-(* --- (b) persistent fault: breaker trips, degraded fallback serves -- *)
+(* --- (b) persistent fault: typed error after the retries, service lives *)
 
-let test_persistent_fault_degrades () =
-  let cfg = quick_cfg ~domains:1 ~max_retries:1 () in
-  with_service cfg [ persistent_fault_dep (); clean_dep ~label:"fallback" ~degraded:true () ]
-    (fun svc ->
-      let outcomes = List.init 5 (fun i -> Service.infer svc ~seed:i (image i)) in
-      List.iteri
-        (fun i o ->
-          let _ = ok_tensor (Printf.sprintf "persistent req %d" i) o in
-          Alcotest.(check bool)
-            (Printf.sprintf "req %d degraded flag" i)
-            true o.Service.out_degraded;
-          Alcotest.(check string)
-            (Printf.sprintf "req %d served by fallback" i)
-            "fallback" o.Service.out_served_by)
-        outcomes;
-      (* threshold 3: the first three requests each burn the retry budget on
-         the primary (2 attempts) before falling back; from the fourth on
-         the open breaker routes straight to the fallback (1 attempt) *)
-      let early = List.nth outcomes 0 and late = List.nth outcomes 4 in
-      Alcotest.(check int) "pre-trip attempts (primary retries + fallback)" 3 early.Service.out_attempts;
-      Alcotest.(check int) "post-trip attempts (fallback only)" 1 late.Service.out_attempts;
-      (match List.assoc "primary" (Service.breaker_states svc) with
-      | Breaker.Open -> ()
-      | st -> Alcotest.failf "primary breaker should be open, is %s" (Breaker.state_name st));
+let test_persistent_fault_typed_error () =
+  let cfg = quick_cfg ~domains:1 () in
+  (* every attempt of seed 3 is poisoned; other seeds compute cleanly *)
+  let deployment =
+    dep (fun ~req_seed ~attempt:_ ->
+        if req_seed = 3 then poisoned_backend ~req_seed else clear_backend ())
+  in
+  with_service cfg deployment (fun svc ->
+      let o = Service.infer svc ~seed:3 (image 3) in
+      (match o.Service.out_result with
+      | Error (Herr.Numeric_blowup _, _) -> ()
+      | Ok _ -> Alcotest.fail "a persistently poisoned request cannot succeed"
+      | Error (e, c) -> Alcotest.failf "wrong error class: %s" (Herr.to_string (e, c)));
+      Alcotest.(check int) "every retry spent" (cfg.Service.max_retries + 1) o.Service.out_attempts;
+      Alcotest.(check string) "the deployment ran it" "primary" o.Service.out_served_by;
+      (* a later clean request on the same service is still answered *)
+      let fine = Service.infer svc ~seed:4 (image 4) in
+      let got = ok_tensor "clean request after the failure" fine in
+      Alcotest.(check int) "first attempt" 1 fine.Service.out_attempts;
+      Alcotest.(check (float 0.0))
+        "bit-identical to the clean run" 0.0
+        (T.max_abs_diff (T.flatten (direct_clean_run (image 4))) (T.flatten got));
       let s = Service.stats svc in
-      Alcotest.(check bool) "breaker trip recorded" true (s.Service.s_breaker_trips >= 1);
-      Alcotest.(check int) "all five succeeded degraded" 5 s.Service.s_degraded)
+      Alcotest.(check int) "one typed failure" 1 s.Service.s_failed;
+      Alcotest.(check int) "one success" 1 s.Service.s_succeeded;
+      Alcotest.(check int) "retries counted" cfg.Service.max_retries s.Service.s_retries)
 
 (* breaker state machine in isolation, on a fake clock *)
 let test_breaker_lifecycle () =
@@ -174,7 +168,7 @@ let test_deadline_fires () =
         Unix.sleepf 0.15;
         clear_backend ())
   in
-  with_service (quick_cfg ~domains:1 ()) [ slow_dep ] (fun svc ->
+  with_service (quick_cfg ~domains:1 ()) slow_dep (fun svc ->
       let late = Service.infer svc ~deadline_ms:20.0 ~seed:1 (image 2) in
       (match late.Service.out_result with
       | Error (Herr.Deadline_exceeded { budget_ms; _ }, _) ->
@@ -199,7 +193,7 @@ let test_deadline_expires_in_queue () =
         done;
         clear_backend ())
   in
-  with_service (quick_cfg ~domains:1 ()) [ gated_dep ] (fun svc ->
+  with_service (quick_cfg ~domains:1 ()) gated_dep (fun svc ->
       let blocker = Service.submit svc ~seed:1 (image 1) in
       let doomed = Service.submit svc ~deadline_ms:30.0 ~seed:2 (image 2) in
       let doomed_out = Service.await svc doomed in
@@ -222,7 +216,7 @@ let test_overload_sheds () =
         clear_backend ())
   in
   let cfg = quick_cfg ~domains:1 ~high_water:2 () in
-  with_service cfg [ gated_dep ] (fun svc ->
+  with_service cfg gated_dep (fun svc ->
       let first = Service.submit svc ~seed:0 (image 0) in
       (* wait until the single (gated) worker has dequeued the first job, so
          the queue depth is deterministic for the rest of the burst *)
@@ -264,29 +258,23 @@ let test_worker_crash_is_typed_and_contained () =
   let crashing_dep =
     dep ~label:"buggy" (fun ~req_seed:_ ~attempt:_ -> failwith "segfault in backend glue")
   in
-  with_service (quick_cfg ~domains:1 ())
-    [ crashing_dep; clean_dep ~label:"fallback" ~degraded:true () ]
-    (fun svc ->
-      let o = Service.infer svc ~seed:3 (image 4) in
-      ignore (ok_tensor "fallback covers the crash" o);
-      Alcotest.(check bool) "degraded response" true o.Service.out_degraded;
-      let s = Service.stats svc in
-      Alcotest.(check bool) "crash converted and counted" true (s.Service.s_worker_crashes >= 1);
-      (* and with no fallback, the typed Worker_crashed surfaces *)
-      ());
-  with_service (quick_cfg ~domains:1 ()) [ crashing_dep ] (fun svc ->
+  with_service (quick_cfg ~domains:1 ()) crashing_dep (fun svc ->
       let o = Service.infer svc ~seed:4 (image 4) in
-      match o.Service.out_result with
+      (match o.Service.out_result with
       | Error (Herr.Worker_crashed { reason; _ }, _) ->
           Alcotest.(check bool) "reason captured" true (String.length reason > 0)
-      | _ -> Alcotest.fail "expected a typed Worker_crashed failure")
+      | _ -> Alcotest.fail "expected a typed Worker_crashed failure");
+      (* a hard failure: no retry *)
+      Alcotest.(check int) "one attempt" 1 o.Service.out_attempts;
+      let s = Service.stats svc in
+      Alcotest.(check bool) "crash converted and counted" true (s.Service.s_worker_crashes >= 1))
 
 (* --- (e) concurrent == sequential, bit for bit ---------------------- *)
 
 let test_concurrent_matches_sequential () =
   let n = 8 in
   let run ~domains =
-    with_service (quick_cfg ~domains ()) [ clean_dep () ] (fun svc ->
+    with_service (quick_cfg ~domains ()) (clean_dep ()) (fun svc ->
         let tickets = List.init n (fun i -> Service.submit svc ~seed:i (image i)) in
         List.mapi (fun i tk -> ok_tensor (Printf.sprintf "req %d" i) (Service.await svc tk)) tickets)
   in
@@ -324,80 +312,6 @@ let test_queue_shed_and_close () =
   let s = Squeue.stats q in
   Alcotest.(check int) "shed stat" 2 s.Squeue.q_shed;
   Alcotest.(check int) "max depth stat" 2 s.Squeue.q_max_depth
-
-(* --- breaker + service state survive a process restart -------------- *)
-
-(* A snapshot taken mid-cooldown restores onto a fresh breaker whose
-   monotonic clock has an unrelated origin (a new process): the remaining
-   cooldown — not the absolute trip time — is what carries over. *)
-let test_breaker_snapshot_restore () =
-  let t = ref 0.0 in
-  let b = Breaker.create ~threshold:2 ~cooldown:10.0 ~now:(fun () -> !t) () in
-  Breaker.record_failure b;
-  Breaker.record_failure b;
-  Alcotest.(check bool) "tripped" true (Breaker.state b = Breaker.Open);
-  t := 4.0;
-  let sn = Breaker.snapshot b in
-  Alcotest.(check (float 1e-9)) "remaining cooldown captured" 6.0 sn.Breaker.sn_cooldown_remaining;
-  let t2 = ref 1000.0 in
-  let b2 = Breaker.create ~threshold:2 ~cooldown:10.0 ~now:(fun () -> !t2) () in
-  Breaker.restore b2 sn;
-  Alcotest.(check bool) "restored open" true (Breaker.state b2 = Breaker.Open);
-  Alcotest.(check bool) "still cooling down" false (Breaker.allow b2);
-  t2 := 1005.9;
-  Alcotest.(check bool) "remaining cooldown honoured" false (Breaker.allow b2);
-  t2 := 1006.1;
-  Alcotest.(check bool) "probes once remaining elapses" true (Breaker.allow b2);
-  Alcotest.(check int) "trip count carried over" 1 (Breaker.trip_count b2);
-  (* a snapshot of a half-open breaker restores as Open with the cooldown
-     already elapsed: the new process probes immediately *)
-  let sn_half = Breaker.snapshot b2 in
-  Alcotest.(check bool) "half-open captured" true (sn_half.Breaker.sn_state = Breaker.Half_open);
-  let t3 = ref 0.0 in
-  let b3 = Breaker.create ~threshold:2 ~cooldown:10.0 ~now:(fun () -> !t3) () in
-  Breaker.restore b3 sn_half;
-  Alcotest.(check bool) "restored half-open probes immediately" true (Breaker.allow b3)
-
-let test_service_state_roundtrip () =
-  let cfg = quick_cfg ~domains:1 ~max_retries:1 () in
-  let ladder () = [ persistent_fault_dep (); clean_dep ~label:"fallback" ~degraded:true () ] in
-  (* first process: trip the primary, persist on shutdown *)
-  let state =
-    with_service cfg (ladder ()) (fun svc ->
-        for i = 0 to 3 do
-          ignore (Service.infer svc ~seed:i (image i))
-        done;
-        Alcotest.(check bool) "primary tripped before shutdown" true
-          (List.assoc "primary" (Service.breaker_states svc) = Breaker.Open);
-        Service.state_to_string svc)
-  in
-  (* second process: same ladder shape, state restored *)
-  with_service cfg (ladder ()) (fun svc2 ->
-      (match Service.restore_state svc2 state with
-      | Ok n -> Alcotest.(check int) "both rungs restored" 2 n
-      | Error e -> Alcotest.failf "restore failed: %s" (Herr.error_name e));
-      Alcotest.(check bool) "primary still open after restart" true
-        (List.assoc "primary" (Service.breaker_states svc2) = Breaker.Open);
-      (* the restored-open breaker routes straight to the fallback: no
-         doomed primary attempt is repeated after the restart *)
-      let o = Service.infer svc2 ~seed:9 (image 9) in
-      ignore (ok_tensor "post-restore request" o);
-      Alcotest.(check string) "served degraded" "fallback" o.Service.out_served_by;
-      Alcotest.(check int) "no primary attempt" 1 o.Service.out_attempts);
-  (* unknown rung labels are skipped, not fatal (ladder shape may change) *)
-  with_service cfg [ clean_dep ~label:"renamed" () ] (fun svc3 ->
-      match Service.restore_state svc3 state with
-      | Ok n -> Alcotest.(check int) "no matching rungs" 0 n
-      | Error e -> Alcotest.failf "shape change should not fail: %s" (Herr.error_name e));
-  (* a damaged payload is a typed report, not a crash *)
-  let mangled = Bytes.of_string state in
-  let last = Bytes.length mangled - 1 in
-  Bytes.set mangled last (Char.chr (Char.code (Bytes.get mangled last) lxor 1));
-  with_service cfg (ladder ()) (fun svc4 ->
-      match Service.restore_state svc4 (Bytes.to_string mangled) with
-      | Ok _ -> Alcotest.fail "corrupt state accepted"
-      | Error (Herr.Corrupt_bundle _) -> ()
-      | Error e -> Alcotest.failf "wrong error class: %s" (Herr.error_name e))
 
 (* --- half-open probe discipline (DESIGN.md §12 / ISSUE 6 satellite) ----
    While [Half_open], at most one probe may be outstanding — two concurrent
@@ -437,7 +351,7 @@ let test_breaker_probe_release () =
   Alcotest.(check bool) "probe admitted" true (Breaker.allow b);
   Alcotest.(check bool) "second refused" false (Breaker.allow b);
   (* the probe reached no verdict (its request's deadline fired before any
-     attempt finished): without release the rung could never be probed again *)
+     attempt finished): without release the shard could never be probed again *)
   Breaker.release b;
   Alcotest.(check bool) "slot returned, next probe admitted" true (Breaker.allow b);
   Breaker.record_success b;
@@ -447,10 +361,10 @@ let test_breaker_probe_release () =
   Alcotest.(check bool) "closed still allows" true (Breaker.allow b)
 
 (* --- graceful drain (SIGTERM protocol, automated) ----------------------
-   The four assertions of the shutdown contract, previously only exercised
+   The three assertions of the shutdown contract, previously only exercised
    end-to-end by scripts: in-flight requests complete, new submissions are
-   refused with a typed [Overloaded], the learned state persists, and drain
-   reports completion (the worker's cue to exit 0). *)
+   refused with a typed [Overloaded], and drain reports completion (the
+   worker's cue to exit 0). *)
 
 let test_graceful_drain () =
   let gate = Atomic.make false in
@@ -462,7 +376,7 @@ let test_graceful_drain () =
         clear_backend ())
   in
   let cfg = quick_cfg ~domains:2 () in
-  with_service cfg [ gated_dep ] (fun svc ->
+  with_service cfg gated_dep (fun svc ->
       let t1 = Service.submit svc ~seed:1 (image 1) in
       let t2 = Service.submit svc ~seed:2 (image 2) in
       Alcotest.(check int) "both admitted" 2 (Service.inflight svc);
@@ -478,18 +392,12 @@ let test_graceful_drain () =
       Alcotest.(check bool) "drain honest about live work" false
         (Service.drain svc ~timeout_ms:50.0);
       Atomic.set gate true;
-      (* (4) ... and report completion once the in-flight work lands *)
+      (* (3) ... and report completion once the in-flight work lands *)
       Alcotest.(check bool) "drain completes" true (Service.drain svc ~timeout_ms:10_000.0);
       Alcotest.(check int) "nothing in flight" 0 (Service.inflight svc);
       (* (1) the admitted requests ran to real outcomes *)
       ignore (ok_tensor "in-flight #1 completed" (Service.await svc t1));
-      ignore (ok_tensor "in-flight #2 completed" (Service.await svc t2));
-      (* (3) state persists at exactly this point, as the worker would *)
-      let state = Service.state_to_string svc in
-      with_service cfg [ clean_dep () ] (fun svc2 ->
-          match Service.restore_state svc2 state with
-          | Ok n -> Alcotest.(check int) "state restorable" 1 n
-          | Error e -> Alcotest.failf "persisted state rejected: %s" (Herr.error_name e)))
+      ignore (ok_tensor "in-flight #2 completed" (Service.await svc t2)))
 
 (* --- cooperative cancellation (DESIGN.md §13) ------------------------
    A mid-circuit cancel must free the worker at the next node boundary with
@@ -527,7 +435,7 @@ let test_midcircuit_cancel_frees_worker () =
     end : Hisa.S)
   in
   let pausable = dep ~label:"pausable" (fun ~req_seed:_ ~attempt:_ -> pausing_backend ()) in
-  with_service (quick_cfg ~domains:1 ()) [ pausable ] (fun svc ->
+  with_service (quick_cfg ~domains:1 ()) pausable (fun svc ->
       let tk = Service.submit svc ~seed:1 (image 1) in
       let rec spin n =
         if not (Atomic.get entered) then
@@ -557,7 +465,7 @@ let test_midcircuit_cancel_frees_worker () =
 
 (* --- retry backoff clamped to the remaining budget --------------------
    On a manual clock (only backoff sleeps advance it; the 1 ms await polls
-   do not), a persistently-failing rung with a 100 ms budget and a 40 ms
+   do not), a persistently-failing deployment with a 100 ms budget and a 40 ms
    backoff base must stop retrying the moment the budget dies during a
    sleep: 2 attempts, the clock parked exactly at the deadline, and a typed
    [Deadline_exceeded] — instead of burning the full 5-retry schedule.
@@ -588,13 +496,13 @@ let test_backoff_clamped_to_budget () =
             Unix.sleepf 0.0005);
     }
   in
-  with_service cfg [ persistent_fault_dep () ] (fun svc ->
+  with_service cfg (persistent_fault_dep ()) (fun svc ->
       let o = Service.infer svc ~deadline_ms:100.0 ~seed:5 (image 5) in
       (match o.Service.out_result with
       | Error (Herr.Deadline_exceeded { budget_ms; elapsed_ms }, _) ->
           Alcotest.(check (float 0.01)) "budget echoed" 100.0 budget_ms;
           Alcotest.(check (float 0.01)) "failed fast at the budget, not after" 100.0 elapsed_ms
-      | Ok _ -> Alcotest.fail "persistently-failing rung cannot succeed"
+      | Ok _ -> Alcotest.fail "persistently-failing deployment cannot succeed"
       | Error (e, c) -> Alcotest.failf "wrong error class: %s" (Herr.to_string (e, c)));
       (* 40 ms + (80 ms clamped to 60 ms) = exactly the budget; unclamped the
          schedule would have slept 1240 ms of virtual time over 6 attempts *)
@@ -603,7 +511,7 @@ let test_backoff_clamped_to_budget () =
 
 (* micro compiled with sentinels, its ring pinned to 2048 (rotation keys
    re-selected at that size) so real key generation and inference stay
-   fast; shared by the real-backend rung tests *)
+   fast; shared by the real-backend deployment tests *)
 let pinned_sentinel_compile =
   lazy
     (let compiled = Compiler.compile { seal_opts with Compiler.sentinel = true } micro in
@@ -617,8 +525,8 @@ let pinned_sentinel_compile =
          { compiled with Compiler.params; rotations; op_counters }
      | Compiler.Pow2_params _ -> compiled)
 
-(* Every rung [ladder_of_keyset] builds is a plan prepared once per worker,
-   whose sampler is reseeded per attempt. On the real backend (a small
+(* The deployment [ladder_of_keyset] builds is a plan prepared once per
+   worker, whose sampler is reseeded per attempt. On the real backend (a small
    ring) with sentinels on, answers served concurrently must equal a
    one-shot plan run on a fresh per-request view of the same keyset, bit
    for bit, and each must carry the sentinel margin measured on the plan. *)
@@ -626,21 +534,18 @@ let test_prepared_rungs_match_one_shot () =
   let compiled = Lazy.force pinned_sentinel_compile in
   let seed = 5 and spec = Chet.Integrity.spec_for micro in
   let keyset = Compiler.keyset compiled ~seed ~with_secret:true () in
-  let ladder =
-    Service.ladder_of_keyset compiled ~keyset ~reduced_rungs:0 ~clear_fallback:false
-      ~sentinel:spec ()
-  in
+  let deployment = Service.ladder_of_keyset compiled ~keyset ~sentinel:spec () in
   let one_shot img ~req_seed =
     let module H = (val Compiler.view keyset ~req_seed) in
     let module PE = Chet_plan.Plan_exec.Make (H) in
     PE.eval ~sentinel:(Chet.Integrity.sentinel spec) compiled.Compiler.opts.Compiler.scales micro
       ~policy:compiled.Compiler.policy img
   in
-  with_service (quick_cfg ()) ladder (fun svc ->
+  with_service (quick_cfg ()) deployment (fun svc ->
       List.init 4 (fun i -> (i, Service.submit svc ~seed:(40 + i) (image i)))
       |> List.iter (fun (i, ticket) ->
              let o = Service.await svc ticket in
-             let got = ok_tensor "prepared rung" o in
+             let got = ok_tensor "prepared deployment" o in
              if not (Float.is_finite o.Service.out_margin_bits) then
                Alcotest.failf "request %d: no sentinel margin" i;
              let expected = one_shot (image i) ~req_seed:(40 + i) in
@@ -649,57 +554,57 @@ let test_prepared_rungs_match_one_shot () =
                true (got.T.data = expected.T.data)))
 
 (* The twin decision is the compile's: a sentinel compile's rotation keys
-   cover only the twin layout's doubled amounts, so a ladder built from it
-   without [?sentinel] must still run the twin plan — and answer from the
-   primary rung on the first attempt, not degrade to the cleartext rung
-   after every real attempt fails on a missing rotation key. *)
+   cover only the twin layout's doubled amounts, so a deployment built from
+   it without [?sentinel] must still run the twin plan — and answer on the
+   first attempt, not fail every attempt on a missing rotation key. *)
 let test_sentinel_compile_unverified_ladder () =
   let compiled = Lazy.force pinned_sentinel_compile in
-  let ladder =
-    Service.ladder_of_compiled compiled ~seed:5 ~reduced_rungs:0 ~clear_fallback:true
-      ~with_secret:true ()
-  in
-  List.iter
-    (fun (d : Service.deployment) ->
-      Alcotest.(check bool) (d.Service.dep_label ^ " runs twin") true d.Service.dep_plan.Chet_plan.Plan.p_twin)
-    ladder;
-  with_service (quick_cfg ()) ladder (fun svc ->
+  let deployment = Service.ladder_of_compiled compiled ~seed:5 ~with_secret:true () in
+  Alcotest.(check bool) "runs twin" true deployment.Service.dep_plan.Chet_plan.Plan.p_twin;
+  with_service (quick_cfg ()) deployment (fun svc ->
       let o = Service.infer svc ~seed:9 (image 9) in
-      let got = ok_tensor "unverified twin rung" o in
-      Alcotest.(check string) "served by the primary rung" "primary" o.Service.out_served_by;
+      let got = ok_tensor "unverified twin deployment" o in
+      Alcotest.(check string) "served by the deployment" "primary" o.Service.out_served_by;
       Alcotest.(check bool) "not degraded" false o.Service.out_degraded;
       Alcotest.(check int) "first attempt" 1 o.Service.out_attempts;
       Alcotest.(check bool) "unverified: no margin" true (Float.is_nan o.Service.out_margin_bits);
       let expected = direct_clean_run (image 9) in
       Alcotest.(check int) "same class as the clean run" (T.argmax expected) (T.argmax got))
 
-(* The twin flag cannot be asked of a compile that did not choose it, and a
-   rung cannot promise verification on a plan without the sentinel lane, or
-   run a plan built for another circuit. *)
+(* The twin flag cannot be asked of a compile that did not choose it, a
+   deployment cannot promise verification on a plan without the sentinel
+   lane, or run a plan built for another circuit, and a service has no
+   second deployment to build. *)
 let test_ladder_geometry_rejected () =
   let plain = Lazy.force compiled in
   let spec = Chet.Integrity.spec_for micro in
-  (match
-     Service.ladder_of_keyset plain ~keyset:(Compiler.clear_keyset plain) ~sentinel:spec ()
-   with
-  | _ -> Alcotest.fail "?sentinel accepted for a circuit compiled without sentinels"
-  | exception Invalid_argument _ -> ());
-  let rejected name ladder =
-    match Service.create (quick_cfg ()) ~circuit:micro ~ladder with
+  let refused name build =
+    match build () with
+    | _ -> Alcotest.failf "%s accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  refused "?sentinel for a circuit compiled without sentinels" (fun () ->
+      Service.ladder_of_keyset plain ~keyset:(Compiler.clear_keyset plain) ~sentinel:spec ());
+  refused "a reduced-scale rung" (fun () ->
+      Service.ladder_of_compiled plain ~seed:5 ~reduced_rungs:1 ~with_secret:true ());
+  refused "a cleartext fallback" (fun () ->
+      Service.ladder_of_compiled plain ~seed:5 ~clear_fallback:true ~with_secret:true ());
+  let rejected name deployment =
+    match Service.create (quick_cfg ()) ~circuit:micro ~ladder:deployment with
     | svc ->
         Service.shutdown svc;
         Alcotest.failf "Service.create accepted %s" name
     | exception Invalid_argument _ -> ()
   in
   let verified = { (clean_dep ()) with Service.dep_sentinel = Some spec } in
-  rejected "a verified rung on a plan without the sentinel lane" [ verified ];
+  rejected "a verified deployment on a plan without the sentinel lane" verified;
   let other = { (Models.micro.Models.build ()) with Chet_nn.Circuit.name = "micro-2" } in
   let foreign =
     Chet_plan.Plan.build ~slots:(Compiler.params_n (Lazy.force compiled).Compiler.params / 2)
       ~policy:(policy ()) other
   in
-  rejected "a rung whose plan was built for another circuit"
-    [ { (clean_dep ()) with Service.dep_plan = foreign } ]
+  rejected "a deployment whose plan was built for another circuit"
+    { (clean_dep ()) with Service.dep_plan = foreign }
 
 let suite =
   [
@@ -709,8 +614,8 @@ let suite =
         Alcotest.test_case "breaker: trip / half-open / close" `Quick test_breaker_lifecycle;
         Alcotest.test_case "(a) transient fault retried, bit-identical" `Quick
           test_transient_fault_retried;
-        Alcotest.test_case "(b) persistent fault trips breaker, degraded serve" `Quick
-          test_persistent_fault_degrades;
+        Alcotest.test_case "(b) persistent fault: typed error after its retries" `Quick
+          test_persistent_fault_typed_error;
         Alcotest.test_case "(c) deadline fires, pool keeps serving" `Quick test_deadline_fires;
         Alcotest.test_case "(c') deadline expires while queued" `Quick
           test_deadline_expires_in_queue;
@@ -719,15 +624,11 @@ let suite =
           test_worker_crash_is_typed_and_contained;
         Alcotest.test_case "(e) concurrent bit-identical to sequential" `Quick
           test_concurrent_matches_sequential;
-        Alcotest.test_case "breaker snapshot/restore across clock origins" `Quick
-          test_breaker_snapshot_restore;
-        Alcotest.test_case "service state persists across restart" `Quick
-          test_service_state_roundtrip;
         Alcotest.test_case "breaker: half-open admits exactly one probe (2 domains)" `Quick
           test_breaker_half_open_single_probe_2domains;
         Alcotest.test_case "breaker: abandoned probe releases its slot" `Quick
           test_breaker_probe_release;
-        Alcotest.test_case "graceful drain: finish, refuse typed, persist" `Quick
+        Alcotest.test_case "graceful drain: finish, refuse typed, report done" `Quick
           test_graceful_drain;
         Alcotest.test_case "cancel mid-circuit frees the worker, typed + node id" `Quick
           test_midcircuit_cancel_frees_worker;

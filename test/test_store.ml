@@ -13,7 +13,9 @@
      (e) deployment bundles round trip, and a warm-restarted factory
          (stored public keys + seed-re-derived secret key) is bit-identical
          to the deployment that wrote the bundle;
-     (f) sidecar state files share the same atomicity and quarantine rules. *)
+     (f) a store written by an older version, with its [service.state]
+         sidecar, opens cleanly and warm-restarts; the sidecar is left
+         alone. *)
 
 module Store = Chet_store.Store
 module Bundle = Chet_store.Bundle
@@ -104,10 +106,7 @@ let test_save_rejects_bad_names () =
       rejected "path separator" [ ("a/b", "x") ];
       rejected "leading dot" [ (".hidden", "x") ];
       rejected "tmp suffix" [ ("a.tmp", "x") ];
-      rejected "duplicate name" [ ("a", "x"); ("a", "y") ];
-      match Store.save_state store ~name:"gen-000001" "x" with
-      | _ -> Alcotest.fail "sidecar shadowing a generation accepted"
-      | exception Invalid_argument _ -> ())
+      rejected "duplicate name" [ ("a", "x"); ("a", "y") ])
 
 (* ------------------------------------------------------------------ *)
 (* (b) kill-point matrix                                                *)
@@ -154,20 +153,6 @@ let test_kill_point_matrix () =
           | Some (id, files) when id = g3 -> check_files (name ^ ": post-recovery save") files_v1 files
           | _ -> Alcotest.failf "%s: store not writable after recovery" name))
     points
-
-let test_sidecar_kill_point () =
-  with_store_dir (fun dir ->
-      let store, _ = Store.open_ dir in
-      Store.save_state store ~name:"svc" "v1";
-      Store.arm_kill_point (Some (Store.Pre_file_rename "svc"));
-      (match Store.save_state store ~name:"svc" "v2" with
-      | () -> Alcotest.fail "sidecar kill point did not fire"
-      | exception Store.Killed _ -> ());
-      let store2, report = Store.open_ dir in
-      Alcotest.(check int) "tmp debris removed" 1 report.Store.r_removed_tmp;
-      match Store.load_state store2 ~name:"svc" with
-      | Some (Ok s) -> Alcotest.(check string) "previous sidecar value intact" "v1" s
-      | _ -> Alcotest.fail "sidecar lost to an aborted overwrite")
 
 (* ------------------------------------------------------------------ *)
 (* (c) corruption -> quarantine + fallback                              *)
@@ -281,27 +266,6 @@ let test_retention_gc () =
       Alcotest.(check int) "one directory removed" 1 (List.length removed))
 
 (* ------------------------------------------------------------------ *)
-(* Sidecar state files                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let test_sidecar_state () =
-  with_store_dir (fun dir ->
-      let store, _ = Store.open_ dir in
-      Alcotest.(check bool) "absent sidecar is None" true
-        (Store.load_state store ~name:"service.state" = None);
-      Store.save_state store ~name:"service.state" "breaker bytes v1";
-      (match Store.load_state store ~name:"service.state" with
-      | Some (Ok s) -> Alcotest.(check string) "sidecar round trip" "breaker bytes v1" s
-      | _ -> Alcotest.fail "sidecar not read back");
-      flip_bit (Filename.concat dir "service.state") ~pos:9 ~bit:2;
-      (match Store.load_state store ~name:"service.state" with
-      | Some (Error (Herr.Corrupt_bundle _)) -> ()
-      | _ -> Alcotest.fail "sidecar corruption not reported as typed Corrupt_bundle");
-      (* quarantined on detection: the next boot starts clean *)
-      Alcotest.(check bool) "quarantined sidecar absent afterwards" true
-        (Store.load_state store ~name:"service.state" = None))
-
-(* ------------------------------------------------------------------ *)
 (* (e) compiled configurations and deployment bundles                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -413,6 +377,38 @@ let test_bundle_warm_restart_bit_identical () =
             "warm-restarted inference is bit-identical" 0.0
             (T.max_abs_diff (T.flatten a) (T.flatten r)))
 
+(* ------------------------------------------------------------------ *)
+(* (f) upgrade: a state dir written by an older version                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Older versions persisted the serving layer's breaker memory as a
+   [service.state] sidecar (a [STAT] checksum frame) beside the
+   generations. Nothing reads it any more: the store must open with nothing
+   quarantined, warm-restart the bundle, and leave the file as it was. *)
+let test_upgrade_leftover_sidecar () =
+  with_store_dir (fun dir ->
+      let c = small_compiled () in
+      let store, _ = Store.open_ dir in
+      let gen = Bundle.save store (Bundle.build ~with_keys:false c ~seed:9 ()) in
+      let leftover =
+        let w = Serial.writer () in
+        Serial.write_frame w "STAT" (fun w -> Serial.write_string w "breaker bytes");
+        Serial.contents w
+      in
+      let sidecar = Filename.concat dir "service.state" in
+      write_file sidecar leftover;
+      let store2, report = Store.open_ dir in
+      Alcotest.(check (list string)) "nothing quarantined" []
+        (List.map fst report.Store.r_quarantined);
+      Alcotest.(check (option int)) "the generation is active" (Some gen) report.Store.r_active;
+      (match Bundle.load store2 ~circuit:micro with
+      | Some l ->
+          Alcotest.(check int) "warm restart from the generation" gen l.Bundle.l_generation;
+          Alcotest.(check bool) "compiled params restored" true
+            (l.Bundle.l_bundle.Bundle.b_compiled.Compiler.params = c.Compiler.params)
+      | None -> Alcotest.fail "bundle not restored");
+      Alcotest.(check string) "leftover sidecar left alone" leftover (read_file sidecar))
+
 let suite =
   [
     ( "store",
@@ -421,14 +417,14 @@ let suite =
         Alcotest.test_case "unusable names rejected" `Quick test_save_rejects_bad_names;
         Alcotest.test_case "kill-point matrix: old or new, never torn" `Quick
           test_kill_point_matrix;
-        Alcotest.test_case "sidecar kill point keeps old value" `Quick test_sidecar_kill_point;
         Alcotest.test_case "corrupt newest quarantined, previous served" `Quick
           test_corrupt_newest_falls_back;
         Alcotest.test_case "manifest truncation sweep" `Quick test_manifest_truncation_sweep;
         Alcotest.test_case "manifest bit-flip fuzz" `Quick test_manifest_bitflip_fuzz;
         Alcotest.test_case "payload truncation sweep" `Quick test_payload_truncation_sweep;
         Alcotest.test_case "retention + gc" `Quick test_retention_gc;
-        Alcotest.test_case "sidecar state round trip + quarantine" `Quick test_sidecar_state;
+        Alcotest.test_case "older store with a service.state sidecar opens" `Quick
+          test_upgrade_leftover_sidecar;
         Alcotest.test_case "compiled CMPD frame round trip" `Quick test_compiled_roundtrip;
         Alcotest.test_case "bundle fields round trip + schema damage typed" `Quick
           test_bundle_fields_roundtrip;
