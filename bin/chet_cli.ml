@@ -627,7 +627,8 @@ let serve_cmd =
          attempt of each request (retries recover), 'persistent' NaN-poisons every attempt (each \
          request ends in a typed error after its retries), 'silent' perturbs result slots with \
          no typed error — invisible without $(b,--sentinel), which fails each request with a \
-         typed Integrity_violation after its retries."
+         typed Integrity_violation after its retries. Faults are injected only into the \
+         cleartext deployment: with $(b,--real) any mode but 'none' is a usage error."
   in
   let real_arg =
     Arg.(
@@ -664,6 +665,10 @@ let serve_cmd =
   in
   let run () model target requests domains queue_hw deadline_ms tight_every fault real
       want_sentinel seed metrics_dump state_dir interarrival_ms =
+    if real && fault <> `None then begin
+      Printf.eprintf "chet: serve: --fault is not supported with --real\n";
+      exit 2
+    end;
     let spec = lookup_model model in
     let circuit = spec.Models.build () in
     let sentinel = if want_sentinel then Some (Integrity.spec_for circuit) else None in

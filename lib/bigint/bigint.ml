@@ -368,10 +368,6 @@ let num_bits a =
   let l = Array.length a.mag in
   if l = 0 then 0 else ((l - 1) * base_bits) + bits_of_limb a.mag.(l - 1)
 
-let testbit a k =
-  let limb = k / base_bits and bit = k mod base_bits in
-  limb < Array.length a.mag && (a.mag.(limb) lsr bit) land 1 = 1
-
 let is_even a = Array.length a.mag = 0 || a.mag.(0) land 1 = 0
 
 let pow2 k =

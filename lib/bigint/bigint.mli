@@ -85,7 +85,6 @@ val shift_right : t -> int -> t
 val num_bits : t -> int
 (** Bits in the magnitude; [num_bits zero = 0]. *)
 
-val testbit : t -> int -> bool
 val is_even : t -> bool
 
 val pow2 : int -> t

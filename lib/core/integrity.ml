@@ -21,8 +21,6 @@ module Dataset = Chet_tensor.Dataset
 module Circuit = Chet_nn.Circuit
 module Reference = Chet_nn.Reference
 module Herr = Chet_hisa.Herr
-module Hisa = Chet_hisa.Hisa
-module Clear = Chet_hisa.Clear_backend
 module Plan_exec = Chet_plan.Plan_exec
 
 type spec = {
@@ -98,27 +96,3 @@ let sentinel ?observe spec =
         (match observe with Some f -> f twin | None -> ());
         verify spec twin);
   }
-
-(* Deployment-time self-check: run the circuit end to end on a twin layout
-   through the clear backend, with the probe in *both* lanes, and verify
-   both lanes against the reference prediction. This exercises the true
-   plan and kernels (not a static model of them), so it proves this circuit/policy
-   combination propagates the twin faithfully — layout overflows surface as
-   the usual typed [Slot_overflow], and any kernel that mixed the lanes
-   would fail the comparison. Returns the sentinel margin of the clean run. *)
-let validate spec circuit ~scales ~policy ~slots =
-  let backend =
-    Clear.make
-      {
-        Clear.slots;
-        scheme = Hisa.Pow2_modulus 8000;
-        strict_modulus = false;
-        encode_noise = false;
-      }
-  in
-  let module H = (val backend : Hisa.S) in
-  let module PE = Plan_exec.Make (H) in
-  let out = PE.eval ~sentinel:(sentinel spec) scales circuit ~policy spec.it_probe in
-  (* the primary lane carried the probe too: it must meet the same bar *)
-  verify spec out;
-  margin_bits spec out

@@ -41,13 +41,3 @@ val sentinel : ?observe:(Tensor.t -> unit) -> spec -> Chet_plan.Plan_exec.sentin
 (** The executor-facing hook: pack the probe at encrypt time, verify the
     decrypted twin output, calling [observe] on it first (margin gauges,
     RSP1 sentinel forwarding). *)
-
-val validate :
-  spec -> Circuit.t -> scales:Chet_runtime.Kernels.scales ->
-  policy:Chet_runtime.Layout.layout_policy -> slots:int -> float
-(** Deployment-time self-check: run the circuit's twin plan through the
-    clear backend with the probe in both lanes and verify both against the
-    reference. Proves the circuit/policy propagates the twin faithfully
-    through the real plan and kernels; returns the clean run's sentinel
-    margin.
-    @raise Chet_hisa.Herr.Fhe_error on layout overflow or lane mixing. *)

@@ -10,7 +10,6 @@ let fresh_state ~seed = Random.State.make [| seed; 0x43484554 (* "CHET" *) |]
 let create ~seed = { st = fresh_state ~seed }
 let reseed t ~seed = t.st <- fresh_state ~seed
 let state t = t.st
-let uniform_mod t m = Random.State.int t.st m
 
 let ternary t n = Array.init n (fun _ -> Random.State.int t.st 3 - 1)
 

@@ -16,9 +16,6 @@ val reseed : t -> seed:int -> unit
 
 val state : t -> Random.State.t
 
-val uniform_mod : t -> int -> int
-(** Uniform in [\[0, m)] for [m < 2^30]. *)
-
 val ternary : t -> int -> int array
 (** Length-[n] vector with entries uniform in [{-1, 0, 1}] (the secret-key
     distribution of SEAL and HEAAN). *)

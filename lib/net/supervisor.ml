@@ -23,7 +23,6 @@
 
 module Serial = Chet_crypto.Serial
 module Herr = Chet_herr.Herr
-module Breaker = Chet_serve.Breaker
 module Metrics = Chet_obs.Metrics
 
 type spawned = {

@@ -18,8 +18,6 @@ and op =
   | Square of node
   | BatchNorm of { input : node; scale : float array; shift : float array }
   | Flatten of node
-  | Concat of node list
-  | Residual of node * node
 
 type t = { name : string; input : node; output : node; node_count : int }
 type builder = { mutable next_id : int; mutable input_node : node option }
@@ -90,23 +88,6 @@ let batch_norm b node ~scale ~shift =
 
 let flatten b node = fresh b (Flatten node) [| Tensor.numel_of_shape node.shape |]
 
-let concat b nodes =
-  match nodes with
-  | [] -> invalid_arg "Circuit.concat: empty"
-  | first :: rest ->
-      let _, h, w = as_chw first in
-      List.iter
-        (fun n ->
-          let _, h', w' = as_chw n in
-          if h' <> h || w' <> w then invalid_arg "Circuit.concat: spatial dims differ")
-        rest;
-      let total_c = List.fold_left (fun acc n -> acc + n.shape.(0)) 0 nodes in
-      fresh b (Concat nodes) [| total_c; h; w |]
-
-let residual b x y =
-  if x.shape <> y.shape then invalid_arg "Circuit.residual: shape mismatch";
-  fresh b (Residual (x, y)) x.shape
-
 let finish b ~name ~output =
   match b.input_node with
   | None -> invalid_arg "Circuit.finish: no input node"
@@ -119,8 +100,6 @@ let predecessors node =
   | BatchNorm { input; _ } ->
       [ input ]
   | GlobalAvgPool n | Square n | Flatten n -> [ n ]
-  | Concat ns -> ns
-  | Residual (x, y) -> [ x; y ]
 
 let topo_order t =
   let visited = Hashtbl.create 64 in
@@ -142,8 +121,7 @@ let layer_counts t =
       | Conv2d _ -> (conv + 1, fc, act)
       | MatMul _ -> (conv, fc + 1, act)
       | PolyAct _ | Square _ -> (conv, fc, act + 1)
-      | Input _ | AvgPool _ | GlobalAvgPool _ | BatchNorm _ | Flatten _ | Concat _ | Residual _ ->
-          (conv, fc, act))
+      | Input _ | AvgPool _ | GlobalAvgPool _ | BatchNorm _ | Flatten _ -> (conv, fc, act))
     (0, 0, 0) (topo_order t)
 
 let multiplicative_depth t =
@@ -160,8 +138,6 @@ let multiplicative_depth t =
         | PolyAct { input; a; _ } -> d input + if a = 0.0 then 1 else 2
         | Square n -> d n + 1
         | Flatten n -> d n
-        | Concat ns -> List.fold_left (fun acc n -> Stdlib.max acc (d n)) 0 ns
-        | Residual (x, y) -> Stdlib.max (d x) (d y)
       in
       Hashtbl.replace depth node.id v)
     (topo_order t);

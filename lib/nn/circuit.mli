@@ -23,8 +23,6 @@ and op =
   | Square of node
   | BatchNorm of { input : node; scale : float array; shift : float array }
   | Flatten of node
-  | Concat of node list  (** channel concatenation *)
-  | Residual of node * node  (** elementwise add *)
 
 type t = {
   name : string;
@@ -50,8 +48,6 @@ val poly_act : builder -> node -> a:float -> b:float -> node
 val square : builder -> node -> node
 val batch_norm : builder -> node -> scale:float array -> shift:float array -> node
 val flatten : builder -> node -> node
-val concat : builder -> node list -> node
-val residual : builder -> node -> node -> node
 val finish : builder -> name:string -> output:node -> t
 
 (** {1 Traversal} *)

@@ -9,7 +9,7 @@ let make m a = { multiplies = m; additions = a; total = m + a }
 let count_node (node : Circuit.node) =
   let out_elems = Tensor.numel_of_shape node.Circuit.shape in
   match node.Circuit.op with
-  | Circuit.Input _ | Circuit.Flatten _ | Circuit.Concat _ -> zero
+  | Circuit.Input _ | Circuit.Flatten _ -> zero
   | Circuit.Conv2d { input; weights; bias; _ } ->
       ignore input;
       let cin = weights.Tensor.shape.(1) in
@@ -29,7 +29,6 @@ let count_node (node : Circuit.node) =
   | Circuit.PolyAct _ -> make (3 * out_elems) out_elems (* x·x, a·x², b·x, + *)
   | Circuit.Square _ -> make out_elems 0
   | Circuit.BatchNorm _ -> make out_elems out_elems
-  | Circuit.Residual _ -> make 0 out_elems
 
 let count circuit =
   List.fold_left

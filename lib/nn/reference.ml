@@ -20,8 +20,6 @@ let eval_all circuit image =
         | Circuit.Square n -> Tensor.square (v n)
         | Circuit.BatchNorm { input; scale; shift } -> Tensor.batch_norm ~scale ~shift (v input)
         | Circuit.Flatten n -> Tensor.flatten (v n)
-        | Circuit.Concat ns -> Tensor.concat_channels (List.map v ns)
-        | Circuit.Residual (x, y) -> Tensor.add (v x) (v y)
       in
       Hashtbl.replace values node.Circuit.id result)
     (Circuit.topo_order circuit);
@@ -29,8 +27,6 @@ let eval_all circuit image =
 
 let eval circuit image =
   Hashtbl.find (eval_all circuit image) circuit.Circuit.output.Circuit.id
-
-let eval_node circuit image node = Hashtbl.find (eval_all circuit image) node.Circuit.id
 
 let max_intermediate_abs circuit image =
   let values = eval_all circuit image in

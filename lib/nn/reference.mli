@@ -7,9 +7,6 @@ module Tensor = Chet_tensor.Tensor
 val eval : Circuit.t -> Tensor.t -> Tensor.t
 (** [eval circuit image]: run the circuit on a cleartext input. *)
 
-val eval_node : Circuit.t -> Tensor.t -> Circuit.node -> Tensor.t
-(** Value of an intermediate node (used to bound intermediate magnitudes). *)
-
 val max_intermediate_abs : Circuit.t -> Tensor.t -> float
 (** Largest absolute value appearing at any node — the quantity that must
     stay clear of the modulus for correctness. *)

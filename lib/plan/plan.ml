@@ -71,8 +71,6 @@ let sources (node : Circuit.node) =
   | Circuit.BatchNorm { input; _ } ->
       [ input ]
   | Circuit.GlobalAvgPool n | Circuit.Square n | Circuit.Flatten n -> [ n ]
-  | Circuit.Concat ns -> ns
-  | Circuit.Residual (a, b) -> [ a; b ]
 
 (* Output meta of a node given its (already layout-converted) source metas —
    must mirror the meta arithmetic of the corresponding kernels exactly. *)
@@ -92,9 +90,6 @@ let node_out_meta (node : Circuit.node) (src_metas : Layout.meta list) =
         stride
   | Circuit.GlobalAvgPool _, [ m ] -> Layout.with_spatial m ~height:1 ~width:1
   | (Circuit.PolyAct _ | Circuit.Square _ | Circuit.BatchNorm _ | Circuit.Flatten _), [ m ] -> m
-  | Circuit.Concat _, (first :: _ as ms) ->
-      Layout.with_channels first (List.fold_left (fun a m -> a + m.Layout.channels) 0 ms)
-  | Circuit.Residual _, [ a; _ ] -> a
   | _ ->
       Herr.raise_err ~backend:"plan" ~op:"infer" ~node_id:node.Circuit.id
         ~layer:(Layout.op_name node)

@@ -127,13 +127,6 @@ module Make (H : Hisa.S) = struct
                     | Circuit.BatchNorm { scale; shift; _ } ->
                         of_staged st (K.batch_norm cfg ~meta:(src_meta st 0) ~budget ~scale ~shift)
                     | Circuit.Flatten _ -> of_staged st K.flatten
-                    | Circuit.Concat _ ->
-                        let srcs = st.Plan.st_srcs in
-                        fun arena _input ->
-                          K.concat cfg (Array.to_list (Array.map (get arena) srcs))
-                    | Circuit.Residual _ ->
-                        let a = st.Plan.st_srcs.(0) and b = st.Plan.st_srcs.(1) in
-                        fun arena _input -> K.residual (get arena a) (get arena b)
                   end)
           in
           slot_meta.(st.Plan.st_dst) <- Some st.Plan.st_meta;

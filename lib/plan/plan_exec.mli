@@ -1,7 +1,7 @@
 (** Executes a {!Plan.t} against a HISA backend (DESIGN.md §14) — the only
     executor. Deployments run it over real scheme backends; the compiler's
-    analyses, {!Chet.Integrity.validate} and the scale search run it over
-    their analysis backends (§5.1).
+    analyses and the scale search run it over their analysis backends
+    (§5.1).
 
     [prepare] is the expensive, per-deployment half: it stages one closure
     per step through the prepare-once kernels of

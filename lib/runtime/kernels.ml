@@ -26,7 +26,6 @@ module Tensor = Chet_tensor.Tensor
 let err ~op e = Herr.raise_err ~backend:"kernels" ~op e
 
 let shape_str a = "[" ^ String.concat "; " (Array.to_list (Array.map string_of_int a)) ^ "]"
-let meta_str m = Format.asprintf "%a" Layout.pp m
 
 type scales = {
   pc : int;  (** ciphertext (image) working scale *)
@@ -230,8 +229,6 @@ module Make (H : Hisa.S) = struct
     (Layout.unpack t.meta vecs, twin)
 
   (* --- helpers ------------------------------------------------------ *)
-
-  let add_opt acc term = match acc with None -> Some term | Some a -> Some (H.add a term)
 
   (* A kernel reading [d] physical slots beyond the image on either side
      needs that much zero head-room; [d = 0] (Valid padding, pooling) reads
@@ -780,68 +777,6 @@ module Make (H : Hisa.S) = struct
 
   (* metadata-only: matmul consumes the layout's own flat indexing *)
   let flatten = nop_counts (fun t -> t)
-
-  let residual t1 t2 =
-    if t1.meta <> t2.meta then
-      err ~op:"residual" (Herr.Shape_mismatch { expected = meta_str t1.meta; got = meta_str t2.meta });
-    { t1 with cts = Array.map2 H.add t1.cts t2.cts }
-
-  (* concatenate along channels. Fast path: every input's channel count is a
-     multiple of the output block capacity *and* all inputs share a scale, so
-     ciphertext arrays simply append. Slow path: mask each channel (with a
-     per-input mask factor that equalises the product scales) and rotate it
-     into place. The mask scales depend on the scales observed at run time,
-     so nothing here is staged. *)
-  let concat cfg ts =
-    match List.map (normalize cfg) ts with
-    | [] -> err ~op:"concat" (Herr.Invalid_op { reason = "empty input list" })
-    | first :: _ as ts ->
-        let total_c = List.fold_left (fun acc t -> acc + t.meta.Layout.channels) 0 ts in
-        let out_meta = Layout.with_channels first.meta total_c in
-        let cpc = out_meta.Layout.ch_per_ct in
-        let scales = List.map (fun t -> H.scale_of t.cts.(0)) ts in
-        let s_max = List.fold_left Float.max 0.0 scales in
-        let same_scale =
-          List.for_all (fun s -> Float.abs (s -. s_max) <= 1e-6 *. s_max) scales
-        in
-        let aligned =
-          same_scale
-          && List.for_all
-               (fun t -> t.meta.Layout.ch_per_ct = cpc && t.meta.Layout.channels mod cpc = 0)
-               ts
-        in
-        if aligned then { meta = out_meta; cts = Array.concat (List.map (fun t -> t.cts) ts) }
-        else begin
-          let out_ct_count = Layout.num_cts out_meta in
-          let outs = Array.make out_ct_count None in
-          let next = ref 0 in
-          List.iter
-            (fun t ->
-              (* mask factor chosen so every input lands at scale ~s_max*pm *)
-              let target = s_max *. float_of_int cfg.pm in
-              let mask_scale =
-                Stdlib.max 1 (int_of_float (Float.round (target /. H.scale_of t.cts.(0))))
-              in
-              for c = 0 to t.meta.Layout.channels - 1 do
-                let oc = !next + c in
-                (* isolate channel c, move it from its block to oc's block *)
-                let src = Layout.ct_index t.meta c in
-                let mask_c = Layout.plain_ct t.meta src (fun c' _ _ -> if c' = c then 1.0 else 0.0) in
-                let isolated = H.mul_plain t.cts.(src) (H.encode mask_c ~scale:mask_scale) in
-                let delta =
-                  ((oc mod cpc) - (c mod t.meta.Layout.ch_per_ct)) * out_meta.Layout.ch_stride
-                in
-                let placed = rot isolated (-delta) in
-                outs.(oc / cpc) <- add_opt outs.(oc / cpc) placed
-              done;
-              next := !next + t.meta.Layout.channels)
-            ts;
-          normalize cfg
-            {
-              meta = out_meta;
-              cts = Array.map (function Some ct -> ct | None -> assert false) outs;
-            }
-        end
 
   (* --- layout conversion --------------------------------------------- *)
 

@@ -174,8 +174,6 @@ let plain_ct meta j f =
   done;
   out
 
-let valid_mask meta = plains meta (fun _ _ _ -> 1.0)
-
 let with_spatial meta ~height ~width =
   if height > meta.height || width > meta.width then
     err ~op:"with_spatial"
@@ -213,8 +211,7 @@ let with_channels meta channels =
   { meta with channels; ch_per_ct }
 
 (* Meta of a layout-converted tensor — must mirror Kernels.convert's meta
-   arithmetic exactly (the plan's static meta inference relies on it, and
-   residual compares metas structurally). *)
+   arithmetic exactly (the plan's static meta inference relies on it). *)
 let converted meta ~to_kind =
   if meta.kind = to_kind then meta
   else begin
@@ -256,8 +253,6 @@ let op_name (node : Circuit.node) =
   | Circuit.Square _ -> "square"
   | Circuit.BatchNorm _ -> "batch_norm"
   | Circuit.Flatten _ -> "flatten"
-  | Circuit.Concat _ -> "concat"
-  | Circuit.Residual _ -> "residual"
 
 (* The four pruned layout policies of §5.3. *)
 type layout_policy =
@@ -321,8 +316,6 @@ let required_margin circuit =
         | Circuit.PolyAct { input; _ } | Circuit.BatchNorm { input; _ } ->
             cum_of input
         | Circuit.GlobalAvgPool n | Circuit.Square n | Circuit.Flatten n -> cum_of n
-        | Circuit.Concat ns -> List.fold_left (fun a n -> Stdlib.max a (cum_of n)) 1 ns
-        | Circuit.Residual (x, y) -> Stdlib.max (cum_of x) (cum_of y)
       in
       let out_cum, need =
         match node.Circuit.op with

@@ -92,9 +92,6 @@ val plain_ct : meta -> int -> (int -> int -> int -> float) -> float array
 (** [plain_ct meta j f]: the single vector [plains meta f].(j) without
     building the others (the kernels' hot path at large ring dimensions). *)
 
-val valid_mask : meta -> float array array
-(** {!plains} with the constant 1. *)
-
 val with_spatial : meta -> height:int -> width:int -> meta
 (** Same physical geometry, smaller logical extent (Valid convolutions). *)
 

@@ -33,12 +33,6 @@ let map f t = { t with data = Array.map f t.data }
 
 let equal_shape a b = a.shape = b.shape
 
-let map2 f a b =
-  if not (equal_shape a b) then invalid_arg "Tensor.map2: shape mismatch";
-  { a with data = Array.init (Array.length a.data) (fun i -> f a.data.(i) b.data.(i)) }
-
-let add a b = map2 ( +. ) a b
-
 let max_abs_diff a b =
   if not (equal_shape a b) then invalid_arg "Tensor.max_abs_diff: shape mismatch";
   let m = ref 0.0 in

@@ -18,8 +18,6 @@ val set : t -> int array -> float -> unit
 val get3 : t -> int -> int -> int -> float
 val set3 : t -> int -> int -> int -> float -> unit
 val map : (float -> float) -> t -> t
-val map2 : (float -> float -> float) -> t -> t -> t
-val add : t -> t -> t
 val equal_shape : t -> t -> bool
 val max_abs_diff : t -> t -> float
 val max_abs : t -> float

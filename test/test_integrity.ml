@@ -86,16 +86,23 @@ let run_sentinel_clean (spec : Models.spec) =
 let test_sentinel_clean_micro () = run_sentinel_clean Models.micro
 
 let test_sentinel_clean_zoo () =
-  (* all five Table-3 networks, validated through the real kernels on the
-     clear backend *)
+  (* every bundled network, run through the real plan and kernels on the
+     clear backend with the probe in *both* lanes: a layout overflow
+     surfaces as a typed [Slot_overflow], and a kernel that mixed the lanes
+     would fail one of the two verdicts *)
+  let module H = (val clear_backend ~slots:32768 () : Hisa.S) in
+  let module E = Chet_plan.Plan_exec.Make (H) in
   List.iter
     (fun (spec : Models.spec) ->
       let circuit = spec.Models.build () in
       let isp = Integrity.spec_for circuit in
-      let margin =
-        Integrity.validate isp circuit ~scales:Kernels.default_scales
-          ~policy:Layout.All_chw ~slots:32768
+      let out =
+        E.eval ~sentinel:(Integrity.sentinel isp) Kernels.default_scales circuit
+          ~policy:Layout.All_chw isp.Integrity.it_probe
       in
+      (* the primary lane carried the probe too: it must meet the same bar *)
+      Integrity.verify isp out;
+      let margin = Integrity.margin_bits isp out in
       if margin <= 0.0 then
         Alcotest.failf "%s: clean validation margin %.2f <= 0" spec.Models.model_name margin)
     Models.all

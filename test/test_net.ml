@@ -35,6 +35,7 @@ module Wire = Chet_net.Wire
 module Net_server = Chet_net.Server
 module Client = Chet_net.Client
 module Supervisor = Chet_net.Supervisor
+module Breaker = Chet_net.Breaker
 module Fault = Chet_hisa.Fault_backend
 module T = Chet_tensor.Tensor
 
@@ -807,6 +808,75 @@ let test_front_stop_closes_idle () =
         (Printf.sprintf "closed within about 1 s (%.2f s)" waited)
         true (waited < 1.5))
 
+(* --- the supervisor's per-shard circuit breaker, in isolation on a fake
+   clock ---------------------------------------------------------------- *)
+
+let test_breaker_lifecycle () =
+  let t = ref 0.0 in
+  let b = Breaker.create ~threshold:2 ~cooldown:10.0 ~now:(fun () -> !t) () in
+  Alcotest.(check bool) "closed allows" true (Breaker.allow b);
+  Breaker.record_failure b;
+  Breaker.record_failure b;
+  Alcotest.(check bool) "tripped open" true (Breaker.state b = Breaker.Open);
+  Alcotest.(check bool) "open rejects" false (Breaker.allow b);
+  t := 10.5;
+  Alcotest.(check bool) "half-open admits a probe" true (Breaker.allow b);
+  Alcotest.(check bool) "only one probe" false (Breaker.allow b);
+  Breaker.record_failure b;
+  Alcotest.(check bool) "failed probe re-opens" true (Breaker.state b = Breaker.Open);
+  t := 21.0;
+  Alcotest.(check bool) "probes again after cooldown" true (Breaker.allow b);
+  Breaker.record_success b;
+  Alcotest.(check bool) "successful probe closes" true (Breaker.state b = Breaker.Closed);
+  Alcotest.(check int) "two trips recorded" 2 (Breaker.trip_count b)
+
+(* --- half-open probe discipline (DESIGN.md §12) ----
+   While [Half_open], at most one probe may be outstanding — two concurrent
+   admissions would double-tap a deployment that just demonstrated failure.
+   Hammered from 2 domains racing on the Open->Half_open transition. *)
+
+let test_breaker_half_open_single_probe_2domains () =
+  for _round = 1 to 100 do
+    let t = ref 0.0 in
+    let b = Breaker.create ~threshold:1 ~cooldown:1.0 ~now:(fun () -> !t) () in
+    Breaker.record_failure b;
+    Alcotest.(check bool) "tripped" true (Breaker.state b = Breaker.Open);
+    t := 2.0 (* past cooldown: the next allow() transitions to Half_open *);
+    let ready = Atomic.make 0 in
+    let admitted = Atomic.make 0 in
+    let racer () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do
+        Domain.cpu_relax ()
+      done;
+      if Breaker.allow b then Atomic.incr admitted
+    in
+    let d1 = Domain.spawn racer in
+    let d2 = Domain.spawn racer in
+    Domain.join d1;
+    Domain.join d2;
+    Alcotest.(check int) "exactly one probe admitted" 1 (Atomic.get admitted);
+    Alcotest.(check bool) "loser observes Half_open" true (Breaker.state b = Breaker.Half_open);
+    Alcotest.(check bool) "budget spent until a verdict" false (Breaker.allow b)
+  done
+
+let test_breaker_probe_release () =
+  let t = ref 0.0 in
+  let b = Breaker.create ~threshold:1 ~cooldown:1.0 ~now:(fun () -> !t) () in
+  Breaker.record_failure b;
+  t := 2.0;
+  Alcotest.(check bool) "probe admitted" true (Breaker.allow b);
+  Alcotest.(check bool) "second refused" false (Breaker.allow b);
+  (* the probe reached no verdict (its request's deadline fired before any
+     attempt finished): without release the shard could never be probed again *)
+  Breaker.release b;
+  Alcotest.(check bool) "slot returned, next probe admitted" true (Breaker.allow b);
+  Breaker.record_success b;
+  Alcotest.(check bool) "healthy probe closes" true (Breaker.state b = Breaker.Closed);
+  (* release outside Half_open is a no-op, not an underflow *)
+  Breaker.release b;
+  Alcotest.(check bool) "closed still allows" true (Breaker.allow b)
+
 let suite =
   [
     ( "net",
@@ -846,5 +916,10 @@ let suite =
           `Quick test_front_corrupt_frames;
         Alcotest.test_case "front door: stop closes an idle connection" `Quick
           test_front_stop_closes_idle;
+        Alcotest.test_case "breaker: trip / half-open / close" `Quick test_breaker_lifecycle;
+        Alcotest.test_case "breaker: half-open admits exactly one probe (2 domains)" `Quick
+          test_breaker_half_open_single_probe_2domains;
+        Alcotest.test_case "breaker: abandoned probe releases its slot" `Quick
+          test_breaker_probe_release;
       ] );
   ]

@@ -162,45 +162,6 @@ let test_pool_then_conv () =
         Alcotest.failf "pool+conv (%s): diff %.6f" (Layout.policy_name policy) diff)
     [ Layout.All_hw; Layout.All_chw ]
 
-let test_concat_kernel () =
-  let b = Circuit.builder () in
-  let x = Circuit.input b ~name:"i" [| 2; 6; 6 |] in
-  let st = Random.State.make [| 8 |] in
-  let w1 = Dataset.glorot st [| 2; 2; 3; 3 |] in
-  let w2 = Dataset.glorot st [| 2; 2; 3; 3 |] in
-  let a = Circuit.conv2d b x ~weights:w1 ~stride:1 ~padding:T.Same () in
-  let c = Circuit.conv2d b x ~weights:w2 ~stride:1 ~padding:T.Same () in
-  let y = Circuit.concat b [ a; c ] in
-  let circuit = Circuit.finish b ~name:"concat" ~output:y in
-  let image = Dataset.image ~seed:6 ~channels:2 ~height:6 ~width:6 in
-  List.iter
-    (fun policy ->
-      let expected = Reference.eval circuit image in
-      let module H = (val clear_backend () : Hisa.S) in
-      let module E = Chet_plan.Plan_exec.Make (H) in
-      let got = E.eval scales circuit ~policy image in
-      let diff = T.max_abs_diff expected got in
-      if diff > 1e-3 then
-        Alcotest.failf "concat (%s): diff %.6f" (Layout.policy_name policy) diff)
-    [ Layout.All_hw; Layout.All_chw ]
-
-let test_residual_kernel () =
-  let b = Circuit.builder () in
-  let x = Circuit.input b ~name:"i" [| 2; 6; 6 |] in
-  let st = Random.State.make [| 9 |] in
-  let w1 = Dataset.glorot st [| 2; 2; 3; 3 |] in
-  let a = Circuit.conv2d b x ~weights:w1 ~stride:1 ~padding:T.Same () in
-  let a = Circuit.square b a in
-  let c = Circuit.conv2d b a ~weights:w1 ~stride:1 ~padding:T.Same () in
-  let y = Circuit.residual b a c in
-  let circuit = Circuit.finish b ~name:"residual" ~output:y in
-  let image = Dataset.image ~seed:7 ~channels:2 ~height:6 ~width:6 in
-  let expected = Reference.eval circuit image in
-  let module H = (val clear_backend () : Hisa.S) in
-  let module E = Chet_plan.Plan_exec.Make (H) in
-  let got = E.eval scales circuit ~policy:Layout.All_chw image in
-  Alcotest.(check bool) "close" true (T.max_abs_diff expected got < 1e-2)
-
 (* ------------------------------------------------------------------ *)
 (* End-to-end with the real RNS-CKKS backend                           *)
 (* ------------------------------------------------------------------ *)
@@ -241,8 +202,6 @@ let suite =
         Alcotest.test_case "conv same padding" `Quick test_single_conv_same;
         Alcotest.test_case "conv stride 2" `Quick test_single_conv_stride2;
         Alcotest.test_case "pool then conv" `Quick test_pool_then_conv;
-        Alcotest.test_case "concat" `Quick test_concat_kernel;
-        Alcotest.test_case "residual" `Quick test_residual_kernel;
         Alcotest.test_case "micro: all policies" `Quick test_micro_all_policies;
         Alcotest.test_case "LeNet-5-small: all policies" `Slow test_lenet_small_all_policies;
         Alcotest.test_case "LeNet-5-medium: HW+CHW" `Slow test_lenet_medium_hw_chw;

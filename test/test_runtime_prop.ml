@@ -25,7 +25,7 @@ let random_circuit seed =
   let blocks = 1 + Random.State.int st 3 in
   for _ = 1 to blocks do
     let c, h, _ = ((!x).Circuit.shape.(0), (!x).Circuit.shape.(1), (!x).Circuit.shape.(2)) in
-    match Random.State.int st 6 with
+    match Random.State.int st 5 with
     | 0 ->
         (* conv, random kernel/padding/stride *)
         let k = [| 1; 3 |].(Random.State.int st 2) in
@@ -39,18 +39,10 @@ let random_circuit seed =
     | 1 -> if h >= 4 && h mod 2 = 0 then x := Circuit.avg_pool b !x ~ksize:2 ~stride:2
     | 2 -> x := Circuit.poly_act b !x ~a:(0.05 +. Random.State.float st 0.1) ~b:1.0
     | 3 -> x := Circuit.square b !x
-    | 4 ->
+    | _ ->
         let scale = Array.init c (fun _ -> 0.7 +. Random.State.float st 0.6) in
         let shift = Array.init c (fun _ -> Random.State.float st 0.2 -. 0.1) in
         x := Circuit.batch_norm b !x ~scale ~shift
-    | _ ->
-        (* branch: two convs then concat *)
-        let out_c = 1 + Random.State.int st 2 in
-        let w1 = Dataset.glorot st [| out_c; c; 3; 3 |] in
-        let w2 = Dataset.glorot st [| out_c; c; 3; 3 |] in
-        let a = Circuit.conv2d b !x ~weights:w1 ~stride:1 ~padding:T.Same () in
-        let c2 = Circuit.conv2d b !x ~weights:w2 ~stride:1 ~padding:T.Same () in
-        x := Circuit.concat b [ a; c2 ]
   done;
   let x =
     if Random.State.bool st then begin

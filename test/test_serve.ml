@@ -24,7 +24,6 @@ module Clear = Chet_hisa.Clear_backend
 module Checked = Chet_hisa.Checked_backend
 module Fault = Chet_hisa.Fault_backend
 module Service = Chet_serve.Service
-module Breaker = Chet_serve.Breaker
 module Squeue = Chet_serve.Queue
 module T = Chet_tensor.Tensor
 
@@ -139,26 +138,6 @@ let test_persistent_fault_typed_error () =
       Alcotest.(check int) "one typed failure" 1 s.Service.s_failed;
       Alcotest.(check int) "one success" 1 s.Service.s_succeeded;
       Alcotest.(check int) "retries counted" cfg.Service.max_retries s.Service.s_retries)
-
-(* breaker state machine in isolation, on a fake clock *)
-let test_breaker_lifecycle () =
-  let t = ref 0.0 in
-  let b = Breaker.create ~threshold:2 ~cooldown:10.0 ~now:(fun () -> !t) () in
-  Alcotest.(check bool) "closed allows" true (Breaker.allow b);
-  Breaker.record_failure b;
-  Breaker.record_failure b;
-  Alcotest.(check bool) "tripped open" true (Breaker.state b = Breaker.Open);
-  Alcotest.(check bool) "open rejects" false (Breaker.allow b);
-  t := 10.5;
-  Alcotest.(check bool) "half-open admits a probe" true (Breaker.allow b);
-  Alcotest.(check bool) "only one probe" false (Breaker.allow b);
-  Breaker.record_failure b;
-  Alcotest.(check bool) "failed probe re-opens" true (Breaker.state b = Breaker.Open);
-  t := 21.0;
-  Alcotest.(check bool) "probes again after cooldown" true (Breaker.allow b);
-  Breaker.record_success b;
-  Alcotest.(check bool) "successful probe closes" true (Breaker.state b = Breaker.Closed);
-  Alcotest.(check int) "two trips recorded" 2 (Breaker.trip_count b)
 
 (* --- (c) deadlines fire; the pool keeps serving -------------------- *)
 
@@ -312,53 +291,6 @@ let test_queue_shed_and_close () =
   let s = Squeue.stats q in
   Alcotest.(check int) "shed stat" 2 s.Squeue.q_shed;
   Alcotest.(check int) "max depth stat" 2 s.Squeue.q_max_depth
-
-(* --- half-open probe discipline (DESIGN.md §12 / ISSUE 6 satellite) ----
-   While [Half_open], at most one probe may be outstanding — two concurrent
-   admissions would double-tap a deployment that just demonstrated failure.
-   Hammered from 2 domains racing on the Open->Half_open transition. *)
-
-let test_breaker_half_open_single_probe_2domains () =
-  for _round = 1 to 100 do
-    let t = ref 0.0 in
-    let b = Breaker.create ~threshold:1 ~cooldown:1.0 ~now:(fun () -> !t) () in
-    Breaker.record_failure b;
-    Alcotest.(check bool) "tripped" true (Breaker.state b = Breaker.Open);
-    t := 2.0 (* past cooldown: the next allow() transitions to Half_open *);
-    let ready = Atomic.make 0 in
-    let admitted = Atomic.make 0 in
-    let racer () =
-      Atomic.incr ready;
-      while Atomic.get ready < 2 do
-        Domain.cpu_relax ()
-      done;
-      if Breaker.allow b then Atomic.incr admitted
-    in
-    let d1 = Domain.spawn racer in
-    let d2 = Domain.spawn racer in
-    Domain.join d1;
-    Domain.join d2;
-    Alcotest.(check int) "exactly one probe admitted" 1 (Atomic.get admitted);
-    Alcotest.(check bool) "loser observes Half_open" true (Breaker.state b = Breaker.Half_open);
-    Alcotest.(check bool) "budget spent until a verdict" false (Breaker.allow b)
-  done
-
-let test_breaker_probe_release () =
-  let t = ref 0.0 in
-  let b = Breaker.create ~threshold:1 ~cooldown:1.0 ~now:(fun () -> !t) () in
-  Breaker.record_failure b;
-  t := 2.0;
-  Alcotest.(check bool) "probe admitted" true (Breaker.allow b);
-  Alcotest.(check bool) "second refused" false (Breaker.allow b);
-  (* the probe reached no verdict (its request's deadline fired before any
-     attempt finished): without release the shard could never be probed again *)
-  Breaker.release b;
-  Alcotest.(check bool) "slot returned, next probe admitted" true (Breaker.allow b);
-  Breaker.record_success b;
-  Alcotest.(check bool) "healthy probe closes" true (Breaker.state b = Breaker.Closed);
-  (* release outside Half_open is a no-op, not an underflow *)
-  Breaker.release b;
-  Alcotest.(check bool) "closed still allows" true (Breaker.allow b)
 
 (* --- graceful drain (SIGTERM protocol, automated) ----------------------
    The three assertions of the shutdown contract, previously only exercised
@@ -611,7 +543,6 @@ let suite =
     ( "serve",
       [
         Alcotest.test_case "queue: shed + close semantics" `Quick test_queue_shed_and_close;
-        Alcotest.test_case "breaker: trip / half-open / close" `Quick test_breaker_lifecycle;
         Alcotest.test_case "(a) transient fault retried, bit-identical" `Quick
           test_transient_fault_retried;
         Alcotest.test_case "(b) persistent fault: typed error after its retries" `Quick
@@ -624,10 +555,6 @@ let suite =
           test_worker_crash_is_typed_and_contained;
         Alcotest.test_case "(e) concurrent bit-identical to sequential" `Quick
           test_concurrent_matches_sequential;
-        Alcotest.test_case "breaker: half-open admits exactly one probe (2 domains)" `Quick
-          test_breaker_half_open_single_probe_2domains;
-        Alcotest.test_case "breaker: abandoned probe releases its slot" `Quick
-          test_breaker_probe_release;
         Alcotest.test_case "graceful drain: finish, refuse typed, report done" `Quick
           test_graceful_drain;
         Alcotest.test_case "cancel mid-circuit frees the worker, typed + node id" `Quick
