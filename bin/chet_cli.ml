@@ -332,15 +332,17 @@ let scales_cmd =
     let circuit = spec.Models.build () in
     let opts = apply_cost_file (Compiler.default_options ~target ()) target cost_file in
     let images = List.init 3 (fun i -> Models.input_for spec ~seed:(100 + i)) in
+    (* search on the layout policy the compile deploys *)
+    let policy = (Compiler.compile opts circuit).Compiler.policy in
     let result =
       Scale_select.search
         ~log:(fun line -> Printf.eprintf "%s\n%!" line)
-        opts circuit ~policy:Layout.All_hw ~images ~tolerance
-        ~start_exponents:(34, 24, 24, 18) ()
+        opts circuit ~policy ~images ~tolerance ~start_exponents:(34, 24, 24, 18) ()
     in
     let ec, ew, eu, em = result.Scale_select.exponents in
-    Printf.printf "selected scales: Pc=2^%d Pw=2^%d Pu=2^%d Pm=2^%d (%d candidates tried, %d rejected)\n"
-      ec ew eu em result.Scale_select.evaluations
+    Printf.printf
+      "selected scales (policy %s): Pc=2^%d Pw=2^%d Pu=2^%d Pm=2^%d (%d candidates tried, %d rejected)\n"
+      (Layout.policy_name policy) ec ew eu em result.Scale_select.evaluations
       (List.length result.Scale_select.rejections)
   in
   Cmd.v (Cmd.info "scales" ~doc:"Profile-guided fixed-point scale search (§5.5)")
@@ -1165,7 +1167,7 @@ let loadgen_cmd =
     Arg.(
       value & opt (some string) None
       & info [ "bench-out" ] ~docv:"FILE"
-          ~doc:"Merge throughput and p50/p95/p99 latency under the `loadgen' key of this BENCH.json.")
+          ~doc:"Write throughput and p50/p95/p99 latency to this file, as JSON under a `loadgen' key.")
   in
   let verify_arg =
     Arg.(

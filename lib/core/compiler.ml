@@ -86,7 +86,7 @@ let log2f x = log x /. log 2.0
 let analysis_chain_length = 192
 
 let candidate_chain opts ~n =
-  if opts.prime_bits <= 31 then
+  if opts.prime_bits <= 30 then
     (* mirror the executable backend's actual NTT primes where possible *)
     try Modarith.gen_ntt_primes ~bits:opts.prime_bits ~modulus_of:(2 * n) ~count:analysis_chain_length
     with Not_found ->
@@ -315,6 +315,17 @@ let keygen compiled ~seed ~rotation_keys ~keys ~with_secret =
   let rng = Chet_crypto.Sampling.create ~seed in
   match compiled.params with
   | Rns_params { n; prime_bits; num_primes; _ } ->
+      (* every RNS prime is below 2^30 (Ntt.make_table); a wider chain is
+         for analysis only, as Table 4's 60-bit companion *)
+      if prime_bits > 30 then
+        Herr.raise_err ~backend:"rns_ckks" ~op:"keygen"
+          (Herr.Invalid_op
+             {
+               reason =
+                 Printf.sprintf
+                   "%d-bit primes: the RNS-CKKS backend runs on primes below 2^30 (prime_bits <= 30)"
+                   prime_bits;
+             });
       let module C = Chet_crypto.Rns_ckks in
       let params = C.default_params ~n ~bits:prime_bits ~num_coeff_primes:num_primes () in
       let ctx = C.make_context params in

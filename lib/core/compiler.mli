@@ -21,7 +21,12 @@ type security = Standard of Chet_crypto.Security.level | Legacy_heaan
 type options = {
   target : target;
   security : security;
-  prime_bits : int;  (** RNS chain prime size; 30 for the executable backend, 60 to mirror SEAL's shipped list *)
+  prime_bits : int;
+      (** RNS chain prime size. The executable backend needs [<= 30] (every
+          RNS prime is below [2^30]); {!keyset} and {!instantiate} raise a
+          typed [Invalid_op] for more. Larger values, such as 60 to mirror
+          SEAL's shipped list, serve parameter analysis
+          ({!select_params}) only. *)
   value_headroom_bits : int;  (** extra modulus bits above the output scale, covering message magnitude *)
   scales : Kernels.scales;
   cost : Hisa.cost_model option;  (** default: the target's calibrated model *)

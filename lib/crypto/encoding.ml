@@ -34,58 +34,9 @@ let make ~n =
 let n ctx = ctx.n
 let slots ctx = ctx.slots
 
-(* Bounded LRU memo shared by [galois_element] and [automorphism_index]:
-   both are pure, both are re-derived per rotation by every executed
-   rotation, and the working set (distinct (n, r) / (n, g) pairs of one
-   deployment) is tiny. Guarded by a mutex — serving workers are domains.
-   Eviction scans for the stalest entry; at [capacity] 64 that scan is
-   cheaper than what one saved [automorphism_index] call allocates. *)
-module Lru = struct
-  type ('k, 'v) t = {
-    capacity : int;
-    tbl : ('k, 'v * int ref) Hashtbl.t;
-    mutable tick : int;
-    lock : Mutex.t;
-  }
-
-  let create capacity = { capacity; tbl = Hashtbl.create 89; tick = 0; lock = Mutex.create () }
-
-  let find_or_add t key compute =
-    Mutex.protect t.lock (fun () ->
-        t.tick <- t.tick + 1;
-        match Hashtbl.find_opt t.tbl key with
-        | Some (v, stamp) ->
-            stamp := t.tick;
-            v
-        | None ->
-            let v = compute () in
-            if Hashtbl.length t.tbl >= t.capacity then begin
-              let victim = ref None in
-              Hashtbl.iter
-                (fun k (_, stamp) ->
-                  match !victim with
-                  | Some (_, s) when s <= !stamp -> ()
-                  | _ -> victim := Some (k, !stamp))
-                t.tbl;
-              match !victim with Some (k, _) -> Hashtbl.remove t.tbl k | None -> ()
-            end;
-            Hashtbl.add t.tbl key (v, ref t.tick);
-            v)
-end
-
-let galois_memo : (int * int, int) Lru.t = Lru.create 64
-let automorphism_memo : (int * int, (int * bool) array) Lru.t = Lru.create 64
-let ntt_automorphism_memo : (int * int, int array) Lru.t = Lru.create 64
-
 let galois_element ctx r =
-  let two_n = 2 * ctx.n in
   let r = ((r mod ctx.slots) + ctx.slots) mod ctx.slots in
-  Lru.find_or_add galois_memo (ctx.n, r) (fun () ->
-      let g = ref 1 in
-      for _ = 1 to r do
-        g := !g * 5 mod two_n
-      done;
-      !g)
+  Modarith.pow_mod 5 r (2 * ctx.n)
 
 let conj_element ctx = (2 * ctx.n) - 1
 
@@ -121,10 +72,9 @@ let automorphism_index ~n ~g =
   if g land 1 = 0 then invalid_arg "Encoding.automorphism_index: g must be odd";
   let two_n = 2 * n in
   let g = ((g mod two_n) + two_n) mod two_n in
-  Lru.find_or_add automorphism_memo (n, g) (fun () ->
-      Array.init n (fun k ->
-          let e = k * g mod two_n in
-          if e < n then (e, false) else (e - n, true)))
+  Array.init n (fun k ->
+      let e = k * g mod two_n in
+      if e < n then (e, false) else (e - n, true))
 
 (* The NTT (lib/crypto/ntt.ml) leaves the evaluation at psi^(2·brev(i)+1) in
    position i. Since m(X^g) evaluated at psi^e is m evaluated at psi^(g·e),
@@ -144,7 +94,6 @@ let ntt_automorphism_index ~n ~g =
     done;
     !r
   in
-  Lru.find_or_add ntt_automorphism_memo (n, g) (fun () ->
-      Array.init n (fun i ->
-          let e = ((2 * brev i) + 1) * g mod two_n in
-          brev ((e - 1) / 2)))
+  Array.init n (fun i ->
+      let e = ((2 * brev i) + 1) * g mod two_n in
+      brev ((e - 1) / 2))

@@ -5,7 +5,10 @@
     [ζ = exp(iπ/n)] is a primitive [2n]-th root of unity; the conjugate
     orbit [−5^j] carries the complex conjugates, which forces the
     coefficients to be real. Rotating slots left by [r] is the ring
-    automorphism [X ↦ X^(5^r mod 2n)]. *)
+    automorphism [X ↦ X^(5^r mod 2n)].
+
+    Every function is pure over an immutable [ctx]: nothing is cached
+    between calls, so any number of domains may call them at once. *)
 
 type ctx
 
@@ -36,15 +39,13 @@ val decode : ctx -> scale:float -> float array -> float array * float array
 val automorphism_index : n:int -> g:int -> (int * bool) array
 (** For the map [m(X) ↦ m(X^g)] in [Z\[X\]/(X^n+1)] with odd [g]: entry [k]
     of the result is [(k', negate)] meaning coefficient [k] of the input
-    lands at position [k'] of the output, negated when [negate].
-
-    Memoized (bounded LRU, thread-safe) — the returned array is shared
-    across callers and must be treated as read-only. {!galois_element} is
-    memoized the same way, so per-rotation context lookup is O(1) after
-    first use instead of O(n) per call. *)
+    lands at position [k'] of the output, negated when [negate]. Computed
+    afresh on each call (O(n)); the HEAAN ring's automorphism, a bignum
+    pass over the same coefficients, costs far more. *)
 
 val ntt_automorphism_index : n:int -> g:int -> int array
 (** The same map on the NTT form of {!Ntt}: entry [i] is the position of
     the input whose value lands at position [i] of the output (a pure
-    permutation — no signs in the evaluation domain). Memoized like
-    {!automorphism_index}; read-only. *)
+    permutation — no signs in the evaluation domain). Computed afresh on
+    each call: an RNS-CKKS rotation key stores its own when it is
+    generated or loaded, and {!Rq_rns.automorphism_ntt} reads it. *)

@@ -1,5 +1,6 @@
 (* Word-sized modular arithmetic. Moduli < 2^31 keep residue products below
-   2^62, so everything is exact in native ints. *)
+   2^62, so everything is exact in native ints; the NTT primes generated
+   here are below 2^30 (see ntt.mli). *)
 
 let add_mod a b p =
   let s = a + b in
@@ -95,7 +96,7 @@ let is_prime n =
   end
 
 let gen_ntt_prime ~bits ~modulus_of ~below =
-  if bits > 31 then invalid_arg "Modarith.gen_ntt_prime: bits must be <= 31";
+  if bits > 30 then invalid_arg "Modarith.gen_ntt_prime: bits must be <= 30";
   let upper = Stdlib.min ((1 lsl bits) - 1) (below - 1) in
   (* candidates are k * modulus_of + 1 *)
   let k = ref ((upper - 1) / modulus_of) in

@@ -41,10 +41,13 @@ val gen_ntt_prime : bits:int -> modulus_of:int -> below:int -> int
 (** [gen_ntt_prime ~bits ~modulus_of:m ~below] finds the largest prime
     [p < min(2^bits, below)] with [p ≡ 1 (mod m)] — the condition for a
     [2N]-th root of unity to exist when [m = 2N].
+    @raise Invalid_argument if [bits > 30]: every RNS prime is below
+      [2^30], the bound of {!Ntt.make_table}.
     @raise Not_found if none exists in range. *)
 
 val gen_ntt_primes : bits:int -> modulus_of:int -> count:int -> int array
-(** [count] distinct NTT-friendly primes of about [bits] bits, descending. *)
+(** [count] distinct NTT-friendly primes of about [bits] bits, descending.
+    @raise Invalid_argument if [bits > 30]. *)
 
 val primitive_root : int -> int
 (** A generator of the multiplicative group mod prime [p]. *)

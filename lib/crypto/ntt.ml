@@ -1,23 +1,23 @@
 (* Negacyclic NTT with psi-power tables in bit-reversed order (the scheme of
    Longa & Naehrig, as implemented in SEAL): the twist by powers of the 2n-th
    root psi is fused into the butterflies, so forward/inverse are single
-   passes with no separate pre/post scaling. The int-array loops below are
-   the reference; residue buffers are transformed on a domain-local
-   native-int scratch, cache-blocked and radix-4 inside L1 (the fast path
-   further down), with bit-identical results. *)
+   passes with no separate pre/post scaling. Residue buffers are transformed
+   on a domain-local native-int scratch, cache-blocked and radix-4 inside L1,
+   with lazy reduction; the schoolbook transform they must match bit for bit
+   is test/ring_oracle.ml's. *)
 
-(* Fast-path companion tables: the Shoup words of the psi powers (the
-   tables below). Built only for primes p <= 2^30, where the lazy [0, 2p)
-   representation stays below the Shoup operand bound of 2^31. *)
-type fast = { fw_sh : int array; fi_sh : int array; f_ninv_sh : int }
-
+(* The psi powers and their Shoup words ((w << 31) / p). Every prime is
+   below 2^30, so the lazy [0, 2p) window stays below the Shoup operand
+   bound of 2^31. *)
 type table = {
   n : int;
   prime : int;
   psi_rev : int array; (* psi^bitrev(i), i < n *)
   psi_inv_rev : int array;
   n_inv : int;
-  fast : fast option;
+  psi_rev_sh : int array;
+  psi_inv_rev_sh : int array;
+  n_inv_sh : int;
 }
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
@@ -35,6 +35,7 @@ let log2 n =
 
 let make_table ~n ~prime =
   if not (is_pow2 n) then invalid_arg "Ntt.make_table: n must be a power of two";
+  if prime >= 1 lsl 30 then invalid_arg "Ntt.make_table: prime must be below 2^30";
   if (prime - 1) mod (2 * n) <> 0 then invalid_arg "Ntt.make_table: prime must be 1 mod 2n";
   let psi = Modarith.root_of_unity ~order:(2 * n) prime in
   let psi_inv = Modarith.inv_mod psi prime in
@@ -55,78 +56,30 @@ let make_table ~n ~prime =
   let psi_rev = powers psi in
   let psi_inv_rev = powers psi_inv in
   let n_inv = Modarith.inv_mod n prime in
-  let fast =
-    if prime > 1 lsl 30 then None
-    else begin
-      let shoup = Array.map (fun w -> Modarith.shoup w prime) in
-      Some
-        { fw_sh = shoup psi_rev; fi_sh = shoup psi_inv_rev; f_ninv_sh = Modarith.shoup n_inv prime }
-    end
-  in
-  { n; prime; psi_rev; psi_inv_rev; n_inv; fast }
+  let shoup = Array.map (fun w -> Modarith.shoup w prime) in
+  {
+    n;
+    prime;
+    psi_rev;
+    psi_inv_rev;
+    n_inv;
+    psi_rev_sh = shoup psi_rev;
+    psi_inv_rev_sh = shoup psi_inv_rev;
+    n_inv_sh = Modarith.shoup n_inv prime;
+  }
 
 let n t = t.n
 let prime t = t.prime
-let has_fast t = t.fast <> None
 
-let forward t a =
-  let p = t.prime and n = t.n in
-  if Array.length a <> n then invalid_arg "Ntt.forward: wrong length";
-  let t_len = ref n in
-  let m = ref 1 in
-  while !m < n do
-    t_len := !t_len lsr 1;
-    for i = 0 to !m - 1 do
-      let j1 = 2 * i * !t_len in
-      let s = t.psi_rev.(!m + i) in
-      for j = j1 to j1 + !t_len - 1 do
-        let u = a.(j) in
-        let v = a.(j + !t_len) * s mod p in
-        let sum = u + v in
-        a.(j) <- (if sum >= p then sum - p else sum);
-        let d = u - v in
-        a.(j + !t_len) <- (if d < 0 then d + p else d)
-      done
-    done;
-    m := !m lsl 1
-  done
+(* --- a native-int scratch, radix-4 inside L1-sized blocks ---
 
-let inverse t a =
-  let p = t.prime and n = t.n in
-  if Array.length a <> n then invalid_arg "Ntt.inverse: wrong length";
-  let t_len = ref 1 in
-  let m = ref n in
-  while !m > 1 do
-    let j1 = ref 0 in
-    let h = !m lsr 1 in
-    for i = 0 to h - 1 do
-      let s = t.psi_inv_rev.(h + i) in
-      for j = !j1 to !j1 + !t_len - 1 do
-        let u = a.(j) in
-        let v = a.(j + !t_len) in
-        let sum = u + v in
-        a.(j) <- (if sum >= p then sum - p else sum);
-        let d = u - v in
-        let d = if d < 0 then d + p else d in
-        a.(j + !t_len) <- d * s mod p
-      done;
-      j1 := !j1 + (2 * !t_len)
-    done;
-    t_len := !t_len lsl 1;
-    m := h
-  done;
-  for j = 0 to n - 1 do
-    a.(j) <- a.(j) * t.n_inv mod p
-  done
-
-(* --- fast path: a native-int scratch, radix-4 inside L1-sized blocks ---
-
-   Same butterfly network and twiddle tables as the scalar loops above, so
-   results are bit-identical; only the storage, the traversal order and the
-   reduction strategy differ. The residues are copied into a domain-local
-   [int array] (Kpool transforms several channels at once, one per domain;
-   see [acquire] for systhreads), so every load and store in the butterflies is a plain word access, with
-   no int32 sign-extend or retag. The transform recurses down the butterfly
+   The butterfly network and twiddle tables of the schoolbook transform,
+   so results are bit-identical to it; only the storage, the traversal
+   order and the reduction strategy differ. The residues are copied into
+   a domain-local [int array] (Kpool transforms several channels at once,
+   one per domain; see [acquire] for systhreads), so every load and store
+   in the butterflies is a plain word access, with no int32 sign-extend
+   or retag. The transform recurses down the butterfly
    tree, one radix-2 row per node, until a subtree fits in L1 ([leaf_len]
    words), and finishes that subtree cache-hot two stages per pass
    (radix-4: four residues loaded, four butterflies, four stored), plus one
@@ -138,9 +91,10 @@ let inverse t a =
    group [i'] uses index [mi * m' + i'].
 
    Values between stages live in the lazy window [0, 2p): one branchless
-   fold per operand replaces the two exact reductions of the scalar path,
-   and the pass that copies the scratch back into the buffer canonicalises
-   into [0, p) (the inverse also scales by 1/n there). Harvey's wider
+   fold per operand replaces the two exact reductions of the schoolbook
+   butterfly, and the pass that copies the scratch back into the buffer
+   canonicalises into [0, p) (the inverse also scales by 1/n there).
+   Harvey's wider
    [0, 4p) window would push operands past the 2^31 Shoup bound for our
    30-bit primes. *)
 
@@ -218,13 +172,14 @@ let fwd_leaf a (w : int array) (wsh : int array) p base len mi =
     t := t2 lsr 1
   done
 
-let forward_fast t (f : fast) (buf : Rvec.buf) =
+let forward_buf t (buf : Rvec.buf) =
   let p = t.prime and n = t.n in
+  if Rvec.length buf <> n then invalid_arg "Ntt.forward_buf: wrong length";
   let a = acquire n in
   for j = 0 to n - 1 do
     aset a j (load buf j)
   done;
-  let w = t.psi_rev and wsh = f.fw_sh in
+  let w = t.psi_rev and wsh = t.psi_rev_sh in
   let rec node base len mi =
     if len <= leaf_len then fwd_leaf a w wsh p base len mi
     else begin
@@ -280,13 +235,14 @@ let inv_leaf a (w : int array) (wsh : int array) p base len mi =
   done;
   if !hh = 1 then inv_row a p base !t (aget w mi) (aget wsh mi)
 
-let inverse_fast t (f : fast) (buf : Rvec.buf) =
+let inverse_buf t (buf : Rvec.buf) =
   let p = t.prime and n = t.n in
+  if Rvec.length buf <> n then invalid_arg "Ntt.inverse_buf: wrong length";
   let a = acquire n in
   for j = 0 to n - 1 do
     aset a j (load buf j)
   done;
-  let w = t.psi_inv_rev and wsh = f.fi_sh in
+  let w = t.psi_inv_rev and wsh = t.psi_inv_rev_sh in
   let rec node base len mi =
     if len <= leaf_len then inv_leaf a w wsh p base len mi
     else begin
@@ -297,42 +253,8 @@ let inverse_fast t (f : fast) (buf : Rvec.buf) =
     end
   in
   node 0 n 1;
-  let ninv = t.n_inv and ninv_sh = f.f_ninv_sh in
+  let ninv = t.n_inv and ninv_sh = t.n_inv_sh in
   for j = 0 to n - 1 do
     store buf j (shoup ninv ninv_sh (aget a j) p)
   done;
   release a
-
-(* Buffer entry points. The scalar loops above remain the reference: when
-   the table has no fast companion (prime > 2^30), the buffer is bounced
-   through an int array and transformed by the exact schoolbook path. *)
-
-let forward_buf t (buf : Rvec.buf) =
-  if Rvec.length buf <> t.n then invalid_arg "Ntt.forward_buf: wrong length";
-  match t.fast with
-  | Some f -> forward_fast t f buf
-  | None ->
-      let a = Rvec.to_int_array buf in
-      forward t a;
-      Rvec.blit_from_array a buf
-
-let inverse_buf t (buf : Rvec.buf) =
-  if Rvec.length buf <> t.n then invalid_arg "Ntt.inverse_buf: wrong length";
-  match t.fast with
-  | Some f -> inverse_fast t f buf
-  | None ->
-      let a = Rvec.to_int_array buf in
-      inverse t a;
-      Rvec.blit_from_array a buf
-
-let pointwise_mul t a b =
-  let p = t.prime in
-  Array.init t.n (fun i -> a.(i) * b.(i) mod p)
-
-let negacyclic_mul t a b =
-  let fa = Array.copy a and fb = Array.copy b in
-  forward t fa;
-  forward t fb;
-  let r = pointwise_mul t fa fb in
-  inverse t r;
-  r

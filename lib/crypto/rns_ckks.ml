@@ -94,10 +94,14 @@ type secret_key = { s : Rq.t (* full basis, NTT *) }
 type public_key = { pk0 : Rq.t; pk1 : Rq.t (* top-level basis, NTT *) }
 type kswitch_key = { pairs : (Rq.t * Rq.t) array (* one per digit; full basis, NTT *) }
 
+(* a rotation's key switch and the NTT-position permutation of its Galois
+   element, built once where the key is generated or loaded *)
+type rotation_key = { ks : kswitch_key; perm : int array }
+
 type keys = {
   public : public_key;
   relin : kswitch_key;
-  rotation : (int, kswitch_key) Hashtbl.t;
+  rotation : (int, rotation_key) Hashtbl.t;
 }
 
 type plaintext = { poly : Rq.t; pt_scale : float; pt_level : int }
@@ -183,10 +187,17 @@ let keygen ctx rng =
 
 let galois_of_rotation ctx r = Encoding.galois_element ctx.enc r
 
+let rotation_key_of rq ~galois ks =
+  { ks; perm = Encoding.ntt_automorphism_index ~n:(Rq.ctx_n rq) ~g:galois }
+
+let rotation_kswitch k = k.ks
+
 let add_rotation_key ctx rng sk keys r =
   let g = galois_of_rotation ctx r in
   if not (Hashtbl.mem keys.rotation g) then begin
-    Hashtbl.replace keys.rotation g (keygen_kswitch ctx rng sk (Rq.automorphism_ntt ctx.rq sk.s ~g))
+    let perm = Encoding.ntt_automorphism_index ~n:ctx.params.n ~g in
+    let ks = keygen_kswitch ctx rng sk (Rq.automorphism_ntt ctx.rq sk.s ~perm) in
+    Hashtbl.replace keys.rotation g { ks; perm }
   end
 
 let add_power_of_two_rotation_keys ctx rng sk keys =
@@ -209,7 +220,7 @@ let key_bytes keys =
     !bytes
   in
   let key k = Array.fold_left (fun acc (b, a) -> acc + poly b + poly a) 0 k.pairs in
-  Hashtbl.fold (fun _ k acc -> acc + key k) keys.rotation (key keys.relin)
+  Hashtbl.fold (fun _ k acc -> acc + key k.ks) keys.rotation (key keys.relin)
 
 (* --- encoding --- *)
 
@@ -554,10 +565,10 @@ let rotation_key ~amount keys g =
    form; the key switch sees the same c1 polynomial as it would through the
    coefficient domain, so the result is bit-identical to that route. *)
 let apply_galois ?(amount = 0) ctx keys ct g =
-  let key = rotation_key ~amount keys g in
+  let { ks; perm } = rotation_key ~amount keys g in
   let c0, c1 = settled_parts ct in
-  let k0, k1 = keyswitch ctx ct.level (Rq.automorphism_ntt ctx.rq c1 ~g) key in
-  of_parts ~c0:(Rq.add ctx.rq (Rq.automorphism_ntt ctx.rq c0 ~g) k0) ~c1:k1 ~level:ct.level
+  let k0, k1 = keyswitch ctx ct.level (Rq.automorphism_ntt ctx.rq c1 ~perm) ks in
+  of_parts ~c0:(Rq.add ctx.rq (Rq.automorphism_ntt ctx.rq c0 ~perm) k0) ~c1:k1 ~level:ct.level
     ~scale:ct.scale
 
 let rotate ctx keys ct r =
@@ -605,7 +616,6 @@ let rotate_many ctx keys ct amounts =
   if direct < 2 then Array.map (rotate ctx keys ct) amounts
   else begin
     let level = ct.level in
-    let n = ctx.params.n in
     let primes = Rq.ctx_primes ctx.rq in
     let c0, c1 = components ct in
     let decomposed = decompose ctx level c1 in
@@ -615,11 +625,9 @@ let rotate_many ctx keys ct amounts =
       (fun r ->
         if not (hoistable r) then rotate ctx keys ct r
         else begin
-          let g = galois_of_rotation ctx r in
-          let key = rotation_key ~amount:r keys g in
-          let index = Encoding.ntt_automorphism_index ~n ~g in
-          let u0, u1 = inner_product ctx level key ~index (Array.get digits) in
-          let c0 = Rq.automorphism_ntt ctx.rq c0 ~g in
+          let { ks; perm } = rotation_key ~amount:r keys (galois_of_rotation ctx r) in
+          let u0, u1 = inner_product ctx level ks ~index:perm (Array.get digits) in
+          let c0 = Rq.automorphism_ntt ctx.rq c0 ~perm in
           Kpool.run level (fun j ->
               Rvec.scalar_mac_into u0.(j) u0.(j) (Rq.raw_comp c0 j) ctx.p_mod.(j) primes.(j));
           unsettled ctx ~c0:(of_key_basis ctx level u0) ~c1:(of_key_basis ctx level u1) ~level

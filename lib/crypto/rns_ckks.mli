@@ -66,10 +66,16 @@ type secret_key
 type public_key
 type kswitch_key
 
+type rotation_key
+(** A rotation's key-switching key together with the NTT-position
+    permutation of its Galois element ({!Encoding.ntt_automorphism_index}),
+    built once when the key is generated or loaded and read by every
+    rotation that uses it. *)
+
 type keys = {
   public : public_key;
   relin : kswitch_key;
-  rotation : (int, kswitch_key) Hashtbl.t;  (** galois element -> key *)
+  rotation : (int, rotation_key) Hashtbl.t;  (** galois element -> key *)
 }
 
 val keygen : context -> Sampling.t -> secret_key * keys
@@ -196,3 +202,11 @@ val kswitch_pairs : kswitch_key -> (Rq.t * Rq.t) array
     ([⌈L/2⌉] pairs), each over the full key basis. *)
 
 val kswitch_of_pairs : (Rq.t * Rq.t) array -> kswitch_key
+
+val rotation_kswitch : rotation_key -> kswitch_key
+
+val rotation_key_of : Rq_rns.ctx -> galois:int -> kswitch_key -> rotation_key
+(** [rotation_key_of rq ~galois ks]: the rotation key for Galois element
+    [galois], building its permutation ({!Serial.read_rns_keys} checks
+    that a loaded element is odd and in [\[1, 2n)]).
+    @raise Invalid_argument if [galois] is even. *)

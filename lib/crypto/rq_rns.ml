@@ -6,8 +6,8 @@ let make_ctx ~n ~primes =
   let seen = Hashtbl.create 16 in
   Array.iter
     (fun p ->
-      (* residues are stored in 32-bit words (Rvec) *)
-      if p >= 1 lsl 31 then invalid_arg "Rq_rns.make_ctx: prime must be below 2^31";
+      (* the bound of the NTT's lazy window (Ntt.make_table) *)
+      if p >= 1 lsl 30 then invalid_arg "Rq_rns.make_ctx: prime must be below 2^30";
       if Hashtbl.mem seen p then invalid_arg "Rq_rns.make_ctx: duplicate prime";
       Hashtbl.add seen p ())
     primes;
@@ -139,20 +139,11 @@ let mul_scalar ctx t s =
   in
   { t with comps; basis = Array.copy t.basis }
 
-let automorphism ctx t ~g =
-  if t.ntt then invalid_arg "Rq_rns.automorphism: coefficient form required";
-  let index = Encoding.automorphism_index ~n:ctx.n ~g in
-  let comps =
-    par_init ctx (Array.length t.basis) (fun k dst ->
-        Rvec.automorphism_into dst t.comps.(k) index ctx.primes.(t.basis.(k)))
-  in
-  { t with comps; basis = Array.copy t.basis }
-
-let automorphism_ntt ctx t ~g =
+let automorphism_ntt ctx t ~perm =
   if not t.ntt then invalid_arg "Rq_rns.automorphism_ntt: NTT form required";
-  let index = Encoding.ntt_automorphism_index ~n:ctx.n ~g in
+  if Array.length perm <> ctx.n then invalid_arg "Rq_rns.automorphism_ntt: wrong permutation length";
   let comps =
-    par_init ctx (Array.length t.basis) (fun k dst -> Rvec.permute_into dst t.comps.(k) index)
+    par_init ctx (Array.length t.basis) (fun k dst -> Rvec.permute_into dst t.comps.(k) perm)
   in
   { t with comps; basis = Array.copy t.basis }
 

@@ -12,7 +12,8 @@ type ctx
 
 val make_ctx : n:int -> primes:int array -> ctx
 (** Builds NTT tables for every prime. Primes must be distinct, NTT-friendly
-    for size [n], and below [2^31] (residues are stored in 32-bit words).
+    for size [n], and below [2^30] (the bound of {!Ntt.make_table}; residues
+    are stored in 32-bit words).
     @raise Invalid_argument otherwise. *)
 
 val ctx_n : ctx -> int
@@ -47,14 +48,11 @@ val mul : ctx -> t -> t -> t
 val mul_scalar : ctx -> t -> int -> t
 (** Multiply by a centered integer scalar (form-preserving). *)
 
-val automorphism : ctx -> t -> g:int -> t
-(** [m(X) ↦ m(X^g)], odd [g]; operand must be in coefficient form. *)
-
-val automorphism_ntt : ctx -> t -> g:int -> t
-(** {!automorphism} on an NTT-form operand, as a permutation of evaluation
-    positions: [automorphism_ntt ctx (to_ntt ctx a) ~g] equals
-    [to_ntt ctx (automorphism ctx a ~g)] bit for bit, without the
-    transforms. *)
+val automorphism_ntt : ctx -> t -> perm:int array -> t
+(** [m(X) ↦ m(X^g)] on an NTT-form operand, as a permutation of evaluation
+    positions: [perm] is {!Encoding.ntt_automorphism_index} of [g], which
+    the caller keeps (an RNS-CKKS rotation key stores its own). Bit for bit
+    the coefficient-domain automorphism between two transforms. *)
 
 val div_round_ntt : ctx -> t -> drop:int -> t
 (** [div_round_ntt ctx t ~drop]: remove the last [drop] (1 or 2) basis

@@ -2,7 +2,7 @@
 
    Storage is the [Bigarray.int32] kind: one residue per 32-bit word, half
    the memory of a native-int buffer. Every stored value is a canonical
-   residue below p < 2^31 ({!Rq_rns.make_ctx} rejects larger primes; the
+   residue below p < 2^30 ({!Rq_rns.make_ctx} rejects larger primes; the
    NTT keeps its lazy [0, 2p) window in a native-int scratch), so it fits
    a signed int32 without wrapping. The element type is touched
    only by [uget]/[uset] and the plain accessors below, which convert with
@@ -19,7 +19,7 @@
    - products of two variable operands keep the hardware [mod]: a
      float-assisted Barrett variant was measured slower here (the
      int<->float conversion chain outweighs one 63-bit divide), and no
-     integer Barrett fits two 31-bit operands in a 63-bit word;
+     integer Barrett fits two 30-bit operands in a 63-bit word;
    - additive ops fold with the branchless conditional-subtract
      [d + (p land (d asr 62))], which adds [p] back exactly when [d] is
      negative.
@@ -65,13 +65,6 @@ let of_int_array (a : int array) =
 
 let to_int_array (b : buf) = Array.init (length b) (fun i -> uget b i)
 
-let blit_from_array (a : int array) (b : buf) =
-  let n = Array.length a in
-  if length b <> n then invalid_arg "Rvec.blit_from_array: length mismatch";
-  for i = 0 to n - 1 do
-    uset b i (Array.unsafe_get a i)
-  done
-
 let equal (a : buf) (b : buf) =
   length a = length b
   &&
@@ -110,7 +103,7 @@ let pointwise_mul_into (dst : buf) (a : buf) (b : buf) p =
 
 (* Both sums stay in registers across the digits. A residue product is at
    most (p-1)^2, so [batch] products fit on top of a reduced partial sum
-   without passing max_int: 4 for 30-bit primes, 1 for 31-bit ones. The
+   without passing max_int: 4 for 30-bit primes, more for smaller ones. The
    final [mod] sees the same integer sum as a chain of per-digit
    reductions, so the residues are identical. *)
 let inner_product_into (acc0 : buf) (acc1 : buf) (ds : buf array) (bs : buf array) (cs : buf array)
@@ -289,14 +282,6 @@ let lift_centered_into (dst : buf) (src : buf) ~from p =
   for i = 0 to length dst - 1 do
     let v = uget src i in
     uset dst i (Modarith.reduce (if v > half then v - from else v) p)
-  done
-
-let automorphism_into (dst : buf) (src : buf) (index : (int * bool) array) p =
-  let n = Array.length index in
-  for j = 0 to n - 1 do
-    let j', negate = Array.unsafe_get index j in
-    let v = uget src j in
-    uset dst j' (if negate then (p - v) land (-v asr 62) else v)
   done
 
 let permute_into (dst : buf) (src : buf) (index : int array) =

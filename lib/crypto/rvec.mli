@@ -4,7 +4,7 @@
     the memory of native-int storage. Reads and writes convert to and from
     native ints in the same expression, which ocamlopt compiles to a plain
     word load/store without boxing. Every stored value must be below
-    [2^31]: canonical residues of a prime [p < 2^31] ({!Rq_rns.make_ctx}
+    [2^31]: canonical residues of a prime [p < 2^30] ({!Rq_rns.make_ctx}
     rejects larger primes); the NTT's lazy [\[0, 2p)] window lives in its
     own native-int scratch. A larger value would wrap silently.
     Fast kernels (Shoup for one fixed operand; hardware [mod] where both
@@ -28,7 +28,6 @@ val blit : buf -> buf -> unit
 val copy : buf -> buf
 val of_int_array : int array -> buf
 val to_int_array : buf -> int array
-val blit_from_array : int array -> buf -> unit
 val equal : buf -> buf -> bool
 
 (** {1 Additive kernels} — branchless conditional-subtract reduction. All
@@ -102,11 +101,6 @@ val lift_garner_into : buf -> buf -> buf -> q_lo:int -> q_hi:int -> int -> unit
 
 val reduce_centered_into : buf -> int array -> int -> unit
 (** Reduce centered native-int coefficients into canonical residues. *)
-
-val automorphism_into : buf -> buf -> (int * bool) array -> int -> unit
-(** [automorphism_into dst src index p]: apply a precomputed Galois
-    permutation-with-sign table ({!Encoding.automorphism_index}). [dst]
-    must not alias [src]. *)
 
 val permute_into : buf -> buf -> int array -> unit
 (** [permute_into dst src index]: [dst.(i) <- src.(index.(i))] — the Galois

@@ -256,7 +256,7 @@ let write_rns_keys w ctx (keys : Rns_ckks.keys) =
       Hashtbl.iter
         (fun galois k ->
           write_int w galois;
-          write_kswitch w k)
+          write_kswitch w (Rns_ckks.rotation_kswitch k))
         keys.Rns_ckks.rotation)
 
 let read_rns_keys r ctx =
@@ -267,9 +267,13 @@ let read_rns_keys r ctx =
       let count = read_int r in
       if count < 0 || count > 65536 then raise (Corrupt "bad rotation key count");
       let rotation = Hashtbl.create (Stdlib.max 1 count) in
+      let two_n = 2 * Rq_rns.ctx_n ctx in
       for _ = 1 to count do
         let galois = read_int r in
-        Hashtbl.replace rotation galois (read_kswitch r ctx)
+        (* the Galois element of X -> X^g: an odd exponent in [1, 2n) *)
+        if galois land 1 = 0 || galois < 1 || galois >= two_n then
+          raise (Corrupt (Printf.sprintf "bad Galois element %d" galois));
+        Hashtbl.replace rotation galois (Rns_ckks.rotation_key_of ctx ~galois (read_kswitch r ctx))
       done;
       { Rns_ckks.public = Rns_ckks.public_key_of_parts (pk0, pk1); relin; rotation })
 

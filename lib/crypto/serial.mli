@@ -86,8 +86,10 @@ val read_rns_ciphertext : reader -> Rq_rns.ctx -> Rns_ckks.ciphertext
     The full key bundle the client ships to the server: public key,
     relinearisation key, and the compiler-selected rotation keys, as an
     [RKY3] frame. {!read_rns_keys} raises [Corrupt] for any other tag
-    (an [RKY2] bundle holds per-prime keys) and for a key whose pair count
-    is not the context's digit count [⌈L/2⌉]. *)
+    (an [RKY2] bundle holds per-prime keys), for a key whose pair count
+    is not the context's digit count [⌈L/2⌉], and for a rotation key whose
+    Galois element is not odd and in [\[1, 2n)]. Loading builds each
+    rotation key's NTT-position permutation. *)
 
 val write_rns_keys : writer -> Rq_rns.ctx -> Rns_ckks.keys -> unit
 val read_rns_keys : reader -> Rq_rns.ctx -> Rns_ckks.keys

@@ -194,7 +194,16 @@ let run cfg : results =
     r_min_margin_bits = !min_margin;
   }
 
-let percentile = Service.percentile
+(* Nearest-rank percentile on a sorted copy. *)
+let percentile xs p =
+  let n = Array.length xs in
+  if n = 0 then Float.nan
+  else begin
+    let s = Array.copy xs in
+    Array.sort compare s;
+    let rank = int_of_float (Float.ceil (p /. 100.0 *. float_of_int n)) in
+    s.(Stdlib.max 0 (Stdlib.min (n - 1) (rank - 1)))
+  end
 
 let to_json r : Jsonx.t =
   Jsonx.Obj
@@ -219,16 +228,7 @@ let to_json r : Jsonx.t =
       ("p99_ms", Jsonx.Num (percentile r.r_latencies_ms 99.0));
     ]
 
-(* Merge under ["loadgen"] in BENCH.json (created if absent) — the bench
-   harness owns the other top-level keys; this must not clobber them. *)
-let write_bench ~path r =
-  let existing =
-    if Sys.file_exists path then
-      match Jsonx.of_file path with Jsonx.Obj kvs -> kvs | _ -> [] | exception _ -> []
-    else []
-  in
-  let kvs = List.remove_assoc "loadgen" existing @ [ ("loadgen", to_json r) ] in
-  Jsonx.to_file path (Jsonx.Obj kvs)
+let write_bench ~path r = Jsonx.to_file path (Jsonx.Obj [ ("loadgen", to_json r) ])
 
 let pp fmt r =
   Format.fprintf fmt "loadgen: %d requests, %d ok (%d degraded), %d faults injected, %d attempts@."

@@ -65,11 +65,13 @@ val run : config -> results
     @raise Invalid_argument on a non-positive total or concurrency. *)
 
 val percentile : float array -> float -> float
+(** [percentile xs p] with [p] in [0,100]; nearest-rank on a sorted copy;
+    [nan] on empty input. *)
 
 val to_json : results -> Chet_obs.Jsonx.t
 
 val write_bench : path:string -> results -> unit
-(** Merge {!to_json} under the ["loadgen"] key of an existing (or new)
-    BENCH.json without clobbering the bench harness's other keys. *)
+(** Write [{"loadgen": to_json r}] to [path], replacing any file there
+    ([chet loadgen --bench-out]). *)
 
 val pp : Format.formatter -> results -> unit

@@ -1,6 +1,7 @@
 (** Minimal JSON value type, writer and parser (RFC 8259 subset; \u escapes
     are BMP-only). Shared by the Chrome trace exporter, the cost-model
-    calibration files and the bench harness's BENCH.json artifact. *)
+    calibration files, [chet loadgen --bench-out] and the [bench/e2e]
+    harness. *)
 
 type t =
   | Null

@@ -646,17 +646,6 @@ let stats t =
     s_latency_p99_ms = q 0.99;
   }
 
-(* Nearest-rank percentile on a sorted copy. *)
-let percentile xs p =
-  let n = Array.length xs in
-  if n = 0 then Float.nan
-  else begin
-    let s = Array.copy xs in
-    Array.sort compare s;
-    let rank = int_of_float (Float.ceil (p /. 100.0 *. float_of_int n)) in
-    s.(Stdlib.max 0 (Stdlib.min (n - 1) (rank - 1)))
-  end
-
 (* Prometheus text exposition of the service registry. Point-in-time queue
    state is refreshed into gauges here rather than on the hot path — the
    counters and the latency histogram were updated live. *)

@@ -246,10 +246,6 @@ val metrics_snapshot : t -> string
     (refreshed at snapshot time). [chet serve --metrics-dump] prints this
     after its demo run. *)
 
-val percentile : float array -> float -> float
-(** [percentile xs p] with [p] in [0,100]; nearest-rank on a sorted copy;
-    [nan] on empty input. *)
-
 val transient_error : Herr.error -> bool
 (** The retry classification: checked-backend detections that a fresh
     attempt can plausibly clear (scale/level lies, corrupt decode, NaN

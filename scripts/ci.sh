@@ -42,8 +42,9 @@ timeout 180 scripts/plan_smoke.sh
 
 echo "== smoke: kernels (@kernel-smoke) =="
 # Fast-ring kernels (DESIGN.md §15): the Bigarray/Shoup NTT must beat the
-# scalar reference, and real-backend inference must be bit-identical across
-# 1- and 2-domain kernel pools. Real lattice ops throughout, so a hard cap.
+# schoolbook transform of test/ring_oracle.ml, and real-backend inference
+# must be bit-identical across 1- and 2-domain kernel pools. Real lattice
+# ops throughout, so a hard cap.
 timeout 60 dune build @kernel-smoke
 timeout 300 scripts/kernel_smoke.sh
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Fast-ring kernel smoke (DESIGN.md §15): the Bigarray/Shoup kernel path
-# must (a) beat the scalar reference on a raw NTT round trip, (b) hoisted
+# must (a) beat the schoolbook NTT of the test-side oracle
+# (test/ring_oracle.ml, which kbench links) on a raw round trip, (b) hoisted
 # rotations over 8 amounts must beat 8 single rotations, and their sum
 # settled once must beat the same sum of rotations each settled, (c) a
 # 100-term multiply-accumulate chain computed once as a pending sum must beat
@@ -20,7 +21,7 @@ KBENCH=_build/default/bench/kbench.exe
 DIR=$(mktemp -d "${TMPDIR:-/tmp}/chet-kernel-smoke.XXXXXX")
 trap 'rm -rf "$DIR"' EXIT
 
-echo "-- ntt microbench: fast path must beat the scalar reference"
+echo "-- ntt microbench: fast path must beat the schoolbook transform"
 "$KBENCH" 4096 100 | tee "$DIR/kbench.out"
 fast_us=$(awk '/ntt fast/ { print $3 }' "$DIR/kbench.out")
 scalar_us=$(awk '/ntt scalar/ { print $3 }' "$DIR/kbench.out")

@@ -60,7 +60,7 @@ grep -q ' [1-9][0-9]* faults injected' "$DIR/loadgen.out" || {
   exit 1
 }
 
-echo "-- percentiles merged into BENCH.json"
+echo "-- percentiles written to BENCH.json"
 grep -q '"loadgen"' "$DIR/BENCH.json" && grep -q '"p50_ms"' "$DIR/BENCH.json" || {
   echo "net smoke FAIL: BENCH.json missing loadgen percentiles" >&2
   exit 1

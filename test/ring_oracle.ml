@@ -1,13 +1,92 @@
-(* The schoolbook ring oracle: [mod]-based twins of the fast Rvec kernels
-   (Shoup / lazy-window reductions), the per-digit and coefficient-domain
-   forms the fused kernels replaced, and a Bigint reference for whole
-   ring-element expressions. test_kernels.ml checks the fast kernels
-   against them, bit for bit; nothing outside the tests runs them. *)
+(* The schoolbook ring oracle: the int-array NTT and [mod]-based twins of
+   the fast Rvec kernels (Shoup / lazy-window reductions), the per-digit
+   and coefficient-domain forms the fused kernels replaced, and a Bigint
+   reference for whole ring-element expressions. The tests check the fast
+   kernels against them, bit for bit; bench/kbench.exe times the fast NTT
+   against this one. The library runs nothing else. *)
 
 module Bigint = Chet_bigint.Bigint
 module Modarith = Chet_crypto.Modarith
 module Rvec = Chet_crypto.Rvec
 module Rq_rns = Chet_crypto.Rq_rns
+module Encoding = Chet_crypto.Encoding
+
+(* --- the schoolbook negacyclic NTT ---
+
+   The psi-twisted Cooley–Tukey / Gentleman–Sande pair with psi powers in
+   bit-reversed order and two exact reductions per butterfly: the network
+   and tables of Ntt's lazy radix-4 transform, from the same root of
+   unity, so the two agree bit for bit. *)
+
+type ntt = { n : int; p : int; psi_rev : int array; psi_inv_rev : int array; n_inv : int }
+
+let ntt_table ~n ~prime =
+  let bits =
+    let rec loop k acc = if k <= 1 then acc else loop (k lsr 1) (acc + 1) in
+    loop n 0
+  in
+  let brev x =
+    let r = ref 0 in
+    for b = 0 to bits - 1 do
+      if (x lsr b) land 1 = 1 then r := !r lor (1 lsl (bits - 1 - b))
+    done;
+    !r
+  in
+  let powers root =
+    let linear = Array.make n 1 in
+    for i = 1 to n - 1 do
+      linear.(i) <- Modarith.mul_mod linear.(i - 1) root prime
+    done;
+    Array.init n (fun i -> linear.(brev i))
+  in
+  let psi = Modarith.root_of_unity ~order:(2 * n) prime in
+  {
+    n;
+    p = prime;
+    psi_rev = powers psi;
+    psi_inv_rev = powers (Modarith.inv_mod psi prime);
+    n_inv = Modarith.inv_mod n prime;
+  }
+
+let ntt_forward t a =
+  let p = t.p and n = t.n in
+  let t_len = ref n and m = ref 1 in
+  while !m < n do
+    t_len := !t_len lsr 1;
+    for i = 0 to !m - 1 do
+      let j1 = 2 * i * !t_len in
+      let s = t.psi_rev.(!m + i) in
+      for j = j1 to j1 + !t_len - 1 do
+        let u = a.(j) and v = a.(j + !t_len) * s mod p in
+        a.(j) <- Modarith.add_mod u v p;
+        a.(j + !t_len) <- Modarith.sub_mod u v p
+      done
+    done;
+    m := !m lsl 1
+  done
+
+let ntt_inverse t a =
+  let p = t.p and n = t.n in
+  let t_len = ref 1 and m = ref n in
+  while !m > 1 do
+    let h = !m lsr 1 in
+    for i = 0 to h - 1 do
+      let j1 = 2 * i * !t_len in
+      let s = t.psi_inv_rev.(h + i) in
+      for j = j1 to j1 + !t_len - 1 do
+        let u = a.(j) and v = a.(j + !t_len) in
+        a.(j) <- Modarith.add_mod u v p;
+        a.(j + !t_len) <- Modarith.sub_mod u v p * s mod p
+      done
+    done;
+    t_len := !t_len lsl 1;
+    m := h
+  done;
+  for j = 0 to n - 1 do
+    a.(j) <- a.(j) * t.n_inv mod p
+  done
+
+(* --- residue-vector twins --- *)
 
 let map_into dst f =
   for i = 0 to Rvec.length dst - 1 do
@@ -77,6 +156,31 @@ let lift_pair_centered_into dst lo hi ~q_lo ~q_hi p =
       let x = a + (q_lo * Modarith.mul_mod (Modarith.reduce (b - a) q_hi) inv q_hi) in
       let c = if x > q / 2 then x - q else x in
       ((c mod p) + p) mod p)
+
+(* [m(X) -> m(X^g)] on one coefficient-form channel, through
+   Encoding.automorphism_index's signed permutation *)
+let automorphism_into dst src ~g p =
+  Array.iteri
+    (fun j (j', negate) ->
+      let v = Rvec.get src j in
+      Rvec.set dst j' (if negate then Modarith.neg_mod v p else v))
+    (Encoding.automorphism_index ~n:(Rvec.length src) ~g)
+
+(* the coefficient-domain automorphism of a whole element: the route
+   Rq_rns.automorphism_ntt's permutation of NTT positions replaced *)
+let automorphism ctx t ~g =
+  if Rq_rns.is_ntt t then invalid_arg "Ring_oracle.automorphism: coefficient form required";
+  let basis = Rq_rns.basis t and primes = Rq_rns.ctx_primes ctx in
+  let comps =
+    Array.mapi
+      (fun k i ->
+        let src = Rq_rns.raw_comp t k in
+        let dst = Rvec.create (Rvec.length src) in
+        automorphism_into dst src ~g primes.(i);
+        dst)
+      basis
+  in
+  Rq_rns.unsafe_of_bufs ~basis:(Array.copy basis) ~comps ~ntt:false
 
 (* --- rounded division by the last primes, in coefficient form --- *)
 

@@ -141,6 +141,31 @@ let test_server_keyset_cannot_decrypt () =
       | exception Herr.Fhe_error (Herr.Invalid_op _, _) -> ())
     [ seal_opts; heaan_opts ]
 
+(* Every RNS prime is below 2^30: a wider chain still analyses (Table 4's
+   60-bit companion), but no keys are made for it — keyset and instantiate
+   refuse with a typed error naming the bound, before any keygen. *)
+let test_wide_primes_refused () =
+  let base = Compiler.compile seal_opts micro in
+  List.iter
+    (fun bits ->
+      let opts = { seal_opts with Compiler.prime_bits = bits } in
+      let params = Compiler.select_params opts micro ~policy:Layout.All_hw in
+      let compiled = { base with Compiler.params; rotations = [] } in
+      let refused what f =
+        match f () with
+        | _ -> Alcotest.failf "%s at %d-bit primes made keys" what bits
+        | exception Herr.Fhe_error (Herr.Invalid_op { reason }, _) ->
+            let contains sub =
+              let n = String.length reason and m = String.length sub in
+              let rec go i = i + m <= n && (String.sub reason i m = sub || go (i + 1)) in
+              go 0
+            in
+            if not (contains "2^30") then Alcotest.failf "%s: reason %S names no bound" what reason
+      in
+      refused "keyset" (fun () -> ignore (Compiler.keyset compiled ~seed:1 ~with_secret:true ()));
+      refused "instantiate" (fun () -> ignore (Compiler.instantiate compiled ~seed:1 ~with_secret:true ())))
+    [ 31; 32; 60 ]
+
 let test_scale_search () =
   let images = List.init 2 (fun i -> Models.input_for Models.micro ~seed:(50 + i)) in
   let result =
@@ -200,6 +225,7 @@ let suite =
         Alcotest.test_case "compiled config runs on real SEAL" `Slow test_compiled_runs_on_real_scheme;
         Alcotest.test_case "compiled config runs on real HEAAN" `Slow test_compiled_runs_on_real_heaan;
         Alcotest.test_case "server keyset cannot decrypt" `Quick test_server_keyset_cannot_decrypt;
+        Alcotest.test_case "keyset refuses primes above 2^30" `Quick test_wide_primes_refused;
         Alcotest.test_case "profile-guided scale search" `Slow test_scale_search;
         Alcotest.test_case "scale search rejects impossible" `Quick test_scale_search_rejects_impossible;
       ] );

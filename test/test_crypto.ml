@@ -32,7 +32,10 @@ let test_ntt_prime_gen () =
   (* distinct and descending *)
   for i = 1 to 4 do
     Alcotest.(check bool) "descending" true (primes.(i) < primes.(i - 1))
-  done
+  done;
+  (* every RNS prime is below 2^30, the NTT's bound *)
+  Alcotest.check_raises "31 bits" (Invalid_argument "Modarith.gen_ntt_prime: bits must be <= 30")
+    (fun () -> ignore (Modarith.gen_ntt_primes ~bits:31 ~modulus_of:(2 * n) ~count:1))
 
 let test_primitive_root () =
   let p = 7681 in
@@ -66,6 +69,26 @@ let ntt_n = 64
 let ntt_prime = Modarith.gen_ntt_prime ~bits:30 ~modulus_of:(2 * ntt_n) ~below:(1 lsl 30)
 let ntt_tbl = Ntt.make_table ~n:ntt_n ~prime:ntt_prime
 
+(* the library transform, in place on an int array *)
+let forward a =
+  let b = Rvec.of_int_array a in
+  Ntt.forward_buf ntt_tbl b;
+  Array.blit (Rvec.to_int_array b) 0 a 0 ntt_n
+
+let inverse a =
+  let b = Rvec.of_int_array a in
+  Ntt.inverse_buf ntt_tbl b;
+  Array.blit (Rvec.to_int_array b) 0 a 0 ntt_n
+
+(* a ring product through the transform: forward, pointwise, inverse *)
+let negacyclic_mul a b =
+  let fa = Rvec.of_int_array a and fb = Rvec.of_int_array b in
+  Ntt.forward_buf ntt_tbl fa;
+  Ntt.forward_buf ntt_tbl fb;
+  Rvec.pointwise_mul_into fa fa fb ntt_prime;
+  Ntt.inverse_buf ntt_tbl fa;
+  Rvec.to_int_array fa
+
 let naive_negacyclic a b p =
   let n = Array.length a in
   let r = Array.make n 0 in
@@ -83,9 +106,9 @@ let test_ntt_roundtrip () =
   let rng = Random.State.make [| 7 |] in
   let a = Array.init ntt_n (fun _ -> Random.State.int rng ntt_prime) in
   let b = Array.copy a in
-  Ntt.forward ntt_tbl b;
+  forward b;
   Alcotest.(check bool) "transform changes data" true (a <> b);
-  Ntt.inverse ntt_tbl b;
+  inverse b;
   Alcotest.(check (array int)) "roundtrip" a b
 
 let test_ntt_mul_matches_naive () =
@@ -93,13 +116,13 @@ let test_ntt_mul_matches_naive () =
   for _ = 1 to 5 do
     let a = Array.init ntt_n (fun _ -> Random.State.int rng ntt_prime) in
     let b = Array.init ntt_n (fun _ -> Random.State.int rng ntt_prime) in
-    Alcotest.(check (array int)) "negacyclic" (naive_negacyclic a b ntt_prime) (Ntt.negacyclic_mul ntt_tbl a b)
+    Alcotest.(check (array int)) "negacyclic" (naive_negacyclic a b ntt_prime) (negacyclic_mul a b)
   done
 
 let test_ntt_x_times_x () =
   (* X^(n-1) * X = X^n = -1 in the negacyclic ring *)
   let x k = Array.init ntt_n (fun i -> if i = k then 1 else 0) in
-  let r = Ntt.negacyclic_mul ntt_tbl (x (ntt_n - 1)) (x 1) in
+  let r = negacyclic_mul (x (ntt_n - 1)) (x 1) in
   let expected = Array.make ntt_n 0 in
   expected.(0) <- ntt_prime - 1;
   Alcotest.(check (array int)) "wraps negatively" expected r
@@ -220,10 +243,10 @@ let props =
         let a = Array.init ntt_n (fun _ -> Random.State.int rng ntt_prime) in
         let b = Array.init ntt_n (fun _ -> Random.State.int rng ntt_prime) in
         let fa = Array.copy a and fb = Array.copy b in
-        Ntt.forward ntt_tbl fa;
-        Ntt.forward ntt_tbl fb;
+        forward fa;
+        forward fb;
         let sum = Array.init ntt_n (fun i -> Modarith.add_mod a.(i) b.(i) ntt_prime) in
-        Ntt.forward ntt_tbl sum;
+        forward sum;
         sum = Array.init ntt_n (fun i -> Modarith.add_mod fa.(i) fb.(i) ntt_prime));
     prop "encode/decode within tolerance" 30
       (fun _ -> "seed")

