@@ -161,7 +161,50 @@ let security_log_q = function
   | Rns_params { log_q; _ } -> log_q
   | Pow2_params { log_fresh; _ } -> log_fresh
 
-let select_params opts circuit ~policy =
+let secure_n opts params =
+  try security_min_n opts ~log_q:(security_log_q params)
+  with Not_found -> raise (Compilation_failure "required modulus exceeds the security table at every N")
+
+(* §5.2 on the deployed chain: with [num_primes] primes, does the output
+   keep [value_headroom_bits] of modulus above its scale? The candidate
+   chain only estimates this: a fresh ciphertext there starts 192 primes
+   deep, so its rescales divide by the smallest candidates, not by the
+   primes the deployment drops. The deployed chain is the candidates after
+   the first two, which [Rns_ckks.make_context] keeps for the special
+   modulus (same generator, same order). A run that fails on a chain too
+   short is a no. It runs on plain Shape: [candidate_params] has already run
+   the same plan under Checked, and an output with a prime left was never
+   multiplied at level 0, because levels only fall toward the output. *)
+let keeps_headroom opts circuit ~policy ~n ~num_primes =
+  let chain = Array.sub (candidate_chain opts ~n) 2 num_primes in
+  let scheme = Hisa.Rns_chain chain in
+  let backend = Shape.make { Shape.slots = n / 2; scheme } in
+  match run_through backend opts circuit ~policy with
+  | s_out, env ->
+      let left = ref 0.0 in
+      for i = 0 to env.Hisa.env_r - 1 do
+        left := !left +. log2f (float_of_int chain.(i))
+      done;
+      !left >= log2f s_out +. float_of_int opts.value_headroom_bits
+  | exception Herr.Fhe_error _ -> false
+
+(* The smallest chain whose deployed run keeps the headroom, searched from
+   the candidate-chain estimate [from] in whichever direction the deployed
+   chain asks. *)
+let deployed_primes opts circuit ~policy ~n ~from =
+  let keeps num_primes = keeps_headroom opts circuit ~policy ~n ~num_primes in
+  let rec down l = if l > 1 && keeps (l - 1) then down (l - 1) else l in
+  let rec up l =
+    if l + 2 > analysis_chain_length then
+      raise (Compilation_failure "no deployable chain keeps the output's headroom")
+    else if keeps l then l
+    else up (l + 1)
+  in
+  if from > 1 && keeps (from - 1) then down (from - 1) else up from
+
+(* §5.2 on the candidate chain: the smallest secure N and its prime-count
+   estimate, searched from ring dimension [n]. *)
+let candidate_params ?(n = 2048) opts circuit ~policy =
   let rec iterate n tries =
     if n > opts.max_n then
       raise (Compilation_failure (Printf.sprintf "no secure N <= %d accommodates this circuit" opts.max_n));
@@ -187,11 +230,7 @@ let select_params opts circuit ~policy =
     | None -> iterate (n * 2) tries (* layout does not fit this SIMD width *)
     | Some (s_out, env) ->
         let params = params_for_consumption opts ~n ~s_out ~env in
-        let n_sec =
-          try security_min_n opts ~log_q:(security_log_q params)
-          with Not_found ->
-            raise (Compilation_failure "required modulus exceeds the security table at every N")
-        in
+        let n_sec = secure_n opts params in
         if n_sec > n && tries < 8 then iterate (Stdlib.max n_sec (n * 2)) (tries + 1)
         else if n_sec > n then raise (Compilation_failure "parameter selection did not converge")
         else begin
@@ -200,7 +239,24 @@ let select_params opts circuit ~policy =
           | Pow2_params p -> Pow2_params { p with n }
         end
   in
-  iterate 2048 0
+  iterate n 0
+
+(* The candidate-chain estimate [params] settled on the deployed chain;
+   should that chain outgrow the security of its N, the estimate is redone
+   at the larger N. *)
+let rec deploy opts circuit ~policy = function
+  | Rns_params p ->
+      let num_primes = deployed_primes opts circuit ~policy ~n:p.n ~from:p.num_primes in
+      let params = Rns_params { p with num_primes; log_q = (num_primes + 2) * p.prime_bits } in
+      let n_sec = secure_n opts params in
+      if n_sec <= p.n then params
+      else
+        deploy opts circuit ~policy
+          (candidate_params ~n:(Stdlib.max n_sec (p.n * 2)) opts circuit ~policy)
+  | Pow2_params _ as params -> params
+
+let select_params opts circuit ~policy =
+  deploy opts circuit ~policy (candidate_params opts circuit ~policy)
 
 (* ------------------------------------------------------------------ *)
 (* §5.3 Cost estimation / data layout selection                         *)
@@ -250,37 +306,46 @@ let select_rotations opts circuit ~policy ~params =
 (* Driver                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* §5.3 ranks the policies on their candidate-chain estimates; only the
+   winner is then settled on the deployed chain (its report re-estimated
+   there). Ranking on deployed chains would move LeNet-5-small at Pc = 2^30,
+   Pw = Pu = 2^14, Pm = 2^16 to CHW, which the model puts 0.5% under
+   CHW-fc, HW-before on 13 primes but which measured 28% slower per
+   inference at N = 2048. *)
 let compile opts circuit =
-  let reports =
+  let estimates =
     List.map
       (fun policy ->
-        let params = select_params opts circuit ~policy in
+        let params = candidate_params opts circuit ~policy in
         let cost = estimate_cost opts circuit ~policy ~params in
         { pr_policy = policy; pr_params = params; pr_cost = cost })
       Layout.all_policies
   in
+  let cheapest =
+    List.fold_left (fun acc r -> if r.pr_cost < acc.pr_cost then r else acc) (List.hd estimates)
+      (List.tl estimates)
+  in
+  let policy = cheapest.pr_policy in
+  let params = deploy opts circuit ~policy cheapest.pr_params in
   let best =
-    List.fold_left (fun acc r -> if r.pr_cost < acc.pr_cost then r else acc) (List.hd reports)
-      (List.tl reports)
+    if params = cheapest.pr_params then cheapest
+    else { cheapest with pr_params = params; pr_cost = estimate_cost opts circuit ~policy ~params }
   in
-  let rotations, op_counters =
-    select_rotations opts circuit ~policy:best.pr_policy ~params:best.pr_params
-  in
-  {
-    circuit;
-    opts;
-    policy = best.pr_policy;
-    params = best.pr_params;
-    rotations;
-    op_counters;
-    reports;
-  }
+  let reports = List.map (fun r -> if r.pr_policy = policy then best else r) estimates in
+  let rotations, op_counters = select_rotations opts circuit ~policy ~params in
+  { circuit; opts; policy; params; rotations; op_counters; reports }
+
+(* rotations and relinearisations of one inference at the compiled
+   parameters *)
+let key_switches c = Instrument.total_rotations c.op_counters + c.op_counters.Instrument.ct_muls
 
 let pp_compiled fmt c =
-  Format.fprintf fmt "@[<v>%s compiled for %s:@,  layout: %s@,  params: %a@,  rotation keys: %d@,"
+  Format.fprintf fmt
+    "@[<v>%s compiled for %s:@,  layout: %s@,  params: %a@,  rotation keys: %d@,\
+    \  key switches per inference: %d@,"
     c.circuit.Circuit.name
     (match c.opts.target with Seal -> "SEAL (RNS-CKKS)" | Heaan -> "HEAAN (CKKS)")
-    (Layout.policy_name c.policy) pp_params c.params (List.length c.rotations);
+    (Layout.policy_name c.policy) pp_params c.params (List.length c.rotations) (key_switches c);
   List.iter
     (fun r ->
       Format.fprintf fmt "  %-18s est. %8.2f s  (N=%d, logQ=%d)@," (Layout.policy_name r.pr_policy)

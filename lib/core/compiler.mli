@@ -63,7 +63,9 @@ type compiled = {
   params : params_choice;
   rotations : (int * int) list;  (** (left-rotation amount, use count) — the keys to generate *)
   op_counters : Chet_hisa.Instrument.counters;
-  reports : policy_report list;  (** one per layout policy (Tables 5–6) *)
+  reports : policy_report list;
+      (** one per layout policy (Tables 5–6): the candidate-chain estimate,
+          except the compiled policy's, which is on the deployed chain *)
 }
 
 exception Compilation_failure of string
@@ -71,6 +73,15 @@ exception Compilation_failure of string
 val scheme_of_params : options -> params_choice -> Hisa.scheme_kind
 (** The virtual scheme an analysis backend should emulate for these
     parameters (used by the cost, rotation and scale-selection passes). *)
+
+val keeps_headroom :
+  options -> Circuit.t -> policy:Layout.layout_policy -> n:int -> num_primes:int -> bool
+(** Run §5.2's analysis on the chain a deployment of [num_primes] primes at
+    ring dimension [n] builds (the candidate generator's primes after the
+    two special ones): does the output keep [value_headroom_bits] of
+    modulus above its scale? {!select_params} settles on the smallest
+    [num_primes] for which this holds, searching from its candidate-chain
+    estimate. *)
 
 val select_params : options -> Circuit.t -> policy:Layout.layout_policy -> params_choice
 (** §5.2 as a standalone pass (re-run per layout choice by {!compile}). *)
@@ -85,7 +96,13 @@ val select_rotations :
 
 val compile : options -> Circuit.t -> compiled
 (** The full pipeline: explore all four layout policies, pick the cheapest,
-    fix parameters and rotation keys. *)
+    fix parameters and rotation keys. The policies are ranked on their
+    candidate-chain estimates; the cheapest is then settled on the deployed
+    chain ({!select_params}). *)
+
+val key_switches : compiled -> int
+(** Rotations plus relinearisations of one inference at the compiled
+    parameters, from [op_counters]. *)
 
 val pp_compiled : Format.formatter -> compiled -> unit
 

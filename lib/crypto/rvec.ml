@@ -277,12 +277,23 @@ let reduce_centered_into (dst : buf) (coeffs : int array) p =
     uset dst i (Modarith.reduce (Array.unsafe_get coeffs i) p)
   done
 
+(* Below [from < 2p] (any two primes of one context) the centered value
+   has |v| <= from/2 < p, so a sign fold reduces it: [v] itself, or
+   [v - from + p] for the negative half. *)
 let lift_centered_into (dst : buf) (src : buf) ~from p =
   let half = from / 2 in
-  for i = 0 to length dst - 1 do
-    let v = uget src i in
-    uset dst i (Modarith.reduce (if v > half then v - from else v) p)
-  done
+  if from < 2 * p then begin
+    let neg = p - from in
+    for i = 0 to length dst - 1 do
+      let v = uget src i in
+      uset dst i (v + (neg land ((half - v) asr 62)))
+    done
+  end
+  else
+    for i = 0 to length dst - 1 do
+      let v = uget src i in
+      uset dst i (Modarith.reduce (if v > half then v - from else v) p)
+    done
 
 let permute_into (dst : buf) (src : buf) (index : int array) =
   for i = 0 to Array.length index - 1 do

@@ -81,7 +81,8 @@ val sub_scale_into : buf -> buf -> buf -> int -> int -> unit
 val lift_centered_into : buf -> buf -> from:int -> int -> unit
 (** [lift_centered_into dst src ~from p]: lift residues mod [from] to their
     centered representatives in [(-from/2, from/2\]] and reduce those into
-    [\[0, p)] — a one-prime key-switch digit. *)
+    [\[0, p)] — a one-prime key-switch digit. Without a division when
+    [from < 2p]. *)
 
 val garner_digit_into : buf -> buf -> buf -> q_lo:int -> q_hi:int -> unit
 (** [garner_digit_into g lo hi ~q_lo ~q_hi]: the residues

@@ -38,6 +38,11 @@ type step = {
   st_dst : int;  (** arena slot written *)
   st_release : int array;  (** slots dead after this step (never contains [st_dst]) *)
   st_meta : Layout.meta;  (** static layout of the result *)
+  st_last : bool;
+      (** a dense step whose output no later dense layer reads, directly or
+          through other layers: it may fold once over any input lattice
+          ({!Chet_runtime.Kernels.dense_fold}'s [last]); false for every
+          other step *)
 }
 
 type stats = {
@@ -72,9 +77,22 @@ let sources (node : Circuit.node) =
       [ input ]
   | Circuit.GlobalAvgPool n | Circuit.Square n | Circuit.Flatten n -> [ n ]
 
+(* The nodes whose output no later dense layer reads, directly or through
+   other layers ([st_last] of a dense step). *)
+let last_dense (circuit : Circuit.t) =
+  let feeds = Hashtbl.create 16 in
+  List.iter
+    (fun (node : Circuit.node) ->
+      let is_dense = match node.Circuit.op with Circuit.MatMul _ -> true | _ -> false in
+      if is_dense || Hashtbl.mem feeds node.Circuit.id then
+        List.iter (fun (s : Circuit.node) -> Hashtbl.replace feeds s.Circuit.id ()) (sources node))
+    (List.rev (Circuit.topo_order circuit));
+  fun (node : Circuit.node) -> not (Hashtbl.mem feeds node.Circuit.id)
+
 (* Output meta of a node given its (already layout-converted) source metas —
-   must mirror the meta arithmetic of the corresponding kernels exactly. *)
-let node_out_meta (node : Circuit.node) (src_metas : Layout.meta list) =
+   must mirror the meta arithmetic of the corresponding kernels exactly;
+   [last] is a dense node's [st_last]. *)
+let node_out_meta ~last (node : Circuit.node) (src_metas : Layout.meta list) =
   match (node.Circuit.op, src_metas) with
   | Circuit.Conv2d { weights; stride; padding; _ }, [ m ] ->
       let cout = weights.Tensor.shape.(0) in
@@ -82,7 +100,7 @@ let node_out_meta (node : Circuit.node) (src_metas : Layout.meta list) =
       let _, _, out_spatial = Kernels.conv_geometry m ~kh ~kw ~stride ~padding in
       Layout.with_channels out_spatial cout
   | Circuit.MatMul { weights; _ }, [ m ] ->
-      Kernels.dense_out_meta m ~out_dim:weights.Tensor.shape.(0)
+      Kernels.dense_out_meta m ~out_dim:weights.Tensor.shape.(0) ~last
   | Circuit.AvgPool { ksize; stride; _ }, [ m ] ->
       Layout.after_stride
         (Layout.with_spatial m ~height:(m.Layout.height - ksize + 1)
@@ -119,6 +137,7 @@ let schedule ?margin ?(twin = false) ~slots ~policy ~kind_of (circuit : Circuit.
     match margin with Some m -> m | None -> Layout.required_margin circuit
   in
   let input_kind = kind_of circuit.Circuit.input in
+  let last_dense = last_dense circuit in
   let in_meta = input_meta_of ~slots ~margin ~twin circuit ~kind:input_kind in
   (* 1. schedule: one step per node in topo order, conversion steps emitted
      on demand before their first consumer and shared by later ones *)
@@ -127,7 +146,7 @@ let schedule ?margin ?(twin = false) ~slots ~policy ~kind_of (circuit : Circuit.
   let step_meta : (int, Layout.meta) Hashtbl.t = Hashtbl.create 64 in
   let raw : (int, int) Hashtbl.t = Hashtbl.create 64 in
   let conv : (int * Layout.kind, int) Hashtbl.t = Hashtbl.create 16 in
-  let emit node op kind srcs meta =
+  let emit ?(last = false) node op kind srcs meta =
     let id = !n_steps in
     incr n_steps;
     rev_steps :=
@@ -140,6 +159,7 @@ let schedule ?margin ?(twin = false) ~slots ~policy ~kind_of (circuit : Circuit.
         st_dst = -1;
         st_release = [||];
         st_meta = meta;
+        st_last = last;
       }
       :: !rev_steps;
     Hashtbl.replace step_meta id meta;
@@ -186,13 +206,12 @@ let schedule ?margin ?(twin = false) ~slots ~policy ~kind_of (circuit : Circuit.
                placed by the input's own metadata, no conversion step *)
             let src = List.hd (sources node) in
             let rid = raw_id src in
-            let m = node_out_meta node [ Hashtbl.find step_meta rid ] in
-            emit node Op_node kind [ rid ] m
+            let last = last_dense node in
+            let m = node_out_meta ~last node [ Hashtbl.find step_meta rid ] in
+            emit ~last node Op_node kind [ rid ] m
         | _ ->
             let sids = List.map (fun s -> value s ~want:kind) (sources node) in
-            let m =
-              node_out_meta node (List.map (Hashtbl.find step_meta) sids)
-            in
+            let m = node_out_meta ~last:false node (List.map (Hashtbl.find step_meta) sids) in
             emit node Op_node kind sids m
       in
       Hashtbl.replace raw node.Circuit.id sid)

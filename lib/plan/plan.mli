@@ -28,6 +28,11 @@ type step = {
   st_dst : int;  (** arena slot written *)
   st_release : int array;  (** slots dead after this step (never contains [st_dst]) *)
   st_meta : Layout.meta;  (** static layout of the result *)
+  st_last : bool;
+      (** a dense step whose output no later dense layer reads, directly or
+          through other layers: it may fold once over any input lattice
+          ({!Chet_runtime.Kernels.dense_fold}'s [last]); false for every
+          other step *)
 }
 
 type stats = {

@@ -117,7 +117,9 @@ module Make (H : Hisa.S) = struct
                           (K.conv2d cfg ~meta:(src_meta st 0) ~budget ~weights ~bias ~stride
                              ~padding)
                     | Circuit.MatMul { weights; bias; _ } ->
-                        of_staged st (K.matmul cfg ~meta:(src_meta st 0) ~budget ~weights ~bias)
+                        of_staged st
+                          (K.matmul cfg ~meta:(src_meta st 0) ~budget ~weights ~bias
+                             ~last:st.Plan.st_last)
                     | Circuit.AvgPool { ksize; stride; _ } ->
                         of_staged st (K.avg_pool cfg ~meta:(src_meta st 0) ~budget ~ksize ~stride)
                     | Circuit.GlobalAvgPool _ ->

@@ -71,17 +71,24 @@ let tap_rotation meta ~dy ~dx = (dy * meta.Layout.row_stride) + (dx * meta.Layou
    positions below the lifted anchor, output 0 at [dn_base]. The lift is
    just large enough for that tile to stay above slot 0.
 
-   An input lattice with a single axis folds once instead ([dn_once]):
-   each output's partial product gets its own box, [dn_stride] slots below
-   the previous one — the smallest power of two at or above the box's
-   extent, so the boxes are disjoint — and the placement tree merges the
-   partials before the fold. One fold then sums every box at once, and one
-   mask keeps the [out_dim] corners: [out_dim − 1 + F] key switches for F
-   fold steps, against [out_dim·(F + 1) − 1] folding per output. The
-   output is a strided vector, output [o] at [dn_base + o·dn_stride].
-   Multi-axis inputs keep the per-group fold: their boxes are wide, so the
-   stride would spread the outputs over many more rotation amounts (keys)
-   for few key switches saved. *)
+   One fold can serve every output instead ([dn_once]): each output's
+   partial product gets its own box, [dn_stride] slots from the next one —
+   the smallest power of two at or above the box's extent
+   [Σ (count − 1)·stride + spread], so the boxes are disjoint — and the
+   placement tree merges the partials before the fold. One fold then sums
+   every box at once, and one mask keeps the [out_dim] corners:
+   [out_dim − 1 + F] key switches for F fold steps, against
+   [out_dim·(F + 1) − 1] folding per output. The boxes go below the anchor
+   (output 0 lowest), lifting the input first when they would pass slot 0.
+   The output is a strided vector, output [o] at [dn_base + o·dn_stride].
+
+   A vector input (a single-axis lattice) folds once whenever that is
+   cheaper. A multi-axis input folds once only when [last] says no later
+   dense layer reads the output: its box is wide, so the stride spreads the
+   outputs far apart, and a dense layer reading them would need many more
+   rotation amounts (keys) for few key switches saved. micro's dense layer
+   (2 HW inputs, axes 2×8 and 20×8, twin) folds once in 11 key switches
+   (3 placement, 6 fold, 2 lift) against 27 per group. *)
 
 type dense_fold = {
   dn_axes : (int * int) list;  (** (stride, power-of-two count) of each folded axis *)
@@ -95,7 +102,7 @@ type dense_fold = {
 (* [None] when the padded box is not mixed-radix ([count·stride] of one
    axis overrunning the next stride) or the lifted fold would wrap past the
    last slot; the kernel then folds over every slot. *)
-let dense_fold meta ~out_dim =
+let dense_fold meta ~out_dim ~last =
   let spread = Layout.spread_of meta.Layout.twin in
   let occupied =
     match meta.Layout.kind with
@@ -138,11 +145,11 @@ let dense_fold meta ~out_dim =
     if cost k <= cost !lanes then lanes := k
   done;
   let lanes = !lanes in
+  let top = List.fold_left (fun acc (s, c) -> acc + ((c - 1) * s)) 0 axes in
   let per_group =
     let lift = lift lanes in
     let anchor = meta.Layout.offset + lift in
-    let top = List.fold_left (fun acc (s, c) -> acc + ((c - 1) * s)) anchor axes in
-    if mixed_radix axes && top + spread <= meta.Layout.slots then
+    if mixed_radix axes && anchor + top + spread <= meta.Layout.slots then
       Some
         {
           dn_axes = axes;
@@ -155,36 +162,36 @@ let dense_fold meta ~out_dim =
     else None
   in
   let once =
-    match axes with
-    | [ (s, c) ] ->
-        (* a box spans the axis and the twin slot; [t] is a power of two,
-           hence a multiple of [spread] *)
-        let extent = ((c - 1) * s) + spread in
-        let t = ceil_pow2 1 extent in
-        let lift = Stdlib.max 0 (((out_dim - 1) * t) - meta.Layout.offset) in
-        let anchor = meta.Layout.offset + lift in
-        let cost_once = out_dim - 1 + folds + if lift > 0 then n_in else 0 in
-        let cheaper = match per_group with None -> true | Some _ -> cost_once < cost lanes in
-        if cheaper && anchor + extent <= meta.Layout.slots then
-          Some
-            {
-              dn_axes = axes;
-              dn_lanes = 1;
-              dn_lift = lift;
-              dn_base = anchor - ((out_dim - 1) * t);
-              dn_stride = t;
-              dn_once = true;
-            }
-        else None
-    | _ -> None
+    let allowed =
+      match axes with [ _ ] -> true | _ -> axes <> [] && last && mixed_radix axes
+    in
+    (* a box spans the lattice and the twin slot; [t] is a power of two,
+       hence a multiple of [spread] *)
+    let extent = top + spread in
+    let t = ceil_pow2 1 extent in
+    let lift = Stdlib.max 0 (((out_dim - 1) * t) - meta.Layout.offset) in
+    let anchor = meta.Layout.offset + lift in
+    let cost_once = out_dim - 1 + folds + if lift > 0 then n_in else 0 in
+    let cheaper = match per_group with None -> true | Some _ -> cost_once < cost lanes in
+    if allowed && cheaper && anchor + extent <= meta.Layout.slots then
+      Some
+        {
+          dn_axes = axes;
+          dn_lanes = 1;
+          dn_lift = lift;
+          dn_base = anchor - ((out_dim - 1) * t);
+          dn_stride = t;
+          dn_once = true;
+        }
+    else None
   in
   match once with Some _ -> once | None -> per_group
 
-let dense_out_meta meta ~out_dim =
+let dense_out_meta meta ~out_dim ~last =
   let vector ?stride () =
     Layout.vector_meta ~slots:meta.Layout.slots ~length:out_dim ~twin:meta.Layout.twin ?stride ()
   in
-  match dense_fold meta ~out_dim with
+  match dense_fold meta ~out_dim ~last with
   | Some d -> { (vector ~stride:d.dn_stride ()) with Layout.offset = d.dn_base }
   | None -> vector ()
 
@@ -598,7 +605,7 @@ module Make (H : Hisa.S) = struct
 
   (* --- fully connected ---------------------------------------------- *)
 
-  let matmul cfg ~meta ~budget ~weights ~bias =
+  let matmul cfg ~meta ~budget ~weights ~bias ~last =
     let out_dim = weights.Tensor.shape.(0) in
     let in_dim = weights.Tensor.shape.(1) in
     if in_dim <> meta.Layout.channels * meta.Layout.height * meta.Layout.width then
@@ -611,7 +618,7 @@ module Make (H : Hisa.S) = struct
                  meta.Layout.channels meta.Layout.height meta.Layout.width;
              got = Printf.sprintf "weights %s" (shape_str weights.Tensor.shape);
            });
-    let out_meta = dense_out_meta meta ~out_dim in
+    let out_meta = dense_out_meta meta ~out_dim ~last in
     let n_in = Layout.num_cts meta in
     let spread = Layout.spread_of meta.Layout.twin in
     let bias_pts =
@@ -685,7 +692,7 @@ module Make (H : Hisa.S) = struct
       | (_, b) :: rest ->
           List.fold_left (fun acc (l, below) -> H.fma_rot below acc (unit lsl l)) b rest
     in
-    match dense_fold meta ~out_dim with
+    match dense_fold meta ~out_dim ~last with
     | Some { dn_once = true; dn_axes; dn_lift = lift; dn_stride = t; _ } ->
         (* tree block [g] is output [out_dim − 1 − g], so output [o] ends
            [o·t] slots above output 0 *)

@@ -24,9 +24,11 @@ let build ?(with_keys = true) compiled ~seed ?(rotation_keys = Compiler.Selected
 (* meta.chet: BNDL frame                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Version 2 dropped the scale-summary and calibration records; a version-1
-   frame is refused as corrupt, and the caller cold-compiles. *)
-let bundle_version = 2
+(* Version 2 dropped the scale-summary and calibration records. Version 3
+   marks the dense-layer fold over lattices: a rebuilt plan may rotate by
+   amounts an older generation's stored rotation selection and keys lack.
+   An older frame is refused as corrupt, and the caller cold-compiles. *)
+let bundle_version = 3
 let meta_file = "meta.chet"
 let keys_file = "keys.rky3"
 

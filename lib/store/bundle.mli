@@ -4,7 +4,7 @@
     A bundle holds only what a warm restart reads to skip the offline
     pipeline: the compiled decisions (parameters, layout policy, rotation
     selection, per-policy cost reports — a [CMPD] frame inside [meta.chet]'s
-    [BNDL] frame, version 2) and the public evaluation keys ([keys.rky3], an
+    [BNDL] frame, version 3) and the public evaluation keys ([keys.rky3], an
     [RKY3] frame; absent for power-of-two targets, which re-derive keys from
     the seed). Everything derivable is rebuilt instead: the execution plan
     is {!Compiler.plan} of the restored compile (DESIGN.md §11), and the

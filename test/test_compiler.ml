@@ -95,6 +95,73 @@ let test_compile_end_to_end_micro () =
              .Compiler.pr_cost))
     compiled.Compiler.reports
 
+(* §5.2 settles the prime count on the chain the deployment builds: the
+   output keeps its [value_headroom_bits] there at the chosen count and not
+   at one prime fewer. At the scales below, LeNet-5-small's candidate-chain
+   estimate has a prime to spare (14, deployed 13); with 20 bits of
+   headroom its HW estimate is one prime short (15, deployed 16). *)
+let bench_scales = { Kernels.pc = 1 lsl 30; pw = 1 lsl 14; pu = 1 lsl 14; pm = 1 lsl 16 }
+
+let test_params_keep_headroom_deployed () =
+  let check what opts circuit ~policy =
+    match Compiler.select_params opts circuit ~policy with
+    | Compiler.Rns_params { n; num_primes; _ } ->
+        let keeps l = Compiler.keeps_headroom opts circuit ~policy ~n ~num_primes:l in
+        Alcotest.(check bool) (what ^ ": headroom at the chosen count") true (keeps num_primes);
+        Alcotest.(check bool) (what ^ ": headroom one prime fewer") false (keeps (num_primes - 1));
+        num_primes
+    | Compiler.Pow2_params _ -> Alcotest.fail "expected RNS params for SEAL"
+  in
+  List.iter
+    (fun (name, circuit, scales, primes) ->
+      let opts = { seal_opts with Compiler.scales } in
+      let compiled = Compiler.compile opts circuit in
+      let policy = compiled.Compiler.policy in
+      Alcotest.(check int) (name ^ ": compiled primes") primes (check name opts circuit ~policy))
+    [
+      ("micro", micro, Kernels.default_scales, 7);
+      ("LeNet-5-small", lenet_small, Kernels.default_scales, 14);
+      ("micro, benchmark scales", micro, bench_scales, 7);
+      ("LeNet-5-small, benchmark scales", lenet_small, bench_scales, 13);
+    ];
+  let opts = { seal_opts with Compiler.value_headroom_bits = 20 } in
+  Alcotest.(check int) "LeNet-5-small, HW, 20 bits: the deployed chain adds a prime" 16
+    (check "LeNet-5-small, HW, 20 bits" opts lenet_small ~policy:Layout.All_hw)
+
+(* compile ranks the policies on their candidate-chain estimates and settles
+   only the winner on the deployed chain: at the benchmark scales
+   LeNet-5-small stays CHW-fc, HW-before (43 keys), on 13 primes, and its
+   report carries the deployed parameters *)
+let test_compile_deploys_winner () =
+  let opts = { seal_opts with Compiler.scales = bench_scales } in
+  let compiled = Compiler.compile opts lenet_small in
+  let policy = compiled.Compiler.policy in
+  Alcotest.(check string) "policy" (Layout.policy_name Layout.Chw_fc_hw_before)
+    (Layout.policy_name policy);
+  Alcotest.(check int) "rotation keys" 43 (List.length compiled.Compiler.rotations);
+  Alcotest.(check bool) "params = select_params of the policy" true
+    (compiled.Compiler.params = Compiler.select_params opts lenet_small ~policy);
+  let report = List.find (fun r -> r.Compiler.pr_policy = policy) compiled.Compiler.reports in
+  Alcotest.(check bool) "the winner's report is on the deployed chain" true
+    (report.Compiler.pr_params = compiled.Compiler.params);
+  Alcotest.(check int) "deployed chain primes" 13
+    (match compiled.Compiler.params with
+    | Compiler.Rns_params { num_primes; _ } -> num_primes
+    | Compiler.Pow2_params _ -> 0)
+
+(* [chet compile] prints the key switches of one inference below the
+   rotation-key count *)
+let test_pp_key_switches () =
+  let compiled = Compiler.compile seal_opts micro in
+  let k = compiled.Compiler.op_counters in
+  let expected =
+    Chet_hisa.Instrument.total_rotations k + k.Chet_hisa.Instrument.ct_muls
+  in
+  let lines = String.split_on_char '\n' (Format.asprintf "%a" Compiler.pp_compiled compiled) in
+  let line = Printf.sprintf "  key switches per inference: %d" expected in
+  Alcotest.(check bool) (line ^ " is printed") true (List.mem line lines);
+  Alcotest.(check int) "Compiler.key_switches" expected (Compiler.key_switches compiled)
+
 let test_compiled_runs_on_real_scheme () =
   (* deploy the compiled configuration on the real RNS-CKKS backend with
      exactly the selected rotation keys, and verify output fidelity *)
@@ -222,6 +289,11 @@ let suite =
         Alcotest.test_case "cost model ordering" `Quick test_cost_positive_and_orders;
         Alcotest.test_case "rotation-key selection" `Quick test_rotation_selection;
         Alcotest.test_case "compile picks cheapest layout" `Quick test_compile_end_to_end_micro;
+        Alcotest.test_case "params keep the headroom on the deployed chain" `Quick
+          test_params_keep_headroom_deployed;
+        Alcotest.test_case "compile settles the winner on the deployed chain" `Quick
+          test_compile_deploys_winner;
+        Alcotest.test_case "compile prints key switches per inference" `Quick test_pp_key_switches;
         Alcotest.test_case "compiled config runs on real SEAL" `Slow test_compiled_runs_on_real_scheme;
         Alcotest.test_case "compiled config runs on real HEAAN" `Slow test_compiled_runs_on_real_heaan;
         Alcotest.test_case "server keyset cannot decrypt" `Quick test_server_keyset_cannot_decrypt;

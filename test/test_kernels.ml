@@ -219,6 +219,42 @@ let test_top_residue () =
         (Rq_rns.component y ~basis_index:i))
     primes
 
+(* A one-prime digit's lift folds the sign instead of dividing whenever the
+   digit's prime is below twice the target prime (any two primes of one
+   context): the same residues as [Modarith.reduce] of the centered value,
+   at the ±from/2 boundary, at 0 and from − 1, and at random residues; a
+   digit prime of 2p or more still reduces. *)
+let test_lift_centered_sign_fold () =
+  let n = 256 in
+  let q = 1073479681 in
+  List.iter
+    (fun (from, p) ->
+      let half = from / 2 in
+      let edges = [ 0; 1; half - 1; half; half + 1; from - 2; from - 1 ] in
+      let values =
+        Array.init n (fun i ->
+            if i < List.length edges then List.nth edges i else Random.State.full_int rng from)
+      in
+      let src = Rvec.of_int_array values in
+      let dst = Rvec.create n in
+      Rvec.lift_centered_into dst src ~from p;
+      let expected =
+        Array.map (fun v -> Modarith.reduce (if v > half then v - from else v) p) values
+      in
+      Alcotest.(check (array int))
+        (Printf.sprintf "lift from %d into %d" from p)
+        expected (Rvec.to_int_array dst))
+    [
+      (1073741789, q);
+      (1073741783, q);
+      (998244353, q);
+      (12289, q);
+      (2 * q - 1, q);
+      (2 * q + 1, q);
+      (1073741789, 12289);
+      (3 * 12289, 12289);
+    ]
+
 (* The key switch's centered two-prime lift, its Garner digit computed once
    and reduced into each target, against the per-target Garner twin and
    against the exact value it must produce: digits at the largest 30-bit
@@ -549,6 +585,7 @@ let suite =
         Alcotest.test_case "rvec edge residues" `Quick test_rvec_edge_values;
         Alcotest.test_case "shoup multiplication" `Quick test_shoup;
         Alcotest.test_case "centered pair lift = Garner twin" `Quick test_lift_pair_centered;
+        Alcotest.test_case "one-prime lift: sign fold = reduce" `Quick test_lift_centered_sign_fold;
         Alcotest.test_case "one-pass inner product = per-digit MACs" `Quick test_inner_product;
         Alcotest.test_case "NTT-domain rounded division = coefficient twin" `Quick
           test_div_round_ntt;

@@ -122,7 +122,7 @@ let test_random_assignments () =
 
 module Instrument = Chet_hisa.Instrument
 
-let dense_case ~meta ~out_d seed =
+let dense_case ?(last = false) ~meta ~out_d seed =
   let st = Random.State.make [| seed; 91 |] in
   let c, h, w = (meta.Layout.channels, meta.Layout.height, meta.Layout.width) in
   let b = Circuit.builder () in
@@ -145,16 +145,16 @@ let dense_case ~meta ~out_d seed =
   let module H = (val counted : Hisa.S) in
   let module K = Kernels.Make (H) in
   let cfg = Kernels.default_scales in
-  let op = K.matmul cfg ~meta ~budget:(ref 0) ~weights ~bias:(Some bias) in
+  let op = K.matmul cfg ~meta ~budget:(ref 0) ~weights ~bias:(Some bias) ~last in
   let input = K.encrypt_tensor cfg meta image in
   Instrument.reset counters;
   fma_rots := 0;
   let out = op.K.sg_run input in
   let got = K.decrypt_tensor out in
   let what = Format.asprintf "%a -> %d" Layout.pp meta out_d in
-  if out.K.meta <> Kernels.dense_out_meta meta ~out_dim:out_d then
+  if out.K.meta <> Kernels.dense_out_meta meta ~out_dim:out_d ~last then
     Alcotest.failf "%s: output meta %a, dense_out_meta %a" what Layout.pp out.K.meta Layout.pp
-      (Kernels.dense_out_meta meta ~out_dim:out_d);
+      (Kernels.dense_out_meta meta ~out_dim:out_d ~last);
   let diff = T.max_abs_diff (T.flatten expected) (T.flatten got) in
   let bound = 2e-2 *. Float.max 1.0 (T.max_abs expected) in
   if diff > bound then Alcotest.failf "%s: diff %.5f > %.5f" what diff bound;
@@ -163,7 +163,7 @@ let dense_case ~meta ~out_d seed =
     (what ^ ": Instrument rotations = rot-acc + hoisted lane shifts")
     (op.K.sg_rot_acc + !hoisted)
     (Instrument.total_rotations counters);
-  match Kernels.dense_fold meta ~out_dim:out_d with
+  match Kernels.dense_fold meta ~out_dim:out_d ~last with
   | None -> 0
   | Some d ->
       (* every lane but an unlifted lane 0 is one hoisted shift per input *)
@@ -197,7 +197,7 @@ let test_dense_lattice () =
   let packed_ragged = ref false in
   List.iteri
     (fun i (meta, out_d) ->
-      (match Kernels.dense_fold meta ~out_dim:out_d with
+      (match Kernels.dense_fold meta ~out_dim:out_d ~last:false with
       | None -> Alcotest.fail "lattice fold applies"
       | Some d ->
           (* only a single-axis lattice (the vector) may fold once *)
@@ -228,7 +228,7 @@ let test_dense_lattice () =
   List.iteri
     (fun i twin ->
       let meta = create Layout.HW ~margin:0 ~twin 2 3 6 in
-      Alcotest.(check bool) "fallback" true (Kernels.dense_fold meta ~out_dim:5 = None);
+      Alcotest.(check bool) "fallback" true (Kernels.dense_fold meta ~out_dim:5 ~last:false = None);
       ignore (dense_case ~meta ~out_d:5 (100 + i)))
     [ false; true ]
 
@@ -258,7 +258,7 @@ let test_dense_fold_once () =
   List.iteri
     (fun i (meta, out_d, lifted) ->
       let what = Format.asprintf "%a -> %d" Layout.pp meta out_d in
-      (match Kernels.dense_fold meta ~out_dim:out_d with
+      (match Kernels.dense_fold meta ~out_dim:out_d ~last:false with
       | Some d ->
           if not d.Kernels.dn_once then Alcotest.failf "%s: does not fold once" what;
           Alcotest.(check bool) (what ^ ": lifted") lifted (d.Kernels.dn_lift > 0);
@@ -270,7 +270,7 @@ let test_dense_fold_once () =
     once;
   List.iteri
     (fun i (meta, out_d) ->
-      match Kernels.dense_fold meta ~out_dim:out_d with
+      match Kernels.dense_fold meta ~out_dim:out_d ~last:false with
       | Some d when not d.Kernels.dn_once -> ignore (dense_case ~meta ~out_d (300 + i))
       | _ -> Alcotest.fail "a strided vector folds per group")
     [ (vec ~stride:32 ~offset:64 10, 2); (vec ~twin:true ~stride:64 ~offset:128 6, 5) ];
@@ -317,11 +317,13 @@ let test_dense_fold_once () =
             when step.Chet_plan.Plan.st_op = Chet_plan.Plan.Op_node ->
               let src = Hashtbl.find metas input.Circuit.id in
               let out_dim = weights.T.shape.(0) in
-              if step.Chet_plan.Plan.st_meta <> Kernels.dense_out_meta src ~out_dim then
+              let last = step.Chet_plan.Plan.st_last in
+              Alcotest.(check bool) "only fc3 is the last dense layer" (input == fc2) last;
+              if step.Chet_plan.Plan.st_meta <> Kernels.dense_out_meta src ~out_dim ~last then
                 Alcotest.fail "plan meta differs from dense_out_meta";
               if input == fc1 then
                 Alcotest.(check bool) "fc2 folds once" true
-                  (match Kernels.dense_fold src ~out_dim with
+                  (match Kernels.dense_fold src ~out_dim ~last with
                   | Some d -> d.Kernels.dn_once
                   | None -> false)
           | _ -> ());
@@ -333,6 +335,99 @@ let test_dense_fold_once () =
         Alcotest.failf "three dense layers (%s): diff %.5f" (Layout.policy_name policy) diff)
     [ Layout.All_hw; Layout.All_chw ]
 
+(* --- folding once over a lattice ----------------------------------------
+
+   A dense layer no later dense layer reads ([last]) folds once over any
+   mixed-radix lattice whose boxes fit: HW and CHW inputs, twin on and off,
+   one and two input ciphertexts, the input lifted so the boxes stay above
+   slot 0. Boxes that do not fit fall back to the per-group fold, as does
+   every multi-axis input that a later dense layer reads. *)
+
+let test_dense_fold_once_lattice () =
+  let slots = 2048 in
+  let create kind ?twin ?(margin = 1) c h w =
+    Layout.create ~kind ~slots ~channels:c ~height:h ~width:w ~margin ?twin ()
+  in
+  let once =
+    [
+      (create Layout.HW 2 6 6, 4);
+      (create Layout.HW ~twin:true 2 6 6, 4);
+      (create Layout.CHW 3 4 4, 5);
+      (create Layout.CHW ~twin:true 2 4 4, 6);
+      (create Layout.HW ~twin:true 3 3 4, 3);
+      (create Layout.HW ~margin:2 1 3 3, 64);
+    ]
+  in
+  List.iteri
+    (fun i (meta, out_d) ->
+      let what = Format.asprintf "%a -> %d" Layout.pp meta out_d in
+      (match Kernels.dense_fold meta ~out_dim:out_d ~last:true with
+      | Some d ->
+          if not d.Kernels.dn_once then Alcotest.failf "%s: does not fold once" what;
+          Alcotest.(check bool) (what ^ ": multi-axis") true (List.length d.Kernels.dn_axes > 1);
+          Alcotest.(check bool) (what ^ ": lifted") true (d.Kernels.dn_lift > 0)
+      | None -> Alcotest.failf "%s: no fold" what);
+      (match Kernels.dense_fold meta ~out_dim:out_d ~last:false with
+      | Some d when not d.Kernels.dn_once -> ()
+      | _ -> Alcotest.failf "%s: folds once although a dense layer reads it" what);
+      ignore (dense_case ~last:true ~meta ~out_d (400 + i)))
+    once;
+  (* 65 boxes of 32 slots pass the last slot even below the anchor *)
+  let meta = create Layout.HW ~margin:2 1 3 3 in
+  (match Kernels.dense_fold meta ~out_dim:65 ~last:true with
+  | Some d when not d.Kernels.dn_once -> ()
+  | _ -> Alcotest.fail "65 boxes that do not fit fold per group");
+  ignore (dense_case ~last:true ~meta ~out_d:65 450);
+  (* through the plan: the first of two dense layers keeps the per-group
+     fold over its lattice, the second folds once over the vector; a lone
+     dense layer folds once over the lattice *)
+  let st = Random.State.make [| 11 |] in
+  let circuit ~outs =
+    let b = Circuit.builder () in
+    let x = Circuit.flatten b (Circuit.input b ~name:"x" [| 2; 4; 4 |]) in
+    let out, _ =
+      List.fold_left
+        (fun (x, in_d) out_d ->
+          ( Circuit.matmul b x ~weights:(Dataset.glorot st [| out_d; in_d |])
+              ~bias:(Dataset.bias st out_d) (),
+            out_d ))
+        (x, 32) outs
+    in
+    Circuit.finish b ~name:"dense" ~output:out
+  in
+  let image = Dataset.image ~seed:4 ~channels:2 ~height:4 ~width:4 in
+  List.iter
+    (fun (circuit, once) ->
+      let expected = Reference.eval circuit image in
+      List.iter
+        (fun (policy, twin) ->
+          let module H = (val backend () : Hisa.S) in
+          let module PE = Chet_plan.Plan_exec.Make (H) in
+          let plan = Chet_plan.Plan.build ~twin ~slots:H.slots ~policy circuit in
+          let metas = Hashtbl.create 8 in
+          let folds = ref [] in
+          Array.iter
+            (fun (step : Chet_plan.Plan.step) ->
+              (match step.Chet_plan.Plan.st_node.Circuit.op with
+              | Circuit.MatMul { input; weights; _ } ->
+                  let src = Hashtbl.find metas input.Circuit.id in
+                  let last = step.Chet_plan.Plan.st_last in
+                  (match Kernels.dense_fold src ~out_dim:weights.T.shape.(0) ~last with
+                  | Some d -> folds := d.Kernels.dn_once :: !folds
+                  | None -> Alcotest.fail "dense layer without a lattice fold")
+              | _ -> ());
+              Hashtbl.replace metas step.Chet_plan.Plan.st_node.Circuit.id
+                step.Chet_plan.Plan.st_meta)
+            plan.Chet_plan.Plan.p_steps;
+          let what = Printf.sprintf "%s%s" (Layout.policy_name policy) (if twin then " twin" else "") in
+          Alcotest.(check (list bool)) (what ^ ": which layers fold once") once (List.rev !folds);
+          let got = PE.run (PE.prepare Kernels.default_scales plan) image in
+          let diff = T.max_abs_diff (T.flatten expected) (T.flatten got) in
+          if diff > 2e-2 *. Float.max 1.0 (T.max_abs expected) then
+            Alcotest.failf "%s: diff %.5f" what diff)
+        [ (Layout.All_hw, false); (Layout.All_hw, true); (Layout.All_chw, false); (Layout.All_chw, true) ])
+    [ (circuit ~outs:[ 6; 3 ], [ false; true ]); (circuit ~outs:[ 5 ], [ true ]) ]
+
 let suite =
   [
     ( "runtime:props",
@@ -340,6 +435,8 @@ let suite =
         Alcotest.test_case "dense lattice fold vs Reference" `Quick test_dense_lattice;
         Alcotest.test_case "dense fold-once on vector inputs vs Reference" `Quick
           test_dense_fold_once;
+        Alcotest.test_case "last dense layer folds once over a lattice vs Reference" `Quick
+          test_dense_fold_once_lattice;
         prop "random circuits: HW" Layout.All_hw;
         prop "random circuits: CHW" Layout.All_chw;
         prop "random circuits: HW-conv CHW-rest" Layout.Hw_conv_chw_rest;

@@ -326,7 +326,10 @@ let test_bundle_fields_roundtrip () =
       (* schema damage *below* the store's checksums (a wrong-but-intact
          frame) surfaces as a typed Corrupt_bundle, not a crash; so does an
          intact frame of the retired version 1, which carried scale-summary
-         and calibration flags between the key flag and the CMPD frame *)
+         and calibration flags between the key flag and the CMPD frame, and
+         one of version 2, whose stored rotation selection predates the
+         plan a restart rebuilds (here: one of the plan's amounts missing,
+         so its keys could not serve a request) *)
       let frame tag body =
         let w = Serial.writer () in
         Serial.write_frame w tag body;
@@ -341,13 +344,26 @@ let test_bundle_fields_roundtrip () =
             List.iter (Serial.write_int w) [ 9; 0; 0; 0; 0 ];
             Compiler.write_compiled w c)
       in
+      let bndl_v2 =
+        let stale = { c with Compiler.rotations = List.tl c.Compiler.rotations } in
+        frame "BNDL" (fun w ->
+            Serial.write_int w 2;
+            Serial.write_string w "micro";
+            (* seed, rotation policy, no keys *)
+            List.iter (Serial.write_int w) [ 9; 0; 0 ];
+            Compiler.write_compiled w stale)
+      in
       List.iter
         (fun (what, meta) ->
           ignore (Store.save store ~files:[ ("meta.chet", meta) ]);
           match Bundle.load store ~circuit:micro with
           | exception Herr.Fhe_error (Herr.Corrupt_bundle _, _) -> ()
           | _ -> Alcotest.failf "%s not reported as typed Corrupt_bundle" what)
-        [ ("schema damage", not_a_bundle); ("a version-1 BNDL frame", bndl_v1) ])
+        [
+          ("schema damage", not_a_bundle);
+          ("a version-1 BNDL frame", bndl_v1);
+          ("a version-2 BNDL frame with rotations older than the plan", bndl_v2);
+        ])
 
 let test_bundle_warm_restart_bit_identical () =
   with_store_dir (fun dir ->
